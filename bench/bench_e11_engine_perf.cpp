@@ -18,7 +18,6 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <iostream>
 
@@ -75,9 +74,9 @@ BENCHMARK(BM_Greedy)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
 // Dense-alive decision-rate workload: n jobs all released at t = 0, so
 // essentially the whole instance stays alive until the end and every
 // decision step pays the full O(n) cost — the worst case the engine
-// hot-path work (reusable scratch buffers, memoized context orderings,
-// bounded-heap top-k selection, the FlowQ fast advance arm, and the
-// sparse completion sweep) was aimed at. ISRPT serves min(n, m) jobs per
+// hot-path work (reusable scratch buffers, the persistent ordering
+// heaps, the FlowQ fast advance arm, and the sparse completion sweep)
+// was aimed at. ISRPT serves min(n, m) jobs per
 // decision, leaving the rest rate-0: exactly the dense mostly-idle
 // regime. Sizes are deterministic (no RNG dependency) and distinct, so
 // SRPT orders have no ties and every completion is a separate event.
@@ -239,48 +238,36 @@ Table measure_dense_alive() {
 
 // ---- Incremental-orders dense-alive rows (PR 8) -------------------------
 //
-// The tentpole comparison: the persistent IncrementalOrders heaps
-// (use_incremental_orders, O(log n) maintenance per event) against the
-// per-decision ordering rebuild (cache on, incremental off: gather +
-// selection over all n keys every decision). Full runs to completion are
-// infeasible at n >= 1e5 — ~n decisions, each with an O(n) advance sweep
-// — so a bounded-decision streaming harness admits the dense instance
-// once and advances in small exact steps until `target` decisions have
-// executed. Both arms are driven over the same advance schedule, so they
-// execute bit-identical decision sequences (checked below: equal
-// decision counts AND bit-equal fractional flow), and the paired rates
-// are directly comparable.
+// The persistent IncrementalOrders heaps (O(log n) maintenance per
+// event) at dense-alive sizes where full runs to completion are
+// infeasible — ~n decisions, each with an O(n) advance sweep. A
+// bounded-decision streaming harness admits the dense instance once and
+// advances in small exact steps until `target` decisions have executed.
 //
-// Two rates per arm:
-//   * decisions_per_sec_* — full decision steps (allocate + rates +
-//     advance sweep). The advance sweep's serial fractional-flow
-//     accumulation is an O(n) bit-semantic floor shared by every arm, so
-//     this improves but cannot scale freely with the ordering speedup.
-//   * decide_* — the Scheduler::allocate() bucket alone
-//     (RunStats::decide_seconds), where the ordering queries live. This
-//     is the phase the heaps accelerate; the >= 5x floor is asserted
-//     here, in-bench, and gated absolutely by tools/bench_compare.py.
+// Two rates:
+//   * decisions_per_sec_incremental — full decision steps (allocate +
+//     rates + advance sweep). The advance sweep's serial fractional-flow
+//     accumulation is an O(n) bit-semantic floor under this rate.
+//   * decide_incremental_seconds — the Scheduler::allocate() bucket
+//     alone (RunStats::decide_seconds), where the ordering queries live.
 struct DenseDriveSample {
   std::uint64_t decisions = 0;
   double wall_seconds = 0.0;
   double decide_seconds = 0.0;
-  double fractional_flow = 0.0;
 };
 
 DenseDriveSample drive_dense_bounded(const Instance& inst,
-                                     bool use_incremental,
                                      std::uint64_t target, double dt) {
   auto sched = make_scheduler("isrpt");
   EngineConfig cfg;
   cfg.collect_stats = true;
-  cfg.use_incremental_orders = use_incremental;
   Engine eng(inst.machines(), cfg);
   eng.begin(*sched);
   for (const Job& j : inst.jobs()) eng.admit(j);
   // Sizes are >= 1, so no completion exists before t = 1; fast-forward
   // near the completion front, then creep across it in dt steps. Each
   // step past the front executes the decisions of every completion
-  // cluster inside it, and both arms see the exact same schedule.
+  // cluster inside it.
   double t = 0.875;
   const double t0 = obs::monotonic_seconds();
   eng.advance_to(t);
@@ -292,16 +279,12 @@ DenseDriveSample drive_dense_bounded(const Instance& inst,
   s.wall_seconds = obs::monotonic_seconds() - t0;
   s.decisions = eng.partial().decisions;
   s.decide_seconds = eng.partial().stats->decide_seconds;
-  s.fractional_flow = eng.partial().fractional_flow;
   return s;  // the unfinished run is abandoned with the engine
 }
 
 Table measure_incremental_orders() {
-  Table io({"n", "decisions", "wall_rebuild_seconds",
-            "wall_incremental_seconds", "decisions_per_sec_rebuild",
-            "decisions_per_sec_incremental", "full_step_speedup",
-            "decide_rebuild_seconds", "decide_incremental_seconds",
-            "decide_speedup"},
+  Table io({"n", "decisions", "wall_incremental_seconds",
+            "decisions_per_sec_incremental", "decide_incremental_seconds"},
            4);
   struct RowSpec {
     std::size_t n;
@@ -314,67 +297,33 @@ Table measure_incremental_orders() {
   };
   for (const RowSpec& spec : kRowSpecs) {
     const Instance inst = dense_alive_instance(spec.n);
-    auto measure = [&](double& decide_speedup, double& full_speedup,
-                       DenseDriveSample& rebuild, DenseDriveSample& inc) {
-      rebuild = drive_dense_bounded(inst, false, spec.target, spec.dt);
-      inc = drive_dense_bounded(inst, true, spec.target, spec.dt);
-      PARSCHED_CHECK(rebuild.decisions == inc.decisions &&
-                         rebuild.fractional_flow == inc.fractional_flow,
-                     "incremental arm diverged from the rebuild arm on "
-                     "the dense-alive drive");
-      decide_speedup = rebuild.decide_seconds / inc.decide_seconds;
-      full_speedup = rebuild.wall_seconds / inc.wall_seconds;
-    };
-    double decide_speedup = 0.0;
-    double full_speedup = 0.0;
-    DenseDriveSample rebuild;
-    DenseDriveSample inc;
-    measure(decide_speedup, full_speedup, rebuild, inc);
-    if (decide_speedup < 5.0) {
-      // One preempted pass reads as a regression; a real one reproduces.
-      // Re-measure once and keep the better verdict before failing.
-      double retry_decide = 0.0;
-      double retry_full = 0.0;
-      DenseDriveSample retry_rebuild;
-      DenseDriveSample retry_inc;
-      measure(retry_decide, retry_full, retry_rebuild, retry_inc);
-      if (retry_decide > decide_speedup) {
-        decide_speedup = retry_decide;
-        full_speedup = retry_full;
-        rebuild = retry_rebuild;
-        inc = retry_inc;
-      }
-    }
-    PARSCHED_CHECK(decide_speedup >= 5.0,
-                   "incremental orders decide-phase speedup fell below "
-                   "the 5x floor on the dense-alive drive");
+    // Warm-up drive: the timed one then reuses the allocator's pages
+    // instead of paying first-touch faults for ~n-sized engine state.
+    (void)drive_dense_bounded(inst, spec.target, spec.dt);
+    const DenseDriveSample inc =
+        drive_dense_bounded(inst, spec.target, spec.dt);
     io.add_row({static_cast<std::int64_t>(spec.n),
-                static_cast<std::int64_t>(inc.decisions),
-                rebuild.wall_seconds, inc.wall_seconds,
-                static_cast<double>(rebuild.decisions) / rebuild.wall_seconds,
+                static_cast<std::int64_t>(inc.decisions), inc.wall_seconds,
                 static_cast<double>(inc.decisions) / inc.wall_seconds,
-                full_speedup, rebuild.decide_seconds, inc.decide_seconds,
-                decide_speedup});
+                inc.decide_seconds});
   }
   return io;
 }
 
 // ---- Rate-kernel microbenchmark (PR 10) ---------------------------------
 //
-// The three ways the engine can evaluate speed * Γ_i(x_i) over the alive
-// set, timed over the SoA flat arrays the engine actually feeds them:
+// Two ways of evaluating speed * Γ_i(x_i) over the alive set, timed over
+// the SoA flat arrays the engine actually feeds them:
 //   * scalar — the historic per-job loop: one SpeedupCurve::rate() call
 //     (one std::pow for power-law jobs) per element;
-//   * batch  — speedup::rate_batch, the default arm (same arithmetic,
-//     flat-array layout; bit-equality with scalar is asserted inline);
-//   * fast   — speedup::rate_batch_fast, the opt-in exp(α·log x) arm
-//     with the last-value memo (ULP-banded vs scalar, asserted inline).
-// Two populations bracket the memo: "shared" is the EQUI dense-allocation
-// shape (every element the same (x, α) — one transcendental per pass),
-// "mixed" draws distinct (x, α) per element so the memo never hits. The
-// >= 2x shared-population fast-vs-scalar floor is asserted here (with
-// the retry-once pattern for noisy neighbors) and gated absolutely by
-// tools/bench_compare.py; the per-arm element rates are relative gates.
+//   * batch  — speedup::rate_batch, the engine's kernel (same
+//     arithmetic, flat-array layout; bit-equality with scalar is
+//     asserted inline).
+// "shared" gives every element the same (x, α), "mixed" draws distinct
+// (x, α) per element. Every element sits at x > 1, the only branch that
+// calls std::pow; an engine decision rarely has more than a few such
+// elements, since Σ x_j ≤ m. The per-arm element rates are relative
+// gates in tools/bench_compare.py.
 struct KernelPopulation {
   std::string case_name;   ///< table key: population + n
   std::string population;  ///< "shared" | "mixed"
@@ -397,7 +346,7 @@ KernelPopulation make_kernel_population(const std::string& population,
   p.xs.reserve(n);
   Rng rng(0x5EED + n);
   for (std::size_t i = 0; i < n; ++i) {
-    double a = 0.5, x = 4.0;  // the shared EQUI-style shape
+    double a = 0.5, x = 4.0;  // "shared": one (x, α) for every element
     if (population == "mixed") {
       a = rng.uniform(0.05, 0.95);
       x = rng.uniform(1.0 + 1e-6, 16.0);  // keep every element power-law
@@ -426,22 +375,15 @@ double time_kernel_arm(std::size_t n, F&& pass) {
   return static_cast<double>(n) * static_cast<double>(reps) / wall / 1e6;
 }
 
-std::uint64_t kernel_ulp_diff(double a, double b) {
-  const auto ia = std::bit_cast<std::int64_t>(a);
-  const auto ib = std::bit_cast<std::int64_t>(b);
-  return static_cast<std::uint64_t>(ia > ib ? ia - ib : ib - ia);
-}
-
 Table measure_rate_kernel() {
   Table rk({"case", "population", "n", "scalar_melems_per_sec",
-            "batch_melems_per_sec", "fast_melems_per_sec", "batch_speedup",
-            "fast_speedup"},
+            "batch_melems_per_sec", "batch_speedup"},
            4);
   constexpr double kSpeed = 1.0;
   for (const char* population : {"shared", "mixed"}) {
     for (const std::size_t n : {10'000u, 100'000u, 1'000'000u}) {
       const KernelPopulation p = make_kernel_population(population, n);
-      std::vector<double> scalar_out(n), batch_out(n), fast_out(n);
+      std::vector<double> scalar_out(n), batch_out(n);
       const auto scalar_pass = [&] {
         for (std::size_t i = 0; i < p.n; ++i) {
           scalar_out[i] = kSpeed * p.curves[i].rate(p.xs[i]);
@@ -452,44 +394,18 @@ Table measure_rate_kernel() {
         speedup::rate_batch(p.kinds, p.alphas, p.xs, kSpeed, batch_out);
         benchmark::DoNotOptimize(batch_out.data());
       };
-      const auto fast_pass = [&] {
-        speedup::rate_batch_fast(p.kinds, p.alphas, p.xs, kSpeed, fast_out);
-        benchmark::DoNotOptimize(fast_out.data());
-      };
-      // Correctness before timing: the default arm is bit-identical to
-      // the scalar loop, the fast arm stays inside the ULP envelope.
+      // Correctness before timing: the kernel is bit-identical to the
+      // scalar loop.
       scalar_pass();
       batch_pass();
-      fast_pass();
       for (std::size_t i = 0; i < n; ++i) {
         PARSCHED_CHECK(batch_out[i] == scalar_out[i],
                        "rate_batch diverged from the scalar loop");
-        PARSCHED_CHECK(kernel_ulp_diff(fast_out[i], scalar_out[i]) <= 64,
-                       "rate_batch_fast drifted beyond the ULP envelope");
       }
-      double scalar_rate = time_kernel_arm(n, scalar_pass);
+      const double scalar_rate = time_kernel_arm(n, scalar_pass);
       const double batch_rate = time_kernel_arm(n, batch_pass);
-      double fast_rate = time_kernel_arm(n, fast_pass);
-      double fast_speedup = fast_rate / scalar_rate;
-      if (p.population == "shared" && fast_speedup < 2.0) {
-        // One preempted pass reads as a regression; a real one
-        // reproduces. Re-measure the pair once, keep the better verdict.
-        const double retry_scalar = time_kernel_arm(n, scalar_pass);
-        const double retry_fast = time_kernel_arm(n, fast_pass);
-        if (retry_fast / retry_scalar > fast_speedup) {
-          scalar_rate = retry_scalar;
-          fast_rate = retry_fast;
-          fast_speedup = retry_fast / retry_scalar;
-        }
-      }
-      if (p.population == "shared") {
-        PARSCHED_CHECK(fast_speedup >= 2.0,
-                       "shared-population fast-kernel speedup fell below "
-                       "the 2x floor");
-      }
       rk.add_row({p.case_name, p.population, static_cast<std::int64_t>(n),
-                  scalar_rate, batch_rate, fast_rate,
-                  batch_rate / scalar_rate, fast_speedup});
+                  scalar_rate, batch_rate, batch_rate / scalar_rate});
     }
   }
   return rk;
@@ -596,8 +512,8 @@ void emit_perf_report() {
   da.print(std::cout);
   report.add_table("dense_alive", da);
   const Table io = measure_incremental_orders();
-  std::cout << "\n=== E11: incremental orders vs per-decision rebuild "
-               "(isrpt, dense-alive, bounded-decision drive) ===\n";
+  std::cout << "\n=== E11: incremental orders (isrpt, dense-alive, "
+               "bounded-decision drive) ===\n";
   io.print(std::cout);
   report.add_table("incremental_orders", io);
   const Table ro = measure_recorder_overhead();
@@ -606,8 +522,8 @@ void emit_perf_report() {
   ro.print(std::cout);
   report.add_table("flight_recorder_overhead", ro);
   const Table rk = measure_rate_kernel();
-  std::cout << "\n=== E11: rate-kernel throughput (scalar vs batch vs "
-               "fast, shared/mixed populations) ===\n";
+  std::cout << "\n=== E11: rate-kernel throughput (scalar vs batch, "
+               "shared/mixed populations) ===\n";
   rk.print(std::cout);
   report.add_table("rate_kernel", rk);
   const Table sp = measure_parallel_speedup();

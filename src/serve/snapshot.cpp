@@ -201,10 +201,6 @@ std::string encode_snapshot(const SessionSnapshot& snap) {
   body.f64(e.config.time_tol);
   body.u64(e.config.max_decisions);
   body.u8(e.config.validate_allocations ? 1 : 0);
-  // v2: the rate-kernel arm is simulation semantics (exp(α·log x) vs
-  // pow differ by ULPs), so a continuation must run the donor's arm —
-  // import_state enforces the match.
-  body.u8(e.config.fast_rate_kernel ? 1 : 0);
   body.f64(e.now);
   body.f64(e.frontier);
   body.i64(e.arrival_seq);
@@ -250,7 +246,6 @@ SessionSnapshot decode_snapshot(std::string_view blob) {
   e.config.time_tol = r.f64();
   e.config.max_decisions = r.u64();
   e.config.validate_allocations = r.u8() != 0;
-  e.config.fast_rate_kernel = r.u8() != 0;
   e.now = r.f64();
   e.frontier = r.f64();
   e.arrival_seq = r.i64();

@@ -7,20 +7,21 @@
 // run produces the same doubles, in the same order, as the donor would
 // have.
 //
-// Format (version 1): magic "PSNP", a little-endian u32 version, then a
-// fixed field order of u8/u32/u64/i64 little-endian integers,
-// length-prefixed strings, and doubles serialized as their raw IEEE-754
-// bit pattern (u64 LE) — never through decimal text, which is how the
-// bit-identity guarantee survives the round trip. Containers whose order
-// is semantic (the engine's alive vector, pending admissions) are stored
-// verbatim; the completed set is stored sorted, so re-snapshotting a
-// restored session reproduces the donor blob byte for byte.
+// Format (version kSnapshotVersion): magic "PSNP", a little-endian u32
+// version, then a fixed field order of u8/u32/u64/i64 little-endian
+// integers, length-prefixed strings, and doubles serialized as their
+// raw IEEE-754 bit pattern (u64 LE) — never through decimal text, which
+// is how the bit-identity guarantee survives the round trip. Containers
+// whose order is semantic (the engine's alive vector, pending
+// admissions) are stored verbatim; the completed set is stored sorted,
+// so re-snapshotting a restored session reproduces the donor blob byte
+// for byte.
 //
 // decode_snapshot() throws std::invalid_argument on bad magic, an
 // unknown version, truncation, or trailing bytes. The version is bumped
 // (and old versions rejected, not migrated) whenever the engine state
-// gains a field — a stale blob must fail loudly, not continue subtly
-// wrong.
+// gains or loses a field — a stale blob must fail loudly, not continue
+// subtly wrong.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +32,9 @@
 
 namespace parsched::serve {
 
-// v2: appended EngineConfig::fast_rate_kernel (u8) after
-// validate_allocations — the kernel arm is decision arithmetic, so a
-// continuation must know which arm produced the snapshot.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+// v2 appended a rate-kernel selector byte after validate_allocations;
+// v3 drops it again (the engine has one rate kernel).
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 
 /// Everything needed to reconstruct a session in a fresh process.
 struct SessionSnapshot {

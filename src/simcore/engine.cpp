@@ -147,10 +147,6 @@ Engine::Engine(int machines, EngineConfig config)
     throw std::invalid_argument("engine speed must be positive");
   }
   audit_allocs_ = env::get_flag("PARSCHED_AUDIT");
-  // The incremental arm rides on the cache's memo protocol (the heaps
-  // fill the cache-owned order buffers), so it is only armed when both
-  // knobs are on. cfg_ is immutable after construction.
-  inc_on_ = cfg_.use_context_cache && cfg_.use_incremental_orders;
 }
 
 void Engine::add_observer(Observer* obs) {
@@ -193,7 +189,7 @@ void Engine::begin_run(Scheduler& sched) {
   alloc_warm_n_ = 0;
   flow_q_.clear();
   soa_.clear();
-  inc_orders_.clear();
+  orders_.clear();
   rates_valid_ = false;
   stats_ = nullptr;
   // Profiling is opt-in: with collect_stats off (the default) `stats_` is
@@ -280,18 +276,10 @@ void Engine::admit_job_now(Job j) {
   if (comp_idx_.capacity() < alive_.size()) {
     comp_idx_.reserve(std::max(alive_.size(), comp_idx_.capacity() * 2));
   }
-  // Same pre-payment for the ordering-helper buffers: which helper code
-  // path runs depends on the alive count (small-k selection vs. full
-  // gather), so a *shrinking* run can reach a buffer that the larger
-  // steps never touched. Reserving to the high-water mark here makes
-  // every path allocation-free regardless of where the switch lands.
-  ctx_cache_.reserve(alive_.size());
-  // Incremental arm: pre-pay heap growth here too (outside the guarded
+  // Pre-pay heap and order-buffer growth here too (outside the guarded
   // scopes), then push the new job — one O(log n) sift per heap.
-  if (inc_on_) {
-    inc_orders_.reserve(alive_.size());
-    inc_orders_.insert(alive_.back(), alive_.size() - 1);
-  }
+  orders_.reserve(alive_.size());
+  orders_.insert(alive_.back(), alive_.size() - 1);
   ++result_.events;
   if (cfg_.recorder != nullptr) {
     cfg_.recorder->record(obs::FlightEvent::kAdmit,
@@ -335,7 +323,7 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
   // soa_.alloc array, (2) one batched kernel call evaluates every
   // Γ_i(x_i) into soa_.rate, (3) a dense scan derives the earliest
   // phase end and the nonzero-rate count. The split is bit-neutral
-  // against the old fused scalar loop: the default kernel arm computes
+  // against the old fused scalar loop: rate_batch computes
   // `speed * Γ(s)` with the exact per-element arithmetic rate() used
   // (a zero share yields speed * 0.0 == +0.0, the same bits the old
   // skip wrote), validation still sees every share before any throw
@@ -359,14 +347,8 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
     throw std::logic_error("overcommitted shares from " +  // lint: alloc-ok
                            sched_->name());
   }
-  const speedup::PwlRateFn pwl{&pwl_rate_from_alive, alive_.data()};
-  if (cfg_.fast_rate_kernel) {
-    speedup::rate_batch_fast(soa_.kind, soa_.alpha, soa_.alloc, cfg_.speed,
-                             soa_.rate, pwl);
-  } else {
-    speedup::rate_batch(soa_.kind, soa_.alpha, soa_.alloc, cfg_.speed,
-                        soa_.rate, pwl);
-  }
+  speedup::rate_batch(soa_.kind, soa_.alpha, soa_.alloc, cfg_.speed,
+                      soa_.rate, {&pwl_rate_from_alive, alive_.data()});
   double dt_complete = kInf;
   std::size_t nonzero = 0;
   for (std::size_t i = 0; i < n; ++i) {
@@ -396,10 +378,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     if (++result_.decisions > cfg_.max_decisions) {
       throw std::runtime_error("engine exceeded max_decisions guard");
     }
-    ctx_cache_.invalidate();
-    SchedulerContext ctx(now_, m_, alive_, &ctx_cache_,
-                         cfg_.use_context_cache,
-                         inc_on_ ? &inc_orders_ : nullptr);
+    SchedulerContext ctx(now_, m_, alive_, orders_);
     // PARSCHED_AUDIT: warm allocate+rates sections must not touch the
     // heap — every scratch buffer is capacity-stable once a step at this
     // alive count has completed. (A policy-error throw inside the scope
@@ -482,7 +461,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
   // update in the full arm is the identity (see the FlowQ invariants in
   // engine.hpp — the phase-advance condition and the completion compare
   // are constant-false on a survivor while its rate stays 0), and the
-  // flow increment 0.5*(r+r)/size*dt reuses the memoized division result
+  // flow increment 0.5*(r+r)/size*dt reuses the cached division result
   // for the job's exact current remaining.
   bool phase_advanced = false;
   comp_idx_.clear();
@@ -495,9 +474,9 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     sweep_fence.emplace("Engine decision step: advance sweep");
   }
   const double ctol = cfg_.completion_tol;
-  // Incremental arm: pick the key-maintenance mode for this sweep. With
-  // a sparse allocation (SRPT-style: at most m of n jobs run) each
-  // changed key costs one O(log n) sift; when most keys move at once
+  // Pick the heaps' key-maintenance mode for this sweep. With a sparse
+  // allocation (SRPT-style: at most m of n jobs run) each changed key
+  // costs one O(log n) sift; when most keys move at once
   // (EQUI-style dense allocations, > n/8 nonzero rates) n sifts lose to
   // one O(n) rebuild, so declare a lazy-decay epoch instead — the SRPT
   // heap goes stale and is regathered at the next query (never, for
@@ -507,9 +486,9 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
   bool inc_eager = false;
   // Exact-zero test on purpose: dt == 0 steps (simultaneous events)
   // change no remaining-work key bit, so the heaps need no maintenance.
-  if (inc_on_ && dt != 0.0 && !inc_orders_.srpt_stale()) {  // lint: float-eq-ok
+  if (dt != 0.0 && !orders_.srpt_stale()) {  // lint: float-eq-ok
     if (rates_nonzero_ * 8 > alive_.size()) {
-      inc_orders_.decay_epoch();
+      orders_.decay_epoch();
     } else {
       inc_eager = true;
     }
@@ -530,7 +509,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
       a.remaining = after;
       soa_.remaining[i] = after;
       a.phase_remaining = std::max(0.0, a.phase_remaining - r * dt);
-      if (inc_eager) inc_orders_.update_remaining(i, after);
+      if (inc_eager) orders_.update_remaining(i, after);
     } else {
       // First visit at rate 0 (admission / restore): same arithmetic as
       // the r != 0 arm with the r*dt terms — exactly 0.0 here — elided.
@@ -606,7 +585,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
         // Mirror the swap-remove into the heaps: delete index i, remap
         // the back entry (alive index `end`) to i — the same move the
         // alive_/flow_q_ lines below perform. O(log n) per heap.
-        if (inc_on_) inc_orders_.remove_swap(i, end);
+        orders_.remove_swap(i, end);
         soa_.swap_remove(i, end);
         if (i == end) break;
         alive_[i] = std::move(alive_[end]);
@@ -674,8 +653,10 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
   // maps and both heap properties (O(n), audit runs only). A divergence
   // here trips a contract failure at the step that caused it instead of
   // surfacing decisions later as a wrong ordering.
-  if (audit_allocs_ && inc_on_) inc_orders_.audit(alive_);
-  if (audit_allocs_) audit_soa();
+  if (audit_allocs_) {
+    orders_.audit(alive_);
+    audit_soa();
+  }
   if (cfg_.recorder != nullptr) {
     cfg_.recorder->record(obs::FlightEvent::kDecision, result_.decisions,
                           now_, dt,
@@ -834,9 +815,9 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   }
   // The config fields that enter the decision arithmetic must match the
   // donor exactly, or the continuation silently diverges bit-by-bit from
-  // the run that produced the snapshot. (use_context_cache and the
-  // profiling/guard knobs are deliberately not checked: they do not
-  // affect the computed trajectory.)
+  // the run that produced the snapshot. (The profiling/guard knobs are
+  // deliberately not checked: they do not affect the computed
+  // trajectory.)
   if (s.config.speed != cfg_.speed) {
     throw std::invalid_argument("snapshot engine speed mismatch");
   }
@@ -846,11 +827,11 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   if (s.config.time_tol != cfg_.time_tol) {
     throw std::invalid_argument("snapshot time_tol mismatch");
   }
-  // Unlike use_context_cache, the kernel arm changes the decision
-  // arithmetic (exp(α·log x) vs pow), so a continuation under a
-  // different arm would drift from the donor trajectory ULP-by-ULP.
-  if (s.config.fast_rate_kernel != cfg_.fast_rate_kernel) {
-    throw std::invalid_argument("snapshot rate-kernel arm mismatch");
+  // A deferred decision's shares are read for every alive index on
+  // resume (compute_rates), so their count must match the alive set.
+  if (s.has_cached_alloc && s.cached_alloc.shares.size() != s.alive.size()) {
+    throw std::invalid_argument(
+        "snapshot cached allocation size does not match the alive set");
   }
   sched_ = &sched;  // no reset(): the caller restored the policy's state
   streaming_ = true;
@@ -870,12 +851,11 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   flow_q_.assign(alive_.size(), FlowQ{});  // memos rebuild lazily
   soa_.rebuild(alive_);
   comp_idx_.reserve(alive_.size());
-  ctx_cache_.reserve(alive_.size());
   // The heaps are derived state: rebuild the latest-arrival heap from
   // the restored alive set now and leave the SRPT side lazily stale —
   // the first SRPT query regathers it, bit-identically to the donor.
-  inc_orders_.clear();
-  if (inc_on_) inc_orders_.rebuild(alive_);
+  orders_.clear();
+  orders_.rebuild(alive_);
   rates_valid_ = false;  // a deferred decision recomputes its rates once
   stats_ = nullptr;  // profiling does not continue across a restore
   run_start_ = 0.0;

@@ -46,28 +46,6 @@ struct EngineConfig {
   std::uint64_t max_decisions = 500'000'000;
   /// Check share feasibility at every decision point.
   bool validate_allocations = true;
-  /// Lend the engine-owned ContextCache to the SchedulerContext built at
-  /// each decision point, so the ordering helpers share one sort per
-  /// ordering per decision. Off, every helper call recomputes from
-  /// scratch with refimpl::'s arithmetic (in-place, buffer-reusing
-  /// twins) — bit-identical by construction and kept as
-  /// the reference arm of the differential tests. Not part of the
-  /// simulation semantics: not serialized in snapshots, not checked by
-  /// import_state().
-  bool use_context_cache = true;
-  /// Maintain the persistent IncrementalOrders heaps
-  /// (simcore/incremental.hpp) across events and serve the cache's
-  /// ordering helpers from them: O(log n) maintenance per
-  /// admit/advance/complete plus O(k log k) per query instead of an
-  /// O(n log n) rebuild every decision. Only meaningful with
-  /// use_context_cache on (the cache still owns the per-decision memo);
-  /// off, the cache falls back to its own sort/selection paths. A third
-  /// differentially-tested arm beside ContextCache and refimpl:: —
-  /// bit-identical results by construction (the tie-break comparators
-  /// are shared; tests/test_incremental.cpp is the proof). Like
-  /// use_context_cache, not part of the simulation semantics: not
-  /// serialized in snapshots, not checked by import_state().
-  bool use_incremental_orders = true;
   /// Collect per-run profiling (SimResult::stats): wall time split into
   /// policy-decide / event-solver / observer buckets plus decision-
   /// interval and alive-count histograms. Off by default — the
@@ -78,15 +56,6 @@ struct EngineConfig {
   /// engine.decide/solver/observer when collect_stats is also set).
   /// Borrowed; must outlive run().
   obs::MetricsRegistry* metrics = nullptr;
-  /// Evaluate the per-decision rates Γ_j(x_j) with the batched
-  /// exp(α·log x) kernel (speedup/kernel.hpp rate_batch_fast) instead of
-  /// the scalar-identical rate_batch arm. Power-law rates at x > 1 then
-  /// differ from the scalar arm by a bounded ULP distance (bit-exact at
-  /// x <= 1 and for sequential / fully-parallel / piecewise-linear
-  /// curves), so this IS simulation semantics: it is serialized in
-  /// session snapshots and checked by import_state() — a continuation
-  /// must replay the donor's kernel arm or it silently diverges.
-  bool fast_rate_kernel = false;
   /// Optional flight recorder (obs/flight_recorder.hpp): the engine
   /// records decision steps, admissions, completions and stalls into it,
   /// and — when the recorder has a dump path armed — dumps the ring
@@ -135,19 +104,18 @@ struct EngineState {
 /// the engine beside `alive_` and kept in sync at every mutation point
 /// (admit, the advance sweep's remaining/phase updates, the completion
 /// swap-remove, snapshot import). The decision hot path reads these
-/// dense arrays — the fused rates pass runs speedup/kernel.hpp's batch
-/// kernels over (kind, alpha, alloc) and writes `rate`; the dt-to-
+/// dense arrays — the fused rates pass runs speedup/kernel.hpp's
+/// rate_batch over (kind, alpha, alloc) and writes `rate`; the dt-to-
 /// completion scan and the advance sweep read `rate` — instead of
 /// striding through the ~150-byte AliveJob records, which is the stated
 /// unblocker for dense-alive runs at n = 10⁶.
 ///
 /// Derived state, not simulation state: every entry is recomputable
 /// from `alive_` (alloc/rate from the current decision's shares), so —
-/// like the ContextCache and the IncrementalOrders heaps — none of it
-/// appears in EngineState; import_state() rebuilds it. All vectors are
-/// pre-reserved at admission (geometric growth, outside the AllocGuard
-/// fences), so warm decision steps stay allocation-free with the SoA
-/// arrays exactly as they were without them. PARSCHED_AUDIT=1 re-checks
+/// like the IncrementalOrders heaps — none of it appears in EngineState;
+/// import_state() rebuilds it. All vectors are pre-reserved at admission
+/// (geometric growth, outside the AllocGuard fences), so warm decision
+/// steps stay allocation-free. PARSCHED_AUDIT=1 re-checks
 /// the mirror field-for-field against `alive_` after every advanced
 /// step (Engine::audit_soa).
 struct AliveSoA {
@@ -232,7 +200,9 @@ class Engine final : public EngineView {
   /// engine constructed with the snapshot's machine count and config; the
   /// scheduler must already carry its restored state (Scheduler::
   /// load_state). Continuation after import is bit-identical to the
-  /// donor run.
+  /// donor run. Throws std::invalid_argument, leaving the engine
+  /// untouched, on a config mismatch or a cached allocation whose share
+  /// count differs from the alive set.
   [[nodiscard]] EngineState export_state() const;
   void import_state(const EngineState& state, Scheduler& sched);
 
@@ -310,16 +280,12 @@ class Engine final : public EngineView {
   /// compute_rates() overwrites both, and their values for a *deferred*
   /// decision stay frozen with it (the rates_valid_ protocol below).
   AliveSoA soa_;
-  ContextCache ctx_cache_;
-  /// Persistent ordering heaps (the incremental arm). Unlike the rest of
-  /// this scratch block the heaps carry state *across* decision steps —
-  /// but still derived state: every key is recomputable from alive_, and
-  /// import_state()/begin_run() rebuild them, so they stay out of
-  /// EngineState like the cache. Maintained and queried only when
-  /// inc_on_ (use_context_cache && use_incremental_orders, fixed at
-  /// construction).
-  IncrementalOrders inc_orders_;
-  bool inc_on_ = false;
+  /// Persistent ordering heaps behind every SchedulerContext helper.
+  /// Unlike the rest of this scratch block the heaps carry state
+  /// *across* decision steps — but still derived state: every key is
+  /// recomputable from alive_, and import_state()/begin_run() rebuild
+  /// them, so they stay out of EngineState.
+  IncrementalOrders orders_;
   /// Jobs with a nonzero rate in the current decision (set by
   /// compute_rates): the advance sweep uses it to pick between per-job
   /// O(log n) heap updates and one lazy-decay epoch when most keys move
@@ -329,7 +295,7 @@ class Engine final : public EngineView {
   std::vector<std::size_t> comp_idx_;  // this step's completed positions, asc
   /// Per-job fast-path memo for the advance loop, index-aligned with
   /// alive_ (appended on admission, swapped on removal, reset on
-  /// import_state). `q` memoizes the flow-integral quotient 0.5*(r+r)/size
+  /// import_state). `q` caches the flow-integral quotient 0.5*(r+r)/size
   /// for the job's current remaining work r — the rate-0 advance arm's
   /// division result, reusable verbatim because r only changes in the
   /// full arm, which refreshes q eagerly. A job with `needs_full` set

@@ -123,6 +123,7 @@ void IncrementalOrders::clear() {
   srpt_pos_.clear();
   latest_pos_.clear();
   cand_.clear();
+  begin_decision();
   srpt_stale_ = true;
   decay_epochs_ = 0;
 }
@@ -135,6 +136,8 @@ void IncrementalOrders::reserve(std::size_t n) {
   grow(cand_, n + 1);  // traversal holds at most want+1 live candidates
   grow(srpt_scratch_, n);
   grow(latest_scratch_, n);
+  grow(srpt_order_, n);
+  grow(latest_order_, n);
 }
 
 void IncrementalOrders::rebuild(std::span<const AliveJob> alive) {
@@ -144,13 +147,14 @@ void IncrementalOrders::rebuild(std::span<const AliveJob> alive) {
   latest_pos_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     latest_[i] =
-        LatestEntry{alive[i].release, alive[i].id, static_cast<std::uint32_t>(i)};
+        LatestKey{alive[i].release, alive[i].id, static_cast<std::uint32_t>(i)};
     latest_pos_[i] = static_cast<std::uint32_t>(i);
   }
   heapify(latest_, latest_pos_, LatestKeyLess{});
   srpt_.clear();
   srpt_pos_.clear();
   srpt_stale_ = true;  // regathered from the alive set at the next query
+  begin_decision();
 }
 
 PARSCHED_HOT void IncrementalOrders::insert(const AliveJob& job,
@@ -159,11 +163,11 @@ PARSCHED_HOT void IncrementalOrders::insert(const AliveJob& job,
                  "IncrementalOrders::insert out of step with the alive set");
   latest_pos_.push_back(static_cast<std::uint32_t>(latest_.size()));
   latest_.push_back(
-      LatestEntry{job.release, job.id, static_cast<std::uint32_t>(idx)});
+      LatestKey{job.release, job.id, static_cast<std::uint32_t>(idx)});
   sift_up(latest_, latest_pos_, latest_.size() - 1, LatestKeyLess{});
   if (!srpt_stale_) {
     srpt_pos_.push_back(static_cast<std::uint32_t>(srpt_.size()));
-    srpt_.push_back(SrptEntry{job.remaining, job.release, job.id,
+    srpt_.push_back(SrptKey{job.remaining, job.release, job.id,
                               static_cast<std::uint32_t>(idx)});
     sift_up(srpt_, srpt_pos_, srpt_.size() - 1, SrptKeyLess{});
   }
@@ -207,7 +211,7 @@ PARSCHED_HOT void IncrementalOrders::ensure_srpt_fresh(
   srpt_pos_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const AliveJob& j = alive[i];
-    srpt_[i] = SrptEntry{j.remaining, j.release, j.id,
+    srpt_[i] = SrptKey{j.remaining, j.release, j.id,
                          static_cast<std::uint32_t>(i)};
     srpt_pos_[i] = static_cast<std::uint32_t>(i);
   }
@@ -222,35 +226,48 @@ PARSCHED_HOT std::size_t IncrementalOrders::min_srpt(
   return srpt_[0].idx;
 }
 
-PARSCHED_HOT void IncrementalOrders::fill_srpt(std::span<const AliveJob> alive,
-                                               std::size_t want,
-                                               std::size_t* out) {
+PARSCHED_HOT std::span<const std::size_t> IncrementalOrders::srpt_prefix(
+    std::span<const AliveJob> alive, std::size_t k) {
   ensure_srpt_fresh(alive);
   const std::size_t n = srpt_.size();
-  if (want > n) want = n;
-  if (want < n) {
-    fill_topk(srpt_, cand_, want, out, SrptKeyLess{});
-    return;
+  const std::size_t want = std::min(k, n);
+  if (want > srpt_memo_) {
+    srpt_order_.resize(n);
+    if (want < n) {
+      fill_topk(srpt_, cand_, want, srpt_order_.data(), SrptKeyLess{});
+    } else {
+      // Full order: sort a compact copy of the keys (the heap itself
+      // must keep its shape).
+      srpt_scratch_.assign(srpt_.begin(), srpt_.end());
+      std::sort(srpt_scratch_.begin(), srpt_scratch_.end(), SrptKeyLess{});
+      for (std::size_t i = 0; i < n; ++i) {
+        srpt_order_[i] = srpt_scratch_[i].idx;
+      }
+    }
+    srpt_memo_ = want;
   }
-  // Full order: sort a compact copy of the keys (the heap itself must
-  // keep its shape). Cheaper than the cache arm's path by the gather —
-  // the keys are already collected.
-  srpt_scratch_.assign(srpt_.begin(), srpt_.end());
-  std::sort(srpt_scratch_.begin(), srpt_scratch_.end(), SrptKeyLess{});
-  for (std::size_t i = 0; i < n; ++i) out[i] = srpt_scratch_[i].idx;
+  return {srpt_order_.data(), want};
 }
 
-PARSCHED_HOT void IncrementalOrders::fill_latest(std::size_t want,
-                                                 std::size_t* out) {
+PARSCHED_HOT std::span<const std::size_t> IncrementalOrders::latest_prefix(
+    std::size_t k) {
   const std::size_t n = latest_.size();
-  if (want > n) want = n;
-  if (want < n) {
-    fill_topk(latest_, cand_, want, out, LatestKeyLess{});
-    return;
+  const std::size_t want = std::min(k, n);
+  if (want > latest_memo_) {
+    latest_order_.resize(n);
+    if (want < n) {
+      fill_topk(latest_, cand_, want, latest_order_.data(), LatestKeyLess{});
+    } else {
+      latest_scratch_.assign(latest_.begin(), latest_.end());
+      std::sort(latest_scratch_.begin(), latest_scratch_.end(),
+                LatestKeyLess{});
+      for (std::size_t i = 0; i < n; ++i) {
+        latest_order_[i] = latest_scratch_[i].idx;
+      }
+    }
+    latest_memo_ = want;
   }
-  latest_scratch_.assign(latest_.begin(), latest_.end());
-  std::sort(latest_scratch_.begin(), latest_scratch_.end(), LatestKeyLess{});
-  for (std::size_t i = 0; i < n; ++i) out[i] = latest_scratch_[i].idx;
+  return {latest_order_.data(), want};
 }
 
 void IncrementalOrders::audit(std::span<const AliveJob> alive) const {
@@ -259,7 +276,7 @@ void IncrementalOrders::audit(std::span<const AliveJob> alive) const {
                  "incremental audit: latest heap size mismatch");
   const LatestKeyLess lless{};
   for (std::size_t s = 0; s < n; ++s) {
-    const LatestEntry& e = latest_[s];
+    const LatestKey& e = latest_[s];
     PARSCHED_CHECK(e.idx < n, "incremental audit: latest idx out of range");
     const AliveJob& j = alive[e.idx];
     PARSCHED_CHECK(e.release == j.release && e.id == j.id,
@@ -276,7 +293,7 @@ void IncrementalOrders::audit(std::span<const AliveJob> alive) const {
                  "incremental audit: srpt heap size mismatch");
   const SrptKeyLess sless{};
   for (std::size_t s = 0; s < n; ++s) {
-    const SrptEntry& e = srpt_[s];
+    const SrptKey& e = srpt_[s];
     PARSCHED_CHECK(e.idx < n, "incremental audit: srpt idx out of range");
     const AliveJob& j = alive[e.idx];
     PARSCHED_CHECK(e.remaining == j.remaining && e.release == j.release &&

@@ -2,8 +2,7 @@
 //
 // Every decision step needs (prefixes of) two strict total orders over
 // the alive set: SRPT order (remaining, release, id) and latest-arrival
-// order (release, id descending). The ContextCache memoizes one sort per
-// ordering per *decision*, but each decision still rebuilds from scratch:
+// order (release, id descending). Rebuilding them per decision costs
 // O(n log n) per step, which caps dense-alive runs (n = 10⁵–10⁶) well
 // below the rate the serve layer generates. This class keeps both orders
 // *across* decisions as a pair of intrusive binary heaps, so the
@@ -24,17 +23,16 @@
 // never stale. Queries never mutate keys: a k-prefix is produced by a
 // bounded traversal of the heap (a candidate min-heap over heap slots,
 // O(k log k) after the O(1) root), and a full order by sorting a compact
-// copy of the key array — same flat-key comparators as the ContextCache
-// sort paths (SrptKeyLess / LatestKeyLess in scheduler.hpp, the single
-// definition of both tie-break orders), so the produced index sequences
-// are identical to refimpl:: entry for entry. tests/test_incremental.cpp
-// holds the three-way differential proof.
+// copy of the key array. The class also owns the per-decision memo
+// behind SchedulerContext's helpers: one order buffer per ordering plus
+// its valid prefix length, reset by begin_decision(). The test-side
+// oracle (tests/test_incremental.cpp) re-derives every helper answer
+// with plain per-call sorts and checks them decision by decision.
 //
-// Allocation discipline (PR 6 contract): reserve(n) pre-sizes every
-// internal buffer with geometric growth; the engine calls it at
-// admission alongside ContextCache::reserve, after which every query and
-// update — including a stale rebuild — is allocation-free and safe
-// inside the engine's AllocGuard fences.
+// Allocation discipline: reserve(n) pre-sizes every internal buffer with
+// geometric growth; the engine calls it at admission, after which every
+// query and update — including a stale rebuild — is allocation-free and
+// safe inside the engine's AllocGuard fences.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +42,39 @@
 #include "simcore/scheduler.hpp"
 
 namespace parsched {
+
+/// Flat heap entries: compact (24/16 bytes) and carrying the alive index
+/// the queries scatter out, so ordering work never strides through the
+/// ~150-byte AliveJob records.
+struct SrptKey {
+  double remaining;
+  double release;
+  JobId id;
+  std::uint32_t idx;
+};
+struct LatestKey {
+  double release;
+  JobId id;
+  std::uint32_t idx;
+};
+
+/// The single definition of both tie-break orders. The key structs carry
+/// the job id, making both orders strict total orders with unique
+/// k-prefixes.
+struct SrptKeyLess {
+  bool operator()(const SrptKey& a, const SrptKey& b) const {
+    if (a.remaining != b.remaining) return a.remaining < b.remaining;
+    if (a.release != b.release) return a.release < b.release;
+    return a.id < b.id;
+  }
+};
+
+struct LatestKeyLess {
+  bool operator()(const LatestKey& a, const LatestKey& b) const {
+    if (a.release != b.release) return a.release > b.release;
+    return a.id > b.id;
+  }
+};
 
 class IncrementalOrders {
  public:
@@ -94,14 +125,23 @@ class IncrementalOrders {
   /// Alive index of the SRPT-least job (heap root). Requires size() > 0.
   [[nodiscard]] std::size_t min_srpt(std::span<const AliveJob> alive);
 
-  /// Write the first min(want, size) alive indexes of the SRPT order
-  /// into `out` (caller-sized to at least that many entries).
-  void fill_srpt(std::span<const AliveJob> alive, std::size_t want,
-                 std::size_t* out);
+  /// Start a new decision: forget the cached order prefixes (keys may
+  /// have moved since the last one). SchedulerContext calls this.
+  void begin_decision() {
+    srpt_memo_ = 0;
+    latest_memo_ = 0;
+  }
+
+  /// The first min(k, size) alive indexes of the SRPT order. Cached
+  /// per decision: a query no wider than an earlier one is O(1), and a
+  /// wider one rewrites the buffer without changing the earlier prefix,
+  /// so every span returned since begin_decision() stays valid.
+  [[nodiscard]] std::span<const std::size_t> srpt_prefix(
+      std::span<const AliveJob> alive, std::size_t k);
 
   /// Same for the latest-arrival order. Never triggers a rebuild: the
   /// keys are immutable after admission.
-  void fill_latest(std::size_t want, std::size_t* out);
+  [[nodiscard]] std::span<const std::size_t> latest_prefix(std::size_t k);
 
   /// Audit (PARSCHED_AUDIT): every heap entry matches the alive set, the
   /// position maps are mutually consistent, and both heap properties
@@ -109,23 +149,24 @@ class IncrementalOrders {
   void audit(std::span<const AliveJob> alive) const;
 
  private:
-  // Heap entries are the ContextCache flat keys: compact (24/16 bytes),
-  // and already carrying the alive index the queries scatter out.
-  using SrptEntry = ContextCache::SrptKey;
-  using LatestEntry = ContextCache::LatestKey;
-
   void ensure_srpt_fresh(std::span<const AliveJob> alive);
 
   // Min-heaps in Less order, entry idx -> slot tracked in the pos maps.
-  std::vector<SrptEntry> srpt_;
-  std::vector<LatestEntry> latest_;
+  std::vector<SrptKey> srpt_;
+  std::vector<LatestKey> latest_;
   std::vector<std::uint32_t> srpt_pos_;
   std::vector<std::uint32_t> latest_pos_;
   std::vector<std::uint32_t> cand_;  ///< top-k traversal: heap-slot heap
   // Full-order queries sort a compact copy (the live arrays must keep
   // their heap shape — queries never mutate keys).
-  std::vector<SrptEntry> srpt_scratch_;
-  std::vector<LatestEntry> latest_scratch_;
+  std::vector<SrptKey> srpt_scratch_;
+  std::vector<LatestKey> latest_scratch_;
+  // Per-decision memo: the order buffers behind the returned spans and
+  // the length of their valid prefixes (0 after begin_decision()).
+  std::vector<std::size_t> srpt_order_;
+  std::vector<std::size_t> latest_order_;
+  std::size_t srpt_memo_ = 0;
+  std::size_t latest_memo_ = 0;
   bool srpt_stale_ = true;  ///< rebuilt lazily at the next SRPT query
   std::uint64_t decay_epochs_ = 0;
 };

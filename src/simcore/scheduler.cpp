@@ -1,364 +1,41 @@
 #include "simcore/scheduler.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 #include "check/contract.hpp"
 #include "simcore/incremental.hpp"
 
 namespace parsched {
 
-namespace {
-
-/// (remaining, release, id) lexicographic SRPT order.
-struct SrptLess {
-  std::span<const AliveJob> alive;
-  bool operator()(std::size_t a, std::size_t b) const {
-    const AliveJob& ja = alive[a];
-    const AliveJob& jb = alive[b];
-    if (ja.remaining != jb.remaining) return ja.remaining < jb.remaining;
-    if (ja.release != jb.release) return ja.release < jb.release;
-    return ja.id < jb.id;
-  }
-};
-
-/// (release, id) descending: latest arrival first.
-struct LatestLess {
-  std::span<const AliveJob> alive;
-  bool operator()(std::size_t a, std::size_t b) const {
-    const AliveJob& ja = alive[a];
-    const AliveJob& jb = alive[b];
-    if (ja.release != jb.release) return ja.release > jb.release;
-    return ja.id > jb.id;
-  }
-};
-
-// The flat-key counterparts SrptKeyLess/LatestKeyLess live in
-// scheduler.hpp: they are the canonical definition of both tie-break
-// orders, shared with the IncrementalOrders heaps, and induce exactly
-// the same strict total orders as SrptLess/LatestLess above — the
-// differential tests in tests/test_context_cache.cpp and
-// tests/test_incremental.cpp pin this equivalence.
-
-/// In-place twins of the refimpl:: functions, backing the cache-less
-/// fallback path. Same iota + sort / nth_element arithmetic over the
-/// same strict total orders — the index sequences are identical entry
-/// for entry — but filling a reusable buffer, so the cache-off engine
-/// mode (EngineConfig::use_context_cache = false) is also allocation-
-/// free once the fallback buffers are warm. refimpl:: itself keeps
-/// returning fresh vectors by design: it is the per-call differential
-/// reference, not a hot path.
-void fill_by_remaining(std::span<const AliveJob> alive,
-                       std::vector<std::size_t>& out) {
-  out.resize(alive.size());
-  std::iota(out.begin(), out.end(), std::size_t{0});
-  std::sort(out.begin(), out.end(), SrptLess{alive});
-}
-
-void fill_smallest_remaining(std::span<const AliveJob> alive, std::size_t k,
-                             std::vector<std::size_t>& out) {
-  out.resize(alive.size());
-  std::iota(out.begin(), out.end(), std::size_t{0});
-  if (k >= out.size()) {
-    std::sort(out.begin(), out.end(), SrptLess{alive});
-    return;
-  }
-  std::nth_element(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(k),
-                   out.end(), SrptLess{alive});
-  out.resize(k);
-  std::sort(out.begin(), out.end(), SrptLess{alive});
-}
-
-void fill_by_latest_arrival(std::span<const AliveJob> alive,
-                            std::vector<std::size_t>& out) {
-  out.resize(alive.size());
-  std::iota(out.begin(), out.end(), std::size_t{0});
-  std::sort(out.begin(), out.end(), LatestLess{alive});
-}
-
-void fill_latest_arrivals(std::span<const AliveJob> alive, std::size_t k,
-                          std::vector<std::size_t>& out) {
-  out.resize(alive.size());
-  std::iota(out.begin(), out.end(), std::size_t{0});
-  if (k >= out.size()) {
-    std::sort(out.begin(), out.end(), LatestLess{alive});
-    return;
-  }
-  std::nth_element(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(k),
-                   out.end(), LatestLess{alive});
-  out.resize(k);
-  std::sort(out.begin(), out.end(), LatestLess{alive});
-}
-
-}  // namespace
-
-namespace refimpl {
-
-std::vector<std::size_t> by_remaining(std::span<const AliveJob> alive) {
-  std::vector<std::size_t> idx(alive.size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  std::sort(idx.begin(), idx.end(), SrptLess{alive});
-  return idx;
-}
-
-std::vector<std::size_t> smallest_remaining(std::span<const AliveJob> alive,
-                                            std::size_t k) {
-  std::vector<std::size_t> idx(alive.size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  if (k >= idx.size()) {
-    std::sort(idx.begin(), idx.end(), SrptLess{alive});
-    return idx;
-  }
-  std::nth_element(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
-                   idx.end(), SrptLess{alive});
-  idx.resize(k);
-  std::sort(idx.begin(), idx.end(), SrptLess{alive});
-  return idx;
-}
-
-std::size_t min_remaining(std::span<const AliveJob> alive) {
-  PARSCHED_CHECK(!alive.empty(), "min_remaining over an empty context");
-  std::size_t best = 0;
-  const SrptLess less{alive};
-  for (std::size_t i = 1; i < alive.size(); ++i) {
-    if (less(i, best)) best = i;
-  }
-  return best;
-}
-
-std::vector<std::size_t> by_latest_arrival(std::span<const AliveJob> alive) {
-  std::vector<std::size_t> idx(alive.size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  std::sort(idx.begin(), idx.end(), LatestLess{alive});
-  return idx;
-}
-
-std::vector<std::size_t> latest_arrivals(std::span<const AliveJob> alive,
-                                         std::size_t k) {
-  std::vector<std::size_t> idx(alive.size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  if (k >= idx.size()) {
-    std::sort(idx.begin(), idx.end(), LatestLess{alive});
-    return idx;
-  }
-  std::nth_element(idx.begin(), idx.begin() + static_cast<std::ptrdiff_t>(k),
-                   idx.end(), LatestLess{alive});
-  idx.resize(k);
-  std::sort(idx.begin(), idx.end(), LatestLess{alive});
-  return idx;
-}
-
-}  // namespace refimpl
-
-// --- Cached paths -----------------------------------------------------
-//
-// Layout: keys are gathered once per ordering per decision (one
-// sequential sweep over alive_), then sorted/selected in the flat key
-// buffer; the index order is scattered out of the keys afterwards. A
-// k-bounded query leaves the cache in kPrefix state with the first k
-// entries valid; a later wider query upgrades in place — because the
-// comparators are strict total orders, the sorted k-prefix produced by
-// selection is exactly the first k entries of the full sorted order, so
-// previously returned spans keep their contents across the upgrade.
-
-/// Ensure the first min(k, n) entries of the SRPT order are valid;
-/// k >= n means the full order.
-PARSCHED_HOT std::span<const std::size_t> SchedulerContext::srpt_span(
-    std::size_t k) const {
-  ContextCache& c = *cache_;
-  const std::size_t n = alive_.size();
-  const bool want_full = k >= n;
-  const std::size_t want = want_full ? n : k;
-  const bool have_enough =
-      c.srpt_ == ContextCache::Memo::kFull ||
-      (c.srpt_ == ContextCache::Memo::kPrefix && c.srpt_prefix_ >= want);
-  if (have_enough) return {c.srpt_order_.data(), want};
-
-  // Incremental arm: read the prefix straight out of the engine's
-  // persistent SRPT heap — O(k log k) after the across-decisions O(log n)
-  // maintenance, no re-sort of the alive set. The heap's comparator is
-  // the same SrptKeyLess, so the produced prefix is identical entry for
-  // entry to the sort/selection paths below (strict total order ⇒ unique
-  // k-prefix), and the memo upgrade protocol is unchanged.
-  if (inc_ != nullptr) {
-    c.srpt_order_.resize(n);
-    inc_->fill_srpt(alive_, want, c.srpt_order_.data());
-    c.srpt_ =
-        want_full ? ContextCache::Memo::kFull : ContextCache::Memo::kPrefix;
-    c.srpt_prefix_ = want;
-    return {c.srpt_order_.data(), want};
-  }
-
-  // Small-k fast path: one sweep over alive_ with a bounded max-heap of
-  // the k best keys so far. The k smallest elements of a strict total
-  // order form a unique set, so (after the final sort) this yields
-  // exactly the nth_element prefix below, without gathering n keys.
-  // Past k ~ n/8 the gather + nth_element path wins; stay there.
-  if (!want_full && want > 0 && want <= n / 8) {
-    auto& heap = c.srpt_topk_;
-    heap.clear();
-    const SrptKeyLess less{};
-    for (std::size_t i = 0; i < n; ++i) {
-      const AliveJob& j = alive_[i];
-      const ContextCache::SrptKey key{j.remaining, j.release, j.id,
-                                      static_cast<std::uint32_t>(i)};
-      if (heap.size() < want) {
-        heap.push_back(key);
-        if (heap.size() == want) std::make_heap(heap.begin(), heap.end(), less);
-      } else if (less(key, heap.front())) {
-        std::pop_heap(heap.begin(), heap.end(), less);
-        heap.back() = key;
-        std::push_heap(heap.begin(), heap.end(), less);
-      }
-    }
-    std::sort(heap.begin(), heap.end(), less);
-    c.srpt_order_.resize(n);
-    for (std::size_t i = 0; i < want; ++i) c.srpt_order_[i] = heap[i].idx;
-    c.srpt_ = ContextCache::Memo::kPrefix;
-    c.srpt_prefix_ = want;
-    return {c.srpt_order_.data(), want};
-  }
-
-  if (!c.srpt_keys_full_) {
-    c.srpt_keys_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const AliveJob& j = alive_[i];
-      c.srpt_keys_[i] = {j.remaining, j.release, j.id,
-                         static_cast<std::uint32_t>(i)};
-    }
-    c.srpt_keys_full_ = true;
-  }
-  // A prior shorter prefix is a sorted prefix of the full order, so
-  // re-running selection over the whole key buffer is still correct
-  // (nth_element permutes freely; the scatter below rewrites the
-  // order buffer from scratch).
-  if (want_full) {
-    std::sort(c.srpt_keys_.begin(), c.srpt_keys_.end(), SrptKeyLess{});
-  } else {
-    std::nth_element(c.srpt_keys_.begin(),
-                     c.srpt_keys_.begin() + static_cast<std::ptrdiff_t>(k),
-                     c.srpt_keys_.end(), SrptKeyLess{});
-    std::sort(c.srpt_keys_.begin(),
-              c.srpt_keys_.begin() + static_cast<std::ptrdiff_t>(k),
-              SrptKeyLess{});
-  }
-  c.srpt_order_.resize(n);
-  for (std::size_t i = 0; i < want; ++i) {
-    c.srpt_order_[i] = c.srpt_keys_[i].idx;
-  }
-  c.srpt_ = want_full ? ContextCache::Memo::kFull : ContextCache::Memo::kPrefix;
-  c.srpt_prefix_ = want;
-  return {c.srpt_order_.data(), want};
-}
-
-PARSCHED_HOT std::span<const std::size_t> SchedulerContext::latest_span(
-    std::size_t k) const {
-  ContextCache& c = *cache_;
-  const std::size_t n = alive_.size();
-  const bool want_full = k >= n;
-  const std::size_t want = want_full ? n : k;
-  // Incremental arm: latest-arrival keys are immutable after admission,
-  // so the heap is never stale — serve any not-yet-memoized width from
-  // it directly (same LatestKeyLess order, identical index sequences).
-  if (inc_ != nullptr) {
-    const bool have_enough =
-        c.latest_ == ContextCache::Memo::kFull ||
-        (c.latest_ == ContextCache::Memo::kPrefix && c.latest_prefix_ >= want);
-    if (!have_enough) {
-      c.latest_order_.resize(n);
-      inc_->fill_latest(want, c.latest_order_.data());
-      c.latest_ =
-          want_full ? ContextCache::Memo::kFull : ContextCache::Memo::kPrefix;
-      c.latest_prefix_ = want;
-    }
-    return {c.latest_order_.data(), want};
-  }
-  if (c.latest_ == ContextCache::Memo::kNone) {
-    c.latest_keys_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const AliveJob& j = alive_[i];
-      c.latest_keys_[i] = {j.release, j.id, static_cast<std::uint32_t>(i)};
-    }
-  }
-  const bool have_full = c.latest_ == ContextCache::Memo::kFull;
-  const bool have_enough =
-      have_full ||
-      (c.latest_ == ContextCache::Memo::kPrefix && c.latest_prefix_ >= want);
-  if (!have_enough) {
-    if (want_full) {
-      std::sort(c.latest_keys_.begin(), c.latest_keys_.end(), LatestKeyLess{});
-    } else {
-      std::nth_element(c.latest_keys_.begin(),
-                       c.latest_keys_.begin() + static_cast<std::ptrdiff_t>(k),
-                       c.latest_keys_.end(), LatestKeyLess{});
-      std::sort(c.latest_keys_.begin(),
-                c.latest_keys_.begin() + static_cast<std::ptrdiff_t>(k),
-                LatestKeyLess{});
-    }
-    c.latest_order_.resize(n);
-    for (std::size_t i = 0; i < want; ++i) {
-      c.latest_order_[i] = c.latest_keys_[i].idx;
-    }
-    c.latest_ =
-        want_full ? ContextCache::Memo::kFull : ContextCache::Memo::kPrefix;
-    c.latest_prefix_ = want;
-  }
-  return {c.latest_order_.data(), want};
+SchedulerContext::SchedulerContext(double time, int machines,
+                                   std::span<const AliveJob> alive,
+                                   IncrementalOrders& orders)
+    : time_(time), machines_(machines), alive_(alive), orders_(orders) {
+  PARSCHED_CHECK(orders.size() == alive.size(),
+                 "SchedulerContext: orders out of step with the alive set");
+  orders.begin_decision();
 }
 
 PARSCHED_HOT std::span<const std::size_t> SchedulerContext::by_remaining()
     const {
-  if (cache_ != nullptr && memoize_) return srpt_span(alive_.size());
-  auto& out = cache_ != nullptr ? cache_->fb_by_remaining_ : fb_by_remaining_;
-  fill_by_remaining(alive_, out);
-  return out;
+  return orders_.srpt_prefix(alive_, alive_.size());
 }
 
 PARSCHED_HOT std::span<const std::size_t> SchedulerContext::smallest_remaining(
     std::size_t k) const {
-  if (cache_ != nullptr && memoize_) return srpt_span(k);
-  auto& out = cache_ != nullptr ? cache_->fb_smallest_ : fb_smallest_;
-  fill_smallest_remaining(alive_, k, out);
-  return out;
+  return orders_.srpt_prefix(alive_, k);
 }
 
 PARSCHED_HOT std::size_t SchedulerContext::min_remaining() const {
-  // refimpl::min_remaining is a plain scan — allocation-free, so the
-  // memoization-off mode may call it directly.
-  if (cache_ == nullptr || !memoize_) return refimpl::min_remaining(alive_);
-  PARSCHED_CHECK(!alive_.empty(), "min_remaining over an empty context");
-  ContextCache& c = *cache_;
-  if (!c.min_valid_) {
-    // An SRPT prefix of any length already starts with the minimum.
-    if (c.srpt_ != ContextCache::Memo::kNone && c.srpt_prefix_ > 0) {
-      c.min_idx_ = c.srpt_order_[0];
-    } else if (inc_ != nullptr) {
-      // Heap root: O(1) on a fresh heap, one O(n) heapify after a decay
-      // epoch — either way the same index the refimpl scan returns,
-      // because SrptKeyLess and SrptLess agree everywhere.
-      c.min_idx_ = inc_->min_srpt(alive_);
-    } else {
-      c.min_idx_ = refimpl::min_remaining(alive_);
-    }
-    c.min_valid_ = true;
-  }
-  return c.min_idx_;
+  return orders_.min_srpt(alive_);
 }
 
 PARSCHED_HOT std::span<const std::size_t> SchedulerContext::by_latest_arrival()
     const {
-  if (cache_ != nullptr && memoize_) return latest_span(alive_.size());
-  auto& out = cache_ != nullptr ? cache_->fb_by_latest_ : fb_by_latest_;
-  fill_by_latest_arrival(alive_, out);
-  return out;
+  return orders_.latest_prefix(alive_.size());
 }
 
 PARSCHED_HOT std::span<const std::size_t> SchedulerContext::latest_arrivals(
     std::size_t k) const {
-  if (cache_ != nullptr && memoize_) return latest_span(k);
-  auto& out = cache_ != nullptr ? cache_->fb_latest_k_ : fb_latest_k_;
-  fill_latest_arrivals(alive_, k, out);
-  return out;
+  return orders_.latest_prefix(k);
 }
 
 }  // namespace parsched

@@ -41,184 +41,24 @@ struct AliveJob {
   double phase_remaining = 0.0;
 };
 
-/// Reference implementations of the SchedulerContext ordering helpers:
-/// the original per-call iota + sort / nth_element code, kept verbatim so
-/// the memoized ContextCache path can be differentially tested against it
-/// (tests/test_context_cache.cpp). A SchedulerContext constructed without
-/// a cache recomputes every helper call from scratch with the same
-/// arithmetic — via in-place twins of these functions that reuse the
-/// context's fallback buffers, so the engine's
-/// EngineConfig::use_context_cache = false mode is allocation-free too
-/// (check/alloc_guard.hpp audits both modes).
-namespace refimpl {
-
-[[nodiscard]] std::vector<std::size_t> by_remaining(
-    std::span<const AliveJob> alive);
-[[nodiscard]] std::vector<std::size_t> smallest_remaining(
-    std::span<const AliveJob> alive, std::size_t k);
-[[nodiscard]] std::size_t min_remaining(std::span<const AliveJob> alive);
-[[nodiscard]] std::vector<std::size_t> by_latest_arrival(
-    std::span<const AliveJob> alive);
-[[nodiscard]] std::vector<std::size_t> latest_arrivals(
-    std::span<const AliveJob> alive, std::size_t k);
-
-}  // namespace refimpl
-
-/// Per-decision memo for the SchedulerContext ordering helpers. The engine
-/// owns one and lends it to the context it builds at each decision point,
-/// calling invalidate() first; the buffers themselves are never freed, so
-/// after warm-up a decision step performs no allocations no matter how
-/// many ordering queries the policy issues.
-///
-/// Within one decision the cache holds at most one SRPT ordering and one
-/// latest-arrival ordering. A k-bounded query (smallest_remaining /
-/// latest_arrivals) is served by selection into the shared buffer and
-/// recorded as a prefix; a later wider or full query upgrades the prefix
-/// to the full sorted order in place. Both paths produce index sequences
-/// identical to refimpl:: — the comparators are strict total orders
-/// (ties broken by job id), so any sorted prefix equals the same prefix
-/// of the full sorted order.
-class ContextCache {
- public:
-  /// Forget all memoized orderings (the alive set changed). Keeps the
-  /// buffer capacity.
-  void invalidate() {
-    srpt_ = Memo::kNone;
-    latest_ = Memo::kNone;
-    srpt_keys_full_ = false;
-    min_valid_ = false;
-  }
-
-  /// Pre-size every buffer for decisions over up to `n` alive jobs
-  /// (geometric growth, so a per-admission call stays O(n) amortized).
-  /// The engine calls this as the alive set grows: which helper code
-  /// path runs depends on n (small-k selection vs. full gather), so a
-  /// shrinking run can reach a buffer the larger steps never touched —
-  /// without this, the first gather at small n would be the lone heap
-  /// allocation in an otherwise warm decision loop (and a
-  /// check/alloc_guard.hpp audit failure).
-  void reserve(std::size_t n) {
-    grow(srpt_keys_, n);
-    grow(srpt_topk_, n);
-    grow(latest_keys_, n);
-    grow(srpt_order_, n);
-    grow(latest_order_, n);
-    grow(fb_by_remaining_, n);
-    grow(fb_smallest_, n);
-    grow(fb_by_latest_, n);
-    grow(fb_latest_k_, n);
-  }
-
-  // Flat sort keys: sorting 24/16-byte key records beats sorting indices
-  // through 150-byte AliveJob records (the gather pass is a single
-  // sequential sweep; the sort then stays cache-resident). Public only so
-  // scheduler.cpp's file-local comparators can name them.
-  struct SrptKey {
-    double remaining;
-    double release;
-    JobId id;
-    std::uint32_t idx;
-  };
-  struct LatestKey {
-    double release;
-    JobId id;
-    std::uint32_t idx;
-  };
-
- private:
-  friend class SchedulerContext;
-
-  enum class Memo : std::uint8_t { kNone, kPrefix, kFull };
-
-  template <typename V>
-  static void grow(V& v, std::size_t n) {
-    if (v.capacity() < n) v.reserve(std::max(n, v.capacity() * 2));
-  }
-
-  std::vector<SrptKey> srpt_keys_;
-  std::vector<SrptKey> srpt_topk_;  ///< bounded-heap scratch for small k
-  std::vector<LatestKey> latest_keys_;
-  std::vector<std::size_t> srpt_order_;
-  std::vector<std::size_t> latest_order_;
-  // Storage for the memoization-off fill_* twins (see SchedulerContext:
-  // a context carrying a cache with memoize = false recomputes every
-  // helper call into these, so the cache-off engine mode reuses
-  // engine-owned capacity instead of allocating per decision).
-  std::vector<std::size_t> fb_by_remaining_;
-  std::vector<std::size_t> fb_smallest_;
-  std::vector<std::size_t> fb_by_latest_;
-  std::vector<std::size_t> fb_latest_k_;
-  std::size_t srpt_prefix_ = 0;    ///< valid length when srpt_ == kPrefix
-  std::size_t latest_prefix_ = 0;  ///< valid length when latest_ == kPrefix
-  Memo srpt_ = Memo::kNone;
-  Memo latest_ = Memo::kNone;
-  bool srpt_keys_full_ = false;  ///< srpt_keys_ holds a gather of all n jobs
-  std::size_t min_idx_ = 0;
-  bool min_valid_ = false;
-};
-
-/// Canonical strict-total-order comparators over the flat keys — the
-/// single definition of both tie-break orders. Shared by the ContextCache
-/// sort/selection paths (scheduler.cpp), the IncrementalOrders heaps
-/// (simcore/incremental.hpp) and the differential tests, so every arm of
-/// the engine breaks ties identically; the key structs carry the job id,
-/// making both orders strict total orders with unique k-prefixes.
-struct SrptKeyLess {
-  bool operator()(const ContextCache::SrptKey& a,
-                  const ContextCache::SrptKey& b) const {
-    if (a.remaining != b.remaining) return a.remaining < b.remaining;
-    if (a.release != b.release) return a.release < b.release;
-    return a.id < b.id;
-  }
-};
-
-struct LatestKeyLess {
-  bool operator()(const ContextCache::LatestKey& a,
-                  const ContextCache::LatestKey& b) const {
-    if (a.release != b.release) return a.release > b.release;
-    return a.id > b.id;
-  }
-};
-
 class IncrementalOrders;
 
 /// What a policy sees at a decision point.
 ///
-/// The ordering helpers return spans into storage owned by the attached
-/// ContextCache (or, without a cache, by this context). A returned span
-/// stays valid until the next helper call *of the same ordering family*
-/// on this context; with a cache attached it stays valid for the whole
-/// decision, since repeated queries are served from the same memo.
+/// The ordering helpers read the engine's persistent IncrementalOrders
+/// heaps (simcore/incremental.hpp), which also own the per-decision memo
+/// behind the returned spans: building a context starts a new decision
+/// on `orders`, and every span a helper returns stays valid until the
+/// next context is built on the same orders. Repeated or narrower
+/// queries within one decision are O(1); both orders are strict total
+/// orders (ties broken by job id), so every k-prefix is unique and a
+/// wider query never changes an earlier answer.
 class SchedulerContext {
  public:
-  /// `cache` may be null: every helper call then recomputes its ordering
-  /// from scratch via refimpl:: (the pre-memoization behaviour, kept as
-  /// the differential-test reference). With a cache but `memoize` off,
-  /// helpers still recompute per call — same arithmetic, same results —
-  /// but fill the cache's reusable fallback buffers instead of
-  /// allocating: that is the engine's use_context_cache = false mode,
-  /// which must stay allocation-free under PARSCHED_AUDIT.
-  ///
-  /// `inc` optionally attaches the engine's persistent IncrementalOrders
-  /// heaps (simcore/incremental.hpp): the memoized helpers then read
-  /// their orderings from the heaps in O(k log k) instead of re-sorting
-  /// the alive set, producing the same index sequences entry for entry
-  /// (the comparators are shared). Requires an attached cache with
-  /// memoization on — the memo still owns the result buffers.
+  /// `orders` must index exactly `alive` (the engine keeps its heaps in
+  /// step; a hand-built context calls orders.rebuild(alive) first).
   SchedulerContext(double time, int machines, std::span<const AliveJob> alive,
-                   ContextCache* cache = nullptr, bool memoize = true,
-                   IncrementalOrders* inc = nullptr)
-      : time_(time),
-        machines_(machines),
-        alive_(alive),
-        cache_(cache),
-        memoize_(memoize),
-        inc_(inc) {
-    if (inc_ != nullptr && (cache_ == nullptr || !memoize_)) {
-      throw std::logic_error(
-          "SchedulerContext: incremental orders require a memoizing cache");
-    }
-  }
+                   IncrementalOrders& orders);
 
   [[nodiscard]] double time() const { return time_; }
   [[nodiscard]] int machines() const { return machines_; }
@@ -229,41 +69,26 @@ class SchedulerContext {
 
   /// Indices of the k jobs with least remaining work (SRPT order among
   /// them) — the first k entries of by_remaining() without paying for the
-  /// full sort. O(n + k log k) via selection on a cold cache; O(1) when
-  /// the decision's SRPT order is already memoized.
+  /// full sort: O(k log k) from the SRPT heap.
   [[nodiscard]] std::span<const std::size_t> smallest_remaining(
       std::size_t k) const;
 
-  /// Index of the single job with least remaining work. O(n).
+  /// Index of the single job with least remaining work (the heap root).
   [[nodiscard]] std::size_t min_remaining() const;
 
   /// Indices into alive() sorted by (release, id) descending: latest first
   /// (used by LAPS).
   [[nodiscard]] std::span<const std::size_t> by_latest_arrival() const;
 
-  /// Indices of the k latest-arriving jobs. O(n + k log k).
+  /// Indices of the k latest-arriving jobs. O(k log k).
   [[nodiscard]] std::span<const std::size_t> latest_arrivals(
       std::size_t k) const;
 
  private:
-  [[nodiscard]] std::span<const std::size_t> srpt_span(std::size_t k) const;
-  [[nodiscard]] std::span<const std::size_t> latest_span(std::size_t k) const;
-
   double time_;
   int machines_;
   std::span<const AliveJob> alive_;
-  ContextCache* cache_;
-  bool memoize_ = true;
-  IncrementalOrders* inc_ = nullptr;
-  // Fallback storage backing the returned spans when cache_ == nullptr
-  // (contexts built by hand, e.g. differential tests; with a cache the
-  // fill path writes the cache's fb_* buffers instead). One buffer per
-  // helper, so (like the old per-call vectors) the result of one helper
-  // is not clobbered by a call to a different one.
-  mutable std::vector<std::size_t> fb_by_remaining_;
-  mutable std::vector<std::size_t> fb_smallest_;
-  mutable std::vector<std::size_t> fb_by_latest_;
-  mutable std::vector<std::size_t> fb_latest_k_;
+  IncrementalOrders& orders_;
 };
 
 /// A policy's answer: `shares[i]` processors for `ctx.alive()[i]`

@@ -1,7 +1,6 @@
 #include "speedup/kernel.hpp"
 
 #include <cmath>
-#include <limits>
 
 #include "check/contract.hpp"
 #include "speedup/curve.hpp"
@@ -44,58 +43,6 @@ PARSCHED_HOT void rate_batch(std::span<const std::uint8_t> kinds,
         case kKindPowerLaw:
           g = std::pow(x, alphas[i]);
           break;
-        default:
-          PARSCHED_DCHECK(pwl.fn != nullptr,
-                          "piecewise-linear element without a fallback");
-          g = pwl.fn(pwl.ctx, i, x);
-          break;
-      }
-    }
-    out[i] = speed * g;
-  }
-}
-
-PARSCHED_HOT void rate_batch_fast(std::span<const std::uint8_t> kinds,
-                                  std::span<const double> alphas,
-                                  std::span<const double> xs, double speed,
-                                  std::span<double> out, PwlRateFn pwl) {
-  const std::size_t n = xs.size();
-  PARSCHED_DCHECK(kinds.size() == n && alphas.size() == n && out.size() == n,
-                  "rate_batch_fast span length mismatch");
-  // Last-value memo for the power-law branch: dense shared-α allocations
-  // (EQUI gives every alive job the same share) evaluate one log+exp for
-  // the whole batch; mixed populations degrade gracefully to one
-  // exp(α·log x) per element. Seeded with a NaN x so the first power-law
-  // element never matches (NaN compares unequal to everything).
-  double memo_x = std::numeric_limits<double>::quiet_NaN();
-  double memo_a = 0.0;
-  double memo_g = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = xs[i];
-    PARSCHED_DCHECK(x >= 0.0, "negative processor share");
-    double g;
-    if (x <= 1.0) {
-      g = x;
-    } else {
-      switch (kinds[i]) {
-        case kKindFullyParallel:
-          g = x;
-          break;
-        case kKindSequential:
-          g = 1.0;
-          break;
-        case kKindPowerLaw: {
-          const double a = alphas[i];
-          if (x == memo_x && a == memo_a) {  // lint: float-eq-ok
-            g = memo_g;
-          } else {
-            g = std::exp(a * std::log(x));
-            memo_x = x;
-            memo_a = a;
-            memo_g = g;
-          }
-          break;
-        }
         default:
           PARSCHED_DCHECK(pwl.fn != nullptr,
                           "piecewise-linear element without a fallback");

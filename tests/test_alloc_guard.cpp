@@ -2,14 +2,13 @@
 // verifier — and the engine's PARSCHED_AUDIT=1 fences around its decision
 // steps.
 //
-// The final tests are the PR's regression proof: a dense-alive
-// n=10'000 instance driven to completion with the audit fences armed
-// performs zero heap allocations across >= 10'000 warm decision steps —
-// across every engine arm: the persistent IncrementalOrders heaps, the
-// ContextCache sort paths (incremental off), and the refimpl-twin
-// fallback path (use_context_cache = false). The incremental runs also
-// execute the engine-side heap audit (IncrementalOrders::audit) at every
-// decision, so heap-vs-alive consistency is checked 10'000 times per run.
+// The final tests are the regression proof: a dense-alive n=10'000
+// instance driven to completion with the audit fences armed performs
+// zero heap allocations across >= 10'000 warm decision steps, for an
+// SRPT-order consumer (ISRPT) and a latest-arrival consumer (LAPS). The
+// runs also execute the engine-side heap audit (IncrementalOrders::audit)
+// at every decision, so heap-vs-alive consistency is checked 10'000
+// times per run.
 //
 // Every allocation-counting test skips itself when the counting operator
 // new/delete replacement is compiled out (PARSCHED_ALLOC_HOOK=OFF, e.g.
@@ -225,73 +224,47 @@ Instance dense_alive_instance(std::size_t n) {
   return Instance(16, jobs);
 }
 
+struct AuditedRun {
+  std::uint64_t decisions = 0;
+  std::uint64_t scopes = 0;  ///< guarded scopes entered during the run
+};
+
 /// Drives the dense-alive instance to completion with the audit fences
 /// armed; any allocation in a warm decision step throws ContractViolation
-/// and fails the test. Returns the number of guarded scopes entered.
-std::uint64_t run_audited(bool use_cache, bool use_incremental,
-                          bool fast_kernel = false) {
+/// and fails the test.
+AuditedRun run_audited(const char* policy) {
   setenv("PARSCHED_AUDIT", "1", 1);
   const std::uint64_t scopes_before = alloc_guard_scopes_entered();
   const Instance inst = dense_alive_instance(10'000);
-  auto sched = make_scheduler("isrpt");
-  EngineConfig cfg;
-  cfg.use_context_cache = use_cache;
-  cfg.use_incremental_orders = use_incremental;
-  cfg.fast_rate_kernel = fast_kernel;
-  const SimResult r = simulate(inst, *sched, cfg);
+  auto sched = make_scheduler(policy);
+  const SimResult r = simulate(inst, *sched);
   unsetenv("PARSCHED_AUDIT");
   EXPECT_EQ(r.jobs(), 10'000u);
-  // Every completion is a decision point: >= 10k decision steps, and all
-  // but the first (which warms the scratch at full n) run fenced — two
-  // guarded scopes each (allocate+rates, advance sweep).
-  EXPECT_GE(r.decisions, 10'000u);
-  return alloc_guard_scopes_entered() - scopes_before;
+  const AuditedRun run{r.decisions,
+                       alloc_guard_scopes_entered() - scopes_before};
+  // All releases are at t = 0, so every decision but the first (which
+  // warms the scratch at full n) runs fenced — two guarded scopes each
+  // (allocate+rates, advance sweep).
+  EXPECT_GE(run.scopes, 2 * (run.decisions - 1));
+  EXPECT_GE(run.scopes, 10'000u);
+  return run;
 }
 
 TEST(EngineAllocAudit, DenseAliveRunIsAllocationFreeWithIncrementalOrders) {
   SKIP_WITHOUT_HOOK();
   // Heap maintenance (insert / update_remaining / remove_swap / lazy
   // rebuilds) runs inside the fences: all of it must live in storage
-  // pre-paid by IncrementalOrders::reserve at admission.
-  const std::uint64_t scopes = run_audited(/*use_cache=*/true,
-                                           /*use_incremental=*/true);
-  EXPECT_GE(scopes, 10'000u);
+  // pre-paid by IncrementalOrders::reserve at admission. Distinct sizes
+  // make every ISRPT completion its own decision point.
+  EXPECT_GE(run_audited("isrpt").decisions, 10'000u);
 }
 
 TEST(EngineAllocAudit, DenseAliveRunIsAllocationFreeWithContextCache) {
   SKIP_WITHOUT_HOOK();
-  const std::uint64_t scopes = run_audited(/*use_cache=*/true,
-                                           /*use_incremental=*/false);
-  EXPECT_GE(scopes, 10'000u);
-}
-
-TEST(EngineAllocAudit, DenseAliveRunIsAllocationFreeWithFallbackPath) {
-  SKIP_WITHOUT_HOOK();
-  const std::uint64_t scopes = run_audited(/*use_cache=*/false,
-                                           /*use_incremental=*/false);
-  EXPECT_GE(scopes, 10'000u);
-}
-
-TEST(EngineAllocAudit, DenseAliveRunIsAllocationFreeWithFastRateKernel) {
-  SKIP_WITHOUT_HOOK();
-  // The opt-in exp(α·log x) kernel arm runs over the same pre-reserved
-  // SoA arrays as the default arm — its memo is three stack doubles, so
-  // the fenced decision steps stay allocation-free. (PARSCHED_AUDIT=1
-  // also cross-checks the SoA mirror against alive_ every decision.)
-  const std::uint64_t scopes = run_audited(/*use_cache=*/true,
-                                           /*use_incremental=*/true,
-                                           /*fast_kernel=*/true);
-  EXPECT_GE(scopes, 10'000u);
-}
-
-TEST(EngineAllocAudit, IncrementalFlagIsInertWithoutContextCache) {
-  SKIP_WITHOUT_HOOK();
-  // use_incremental_orders without use_context_cache must gate off
-  // cleanly (the heaps need the cache's memo to serve queries from):
-  // the run takes the refimpl fallback path and stays allocation-free.
-  const std::uint64_t scopes = run_audited(/*use_cache=*/false,
-                                           /*use_incremental=*/true);
-  EXPECT_GE(scopes, 10'000u);
+  // The other half of the context's helpers: LAPS reads latest-arrival
+  // prefixes through the per-decision memo every step while its dense
+  // allocation declares a decay epoch per sweep.
+  (void)run_audited("laps:0.25");
 }
 
 }  // namespace

@@ -1,30 +1,40 @@
-// Differential proof of the incremental engine arm (PR 8).
+// Oracle proof of the engine's ordering path: the persistent
+// IncrementalOrders heaps and the per-decision memo behind the
+// SchedulerContext helpers.
 //
-// The contract under test: EngineConfig::use_incremental_orders — the
-// persistent IncrementalOrders heaps that replace the per-decision
-// O(n log n) ordering rebuild with O(log n) event maintenance — is pure
-// mechanism. Three arms must agree double for double on every decision:
+// The contract under test: every helper — served from heaps that replace
+// a per-decision O(n log n) ordering rebuild with O(log n) event
+// maintenance, next to the engine's reusable scratch buffers, the FlowQ
+// fast advance arm and the sparse completion sweep — answers exactly as
+// the original per-call sorts (refimpl:: below) would, at every decision
+// of every registry policy, and checking it leaves the run unchanged.
 //
-//   incremental  (use_context_cache = true,  use_incremental_orders = true)
-//   cache        (use_context_cache = true,  use_incremental_orders = false)
-//   refimpl      (use_context_cache = false — the PR 5 reference arm)
+// refimpl:: is the original iota + sort / nth_element code, kept here as
+// the reference: no heaps, no memo, no state across calls. Each function
+// fills a caller-owned buffer (reused capacity, so a warm caller performs
+// no allocation and the oracle can run inside the engine's
+// PARSCHED_AUDIT AllocGuard fences). OracleScheduler wraps any policy
+// and, after the policy's own allocate(), re-asks every helper on the
+// same context and compares each answer entry for entry with refimpl::
+// over ctx.alive(). A policy's allocation is a function of its context,
+// so a run in which every decision passes the check is the run a
+// refimpl-backed engine would have produced.
 //
 // The spine is a property-based fuzzer: a seeded instance generator
 // (mixed parallelizability, bursty arrivals, completion/time-tolerance
-// edge sizes, zero-rate stretches) drives all registry policies through
-// all three arms, comparing a per-decision FNV hash of (time, shares)
-// plus every SimResult total and completion record. On a mismatch the
-// harness shrinks to a minimal failing job-count prefix, names the first
-// divergent decision, and (when PARSCHED_FUZZ_DUMP_DIR is set) dumps the
-// incremental arm's flight record for the failing case. Depth scales
-// with PARSCHED_FUZZ_ITERS (default 10 seeds ≈ 3×10⁵ driven events —
-// the PR-gate setting; the nightly CI leg raises it).
+// edge sizes, zero-rate stretches) drives all registry policies under
+// the oracle. On a mismatch the harness shrinks to a minimal failing
+// job-count prefix, names the first divergent decision and helper, and
+// (when PARSCHED_FUZZ_DUMP_DIR is set) dumps the run's flight record for
+// the failing case. Depth scales with PARSCHED_FUZZ_ITERS (default 10
+// seeds ≈ 1.2×10⁵ driven events — the PR-gate setting; the nightly CI
+// leg raises it).
 //
 // Alongside the fuzzer: ~12 pinned seed-corpus regression cases for the
 // heap edge cases (duplicate keys, completion bursts emptying the heap,
-// admit-during-deferral, decay epochs crossing the top-k boundary, ...)
-// and tie-break pins proving the ContextCache bounded-heap and the
-// incremental heaps realize the same total orders at k == n and k < n/8.
+// admit-during-deferral, decay epochs crossing the top-k boundary, ...),
+// the E1/E5 experiment grids, direct helper and memo checks, and
+// tie-break pins at k == n and k < n/8.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,10 +43,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
+#include <numeric>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "check/contract.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sched/registry.hpp"
 #include "simcore/engine.hpp"
@@ -48,10 +62,177 @@
 namespace parsched {
 namespace {
 
-// Every registry family (same list as test_context_cache.cpp), so each
-// ordering helper's incremental path is exercised by a policy that
-// actually calls it: smallest_remaining (SRPT family), min_remaining
-// (par-srpt), latest_arrivals (LAPS / oldest-equi), by_latest_arrival
+namespace refimpl {
+
+/// (remaining, release, id) lexicographic SRPT order.
+struct SrptLess {
+  std::span<const AliveJob> alive;
+  bool operator()(std::size_t a, std::size_t b) const {
+    const AliveJob& ja = alive[a];
+    const AliveJob& jb = alive[b];
+    if (ja.remaining != jb.remaining) return ja.remaining < jb.remaining;
+    if (ja.release != jb.release) return ja.release < jb.release;
+    return ja.id < jb.id;
+  }
+};
+
+/// (release, id) descending: latest arrival first.
+struct LatestLess {
+  std::span<const AliveJob> alive;
+  bool operator()(std::size_t a, std::size_t b) const {
+    const AliveJob& ja = alive[a];
+    const AliveJob& jb = alive[b];
+    if (ja.release != jb.release) return ja.release > jb.release;
+    return ja.id > jb.id;
+  }
+};
+
+/// The first min(k, n) indices of `less`'s order over alive, via
+/// nth_element + sort of the prefix (a full sort when k >= n).
+template <class Less>
+void sorted_prefix(std::span<const AliveJob> alive, std::size_t k,
+                   std::vector<std::size_t>& out) {
+  out.resize(alive.size());
+  std::iota(out.begin(), out.end(), std::size_t{0});
+  if (k >= out.size()) {
+    std::sort(out.begin(), out.end(), Less{alive});
+    return;
+  }
+  std::nth_element(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(k),
+                   out.end(), Less{alive});
+  out.resize(k);
+  std::sort(out.begin(), out.end(), Less{alive});
+}
+
+void by_remaining(std::span<const AliveJob> alive,
+                  std::vector<std::size_t>& out) {
+  sorted_prefix<SrptLess>(alive, alive.size(), out);
+}
+
+void smallest_remaining(std::span<const AliveJob> alive, std::size_t k,
+                        std::vector<std::size_t>& out) {
+  sorted_prefix<SrptLess>(alive, k, out);
+}
+
+std::size_t min_remaining(std::span<const AliveJob> alive) {
+  PARSCHED_CHECK(!alive.empty(), "min_remaining over an empty context");
+  std::size_t best = 0;
+  const SrptLess less{alive};
+  for (std::size_t i = 1; i < alive.size(); ++i) {
+    if (less(i, best)) best = i;
+  }
+  return best;
+}
+
+void by_latest_arrival(std::span<const AliveJob> alive,
+                       std::vector<std::size_t>& out) {
+  sorted_prefix<LatestLess>(alive, alive.size(), out);
+}
+
+void latest_arrivals(std::span<const AliveJob> alive, std::size_t k,
+                     std::vector<std::size_t>& out) {
+  sorted_prefix<LatestLess>(alive, k, out);
+}
+
+}  // namespace refimpl
+
+/// Checking wrapper: runs the inner policy, then compares by_remaining,
+/// smallest_remaining(k) for k in {1, m, n/8, n}, min_remaining,
+/// by_latest_arrival and latest_arrivals(k) for the same k against
+/// refimpl:: on ctx.alive(). The first disagreement is recorded (as
+/// plain fields, so recording allocates nothing inside an AllocGuard
+/// fence) and described by mismatch().
+class OracleScheduler final : public Scheduler {
+ public:
+  explicit OracleScheduler(std::unique_ptr<Scheduler> inner)
+      : inner_(std::move(inner)) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+  void allocate(const SchedulerContext& ctx, Allocation& out) override {
+    inner_->allocate(ctx, out);
+    check(ctx);
+    ++decisions_;
+  }
+
+  void reset() override {
+    inner_->reset();
+    decisions_ = 0;
+    bad_ = Mismatch{};
+  }
+  [[nodiscard]] std::string save_state() const override {
+    return inner_->save_state();
+  }
+  void load_state(const std::string& state) override {
+    inner_->load_state(state);
+  }
+
+  /// Decisions checked since the last reset().
+  [[nodiscard]] std::uint64_t decisions() const { return decisions_; }
+  [[nodiscard]] bool ok() const { return bad_.helper == nullptr; }
+  /// "" when every check passed; else the first divergent decision.
+  [[nodiscard]] std::string mismatch() const {
+    if (ok()) return {};
+    return "decision " + std::to_string(bad_.decision) + ": " + bad_.helper +
+           "(k=" + std::to_string(bad_.k) + ") over n=" +
+           std::to_string(bad_.n) + " disagrees with refimpl at position " +
+           std::to_string(bad_.position);
+  }
+
+ private:
+  struct Mismatch {
+    const char* helper = nullptr;
+    std::uint64_t decision = 0;
+    std::size_t k = 0;
+    std::size_t n = 0;
+    std::size_t position = 0;
+  };
+
+  void expect(const char* helper, std::size_t k, std::size_t n,
+              std::span<const std::size_t> got) {
+    if (!ok()) return;
+    std::size_t pos = 0;
+    while (pos < got.size() && pos < ref_.size() && got[pos] == ref_[pos]) {
+      ++pos;
+    }
+    if (pos == got.size() && got.size() == ref_.size()) return;
+    bad_ = Mismatch{helper, decisions_, k, n, pos};
+  }
+
+  void check(const SchedulerContext& ctx) {
+    const std::span<const AliveJob> alive = ctx.alive();
+    const std::size_t n = alive.size();
+    const std::size_t m = static_cast<std::size_t>(ctx.machines());
+    // Ascending widths first, so narrow queries reach the heap traversal
+    // before a full-order query fills the decision's memo.
+    const std::size_t ks[] = {1, m, n / 8, n};
+    for (const std::size_t k : ks) {
+      refimpl::smallest_remaining(alive, k, ref_);
+      expect("smallest_remaining", k, n, ctx.smallest_remaining(k));
+    }
+    refimpl::by_remaining(alive, ref_);
+    expect("by_remaining", n, n, ctx.by_remaining());
+    if (n > 0 && ok() && ctx.min_remaining() != refimpl::min_remaining(alive)) {
+      bad_ = Mismatch{"min_remaining", decisions_, 1, n, 0};
+    }
+    for (const std::size_t k : ks) {
+      refimpl::latest_arrivals(alive, k, ref_);
+      expect("latest_arrivals", k, n, ctx.latest_arrivals(k));
+    }
+    refimpl::by_latest_arrival(alive, ref_);
+    expect("by_latest_arrival", n, n, ctx.by_latest_arrival());
+  }
+
+  std::unique_ptr<Scheduler> inner_;
+  std::vector<std::size_t> ref_;  ///< refimpl answer under comparison
+  std::uint64_t decisions_ = 0;
+  Mismatch bad_;
+};
+
+// Every registry family, parameterized variants included, so each
+// ordering helper is exercised by a policy that actually calls it:
+// smallest_remaining (SRPT family), min_remaining (par-srpt),
+// latest_arrivals (LAPS / oldest-equi), by_latest_arrival
 // (quantized-equi), by_remaining (mlf / wisrpt / setf), and the
 // no-helper policies (equi, greedy) that still drive heap maintenance.
 const char* const kAllPolicies[] = {
@@ -90,93 +271,111 @@ class DecisionHasher : public Observer {
   std::vector<std::uint64_t> hashes;
 };
 
-enum class Arm { kIncremental, kCache, kRefimpl };
-
-EngineConfig arm_config(Arm arm) {
-  EngineConfig cfg;
-  cfg.use_context_cache = arm != Arm::kRefimpl;
-  cfg.use_incremental_orders = arm == Arm::kIncremental;
-  return cfg;
-}
-
-struct ArmRun {
+struct CheckedRun {
   SimResult result;
   std::vector<std::uint64_t> hashes;
+  std::string mismatch;  ///< "" when every decision matched refimpl::
+  std::uint64_t checked = 0;  ///< decisions the oracle checked
 };
 
-ArmRun run_arm(const Instance& inst, const std::string& policy, Arm arm,
-               obs::FlightRecorder* recorder = nullptr) {
-  auto sched = make_scheduler(policy);
-  EngineConfig cfg = arm_config(arm);
+/// One batch run with the decision stream hashed.
+CheckedRun run_hashed(const Instance& inst, Scheduler& sched,
+                      obs::FlightRecorder* recorder = nullptr) {
+  EngineConfig cfg;
   cfg.recorder = recorder;
   DecisionHasher hasher;
-  ArmRun out;
-  out.result = simulate(inst, *sched, cfg, {&hasher});
+  CheckedRun out;
+  out.result = simulate(inst, sched, cfg, {&hasher});
   out.hashes = std::move(hasher.hashes);
   return out;
 }
 
-struct Divergence {
-  bool diverged = false;
-  std::string detail;
-};
+CheckedRun run_plain(const Instance& inst, const std::string& policy) {
+  auto sched = make_scheduler(policy);
+  return run_hashed(inst, *sched);
+}
 
-Divergence compare_runs(const ArmRun& a, const ArmRun& b) {
-  Divergence d;
-  const auto fail = [&d](std::string detail) {
-    d.diverged = true;
-    d.detail = std::move(detail);
-  };
+/// One batch run of `policy` under the oracle.
+CheckedRun run_checked(const Instance& inst, const std::string& policy,
+                       obs::FlightRecorder* recorder = nullptr) {
+  OracleScheduler oracle(make_scheduler(policy));
+  CheckedRun out = run_hashed(inst, oracle, recorder);
+  out.mismatch = oracle.mismatch();
+  out.checked = oracle.decisions();
+  return out;
+}
+
+/// Streams `inst` into a fresh engine with ragged advances (many of
+/// which stop short of the next event and park a deferred decision).
+CheckedRun run_streamed(const Instance& inst, const std::string& policy) {
+  OracleScheduler oracle(make_scheduler(policy));
+  Engine eng(inst.machines());
+  DecisionHasher hasher;
+  eng.add_observer(&hasher);
+  eng.begin(oracle);
+  double t = 0.0;
+  for (const Job& j : inst.jobs()) {
+    eng.admit(j);
+    if ((j.id % 3) == 0) {
+      t = std::max(t, j.release * 0.75);
+      eng.advance_to(t);
+    }
+  }
+  CheckedRun out;
+  out.result = eng.finish();
+  out.hashes = std::move(hasher.hashes);
+  out.mismatch = oracle.mismatch();
+  out.checked = oracle.decisions();
+  return out;
+}
+
+/// First difference between two runs' decision streams and results;
+/// "" when they agree double for double.
+std::string compare_runs(const CheckedRun& a, const CheckedRun& b) {
   const std::size_t n = std::min(a.hashes.size(), b.hashes.size());
   for (std::size_t i = 0; i < n; ++i) {
     if (a.hashes[i] != b.hashes[i]) {
-      fail("first divergent decision at index " + std::to_string(i) + " of " +
-           std::to_string(n));
-      return d;
+      return "first divergent decision at index " + std::to_string(i) +
+             " of " + std::to_string(n);
     }
   }
   if (a.hashes.size() != b.hashes.size()) {
-    fail("decision counts differ: " + std::to_string(a.hashes.size()) +
-         " vs " + std::to_string(b.hashes.size()));
-    return d;
+    return "decision counts differ: " + std::to_string(a.hashes.size()) +
+           " vs " + std::to_string(b.hashes.size());
   }
   const SimResult& x = a.result;
   const SimResult& y = b.result;
-  if (x.total_flow != y.total_flow) return fail("total_flow differs"), d;
-  if (x.weighted_flow != y.weighted_flow) {
-    return fail("weighted_flow differs"), d;
-  }
+  if (x.total_flow != y.total_flow) return "total_flow differs";
+  if (x.weighted_flow != y.weighted_flow) return "weighted_flow differs";
   if (x.fractional_flow != y.fractional_flow) {
-    return fail("fractional_flow differs"), d;
+    return "fractional_flow differs";
   }
-  if (x.makespan != y.makespan) return fail("makespan differs"), d;
-  if (x.decisions != y.decisions) return fail("decision totals differ"), d;
-  if (x.events != y.events) return fail("event totals differ"), d;
+  if (x.makespan != y.makespan) return "makespan differs";
+  if (x.decisions != y.decisions) return "decision totals differ";
+  if (x.events != y.events) return "event totals differ";
   if (x.records.size() != y.records.size()) {
-    return fail("completion record counts differ"), d;
+    return "completion record counts differ";
   }
   for (std::size_t i = 0; i < x.records.size(); ++i) {
     if (x.records[i].job.id != y.records[i].job.id ||
         x.records[i].completion != y.records[i].completion) {
-      return fail("completion record " + std::to_string(i) + " differs"), d;
+      return "completion record " + std::to_string(i) + " differs";
     }
   }
-  return d;
+  return {};
 }
 
-/// One three-way comparison; empty detail when all arms agree.
-Divergence three_way(const Instance& inst, const std::string& policy) {
-  const ArmRun ref = run_arm(inst, policy, Arm::kRefimpl);
-  const ArmRun cache = run_arm(inst, policy, Arm::kCache);
-  const ArmRun inc = run_arm(inst, policy, Arm::kIncremental);
-  Divergence d = compare_runs(inc, ref);
-  if (d.diverged) {
-    d.detail = "incremental vs refimpl: " + d.detail;
-    return d;
-  }
-  d = compare_runs(cache, ref);
-  if (d.diverged) d.detail = "cache vs refimpl: " + d.detail;
-  return d;
+/// The oracle check as a test assertion: every decision passes, and the
+/// checked run equals the unwrapped one (the oracle's extra, wider
+/// queries must not perturb the policy's own answers).
+CheckedRun expect_checked(const Instance& inst, const std::string& policy,
+                          const std::string& what = "") {
+  CheckedRun run = run_checked(inst, policy);
+  EXPECT_TRUE(run.mismatch.empty()) << what << policy << ": " << run.mismatch;
+  EXPECT_EQ(run.checked, run.result.decisions) << what << policy;
+  const std::string diff = compare_runs(run, run_plain(inst, policy));
+  EXPECT_TRUE(diff.empty()) << what << policy << " vs unwrapped: " << diff;
+  return run;
 }
 
 // ---- Fuzz harness -------------------------------------------------------
@@ -240,9 +439,9 @@ std::string sanitize(const std::string& s) {
   return out;
 }
 
-/// Artifact hook for CI: when PARSCHED_FUZZ_DUMP_DIR is set, replay the
-/// incremental arm of a failing case with a flight recorder armed and
-/// dump its ring for upload next to the failing seed.
+/// Artifact hook for CI: when PARSCHED_FUZZ_DUMP_DIR is set, replay a
+/// failing case with a flight recorder armed and dump its ring for
+/// upload next to the failing seed.
 void dump_failing_case(const Instance& inst, const std::string& policy,
                        const std::string& label) {
   const std::string dir = env::get_string("PARSCHED_FUZZ_DUMP_DIR");
@@ -250,7 +449,7 @@ void dump_failing_case(const Instance& inst, const std::string& policy,
   obs::FlightRecorder recorder(8192);
   recorder.set_dump_path(dir + "/fuzz_" + sanitize(label) + "_" +
                          sanitize(policy) + ".jsonl");
-  run_arm(inst, policy, Arm::kIncremental, &recorder);
+  (void)run_checked(inst, policy, &recorder);
   recorder.dump_to_file("fuzz_mismatch");
 }
 
@@ -265,7 +464,7 @@ std::size_t shrink_min_prefix(const Instance& inst, const std::string& policy) {
         inst.machines(),
         std::vector<Job>(jobs.begin(),
                          jobs.begin() + static_cast<std::ptrdiff_t>(count)));
-    return three_way(sub, policy).diverged;
+    return !run_checked(sub, policy).mismatch.empty();
   };
   std::size_t lo = 1;
   std::size_t hi = jobs.size();
@@ -280,30 +479,28 @@ std::size_t shrink_min_prefix(const Instance& inst, const std::string& policy) {
   return lo;
 }
 
-/// Run the three-way comparison; on mismatch emit the minimal-seed
-/// report (seed label, policy, shrunken prefix, first divergence) and a
-/// flight-record artifact. Returns the number of driven events (summed
-/// over the three arms) for the depth accounting.
+/// Run the oracle check; on mismatch emit the minimal-seed report (seed
+/// label, policy, shrunken prefix, first divergence) and a flight-record
+/// artifact. Returns the number of events the run drove, for the depth
+/// accounting.
 std::uint64_t check_instance(const Instance& inst, const std::string& policy,
                              const std::string& label) {
-  const Divergence d = three_way(inst, policy);
-  if (d.diverged) {
+  const CheckedRun run = run_checked(inst, policy);
+  if (!run.mismatch.empty()) {
     const std::size_t min_jobs = shrink_min_prefix(inst, policy);
     dump_failing_case(inst, policy, label);
-    ADD_FAILURE() << "three-way mismatch [" << label << "] policy=" << policy
-                  << ": " << d.detail << "\n  minimal failing prefix: first "
-                  << min_jobs << " of " << inst.jobs().size()
+    ADD_FAILURE() << "oracle mismatch [" << label << "] policy=" << policy
+                  << ": " << run.mismatch << "\n  minimal failing prefix: "
+                  << "first " << min_jobs << " of " << inst.jobs().size()
                   << " jobs (machines=" << inst.machines() << ")"
                   << "\n  reproduce: fuzz label " << label
                   << ", shrink with the first " << min_jobs << " jobs";
     return 0;
   }
-  // All arms agree; count the events each arm actually drove.
-  const ArmRun probe = run_arm(inst, policy, Arm::kIncremental);
-  return 3 * probe.result.events;
+  return run.result.events;
 }
 
-TEST(IncrementalFuzz, ThreeWayDifferentialOverRandomEventSchedules) {
+TEST(IncrementalFuzz, OracleAgreesOverRandomEventSchedules) {
   // Short default for the PR gate (~10⁵ driven events in seconds); the
   // nightly CI leg raises PARSCHED_FUZZ_ITERS for depth.
   const long iters = env::get_int("PARSCHED_FUZZ_ITERS", 10, 1, 1000000);
@@ -317,11 +514,10 @@ TEST(IncrementalFuzz, ThreeWayDifferentialOverRandomEventSchedules) {
       if (HasFailure()) return;  // the shrunken report is already emitted
     }
   }
-  std::printf("incremental fuzz: %llu driven events across %ld seeds\n",
+  std::printf("oracle fuzz: %llu driven events across %ld seeds\n",
               static_cast<unsigned long long>(total_events), iters);
-  // Depth floor: every seed must contribute >= 10^4 driven events
-  // (14 policies x 3 arms x ~2 events/job); the default 10 seeds put the
-  // PR gate itself past the 10^5-event acceptance bar.
+  // Depth floor: every seed must drive >= 10^4 events through the oracle
+  // in single runs (14 policies x 2 events/job x >= 360 jobs).
   EXPECT_GE(total_events, static_cast<std::uint64_t>(iters) * 10000ull);
 }
 
@@ -329,11 +525,12 @@ TEST(IncrementalFuzz, ThreeWayDifferentialOverRandomEventSchedules) {
 //
 // Reproducible without the fuzzer: each case pins a generator seed (or a
 // hand-built shape the generator reaches only occasionally) that lands
-// on a specific heap edge, and runs the full three-way comparison as its
-// own ctest case.
+// on a specific heap edge, and runs the oracle check as its own ctest
+// case.
 
 /// PARSCHED_AUDIT scope: arms the engine-side heap-vs-alive audit (and
-/// the AllocGuard fences) for every engine constructed inside it.
+/// the AllocGuard fences, which the warm oracle stays inside) for every
+/// engine constructed inside it.
 class AuditScope {
  public:
   AuditScope() { setenv("PARSCHED_AUDIT", "1", 1); }
@@ -354,8 +551,7 @@ TEST(IncrementalSeedCorpus, DuplicateRemainingKeysTieStorm) {
   }
   const Instance inst(8, jobs);
   for (const char* policy : {"isrpt", "seq-srpt", "mlf", "laps:0.5"}) {
-    const Divergence d = three_way(inst, policy);
-    EXPECT_FALSE(d.diverged) << policy << ": " << d.detail;
+    expect_checked(inst, policy);
   }
 }
 
@@ -377,43 +573,22 @@ TEST(IncrementalSeedCorpus, CompletionBurstEmptiesHeap) {
   }
   const Instance inst(16, jobs);
   for (const char* policy : {"equi", "isrpt", "greedy"}) {
-    const Divergence d = three_way(inst, policy);
-    EXPECT_FALSE(d.diverged) << policy << ": " << d.detail;
+    expect_checked(inst, policy);
   }
 }
 
 TEST(IncrementalSeedCorpus, AdmitDuringDeferredDecision) {
   // Streaming: advances that stop short of the next event defer the
   // decision; admissions landing while deferred must enter the heaps
-  // only when released. The streamed incremental run must match the
-  // batch refimpl run double for double.
+  // only when released. The streamed run must pass the oracle and match
+  // the batch run double for double.
   const Instance inst = fuzz_instance(0xDEFE77ull, 160);
   for (const char* policy : {"isrpt", "laps:0.25", "quantized-equi:0.5"}) {
-    auto ref_sched = make_scheduler(policy);
-    EngineConfig ref_cfg = arm_config(Arm::kRefimpl);
-    DecisionHasher ref_hash;
-    ArmRun ref;
-    ref.result = simulate(inst, *ref_sched, ref_cfg, {&ref_hash});
-    ref.hashes = std::move(ref_hash.hashes);
-
-    auto sched = make_scheduler(policy);
-    Engine eng(inst.machines(), arm_config(Arm::kIncremental));
-    DecisionHasher stream_hash;
-    eng.add_observer(&stream_hash);
-    eng.begin(*sched);
-    double t = 0.0;
-    for (const Job& j : inst.jobs()) {
-      eng.admit(j);
-      if ((j.id % 3) == 0) {
-        t = std::max(t, j.release * 0.75);
-        eng.advance_to(t);  // often parks a deferred decision mid-flight
-      }
-    }
-    ArmRun streamed;
-    streamed.result = eng.finish();
-    streamed.hashes = std::move(stream_hash.hashes);
-    const Divergence d = compare_runs(streamed, ref);
-    EXPECT_FALSE(d.diverged) << policy << " streamed vs batch: " << d.detail;
+    const CheckedRun streamed = run_streamed(inst, policy);
+    EXPECT_TRUE(streamed.mismatch.empty()) << policy << ": "
+                                           << streamed.mismatch;
+    const std::string diff = compare_runs(streamed, run_checked(inst, policy));
+    EXPECT_TRUE(diff.empty()) << policy << " streamed vs batch: " << diff;
   }
 }
 
@@ -437,8 +612,7 @@ TEST(IncrementalSeedCorpus, DecayCrossingTopKBoundary) {
   }
   const Instance inst(16, jobs);
   for (const char* policy : {"isrpt", "isrpt-boost", "par-srpt"}) {
-    const Divergence d = three_way(inst, policy);
-    EXPECT_FALSE(d.diverged) << policy << ": " << d.detail;
+    expect_checked(inst, policy);
   }
 }
 
@@ -458,8 +632,7 @@ TEST(IncrementalSeedCorpus, CompletionToleranceEdgeSizes) {
   }
   const Instance inst(4, jobs);
   for (const char* policy : {"isrpt", "seq-srpt", "setf:0.2"}) {
-    const Divergence d = three_way(inst, policy);
-    EXPECT_FALSE(d.diverged) << policy << ": " << d.detail;
+    expect_checked(inst, policy);
   }
 }
 
@@ -479,8 +652,7 @@ TEST(IncrementalSeedCorpus, TimeToleranceEdgeArrivals) {
   const Instance inst(6, jobs);
   for (const char* policy : {"laps:0.25", "oldest-equi:0.5",
                              "quantized-equi:0.5"}) {
-    const Divergence d = three_way(inst, policy);
-    EXPECT_FALSE(d.diverged) << policy << ": " << d.detail;
+    expect_checked(inst, policy);
   }
 }
 
@@ -501,8 +673,7 @@ TEST(IncrementalSeedCorpus, ZeroRateStretchesSequentialGlut) {
   }
   const Instance inst(4, jobs);
   for (const char* policy : {"seq-srpt", "isrpt"}) {
-    const Divergence d = three_way(inst, policy);
-    EXPECT_FALSE(d.diverged) << policy << ": " << d.detail;
+    expect_checked(inst, policy);
   }
 }
 
@@ -522,20 +693,19 @@ TEST(IncrementalSeedCorpus, HeapEmptiesBetweenWaves) {
   }
   const Instance inst(8, jobs);
   for (const char* policy : {"isrpt", "equi", "wisrpt"}) {
-    const Divergence d = three_way(inst, policy);
-    EXPECT_FALSE(d.diverged) << policy << ": " << d.detail;
+    expect_checked(inst, policy);
   }
 }
 
 TEST(IncrementalSeedCorpus, SnapshotRestoreRebuildsHeaps) {
   // Export mid-run, import into a fresh engine, and the continuation
-  // must equal the donor's — proving the lazily-rebuilt heaps reproduce
-  // the donor's orderings bit for bit.
+  // must pass the oracle and equal the donor's — proving the
+  // lazily-rebuilt heaps reproduce the donor's orderings bit for bit.
   const Instance inst = fuzz_instance(0x5EED5ull, 140);
   for (const char* policy : {"isrpt", "laps:0.5", "quantized-equi:0.5"}) {
     // Donor: run straight through.
     auto donor_sched = make_scheduler(policy);
-    Engine donor(inst.machines(), arm_config(Arm::kIncremental));
+    Engine donor(inst.machines());
     donor.begin(*donor_sched);
     for (const Job& j : inst.jobs()) donor.admit(j);
     const double t_cut = inst.jobs()[inst.jobs().size() / 2].release;
@@ -545,11 +715,12 @@ TEST(IncrementalSeedCorpus, SnapshotRestoreRebuildsHeaps) {
     const SimResult donor_result = donor.finish();
 
     // Continuation: restore and finish.
-    auto cont_sched = make_scheduler(policy);
-    cont_sched->load_state(sched_state);
-    Engine cont(inst.machines(), arm_config(Arm::kIncremental));
-    cont.import_state(snap, *cont_sched);
+    OracleScheduler cont_sched(make_scheduler(policy));
+    cont_sched.load_state(sched_state);
+    Engine cont(inst.machines());
+    cont.import_state(snap, cont_sched);
     const SimResult cont_result = cont.finish();
+    EXPECT_TRUE(cont_sched.ok()) << policy << ": " << cont_sched.mismatch();
 
     EXPECT_EQ(donor_result.total_flow, cont_result.total_flow) << policy;
     EXPECT_EQ(donor_result.fractional_flow, cont_result.fractional_flow)
@@ -569,13 +740,12 @@ TEST(IncrementalSeedCorpus, MassDecayUnderDenseAllocations) {
   // EQUI-family allocations run every alive job: every sweep crosses the
   // n/8 threshold and declares a decay epoch. oldest-equi also queries
   // latest_arrivals(n) (never stale); equi queries nothing, so its SRPT
-  // heap stays stale forever — both must still agree with refimpl, under
+  // heap stays stale forever — both must still pass the oracle, under
   // the full engine-side heap audit.
   AuditScope audit;
   const Instance inst = fuzz_instance(0xDECA1ull, 150);
   for (const char* policy : {"equi", "oldest-equi:0.5", "greedy"}) {
-    const Divergence d = three_way(inst, policy);
-    EXPECT_FALSE(d.diverged) << policy << ": " << d.detail;
+    expect_checked(inst, policy);
   }
 }
 
@@ -587,9 +757,8 @@ TEST(IncrementalSeedCorpus, PinnedGeneratorSeedsFastPolicies) {
         31ull, 37ull}) {
     const Instance inst = fuzz_instance(seed, 120);
     for (const char* policy : {"isrpt", "seq-srpt", "par-srpt"}) {
-      const Divergence d = three_way(inst, policy);
-      EXPECT_FALSE(d.diverged)
-          << "pinned seed " << seed << " " << policy << ": " << d.detail;
+      expect_checked(inst, policy,
+                     "pinned seed " + std::to_string(seed) + " ");
     }
   }
 }
@@ -601,17 +770,19 @@ TEST(IncrementalSeedCorpus, PinnedGeneratorSeedsOrderingConsumers) {
     const Instance inst = fuzz_instance(seed, 120);
     for (const char* policy :
          {"laps:0.25", "oldest-equi:0.5", "quantized-equi:0.5", "mlf"}) {
-      const Divergence d = three_way(inst, policy);
-      EXPECT_FALSE(d.diverged)
-          << "pinned seed " << seed << " " << policy << ": " << d.detail;
+      expect_checked(inst, policy,
+                     "pinned seed " + std::to_string(seed) + " ");
     }
   }
 }
 
 // ---- Direct IncrementalOrders unit churn --------------------------------
 
-std::vector<AliveJob> make_alive(std::mt19937_64& rng, std::size_t n) {
-  std::uniform_int_distribution<int> rem(1, 6);
+/// Deliberately collision-heavy: remaining and release each drawn from
+/// a handful of values, so ties are common and id tie-breaks decide.
+std::vector<AliveJob> random_alive(std::mt19937_64& rng, std::size_t n,
+                                   int max_remaining) {
+  std::uniform_int_distribution<int> rem(1, max_remaining);
   std::uniform_int_distribution<int> rel(0, 3);
   std::vector<AliveJob> alive(n);
   std::vector<JobId> ids(n);
@@ -629,19 +800,23 @@ std::vector<AliveJob> make_alive(std::mt19937_64& rng, std::size_t n) {
 void expect_orders_match(IncrementalOrders& inc,
                          const std::vector<AliveJob>& alive,
                          const std::string& what) {
-  std::vector<std::size_t> got(alive.size());
-  const std::vector<std::size_t> srpt_ref = refimpl::by_remaining(alive);
-  const std::vector<std::size_t> latest_ref = refimpl::by_latest_arrival(alive);
+  std::vector<std::size_t> srpt_ref;
+  refimpl::by_remaining(alive, srpt_ref);
+  std::vector<std::size_t> latest_ref;
+  refimpl::by_latest_arrival(alive, latest_ref);
   for (const std::size_t k :
        {std::size_t{1}, alive.size() / 8, alive.size() / 2, alive.size()}) {
     if (k == 0) continue;
-    inc.fill_srpt(alive, k, got.data());
+    inc.begin_decision();  // a cold query per k, not a memo hit
+    const auto srpt = inc.srpt_prefix(alive, k);
+    ASSERT_EQ(srpt.size(), k) << what;
     for (std::size_t i = 0; i < k; ++i) {
-      ASSERT_EQ(got[i], srpt_ref[i]) << what << " srpt k=" << k << " @" << i;
+      ASSERT_EQ(srpt[i], srpt_ref[i]) << what << " srpt k=" << k << " @" << i;
     }
-    inc.fill_latest(k, got.data());
+    const auto latest = inc.latest_prefix(k);
+    ASSERT_EQ(latest.size(), k) << what;
     for (std::size_t i = 0; i < k; ++i) {
-      ASSERT_EQ(got[i], latest_ref[i])
+      ASSERT_EQ(latest[i], latest_ref[i])
           << what << " latest k=" << k << " @" << i;
     }
   }
@@ -653,7 +828,7 @@ void expect_orders_match(IncrementalOrders& inc,
 
 TEST(IncrementalOrdersUnit, RandomChurnMatchesRefimpl) {
   std::mt19937_64 rng(20260808);
-  std::vector<AliveJob> alive = make_alive(rng, 80);
+  std::vector<AliveJob> alive = random_alive(rng, 80, 6);
   IncrementalOrders inc;
   inc.reserve(alive.size());
   for (std::size_t i = 0; i < alive.size(); ++i) inc.insert(alive[i], i);
@@ -703,12 +878,10 @@ TEST(IncrementalOrdersUnit, RandomChurnMatchesRefimpl) {
   EXPECT_GT(inc.decay_epochs(), 0u);
 }
 
-// ---- Tie-break pinning: both engines of both total orders ---------------
+// ---- Tie-break pinning on the heaps --------------------------------------
 //
-// The satellite fix under proof: the ContextCache bounded-heap top-k and
-// the IncrementalOrders heaps must realize the *same* strict total
-// orders for equal keys, at k == n (full sort vs. heap-copy sort) and at
-// k < n/8 (bounded-heap selection vs. heap traversal).
+// The heaps must realize the strict total orders for equal keys at
+// k == n (heap-copy sort) and at k < n/8 (heap traversal).
 
 std::vector<AliveJob> tie_heavy_alive() {
   // 24 jobs; indices 17, 9, 5 share the smallest remaining. 17 and 9
@@ -743,27 +916,19 @@ IncrementalOrders build_inc(const std::vector<AliveJob>& alive) {
 TEST(IncrementalTieBreaks, SrptOrderPinnedAtFullAndSmallK) {
   const std::vector<AliveJob> alive = tie_heavy_alive();
   const std::vector<std::size_t> want_prefix = {17, 9, 5};
-  const std::vector<std::size_t> full_ref = refimpl::by_remaining(alive);
+  std::vector<std::size_t> full_ref;
+  refimpl::by_remaining(alive, full_ref);
   IncrementalOrders inc = build_inc(alive);
-  std::vector<std::size_t> got(alive.size());
   // k = 3 <= 24/8 (heap traversal) and k = n (heap-copy full sort).
   for (const std::size_t k : {std::size_t{3}, alive.size()}) {
-    inc.fill_srpt(alive, k, got.data());
+    inc.begin_decision();
+    const auto got = inc.srpt_prefix(alive, k);
+    ASSERT_EQ(got.size(), k);
     for (std::size_t i = 0; i < want_prefix.size(); ++i) {
       EXPECT_EQ(got[i], want_prefix[i]) << "k=" << k << " position " << i;
     }
     for (std::size_t i = 0; i < k; ++i) {
       EXPECT_EQ(got[i], full_ref[i]) << "refimpl k=" << k << " @" << i;
-    }
-    // The ContextCache bounded-heap / sort paths must agree entry for
-    // entry with the incremental heap at the same k.
-    ContextCache cache;
-    cache.invalidate();
-    SchedulerContext cached(0.0, 4, alive, &cache);
-    const auto cache_span = cached.smallest_remaining(k);
-    ASSERT_EQ(cache_span.size(), k);
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(cache_span[i], got[i]) << "cache vs inc k=" << k << " @" << i;
     }
   }
 }
@@ -785,24 +950,18 @@ TEST(IncrementalTieBreaks, LatestOrderPinnedAtFullAndSmallK) {
   alive[4].release = 9.0;
   alive[4].id = 104;
   const std::vector<std::size_t> want_prefix = {11, 3, 4};
-  const std::vector<std::size_t> full_ref = refimpl::by_latest_arrival(alive);
+  std::vector<std::size_t> full_ref;
+  refimpl::by_latest_arrival(alive, full_ref);
   IncrementalOrders inc = build_inc(alive);
-  std::vector<std::size_t> got(alive.size());
   for (const std::size_t k : {std::size_t{3}, alive.size()}) {
-    inc.fill_latest(k, got.data());
+    inc.begin_decision();
+    const auto got = inc.latest_prefix(k);
+    ASSERT_EQ(got.size(), k);
     for (std::size_t i = 0; i < want_prefix.size(); ++i) {
       EXPECT_EQ(got[i], want_prefix[i]) << "k=" << k << " position " << i;
     }
     for (std::size_t i = 0; i < k; ++i) {
       EXPECT_EQ(got[i], full_ref[i]) << "refimpl k=" << k << " @" << i;
-    }
-    ContextCache cache;
-    cache.invalidate();
-    SchedulerContext cached(0.0, 4, alive, &cache);
-    const auto cache_span = cached.latest_arrivals(k);
-    ASSERT_EQ(cache_span.size(), k);
-    for (std::size_t i = 0; i < k; ++i) {
-      EXPECT_EQ(cache_span[i], got[i]) << "cache vs inc k=" << k << " @" << i;
     }
   }
 }
@@ -823,13 +982,263 @@ TEST(IncrementalTieBreaks, TieOrderSurvivesChurn) {
   inc.remove_swap(9, last);
   alive[9] = alive[last];
   alive.pop_back();
-  const std::vector<std::size_t> ref = refimpl::by_remaining(alive);
-  std::vector<std::size_t> got(alive.size());
-  inc.fill_srpt(alive, alive.size(), got.data());
+  std::vector<std::size_t> ref;
+  refimpl::by_remaining(alive, ref);
+  inc.begin_decision();
+  const auto got = inc.srpt_prefix(alive, alive.size());
+  ASSERT_EQ(got.size(), alive.size());
   for (std::size_t i = 0; i < alive.size(); ++i) {
     EXPECT_EQ(got[i], ref[i]) << "position " << i;
   }
   inc.audit(alive);
+}
+
+// ---- The E1/E5 grids, phased jobs and direct helper checks -----------
+
+// E1-style grid: fixed alpha = 0.5, critically loaded.
+RandomWorkloadConfig e1_config(std::uint64_t seed) {
+  RandomWorkloadConfig cfg;
+  cfg.machines = 8;
+  cfg.jobs = 120;
+  cfg.P = 64.0;
+  cfg.load = 1.0;
+  cfg.alpha_lo = cfg.alpha_hi = 0.5;
+  cfg.seed = seed;
+  return cfg;
+}
+
+// E5-style grid: heterogeneous parallelizability (sequential, power-law
+// across the alpha range, and fully parallel jobs mixed together).
+RandomWorkloadConfig e5_config(std::uint64_t seed) {
+  RandomWorkloadConfig cfg;
+  cfg.machines = 8;
+  cfg.jobs = 100;
+  cfg.P = 32.0;
+  cfg.load = 0.9;
+  cfg.alpha_law = AlphaLaw::kMixed;
+  cfg.alpha_lo = 0.1;
+  cfg.alpha_hi = 0.95;
+  cfg.seed = seed;
+  return cfg;
+}
+
+TEST(ContextCacheDifferential, AllPoliciesBitIdenticalOnE1Grid) {
+  for (const std::uint64_t seed : {1u, 7u}) {
+    const Instance inst = make_random_instance(e1_config(seed));
+    for (const char* policy : kAllPolicies) {
+      expect_checked(inst, policy, "seed=" + std::to_string(seed) + " ");
+    }
+  }
+}
+
+TEST(ContextCacheDifferential, AllPoliciesBitIdenticalOnE5Grid) {
+  for (const std::uint64_t seed : {3u, 11u}) {
+    const Instance inst = make_random_instance(e5_config(seed));
+    for (const char* policy : kAllPolicies) {
+      expect_checked(inst, policy, "seed=" + std::to_string(seed) + " ");
+    }
+  }
+}
+
+// Both ways of driving the engine — the batch run() loop and the
+// incremental admission sweep serve/ uses — on both experiment grids:
+// for every policy the streamed run passes the oracle and equals the
+// batch run double for double.
+TEST(ContextCacheDifferential, IncrementalSweepAllArmsAgreeOnBothGrids) {
+  for (const bool on_e1 : {true, false}) {
+    const Instance inst = on_e1 ? make_random_instance(e1_config(21))
+                                : make_random_instance(e5_config(22));
+    for (const char* policy : kAllPolicies) {
+      const std::string what = std::string(on_e1 ? "E1 " : "E5 ") + policy;
+      const CheckedRun streamed = run_streamed(inst, policy);
+      EXPECT_TRUE(streamed.mismatch.empty()) << what << ": "
+                                             << streamed.mismatch;
+      const std::string diff = compare_runs(streamed, run_plain(inst, policy));
+      EXPECT_TRUE(diff.empty()) << what << " streamed vs batch: " << diff;
+    }
+  }
+}
+
+// The serve/-facing streaming path runs the same decision_step; the
+// streamed run must equal the oracle-checked batch run.
+TEST(ContextCacheDifferential, StreamingMatchesUncachedBatch) {
+  const Instance inst = make_random_instance(e1_config(5));
+  for (const char* policy : {"isrpt", "laps:0.5", "quantized-equi:0.5"}) {
+    const CheckedRun batch = expect_checked(inst, policy);
+    const CheckedRun streamed = run_streamed(inst, policy);
+    EXPECT_TRUE(streamed.mismatch.empty()) << policy << ": "
+                                           << streamed.mismatch;
+    const std::string diff = compare_runs(streamed, batch);
+    EXPECT_TRUE(diff.empty()) << policy << " streamed vs batch: " << diff;
+  }
+}
+
+// Multi-phase jobs change curves mid-run (and exercise the phase-advance
+// path next to the completion detection); the helpers must not notice.
+TEST(ContextCacheDifferential, PhasedJobsBitIdentical) {
+  std::vector<Job> jobs;
+  for (int i = 0; i < 12; ++i) {
+    jobs.push_back(make_phased_job(
+        i, 0.25 * i,
+        {{1.0 + 0.1 * i, SpeedupCurve::power_law(0.3)},
+         {0.5, SpeedupCurve::power_law(0.9)},
+         {0.25, SpeedupCurve::sequential()}}));
+  }
+  const Instance inst(4, jobs);
+  for (const char* policy : {"isrpt", "equi", "greedy"}) {
+    expect_checked(inst, policy, "phased ");
+  }
+}
+
+// ---- Direct helper-vs-refimpl comparisons ------------------------------
+
+void expect_span_eq(std::span<const std::size_t> got,
+                    const std::vector<std::size_t>& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << what << " position " << i;
+  }
+}
+
+TEST(ContextCacheHelpers, AllHelpersMatchRefimplAcrossKs) {
+  std::mt19937_64 rng(1234);
+  std::vector<std::size_t> ref;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{40},
+                              std::size_t{200}}) {
+    const std::vector<AliveJob> alive = random_alive(rng, n, 5);
+    const std::vector<std::size_t> ks = {0,     1,     2,         3,
+                                         n / 8, n / 2, n ? n - 1 : 0, n,
+                                         n + 10};
+    for (const std::size_t k : ks) {
+      // Fresh heaps per query so each k takes its cold path (heap
+      // traversal for k < n, sorted key copy at k >= n).
+      IncrementalOrders orders;
+      orders.rebuild(alive);
+      const SchedulerContext ctx(0.0, 4, alive, orders);
+      const std::string what =
+          "n=" + std::to_string(n) + " k=" + std::to_string(k);
+      refimpl::smallest_remaining(alive, k, ref);
+      expect_span_eq(ctx.smallest_remaining(k), ref,
+                     "smallest_remaining " + what);
+      refimpl::latest_arrivals(alive, k, ref);
+      expect_span_eq(ctx.latest_arrivals(k), ref, "latest_arrivals " + what);
+    }
+    IncrementalOrders orders;
+    orders.rebuild(alive);
+    const SchedulerContext ctx(0.0, 4, alive, orders);
+    refimpl::by_remaining(alive, ref);
+    expect_span_eq(ctx.by_remaining(), ref,
+                   "by_remaining n=" + std::to_string(n));
+    refimpl::by_latest_arrival(alive, ref);
+    expect_span_eq(ctx.by_latest_arrival(), ref,
+                   "by_latest_arrival n=" + std::to_string(n));
+    EXPECT_EQ(ctx.min_remaining(), refimpl::min_remaining(alive));
+  }
+}
+
+// Widening queries within one decision must extend the memo without
+// changing previously returned prefixes: every span handed out earlier
+// still reads the same entries after the wider (and finally full)
+// queries rewrote the buffer behind it.
+TEST(ContextCacheHelpers, PrefixUpgradesPreserveEarlierAnswers) {
+  std::mt19937_64 rng(99);
+  const std::size_t n = 160;
+  const std::vector<AliveJob> alive = random_alive(rng, n, 5);
+  std::vector<std::size_t> ref;
+  refimpl::by_remaining(alive, ref);
+  std::vector<std::size_t> lref;
+  refimpl::by_latest_arrival(alive, lref);
+
+  IncrementalOrders orders;
+  orders.rebuild(alive);
+  const SchedulerContext ctx(0.0, 4, alive, orders);
+  EXPECT_EQ(ctx.min_remaining(), ref[0]);
+  std::vector<std::span<const std::size_t>> earlier;
+  for (const std::size_t k : {std::size_t{2}, std::size_t{10},
+                              std::size_t{n / 2}, std::size_t{5}, n}) {
+    earlier.push_back(ctx.smallest_remaining(k));
+    ASSERT_EQ(earlier.back().size(), std::min(k, n));
+  }
+  for (const auto span : earlier) {
+    for (std::size_t i = 0; i < span.size(); ++i) {
+      EXPECT_EQ(span[i], ref[i]) << "k=" << span.size() << " position " << i;
+    }
+  }
+  EXPECT_EQ(ctx.min_remaining(), ref[0]);
+
+  // Same for the latest-arrival family.
+  earlier.clear();
+  for (const std::size_t k : {std::size_t{3}, std::size_t{40}, n}) {
+    earlier.push_back(ctx.latest_arrivals(k));
+    ASSERT_EQ(earlier.back().size(), std::min(k, n));
+  }
+  for (const auto span : earlier) {
+    for (std::size_t i = 0; i < span.size(); ++i) {
+      EXPECT_EQ(span[i], lref[i])
+          << "latest k=" << span.size() << " position " << i;
+    }
+  }
+}
+
+// ---- Tie-break pinning --------------------------------------------------
+//
+// The k-bounded selections are only interchangeable with the full sorts
+// because the comparators are strict *total* orders: remaining ties break
+// by release, then by id (SRPT), and release ties break by id descending
+// (latest-arrival). Pin those orders on hand-built sets where every
+// tie-break level is exercised, at several k.
+
+TEST(ContextCacheTieBreaks, SmallestRemainingPinsSrptOrder) {
+  const std::vector<AliveJob> alive = tie_heavy_alive();
+  const std::vector<std::size_t> want = {17, 9, 5};  // (rem, release, id) asc
+  // Both k must agree with refimpl and start with the pinned prefix.
+  std::vector<std::size_t> ref;
+  for (const std::size_t k : {std::size_t{3}, std::size_t{5}}) {
+    IncrementalOrders orders;
+    orders.rebuild(alive);
+    const SchedulerContext ctx(0.0, 4, alive, orders);
+    const auto got = ctx.smallest_remaining(k);
+    ASSERT_EQ(got.size(), k);
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "k=" << k << " position " << i;
+    }
+    refimpl::smallest_remaining(alive, k, ref);
+    expect_span_eq(got, ref, "refimpl agreement k=" + std::to_string(k));
+  }
+}
+
+TEST(ContextCacheTieBreaks, LatestArrivalsPinsReleaseIdDescOrder) {
+  // Indices 11, 3, 4 share the latest release 9; ids 131 > 130 > 104
+  // decide the order among them (descending).
+  std::vector<AliveJob> alive(24);
+  for (std::size_t i = 0; i < alive.size(); ++i) {
+    alive[i].id = static_cast<JobId>(100 + i);
+    alive[i].release = static_cast<double>(i % 7);
+    alive[i].remaining = 1.0 + static_cast<double>(i);
+    alive[i].size = alive[i].remaining;
+  }
+  alive[3].release = 9.0;
+  alive[3].id = 130;
+  alive[11].release = 9.0;
+  alive[11].id = 131;
+  alive[4].release = 9.0;
+  alive[4].id = 104;
+  const std::vector<std::size_t> want = {11, 3, 4};
+  std::vector<std::size_t> ref;
+  for (const std::size_t k : {std::size_t{2}, std::size_t{3},
+                              std::size_t{6}}) {
+    IncrementalOrders orders;
+    orders.rebuild(alive);
+    const SchedulerContext ctx(0.0, 4, alive, orders);
+    const auto got = ctx.latest_arrivals(k);
+    ASSERT_EQ(got.size(), k);
+    for (std::size_t i = 0; i < std::min(k, want.size()); ++i) {
+      EXPECT_EQ(got[i], want[i]) << "k=" << k << " position " << i;
+    }
+    refimpl::latest_arrivals(alive, k, ref);
+    expect_span_eq(got, ref, "refimpl agreement k=" + std::to_string(k));
+  }
 }
 
 }  // namespace

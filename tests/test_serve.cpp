@@ -314,13 +314,9 @@ TEST(Snapshot, ImportRejectsMismatchedEngineConfig) {
     EXPECT_THROW(host.import_state(state, *sched), std::invalid_argument);
   }
 
-  // Config knobs outside the decision arithmetic are deliberately not
-  // checked: a matching engine with the context cache disabled imports
-  // fine and continues bit-identically to the donor (the cache is pure
-  // mechanism).
-  EngineConfig uncached;
-  uncached.use_context_cache = false;
-  Engine host(3, uncached);
+  // A matching engine imports fine and continues bit-identically to the
+  // donor, so the rejections above are not vacuous.
+  Engine host(3);
   auto host_sched = make_scheduler("isrpt");
   host.import_state(state, *host_sched);
   auto tail = [&jobs](Engine& e) {
@@ -363,9 +359,69 @@ TEST(Snapshot, CorruptBlobsAreRejected) {
                std::invalid_argument);
 }
 
-static_assert(serve::kSnapshotVersion == 2,
-              "update CorruptBlobsAreRejected's version-byte offset when "
-              "the snapshot format changes");
+static_assert(serve::kSnapshotVersion == 3,
+              "update CorruptBlobsAreRejected's version-byte offset and "
+              "RejectsVersion2Blobs' layout when the snapshot format "
+              "changes");
+
+// v2 carried one more config byte (a rate-kernel selector after
+// validate_allocations). Per the format's policy such blobs are
+// rejected by version, never migrated.
+TEST(Snapshot, RejectsVersion2Blobs) {
+  serve::Session s({"isrpt", 2, 1.0, nullptr});
+  Job j;
+  j.id = 0;
+  j.size = 2.0;
+  s.admit(j);
+  std::string v2 = s.snapshot();
+  const serve::SessionSnapshot snap = serve::decode_snapshot(v2);
+  v2[8] = '\x02';  // u32 LE version after the length-prefixed magic
+  // Field offsets after the version: policy and scheduler-state strings
+  // (u32 length + bytes each), then machines i64, speed / completion_tol
+  // / time_tol f64, max_decisions u64 and validate_allocations u8.
+  const std::size_t selector_at = 12 + (4 + snap.policy.size()) +
+                                  (4 + snap.scheduler_state.size()) +
+                                  5 * 8 + 1;
+  v2.insert(selector_at, 1, '\0');
+  try {
+    (void)serve::decode_snapshot(v2);
+    FAIL() << "a v2 blob was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported snapshot version 2"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)serve::Session::restore(v2), std::invalid_argument);
+}
+
+// A deferred decision's shares are read for every alive job when the
+// restored session resumes, so a blob whose cached allocation does not
+// have one share per alive job must be refused at restore — not read out
+// of bounds on the first advance.
+TEST(Snapshot, RejectsCachedAllocationOfTheWrongLength) {
+  serve::Session donor({"isrpt", 2, 1.0, nullptr});
+  for (int i = 0; i < 3; ++i) {
+    Job j;
+    j.id = static_cast<JobId>(i);
+    j.size = 4.0 + i;
+    donor.admit(j);
+  }
+  donor.advance(0.5);  // next event lies past 0.5: the decision is cached
+  const serve::SessionSnapshot good = serve::decode_snapshot(donor.snapshot());
+  ASSERT_TRUE(good.engine.has_cached_alloc);
+  ASSERT_EQ(good.engine.cached_alloc.shares.size(), 3u);
+  (void)serve::Session::restore(serve::encode_snapshot(good));
+
+  for (const std::size_t shares : {std::size_t{0}, std::size_t{2},
+                                   std::size_t{7}}) {
+    serve::SessionSnapshot bad = good;
+    bad.engine.cached_alloc.shares.assign(shares, 1.0);
+    const std::string blob = serve::encode_snapshot(bad);
+    EXPECT_THROW((void)serve::Session::restore(serve::decode_snapshot(blob)),
+                 std::invalid_argument)
+        << shares << " shares for 3 alive jobs";
+  }
+}
 
 TEST(Snapshot, FileRoundTrip) {
   serve::Session s({"isrpt", 2, 1.0, nullptr});

@@ -9,6 +9,7 @@
 #include "sched/parallel_srpt.hpp"
 #include "sched/sequential_srpt.hpp"
 #include "simcore/engine.hpp"
+#include "simcore/incremental.hpp"
 #include "simcore/trajectory.hpp"
 #include "util/mathx.hpp"
 
@@ -263,7 +264,9 @@ TEST(SchedulerContext, ByRemainingOrder) {
   alive[1].remaining = 1.0;
   alive[2].id = 2;
   alive[2].remaining = 3.0;
-  SchedulerContext ctx(0.0, 4, alive);
+  IncrementalOrders orders;
+  orders.rebuild(alive);
+  const SchedulerContext ctx(0.0, 4, alive, orders);
   const auto order = ctx.by_remaining();
   EXPECT_EQ(order[0], 1u);
   EXPECT_EQ(order[1], 2u);
@@ -276,7 +279,9 @@ TEST(SchedulerContext, ByLatestArrival) {
   alive[0].release = 1.0;
   alive[1].id = 1;
   alive[1].release = 9.0;
-  SchedulerContext ctx(0.0, 4, alive);
+  IncrementalOrders orders;
+  orders.rebuild(alive);
+  const SchedulerContext ctx(0.0, 4, alive, orders);
   const auto order = ctx.by_latest_arrival();
   EXPECT_EQ(order[0], 1u);
   EXPECT_EQ(order[1], 0u);

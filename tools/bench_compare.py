@@ -21,7 +21,9 @@ Gates extracted from a report:
     (higher is better), keyed by the row's n;
   * the `decisions_per_sec_incremental` column of an
     `incremental_orders` table row (higher is better), keyed by n — the
-    incremental-heaps arm must not lose ground against the clock;
+    ordering heaps must not lose ground against the clock;
+  * the `scalar_melems_per_sec` / `batch_melems_per_sec` columns of a
+    `rate_kernel` table row (higher is better), keyed by case;
   * the `mean_ms` / `p50_ms` / `p95_ms` / `p99_ms` columns of a
     `client_latency` table (lower is better);
   * the `p50_ms` / `p95_ms` / `p99_ms` columns of a `cluster_latency`
@@ -32,12 +34,7 @@ Gates extracted from a report:
     ends in `latency_ms` (lower is better);
   * the `overhead_pct` column of a `flight_recorder_overhead` table is
     an ABSOLUTE cap (<= 3.0), not a relative band — the recorder budget
-    holds against the candidate alone, whatever the baseline measured;
-  * the `decide_speedup` column of an `incremental_orders` table is an
-    ABSOLUTE floor (>= 5.0), not a relative band: the paired
-    same-machine ratio is machine-independent (it would skew the
-    --auto-scale calibration as a relative gate), and the acceptance
-    bar holds against the candidate alone.
+    holds against the candidate alone, whatever the baseline measured.
 
 Baselines are committed from one reference machine and candidates run
 on whatever CI hands out, so absolute rates are incomparable across the
@@ -85,9 +82,6 @@ RUN_EXACT_FIELDS = (
 # direction: "higher" = higher is better, "lower" = lower is better.
 TABLE_GATES = {
     "dense_alive": ("n", [("decisions_per_sec", "higher")]),
-    # decide_speedup deliberately absent here: a same-machine paired
-    # ratio is machine-independent and would skew --auto-scale; it is
-    # gated by the absolute floor below instead.
     "incremental_orders": (
         "n",
         [("decisions_per_sec_incremental", "higher")],
@@ -120,16 +114,15 @@ TABLE_GATES = {
             ("jobs_per_sec", "higher"),
         ],
     ),
-    # Rate-kernel microbenchmark (scalar vs batch vs fast arms over the
-    # SoA flat arrays). The speedup columns are paired same-machine
-    # ratios — gated by the absolute floor below, not here, for the same
-    # reason as decide_speedup.
+    # Rate-kernel microbenchmark (scalar loop vs rate_batch over the SoA
+    # flat arrays). batch_speedup is a paired same-machine ratio and is
+    # not gated: it does not move with machine speed, so it would skew
+    # --auto-scale.
     "rate_kernel": (
         "case",
         [
             ("scalar_melems_per_sec", "higher"),
             ("batch_melems_per_sec", "higher"),
-            ("fast_melems_per_sec", "higher"),
         ],
     ),
 }
@@ -137,17 +130,6 @@ TABLE_GATES = {
 # table name -> (cap column, cap value): candidate-only absolute bound.
 TABLE_CAPS = {
     "flight_recorder_overhead": ("overhead_pct", 3.0),
-}
-
-# table name -> (floor column, floor value, row filter): candidate-only
-# absolute lower bound, for paired same-machine ratios that carry an
-# acceptance bar of their own (no baseline needed to judge them). The
-# filter is None (every row) or a (column, value) pair selecting the
-# rows the floor applies to — the fast-kernel 2x bar holds only where
-# the shared-(x, α) memo can fire, not on mixed populations.
-TABLE_FLOORS = {
-    "incremental_orders": ("decide_speedup", 5.0, None),
-    "rate_kernel": ("fast_speedup", 2.0, ("population", "shared")),
 }
 
 HISTOGRAM_QUANTILE_GATES = ("p50", "p99")
@@ -262,27 +244,6 @@ def check_caps(cand: dict, problems: list) -> None:
                 problems.append(
                     f"{name}[{row[0]}].{col} = {row[idx]} exceeds the "
                     f"absolute cap {cap}"
-                )
-    for name, (col, floor, row_filter) in TABLE_FLOORS.items():
-        ct = table_by_name(cand, name)
-        if ct is None:
-            continue
-        cols = ct.get("columns", [])
-        if col not in cols:
-            continue
-        idx = cols.index(col)
-        filter_idx = None
-        if row_filter is not None:
-            if row_filter[0] not in cols:
-                continue
-            filter_idx = cols.index(row_filter[0])
-        for row in ct.get("rows", []):
-            if filter_idx is not None and row[filter_idx] != row_filter[1]:
-                continue
-            if float(row[idx]) < floor:
-                problems.append(
-                    f"{name}[{row[0]}].{col} = {row[idx]} below the "
-                    f"absolute floor {floor}"
                 )
 
 

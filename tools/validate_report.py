@@ -59,12 +59,10 @@ REPORT_REQUIRED_TABLES = {
     },
     "e11_engine_perf": {
         "dense_alive": ["n", "decisions_per_sec"],
-        "incremental_orders": ["n", "decisions_per_sec_incremental",
-                               "decide_speedup"],
+        "incremental_orders": ["n", "decisions_per_sec_incremental"],
         "flight_recorder_overhead": ["n", "overhead_pct"],
         "rate_kernel": ["case", "population", "scalar_melems_per_sec",
-                        "batch_melems_per_sec", "fast_melems_per_sec",
-                        "fast_speedup"],
+                        "batch_melems_per_sec"],
     },
 }
 
