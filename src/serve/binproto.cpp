@@ -2,8 +2,8 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -11,58 +11,16 @@
 #include <unistd.h>
 
 #include "obs/expose.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
-#include "serve/snapshot.hpp"
 #include "serve/transport.hpp"
 #include "serve/wire.hpp"
-#include "speedup/curve.hpp"
-#include "util/fsio.hpp"
 
 namespace parsched::serve {
 
 namespace {
 
-// ---- shared field codecs (same layout as the PSNP snapshot curves) --------
-
-void put_curve(WireWriter& w, const SpeedupCurve& c) {
-  w.u8(static_cast<std::uint8_t>(c.kind()));
-  w.f64(c.alpha());
-  if (c.kind() == SpeedupCurve::Kind::kPiecewiseLinear) {
-    const auto& knots = c.knots();
-    w.size(knots.size());
-    for (const auto& [x, y] : knots) {
-      w.f64(x);
-      w.f64(y);
-    }
-  }
-}
-
-SpeedupCurve get_curve(WireReader& r) {
-  const auto kind = static_cast<SpeedupCurve::Kind>(r.u8());
-  const double alpha = r.f64();
-  switch (kind) {
-    case SpeedupCurve::Kind::kFullyParallel:
-      return SpeedupCurve::fully_parallel();
-    case SpeedupCurve::Kind::kSequential:
-      return SpeedupCurve::sequential();
-    case SpeedupCurve::Kind::kPowerLaw:
-      return SpeedupCurve::power_law(alpha);
-    case SpeedupCurve::Kind::kPiecewiseLinear: {
-      const std::size_t n = r.size();
-      std::vector<std::pair<double, double>> knots;
-      knots.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double x = r.f64();
-        const double y = r.f64();
-        knots.emplace_back(x, y);
-      }
-      return SpeedupCurve::piecewise_linear(std::move(knots));
-    }
-  }
-  r.fail("unknown speedup-curve kind");
-}
+// ---- job codec (PSNP's without the tag) ----------------------------------
 
 void put_job(WireWriter& w, const Job& j) {
   w.u32(j.id);
@@ -70,11 +28,7 @@ void put_job(WireWriter& w, const Job& j) {
   w.f64(j.size);
   w.f64(j.weight);
   put_curve(w, j.curve);
-  w.size(j.phases.size());
-  for (const JobPhase& p : j.phases) {
-    w.f64(p.work);
-    put_curve(w, p.curve);
-  }
+  put_phases(w, j.phases);
 }
 
 Job get_job(WireReader& r) {
@@ -84,50 +38,8 @@ Job get_job(WireReader& r) {
   j.size = r.f64();
   j.weight = r.f64();
   j.curve = get_curve(r);
-  const std::size_t n = r.size();
-  j.phases.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    JobPhase p;
-    p.work = r.f64();
-    p.curve = get_curve(r);
-    j.phases.push_back(std::move(p));
-  }
+  j.phases = get_phases(r);
   return j;
-}
-
-// ---- response builders ----------------------------------------------------
-
-WireWriter response_head(BinStatus status, std::uint64_t rid, BinOp op) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(status));
-  w.u64(rid);
-  w.u8(static_cast<std::uint8_t>(op));
-  return w;
-}
-
-std::string error_payload(std::uint64_t rid, BinOp op,
-                          const std::string& message) {
-  WireWriter w = response_head(BinStatus::kError, rid, op);
-  w.str(message);
-  return w.take();
-}
-
-std::string reject_payload(std::uint64_t rid, BinOp op, Submit verdict) {
-  WireWriter w = response_head(BinStatus::kReject, rid, op);
-  w.u8(static_cast<std::uint8_t>(verdict));
-  return w.take();
-}
-
-std::string ok_payload(std::uint64_t rid, BinOp op) {
-  return response_head(BinStatus::kOk, rid, op).take();
-}
-
-std::string session_payload(std::uint64_t rid, BinOp op, SessionId sid,
-                            int shard) {
-  WireWriter w = response_head(BinStatus::kOk, rid, op);
-  w.u64(sid);
-  w.u32(static_cast<std::uint32_t>(shard));
-  return w.take();
 }
 
 void put_result_block(WireWriter& w, const SimResult& r) {
@@ -140,36 +52,97 @@ void put_result_block(WireWriter& w, const SimResult& r) {
   w.u64(r.events);
 }
 
-std::string query_payload(std::uint64_t rid, const Session& s) {
-  WireWriter w = response_head(BinStatus::kOk, rid, BinOp::kQuery);
-  w.str(s.policy_name());
-  w.f64(s.time());
-  w.f64(s.frontier());
-  w.u64(static_cast<std::uint64_t>(s.alive_count()));
-  w.u64(static_cast<std::uint64_t>(s.pending_count()));
-  w.u8(s.finished() ? 1 : 0);
-  put_result_block(w, s.partial());
-  return w.take();
-}
+/// The PBIN encode side: u8 status, u64 request id, u8 op, then the
+/// outcome's fields (docs/API.md §serve/ has the tables).
+class FrameReply final : public Reply {
+ public:
+  FrameReply(std::uint64_t rid, BinOp op, ProtocolHandler::WriteFn write)
+      : rid_(rid), op_(op), write_(std::move(write)) {}
 
-std::string finish_payload(std::uint64_t rid, const SimResult& r) {
-  WireWriter w = response_head(BinStatus::kOk, rid, BinOp::kFinish);
-  put_result_block(w, r);
-  w.size(r.records.size());
-  for (const JobRecord& rec : r.records) {
-    w.u32(rec.job.id);
-    w.f64(rec.job.release);
-    w.f64(rec.completion);
+  void ok() override {
+    WireWriter w = head(BinStatus::kOk);
+    send(w);
   }
-  return w.take();
-}
+  void error(const std::string& message) override {
+    WireWriter w = head(BinStatus::kError);
+    w.str(message);
+    send(w);
+  }
+  void reject(Submit verdict) override {
+    WireWriter w = head(BinStatus::kReject);
+    w.u8(static_cast<std::uint8_t>(verdict));
+    send(w);
+  }
+  void session(SessionId sid, int shard) override {
+    WireWriter w = head(BinStatus::kOk);
+    w.u64(sid);
+    w.u32(static_cast<std::uint32_t>(shard));
+    send(w);
+  }
+  void query(const Session& s) override {
+    WireWriter w = head(BinStatus::kOk);
+    w.str(s.policy_name());
+    w.f64(s.time());
+    w.f64(s.frontier());
+    w.u64(static_cast<std::uint64_t>(s.alive_count()));
+    w.u64(static_cast<std::uint64_t>(s.pending_count()));
+    w.u8(s.finished() ? 1 : 0);
+    put_result_block(w, s.partial());
+    send(w);
+  }
+  void finish(const SimResult& r) override {
+    WireWriter w = head(BinStatus::kOk);
+    put_result_block(w, r);
+    w.size(r.records.size());
+    for (const JobRecord& rec : r.records) {
+      w.u32(rec.job.id);
+      w.f64(rec.job.release);
+      w.f64(rec.completion);
+    }
+    send(w);
+  }
+  void stats(const obs::MetricsSnapshot& snap) override {
+    dump(obs::exposition_text(snap));
+  }
+  void dump(const std::string& text) override {
+    WireWriter w = head(BinStatus::kOk);
+    w.str(text);
+    send(w);
+  }
+  void evacuated(int /*shard*/, int migrated) override {
+    WireWriter w = head(BinStatus::kOk);
+    w.u32(static_cast<std::uint32_t>(migrated));
+    send(w);
+  }
+  void cluster(const Cluster& c) override {
+    WireWriter w = head(BinStatus::kOk);
+    const int n = c.shards();
+    w.u32(static_cast<std::uint32_t>(n));
+    w.u64(static_cast<std::uint64_t>(c.session_count()));
+    for (int i = 0; i < n; ++i) {
+      w.u32(static_cast<std::uint32_t>(c.session_count(i)));
+      w.u8(c.shard_in_ring(i) ? 1 : 0);
+    }
+    send(w);
+  }
+  [[nodiscard]] std::shared_ptr<Reply> clone() const override {
+    return std::make_shared<FrameReply>(*this);
+  }
 
-std::string text_payload(std::uint64_t rid, BinOp op,
-                         const std::string& text) {
-  WireWriter w = response_head(BinStatus::kOk, rid, op);
-  w.str(text);
-  return w.take();
-}
+ private:
+  WireWriter head(BinStatus status) const {
+    WireWriter w;
+    w.u8(static_cast<std::uint8_t>(status));
+    w.u64(rid_);
+    w.u8(static_cast<std::uint8_t>(op_));
+    return w;
+  }
+  void send(WireWriter& w) { write_(w.take()); }
+
+  std::uint64_t rid_;
+  BinOp op_;
+  ProtocolHandler::WriteFn write_;
+};
 
 /// Read exactly `n` bytes (blocking), riding out EINTR; throws on EOF.
 void recv_exact(int fd, char* out, std::size_t n, const char* what) {
@@ -370,23 +343,16 @@ BinResponse parse_bin_response(std::string_view payload) {
       out.session = r.u64();
       out.shard = static_cast<int>(r.u32());
       break;
-    case BinOp::kQuery: {
-      out.policy = r.str();
-      out.time = r.f64();
-      out.frontier = r.f64();
-      out.alive = r.u64();
-      out.pending = r.u64();
-      out.finished = r.u8() != 0;
-      out.jobs = r.u64();
-      out.total_flow = r.f64();
-      out.weighted_flow = r.f64();
-      out.fractional_flow = r.f64();
-      out.makespan = r.f64();
-      out.decisions = r.u64();
-      out.events = r.u64();
-      break;
-    }
+    case BinOp::kQuery:
     case BinOp::kFinish: {
+      if (out.op == BinOp::kQuery) {
+        out.policy = r.str();
+        out.time = r.f64();
+        out.frontier = r.f64();
+        out.alive = r.u64();
+        out.pending = r.u64();
+        out.finished = r.u8() != 0;
+      }
       out.jobs = r.u64();
       out.total_flow = r.f64();
       out.weighted_flow = r.f64();
@@ -394,6 +360,7 @@ BinResponse parse_bin_response(std::string_view payload) {
       out.makespan = r.f64();
       out.decisions = r.u64();
       out.events = r.u64();
+      if (out.op == BinOp::kQuery) break;
       const std::size_t n = r.size();
       out.records.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
@@ -426,189 +393,44 @@ BinResponse parse_bin_response(std::string_view payload) {
   return out;
 }
 
-// ---- server-side frame handler --------------------------------------------
+// ---- server-side decode + handler ----------------------------------------
+
+void decode_frame(std::string_view payload, Request& req) {
+  WireReader r(payload, "frame");
+  const std::uint8_t op = r.u8();
+  req.rid = r.u64();
+  if (op > static_cast<std::uint8_t>(BinOp::kCluster)) {
+    throw std::invalid_argument("unknown op: " + std::to_string(op));
+  }
+  req.op = static_cast<BinOp>(op);
+  const std::uint8_t fields = verb(req.op).fields;
+  if ((fields & kFieldSession) != 0) req.session = r.u64();
+  if ((fields & kFieldOpen) != 0) {
+    req.policy = r.str();
+    req.machines = static_cast<int>(r.u32());
+    req.speed = r.f64();
+    req.key = r.u64();
+  }
+  if ((fields & kFieldJob) != 0) req.job = get_job(r);
+  if ((fields & kFieldTo) != 0) req.to = r.f64();
+  if ((fields & kFieldPath) != 0) req.path = r.str();
+  if ((fields & kFieldShard) != 0) req.shard = static_cast<int>(r.u32());
+}
 
 bool ProtocolHandler::handle_frame(std::string_view payload, WriteFn write) {
-  std::uint64_t rid = 0;
-  BinOp op = BinOp::kPing;
+  Request req;
+  std::optional<std::string> error;
   try {
-    WireReader r(payload, "frame");
-    const std::uint8_t opb = r.u8();
-    rid = r.u64();
-    if (opb > static_cast<std::uint8_t>(BinOp::kCluster)) {
-      write(error_payload(rid, BinOp::kPing,
-                          "unknown op: " + std::to_string(opb)));
-      return true;
-    }
-    op = static_cast<BinOp>(opb);
-
-    switch (op) {
-      case BinOp::kPing:
-        write(ok_payload(rid, op));
-        return true;
-      case BinOp::kStats: {
-        if (cluster_.config().metrics == nullptr) {
-          write(error_payload(rid, op,
-                              "stats: server has no metrics registry"));
-          return true;
-        }
-        write(text_payload(
-            rid, op, obs::exposition_text(cluster_.merged_snapshot())));
-        return true;
-      }
-      case BinOp::kDump: {
-        const obs::FlightRecorder* rec = cluster_.config().recorder;
-        if (rec == nullptr) {
-          write(error_payload(rid, op,
-                              "dump: server has no flight recorder"));
-          return true;
-        }
-        std::ostringstream dump;
-        rec->dump_jsonl(dump, "dump_verb");
-        const std::string path = r.str();
-        if (!path.empty()) {
-          auto out = open_output(path, "flight-recorder dump");
-          out << dump.str();
-          finish_output(out, path);
-          write(ok_payload(rid, op));
-        } else {
-          write(text_payload(rid, op, dump.str()));
-        }
-        return true;
-      }
-      case BinOp::kShutdown:
-        cluster_.drain();
-        write(ok_payload(rid, op));
-        return false;
-      case BinOp::kOpen: {
-        Session::Config scfg;
-        scfg.policy = r.str();
-        scfg.machines = static_cast<int>(r.u32());
-        scfg.speed = r.f64();
-        const std::uint64_t key = r.u64();
-        SessionId sid = 0;
-        int shard = -1;
-        const Submit verdict = cluster_.open(scfg, sid, key, &shard);
-        if (verdict != Submit::kAccepted) {
-          write(reject_payload(rid, op, verdict));
-          return true;
-        }
-        write(session_payload(rid, op, sid, shard));
-        return true;
-      }
-      case BinOp::kRestore: {
-        const std::string path = r.str();
-        if (path.empty()) {
-          write(error_payload(rid, op, "restore requires path"));
-          return true;
-        }
-        auto session = Session::restore(read_snapshot_file(path), nullptr);
-        SessionId sid = 0;
-        int shard = -1;
-        const Submit verdict =
-            cluster_.adopt(std::move(session), sid, 0, &shard);
-        if (verdict != Submit::kAccepted) {
-          write(reject_payload(rid, op, verdict));
-          return true;
-        }
-        write(session_payload(rid, op, sid, shard));
-        return true;
-      }
-      case BinOp::kEvacuate: {
-        const int shard = static_cast<int>(r.u32());
-        const int migrated = cluster_.evacuate(shard);
-        WireWriter w = response_head(BinStatus::kOk, rid, op);
-        w.u32(static_cast<std::uint32_t>(migrated));
-        write(w.take());
-        return true;
-      }
-      case BinOp::kCluster: {
-        WireWriter w = response_head(BinStatus::kOk, rid, op);
-        const int n = cluster_.shards();
-        w.u32(static_cast<std::uint32_t>(n));
-        w.u64(static_cast<std::uint64_t>(cluster_.session_count()));
-        for (int i = 0; i < n; ++i) {
-          w.u32(static_cast<std::uint32_t>(cluster_.session_count(i)));
-          w.u8(cluster_.shard_in_ring(i) ? 1 : 0);
-        }
-        write(w.take());
-        return true;
-      }
-      default:
-        break;  // session-addressed ops below
-    }
-
-    const SessionId sid = r.u64();
-    if (op == BinOp::kClose) {
-      const Submit verdict = cluster_.close(sid);
-      if (verdict != Submit::kAccepted) {
-        write(reject_payload(rid, op, verdict));
-        return true;
-      }
-      write(ok_payload(rid, op));
-      return true;
-    }
-    if (op == BinOp::kMigrate) {
-      const int shard = static_cast<int>(r.u32());
-      const Submit verdict = cluster_.migrate(sid, shard);
-      if (verdict != Submit::kAccepted) {
-        write(reject_payload(rid, op, verdict));
-        return true;
-      }
-      write(ok_payload(rid, op));
-      return true;
-    }
-
-    std::function<void(Session&)> task;
-    if (op == BinOp::kAdmit) {
-      Job job = get_job(r);
-      task = [rid, write, job = std::move(job)](Session& s) {
-        s.admit(job);
-        write(ok_payload(rid, BinOp::kAdmit));
-      };
-    } else if (op == BinOp::kAdvance) {
-      const double to = r.f64();
-      task = [rid, write, to](Session& s) {
-        s.advance(to);
-        write(ok_payload(rid, BinOp::kAdvance));
-      };
-    } else if (op == BinOp::kQuery) {
-      task = [rid, write](Session& s) { write(query_payload(rid, s)); };
-    } else if (op == BinOp::kSnapshot) {
-      const std::string path = r.str();
-      if (path.empty()) {
-        write(error_payload(rid, op, "snapshot requires path"));
-        return true;
-      }
-      task = [rid, write, path](Session& s) {
-        const std::string blob = s.snapshot();
-        auto out = open_output(path, "session snapshot");
-        out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-        finish_output(out, path);
-        write(ok_payload(rid, BinOp::kSnapshot));
-      };
-    } else {  // kFinish
-      task = [rid, write](Session& s) {
-        s.finish();
-        write(finish_payload(rid, s.result()));
-      };
-    }
-
-    const Submit verdict = cluster_.submit(
-        sid, [rid, op, write, task = std::move(task)](Session& s) {
-          try {
-            task(s);
-          } catch (const std::exception& e) {
-            write(error_payload(rid, op, e.what()));
-          }
-        });
-    if (verdict != Submit::kAccepted) {
-      write(reject_payload(rid, op, verdict));
-    }
+    decode_frame(payload, req);
   } catch (const std::exception& e) {
-    write(error_payload(rid, op, e.what()));
+    error = e.what();
   }
-  return true;
+  FrameReply reply(req.rid, req.op, std::move(write));
+  if (error) {
+    reply.error(*error);
+    return true;
+  }
+  return dispatch(cluster_, std::move(req), reply);
 }
 
 // ---- blocking client ------------------------------------------------------

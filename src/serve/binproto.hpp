@@ -1,12 +1,13 @@
 // parsched — PBIN, the compact binary serve protocol.
 //
-// PBIN is the NDJSON protocol's binary twin: the same verbs, the same
-// verdicts, the same strand semantics — but length-prefixed frames
-// instead of lines, and doubles as raw IEEE-754 bits (the serve/wire
-// codec shared with the PSNP snapshots) instead of decimal text. That
-// makes it the protocol of choice for bit-identity checks: a total_flow
-// crossing PBIN is the exact engine double, not a shortest-round-trip
-// rendering.
+// PBIN is the second codec of the serve request model (serve/dispatch.hpp):
+// a frame decodes into the same Request an NDJSON line does, the one
+// dispatcher executes it, and a PBIN Reply encodes the outcome. So the
+// verbs, verdicts and strand semantics are NDJSON's by construction; what
+// differs is the encoding — length-prefixed frames instead of lines, and
+// doubles as raw IEEE-754 bits (the serve/wire codec shared with the PSNP
+// snapshots) instead of decimal text, which makes PBIN the protocol of
+// choice for bit-identity checks.
 //
 // Connection life cycle on a Unix-socket transport:
 //
@@ -19,23 +20,20 @@
 //
 // The transport decides NDJSON vs PBIN per connection by the first
 // byte: '{' (or whitespace) opens an NDJSON line stream, 'P' opens the
-// PBIN hello. Version negotiation: the server answers
-// min(client_version, kBinProtoVersion), or 0 when it cannot speak
-// anything the client proposed (then closes the connection).
+// PBIN hello. The server answers min(client_version, kBinProtoVersion),
+// or 0 when it cannot speak anything the client proposed (then closes).
 //
-// Framing: u32 LE payload length, then the payload. A frame may arrive
-// torn at any byte offset; FrameBuffer reassembles. Payload layout
-// (WireWriter encoding, all little-endian):
+// Framing: u32 LE payload length, then the payload; FrameBuffer
+// reassembles frames torn at any byte offset. Payload layout (WireWriter
+// encoding, all little-endian):
 //
-//   request:   u8 op, u64 request_id, op-specific fields
+//   request:   u8 op, u64 request_id, the verb's field groups in
+//              Request order (serve/dispatch.hpp kField*)
 //   response:  u8 status (0 ok / 1 error / 2 reject), u64 request_id,
-//              u8 op, then:
-//                ok      op-specific fields (see docs/API.md §serve/)
-//                error   str message
-//                reject  u8 Submit verdict code (retryable backpressure)
+//              u8 op, then the ok fields of the outcome, an error's str
+//              message, or a reject's u8 Submit verdict code
 //
-// The op-specific field tables live in docs/API.md; encoders/decoders
-// below are the single source of truth in code. Unknown ops and corrupt
+// docs/API.md §serve/ has the field tables. Unknown ops and corrupt
 // payloads answer status=error; a frame longer than kMaxFramePayload
 // kills the connection (it cannot be resynchronized).
 #pragma once
@@ -56,7 +54,7 @@ inline constexpr std::size_t kBinHelloSize = 8;
 /// (the stream cannot be resynchronized past it).
 inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 
-/// Request opcodes. Values are wire format — append only.
+/// The serve verbs. Values are the PBIN wire codes — append only.
 enum class BinOp : std::uint8_t {
   kPing = 0,
   kOpen = 1,

@@ -1,17 +1,17 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/expose.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "serve/snapshot.hpp"
 #include "speedup/curve.hpp"
-#include "util/fsio.hpp"
 
 namespace parsched::serve {
 
@@ -20,24 +20,45 @@ namespace {
 using obs::JsonValue;
 using obs::JsonWriter;
 
-/// The request id, carried verbatim into the response. Requests without
-/// an id still get responses (id omitted).
-struct RequestId {
-  bool present = false;
-  double value = 0.0;
-};
+/// `x` as a T when it is a whole number in T's range.
+template <class T>
+bool whole(double x, T& out) {
+  // [lowest, 2^digits) is exact in double for every T used here.
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  if (!(x >= static_cast<double>(std::numeric_limits<T>::lowest()) &&
+        x < hi && x == std::trunc(x))) {  // lint: float-eq-ok
+    return false;
+  }
+  out = static_cast<T>(x);
+  return true;
+}
 
-std::string error_line(const RequestId& id, const std::string& message,
-                       const char* reject = nullptr) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  if (id.present) w.kv("id", id.value);
-  w.kv("ok", false);
-  w.kv("error", message);
-  if (reject != nullptr) w.kv("reject", reject);
-  w.end_object();
-  return os.str();
+/// The one reader of integral request fields.
+template <class T>
+T integral(const JsonValue& v, const char* field) {
+  T out{};
+  if (!whole(v.number, out)) {
+    throw std::invalid_argument(
+        std::string(field) + " must be an integer in [" +
+        std::to_string(std::numeric_limits<T>::lowest()) + ", " +
+        std::to_string(std::numeric_limits<T>::max()) + "]");
+  }
+  return out;
+}
+
+/// An optional integral member: absent or not a number falls back.
+template <class T>
+T integral_or(const JsonValue& obj, const char* field, T fallback) {
+  const JsonValue* v = obj.find(field);
+  return (v != nullptr && v->is_number()) ? integral<T>(*v, field) : fallback;
+}
+
+/// A required numeric member; throws `missing` when absent.
+const JsonValue& number_field(const JsonValue& obj, const char* field,
+                              const std::string& missing) {
+  const JsonValue* v = obj.find(field);
+  if (v == nullptr || !v->is_number()) throw std::invalid_argument(missing);
+  return *v;
 }
 
 SpeedupCurve parse_curve(const std::string& spec) {
@@ -63,12 +84,9 @@ SpeedupCurve parse_curve(const std::string& spec) {
 
 Job parse_job(const JsonValue& jv) {
   if (!jv.is_object()) throw std::invalid_argument("job must be an object");
-  const JsonValue* id = jv.find("id");
-  if (id == nullptr || !id->is_number()) {
-    throw std::invalid_argument("job.id (number) is required");
-  }
   Job job;
-  job.id = static_cast<JobId>(id->number);
+  job.id = integral<JobId>(
+      number_field(jv, "id", "job.id (number) is required"), "job.id");
   job.release = jv.number_or("release", 0.0);
   job.size = jv.number_or("size", 1.0);
   job.weight = jv.number_or("weight", 1.0);
@@ -90,6 +108,45 @@ Job parse_job(const JsonValue& jv) {
   return job;
 }
 
+Request decode(const JsonValue& json) {
+  if (!json.is_object()) {
+    throw std::invalid_argument("request must be a JSON object");
+  }
+  const std::string name = json.string_or("op", "");
+  if (name.empty()) throw std::invalid_argument("missing op");
+  const Verb* v = find_verb(name);
+  if (v == nullptr) throw std::invalid_argument("unknown op: " + name);
+  Request req;
+  req.op = v->op;
+  // Any number is echoed back verbatim; a whole one is also the rid.
+  (void)whole(json.number_or("id", -1.0), req.rid);
+  if ((v->fields & kFieldSession) != 0) {
+    req.session = integral<SessionId>(
+        number_field(json, "session", "missing session"), "session");
+  }
+  if ((v->fields & kFieldOpen) != 0) {
+    req.policy = json.string_or("policy", "equi");
+    req.machines = integral_or<int>(json, "machines", 1);
+    req.speed = json.number_or("speed", 1.0);
+    req.key = integral_or<std::uint64_t>(json, "key", 0);
+  }
+  if ((v->fields & kFieldJob) != 0) {
+    const JsonValue* job = json.find("job");
+    if (job == nullptr) throw std::invalid_argument(name + " requires job");
+    req.job = parse_job(*job);
+  }
+  if ((v->fields & kFieldTo) != 0) {
+    req.to = number_field(json, "to", name + " requires to (number)").number;
+  }
+  if ((v->fields & kFieldPath) != 0) req.path = json.string_or("path", "");
+  if ((v->fields & kFieldShard) != 0) {
+    req.shard = integral<int>(
+        number_field(json, "shard", name + " requires shard (number)"),
+        "shard");
+  }
+  return req;
+}
+
 /// Shared shape of the query/finish payloads.
 void write_result_fields(JsonWriter& w, const SimResult& r) {
   w.kv("jobs", static_cast<std::uint64_t>(r.records.size()));
@@ -101,342 +158,149 @@ void write_result_fields(JsonWriter& w, const SimResult& r) {
   w.kv("events", r.events);
 }
 
-std::string query_line(const RequestId& id, const Session& s) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  if (id.present) w.kv("id", id.value);
-  w.kv("ok", true);
-  w.kv("policy", s.policy_name());
-  w.kv("time", s.time());
-  w.kv("frontier", s.frontier());
-  w.kv("alive", static_cast<std::uint64_t>(s.alive_count()));
-  w.kv("pending", static_cast<std::uint64_t>(s.pending_count()));
-  w.kv("finished", s.finished());
-  write_result_fields(w, s.partial());
-  w.end_object();
-  return os.str();
-}
+/// The NDJSON encode side: one JSON object per answer, echoing the
+/// request's "id" verbatim (omitted when the request had none).
+class LineReply final : public Reply {
+ public:
+  LineReply(const JsonValue* id, BinOp op, ProtocolHandler::WriteFn write)
+      : has_id_(id != nullptr && id->is_number()),
+        id_(has_id_ ? id->number : 0.0),
+        op_(op),
+        write_(std::move(write)) {}
 
-std::string finish_line(const RequestId& id, const SimResult& r) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  if (id.present) w.kv("id", id.value);
-  w.kv("ok", true);
-  write_result_fields(w, r);
-  w.key("records");
-  w.begin_array();
-  for (const JobRecord& rec : r.records) {
-    w.begin_object();
-    w.kv("job", static_cast<std::uint64_t>(rec.job.id));
-    w.kv("release", rec.job.release);
-    w.kv("completion", rec.completion);
-    w.end_object();
+  void ok() override { emit(true, [](JsonWriter&) {}); }
+  void error(const std::string& message) override { fail(message, nullptr); }
+  void reject(Submit verdict) override {
+    fail(std::string(verb(op_).name) + " rejected", to_string(verdict));
   }
-  w.end_array();
-  w.end_object();
-  return os.str();
-}
-
-std::string ok_line(const RequestId& id) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  if (id.present) w.kv("id", id.value);
-  w.kv("ok", true);
-  w.end_object();
-  return os.str();
-}
-
-std::string stats_line(const RequestId& id, const obs::MetricsSnapshot& snap) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  if (id.present) w.kv("id", id.value);
-  w.kv("ok", true);
-  w.kv("format", "prometheus");
-  w.kv("metrics", static_cast<std::uint64_t>(snap.samples.size()));
-  w.kv("exposition", obs::exposition_text(snap));
-  w.end_object();
-  return os.str();
-}
-
-std::string dump_line(const RequestId& id, const std::string& jsonl) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  if (id.present) w.kv("id", id.value);
-  w.kv("ok", true);
-  w.kv("kind", "parsched-flight-record");
-  w.kv("dump", jsonl);
-  w.end_object();
-  return os.str();
-}
-
-std::string session_line(const RequestId& id, SessionId sid, int shard) {
-  std::ostringstream os;
-  JsonWriter w(os);
-  w.begin_object();
-  if (id.present) w.kv("id", id.value);
-  w.kv("ok", true);
-  w.kv("session", static_cast<std::uint64_t>(sid));
-  w.kv("shard", static_cast<std::uint64_t>(shard < 0 ? 0 : shard));
-  w.end_object();
-  return os.str();
-}
-
-const char* reject_reason(Submit s) {
-  return s == Submit::kAccepted ? nullptr : to_string(s);
-}
-
-}  // namespace
-
-bool ProtocolHandler::handle_line(std::string_view line, WriteFn write) {
-  RequestId id;
-  JsonValue req;
-  std::string parse_error;
-  if (!obs::json_parse(line, req, &parse_error)) {
-    write(error_line(id, "bad JSON: " + parse_error));
-    return true;
+  void session(SessionId sid, int shard) override {
+    emit(true, [&](JsonWriter& w) {
+      w.kv("session", static_cast<std::uint64_t>(sid));
+      w.kv("shard", static_cast<std::uint64_t>(shard < 0 ? 0 : shard));
+    });
   }
-  if (!req.is_object()) {
-    write(error_line(id, "request must be a JSON object"));
-    return true;
+  void query(const Session& s) override {
+    emit(true, [&](JsonWriter& w) {
+      w.kv("policy", s.policy_name());
+      w.kv("time", s.time());
+      w.kv("frontier", s.frontier());
+      w.kv("alive", static_cast<std::uint64_t>(s.alive_count()));
+      w.kv("pending", static_cast<std::uint64_t>(s.pending_count()));
+      w.kv("finished", s.finished());
+      write_result_fields(w, s.partial());
+    });
   }
-  if (const JsonValue* idv = req.find("id");
-      idv != nullptr && idv->is_number()) {
-    id.present = true;
-    id.value = idv->number;
-  }
-  const std::string op = req.string_or("op", "");
-  if (op.empty()) {
-    write(error_line(id, "missing op"));
-    return true;
-  }
-
-  try {
-    if (op == "ping") {
-      write(ok_line(id));
-      return true;
-    }
-    if (op == "stats") {
-      // Live telemetry: a point-in-time merged snapshot (cluster
-      // counters + per-shard serve.shard<i>.* + aggregated totals)
-      // rendered as Prometheus text exposition, answered synchronously
-      // (no strand — stats must work even when every session is
-      // wedged).
-      if (cluster_.config().metrics == nullptr) {
-        write(error_line(id, "stats: server has no metrics registry"));
-        return true;
+  void finish(const SimResult& r) override {
+    emit(true, [&](JsonWriter& w) {
+      write_result_fields(w, r);
+      w.key("records");
+      w.begin_array();
+      for (const JobRecord& rec : r.records) {
+        w.begin_object();
+        w.kv("job", static_cast<std::uint64_t>(rec.job.id));
+        w.kv("release", rec.job.release);
+        w.kv("completion", rec.completion);
+        w.end_object();
       }
-      write(stats_line(id, cluster_.merged_snapshot()));
-      return true;
-    }
-    if (op == "dump") {
-      // On-demand flight-recorder dump: inline by default, to a file when
-      // "path" is given. Synchronous for the same reason as stats.
-      const obs::FlightRecorder* rec = cluster_.config().recorder;
-      if (rec == nullptr) {
-        write(error_line(id, "dump: server has no flight recorder"));
-        return true;
-      }
-      std::ostringstream dump;
-      rec->dump_jsonl(dump, "dump_verb");
-      const std::string path = req.string_or("path", "");
-      if (!path.empty()) {
-        auto out = open_output(path, "flight-recorder dump");
-        out << dump.str();
-        finish_output(out, path);
-        write(ok_line(id));
-      } else {
-        write(dump_line(id, dump.str()));
-      }
-      return true;
-    }
-    if (op == "shutdown") {
-      cluster_.drain();  // flushes every queued response first
-      write(ok_line(id));
-      return false;
-    }
-    if (op == "cluster") {
-      std::ostringstream os;
-      JsonWriter w(os);
-      w.begin_object();
-      if (id.present) w.kv("id", id.value);
-      w.kv("ok", true);
-      const int n = cluster_.shards();
+      w.end_array();
+    });
+  }
+  void stats(const obs::MetricsSnapshot& snap) override {
+    emit(true, [&](JsonWriter& w) {
+      w.kv("format", "prometheus");
+      w.kv("metrics", static_cast<std::uint64_t>(snap.samples.size()));
+      w.kv("exposition", obs::exposition_text(snap));
+    });
+  }
+  void dump(const std::string& jsonl) override {
+    emit(true, [&](JsonWriter& w) {
+      w.kv("kind", "parsched-flight-record");
+      w.kv("dump", jsonl);
+    });
+  }
+  void evacuated(int shard, int migrated) override {
+    emit(true, [&](JsonWriter& w) {
+      w.kv("shard", static_cast<std::uint64_t>(shard));
+      w.kv("migrated", static_cast<std::uint64_t>(migrated));
+    });
+  }
+  void cluster(const Cluster& c) override {
+    emit(true, [&](JsonWriter& w) {
+      const int n = c.shards();
       w.kv("shards", static_cast<std::uint64_t>(n));
-      w.kv("sessions", static_cast<std::uint64_t>(
-                           cluster_.session_count()));
+      w.kv("sessions", static_cast<std::uint64_t>(c.session_count()));
       w.key("shard_sessions");
       w.begin_array();
       for (int i = 0; i < n; ++i) {
-        w.value(static_cast<std::uint64_t>(cluster_.session_count(i)));
+        w.value(static_cast<std::uint64_t>(c.session_count(i)));
       }
       w.end_array();
       w.key("in_ring");
       w.begin_array();
-      for (int i = 0; i < n; ++i) w.value(cluster_.shard_in_ring(i));
+      for (int i = 0; i < n; ++i) w.value(c.shard_in_ring(i));
       w.end_array();
-      w.end_object();
-      write(os.str());
-      return true;
-    }
-    if (op == "evacuate") {
-      const JsonValue* shv = req.find("shard");
-      if (shv == nullptr || !shv->is_number()) {
-        write(error_line(id, "evacuate requires shard (number)"));
-        return true;
-      }
-      const int shard = static_cast<int>(shv->number);
-      const int migrated = cluster_.evacuate(shard);
-      std::ostringstream os;
-      JsonWriter w(os);
-      w.begin_object();
-      if (id.present) w.kv("id", id.value);
-      w.kv("ok", true);
-      w.kv("shard", static_cast<std::uint64_t>(shard));
-      w.kv("migrated", static_cast<std::uint64_t>(migrated));
-      w.end_object();
-      write(os.str());
-      return true;
-    }
-    if (op == "open") {
-      Session::Config scfg;
-      scfg.policy = req.string_or("policy", "equi");
-      scfg.machines = static_cast<int>(req.number_or("machines", 1.0));
-      scfg.speed = req.number_or("speed", 1.0);
-      const auto key =
-          static_cast<std::uint64_t>(req.number_or("key", 0.0));
-      SessionId sid = 0;
-      int shard = -1;
-      const Submit verdict = cluster_.open(scfg, sid, key, &shard);
-      if (verdict != Submit::kAccepted) {
-        write(error_line(id, "open rejected", reject_reason(verdict)));
-        return true;
-      }
-      write(session_line(id, sid, shard));
-      return true;
-    }
-    if (op == "restore") {
-      const std::string path = req.string_or("path", "");
-      if (path.empty()) {
-        write(error_line(id, "restore requires path"));
-        return true;
-      }
-      auto session = Session::restore(read_snapshot_file(path), nullptr);
-      SessionId sid = 0;
-      int shard = -1;
-      const Submit verdict =
-          cluster_.adopt(std::move(session), sid, 0, &shard);
-      if (verdict != Submit::kAccepted) {
-        write(error_line(id, "restore rejected", reject_reason(verdict)));
-        return true;
-      }
-      write(session_line(id, sid, shard));
-      return true;
-    }
-
-    // Everything below addresses an existing session.
-    const JsonValue* sidv = req.find("session");
-    if (sidv == nullptr || !sidv->is_number()) {
-      write(error_line(id, "missing session"));
-      return true;
-    }
-    const auto sid = static_cast<SessionId>(sidv->number);
-
-    if (op == "close") {
-      const Submit verdict = cluster_.close(sid);
-      if (verdict != Submit::kAccepted) {
-        write(error_line(id, "close rejected", reject_reason(verdict)));
-        return true;
-      }
-      write(ok_line(id));
-      return true;
-    }
-    if (op == "migrate") {
-      const JsonValue* shv = req.find("shard");
-      if (shv == nullptr || !shv->is_number()) {
-        write(error_line(id, "migrate requires shard (number)"));
-        return true;
-      }
-      const Submit verdict =
-          cluster_.migrate(sid, static_cast<int>(shv->number));
-      if (verdict != Submit::kAccepted) {
-        write(error_line(id, "migrate rejected", reject_reason(verdict)));
-        return true;
-      }
-      write(ok_line(id));
-      return true;
-    }
-
-    std::function<void(Session&)> task;
-    if (op == "admit") {
-      const JsonValue* jobv = req.find("job");
-      if (jobv == nullptr) {
-        write(error_line(id, "admit requires job"));
-        return true;
-      }
-      Job job = parse_job(*jobv);
-      task = [id, write, job = std::move(job)](Session& s) {
-        s.admit(job);
-        write(ok_line(id));
-      };
-    } else if (op == "advance") {
-      const JsonValue* tov = req.find("to");
-      if (tov == nullptr || !tov->is_number()) {
-        write(error_line(id, "advance requires to (number)"));
-        return true;
-      }
-      const double to = tov->number;
-      task = [id, write, to](Session& s) {
-        s.advance(to);
-        write(ok_line(id));
-      };
-    } else if (op == "query") {
-      task = [id, write](Session& s) { write(query_line(id, s)); };
-    } else if (op == "snapshot") {
-      const std::string path = req.string_or("path", "");
-      if (path.empty()) {
-        write(error_line(id, "snapshot requires path"));
-        return true;
-      }
-      task = [id, write, path](Session& s) {
-        const std::string blob = s.snapshot();
-        auto out = open_output(path, "session snapshot");
-        out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-        finish_output(out, path);
-        write(ok_line(id));
-      };
-    } else if (op == "finish") {
-      task = [id, write](Session& s) {
-        s.finish();
-        write(finish_line(id, s.result()));
-      };
-    } else {
-      write(error_line(id, "unknown op: " + op));
-      return true;
-    }
-
-    // Wrap so an op failure answers the request instead of killing the
-    // strand silently.
-    const Submit verdict = cluster_.submit(
-        sid, [id, write, task = std::move(task)](Session& s) {
-          try {
-            task(s);
-          } catch (const std::exception& e) {
-            write(error_line(id, e.what()));
-          }
-        });
-    if (verdict != Submit::kAccepted) {
-      write(error_line(id, std::string(op) + " rejected",
-                       reject_reason(verdict)));
-    }
-  } catch (const std::exception& e) {
-    write(error_line(id, e.what()));
+    });
   }
-  return true;
+  [[nodiscard]] std::shared_ptr<Reply> clone() const override {
+    return std::make_shared<LineReply>(*this);
+  }
+
+ private:
+  template <class Fields>
+  void emit(bool ok, Fields fields) {
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.begin_object();
+    if (has_id_) w.kv("id", id_);
+    w.kv("ok", ok);
+    fields(w);
+    w.end_object();
+    write_(os.str());
+  }
+  void fail(const std::string& message, const char* reject) {
+    emit(false, [&](JsonWriter& w) {
+      w.kv("error", message);
+      if (reject != nullptr) w.kv("reject", reject);
+    });
+  }
+
+  bool has_id_;
+  double id_;
+  BinOp op_;
+  ProtocolHandler::WriteFn write_;
+};
+
+JsonValue parse_line(std::string_view line) {
+  JsonValue json;
+  std::string error;
+  if (!obs::json_parse(line, json, &error)) {
+    throw std::invalid_argument("bad JSON: " + error);
+  }
+  return json;
+}
+
+}  // namespace
+
+Request decode_line(std::string_view line) {
+  return decode(parse_line(line));
+}
+
+bool ProtocolHandler::handle_line(std::string_view line, WriteFn write) {
+  JsonValue json;  // stays null, echoing no id, when the line is not JSON
+  Request req;
+  std::optional<std::string> error;
+  try {
+    json = parse_line(line);
+    req = decode(json);
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  LineReply reply(json.find("id"), req.op, std::move(write));
+  if (error) {
+    reply.error(*error);
+    return true;
+  }
+  return dispatch(cluster_, std::move(req), reply);
 }
 
 }  // namespace parsched::serve

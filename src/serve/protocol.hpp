@@ -1,13 +1,11 @@
-// parsched — the serve NDJSON protocol.
+// parsched — ProtocolHandler, the serve front door, and the NDJSON codec.
 //
 // One request per line, one JSON object per request; every response is a
 // single compact JSON line carrying the request's "id" back. Grammar
 // (docs/API.md §serve/ has the full field tables):
 //
-//   {"op":"open","id":1,"policy":"equi","machines":4,"speed":1}
+//   {"op":"open","id":1,"policy":"equi","machines":4,"speed":1,"key":42}
 //     -> {"id":1,"ok":true,"session":7,"shard":2}
-//   {"op":"open","id":1,...,"key":42}       -> consistent-hash routing
-//                                              key (default: session id)
 //   {"op":"admit","id":2,"session":7,
 //    "job":{"id":0,"release":0,"size":2.5,"curve":"pow:0.5"}}
 //   {"op":"advance","id":3,"session":7,"to":10.5}
@@ -17,50 +15,30 @@
 //   {"op":"finish","id":7,"session":7}      -> final result + records
 //   {"op":"close","id":8,"session":7}
 //   {"op":"ping","id":9}
-//   {"op":"stats","id":10}                  -> {"id":10,"ok":true,
-//                                              "format":"prometheus",
-//                                              "exposition":"# TYPE ..."}
-//   {"op":"dump","id":11}                   -> inline flight-recorder
-//                                              JSONL in "dump"
-//   {"op":"dump","id":12,"path":"f.jsonl"}  -> dump written to the file
-//   {"op":"shutdown","id":13}               -> drains, then stops serving
-//
-// Cluster administration (serve/cluster.hpp):
-//
+//   {"op":"stats","id":10}    -> "exposition": Prometheus text
+//   {"op":"dump","id":11}     -> inline flight-recorder JSONL in "dump";
+//                                with "path", written to that file
+//   {"op":"shutdown","id":13} -> drains, then stops serving
 //   {"op":"migrate","id":14,"session":7,"shard":1}
-//     -> ok once the live migration *started* (it completes on the
-//        source strand; submits racing it answer {"reject":"draining"}
-//        and retry onto the new shard)
-//   {"op":"evacuate","id":15,"shard":0}
-//     -> {"id":15,"ok":true,"shard":0,"migrated":5} — synchronous:
-//        takes the shard out of the ring, live-migrates its sessions to
-//        their new ring positions, drains the emptied shard
-//   {"op":"cluster","id":16}
-//     -> {"id":16,"ok":true,"shards":4,"sessions":12,
-//         "shard_sessions":[3,4,0,5],"in_ring":[true,true,false,true]}
-//
-// stats and dump answer synchronously (never queued on a strand): the
-// telemetry plane must respond even when every session is wedged. stats
-// requires Server::Config::metrics, dump requires Config::recorder;
-// without them the verb answers ok:false.
+//   {"op":"evacuate","id":15,"shard":0} -> {...,"shard":0,"migrated":5}
+//   {"op":"cluster","id":16}  -> "shards", "sessions", "shard_sessions",
+//                                "in_ring"
 //
 // Failures answer {"id":..,"ok":false,"error":"..."}; load rejections
-// (queue full, draining, session cap) additionally carry
-// {"reject":"queue_full"} so clients can distinguish backpressure from
-// caller bugs. Curve specs are "par", "seq", or "pow:<alpha>".
+// (queue full, draining, session cap, unknown session) additionally
+// carry {"reject":"queue_full"} so clients can tell backpressure from
+// caller bugs. Integral fields (session, machines, key, shard, job.id)
+// must be whole numbers in their type's range. Curve specs are "par",
+// "seq", or "pow:<alpha>".
 //
-// Session operations execute asynchronously on the shard servers'
-// strands; their responses are emitted from pool threads via the
-// WriteFn, which must therefore be thread-safe (the transports wrap a
-// mutex around the output). Per session, responses arrive in request
-// order; across sessions they interleave.
-//
-// The handler is backed by a serve::Cluster. A Server::Config
-// constructs the single-shard special case (the PR-4 shape every
-// existing caller relies on); a Cluster::Config opens the sharded
-// plane. Beside NDJSON the same handler speaks PBIN, the binary
-// protocol (serve/binproto.hpp): handle_frame() is the frame-payload
-// twin of handle_line(), and both surfaces drive the same cluster.
+// The handler speaks both wires: handle_line() decodes an NDJSON line,
+// handle_frame() a PBIN frame (serve/binproto.hpp), into the same
+// Request, and serve::dispatch() (serve/dispatch.hpp) executes it
+// against the handler's Cluster and answers through the codec's Reply.
+// Session verbs answer from pool threads via the WriteFn, which must
+// therefore be thread-safe (the transports wrap a mutex around the
+// output). Per session, responses arrive in request order; across
+// sessions they interleave.
 #pragma once
 
 #include <functional>
@@ -68,8 +46,18 @@
 #include <string_view>
 
 #include "serve/cluster.hpp"
+#include "serve/dispatch.hpp"
 
 namespace parsched::serve {
+
+/// The NDJSON codec's decode half: the Request one line carries. Throws
+/// std::invalid_argument with the message the error response carries.
+[[nodiscard]] Request decode_line(std::string_view line);
+
+/// The PBIN codec's decode half (serve/binproto.cpp): fills `req` from a
+/// request frame payload, op and request id first, so a throw
+/// (std::invalid_argument) leaves what the error response echoes.
+void decode_frame(std::string_view payload, Request& req);
 
 class ProtocolHandler {
  public:
@@ -91,9 +79,9 @@ class ProtocolHandler {
   /// served — the transport should stop reading and tear down.
   bool handle_line(std::string_view line, WriteFn write);
 
-  /// Process one PBIN request frame payload (serve/binproto.cpp).
-  /// `write` receives the response payload, unframed — the transport
-  /// adds the length prefix. Same shutdown contract as handle_line.
+  /// Process one PBIN request frame payload. `write` receives the
+  /// response payload, unframed — the transport adds the length prefix.
+  /// Same shutdown contract as handle_line.
   bool handle_frame(std::string_view payload, WriteFn write);
 
   [[nodiscard]] Cluster& cluster() { return cluster_; }

@@ -34,17 +34,24 @@ Server::Server(Config cfg)
     request_timer_ = &cfg_.metrics->timer("serve.request");
     latency_ms_ = &cfg_.metrics->histogram("serve.request.latency_ms",
                                            latency_bounds_ms());
+    queue_depth_ = &cfg_.metrics->gauge("serve.queue.depth");
+    sessions_active_ = &cfg_.metrics->gauge("serve.sessions.active");
+    sessions_opened_ = &cfg_.metrics->counter("serve.sessions.opened");
+    sessions_closed_ = &cfg_.metrics->counter("serve.sessions.closed");
+    reject_draining_ = &cfg_.metrics->counter("serve.reject.draining");
+    reject_session_cap_ = &cfg_.metrics->counter("serve.reject.session_cap");
+    reject_unknown_ = &cfg_.metrics->counter("serve.reject.unknown_session");
+    reject_queue_full_ = &cfg_.metrics->counter("serve.reject.queue_full");
   }
 }
 
 Server::~Server() { drain(); }
 
 void Server::queue_depth_delta(std::int64_t delta) {
-  if (cfg_.metrics == nullptr) return;
+  if (queue_depth_ == nullptr) return;
   std::lock_guard<std::mutex> lock(depth_mu_);
   queued_ops_ += delta;
-  cfg_.metrics->gauge("serve.queue.depth")
-      .set(static_cast<double>(queued_ops_));
+  queue_depth_->set(static_cast<double>(queued_ops_));
 }
 
 Submit Server::open(const Session::Config& scfg, SessionId& id_out) {
@@ -60,15 +67,11 @@ Submit Server::open(const Session::Config& scfg, SessionId& id_out) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (draining_) {
-      if (cfg_.metrics != nullptr) {
-        cfg_.metrics->counter("serve.reject.draining").inc();
-      }
+      if (reject_draining_ != nullptr) reject_draining_->inc();
       return Submit::kDraining;
     }
     if (sessions_.size() >= cfg_.max_sessions) {
-      if (cfg_.metrics != nullptr) {
-        cfg_.metrics->counter("serve.reject.session_cap").inc();
-      }
+      if (reject_session_cap_ != nullptr) reject_session_cap_->inc();
       return Submit::kSessionCap;
     }
   }
@@ -85,23 +88,18 @@ Submit Server::install(std::unique_ptr<Session> session, SessionId& id_out) {
   entry->session = std::move(session);
   std::lock_guard<std::mutex> lock(mu_);
   if (draining_) {
-    if (cfg_.metrics != nullptr) {
-      cfg_.metrics->counter("serve.reject.draining").inc();
-    }
+    if (reject_draining_ != nullptr) reject_draining_->inc();
     return Submit::kDraining;
   }
   if (sessions_.size() >= cfg_.max_sessions) {
-    if (cfg_.metrics != nullptr) {
-      cfg_.metrics->counter("serve.reject.session_cap").inc();
-    }
+    if (reject_session_cap_ != nullptr) reject_session_cap_->inc();
     return Submit::kSessionCap;
   }
   const SessionId id = next_id_++;
   sessions_.emplace(id, std::move(entry));
-  if (cfg_.metrics != nullptr) {
-    cfg_.metrics->counter("serve.sessions.opened").inc();
-    cfg_.metrics->gauge("serve.sessions.active")
-        .set(static_cast<double>(sessions_.size()));
+  if (sessions_opened_ != nullptr) {
+    sessions_opened_->inc();
+    sessions_active_->set(static_cast<double>(sessions_.size()));
   }
   id_out = id;
   return Submit::kAccepted;
@@ -122,16 +120,12 @@ Submit Server::submit_impl(SessionId id, std::function<void(Session&)> op) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (draining_) {
-      if (cfg_.metrics != nullptr) {
-        cfg_.metrics->counter("serve.reject.draining").inc();
-      }
+      if (reject_draining_ != nullptr) reject_draining_->inc();
       return Submit::kDraining;
     }
     const auto it = sessions_.find(id);
     if (it == sessions_.end()) {
-      if (cfg_.metrics != nullptr) {
-        cfg_.metrics->counter("serve.reject.unknown_session").inc();
-      }
+      if (reject_unknown_ != nullptr) reject_unknown_->inc();
       return Submit::kUnknownSession;
     }
     entry = it->second;
@@ -141,15 +135,11 @@ Submit Server::submit_impl(SessionId id, std::function<void(Session&)> op) {
   {
     std::lock_guard<std::mutex> lock(entry->mu);
     if (entry->closing) {
-      if (cfg_.metrics != nullptr) {
-        cfg_.metrics->counter("serve.reject.draining").inc();
-      }
+      if (reject_draining_ != nullptr) reject_draining_->inc();
       return Submit::kDraining;
     }
     if (entry->queue.size() >= cfg_.max_queue) {
-      if (cfg_.metrics != nullptr) {
-        cfg_.metrics->counter("serve.reject.queue_full").inc();
-      }
+      if (reject_queue_full_ != nullptr) reject_queue_full_->inc();
       return Submit::kQueueFull;
     }
     entry->queue.push_back(std::move(op));
@@ -220,10 +210,9 @@ void Server::remove_entry(SessionId id,
   {
     std::lock_guard<std::mutex> lock(mu_);
     sessions_.erase(id);
-    if (cfg_.metrics != nullptr) {
-      cfg_.metrics->counter("serve.sessions.closed").inc();
-      cfg_.metrics->gauge("serve.sessions.active")
-          .set(static_cast<double>(sessions_.size()));
+    if (sessions_closed_ != nullptr) {
+      sessions_closed_->inc();
+      sessions_active_->set(static_cast<double>(sessions_.size()));
     }
   }
   // The Session dies here, outside both locks.
@@ -237,9 +226,7 @@ Submit Server::close(SessionId id) {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = sessions_.find(id);
     if (it == sessions_.end()) {
-      if (cfg_.metrics != nullptr) {
-        cfg_.metrics->counter("serve.reject.unknown_session").inc();
-      }
+      if (reject_unknown_ != nullptr) reject_unknown_->inc();
       return Submit::kUnknownSession;
     }
     entry = it->second;
@@ -274,9 +261,7 @@ void Server::drain() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     sessions_.clear();
-    if (cfg_.metrics != nullptr) {
-      cfg_.metrics->gauge("serve.sessions.active").set(0.0);
-    }
+    if (sessions_active_ != nullptr) sessions_active_->set(0.0);
   }
   // The pool is quiet: the graceful-shutdown dump is deterministic over
   // whatever the run recorded. Idempotent like the drain itself (a second

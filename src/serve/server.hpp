@@ -142,11 +142,19 @@ class Server {
   exec::ThreadPool pool_;
 
   // Instrument references cached at construction (registry lookups take a
-  // lock; the dispatch path should not).
+  // lock; the dispatch and reject paths should not).
   obs::Counter* requests_ = nullptr;
   obs::Counter* op_errors_ = nullptr;
   obs::TimerStat* request_timer_ = nullptr;
   obs::Histogram* latency_ms_ = nullptr;
+  obs::Gauge* queue_depth_ = nullptr;
+  obs::Gauge* sessions_active_ = nullptr;
+  obs::Counter* sessions_opened_ = nullptr;
+  obs::Counter* sessions_closed_ = nullptr;
+  obs::Counter* reject_draining_ = nullptr;
+  obs::Counter* reject_session_cap_ = nullptr;
+  obs::Counter* reject_unknown_ = nullptr;
+  obs::Counter* reject_queue_full_ = nullptr;
 
   mutable std::mutex mu_;  // guards sessions_, next_id_, draining_
   std::unordered_map<SessionId, std::shared_ptr<Entry>> sessions_;

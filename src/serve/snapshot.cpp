@@ -13,51 +13,13 @@ namespace {
 
 constexpr char kMagic[4] = {'P', 'S', 'N', 'P'};
 
-// The byte-level codec lives in serve/wire.hpp, shared with the PBIN
-// binary protocol (serve/binproto) so both formats carry doubles as raw
-// IEEE-754 bits.
+// The byte-level codec and the curve/phase field codecs live in
+// serve/wire.hpp, shared with the PBIN binary protocol (serve/binproto)
+// so both formats carry doubles as raw IEEE-754 bits.
 using Writer = WireWriter;
 using Reader = WireReader;
 
 // ---- field codecs ---------------------------------------------------------
-
-void put_curve(Writer& w, const SpeedupCurve& c) {
-  w.u8(static_cast<std::uint8_t>(c.kind()));
-  w.f64(c.alpha());
-  if (c.kind() == SpeedupCurve::Kind::kPiecewiseLinear) {
-    const auto& knots = c.knots();
-    w.size(knots.size());
-    for (const auto& [x, y] : knots) {
-      w.f64(x);
-      w.f64(y);
-    }
-  }
-}
-
-SpeedupCurve get_curve(Reader& r) {
-  const auto kind = static_cast<SpeedupCurve::Kind>(r.u8());
-  const double alpha = r.f64();
-  switch (kind) {
-    case SpeedupCurve::Kind::kFullyParallel:
-      return SpeedupCurve::fully_parallel();
-    case SpeedupCurve::Kind::kSequential:
-      return SpeedupCurve::sequential();
-    case SpeedupCurve::Kind::kPowerLaw:
-      return SpeedupCurve::power_law(alpha);
-    case SpeedupCurve::Kind::kPiecewiseLinear: {
-      const std::size_t n = r.size();
-      std::vector<std::pair<double, double>> knots;
-      knots.reserve(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const double x = r.f64();
-        const double y = r.f64();
-        knots.emplace_back(x, y);
-      }
-      return SpeedupCurve::piecewise_linear(std::move(knots));
-    }
-  }
-  r.fail("unknown speedup-curve kind");
-}
 
 void put_tag(Writer& w, const JobTag& t) {
   w.i64(t.phase);
@@ -75,27 +37,6 @@ JobTag get_tag(Reader& r) {
   t.cls = static_cast<JobTag::Class>(cls);
   t.index = r.i64();
   return t;
-}
-
-void put_phases(Writer& w, const std::vector<JobPhase>& phases) {
-  w.size(phases.size());
-  for (const JobPhase& p : phases) {
-    w.f64(p.work);
-    put_curve(w, p.curve);
-  }
-}
-
-std::vector<JobPhase> get_phases(Reader& r) {
-  const std::size_t n = r.size();
-  std::vector<JobPhase> phases;
-  phases.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    JobPhase p;
-    p.work = r.f64();
-    p.curve = get_curve(r);
-    phases.push_back(std::move(p));
-  }
-  return phases;
 }
 
 void put_job(Writer& w, const Job& j) {

@@ -20,15 +20,22 @@
 //
 // WireReader throws std::invalid_argument on truncation or a failed
 // check, tagging the message with the byte offset and the `what` label
-// given at construction ("snapshot", "frame", ...).
+// given at construction ("snapshot", "frame", ...). Below the codec sit
+// the field codecs both formats share: speedup curves and job phases.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
+
+#include "simcore/job.hpp"
+#include "speedup/curve.hpp"
 
 namespace parsched::serve {
 
@@ -152,5 +159,70 @@ class WireReader {
   std::string what_;
   std::size_t pos_ = 0;
 };
+
+// ---- field codecs shared by PSNP and PBIN ---------------------------------
+
+inline void put_curve(WireWriter& w, const SpeedupCurve& c) {
+  w.u8(static_cast<std::uint8_t>(c.kind()));
+  w.f64(c.alpha());
+  if (c.kind() == SpeedupCurve::Kind::kPiecewiseLinear) {
+    const auto& knots = c.knots();
+    w.size(knots.size());
+    for (const auto& [x, y] : knots) {
+      w.f64(x);
+      w.f64(y);
+    }
+  }
+}
+
+/// Rebuilds the curve through its validating factories, so a decoded
+/// curve passes the same checks as a constructed one. The alpha field
+/// must be finite even for the kinds that recompute or ignore it.
+inline SpeedupCurve get_curve(WireReader& r) {
+  const auto kind = static_cast<SpeedupCurve::Kind>(r.u8());
+  const double alpha = r.f64();
+  if (!std::isfinite(alpha)) r.fail("non-finite curve alpha");
+  switch (kind) {
+    case SpeedupCurve::Kind::kFullyParallel:
+      return SpeedupCurve::fully_parallel();
+    case SpeedupCurve::Kind::kSequential:
+      return SpeedupCurve::sequential();
+    case SpeedupCurve::Kind::kPowerLaw:
+      return SpeedupCurve::power_law(alpha);
+    case SpeedupCurve::Kind::kPiecewiseLinear: {
+      const std::size_t n = r.size();
+      std::vector<std::pair<double, double>> knots;
+      knots.reserve(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double x = r.f64();
+        const double y = r.f64();
+        knots.emplace_back(x, y);
+      }
+      return SpeedupCurve::piecewise_linear(std::move(knots));
+    }
+  }
+  r.fail("unknown speedup-curve kind");
+}
+
+inline void put_phases(WireWriter& w, const std::vector<JobPhase>& phases) {
+  w.size(phases.size());
+  for (const JobPhase& p : phases) {
+    w.f64(p.work);
+    put_curve(w, p.curve);
+  }
+}
+
+inline std::vector<JobPhase> get_phases(WireReader& r) {
+  const std::size_t n = r.size();
+  std::vector<JobPhase> phases;
+  phases.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    JobPhase p;
+    p.work = r.f64();
+    p.curve = get_curve(r);
+    phases.push_back(std::move(p));
+  }
+  return phases;
+}
 
 }  // namespace parsched::serve

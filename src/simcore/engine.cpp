@@ -143,8 +143,8 @@ SimulationStall::SimulationStall(double t, const std::string& detail)
 Engine::Engine(int machines, EngineConfig config)
     : m_(machines), cfg_(config) {
   if (machines < 1) throw std::invalid_argument("need at least one machine");
-  if (!(cfg_.speed > 0.0)) {
-    throw std::invalid_argument("engine speed must be positive");
+  if (!(cfg_.speed > 0.0) || !std::isfinite(cfg_.speed)) {
+    throw std::invalid_argument("engine speed must be positive and finite");
   }
   audit_allocs_ = env::get_flag("PARSCHED_AUDIT");
 }
@@ -726,13 +726,16 @@ void Engine::begin(Scheduler& sched) {
 
 void Engine::admit(Job job) {
   PARSCHED_CHECK(streaming_, "Engine::admit() outside a streaming run");
+  // Validate now: a job that fails later, in release_due(), has already
+  // left pending_ and would be lost silently.
+  job.normalize_phases();
+  check_job(job);
   if (job.release < frontier_) {
     std::ostringstream os;
     os << "admission in the past: release " << job.release
        << " < frontier " << frontier_;
     throw std::invalid_argument(os.str());
   }
-  if (job.size <= 0.0) throw std::invalid_argument("nonpositive job size");
   const auto it = std::upper_bound(
       pending_.begin(), pending_.end(), job.release,
       [](double r, const Job& j) { return r < j.release; });

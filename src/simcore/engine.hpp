@@ -171,9 +171,11 @@ class Engine final : public EngineView {
   /// Abandons any run in progress.
   void begin(Scheduler& sched);
 
-  /// Hand the engine a future arrival. Requires an active streaming run
-  /// and job.release >= frontier(); throws std::invalid_argument
-  /// otherwise. Jobs may be admitted arbitrarily far ahead of time.
+  /// Hand the engine a future arrival. Requires an active streaming run,
+  /// a job that passes normalize_phases() and check_job(), and
+  /// job.release >= frontier(); throws std::invalid_argument otherwise,
+  /// before the job is queued. Jobs may be admitted arbitrarily far
+  /// ahead of time.
   void admit(Job job);
 
   /// Simulate every event up to and including time t (given the admit()

@@ -18,8 +18,7 @@ Instance::Instance(int machines, std::vector<Job> jobs)
     Job& j = jobs_[i];
     j.normalize_phases();
     if (j.id == kInvalidJob) j.id = static_cast<JobId>(i);
-    if (j.release < 0.0) throw std::invalid_argument("negative release time");
-    if (j.size <= 0.0) throw std::invalid_argument("nonpositive job size");
+    check_job(j);
     min_size_ = std::min(min_size_, j.size);
     max_size_ = std::max(max_size_, j.size);
     total_work_ += j.size;

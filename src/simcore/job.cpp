@@ -1,5 +1,6 @@
 #include "simcore/job.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace parsched {
@@ -15,6 +16,15 @@ void Job::normalize_phases() {
   }
   size = total;
   curve = phases.front().curve;
+}
+
+void check_job(const Job& job) {
+  if (!std::isfinite(job.release) || !std::isfinite(job.size) ||
+      !std::isfinite(job.weight)) {
+    throw std::invalid_argument("job release, size and weight must be finite");
+  }
+  if (job.release < 0.0) throw std::invalid_argument("negative release time");
+  if (job.size <= 0.0) throw std::invalid_argument("nonpositive job size");
 }
 
 Job make_phased_job(JobId id, double release, std::vector<JobPhase> phases) {

@@ -40,6 +40,8 @@ struct JobTag {
 struct JobPhase {
   double work = 0.0;
   SpeedupCurve curve;
+
+  friend bool operator==(const JobPhase&, const JobPhase&) = default;
 };
 
 /// A task: released at `release`, carrying `size` units of work, processed
@@ -64,7 +66,15 @@ struct Job {
   /// single-phase). Throws std::invalid_argument on empty/nonpositive
   /// phase work.
   void normalize_phases();
+
+  friend bool operator==(const Job&, const Job&) = default;
 };
+
+/// The admission check every job passes before it can reach an engine
+/// (Instance construction and streaming Engine::admit share it): release,
+/// size and weight must be finite, release >= 0 and size > 0. Written so
+/// that NaN fails every comparison; throws std::invalid_argument.
+void check_job(const Job& job);
 
 /// Convenience constructor for multi-phase jobs.
 [[nodiscard]] Job make_phased_job(JobId id, double release,

@@ -25,7 +25,7 @@ SpeedupCurve SpeedupCurve::sequential() {
 }
 
 SpeedupCurve SpeedupCurve::power_law(double alpha) {
-  if (alpha < 0.0 || alpha > 1.0) {
+  if (!(alpha >= 0.0 && alpha <= 1.0)) {  // NaN fails both comparisons
     throw std::invalid_argument("power_law alpha must be in [0, 1]");
   }
   if (alpha == 0.0) return sequential();      // lint: float-eq-ok
@@ -38,6 +38,11 @@ SpeedupCurve SpeedupCurve::power_law(double alpha) {
 
 SpeedupCurve SpeedupCurve::piecewise_linear(
     std::vector<std::pair<double, double>> knots) {
+  for (const auto& [x, y] : knots) {
+    if (!std::isfinite(x) || !std::isfinite(y)) {
+      throw std::invalid_argument("piecewise curve knots must be finite");
+    }
+  }
   // Normalize: ensure a leading (1, 1) knot and validate shape.
   if (knots.empty() || knots.front().first > 1.0) {
     knots.insert(knots.begin(), {1.0, 1.0});

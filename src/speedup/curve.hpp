@@ -41,8 +41,8 @@ class SpeedupCurve {
   /// (x, Γ(x)) pairs with x >= 1, strictly increasing in x; the curve is
   /// Γ(x) = x on [0,1], interpolates the knots, and is constant-slope beyond
   /// the last knot (slope of last segment). The knot at x = 1 with value 1
-  /// is implicit. Throws std::invalid_argument if the result would not be
-  /// concave or nondecreasing.
+  /// is implicit. Throws std::invalid_argument if a knot is not finite or
+  /// the result would not be concave or nondecreasing.
   static SpeedupCurve piecewise_linear(std::vector<std::pair<double, double>> knots);
 
   /// Processing rate with x processors. x must be >= 0.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "sched/equi.hpp"
 #include "sched/intermediate_srpt.hpp"
@@ -45,6 +46,57 @@ TEST(Instance, RejectsBadInput) {
   EXPECT_THROW(
       Instance(2, {make_job(3, 0, 1, 0.5), make_job(3, 0, 1, 0.5)}),
       std::invalid_argument);
+}
+
+TEST(Instance, RejectsNonFiniteJobFields) {
+  // NaN passes every `x < bound` test, so check_job tests finiteness
+  // first; the instance and the streaming engine share it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    Job release = make_job(0, bad, 1, 0.5);
+    Job size = make_job(0, 0, bad, 0.5);
+    Job weight = make_job(0, 0, 1, 0.5);
+    weight.weight = bad;
+    for (const Job& j : {release, size, weight}) {
+      EXPECT_THROW(Instance(2, {j}), std::invalid_argument);
+      EXPECT_THROW(check_job(j), std::invalid_argument);
+    }
+  }
+  EXPECT_NO_THROW(check_job(make_job(0, 0, 1, 0.5)));
+}
+
+TEST(Engine, StreamingAdmitRejectsBadJobsBeforeQueueingThem) {
+  // A job that only failed when released (in advance) would already have
+  // left the pending queue, and be lost without an answer. Admit checks
+  // it up front, phases included.
+  IntermediateSrpt sched;
+  Engine eng(2);
+  eng.begin(sched);
+  Job nan_release =
+      make_job(0, std::numeric_limits<double>::quiet_NaN(), 1, 0.5);
+  Job bad_phase = make_job(1, 0.5, 1, 0.5);
+  bad_phase.phases = {{1.0, SpeedupCurve::sequential()},
+                      {-1.0, SpeedupCurve::fully_parallel()}};
+  EXPECT_THROW(eng.admit(nan_release), std::invalid_argument);
+  EXPECT_THROW(eng.admit(bad_phase), std::invalid_argument);
+  EXPECT_EQ(eng.pending_count(), 0u);
+  eng.admit(make_job(2, 0.5, 1, 0.5));
+  EXPECT_EQ(eng.pending_count(), 1u);
+  const SimResult r = eng.finish();
+  ASSERT_EQ(r.records.size(), 1u);
+  EXPECT_EQ(r.records[0].job.id, 2u);
+}
+
+TEST(Engine, RejectsNonPositiveOrNonFiniteSpeed) {
+  // At infinite speed a completion interval is 0 and the work done in
+  // it inf * 0 = NaN.
+  for (const double bad : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    EngineConfig cfg;
+    cfg.speed = bad;
+    EXPECT_THROW(Engine(2, cfg), std::invalid_argument) << bad;
+  }
 }
 
 TEST(Instance, AssignsMissingIds) {

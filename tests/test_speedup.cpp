@@ -81,6 +81,16 @@ TEST(Curve, PiecewiseLinearRejectsNonConcave) {
                std::invalid_argument);  // decreasing
 }
 
+TEST(Curve, PowerLawRejectsNonFiniteAlpha) {
+  // NaN fails every comparison, so the range check must be one that a
+  // NaN alpha fails.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -0.5,
+                           1.5}) {
+    EXPECT_THROW((void)SpeedupCurve::power_law(bad), std::invalid_argument);
+  }
+}
+
 TEST(Curve, ValidityChecker) {
   EXPECT_TRUE(is_valid_speedup_curve(SpeedupCurve::fully_parallel()));
   EXPECT_TRUE(is_valid_speedup_curve(SpeedupCurve::sequential()));
@@ -91,15 +101,19 @@ TEST(Curve, ValidityChecker) {
 }
 
 TEST(Curve, ValidityCheckerRejectsNonFiniteRates) {
-  // A NaN knot sneaks through piecewise_linear's construction checks
-  // (NaN fails every comparison, so "y1 < y0" and "slope > prev" are
-  // both false) and then poisons every interpolated rate() above x = 1.
-  // The validator must reject such a curve explicitly rather than let
-  // NaN sail through its monotonicity/concavity comparisons too.
+  // NaN fails every comparison, so a non-finite rate would sail through
+  // the validator's monotonicity/concavity checks unless it is rejected
+  // explicitly. piecewise_linear refuses non-finite knots at
+  // construction, so the validator's own check is driven through an
+  // infinite sampling range (rate(inf) = inf, and the slope inf/inf is
+  // NaN).
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const SpeedupCurve c = SpeedupCurve::piecewise_linear({{2.0, nan}});
-  ASSERT_TRUE(std::isnan(c.rate(1.5)));  // the hazard is real
-  EXPECT_FALSE(is_valid_speedup_curve(c));
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)SpeedupCurve::piecewise_linear({{2.0, nan}}),
+               std::invalid_argument);
+  EXPECT_THROW((void)SpeedupCurve::piecewise_linear({{inf, 2.0}}),
+               std::invalid_argument);
+  EXPECT_FALSE(is_valid_speedup_curve(SpeedupCurve::fully_parallel(), inf));
 }
 
 TEST(Curve, EqualityAndToString) {
