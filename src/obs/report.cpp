@@ -91,6 +91,10 @@ void write_run_stats(JsonWriter& w, const RunStats& s) {
   w.kv("decide_seconds", s.decide_seconds);
   w.kv("solver_seconds", s.solver_seconds);
   w.kv("observer_seconds", s.observer_seconds);
+  w.kv("rates_seconds", s.rates_seconds);
+  w.kv("advance_seconds", s.advance_seconds);
+  w.kv("heap_upkeep_seconds", s.heap_upkeep_seconds);
+  w.kv("completion_seconds", s.completion_seconds);
   w.kv("decisions", s.decisions);
   w.kv("arrivals", s.arrivals);
   w.kv("completions", s.completions);

@@ -15,6 +15,9 @@
 //                 "total_flow": ..., "decisions": ..., "wall_seconds": ...,
 //                 "stats": { "decide_seconds": ..., "solver_seconds": ...,
 //                            "observer_seconds": ..., "wall_seconds": ...,
+//                            "rates_seconds": ..., "advance_seconds": ...,
+//                            "heap_upkeep_seconds": ...,
+//                            "completion_seconds": ...,
 //                            "decision_interval": {histogram},
 //                            "alive_count": {histogram} } | null, ... } ],
 //     "tables": [ { "name": ..., "columns": [...], "rows": [[...]] } ],

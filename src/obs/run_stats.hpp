@@ -1,17 +1,30 @@
 // parsched — per-run engine profiling buckets.
 //
 // When EngineConfig::collect_stats is set, the engine splits each run's
-// wall time into three buckets and fills two histograms, returning the
-// result as SimResult::stats. With the flag off (the default) the hot
-// path takes one predictable branch per decision and RunStats is never
-// even constructed — the uninstrumented path stays zero-overhead.
+// wall time into three buckets, splits the solver bucket four ways, and
+// fills two histograms, returning the result as SimResult::stats. With
+// the flag off (the default) the hot path takes one predictable branch
+// per decision and RunStats is never even constructed — the
+// uninstrumented path stays zero-overhead.
 //
 // Bucket semantics:
 //   decide_seconds    time inside Scheduler::allocate()
 //   observer_seconds  time inside Observer::on_decision callbacks
-//   solver_seconds    everything else in the event loop: exact event-time
-//                     solving, state advance, completions, admissions
-//                     (including on_arrival/on_completion callbacks)
+//   solver_seconds    everything else in the decision steps; at run end
+//                     it is set to the exact sum of its four parts:
+//     rates_seconds        share validation, the rate kernel, the
+//                          dt-to-completion scan and the choice of dt
+//                          (including deferred-step resumes)
+//     advance_seconds      the advance sweep: remaining work, phase
+//                          changes, completion tests, the fractional-
+//                          flow sum over idle jobs
+//     heap_upkeep_seconds  ordering-heap key maintenance for the jobs
+//                          that ran (per-key sifts or a decay epoch)
+//     completion_seconds   the step's event handling: completion
+//                          swap-removes and records, the arrivals
+//                          admitted at the step's end time (with their
+//                          heap inserts/removes and on_arrival /
+//                          on_completion callbacks), audits
 //   wall_seconds      whole run; >= the sum of the three buckets
 #pragma once
 
@@ -39,6 +52,11 @@ struct RunStats {
   double decide_seconds = 0.0;
   double solver_seconds = 0.0;
   double observer_seconds = 0.0;
+  // The parts of solver_seconds (see the file comment).
+  double rates_seconds = 0.0;
+  double advance_seconds = 0.0;
+  double heap_upkeep_seconds = 0.0;
+  double completion_seconds = 0.0;
 
   std::uint64_t decisions = 0;
   std::uint64_t arrivals = 0;

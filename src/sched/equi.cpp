@@ -14,7 +14,7 @@ PARSCHED_HOT void Equi::allocate(const SchedulerContext& ctx, Allocation& out) {
   if (n == 0) return;
   const double share =
       static_cast<double>(ctx.machines()) / static_cast<double>(n);
-  for (double& s : out.shares) s = share;
+  out.fill(share);
 }
 
 Laps::Laps(double beta) : beta_(beta) {
@@ -52,7 +52,7 @@ PARSCHED_HOT void OldestEqui::allocate(const SchedulerContext& ctx,
   const double share =
       static_cast<double>(ctx.machines()) / static_cast<double>(k);
   // Serve the k OLDEST: the tail of the latest-first order.
-  for (std::size_t i = n - k; i < n; ++i) out.shares[order[i]] = share;
+  for (std::size_t i = n - k; i < n; ++i) out.grant(order[i], share);
 }
 
 PARSCHED_HOT void Laps::allocate(const SchedulerContext& ctx, Allocation& out) {
@@ -63,7 +63,7 @@ PARSCHED_HOT void Laps::allocate(const SchedulerContext& ctx, Allocation& out) {
       std::ceil(beta_ * static_cast<double>(n)));
   const double share =
       static_cast<double>(ctx.machines()) / static_cast<double>(k);
-  for (std::size_t i : ctx.latest_arrivals(k)) out.shares[i] = share;
+  for (std::size_t i : ctx.latest_arrivals(k)) out.grant(i, share);
 }
 
 }  // namespace parsched

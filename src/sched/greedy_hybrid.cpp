@@ -46,7 +46,7 @@ PARSCHED_HOT void GreedyHybrid::allocate(const SchedulerContext& ctx,
     std::push_heap(heap_.begin(), heap_.end());
   }
   for (std::size_t i = 0; i < n; ++i) {
-    out.shares[i] = static_cast<double>(granted_[i]);
+    if (granted_[i] > 0) out.grant(i, static_cast<double>(granted_[i]));
   }
 
   // Reconsideration horizon: priorities are c / p_j(t) with p_j(t) linear
@@ -57,7 +57,7 @@ PARSCHED_HOT void GreedyHybrid::allocate(const SchedulerContext& ctx,
   double horizon = (max_quantum_ == kInf) ? kInf : now + max_quantum_;
   rate_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    rate_[i] = alive[i].curve.rate(out.shares[i]);
+    rate_[i] = alive[i].curve.rate(out.shares()[i]);
   }
   for (std::size_t j = 0; j < n; ++j) {
     if (granted_[j] == 0) continue;

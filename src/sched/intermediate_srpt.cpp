@@ -13,12 +13,12 @@ PARSCHED_HOT void IntermediateSrpt::allocate(const SchedulerContext& ctx,
   if (n >= m) {
     // Overloaded: Sequential-SRPT — one processor to each of the m jobs
     // with the least remaining work.
-    for (std::size_t i : ctx.smallest_remaining(m)) out.shares[i] = 1.0;
+    for (std::size_t i : ctx.smallest_remaining(m)) out.grant(i, 1.0);
   } else {
     // Underloaded: equipartition (Round Robin / Processor Sharing).
     const double share = static_cast<double>(ctx.machines()) /
                          static_cast<double>(n);
-    for (double& s : out.shares) s = share;
+    out.fill(share);
   }
 }
 

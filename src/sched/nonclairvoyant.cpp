@@ -44,7 +44,7 @@ PARSCHED_HOT void Setf::allocate(const SchedulerContext& ctx, Allocation& out) {
   if (n < m) {
     const double share =
         static_cast<double>(ctx.machines()) / static_cast<double>(n);
-    for (double& s : out.shares) s = share;
+    out.fill(share);
     return;
   }
   idx_.resize(n);
@@ -56,7 +56,7 @@ PARSCHED_HOT void Setf::allocate(const SchedulerContext& ctx, Allocation& out) {
                      if (pa != pb) return pa < pb;
                      return alive[a].arrival_seq < alive[b].arrival_seq;
                    });
-  for (std::size_t k = 0; k < m; ++k) out.shares[idx_[k]] = 1.0;
+  for (std::size_t k = 0; k < m; ++k) out.grant(idx_[k], 1.0);
   // Served jobs stop being the least-processed almost immediately; hold
   // the decision for one quantum (the realizable form of SETF).
   out.reconsider_at = ctx.time() + quantum_;
@@ -71,7 +71,7 @@ PARSCHED_HOT void Mlf::allocate(const SchedulerContext& ctx, Allocation& out) {
   if (n < m) {
     const double share =
         static_cast<double>(ctx.machines()) / static_cast<double>(n);
-    for (double& s : out.shares) s = share;
+    out.fill(share);
     return;
   }
   idx_.resize(n);
@@ -85,7 +85,7 @@ PARSCHED_HOT void Mlf::allocate(const SchedulerContext& ctx, Allocation& out) {
   double horizon = kInf;
   for (std::size_t k = 0; k < m; ++k) {
     const std::size_t i = idx_[k];
-    out.shares[i] = 1.0;
+    out.grant(i, 1.0);
     // A served job crosses into the next level when its processed work
     // reaches 2^{level+1} - 1; rate at share 1 is Γ(1) = 1, so the
     // crossing time is exact.

@@ -46,13 +46,13 @@ PARSCHED_HOT void PriorityListScheduler::allocate(const SchedulerContext& ctx,
     return ia < ib;
   });
   if (n >= m) {
-    for (std::size_t k = 0; k < m; ++k) out.shares[idx_[k]] = 1.0;
+    for (std::size_t k = 0; k < m; ++k) out.grant(idx_[k], 1.0);
   } else {
     // One each, leftovers split evenly (keeps the schedule work-
     // conserving without concentrating on a single job).
     const double extra =
         static_cast<double>(m - n) / static_cast<double>(n);
-    for (std::size_t k = 0; k < n; ++k) out.shares[idx_[k]] = 1.0 + extra;
+    for (std::size_t k = 0; k < n; ++k) out.grant(idx_[k], 1.0 + extra);
   }
 }
 

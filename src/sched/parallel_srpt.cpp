@@ -9,7 +9,7 @@ PARSCHED_HOT void ParallelSrpt::allocate(const SchedulerContext& ctx,
   const std::size_t n = ctx.alive().size();
   out.reset(n);
   if (n == 0) return;
-  out.shares[ctx.min_remaining()] = static_cast<double>(ctx.machines());
+  out.grant(ctx.min_remaining(), static_cast<double>(ctx.machines()));
 }
 
 }  // namespace parsched

@@ -12,7 +12,7 @@ PARSCHED_HOT void SequentialSrpt::allocate(const SchedulerContext& ctx,
   const auto m = static_cast<std::size_t>(ctx.machines());
   out.reset(n);
   for (std::size_t i : ctx.smallest_remaining(std::min(n, m))) {
-    out.shares[i] = 1.0;
+    out.grant(i, 1.0);
   }
 }
 

@@ -27,13 +27,13 @@ PARSCHED_HOT void IsrptThreshold::allocate(const SchedulerContext& ctx,
   if (n == 0) return;
   if (static_cast<double>(n) >= theta_ * static_cast<double>(m)) {
     // Sequential mode: the m shortest jobs get one machine each.
-    for (std::size_t i : ctx.smallest_remaining(m)) out.shares[i] = 1.0;
+    for (std::size_t i : ctx.smallest_remaining(m)) out.grant(i, 1.0);
   } else {
     // Equipartition over all alive jobs (shares may be < 1 when n > m,
     // which is exactly the behaviour the theta knob is probing).
     const double share =
         static_cast<double>(ctx.machines()) / static_cast<double>(n);
-    for (double& s : out.shares) s = share;
+    out.fill(share);
   }
 }
 
@@ -44,12 +44,10 @@ PARSCHED_HOT void IsrptBoostShortest::allocate(const SchedulerContext& ctx,
   out.reset(n);
   if (n == 0) return;
   const auto order = ctx.smallest_remaining(std::min(n, m));
-  if (n >= m) {
-    for (std::size_t i : order) out.shares[i] = 1.0;
-  } else {
+  for (std::size_t i : order) out.grant(i, 1.0);
+  if (n < m) {
     // One processor each; the shortest job hoards all leftovers.
-    for (std::size_t i : order) out.shares[i] = 1.0;
-    out.shares[order.front()] += static_cast<double>(m - n);
+    out.grant(order.front(), 1.0 + static_cast<double>(m - n));
   }
 }
 
@@ -81,13 +79,13 @@ PARSCHED_HOT void QuantizedEqui::allocate(const SchedulerContext& ctx,
     const std::size_t extra = m % n;
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t rotated = (i + round_) % n;
-      out.shares[earliest(rotated)] =
-          static_cast<double>(base + (i < extra ? 1 : 0));
+      out.grant(earliest(rotated),
+                static_cast<double>(base + (i < extra ? 1 : 0)));
     }
   } else {
     // More jobs than machines: rotate which m jobs run this quantum.
     for (std::size_t i = 0; i < m; ++i) {
-      out.shares[earliest((i + round_) % n)] = 1.0;
+      out.grant(earliest((i + round_) % n), 1.0);
     }
   }
   ++round_;

@@ -18,7 +18,7 @@ PARSCHED_HOT void WeightedIsrpt::allocate(const SchedulerContext& ctx,
   if (n < m) {
     const double share =
         static_cast<double>(ctx.machines()) / static_cast<double>(n);
-    for (double& s : out.shares) s = share;
+    out.fill(share);
     return;
   }
   // Select the m jobs with least remaining/weight (selection, not sort).
@@ -35,7 +35,7 @@ PARSCHED_HOT void WeightedIsrpt::allocate(const SchedulerContext& ctx,
   };
   std::nth_element(idx_.begin(), idx_.begin() + static_cast<std::ptrdiff_t>(m),
                    idx_.end(), less);
-  for (std::size_t k = 0; k < m; ++k) out.shares[idx_[k]] = 1.0;
+  for (std::size_t k = 0; k < m; ++k) out.grant(idx_[k], 1.0);
 }
 
 double weighted_span_lower_bound(const Instance& instance) {

@@ -251,7 +251,16 @@ class LineReply final : public Reply {
     std::ostringstream os;
     JsonWriter w(os);
     w.begin_object();
-    if (has_id_) w.kv("id", id_);
+    if (has_id_) {
+      // An integral id echoes as an integer: the shortest double form of
+      // 100000 is 1e+05, which a client matching replies by id would not
+      // recognise. Up to 2^53 every integer is exact in a double.
+      if (std::trunc(id_) == id_ && std::fabs(id_) <= 0x1p53) {
+        w.kv("id", static_cast<std::int64_t>(id_));
+      } else {
+        w.kv("id", id_);
+      }
+    }
     w.kv("ok", ok);
     fields(w);
     w.end_object();

@@ -152,8 +152,8 @@ std::string encode_snapshot(const SessionSnapshot& snap) {
   body.size(e.pending.size());
   for (const Job& j : e.pending) put_job(body, j);
   body.u8(e.has_cached_alloc ? 1 : 0);
-  body.size(e.cached_alloc.shares.size());
-  for (const double s : e.cached_alloc.shares) body.f64(s);
+  body.size(e.cached_alloc.size());
+  for (const double s : e.cached_alloc.shares()) body.f64(s);
   body.f64(e.cached_alloc.reconsider_at);
   put_result(body, e.result);
 
@@ -203,10 +203,10 @@ SessionSnapshot decode_snapshot(std::string_view blob) {
   }
   e.has_cached_alloc = r.u8() != 0;
   const std::size_t n_shares = r.size();
-  e.cached_alloc.shares.reserve(n_shares);
-  for (std::size_t i = 0; i < n_shares; ++i) {
-    e.cached_alloc.shares.push_back(r.f64());
-  }
+  std::vector<double> shares;
+  shares.reserve(n_shares);
+  for (std::size_t i = 0; i < n_shares; ++i) shares.push_back(r.f64());
+  e.cached_alloc.assign(std::move(shares));
   e.cached_alloc.reconsider_at = r.f64();
   e.result = get_result(r);
 

@@ -47,13 +47,16 @@ struct EngineConfig {
   /// Check share feasibility at every decision point.
   bool validate_allocations = true;
   /// Collect per-run profiling (SimResult::stats): wall time split into
-  /// policy-decide / event-solver / observer buckets plus decision-
-  /// interval and alive-count histograms. Off by default — the
-  /// uninstrumented hot path takes no clock readings at all.
+  /// policy-decide / event-solver / observer buckets, the solver bucket
+  /// split into rates / advance / heap-upkeep / completion parts, plus
+  /// decision-interval and alive-count histograms (obs/run_stats.hpp).
+  /// Off by default — the uninstrumented hot path takes no clock
+  /// readings at all.
   bool collect_stats = false;
   /// Optional registry the engine mirrors run totals into (counters
   /// engine.runs/decisions/arrivals/completions always; timers
-  /// engine.decide/solver/observer when collect_stats is also set).
+  /// engine.decide/solver/observer and engine.solver.rates/advance/
+  /// heap_upkeep/completion when collect_stats is also set).
   /// Borrowed; must outlive run().
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional flight recorder (obs/flight_recorder.hpp): the engine
@@ -103,33 +106,27 @@ struct EngineState {
 /// Structure-of-arrays mirror of the alive set's hot fields, owned by
 /// the engine beside `alive_` and kept in sync at every mutation point
 /// (admit, the advance sweep's remaining/phase updates, the completion
-/// swap-remove, snapshot import). The decision hot path reads these
-/// dense arrays — the fused rates pass runs speedup/kernel.hpp's
-/// rate_batch over (kind, alpha, alloc) and writes `rate`; the dt-to-
-/// completion scan and the advance sweep read `rate` — instead of
-/// striding through the ~150-byte AliveJob records, which is the stated
-/// unblocker for dense-alive runs at n = 10⁶.
+/// swap-remove, snapshot import). The rates pass feeds (kind, alpha) to
+/// speedup/kernel.hpp's rate_batch from these dense arrays instead of
+/// striding through the ~150-byte AliveJob records.
 ///
 /// Derived state, not simulation state: every entry is recomputable
-/// from `alive_` (alloc/rate from the current decision's shares), so —
-/// like the IncrementalOrders heaps — none of it appears in EngineState;
-/// import_state() rebuilds it. All vectors are pre-reserved at admission
-/// (geometric growth, outside the AllocGuard fences), so warm decision
-/// steps stay allocation-free. PARSCHED_AUDIT=1 re-checks
-/// the mirror field-for-field against `alive_` after every advanced
-/// step (Engine::audit_soa).
+/// from `alive_`, so — like the IncrementalOrders heaps — none of it
+/// appears in EngineState; import_state() rebuilds it. All vectors are
+/// pre-reserved at admission (geometric growth, outside the AllocGuard
+/// fences), so warm decision steps stay allocation-free. PARSCHED_AUDIT=1
+/// re-checks the mirror field-for-field against `alive_` after every
+/// advanced step (Engine::audit_soa).
 struct AliveSoA {
   std::vector<double> remaining;      ///< == alive_[i].remaining
   std::vector<double> release;        ///< == alive_[i].release
   std::vector<double> alpha;          ///< == alive_[i].curve.alpha()
   std::vector<std::uint8_t> kind;     ///< == uint8(alive_[i].curve.kind())
-  std::vector<double> alloc;          ///< this decision's shares
-  std::vector<double> rate;           ///< this decision's rates Γ(share)
   [[nodiscard]] std::size_t size() const { return remaining.size(); }
   void clear();
   /// Geometric pre-reservation for up to n jobs (amortized O(1)/admit).
   void reserve(std::size_t n);
-  /// Mirror of alive_.push_back(a); alloc/rate slots start at 0.
+  /// Mirror of alive_.push_back(a).
   void push_back(const AliveJob& a);
   /// Mirror of the job at `i` advancing to the given phase curve.
   void set_curve(std::size_t i, const SpeedupCurve& curve);
@@ -140,6 +137,21 @@ struct AliveSoA {
   void resize(std::size_t n);
   /// Rebuild every array from an alive set (snapshot import).
   void rebuild(std::span<const AliveJob> alive);
+};
+
+/// The current decision's rates, one entry per support position j of the
+/// allocation: rate[j] = speed * Γ(share) of alive job support()[j], or
+/// of job j itself when the allocation is dense(). The kind/alpha/share
+/// arrays gather a sparse support's inputs for the rate kernel; a dense
+/// allocation feeds the kernel straight from AliveSoA and the share
+/// vector. Every vector is reserved to the alive count at admission, so
+/// resizing to the support size never allocates inside the fences.
+struct SupportRates {
+  std::vector<std::uint8_t> kind;
+  std::vector<double> alpha;
+  std::vector<double> share;
+  std::vector<double> rate;
+  void reserve(std::size_t n);
 };
 
 class Engine final : public EngineView {
@@ -203,8 +215,10 @@ class Engine final : public EngineView {
   /// scheduler must already carry its restored state (Scheduler::
   /// load_state). Continuation after import is bit-identical to the
   /// donor run. Throws std::invalid_argument, leaving the engine
-  /// untouched, on a config mismatch or a cached allocation whose share
-  /// count differs from the alive set.
+  /// untouched, on a config mismatch or a cached allocation that does
+  /// not have one finite, nonnegative share per alive job with
+  /// Σ ≤ m·(1+1e-9)+1e-9. The cached allocation's support is rebuilt from
+  /// its nonzero shares.
   [[nodiscard]] EngineState export_state() const;
   void import_state(const EngineState& state, Scheduler& sched);
 
@@ -227,6 +241,9 @@ class Engine final : public EngineView {
   /// serializes). tests/test_rate_kernel.cpp's sync property test and
   /// the PARSCHED_AUDIT mirror check consume this.
   [[nodiscard]] const AliveSoA& alive_soa() const { return soa_; }
+  /// Test surface: the rates of the decision last computed, aligned with
+  /// its allocation's support (see SupportRates).
+  [[nodiscard]] const SupportRates& support_rates() const { return rates_; }
 
  private:
   enum class Step : std::uint8_t {
@@ -241,11 +258,23 @@ class Engine final : public EngineView {
   void admit_pending(ArrivalSource& source);
   void release_due();
   void drain_to(double horizon);
-  Step decision_step(double t_arrive, double horizon, double& t_section);
+  Step decision_step(double t_arrive, double horizon);
   void compute_rates(bool validate);
+  /// The fused advance sweep over the support and the unswept tail; the
+  /// idle jobs between them add their cached flow quotients. Returns
+  /// whether any multi-phase job moved to its next phase.
+  bool advance_sweep(double dt);
+  bool visit_job(std::size_t i, double r, double dt, double& ff);
+  /// Collect-stats only: add the wall time since the last lap to
+  /// `bucket` and start the next lap.
+  void lap(double& bucket);
   /// PARSCHED_AUDIT: cross-check the SoA mirror against alive_
   /// field-for-field (bit equality). O(n), audit runs only.
   void audit_soa() const;
+  /// PARSCHED_AUDIT: the current allocation's support is ascending,
+  /// unique and in range, and every share outside it is exactly +0.0.
+  /// O(n), audit runs only.
+  void audit_support() const;
   /// Flight-recorder failure hook: record a stall/trip event and dump the
   /// ring (no-op without a recorder). Cold path only.
   void record_failure(bool contract_trip, std::uint64_t id,
@@ -277,11 +306,12 @@ class Engine final : public EngineView {
   // is simulation state: everything here is either overwritten before use
   // each step or a self-validating memo of values derivable from alive_,
   // and all of it is deliberately absent from EngineState.
-  /// SoA mirror of the alive set (see AliveSoA above). `alloc`/`rate`
-  /// double as the decision scratch the old flat `rates_` vector was:
-  /// compute_rates() overwrites both, and their values for a *deferred*
-  /// decision stay frozen with it (the rates_valid_ protocol below).
+  /// SoA mirror of the alive set (see AliveSoA above).
   AliveSoA soa_;
+  /// The rates of the decision in cached_alloc_. Their values for a
+  /// *deferred* decision stay frozen with it (the rates_valid_ protocol
+  /// below).
+  SupportRates rates_;
   /// Persistent ordering heaps behind every SchedulerContext helper.
   /// Unlike the rest of this scratch block the heaps carry state
   /// *across* decision steps — but still derived state: every key is
@@ -289,38 +319,35 @@ class Engine final : public EngineView {
   /// them, so they stay out of EngineState.
   IncrementalOrders orders_;
   /// Jobs with a nonzero rate in the current decision (set by
-  /// compute_rates): the advance sweep uses it to pick between per-job
-  /// O(log n) heap updates and one lazy-decay epoch when most keys move
-  /// at once (> n/8, where n sifts start losing to one O(n) rebuild).
+  /// compute_rates): the heap upkeep after the sweep uses it to pick
+  /// between per-job O(log n) heap updates and one lazy-decay epoch when
+  /// most keys move at once (> n/8, where n sifts start losing to one
+  /// O(n) rebuild).
   std::size_t rates_nonzero_ = 0;
   std::vector<std::size_t> completion_order_;  // new-record indices, id-sorted
   std::vector<std::size_t> comp_idx_;  // this step's completed positions, asc
-  /// Per-job fast-path memo for the advance loop, index-aligned with
-  /// alive_ (appended on admission, swapped on removal, reset on
-  /// import_state). `q` caches the flow-integral quotient 0.5*(r+r)/size
-  /// for the job's current remaining work r — the rate-0 advance arm's
-  /// division result, reusable verbatim because r only changes in the
-  /// full arm, which refreshes q eagerly. A job with `needs_full` set
-  /// (fresh admission or snapshot restore) takes the full advance arm
-  /// once — replaying the general path's clamps and phase/completion
-  /// checks bit for bit, then clearing the flag — so the fast arm may
-  /// assume the invariants the full arm establishes on survivors:
-  /// nonnegative remaining/phase_remaining, no pending phase advance,
-  /// remaining strictly above the completion tolerance. All of those are
-  /// constant while the job's rate stays 0, so the fast arm touches only
-  /// this dense memo, never the (much wider) AliveJob record — that is
-  /// what makes a dense mostly-idle decision step cheap.
-  struct FlowQ {
-    double q = 0.0;
-    std::uint8_t needs_full = 1;
-  };
-  std::vector<FlowQ> flow_q_;
+  /// Per-job flow quotient, index-aligned with alive_ (appended on
+  /// admission, swapped on removal, rebuilt on import_state): q[i] =
+  /// 0.5*(r+r)/size for the job's current remaining work r, set by the
+  /// sweep's every visit. A job the sweep does not visit — rate 0 and
+  /// already swept once — adds q[i]*dt to the fractional flow, the exact
+  /// increment the visit would add, because its remaining work, phase
+  /// state and completion test cannot change while its rate is 0.
+  std::vector<double> flow_q_;
+  /// alive_[swept_, n) is the tail admitted since the last sweep (all of
+  /// it after a snapshot restore). The sweep visits it whatever the
+  /// shares, so a new job is clamped, phase-advanced and completion-tested
+  /// at its first step — a job admitted within completion_tol completes
+  /// there even at share 0.
+  std::size_t swept_ = 0;
   /// rates_ / dt_complete_ for the decision in cached_alloc_, valid while
   /// the decision is deferred (its inputs are frozen by the deferral
   /// contract). Only a snapshot restore — which does not carry scratch —
   /// leaves a cached decision without them.
   double dt_complete_ = kInf;
   bool rates_valid_ = false;
+  /// collect_stats: start of the current timing lap (see lap()).
+  double t_lap_ = 0.0;
   // Consecutive decision steps that advanced neither time nor any job /
   // phase / completion state (satellite guard for zero-dt livelock).
   std::uint64_t zero_dt_streak_ = 0;

@@ -1,5 +1,7 @@
 #include "simcore/scheduler.hpp"
 
+#include <algorithm>
+
 #include "check/contract.hpp"
 #include "simcore/incremental.hpp"
 
@@ -12,6 +14,31 @@ SchedulerContext::SchedulerContext(double time, int machines,
   PARSCHED_CHECK(orders.size() == alive.size(),
                  "SchedulerContext: orders out of step with the alive set");
   orders.begin_decision();
+}
+
+void Allocation::assign(std::vector<double> shares) {
+  shares_ = std::move(shares);
+  support_.clear();
+  for (std::size_t i = 0; i < shares_.size(); ++i) {
+    if (!is_pos_zero(shares_[i])) support_.push_back(i);
+  }
+  dense_ = false;
+}
+
+PARSCHED_HOT void Allocation::sort_support() {
+  if (dense_) return;
+  // A support covering at least 1/8 of the jobs (LAPS grants half of
+  // them; SRPT-style policies grant m of a few dozen) is cheaper to treat
+  // as the whole range than to sort and visit by index. The range is a
+  // superset of the support, so that is always correct.
+  if (support_.size() * 8 >= shares_.size()) {
+    support_.clear();
+    dense_ = true;
+    return;
+  }
+  std::sort(support_.begin(), support_.end());
+  support_.erase(std::unique(support_.begin(), support_.end()),
+                 support_.end());
 }
 
 PARSCHED_HOT std::span<const std::size_t> SchedulerContext::by_remaining()

@@ -7,6 +7,8 @@
 // event times instead of a fixed timestep.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -91,22 +93,87 @@ class SchedulerContext {
   IncrementalOrders& orders_;
 };
 
-/// A policy's answer: `shares[i]` processors for `ctx.alive()[i]`
+/// A policy's answer: `shares()[i]` processors for `ctx.alive()[i]`
 /// (fractional, nonnegative, summing to at most m), plus an optional
 /// absolute time by which the policy wants to be re-invoked even if no
 /// arrival/completion happens (e.g. Greedy's priority-crossing times).
-struct Allocation {
-  std::vector<double> shares;
+///
+/// The allocation also carries its *support*: the indices that received
+/// a share. Policies write shares only through grant() or fill(), so a
+/// share whose bits are not +0.0 is always in the support, and the engine
+/// spends per-decision work on the support rather than on every alive
+/// job. A fill() support is the whole range [0, n) and is kept as a flag,
+/// not as a list of n indices. The dense share vector stays materialised
+/// for observers and snapshots.
+class Allocation {
+ public:
   double reconsider_at = kInf;
 
-  /// Start a fresh decision over n jobs: zero shares, no reconsideration.
-  /// Reuses the vector's capacity — every policy calls this first on the
-  /// engine-owned output buffer, so steady-state decisions allocate
-  /// nothing.
+  /// Start a fresh decision over n jobs: zero shares, empty support, no
+  /// reconsideration. Zeroes only the previous support (all of it after a
+  /// fill()) and reuses every buffer's capacity — every policy calls this
+  /// first on the engine-owned output buffer, so steady-state decisions
+  /// allocate nothing.
   void reset(std::size_t n) {
-    shares.assign(n, 0.0);
+    if (dense_) {
+      std::fill(shares_.begin(), shares_.end(), 0.0);
+    } else {
+      for (const std::size_t i : support_) shares_[i] = 0.0;
+    }
+    shares_.resize(n, 0.0);
+    support_.clear();
+    if (support_.capacity() < n) {
+      support_.reserve(std::max(n, 2 * support_.capacity()));
+    }
+    dense_ = false;
     reconsider_at = kInf;
   }
+
+  /// Set job i's share to s (overwriting an earlier grant).
+  void grant(std::size_t i, double s) {
+    if (!dense_ && is_pos_zero(shares_[i]) && !is_pos_zero(s)) {
+      support_.push_back(i);
+    }
+    shares_[i] = s;
+  }
+
+  /// Give every job the same share s (equipartition). The support becomes
+  /// the contiguous range [0, n).
+  void fill(double s) {
+    std::fill(shares_.begin(), shares_.end(), s);
+    support_.clear();
+    dense_ = true;
+  }
+
+  /// Adopt a dense share vector (snapshot restore) and rebuild the
+  /// support from its entries whose bits are not +0.0, ascending.
+  void assign(std::vector<double> shares);
+
+  /// Sort the support ascending and drop duplicate entries (an index
+  /// granted nonzero, then +0.0, then nonzero again is listed twice) — or,
+  /// when it covers at least 1/8 of the jobs, widen it to the dense range.
+  /// The engine calls this once per decision, before reading support().
+  void sort_support();
+
+  [[nodiscard]] std::span<const double> shares() const { return shares_; }
+  [[nodiscard]] std::size_t size() const { return shares_.size(); }
+  /// True after fill(), or after sort_support() widened a large support:
+  /// the support is all of [0, size()).
+  [[nodiscard]] bool dense() const { return dense_; }
+  /// The granted indices (empty when dense()); ascending and unique once
+  /// sort_support() has run.
+  [[nodiscard]] std::span<const std::size_t> support() const {
+    return support_;
+  }
+
+ private:
+  static bool is_pos_zero(double x) {
+    return std::bit_cast<std::uint64_t>(x) == 0;
+  }
+
+  std::vector<double> shares_;
+  std::vector<std::size_t> support_;
+  bool dense_ = false;
 };
 
 /// Online scheduling policy. Implementations must be deterministic

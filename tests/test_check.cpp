@@ -322,7 +322,7 @@ class AntiSrpt final : public Scheduler {
     out.reset(n);
     const auto order = ctx.by_remaining();  // ascending; serve from the back
     for (std::size_t i = 0; i < std::min(n, m); ++i) {
-      out.shares[order[n - 1 - i]] = 1.0;
+      out.grant(order[n - 1 - i], 1.0);
     }
   }
 };
@@ -383,10 +383,9 @@ class LeakyStateScheduler final : public Scheduler {
   std::string name() const override { return "LeakyState"; }
   void allocate(const SchedulerContext& ctx, Allocation& out) override {
     out.reset(ctx.alive().size());
-    if (!out.shares.empty()) {
+    if (out.size() > 0) {
       // Round-robins on a counter that reset() fails to clear.
-      out.shares[calls_++ % out.shares.size()] =
-          static_cast<double>(ctx.machines());
+      out.grant(calls_++ % out.size(), static_cast<double>(ctx.machines()));
     }
   }
   // reset() intentionally omitted: state leaks across runs.

@@ -1,6 +1,8 @@
 // Engine guard rails and EngineView queries.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "check/contract.hpp"
@@ -30,7 +32,7 @@ class SpinScheduler final : public Scheduler {
   std::string name() const override { return "Spin"; }
   void allocate(const SchedulerContext& ctx, Allocation& out) override {
     out.reset(ctx.alive().size());
-    if (!out.shares.empty()) out.shares[0] = 1e-9;  // glacial progress
+    if (out.size() > 0) out.grant(0, 1e-9);  // glacial progress
     out.reconsider_at = ctx.time() + 1e-9;
   }
 };
@@ -43,7 +45,7 @@ class InfeasibleScheduler final : public Scheduler {
   std::string name() const override { return "Infeasible"; }
   void allocate(const SchedulerContext& ctx, Allocation& out) override {
     out.reset(ctx.alive().size());
-    for (double& s : out.shares) s = 1.0;
+    out.fill(1.0);
   }
 };
 
@@ -54,8 +56,8 @@ class NegativeShareScheduler final : public Scheduler {
   std::string name() const override { return "NegativeShare"; }
   void allocate(const SchedulerContext& ctx, Allocation& out) override {
     out.reset(ctx.alive().size());
-    for (double& s : out.shares) s = 0.5;
-    out.shares[0] = -0.5;
+    out.fill(0.5);
+    out.grant(0, -0.5);
   }
 };
 
@@ -290,6 +292,208 @@ TEST(EngineGuards, IsCompletedFlipsAfterCompletion) {
   ASSERT_EQ(r.jobs(), 2u);
   EXPECT_NEAR(r.records[0].completion, 1.0, 1e-9);
   EXPECT_NEAR(r.records[1].completion, 2.0, 1e-9);
+}
+
+// ---- Restored cached allocations ----------------------------------------
+//
+// A deferred decision resumes through compute_rates(false), which checks
+// nothing, so import_state validates a restored cached allocation itself
+// and rebuilds its support from the nonzero shares.
+
+AliveJob alive_job(JobId id, double remaining, SpeedupCurve curve,
+                   std::int64_t seq) {
+  AliveJob a;
+  a.id = id;
+  a.size = remaining;
+  a.remaining = remaining;
+  a.phase_remaining = remaining;
+  a.curve = curve;
+  a.arrival_seq = seq;
+  return a;
+}
+
+/// A hand-built mid-run state on m = 2: three alive jobs at t = 1 and a
+/// deferred decision with `shares`.
+EngineState hand_built_state(std::vector<double> shares) {
+  EngineState st;
+  st.machines = 2;
+  st.now = 1.0;
+  st.frontier = 1.0;
+  st.arrival_seq = 3;
+  st.alive = {alive_job(0, 5.0, SpeedupCurve::sequential(), 0),
+              alive_job(1, 1.0, SpeedupCurve::fully_parallel(), 1),
+              alive_job(2, 4.0, SpeedupCurve::fully_parallel(), 2)};
+  st.has_cached_alloc = true;
+  st.cached_alloc.assign(std::move(shares));
+  st.result.decisions = 1;
+  st.result.events = 3;
+  return st;
+}
+
+TEST(CachedAllocImport, RebuildsSupportFromNonzeroShares) {
+  // Job 0 holds no share; job 1 runs at rate 1.5 and completes first, at
+  // t = 1 + 1/1.5 — which happens only if the restored decision's
+  // support was rebuilt from the shares.
+  for (const bool scrambled : {false, true}) {
+    EngineState st = hand_built_state({0.0, 1.5, 0.5});
+    if (scrambled) {
+      // The same shares granted out of index order: the support the
+      // donor carried is ignored either way.
+      Allocation a;
+      a.reset(3);
+      a.grant(2, 0.5);
+      a.grant(1, 1.5);
+      st.cached_alloc = a;
+    }
+    IntermediateSrpt sched;
+    Engine engine(2);
+    engine.import_state(st, sched);
+    const SimResult r = engine.finish();
+    ASSERT_EQ(r.jobs(), 3u);
+    EXPECT_EQ(r.records[0].job.id, 1u);
+    EXPECT_EQ(r.records[0].completion, 1.0 + 1.0 / 1.5);
+    EXPECT_EQ(r.decisions, 1u + 2u);  // the resumed one is not re-decided
+  }
+}
+
+TEST(CachedAllocImport, RejectsNegativeNonFiniteAndOvercommittedShares) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> bad = {
+      {0.0, -0.5, 0.5},  // negative
+      {0.0, nan, 0.5},   // NaN
+      {0.0, inf, 0.0},   // infinite
+      {0.0, 1.5, 0.6},   // Σ = 2.1 > m = 2
+  };
+  for (const auto& shares : bad) {
+    IntermediateSrpt sched;
+    Engine engine(2);
+    EXPECT_THROW(engine.import_state(hand_built_state(shares), sched),
+                 std::invalid_argument)
+        << shares[1] << ", " << shares[2];
+  }
+  // The bound is the engine's own overcommit tolerance, and -0.0 is not
+  // negative.
+  for (const auto& shares : std::vector<std::vector<double>>{
+           {0.0, 1.5, 0.5 + 1e-10}, {-0.0, 1.5, 0.5}}) {
+    IntermediateSrpt sched;
+    Engine engine(2);
+    EXPECT_NO_THROW(engine.import_state(hand_built_state(shares), sched));
+  }
+}
+
+TEST(CachedAllocImport, RejectionLeavesTheEngineUntouched) {
+  const Instance inst(2, {make_job(0, 0.0, 3.0, 0.5),
+                          make_job(1, 0.0, 1.0, 0.5),
+                          make_job(2, 0.5, 2.0, 0.5)});
+  const SimResult want = [&] {
+    IntermediateSrpt sched;
+    return simulate(inst, sched);
+  }();
+  IntermediateSrpt sched;
+  Engine engine(2);
+  engine.begin(sched);
+  for (const Job& j : inst.jobs()) engine.admit(j);
+  engine.advance_to(0.25);
+  IntermediateSrpt other;
+  EXPECT_THROW(engine.import_state(hand_built_state({0.0, -1.0, 0.0}), other),
+               std::invalid_argument);
+  const SimResult got = engine.finish();
+  EXPECT_EQ(got.total_flow, want.total_flow);
+  EXPECT_EQ(got.fractional_flow, want.fractional_flow);
+  EXPECT_EQ(got.decisions, want.decisions);
+}
+
+// ---- The Allocation support contract ------------------------------------
+
+TEST(AllocationSupport, GrantListsEachNonzeroIndexOnce) {
+  Allocation a;
+  a.reset(64);  // large enough that a 4-entry support stays a list
+  a.grant(40, 1.0);
+  a.grant(10, 0.5);
+  a.grant(40, 2.0);   // overwrite: still listed once
+  a.grant(30, 0.0);   // +0.0 is not a share
+  a.grant(50, -0.0);  // -0.0 has nonzero bits: listed
+  a.grant(20, 1.0);
+  a.grant(20, 0.0);   // back to +0.0 ...
+  a.grant(20, 0.25);  // ... and nonzero again: listed twice until sorted
+  a.sort_support();
+  const std::vector<std::size_t> want = {10, 20, 40, 50};
+  EXPECT_EQ(std::vector<std::size_t>(a.support().begin(), a.support().end()),
+            want);
+  EXPECT_FALSE(a.dense());
+  EXPECT_EQ(a.shares()[40], 2.0);
+  EXPECT_EQ(a.shares()[20], 0.25);
+}
+
+TEST(AllocationSupport, LargeSupportWidensToTheDenseRange) {
+  // A support covering >= 1/8 of the jobs is visited as the whole range
+  // (a superset of the support, so always correct); the shares are kept.
+  Allocation a;
+  a.reset(16);
+  a.grant(3, 1.0);
+  a.grant(9, 2.0);
+  a.sort_support();
+  EXPECT_TRUE(a.dense());
+  EXPECT_TRUE(a.support().empty());
+  EXPECT_EQ(a.shares()[3], 1.0);
+  EXPECT_EQ(a.shares()[9], 2.0);
+  a.reset(16);  // a widened support is zeroed like a fill
+  for (const double x : a.shares()) EXPECT_EQ(x, 0.0);
+  EXPECT_FALSE(a.dense());
+}
+
+TEST(AllocationSupport, ResetZeroesOnlyThePreviousSupport) {
+  Allocation a;
+  a.reset(5);
+  a.grant(1, 1.0);
+  a.grant(3, -0.0);
+  a.reset(4);  // shrink: every share is +0.0 again
+  ASSERT_EQ(a.size(), 4u);
+  for (const double x : a.shares()) {
+    EXPECT_EQ(std::signbit(x), false);
+    EXPECT_EQ(x, 0.0);
+  }
+  EXPECT_TRUE(a.support().empty());
+  a.fill(0.75);  // dense: the support is the range, kept as a flag
+  EXPECT_TRUE(a.dense());
+  EXPECT_TRUE(a.support().empty());
+  a.reset(6);  // a dense reset zeroes everything, then grows
+  ASSERT_EQ(a.size(), 6u);
+  for (const double x : a.shares()) EXPECT_EQ(x, 0.0);
+  EXPECT_FALSE(a.dense());
+}
+
+TEST(AllocationSupport, AssignRebuildsTheSupportFromShares) {
+  Allocation a;
+  a.assign({0.0, 2.0, 0.0, -0.0, 1.0});
+  const std::vector<std::size_t> want = {1, 3, 4};
+  EXPECT_EQ(std::vector<std::size_t>(a.support().begin(), a.support().end()),
+            want);
+  EXPECT_FALSE(a.dense());
+}
+
+TEST(AllocationSupport, AuditedRunsCheckTheInvariantForEveryPolicy) {
+  // Under PARSCHED_AUDIT the engine checks, at every decision, that each
+  // share outside the support is exactly +0.0 (and that the support is
+  // sorted, unique and in range).
+  // Arrivals outpace the 4 machines, so the alive set grows past 8x the
+  // support of the SRPT-style policies and their supports stay lists.
+  setenv("PARSCHED_AUDIT", "1", 1);
+  std::vector<Job> jobs;
+  for (int i = 0; i < 160; ++i) {
+    jobs.push_back(make_job(static_cast<JobId>(i), 0.05 * (i / 2),
+                            1.0 + 0.1 * (i % 7), 0.3 + 0.004 * i));
+  }
+  const Instance inst(4, jobs);
+  for (const char* policy :
+       {"isrpt", "seq-srpt", "par-srpt", "greedy", "equi", "isrpt-boost",
+        "mlf", "wisrpt", "laps:0.5", "oldest-equi:0.5", "setf:0.2",
+        "isrpt-thresh:2.0", "quantized-equi:0.5"}) {
+    auto sched = make_scheduler(policy);
+    EXPECT_NO_THROW((void)simulate(inst, *sched)) << policy;
+  }
+  unsetenv("PARSCHED_AUDIT");
 }
 
 }  // namespace

@@ -1,0 +1,397 @@
+// Bit-identity goldens for the engine's decision step.
+//
+// tests/golden/engine_bits.txt pins, as hex floats, every double of the
+// SimResult (total, weighted and fractional flow, makespan, and each
+// completion record folded into an FNV-1a digest), the decision and
+// event counts, and a check::TrajectoryHasher digest of every observer
+// callback (decision times, alive remaining work, shares). It covers
+// every registry policy family on the E1 and E5 grids, on multi-phase
+// jobs and on the completion-tolerance corpus. A change to the decision
+// step that claims to be bit-identical must reproduce the file exactly.
+//
+// Each line is `key decisions events total_flow weighted_flow
+// fractional_flow makespan records_fnv trajectory_fnv`. Running an
+// EngineGoldens test with PARSCHED_WRITE_GOLDENS=<path> writes the whole
+// file to <path> instead of comparing; regenerate it only for a change
+// that declares a semantic difference.
+//
+// The named edge cases below pin the first-visit semantics of the
+// advance sweep: a job is checked for phase advance and completion at
+// the first step after its admission even when it holds no share, and a
+// snapshot taken while a decision is deferred resumes bit-identically.
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "check/determinism.hpp"
+#include "sched/registry.hpp"
+#include "simcore/engine.hpp"
+#include "util/env.hpp"
+#include "util/fsio.hpp"
+#include "workload/phased.hpp"
+#include "workload/random.hpp"
+
+#ifndef PARSCHED_GOLDEN_DIR
+#error "PARSCHED_GOLDEN_DIR must name the directory holding engine_bits.txt"
+#endif
+
+namespace parsched {
+namespace {
+
+const char* const kAllPolicies[] = {
+    "isrpt",         "seq-srpt",        "par-srpt",
+    "greedy",        "equi",            "isrpt-boost",
+    "mlf",           "wisrpt",          "laps:0.25",
+    "laps:0.5",      "oldest-equi:0.5", "setf:0.2",
+    "isrpt-thresh:2.0", "quantized-equi:0.5",
+};
+
+std::uint64_t bits(double x) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &x, sizeof(u));
+  return u;
+}
+
+std::string hexd(double x) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", x);
+  return buf;
+}
+
+std::string hexu(std::uint64_t x) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, x);
+  return buf;
+}
+
+/// FNV-1a over each completion record's id and completion time, in
+/// completion order.
+std::uint64_t records_digest(const SimResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const JobRecord& rec : r.records) {
+    mix(static_cast<std::uint64_t>(rec.job.id));
+    mix(bits(rec.completion));
+  }
+  return h;
+}
+
+/// One golden line's payload: decisions events total_flow weighted_flow
+/// fractional_flow makespan records_digest trajectory_digest.
+std::string fingerprint(const SimResult& r, std::uint64_t trajectory) {
+  std::ostringstream os;
+  os << r.decisions << ' ' << r.events << ' ' << hexd(r.total_flow) << ' '
+     << hexd(r.weighted_flow) << ' ' << hexd(r.fractional_flow) << ' '
+     << hexd(r.makespan) << ' ' << hexu(records_digest(r)) << ' '
+     << hexu(trajectory);
+  return os.str();
+}
+
+RandomWorkloadConfig e1_config(std::uint64_t seed) {
+  RandomWorkloadConfig cfg;
+  cfg.machines = 8;
+  cfg.jobs = 120;
+  cfg.P = 64.0;
+  cfg.load = 1.0;
+  cfg.alpha_lo = cfg.alpha_hi = 0.5;
+  cfg.seed = seed;
+  return cfg;
+}
+
+RandomWorkloadConfig e5_config(std::uint64_t seed) {
+  RandomWorkloadConfig cfg;
+  cfg.machines = 8;
+  cfg.jobs = 100;
+  cfg.P = 32.0;
+  cfg.load = 0.9;
+  cfg.alpha_law = AlphaLaw::kMixed;
+  cfg.alpha_lo = 0.1;
+  cfg.alpha_hi = 0.95;
+  cfg.weight_law = WeightLaw::kUniform;
+  cfg.seed = seed;
+  return cfg;
+}
+
+Instance hand_phased_instance() {
+  std::vector<Job> jobs;
+  for (int i = 0; i < 12; ++i) {
+    jobs.push_back(make_phased_job(
+        i, 0.25 * i,
+        {{1.0 + 0.1 * i, SpeedupCurve::power_law(0.3)},
+         {0.5, SpeedupCurve::power_law(0.9)},
+         {0.25, SpeedupCurve::sequential()}}));
+  }
+  return Instance(4, jobs);
+}
+
+Instance generated_phased_instance() {
+  PhasedWorkloadConfig cfg;
+  cfg.machines = 8;
+  cfg.jobs = 60;
+  cfg.seed = 5;
+  return make_phased_instance(cfg);
+}
+
+/// The IncrementalSeedCorpus.CompletionToleranceEdgeSizes shape: every
+/// fourth job's whole work sits inside completion_tol.
+Instance tolerance_corpus_instance() {
+  std::vector<Job> jobs;
+  for (int i = 0; i < 60; ++i) {
+    Job j;
+    j.id = static_cast<JobId>(i);
+    j.release = 0.25 * (i / 4);
+    j.size = (i % 4 == 0) ? 5e-10 : 1.0 + 0.125 * i;
+    j.curve = (i % 2) != 0 ? SpeedupCurve::sequential()
+                           : SpeedupCurve::power_law(0.4);
+    jobs.push_back(j);
+  }
+  return Instance(4, jobs);
+}
+
+struct Corpus {
+  std::string name;
+  Instance inst;
+  double speed;
+};
+
+std::vector<Corpus> corpora() {
+  std::vector<Corpus> out;
+  for (const std::uint64_t seed : {1u, 7u}) {
+    out.push_back({"e1.s" + std::to_string(seed),
+                   make_random_instance(e1_config(seed)), 1.0});
+  }
+  out.push_back({"e1.s1.speed1.5", make_random_instance(e1_config(1)), 1.5});
+  {
+    // The repro-grid cell shape: n = 400, P = 256, overloaded stretches.
+    RandomWorkloadConfig cfg = e1_config(13);
+    cfg.jobs = 400;
+    cfg.P = 256.0;
+    out.push_back({"e1.n400", make_random_instance(cfg), 1.0});
+  }
+  for (const std::uint64_t seed : {3u, 11u}) {
+    out.push_back({"e5.s" + std::to_string(seed),
+                   make_random_instance(e5_config(seed)), 1.0});
+  }
+  {
+    RandomWorkloadConfig cfg = e5_config(17);
+    cfg.jobs = 400;
+    cfg.load = 1.1;
+    out.push_back({"e5.n400", make_random_instance(cfg), 1.0});
+  }
+  out.push_back({"phased.hand", hand_phased_instance(), 1.0});
+  out.push_back({"phased.gen", generated_phased_instance(), 1.0});
+  out.push_back({"tolerance", tolerance_corpus_instance(), 1.0});
+  return out;
+}
+
+/// key -> fingerprint for every (corpus, policy) pair with a name prefix.
+std::map<std::string, std::string> compute(const std::string& prefix) {
+  std::map<std::string, std::string> out;
+  for (const Corpus& c : corpora()) {
+    if (c.name.rfind(prefix, 0) != 0) continue;
+    for (const char* policy : kAllPolicies) {
+      auto sched = make_scheduler(policy);
+      EngineConfig cfg;
+      cfg.speed = c.speed;
+      TrajectoryHasher hasher;
+      const SimResult r = simulate(c.inst, *sched, cfg, {&hasher});
+      out[c.name + "/" + policy] = fingerprint(r, hasher.hash());
+    }
+  }
+  return out;
+}
+
+std::string golden_path() {
+  return std::string(PARSCHED_GOLDEN_DIR) + "/engine_bits.txt";
+}
+
+std::map<std::string, std::string> load_goldens() {
+  std::map<std::string, std::string> out;
+  std::ifstream in(golden_path());
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const auto sp = line.find(' ');
+    if (sp == std::string::npos) continue;
+    out[line.substr(0, sp)] = line.substr(sp + 1);
+  }
+  return out;
+}
+
+/// Compare the prefix group against the goldens — or, when
+/// PARSCHED_WRITE_GOLDENS names a file, write the whole golden file there
+/// instead (every group's test writes the same complete file).
+void expect_goldens(const std::string& prefix) {
+  const std::string write_to = env::get_string("PARSCHED_WRITE_GOLDENS");
+  if (!write_to.empty()) {
+    auto out = open_output(write_to, "golden file");
+    out << "# key decisions events total_flow weighted_flow fractional_flow"
+           " makespan records_fnv trajectory_fnv\n"
+           "# written by tests/test_goldens.cpp "
+           "(PARSCHED_WRITE_GOLDENS=<path>)\n";
+    for (const auto& [key, fp] : compute("")) out << key << ' ' << fp << '\n';
+    finish_output(out, write_to);
+    return;
+  }
+  const std::map<std::string, std::string> got = compute(prefix);
+  ASSERT_FALSE(got.empty()) << prefix;
+  const std::map<std::string, std::string> want = load_goldens();
+  ASSERT_FALSE(want.empty()) << "no goldens at " << golden_path();
+  for (const auto& [key, fp] : got) {
+    const auto it = want.find(key);
+    ASSERT_NE(it, want.end()) << "no golden for " << key;
+    EXPECT_EQ(fp, it->second) << key;
+  }
+}
+
+TEST(EngineGoldens, AllPoliciesOnE1Grid) { expect_goldens("e1."); }
+TEST(EngineGoldens, AllPoliciesOnE5Grid) { expect_goldens("e5."); }
+TEST(EngineGoldens, AllPoliciesOnPhasedJobs) { expect_goldens("phased."); }
+TEST(EngineGoldens, AllPoliciesOnCompletionToleranceCorpus) {
+  expect_goldens("tolerance");
+}
+
+// ---- First-visit edge cases ---------------------------------------------
+
+/// Hands every machine to alive index 0 and nothing to anyone else, so
+/// later arrivals sit at share zero.
+class FirstAliveOnly final : public Scheduler {
+ public:
+  using Scheduler::allocate;
+  [[nodiscard]] std::string name() const override { return "first-only"; }
+  void allocate(const SchedulerContext& ctx, Allocation& out) override {
+    out.reset(ctx.alive().size());
+    if (ctx.alive().empty()) return;
+    out.grant(0, static_cast<double>(ctx.machines()));
+  }
+};
+
+/// Records (time, phase, curve kind) of one job at every decision.
+class PhaseProbe final : public Observer {
+ public:
+  explicit PhaseProbe(JobId id) : id_(id) {}
+  void on_decision(double t, std::span<const AliveJob> alive,
+                   std::span<const double>) override {
+    for (const AliveJob& a : alive) {
+      if (a.id == id_) seen.push_back({t, a.phase, a.curve.kind()});
+    }
+  }
+  struct Seen {
+    double t;
+    std::size_t phase;
+    SpeedupCurve::Kind kind;
+  };
+  std::vector<Seen> seen;
+
+ private:
+  JobId id_;
+};
+
+Job plain_job(JobId id, double release, double size) {
+  Job j;
+  j.id = id;
+  j.release = release;
+  j.size = size;
+  j.curve = SpeedupCurve::fully_parallel();
+  return j;
+}
+
+TEST(FirstVisitEdges, TinyJobAdmittedMidRunWithZeroShareCompletesAtFirstStep) {
+  // m = 1: job 0 holds the machine; job 1 (5e-10 of work, inside
+  // completion_tol) arrives at t = 1 with share zero; job 2's arrival at
+  // t = 1.5 ends the first interval after job 1's admission. The first
+  // visit of the advance sweep must see job 1 complete at t = 1.5.
+  const Instance inst(1, {plain_job(0, 0.0, 4.0), plain_job(1, 1.0, 5e-10),
+                          plain_job(2, 1.5, 1.0)});
+  for (const bool streamed : {false, true}) {
+    FirstAliveOnly sched;
+    SimResult r;
+    if (streamed) {
+      Engine eng(1);
+      eng.begin(sched);
+      for (const Job& j : inst.jobs()) eng.admit(j);
+      eng.advance_to(1.25);  // defer inside job 1's first interval
+      r = eng.finish();
+    } else {
+      r = simulate(inst, sched);
+    }
+    ASSERT_EQ(r.records.size(), 3u);
+    EXPECT_EQ(r.records[0].job.id, 1u) << "streamed=" << streamed;
+    EXPECT_EQ(r.records[0].completion, 1.5) << "streamed=" << streamed;
+  }
+}
+
+TEST(FirstVisitEdges, FirstPhaseOfTinyWorkAdvancesAtFirstStep) {
+  // Job 1's first phase (1e-12 of work) is inside completion_tol. It
+  // arrives with share zero, and the first visit must still move it to
+  // its second (fully parallel) phase, so the next decision sees phase 1.
+  const Instance inst(
+      1, {plain_job(0, 0.0, 4.0),
+          make_phased_job(1, 1.0,
+                          {{1e-12, SpeedupCurve::sequential()},
+                           {2.0, SpeedupCurve::fully_parallel()}}),
+          plain_job(2, 1.5, 1.0)});
+  FirstAliveOnly sched;
+  PhaseProbe probe(1);
+  const SimResult r = simulate(inst, sched, {}, {&probe});
+  ASSERT_GE(probe.seen.size(), 2u);
+  EXPECT_EQ(probe.seen[0].t, 1.0);
+  EXPECT_EQ(probe.seen[0].phase, 0u);
+  EXPECT_EQ(probe.seen[0].kind, SpeedupCurve::Kind::kSequential);
+  EXPECT_EQ(probe.seen[1].t, 1.5);
+  EXPECT_EQ(probe.seen[1].phase, 1u);
+  EXPECT_EQ(probe.seen[1].kind, SpeedupCurve::Kind::kFullyParallel);
+  EXPECT_EQ(r.records.size(), 3u);
+}
+
+TEST(FirstVisitEdges, SnapshotMidDeferralResumesBitIdentically) {
+  // Cut a streamed run just after a release: the new job is admitted, a
+  // decision is made and deferred past the frontier, and the job has not
+  // been swept yet. The restored continuation must equal the donor's.
+  const Instance inst = make_random_instance(e1_config(7));
+  for (const char* policy :
+       {"isrpt", "equi", "greedy", "laps:0.5", "quantized-equi:0.5"}) {
+    for (const std::size_t cut : {std::size_t{5}, std::size_t{40},
+                                  std::size_t{90}}) {
+      const std::string what =
+          std::string(policy) + " cut after job " + std::to_string(cut);
+      auto donor_sched = make_scheduler(policy);
+      Engine donor(inst.machines());
+      TrajectoryHasher donor_hash;
+      donor.add_observer(&donor_hash);
+      donor.begin(*donor_sched);
+      for (const Job& j : inst.jobs()) donor.admit(j);
+      const double t_cut = inst.jobs()[cut].release + 1e-7;
+      donor.advance_to(t_cut);
+      const EngineState snap = donor.export_state();
+      EXPECT_TRUE(snap.has_cached_alloc) << what;
+      const std::string policy_state = donor_sched->save_state();
+      const SimResult want = donor.finish();
+
+      auto cont_sched = make_scheduler(policy);
+      cont_sched->load_state(policy_state);
+      Engine cont(inst.machines());
+      cont.import_state(snap, *cont_sched);
+      const SimResult got = cont.finish();
+      EXPECT_EQ(fingerprint(got, 0), fingerprint(want, 0)) << what;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace parsched

@@ -530,11 +530,23 @@ TEST(IncrementalFuzz, OracleAgreesOverRandomEventSchedules) {
 
 /// PARSCHED_AUDIT scope: arms the engine-side heap-vs-alive audit (and
 /// the AllocGuard fences, which the warm oracle stays inside) for every
-/// engine constructed inside it.
+/// engine constructed inside it, then restores the caller's setting (the
+/// nightly leg runs the whole binary audited).
 class AuditScope {
  public:
-  AuditScope() { setenv("PARSCHED_AUDIT", "1", 1); }
-  ~AuditScope() { unsetenv("PARSCHED_AUDIT"); }
+  AuditScope() : was_(env::get_string("PARSCHED_AUDIT")) {
+    setenv("PARSCHED_AUDIT", "1", 1);
+  }
+  ~AuditScope() {
+    if (was_.empty()) {
+      unsetenv("PARSCHED_AUDIT");
+    } else {
+      setenv("PARSCHED_AUDIT", was_.c_str(), 1);
+    }
+  }
+
+ private:
+  std::string was_;
 };
 
 TEST(IncrementalSeedCorpus, DuplicateRemainingKeysTieStorm) {

@@ -532,6 +532,59 @@ TEST(RunStats, EngineMirrorsCountersIntoRegistry) {
   EXPECT_EQ(snap.find("engine.decide")->count, 1u);
 }
 
+// The solver bucket is split into four parts that add up to it exactly,
+// in batch and streaming runs, and each part is mirrored as a timer.
+TEST(RunStats, SolverSplitAddsUpToSolverSeconds) {
+  RandomWorkloadConfig cfg;
+  cfg.machines = 4;
+  cfg.jobs = 80;
+  cfg.P = 16.0;
+  cfg.load = 1.2;
+  cfg.seed = 11;
+  const Instance inst = make_random_instance(cfg);
+  for (const bool streamed : {false, true}) {
+    IntermediateSrpt sched;
+    obs::MetricsRegistry reg;
+    EngineConfig ec;
+    ec.collect_stats = true;
+    ec.metrics = &reg;
+    SimResult r;
+    if (streamed) {
+      Engine eng(inst.machines(), ec);
+      eng.begin(sched);
+      for (const Job& j : inst.jobs()) {
+        eng.admit(j);
+        eng.advance_to(j.release);
+      }
+      r = eng.finish();
+    } else {
+      r = simulate(inst, sched, ec);
+    }
+    ASSERT_TRUE(r.stats.has_value());
+    const obs::RunStats& s = *r.stats;
+    EXPECT_GT(s.rates_seconds, 0.0) << streamed;
+    EXPECT_GT(s.advance_seconds, 0.0) << streamed;
+    EXPECT_GE(s.heap_upkeep_seconds, 0.0) << streamed;
+    EXPECT_GT(s.completion_seconds, 0.0) << streamed;
+    EXPECT_EQ(s.solver_seconds, s.rates_seconds + s.advance_seconds +
+                                    s.heap_upkeep_seconds +
+                                    s.completion_seconds)
+        << streamed;
+    EXPECT_LE(s.decide_seconds + s.solver_seconds + s.observer_seconds,
+              s.wall_seconds + 1e-6)
+        << streamed;
+    const auto snap = reg.snapshot();
+    for (const char* part : {"engine.solver.rates", "engine.solver.advance",
+                             "engine.solver.heap_upkeep",
+                             "engine.solver.completion"}) {
+      ASSERT_NE(snap.find(part), nullptr) << part;
+      EXPECT_EQ(snap.find(part)->count, 1u) << part;
+    }
+    EXPECT_DOUBLE_EQ(snap.find("engine.solver.advance")->value,
+                     s.advance_seconds);
+  }
+}
+
 // ----------------------------------------------------------- trace export
 
 TEST(TraceExport, ChromeTraceParsesAndHasJobAndCounterTracks) {

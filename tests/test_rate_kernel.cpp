@@ -5,7 +5,9 @@
 //   * rate_batch is bit-identical to the scalar SpeedupCurve::rate()
 //     loop it replaced — a pure layout change.
 //   * The engine's AliveSoA mirror matches alive_ field-for-field under
-//     any interleaving of admit / advance / complete / snapshot-import.
+//     any interleaving of admit / advance / complete / snapshot-import,
+//     and its rate scratch holds Γ(share) for each support position of
+//     the cached decision.
 
 #include <gtest/gtest.h>
 
@@ -93,12 +95,31 @@ TEST(RateKernel, DefaultArmBitIdenticalToScalarLoop) {
 // Engine SoA mirror: property test over admit / advance / complete /
 // snapshot-import interleavings.
 
-void expect_mirror_matches(const Engine& eng) {
+/// `rates_computed`: the engine has computed the rates of its cached
+/// decision (false right after a snapshot import, which recomputes them
+/// at the first resume).
+void expect_mirror_matches(const Engine& eng, bool rates_computed = true) {
   const AliveSoA& soa = eng.alive_soa();
   const EngineState st = eng.export_state();
   ASSERT_EQ(soa.size(), st.alive.size());
-  ASSERT_EQ(soa.alloc.size(), st.alive.size());
-  ASSERT_EQ(soa.rate.size(), st.alive.size());
+  // The rate scratch is reserved for the whole alive set at admission
+  // and holds one rate per support position of the cached decision.
+  const SupportRates& rates = eng.support_rates();
+  ASSERT_GE(rates.rate.capacity(), st.alive.size());
+  ASSERT_GE(rates.share.capacity(), st.alive.size());
+  if (st.has_cached_alloc && rates_computed) {
+    const Allocation& alloc = st.cached_alloc;
+    const std::size_t k =
+        alloc.dense() ? st.alive.size() : alloc.support().size();
+    ASSERT_EQ(rates.rate.size(), k);
+    for (std::size_t j = 0; j < k; ++j) {
+      const std::size_t i = alloc.dense() ? j : alloc.support()[j];
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(rates.rate[j]),
+                std::bit_cast<std::uint64_t>(
+                    st.alive[i].curve.rate(alloc.shares()[i])))
+          << "rate mismatch at support position " << j;
+    }
+  }
   for (std::size_t i = 0; i < st.alive.size(); ++i) {
     const AliveJob& a = st.alive[i];
     EXPECT_EQ(std::bit_cast<std::uint64_t>(soa.remaining[i]),
@@ -170,7 +191,7 @@ TEST(EngineSoA, MirrorTracksAliveSetUnderInterleaving) {
       auto eng2 = std::make_unique<Engine>(4);
       auto sched2 = make_scheduler("isrpt");
       eng2->import_state(st, *sched2);
-      expect_mirror_matches(*eng2);
+      expect_mirror_matches(*eng2, /*rates_computed=*/false);
       eng = std::move(eng2);
       sched = std::move(sched2);
     }

@@ -409,13 +409,13 @@ TEST(Snapshot, RejectsCachedAllocationOfTheWrongLength) {
   donor.advance(0.5);  // next event lies past 0.5: the decision is cached
   const serve::SessionSnapshot good = serve::decode_snapshot(donor.snapshot());
   ASSERT_TRUE(good.engine.has_cached_alloc);
-  ASSERT_EQ(good.engine.cached_alloc.shares.size(), 3u);
+  ASSERT_EQ(good.engine.cached_alloc.size(), 3u);
   (void)serve::Session::restore(serve::encode_snapshot(good));
 
   for (const std::size_t shares : {std::size_t{0}, std::size_t{2},
                                    std::size_t{7}}) {
     serve::SessionSnapshot bad = good;
-    bad.engine.cached_alloc.shares.assign(shares, 1.0);
+    bad.engine.cached_alloc.assign(std::vector<double>(shares, 1.0));
     const std::string blob = serve::encode_snapshot(bad);
     EXPECT_THROW((void)serve::Session::restore(serve::decode_snapshot(blob)),
                  std::invalid_argument)

@@ -72,9 +72,14 @@ class SyncClient {
  public:
   SyncClient() : handler_(cluster_config()) {}
 
-  obs::JsonValue line(const std::string& text) {
+  /// The reply line exactly as the handler wrote it.
+  std::string raw(const std::string& text) {
     handler_.handle_line(text, sink());
-    const std::string resp = wait();
+    return wait();
+  }
+
+  obs::JsonValue line(const std::string& text) {
+    const std::string resp = raw(text);
     obs::JsonValue v;
     EXPECT_TRUE(obs::json_parse(resp, v)) << resp;
     return v;
@@ -382,6 +387,28 @@ TEST(ServeCodec, NdjsonIntegralFieldsRejectOutOfRangeAndFractionalValues) {
   const obs::JsonValue q = c.line(R"({"op":"query","id":9,"session":1})");
   EXPECT_EQ(q.number_or("pending", -1.0), 0.0);
   EXPECT_EQ(q.number_or("alive", -1.0), 0.0);
+}
+
+// Replies echo the request id so pipelining clients can match them: an
+// integral id comes back as an integer (not the shortest double form,
+// 1e+05), a fractional one as a number, on success and error replies.
+TEST(ServeCodec, NdjsonRepliesEchoIntegralIdsAsIntegers) {
+  SyncClient c;
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"100000", "\"id\":100000,"},
+      {"9007199254740992", "\"id\":9007199254740992,"},  // 2^53
+      {"1.5", "\"id\":1.5,"},
+      {"-7", "\"id\":-7,"},
+  };
+  for (const auto& [id, want] : cases) {
+    const std::string ok = c.raw(R"({"op":"cluster","id":)" + id + "}");
+    EXPECT_NE(ok.find(want), std::string::npos) << ok;
+    EXPECT_NE(ok.find("\"ok\":true"), std::string::npos) << ok;
+    const std::string err =
+        c.raw(R"({"op":"query","id":)" + id + R"(,"session":99})");
+    EXPECT_NE(err.find(want), std::string::npos) << err;
+    EXPECT_NE(err.find("\"ok\":false"), std::string::npos) << err;
+  }
 }
 
 TEST(ServeHostileInput, NonFiniteJobFieldsAreRejectedOverPbin) {

@@ -208,7 +208,7 @@ class OvercommitScheduler final : public Scheduler {
   std::string name() const override { return "Overcommit"; }
   void allocate(const SchedulerContext& ctx, Allocation& out) override {
     out.reset(ctx.alive().size());
-    for (double& s : out.shares) s = static_cast<double>(ctx.machines()) + 1.0;
+    out.fill(static_cast<double>(ctx.machines()) + 1.0);
   }
 };
 
@@ -218,7 +218,7 @@ class PastReconsider final : public Scheduler {
   std::string name() const override { return "Past"; }
   void allocate(const SchedulerContext& ctx, Allocation& out) override {
     out.reset(ctx.alive().size());
-    for (double& s : out.shares) s = 1.0;
+    out.fill(1.0);
     out.reconsider_at = ctx.time() - 1.0;
   }
 };

@@ -32,7 +32,32 @@ def histogram(quantiles=True, torn=False, monotone=True):
     return h
 
 
-def bench_report(schema=2, torn=False, monotone=True):
+def run_stats(split="ok"):
+    """A RunStats object; split is "ok", "none", "partial" or "torn"."""
+    stats = {
+        "wall_seconds": 0.1,
+        "decide_seconds": 0.02,
+        "solver_seconds": 0.06,
+        "observer_seconds": 0.0,
+        "decisions": 4,
+        "arrivals": 2,
+        "completions": 2,
+        "decision_interval": histogram(),
+        "alive_count": histogram(),
+    }
+    if split != "none":
+        stats.update({
+            "rates_seconds": 0.01,
+            "advance_seconds": 0.02,
+            "heap_upkeep_seconds": 0.005,
+            "completion_seconds": 0.025 if split != "torn" else 0.03,
+        })
+    if split == "partial":
+        del stats["heap_upkeep_seconds"]
+    return stats
+
+
+def bench_report(schema=2, torn=False, monotone=True, stats=None):
     return {
         "schema": schema,
         "kind": "parsched-bench-report",
@@ -49,7 +74,7 @@ def bench_report(schema=2, torn=False, monotone=True):
             "decisions": 4,
             "events": 6,
             "wall_seconds": 0.1,
-            "stats": None,
+            "stats": stats,
         }],
         "tables": [{"name": "t", "columns": ["a", "b"], "rows": [[1, 2]]}],
         "metrics": [{
@@ -218,6 +243,15 @@ def main() -> int:
         ("BENCH_old_schema.json", bench_report(schema=1), False, 1),
         ("BENCH_torn_total.json", bench_report(torn=True), False, 1),
         ("BENCH_bad_quantiles.json", bench_report(monotone=False), False, 1),
+        # RunStats: the solver split is optional, all-or-nothing, and
+        # must add up to solver_seconds.
+        ("BENCH_stats_split.json", bench_report(stats=run_stats()), False, 0),
+        ("BENCH_stats_no_split.json", bench_report(stats=run_stats("none")),
+         False, 0),
+        ("BENCH_stats_partial_split.json",
+         bench_report(stats=run_stats("partial")), False, 1),
+        ("BENCH_stats_torn_split.json",
+         bench_report(stats=run_stats("torn")), False, 1),
         ("snapshot_ok.jsonl", snapshot_jsonl(), True, 0),
         ("snapshot_bad_seq.jsonl", snapshot_jsonl(bad_seq=True), True, 1),
         ("snapshot_bad_schema.jsonl", snapshot_jsonl(bad_schema=True),

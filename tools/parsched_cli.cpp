@@ -307,6 +307,10 @@ int cmd_trace(const Options& opt) {
               << "s + observers " << s.observer_seconds << "s ("
               << s.decisions << " decisions, mean alive "
               << s.alive_count.mean() << ")\n";
+    std::cout << "solver split: rates " << s.rates_seconds << "s + advance "
+              << s.advance_seconds << "s + heap upkeep "
+              << s.heap_upkeep_seconds << "s + completion "
+              << s.completion_seconds << "s\n";
   }
   return 0;
 }

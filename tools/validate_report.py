@@ -89,6 +89,16 @@ STATS_REQUIRED = {
     "completions": int,
 }
 
+# The four parts of solver_seconds (obs/run_stats.hpp). Optional, since
+# reports written before the split lack them, but all-or-nothing, each
+# nonnegative, and adding up to solver_seconds (the engine sets
+# solver_seconds to their sum).
+SOLVER_PARTS = (
+    "rates_seconds",
+    "advance_seconds",
+    "heap_upkeep_seconds",
+    "completion_seconds",
+)
 
 class Invalid(Exception):
     pass
@@ -135,6 +145,19 @@ def check_stats(stats, where: str) -> None:
         return
     for key, types in STATS_REQUIRED.items():
         need(stats, key, types, where)
+    parts = [key for key in SOLVER_PARTS if key in stats]
+    if parts:
+        missing = [key for key in SOLVER_PARTS if key not in stats]
+        if missing:
+            raise Invalid(f"{where}: solver split is missing {missing}")
+        for key in SOLVER_PARTS:
+            if need(stats, key, (int, float), where) < 0:
+                raise Invalid(f"{where}: '{key}' is negative")
+        total = sum(stats[key] for key in SOLVER_PARTS)
+        solver = stats["solver_seconds"]
+        if abs(total - solver) > 1e-9 * max(1.0, abs(solver)):
+            raise Invalid(f"{where}: solver split sums to {total}, "
+                          f"solver_seconds is {solver}")
     for key in ("decision_interval", "alive_count"):
         check_histogram(need(stats, key, dict, where), f"{where}.{key}")
 
