@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 #include "exec/thread_pool.hpp"
@@ -75,7 +76,7 @@ BENCHMARK(BM_Greedy)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillisecond);
 // essentially the whole instance stays alive until the end and every
 // decision step pays the full O(n) cost — the worst case the engine
 // hot-path work (reusable scratch buffers, the persistent ordering
-// heaps, the FlowQ fast advance arm, and the sparse completion sweep)
+// heaps, the idle flow-quotient arm, and the sparse completion sweep)
 // was aimed at. ISRPT serves min(n, m) jobs per
 // decision, leaving the rest rate-0: exactly the dense mostly-idle
 // regime. Sizes are deterministic (no RNG dependency) and distinct, so
@@ -254,21 +255,24 @@ struct DenseDriveSample {
   std::uint64_t decisions = 0;
   double wall_seconds = 0.0;
   double decide_seconds = 0.0;
+  double fractional_flow = 0.0;
 };
 
-DenseDriveSample drive_dense_bounded(const Instance& inst,
-                                     std::uint64_t target, double dt) {
-  auto sched = make_scheduler("isrpt");
+/// Fast-forward to `t_start`, just short of the policy's first
+/// completion, then creep across the completion front in dt steps. Each
+/// step past the front executes the decisions of every completion
+/// cluster inside it.
+DenseDriveSample drive_dense_bounded(const std::string& policy,
+                                     const Instance& inst,
+                                     std::uint64_t target, double t_start,
+                                     double dt) {
+  auto sched = make_scheduler(policy);
   EngineConfig cfg;
   cfg.collect_stats = true;
   Engine eng(inst.machines(), cfg);
   eng.begin(*sched);
   for (const Job& j : inst.jobs()) eng.admit(j);
-  // Sizes are >= 1, so no completion exists before t = 1; fast-forward
-  // near the completion front, then creep across it in dt steps. Each
-  // step past the front executes the decisions of every completion
-  // cluster inside it.
-  double t = 0.875;
+  double t = t_start;
   const double t0 = obs::monotonic_seconds();
   eng.advance_to(t);
   while (eng.partial().decisions < target && !eng.drained()) {
@@ -279,6 +283,7 @@ DenseDriveSample drive_dense_bounded(const Instance& inst,
   s.wall_seconds = obs::monotonic_seconds() - t0;
   s.decisions = eng.partial().decisions;
   s.decide_seconds = eng.partial().stats->decide_seconds;
+  s.fractional_flow = eng.partial().fractional_flow;
   return s;  // the unfinished run is abandoned with the engine
 }
 
@@ -297,17 +302,53 @@ Table measure_incremental_orders() {
   };
   for (const RowSpec& spec : kRowSpecs) {
     const Instance inst = dense_alive_instance(spec.n);
+    // ISRPT: sizes are >= 1, so no completion exists before t = 1.
     // Warm-up drive: the timed one then reuses the allocator's pages
     // instead of paying first-touch faults for ~n-sized engine state.
-    (void)drive_dense_bounded(inst, spec.target, spec.dt);
+    (void)drive_dense_bounded("isrpt", inst, spec.target, 0.875, spec.dt);
     const DenseDriveSample inc =
-        drive_dense_bounded(inst, spec.target, spec.dt);
+        drive_dense_bounded("isrpt", inst, spec.target, 0.875, spec.dt);
     io.add_row({static_cast<std::int64_t>(spec.n),
                 static_cast<std::int64_t>(inc.decisions), inc.wall_seconds,
                 static_cast<double>(inc.decisions) / inc.wall_seconds,
                 inc.decide_seconds});
   }
   return io;
+}
+
+// ---- EQUI dense rows ------------------------------------------------------
+//
+// The same bounded drive under EQUI, which gives every one of the n
+// jobs the share m/n: the rates pass, the dt-scan and the advance sweep
+// take their full path over the whole alive set at every decision. The
+// stop point's decision count and fractional flow are exact fields
+// (tools/bench_compare.py), so the timed rate is pinned to the same work.
+Table measure_dense_equi() {
+  Table de({"n", "decisions", "fractional_flow", "wall_seconds",
+            "decisions_per_sec"},
+           4);
+  struct RowSpec {
+    std::size_t n;
+    std::uint64_t target;
+  };
+  constexpr RowSpec kRowSpecs[] = {{100'000, 200}, {1'000'000, 50}};
+  for (const RowSpec& spec : kRowSpecs) {
+    const Instance inst = dense_alive_instance(spec.n);
+    const double m = static_cast<double>(inst.machines());
+    const double n = static_cast<double>(spec.n);
+    // Every job runs at rate m/n, so the first completion (size 1) is at
+    // t = n/m; successive ones are ~n/(m * 99991) apart.
+    const double t_start = n / m - 1.0;
+    const double dt = 0.5 * n / (m * 99991.0);
+    (void)drive_dense_bounded("equi", inst, spec.target, t_start, dt);
+    const DenseDriveSample s =
+        drive_dense_bounded("equi", inst, spec.target, t_start, dt);
+    de.add_row({static_cast<std::int64_t>(spec.n),
+                static_cast<std::int64_t>(s.decisions), s.fractional_flow,
+                s.wall_seconds,
+                static_cast<double>(s.decisions) / s.wall_seconds});
+  }
+  return de;
 }
 
 // ---- Rate-kernel microbenchmark (PR 10) ---------------------------------
@@ -516,6 +557,11 @@ void emit_perf_report() {
                "bounded-decision drive) ===\n";
   io.print(std::cout);
   report.add_table("incremental_orders", io);
+  const Table de = measure_dense_equi();
+  std::cout << "\n=== E11: dense EQUI decision rate (every job runs, "
+               "bounded-decision drive) ===\n";
+  de.print(std::cout);
+  report.add_table("dense_equi", de);
   const Table ro = measure_recorder_overhead();
   std::cout << "\n=== E11: flight-recorder overhead (isrpt, dense-alive, "
                "4096-slot ring) ===\n";

@@ -42,9 +42,11 @@ namespace parsched::obs {
 }
 
 /// Alive-count histogram bounds (jobs, powers of two): the paper's
-/// adversary sustains Θ(m log P) backlog, random critical load Θ(m).
+/// adversary sustains Θ(m log P) backlog, random critical load Θ(m), and
+/// the dense-alive streaming runs hold 10⁵–10⁶ jobs (≤ 2²⁰).
 [[nodiscard]] inline std::vector<double> alive_count_bounds() {
-  return {1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096};
+  return {1,    2,     4,     8,      16,     32,     64,     128,
+          256,  1024,  4096,  16384,  65536,  262144, 1048576};
 }
 
 struct RunStats {

@@ -10,11 +10,11 @@ namespace parsched {
 
 PARSCHED_HOT void Equi::allocate(const SchedulerContext& ctx, Allocation& out) {
   const std::size_t n = ctx.alive().size();
-  out.reset(n);
-  if (n == 0) return;
-  const double share =
-      static_cast<double>(ctx.machines()) / static_cast<double>(n);
-  out.fill(share);
+  if (n == 0) {
+    out.reset(0);
+    return;
+  }
+  out.fill(n, static_cast<double>(ctx.machines()) / static_cast<double>(n));
 }
 
 Laps::Laps(double beta) : beta_(beta) {

@@ -29,8 +29,8 @@ PARSCHED_HOT void GreedyHybrid::allocate(const SchedulerContext& ctx,
   granted_.assign(n, 0);
   heap_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    heap_.push_back({alive[i].curve.marginal(0.0) / alive[i].remaining,
-                     alive[i].remaining, i, 0});
+    heap_.push_back({alive.curve(i).marginal(0.0) / alive.remaining(i),
+                     alive.remaining(i), i, 0});
     std::push_heap(heap_.begin(), heap_.end());
   }
   for (int p = 0; p < m && !heap_.empty(); ++p) {
@@ -39,10 +39,11 @@ PARSCHED_HOT void GreedyHybrid::allocate(const SchedulerContext& ctx,
     heap_.pop_back();
     if (top.priority <= 0.0) break;  // no further marginal gain anywhere
     granted_[top.idx] += 1;
-    const AliveJob& j = alive[top.idx];
-    heap_.push_back({j.curve.marginal(static_cast<double>(granted_[top.idx])) /
-                         j.remaining,
-                     j.remaining, top.idx, granted_[top.idx]});
+    const double rem = alive.remaining(top.idx);
+    heap_.push_back(
+        {alive.curve(top.idx).marginal(
+             static_cast<double>(granted_[top.idx])) / rem,
+         rem, top.idx, granted_[top.idx]});
     std::push_heap(heap_.begin(), heap_.end());
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -55,22 +56,26 @@ PARSCHED_HOT void GreedyHybrid::allocate(const SchedulerContext& ctx,
   // marginal priority. Find the earliest pairwise crossing.
   const double now = ctx.time();
   double horizon = (max_quantum_ == kInf) ? kInf : now + max_quantum_;
+  // Each job's next marginal is evaluated once here, not once per
+  // granted job in the pairwise scan below.
   rate_.resize(n);
+  next_marginal_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    rate_[i] = alive[i].curve.rate(out.shares()[i]);
+    rate_[i] = alive.curve(i).rate(out.shares()[i]);
+    next_marginal_[i] =
+        alive.curve(i).marginal(static_cast<double>(granted_[i]));
   }
   for (std::size_t j = 0; j < n; ++j) {
     if (granted_[j] == 0) continue;
-    const double a = alive[j].curve.marginal(
+    const double a = alive.curve(j).marginal(
         static_cast<double>(granted_[j] - 1));  // last granted marginal
     for (std::size_t k = 0; k < n; ++k) {
       if (k == j) continue;
-      const double b =
-          alive[k].curve.marginal(static_cast<double>(granted_[k]));
+      const double b = next_marginal_[k];
       if (b <= 0.0) continue;
       // Crossing of a / (p_j - r_j s) and b / (p_k - r_k s), s = t - now:
       //   a (p_k - r_k s) = b (p_j - r_j s)
-      const double num = a * alive[k].remaining - b * alive[j].remaining;
+      const double num = a * alive.remaining(k) - b * alive.remaining(j);
       const double den = a * rate_[k] - b * rate_[j];
       if (den <= 0.0) continue;  // never crosses going forward
       const double s = num / den;

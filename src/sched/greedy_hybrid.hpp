@@ -58,10 +58,12 @@ class GreedyHybrid final : public Scheduler {
   double max_quantum_;
   // Per-decision scratch (resized each call, capacity reused so the hot
   // path allocates nothing): the candidate heap, granted whole processors
-  // per job, and current rates for the crossing-time horizon.
+  // per job, and current rates and next marginals for the crossing-time
+  // horizon.
   std::vector<Candidate> heap_;
   std::vector<int> granted_;
   std::vector<double> rate_;
+  std::vector<double> next_marginal_;
 };
 
 }  // namespace parsched

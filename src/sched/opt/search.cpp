@@ -34,8 +34,8 @@ PARSCHED_HOT void PriorityListScheduler::allocate(const SchedulerContext& ctx,
   idx_.resize(n);
   std::iota(idx_.begin(), idx_.end(), std::size_t{0});
   std::sort(idx_.begin(), idx_.end(), [&](std::size_t a, std::size_t b) {
-    const JobId ia = alive[a].id;
-    const JobId ib = alive[b].id;
+    const JobId ia = alive.id(a);
+    const JobId ib = alive.id(b);
     const auto ra = ia < rank_.size()
                         ? rank_[ia]
                         : std::numeric_limits<std::uint32_t>::max();

@@ -23,18 +23,16 @@ PARSCHED_HOT void IsrptThreshold::allocate(const SchedulerContext& ctx,
                                            Allocation& out) {
   const std::size_t n = ctx.alive().size();
   const auto m = static_cast<std::size_t>(ctx.machines());
-  out.reset(n);
-  if (n == 0) return;
-  if (static_cast<double>(n) >= theta_ * static_cast<double>(m)) {
-    // Sequential mode: the m shortest jobs get one machine each.
-    for (std::size_t i : ctx.smallest_remaining(m)) out.grant(i, 1.0);
-  } else {
+  if (n > 0 && static_cast<double>(n) < theta_ * static_cast<double>(m)) {
     // Equipartition over all alive jobs (shares may be < 1 when n > m,
     // which is exactly the behaviour the theta knob is probing).
-    const double share =
-        static_cast<double>(ctx.machines()) / static_cast<double>(n);
-    out.fill(share);
+    out.fill(n, static_cast<double>(ctx.machines()) / static_cast<double>(n));
+    return;
   }
+  // Sequential mode: the m shortest jobs get one machine each.
+  out.reset(n);
+  if (n == 0) return;
+  for (std::size_t i : ctx.smallest_remaining(m)) out.grant(i, 1.0);
 }
 
 PARSCHED_HOT void IsrptBoostShortest::allocate(const SchedulerContext& ctx,

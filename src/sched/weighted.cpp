@@ -13,25 +13,23 @@ PARSCHED_HOT void WeightedIsrpt::allocate(const SchedulerContext& ctx,
   const auto alive = ctx.alive();
   const std::size_t n = alive.size();
   const auto m = static_cast<std::size_t>(ctx.machines());
-  out.reset(n);
-  if (n == 0) return;
-  if (n < m) {
-    const double share =
-        static_cast<double>(ctx.machines()) / static_cast<double>(n);
-    out.fill(share);
+  if (n > 0 && n < m) {
+    out.fill(n, static_cast<double>(ctx.machines()) / static_cast<double>(n));
     return;
   }
+  out.reset(n);
+  if (n == 0) return;
   // Select the m jobs with least remaining/weight (selection, not sort).
   idx_.resize(n);
   std::iota(idx_.begin(), idx_.end(), std::size_t{0});
   auto less = [&](std::size_t a, std::size_t b) {
-    const double da = alive[a].remaining / alive[a].weight;
-    const double db = alive[b].remaining / alive[b].weight;
+    const double da = alive.remaining(a) / alive.weight(a);
+    const double db = alive.remaining(b) / alive.weight(b);
     if (da != db) return da < db;
-    if (alive[a].release != alive[b].release) {
-      return alive[a].release < alive[b].release;
+    if (alive.release(a) != alive.release(b)) {
+      return alive.release(a) < alive.release(b);
     }
-    return alive[a].id < alive[b].id;
+    return alive.id(a) < alive.id(b);
   };
   std::nth_element(idx_.begin(), idx_.begin() + static_cast<std::ptrdiff_t>(m),
                    idx_.end(), less);

@@ -1,0 +1,108 @@
+#include "simcore/alive_set.hpp"
+
+#include <algorithm>
+
+#include "check/contract.hpp"
+
+namespace parsched {
+
+namespace {
+
+/// Apply `f` to every array of the set, in declaration order.
+template <typename Set, typename F>
+void each_array(Set& s, F f) {
+  f(s.ids);
+  f(s.releases);
+  f(s.sizes);
+  f(s.remaining);
+  f(s.weights);
+  f(s.arrival_seqs);
+  f(s.phase_remaining);
+  f(s.phases_left);
+  f(s.kinds);
+  f(s.alphas);
+  f(s.flow_q);
+  f(s.cold);
+}
+
+/// Job i's record, written field by field into `a` (copy-assigning the
+/// phase list reuses a's buffer).
+void write_record(const AliveSet& s, std::size_t i, AliveJob& a) {
+  const AliveCold& c = s.cold[i];
+  a.id = s.ids[i];
+  a.release = s.releases[i];
+  a.size = s.sizes[i];
+  a.remaining = s.remaining[i];
+  a.weight = s.weights[i];
+  a.curve = c.curve;
+  a.arrival_seq = s.arrival_seqs[i];
+  a.tag = c.tag;
+  a.phases = c.phases;
+  a.phase = c.phases.empty() ? 0 : c.phases.size() - 1 - s.phases_left[i];
+  a.phase_remaining = s.phase_remaining[i];
+}
+
+}  // namespace
+
+void AliveSet::clear() {
+  each_array(*this, [](auto& v) { v.clear(); });
+}
+
+void AliveSet::reserve(std::size_t n) {
+  each_array(*this, [n](auto& v) { reserve_geometric(v, n); });
+}
+
+void AliveSet::resize(std::size_t n) {
+  each_array(*this, [n](auto& v) { v.resize(n); });
+}
+
+void AliveSet::relocate(std::size_t from, std::size_t to) {
+  each_array(*this, [from, to](auto& v) { v[to] = std::move(v[from]); });
+}
+
+void AliveSet::push_back(AliveJob&& a) {
+  PARSCHED_CHECK(a.phase < std::max<std::size_t>(1, a.phases.size()),
+                 "alive job phase index out of range");
+  const std::size_t i = size();
+  ids.push_back(a.id);
+  releases.push_back(a.release);
+  sizes.push_back(a.size);
+  remaining.push_back(a.remaining);
+  weights.push_back(a.weight);
+  arrival_seqs.push_back(a.arrival_seq);
+  phase_remaining.push_back(a.phase_remaining);
+  phases_left.push_back(static_cast<std::uint32_t>(
+      a.phases.empty() ? 0 : a.phases.size() - 1 - a.phase));
+  kinds.push_back(0);
+  alphas.push_back(0.0);
+  flow_q.push_back(0.0);
+  cold.push_back({SpeedupCurve{}, a.tag, std::move(a.phases)});
+  set_curve(i, std::move(a.curve));
+}
+
+void AliveSet::assign(std::span<const AliveJob> records) {
+  clear();
+  reserve(records.size());
+  for (const AliveJob& a : records) push_back(AliveJob(a));
+}
+
+void AliveSet::set_curve(std::size_t i, SpeedupCurve curve) {
+  kinds[i] = static_cast<std::uint8_t>(curve.kind());
+  alphas[i] = curve.alpha();
+  cold[i].curve = std::move(curve);
+}
+
+void AliveSet::next_phase(std::size_t i) {
+  const std::vector<JobPhase>& phases = cold[i].phases;
+  const JobPhase& next = phases[phases.size() - phases_left[i]];
+  --phases_left[i];
+  phase_remaining[i] = next.work;
+  set_curve(i, next.curve);
+}
+
+void AliveSet::materialize(std::vector<AliveJob>& out) const {
+  out.resize(size());
+  for (std::size_t i = 0; i < size(); ++i) write_record(*this, i, out[i]);
+}
+
+}  // namespace parsched

@@ -1,0 +1,157 @@
+// parsched — the engine's alive set: one owning structure-of-arrays.
+//
+// Every per-job field the decision step reads lives once, in a flat
+// array indexed by alive position, so the rates pass, the dt-scan and
+// the advance sweep stream 8-byte elements instead of striding through
+// per-job records. Fields the step needs only when a phase ends or a job
+// completes (the full current curve, the tag, the phase list) sit in a
+// side array of cold records. Policies read the set through AliveView;
+// AliveJob is the materialized record form, built on demand for
+// snapshots (EngineState) and observers.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "simcore/job.hpp"
+
+namespace parsched {
+
+/// Capacity for at least n elements, grown geometrically (amortized O(1)
+/// per admission), so per-job buffers are pre-paid outside the engine's
+/// AllocGuard fences.
+template <typename V>
+void reserve_geometric(V& v, std::size_t n) {
+  if (v.capacity() < n) v.reserve(std::max(n, 2 * v.capacity()));
+}
+
+/// One alive job as a self-contained record: the form EngineState
+/// serializes and Observer::on_decision receives. Policies are
+/// non-clairvoyant about the future but clairvoyant about remaining work,
+/// matching the paper's SRPT-style algorithms (`original size` is also
+/// visible; the natural greedy of Section 3 uses remaining work only).
+struct AliveJob {
+  JobId id = kInvalidJob;
+  double release = 0.0;
+  double size = 0.0;       ///< original work p_j
+  double remaining = 0.0;  ///< unprocessed work p_j(t), across all phases
+  double weight = 1.0;     ///< weight w_j of the weighted-flow objective
+  /// Speedup curve of the *current* phase (the whole curve for
+  /// single-phase jobs). This is what the job responds to right now.
+  SpeedupCurve curve;
+  std::int64_t arrival_seq = 0;  ///< global arrival ordinal (0-based)
+  JobTag tag;  ///< workload metadata; online policies must not read this
+
+  // Multi-phase bookkeeping (engine-internal; non-clairvoyant policies
+  // must not read these — they reveal the future phase structure).
+  std::vector<JobPhase> phases;
+  std::size_t phase = 0;
+  double phase_remaining = 0.0;
+};
+
+/// The per-job fields the decision step touches only when a phase ends,
+/// a job completes, or a record is materialized.
+struct AliveCold {
+  SpeedupCurve curve;  ///< the current phase's curve
+  JobTag tag;
+  std::vector<JobPhase> phases;
+};
+
+class AliveView;
+
+/// The engine's alive set. Position i is the same job in every array;
+/// admission appends, completion moves the back job into the freed slot
+/// (relocate) and truncates (resize). Every mutator touches every array,
+/// so the arrays cannot drift apart. Growth is geometric (reserve), paid
+/// at admission outside the engine's AllocGuard fences.
+struct AliveSet {
+  std::vector<JobId> ids;
+  std::vector<double> releases;
+  std::vector<double> sizes;
+  std::vector<double> remaining;
+  std::vector<double> weights;
+  std::vector<std::int64_t> arrival_seqs;
+  std::vector<double> phase_remaining;
+  /// Phases after the current one: phases.size() - 1 - phase for a
+  /// multi-phase job, 0 for a single-phase one.
+  std::vector<std::uint32_t> phases_left;
+  /// The rate kernel's view of the current curve (speedup/kernel.hpp):
+  /// derived from cold[i].curve by set_curve() and nowhere else.
+  std::vector<std::uint8_t> kinds;
+  std::vector<double> alphas;
+  /// Engine scratch, not job state: the flow quotient 0.5*(r+r)/size of
+  /// the job's remaining work r at its last advance-sweep visit (0 until
+  /// the first; absent from AliveJob). A job the sweep skips — rate 0 and
+  /// visited before — adds flow_q[i]*dt to the fractional flow, exactly
+  /// what a visit would add, since nothing else about it can change.
+  std::vector<double> flow_q;
+  std::vector<AliveCold> cold;
+
+  [[nodiscard]] std::size_t size() const { return ids.size(); }
+  [[nodiscard]] bool empty() const { return ids.empty(); }
+  [[nodiscard]] AliveView view() const;
+
+  void clear();
+  /// Capacity for at least n jobs (geometric growth).
+  void reserve(std::size_t n);
+  /// Append a job (its flow quotient starts at 0). Requires
+  /// a.phase < max(1, a.phases.size()).
+  void push_back(AliveJob&& a);
+  /// Replace the whole set with `records`, in order (snapshot restore).
+  void assign(std::span<const AliveJob> records);
+  /// Job i now responds to `curve`: the one site that derives kinds/alphas.
+  void set_curve(std::size_t i, SpeedupCurve curve);
+  /// Job i's current phase drained: move it to the next one (requires
+  /// phases_left[i] > 0).
+  void next_phase(std::size_t i);
+  /// Move job `from` into slot `to` (the completion swap-remove; the
+  /// caller truncates with resize() afterwards).
+  void relocate(std::size_t from, std::size_t to);
+  void resize(std::size_t n);
+  /// Every record, in alive order, written into `out` in place (reusing
+  /// its elements' buffers).
+  void materialize(std::vector<AliveJob>& out) const;
+};
+
+/// What a policy may read of the alive set: job i's public fields, by
+/// accessor. The phase bookkeeping and the tag are not exposed (online
+/// policies are phase-blind and tag-blind). Cheap to copy; valid while
+/// the set it views is alive and unmodified.
+class AliveView {
+ public:
+  explicit AliveView(const AliveSet& set) : set_(&set) {}
+
+  [[nodiscard]] std::size_t size() const { return set_->size(); }
+  [[nodiscard]] bool empty() const { return set_->empty(); }
+  [[nodiscard]] JobId id(std::size_t i) const { return set_->ids[i]; }
+  [[nodiscard]] double release(std::size_t i) const {
+    return set_->releases[i];
+  }
+  /// Original work p_j.
+  [[nodiscard]] double job_size(std::size_t i) const {
+    return set_->sizes[i];
+  }
+  /// Unprocessed work p_j(t), across all phases.
+  [[nodiscard]] double remaining(std::size_t i) const {
+    return set_->remaining[i];
+  }
+  [[nodiscard]] double weight(std::size_t i) const {
+    return set_->weights[i];
+  }
+  [[nodiscard]] std::int64_t arrival_seq(std::size_t i) const {
+    return set_->arrival_seqs[i];
+  }
+  /// Speedup curve of the current phase.
+  [[nodiscard]] const SpeedupCurve& curve(std::size_t i) const {
+    return set_->cold[i].curve;
+  }
+
+ private:
+  const AliveSet* set_;
+};
+
+inline AliveView AliveSet::view() const { return AliveView(*this); }
+
+}  // namespace parsched

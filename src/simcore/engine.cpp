@@ -20,24 +20,11 @@ namespace parsched {
 namespace {
 
 /// speedup::PwlRateFn trampoline for piecewise-linear curves: the flat
-/// (kind, alpha) arrays cannot encode a knot vector, so those elements
-/// delegate to the AliveJob's own curve — the exact code path the
-/// pre-SoA scalar loop took, hence bit-identical.
-double pwl_rate_from_alive(const void* ctx, std::size_t i, double x) {
-  const auto* alive = static_cast<const AliveJob*>(ctx);
-  return alive[i].curve.rate(x);
-}
-
-/// The same trampoline for a gathered sparse support: element j is alive
-/// job support[j].
-struct PwlSupport {
-  const AliveJob* alive;
-  const std::size_t* support;
-};
-
-double pwl_rate_from_support(const void* ctx, std::size_t j, double x) {
-  const auto* p = static_cast<const PwlSupport*>(ctx);
-  return p->alive[p->support[j]].curve.rate(x);
+/// (kind, alpha) arrays cannot encode a knot vector, so element i
+/// delegates to its curve in the cold array `ctx` — the scalar
+/// SpeedupCurve::rate() path, hence bit-identical.
+double pwl_rate_from_cold(const void* ctx, std::size_t i, double x) {
+  return static_cast<const AliveCold*>(ctx)[i].curve.rate(x);
 }
 
 /// fractional_flow contribution of `count` idle jobs: acc + q[0]*dt +
@@ -52,91 +39,6 @@ double pwl_rate_from_support(const void* ctx, std::size_t j, double x) {
 }
 
 }  // namespace
-
-void AliveSoA::clear() {
-  remaining.clear();
-  release.clear();
-  alpha.clear();
-  kind.clear();
-}
-
-void AliveSoA::reserve(std::size_t n) {
-  const auto grow = [n](auto& v) {
-    if (v.capacity() < n) v.reserve(std::max(n, v.capacity() * 2));
-  };
-  grow(remaining);
-  grow(release);
-  grow(alpha);
-  grow(kind);
-}
-
-void SupportRates::reserve(std::size_t n) {
-  const auto grow = [n](auto& v) {
-    if (v.capacity() < n) v.reserve(std::max(n, v.capacity() * 2));
-  };
-  grow(kind);
-  grow(alpha);
-  grow(share);
-  grow(rate);
-}
-
-void AliveSoA::push_back(const AliveJob& a) {
-  remaining.push_back(a.remaining);
-  release.push_back(a.release);
-  alpha.push_back(a.curve.alpha());
-  kind.push_back(static_cast<std::uint8_t>(a.curve.kind()));
-}
-
-void AliveSoA::set_curve(std::size_t i, const SpeedupCurve& curve) {
-  alpha[i] = curve.alpha();
-  kind[i] = static_cast<std::uint8_t>(curve.kind());
-}
-
-void AliveSoA::swap_remove(std::size_t i, std::size_t last) {
-  if (i == last) return;
-  remaining[i] = remaining[last];
-  release[i] = release[last];
-  alpha[i] = alpha[last];
-  kind[i] = kind[last];
-}
-
-void AliveSoA::resize(std::size_t n) {
-  remaining.resize(n);
-  release.resize(n);
-  alpha.resize(n);
-  kind.resize(n);
-}
-
-void AliveSoA::rebuild(std::span<const AliveJob> alive) {
-  clear();
-  reserve(alive.size());
-  for (const AliveJob& a : alive) push_back(a);
-}
-
-// PARSCHED_AUDIT cross-check: every flat array must mirror the
-// authoritative AliveJob records bit-for-bit. A divergence means a sync
-// site (admit / advance / phase change / completion swap / restore) was
-// missed, and trips here at the step that caused it rather than
-// surfacing later as a wrong rate.
-void Engine::audit_soa() const {
-  const std::size_t n = alive_.size();
-  PARSCHED_CHECK(soa_.size() == n, "SoA mirror size diverged from alive set");
-  PARSCHED_CHECK(flow_q_.size() == n, "flow quotients diverged from alive set");
-  for (std::size_t i = 0; i < n; ++i) {
-    const AliveJob& a = alive_[i];
-    PARSCHED_CHECK(std::bit_cast<std::uint64_t>(soa_.remaining[i]) ==
-                       std::bit_cast<std::uint64_t>(a.remaining),
-                   "SoA remaining diverged from alive job");
-    PARSCHED_CHECK(std::bit_cast<std::uint64_t>(soa_.release[i]) ==
-                       std::bit_cast<std::uint64_t>(a.release),
-                   "SoA release diverged from alive job");
-    PARSCHED_CHECK(std::bit_cast<std::uint64_t>(soa_.alpha[i]) ==
-                       std::bit_cast<std::uint64_t>(a.curve.alpha()),
-                   "SoA alpha diverged from alive job");
-    PARSCHED_CHECK(soa_.kind[i] == static_cast<std::uint8_t>(a.curve.kind()),
-                   "SoA curve kind diverged from alive job");
-  }
-}
 
 // PARSCHED_AUDIT check of the support invariant the sparse step rests
 // on: compute_rates, the sweep and Allocation::reset touch only the
@@ -199,9 +101,10 @@ void Engine::add_observer(Observer* obs) {
 
 double Engine::remaining_tagged(JobTag::Class cls, int phase) const {
   double total = 0.0;
-  for (const AliveJob& a : alive_) {
-    if (a.tag.cls == cls && (phase < 0 || a.tag.phase == phase)) {
-      total += a.remaining;
+  for (std::size_t i = 0; i < alive_.size(); ++i) {
+    const JobTag& tag = alive_.cold[i].tag;
+    if (tag.cls == cls && (phase < 0 || tag.phase == phase)) {
+      total += alive_.remaining[i];
     }
   }
   return total;
@@ -209,8 +112,8 @@ double Engine::remaining_tagged(JobTag::Class cls, int phase) const {
 
 std::size_t Engine::alive_tagged(JobTag::Class cls, int phase) const {
   std::size_t n = 0;
-  for (const AliveJob& a : alive_) {
-    if (a.tag.cls == cls && (phase < 0 || a.tag.phase == phase)) ++n;
+  for (const AliveCold& c : alive_.cold) {
+    if (c.tag.cls == cls && (phase < 0 || c.tag.phase == phase)) ++n;
   }
   return n;
 }
@@ -230,9 +133,7 @@ void Engine::begin_run(Scheduler& sched) {
   result_ = SimResult{};
   zero_dt_streak_ = 0;
   alloc_warm_n_ = 0;
-  flow_q_.clear();
   swept_ = 0;
-  soa_.clear();
   orders_.clear();
   rates_valid_ = false;
   stats_ = nullptr;
@@ -310,29 +211,11 @@ void Engine::admit_job_now(Job j) {
   a.arrival_seq = arrival_seq_++;
   a.tag = j.tag;
   a.phases = j.phases;
-  a.phase = 0;
   a.phase_remaining = j.phases.empty() ? j.size : j.phases[0].work;
+  // The job joins the unswept tail; the sweep sets its flow quotient at
+  // its first visit. Then one O(log n) sift per ordering heap.
   alive_.push_back(std::move(a));
-  // The job joins the unswept tail; the sweep sets its quotient at its
-  // first visit.
-  flow_q_.push_back(0.0);
-  // SoA mirror and rate scratch: pre-pay growth (geometric, outside the
-  // guarded scopes), then append the new job's hot fields.
-  soa_.reserve(alive_.size());
-  soa_.push_back(alive_.back());
-  rates_.reserve(alive_.size());
-  // Keep the completion-scan scratch's capacity at least the alive count
-  // (geometric growth, amortized O(1) per admission): the fused advance
-  // sweep may push up to |alive| completed positions, and pre-paying the
-  // growth here — outside the guarded scopes — is what makes the sweep
-  // allocation-free even on mass-completion steps.
-  if (comp_idx_.capacity() < alive_.size()) {
-    comp_idx_.reserve(std::max(alive_.size(), comp_idx_.capacity() * 2));
-  }
-  // Pre-pay heap and order-buffer growth here too (outside the guarded
-  // scopes), then push the new job — one O(log n) sift per heap.
-  orders_.reserve(alive_.size());
-  orders_.insert(alive_.back(), alive_.size() - 1);
+  orders_.insert(alive_.view(), alive_.size() - 1);
   ++result_.events;
   if (cfg_.recorder != nullptr) {
     cfg_.recorder->record(obs::FlightEvent::kAdmit,
@@ -340,6 +223,17 @@ void Engine::admit_job_now(Job j) {
                           static_cast<std::uint32_t>(alive_.size()));
   }
   for (Observer* obs : observers_) obs->on_arrival(now_, j);
+}
+
+void Engine::reserve_alive(std::size_t n) {
+  // Every per-job buffer — the alive set, the rate scratch, the
+  // completion positions (the sweep may push one per alive job), the
+  // heaps and order buffers — grows here, geometrically and outside the
+  // guarded scopes, so warm decision steps never allocate.
+  alive_.reserve(n);
+  reserve_geometric(rates_, n);
+  reserve_geometric(comp_idx_, n);
+  orders_.reserve(n);
 }
 
 void Engine::admit_pending(ArrivalSource& source) {
@@ -354,6 +248,7 @@ void Engine::admit_pending(ArrivalSource& source) {
                      "decision point");
       continue;
     }
+    reserve_alive(alive_.size() + jobs.size());
     for (Job& j : jobs) admit_job_now(std::move(j));
   }
 }
@@ -362,8 +257,16 @@ void Engine::release_due() {
   // The streaming twin of admit_pending(): pending_ is kept sorted by
   // release (stable among equals), so admission order — and therefore
   // arrival_seq — matches what a VectorSource over the same jobs yields.
-  while (!pending_.empty() &&
-         pending_.front().release <= now_ + cfg_.time_tol) {
+  // Most calls (one per decision step) find nothing due; a release sizes
+  // the buffers for its whole batch at once.
+  const double t = now_ + cfg_.time_tol;
+  if (pending_.empty() || !(pending_.front().release <= t)) return;
+  const auto due = std::upper_bound(
+      pending_.begin(), pending_.end(), t,
+      [](double x, const Job& j) { return x < j.release; });
+  const auto count = static_cast<std::size_t>(due - pending_.begin());
+  reserve_alive(alive_.size() + count);
+  for (std::size_t k = 0; k < count; ++k) {
     Job j = std::move(pending_.front());
     pending_.pop_front();
     admit_job_now(std::move(j));
@@ -378,10 +281,12 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
   // outside the support changes no bit: their shares are +0.0, which
   // passes validation, adds nothing to the sum, and yields rate
   // speed * 0.0 == +0.0, which neither the dt-scan nor the nonzero count
-  // reads. A dense allocation feeds the kernel straight from the SoA
-  // arrays and the share vector; a sparse one is gathered first. Every
-  // scratch vector is reserved at admission, so nothing here allocates —
-  // the AllocGuard fence around this call stays armed.
+  // reads. The kernel reads the alive set's (kind, alpha) arrays and the
+  // share vector in place: once over the whole range for a dense
+  // allocation, once per job of a sparse support (a small share of the
+  // jobs, see Allocation::sort_support). The rate scratch is reserved at
+  // admission, so nothing here allocates — the AllocGuard fence around
+  // this call stays armed.
   Allocation& alloc = cached_alloc_;
   alloc.sort_support();
   const std::span<const double> shares = alloc.shares();
@@ -401,34 +306,29 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
     throw std::logic_error("overcommitted shares from " +  // lint: alloc-ok
                            sched_->name());
   }
-  rates_.rate.resize(k);
+  rates_.resize(k);
   if (dense) {
-    speedup::rate_batch(soa_.kind, soa_.alpha, shares, cfg_.speed,
-                        rates_.rate, {&pwl_rate_from_alive, alive_.data()});
+    speedup::rate_batch(alive_.kinds, alive_.alphas, shares, cfg_.speed,
+                        rates_, {&pwl_rate_from_cold, alive_.cold.data()});
   } else {
-    rates_.kind.resize(k);
-    rates_.alpha.resize(k);
-    rates_.share.resize(k);
     for (std::size_t j = 0; j < k; ++j) {
       const std::size_t i = sup[j];
-      rates_.kind[j] = soa_.kind[i];
-      rates_.alpha[j] = soa_.alpha[i];
-      rates_.share[j] = shares[i];
+      speedup::rate_batch({&alive_.kinds[i], 1}, {&alive_.alphas[i], 1},
+                          shares.subspan(i, 1), cfg_.speed, {&rates_[j], 1},
+                          {&pwl_rate_from_cold, &alive_.cold[i]});
     }
-    const PwlSupport pwl{alive_.data(), sup.data()};
-    speedup::rate_batch(rates_.kind, rates_.alpha, rates_.share, cfg_.speed,
-                        rates_.rate, {&pwl_rate_from_support, &pwl});
   }
+  // The end of the current *phase* is the next per-job event (for a
+  // single-phase job that is its completion).
+  const double* const rate = rates_.data();
+  const double* const phase_rem = alive_.phase_remaining.data();
   double dt_complete = kInf;
   std::size_t nonzero = 0;
   for (std::size_t j = 0; j < k; ++j) {
-    const double r = rates_.rate[j];
+    const double r = rate[j];
     if (r > 0.0) {
       ++nonzero;
-      // The end of the current *phase* is the next per-job event (for a
-      // single-phase job that is its completion).
-      dt_complete = std::min(dt_complete,
-                             alive_[dense ? j : sup[j]].phase_remaining / r);
+      dt_complete = std::min(dt_complete, phase_rem[dense ? j : sup[j]] / r);
     }
   }
   dt_complete_ = dt_complete;
@@ -448,36 +348,26 @@ void Engine::lap(double& bucket) {
 // loops, so the caller's flow accumulator stays in a register.
 [[gnu::always_inline]] inline bool Engine::visit_job(std::size_t i, double r,
                                                      double dt, double& ff) {
-  AliveJob& a = alive_[i];
+  AliveSet& s = alive_;
+  const double size = s.sizes[i];
+  const double before = s.remaining[i];
   double after;
   if (r != 0.0) {  // lint: float-eq-ok
-    const double before = a.remaining;
     after = std::max(0.0, before - r * dt);
-    ff += 0.5 * (before + after) / a.size * dt;
-    a.remaining = after;
-    soa_.remaining[i] = after;
-    a.phase_remaining = std::max(0.0, a.phase_remaining - r * dt);
+    s.phase_remaining[i] = std::max(0.0, s.phase_remaining[i] - r * dt);
   } else {
     // First visit at rate 0 (admission / restore): same arithmetic as
     // the r != 0 arm with the r*dt terms — exactly 0.0 here — elided.
-    const double before = a.remaining;
     after = std::max(0.0, before);
-    ff += 0.5 * (before + after) / a.size * dt;
-    a.remaining = after;
-    soa_.remaining[i] = after;
-    a.phase_remaining = std::max(0.0, a.phase_remaining);
+    s.phase_remaining[i] = std::max(0.0, s.phase_remaining[i]);
   }
-  flow_q_[i] = 0.5 * (after + after) / a.size;
-  const double tol = cfg_.completion_tol * std::max(1.0, a.size);
+  ff += 0.5 * (before + after) / size * dt;
+  s.remaining[i] = after;
+  s.flow_q[i] = 0.5 * (after + after) / size;
+  const double tol = cfg_.completion_tol * std::max(1.0, size);
   bool phase_advanced = false;
-  while (!a.phases.empty() && a.phase + 1 < a.phases.size() &&
-         a.phase_remaining <= tol) {
-    ++a.phase;
-    a.phase_remaining = a.phases[a.phase].work;
-    a.curve = a.phases[a.phase].curve;
-    // The new phase's curve is what the job responds to from now on:
-    // refresh the SoA (kind, alpha) mirror with it.
-    soa_.set_curve(i, a.curve);
+  while (s.phases_left[i] > 0 && s.phase_remaining[i] <= tol) {
+    s.next_phase(i);  // the cold phase list is read only here
     phase_advanced = true;
   }
   if (after <= tol) comp_idx_.push_back(i);
@@ -497,8 +387,8 @@ PARSCHED_HOT bool Engine::advance_sweep(double dt) {
   // with the terms a visit of every job would add.
   const std::size_t n = alive_.size();
   const std::size_t tail = std::min(swept_, n);
-  const double* const q = flow_q_.data();
-  const double* const rate = rates_.rate.data();
+  const double* const q = alive_.flow_q.data();
+  const double* const rate = rates_.data();
   double ff = result_.fractional_flow;
   bool phase_advanced = false;
   if (cached_alloc_.dense()) {
@@ -547,7 +437,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     if (++result_.decisions > cfg_.max_decisions) {
       throw std::runtime_error("engine exceeded max_decisions guard");
     }
-    SchedulerContext ctx(now_, m_, alive_, orders_);
+    SchedulerContext ctx(now_, m_, alive_.view(), orders_);
     // PARSCHED_AUDIT: warm allocate+rates sections must not touch the
     // heap — every scratch buffer is capacity-stable once a step at this
     // alive count has completed. (A policy-error throw inside the scope
@@ -576,8 +466,13 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     fence.reset();
     alloc_warm_n_ = std::max(alloc_warm_n_, alive_.size());
     if (stats_ != nullptr) lap(stats_->rates_seconds);
-    for (Observer* obs : observers_) {
-      obs->on_decision(now_, alive_, cached_alloc_.shares());
+    if (!observers_.empty()) {
+      // Observers take AliveJob records: materialize them only when some
+      // observer is attached (the cost lands in the observer bucket).
+      alive_.materialize(observed_);
+      for (Observer* obs : observers_) {
+        obs->on_decision(now_, observed_, cached_alloc_.shares());
+      }
     }
     if (stats_ != nullptr) lap(stats_->observer_seconds);
     has_cached_alloc_ = true;
@@ -649,9 +544,9 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
       const std::span<const std::size_t> sup = alloc.support();
       const std::size_t k = dense ? alive_.size() : sup.size();
       for (std::size_t j = 0; j < k; ++j) {
-        if (rates_.rate[j] == 0.0) continue;  // lint: float-eq-ok
+        if (rates_[j] == 0.0) continue;  // lint: float-eq-ok
         const std::size_t i = dense ? j : sup[j];
-        orders_.update_remaining(i, soa_.remaining[i]);
+        orders_.update_remaining(i, alive_.remaining[i]);
       }
     }
   }
@@ -680,20 +575,20 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     while (lo < hi) {
       std::size_t i = comp_idx_[lo++];
       for (;;) {
-        AliveJob& a = alive_[i];
+        AliveCold& c = alive_.cold[i];
         JobRecord rec;
-        rec.job.id = a.id;
-        rec.job.release = a.release;
-        rec.job.size = a.size;
-        rec.job.weight = a.weight;
-        rec.job.curve = a.phases.empty() ? a.curve : a.phases.front().curve;
-        rec.job.tag = a.tag;
-        rec.job.phases = std::move(a.phases);
+        rec.job.id = alive_.ids[i];
+        rec.job.release = alive_.releases[i];
+        rec.job.size = alive_.sizes[i];
+        rec.job.weight = alive_.weights[i];
+        rec.job.curve = c.phases.empty() ? c.curve : c.phases.front().curve;
+        rec.job.tag = c.tag;
+        rec.job.phases = std::move(c.phases);
         rec.completion = now_;
         result_.total_flow += rec.flow();
-        result_.weighted_flow += a.weight * rec.flow();
+        result_.weighted_flow += rec.job.weight * rec.flow();
         result_.makespan = std::max(result_.makespan, now_);
-        completed_.insert(a.id);
+        completed_.insert(rec.job.id);
         ++result_.events;
         if (cfg_.recorder != nullptr) {
           cfg_.recorder->record(obs::FlightEvent::kComplete,
@@ -704,13 +599,11 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
         result_.records.push_back(std::move(rec));
         --end;
         // Mirror the swap-remove into the heaps: delete index i, remap
-        // the back entry (alive index `end`) to i — the same move the
-        // alive_/flow_q_ lines below perform. O(log n) per heap.
+        // the back entry (alive index `end`) to i — the same move
+        // relocate() performs on every array. O(log n) per heap.
         orders_.remove_swap(i, end);
-        soa_.swap_remove(i, end);
         if (i == end) break;
-        alive_[i] = std::move(alive_[end]);
-        flow_q_[i] = flow_q_[end];
+        alive_.relocate(end, i);
         if (hi > lo && comp_idx_[hi - 1] == end) {
           --hi;  // the element swapped in is itself complete: remove in place
           continue;
@@ -719,8 +612,6 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
       }
     }
     alive_.resize(end);
-    flow_q_.resize(end);
-    soa_.resize(end);
   }
   swept_ = alive_.size();  // the sweep visited the whole tail
   const std::size_t n_completed = result_.records.size() - first_new_record;
@@ -759,13 +650,14 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     const std::span<const std::size_t> sup = alloc.support();
     const std::size_t k = alloc.dense() ? alive_.size() : sup.size();
     for (std::size_t j = 0; j < k; ++j) {
-      const AliveJob& a = alive_[alloc.dense() ? j : sup[j]];
-      if (rates_.rate[j] > 0.0 && a.phase_remaining <= 0.0) {
-        stuck = static_cast<std::uint64_t>(a.id);
-        os << "; stuck job id=" << a.id << " (phase "
-           << (a.phase + 1) << "/"
-           << (a.phases.empty() ? std::size_t{1} : a.phases.size())
-           << " drained, remaining=" << a.remaining
+      const std::size_t i = alloc.dense() ? j : sup[j];
+      if (rates_[j] > 0.0 && alive_.phase_remaining[i] <= 0.0) {
+        stuck = static_cast<std::uint64_t>(alive_.ids[i]);
+        const std::size_t phases =
+            std::max<std::size_t>(1, alive_.cold[i].phases.size());
+        os << "; stuck job id=" << alive_.ids[i] << " (phase "
+           << (phases - alive_.phases_left[i]) << "/" << phases
+           << " drained, remaining=" << alive_.remaining[i]
            << " still above completion tolerance)";
         break;
       }
@@ -778,10 +670,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
   // maps and both heap properties (O(n), audit runs only). A divergence
   // here trips a contract failure at the step that caused it instead of
   // surfacing decisions later as a wrong ordering.
-  if (audit_allocs_) {
-    orders_.audit(alive_);
-    audit_soa();
-  }
+  if (audit_allocs_) orders_.audit(alive_.view());
   if (cfg_.recorder != nullptr) {
     cfg_.recorder->record(obs::FlightEvent::kDecision, result_.decisions,
                           now_, dt,
@@ -861,9 +750,14 @@ void Engine::admit(Job job) {
        << " < frontier " << frontier_;
     throw std::invalid_argument(os.str());
   }
-  const auto it = std::upper_bound(
-      pending_.begin(), pending_.end(), job.release,
-      [](double r, const Job& j) { return r < j.release; });
+  // In release order (the common case) the job goes at the back without
+  // a search; upper_bound would find the same position.
+  const auto it =
+      pending_.empty() || pending_.back().release <= job.release
+          ? pending_.end()
+          : std::upper_bound(
+                pending_.begin(), pending_.end(), job.release,
+                [](double r, const Job& j) { return r < j.release; });
   pending_.insert(it, std::move(job));
 }
 
@@ -918,7 +812,7 @@ EngineState Engine::export_state() const {
   s.now = now_;
   s.frontier = frontier_;
   s.arrival_seq = arrival_seq_;
-  s.alive = alive_;
+  alive_.materialize(s.alive);
   s.completed.assign(completed_.begin(), completed_.end());
   std::sort(s.completed.begin(), s.completed.end());
   s.pending.assign(pending_.begin(), pending_.end());
@@ -947,35 +841,13 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   if (s.config.time_tol != cfg_.time_tol) {
     throw std::invalid_argument("snapshot time_tol mismatch");
   }
-  // A deferred decision resumes through compute_rates(false), which
-  // validates nothing, so the restored shares are checked here: one per
-  // alive job, each finite and nonnegative, Σ within the engine's own
-  // overcommit bound.
-  if (s.has_cached_alloc) {
-    const std::span<const double> shares = s.cached_alloc.shares();
-    if (shares.size() != s.alive.size()) {
-      throw std::invalid_argument(
-          "snapshot cached allocation size does not match the alive set");
-    }
-    double sum = 0.0;
-    for (const double x : shares) {
-      if (!std::isfinite(x) || x < 0.0) {
-        throw std::invalid_argument(
-            "snapshot cached allocation has a negative or non-finite share");
-      }
-      sum += x;
-    }
-    if (sum > static_cast<double>(m_) * (1.0 + 1e-9) + 1e-9) {
-      throw std::invalid_argument(
-          "snapshot cached allocation overcommits the machines");
-    }
-  }
+  validate(s);
   sched_ = &sched;  // no reset(): the caller restored the policy's state
   streaming_ = true;
   now_ = s.now;
   frontier_ = s.frontier;
   arrival_seq_ = s.arrival_seq;
-  alive_ = s.alive;
+  alive_.assign(s.alive);
   completed_ =
       std::unordered_set<JobId>(s.completed.begin(), s.completed.end());
   pending_.assign(s.pending.begin(), s.pending.end());
@@ -993,19 +865,91 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   // Every restored job is in the unswept tail: the first sweep visits
   // each one and recomputes its flow quotient. For a job the donor had
   // already swept, that visit changes nothing else.
-  flow_q_.assign(alive_.size(), 0.0);
   swept_ = 0;
-  soa_.rebuild(alive_);
-  rates_.reserve(alive_.size());
-  comp_idx_.reserve(alive_.size());
+  reserve_alive(alive_.size());
   // The heaps are derived state: rebuild the latest-arrival heap from
   // the restored alive set now and leave the SRPT side lazily stale —
   // the first SRPT query regathers it, bit-identically to the donor.
   orders_.clear();
-  orders_.rebuild(alive_);
+  orders_.rebuild(alive_.view());
   rates_valid_ = false;  // a deferred decision recomputes its rates once
   stats_ = nullptr;  // profiling does not continue across a restore
   run_start_ = 0.0;
+}
+
+void validate(const EngineState& s) {
+  const auto reject = [](const char* what) {
+    throw std::invalid_argument(std::string("snapshot state: ") + what);
+  };
+  if (!(s.now >= 0.0) || !std::isfinite(s.now)) {
+    reject("now is NaN, infinite or negative");
+  }
+  const auto check_curve = [&](const SpeedupCurve& c) {
+    if (!is_valid_speedup_curve(c)) {
+      reject("a speedup curve fails is_valid_speedup_curve");
+    }
+  };
+  std::unordered_set<JobId> ids;
+  for (const AliveJob& a : s.alive) {
+    // AliveSet keeps phases.size() - 1 - phase, which must not underflow.
+    if (a.phase >= std::max<std::size_t>(1, a.phases.size())) {
+      reject("alive job phase index out of range");
+    }
+    if (!(a.size > 0.0) || !std::isfinite(a.size) ||
+        !std::isfinite(a.release) || !std::isfinite(a.weight)) {
+      reject("alive job size, release or weight is not finite");
+    }
+    if (!(a.remaining >= 0.0)) {
+      reject("alive job remaining work is NaN or negative");
+    }
+    if (a.remaining > a.size) {
+      reject("alive job remaining work exceeds its size");
+    }
+    if (std::isnan(a.phase_remaining)) {
+      reject("alive job phase_remaining is NaN");
+    }
+    if (!ids.insert(a.id).second) reject("duplicate alive job id");
+    if (!(a.arrival_seq >= 0 && a.arrival_seq < s.arrival_seq)) {
+      reject("alive job arrival_seq is outside [0, arrival_seq)");
+    }
+    check_curve(a.curve);
+    for (const JobPhase& p : a.phases) check_curve(p.curve);
+  }
+  ids.clear();
+  for (const JobId id : s.completed) {
+    if (!ids.insert(id).second) reject("duplicate completed job id");
+  }
+  for (std::size_t i = 0; i < s.pending.size(); ++i) {
+    const Job& j = s.pending[i];
+    check_job(j);
+    if (j.release < s.frontier) {
+      reject("pending job released below the frontier");
+    }
+    if (i > 0 && j.release < s.pending[i - 1].release) {
+      reject("pending jobs are not sorted by release");
+    }
+    check_curve(j.curve);
+    for (const JobPhase& p : j.phases) check_curve(p.curve);
+  }
+  // A deferred decision resumes through compute_rates(false), which
+  // validates nothing: one share per alive job, each finite and
+  // nonnegative, Σ within the engine's own overcommit bound.
+  if (s.has_cached_alloc) {
+    const std::span<const double> shares = s.cached_alloc.shares();
+    if (shares.size() != s.alive.size()) {
+      reject("cached allocation size does not match the alive set");
+    }
+    double sum = 0.0;
+    for (const double x : shares) {
+      if (!std::isfinite(x) || x < 0.0) {
+        reject("cached allocation has a negative or non-finite share");
+      }
+      sum += x;
+    }
+    if (sum > static_cast<double>(s.machines) * (1.0 + 1e-9) + 1e-9) {
+      reject("cached allocation overcommits the machines");
+    }
+  }
 }
 
 SimResult simulate(const Instance& instance, Scheduler& sched,

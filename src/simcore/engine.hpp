@@ -103,56 +103,18 @@ struct EngineState {
   SimResult result;
 };
 
-/// Structure-of-arrays mirror of the alive set's hot fields, owned by
-/// the engine beside `alive_` and kept in sync at every mutation point
-/// (admit, the advance sweep's remaining/phase updates, the completion
-/// swap-remove, snapshot import). The rates pass feeds (kind, alpha) to
-/// speedup/kernel.hpp's rate_batch from these dense arrays instead of
-/// striding through the ~150-byte AliveJob records.
-///
-/// Derived state, not simulation state: every entry is recomputable
-/// from `alive_`, so — like the IncrementalOrders heaps — none of it
-/// appears in EngineState; import_state() rebuilds it. All vectors are
-/// pre-reserved at admission (geometric growth, outside the AllocGuard
-/// fences), so warm decision steps stay allocation-free. PARSCHED_AUDIT=1
-/// re-checks the mirror field-for-field against `alive_` after every
-/// advanced step (Engine::audit_soa).
-struct AliveSoA {
-  std::vector<double> remaining;      ///< == alive_[i].remaining
-  std::vector<double> release;        ///< == alive_[i].release
-  std::vector<double> alpha;          ///< == alive_[i].curve.alpha()
-  std::vector<std::uint8_t> kind;     ///< == uint8(alive_[i].curve.kind())
-  [[nodiscard]] std::size_t size() const { return remaining.size(); }
-  void clear();
-  /// Geometric pre-reservation for up to n jobs (amortized O(1)/admit).
-  void reserve(std::size_t n);
-  /// Mirror of alive_.push_back(a).
-  void push_back(const AliveJob& a);
-  /// Mirror of the job at `i` advancing to the given phase curve.
-  void set_curve(std::size_t i, const SpeedupCurve& curve);
-  /// Mirror of the engine's completion swap-remove: entry `last` moves
-  /// into slot `i` (i == last removes the back); caller resizes after
-  /// the sweep via resize().
-  void swap_remove(std::size_t i, std::size_t last);
-  void resize(std::size_t n);
-  /// Rebuild every array from an alive set (snapshot import).
-  void rebuild(std::span<const AliveJob> alive);
-};
-
-/// The current decision's rates, one entry per support position j of the
-/// allocation: rate[j] = speed * Γ(share) of alive job support()[j], or
-/// of job j itself when the allocation is dense(). The kind/alpha/share
-/// arrays gather a sparse support's inputs for the rate kernel; a dense
-/// allocation feeds the kernel straight from AliveSoA and the share
-/// vector. Every vector is reserved to the alive count at admission, so
-/// resizing to the support size never allocates inside the fences.
-struct SupportRates {
-  std::vector<std::uint8_t> kind;
-  std::vector<double> alpha;
-  std::vector<double> share;
-  std::vector<double> rate;
-  void reserve(std::size_t n);
-};
+/// Check a restored state before any of it reaches an engine: every
+/// alive job's phase index is in range (< max(1, phases.size())), `now`
+/// and every remaining work are finite and nonnegative, no remaining
+/// exceeds its job's size, no phase_remaining is NaN, alive and
+/// completed ids are each unique, every alive arrival_seq lies in
+/// [0, arrival_seq), pending jobs pass check_job and are
+/// sorted by release at or above `frontier`, every curve (alive, phase,
+/// pending) passes is_valid_speedup_curve, and a cached allocation has
+/// one finite, nonnegative share per alive job with
+/// Σ ≤ machines·(1+1e-9)+1e-9. Throws std::invalid_argument naming the
+/// first violation.
+void validate(const EngineState& state);
 
 class Engine final : public EngineView {
  public:
@@ -210,15 +172,14 @@ class Engine final : public EngineView {
   /// Results accumulated so far (live view; totals of completed jobs only).
   [[nodiscard]] const SimResult& partial() const { return result_; }
 
-  /// Snapshot / restore of a streaming run. import_state() requires an
+  /// Snapshot / restore of a streaming run. export_state() materializes
+  /// the alive set as AliveJob records. import_state() requires an
   /// engine constructed with the snapshot's machine count and config; the
   /// scheduler must already carry its restored state (Scheduler::
   /// load_state). Continuation after import is bit-identical to the
   /// donor run. Throws std::invalid_argument, leaving the engine
-  /// untouched, on a config mismatch or a cached allocation that does
-  /// not have one finite, nonnegative share per alive job with
-  /// Σ ≤ m·(1+1e-9)+1e-9. The cached allocation's support is rebuilt from
-  /// its nonzero shares.
+  /// untouched, on a config mismatch or a state that fails validate().
+  /// The cached allocation's support is rebuilt from its nonzero shares.
   [[nodiscard]] EngineState export_state() const;
   void import_state(const EngineState& state, Scheduler& sched);
 
@@ -236,14 +197,13 @@ class Engine final : public EngineView {
     return completed_.count(id) > 0;
   }
 
-  /// Test/audit surface: the SoA mirror of the alive set. Read-only;
-  /// index-aligned with the engine's alive order (the order EngineState
-  /// serializes). tests/test_rate_kernel.cpp's sync property test and
-  /// the PARSCHED_AUDIT mirror check consume this.
-  [[nodiscard]] const AliveSoA& alive_soa() const { return soa_; }
+  /// Test surface: the alive set, in the order EngineState serializes.
+  [[nodiscard]] const AliveSet& alive_set() const { return alive_; }
   /// Test surface: the rates of the decision last computed, aligned with
-  /// its allocation's support (see SupportRates).
-  [[nodiscard]] const SupportRates& support_rates() const { return rates_; }
+  /// its allocation's support (see rates_).
+  [[nodiscard]] std::span<const double> support_rates() const {
+    return rates_;
+  }
 
  private:
   enum class Step : std::uint8_t {
@@ -254,7 +214,10 @@ class Engine final : public EngineView {
   void begin_run(Scheduler& sched);
   void finalize_run();
   SimResult take_result();
+  /// Requires reserve_alive() for the new alive count first.
   void admit_job_now(Job j);
+  /// Capacity for n alive jobs in every per-job buffer (geometric).
+  void reserve_alive(std::size_t n);
   void admit_pending(ArrivalSource& source);
   void release_due();
   void drain_to(double horizon);
@@ -268,9 +231,6 @@ class Engine final : public EngineView {
   /// Collect-stats only: add the wall time since the last lap to
   /// `bucket` and start the next lap.
   void lap(double& bucket);
-  /// PARSCHED_AUDIT: cross-check the SoA mirror against alive_
-  /// field-for-field (bit equality). O(n), audit runs only.
-  void audit_soa() const;
   /// PARSCHED_AUDIT: the current allocation's support is ascending,
   /// unique and in range, and every share outside it is exactly +0.0.
   /// O(n), audit runs only.
@@ -286,7 +246,7 @@ class Engine final : public EngineView {
 
   double now_ = 0.0;
   std::int64_t arrival_seq_ = 0;
-  std::vector<AliveJob> alive_;
+  AliveSet alive_;
   std::unordered_set<JobId> completed_;
 
   // Streaming-run state (also carries batch runs: result_/stats_ are the
@@ -306,12 +266,15 @@ class Engine final : public EngineView {
   // is simulation state: everything here is either overwritten before use
   // each step or a self-validating memo of values derivable from alive_,
   // and all of it is deliberately absent from EngineState.
-  /// SoA mirror of the alive set (see AliveSoA above).
-  AliveSoA soa_;
-  /// The rates of the decision in cached_alloc_. Their values for a
-  /// *deferred* decision stay frozen with it (the rates_valid_ protocol
-  /// below).
-  SupportRates rates_;
+  /// The alive set materialized for observers, rebuilt in place at each
+  /// decision when any observer is attached.
+  std::vector<AliveJob> observed_;
+  /// The rates of the decision in cached_alloc_, one per support
+  /// position j: speed * Γ(share) of alive job support()[j], or of job j
+  /// itself when the allocation is dense(). Reserved to the alive count
+  /// at admission. Their values for a *deferred* decision stay frozen
+  /// with it (the rates_valid_ protocol below).
+  std::vector<double> rates_;
   /// Persistent ordering heaps behind every SchedulerContext helper.
   /// Unlike the rest of this scratch block the heaps carry state
   /// *across* decision steps — but still derived state: every key is
@@ -326,14 +289,6 @@ class Engine final : public EngineView {
   std::size_t rates_nonzero_ = 0;
   std::vector<std::size_t> completion_order_;  // new-record indices, id-sorted
   std::vector<std::size_t> comp_idx_;  // this step's completed positions, asc
-  /// Per-job flow quotient, index-aligned with alive_ (appended on
-  /// admission, swapped on removal, rebuilt on import_state): q[i] =
-  /// 0.5*(r+r)/size for the job's current remaining work r, set by the
-  /// sweep's every visit. A job the sweep does not visit — rate 0 and
-  /// already swept once — adds q[i]*dt to the fractional flow, the exact
-  /// increment the visit would add, because its remaining work, phase
-  /// state and completion test cannot change while its rate is 0.
-  std::vector<double> flow_q_;
   /// alive_[swept_, n) is the tail admitted since the last sweep (all of
   /// it after a snapshot restore). The sweep visits it whatever the
   /// shares, so a new job is clamped, phase-advanced and completion-tested

@@ -110,11 +110,6 @@ void fill_topk(const std::vector<E>& heap, std::vector<std::uint32_t>& cand,
   }
 }
 
-template <typename V>
-void grow(V& v, std::size_t n) {
-  if (v.capacity() < n) v.reserve(std::max(n, v.capacity() * 2));
-}
-
 }  // namespace
 
 void IncrementalOrders::clear() {
@@ -129,25 +124,26 @@ void IncrementalOrders::clear() {
 }
 
 void IncrementalOrders::reserve(std::size_t n) {
-  grow(srpt_, n);
-  grow(latest_, n);
-  grow(srpt_pos_, n);
-  grow(latest_pos_, n);
-  grow(cand_, n + 1);  // traversal holds at most want+1 live candidates
-  grow(srpt_scratch_, n);
-  grow(latest_scratch_, n);
-  grow(srpt_order_, n);
-  grow(latest_order_, n);
+  reserve_geometric(srpt_, n);
+  reserve_geometric(latest_, n);
+  reserve_geometric(srpt_pos_, n);
+  reserve_geometric(latest_pos_, n);
+  // The top-k traversal holds at most want+1 live candidates.
+  reserve_geometric(cand_, n + 1);
+  reserve_geometric(srpt_scratch_, n);
+  reserve_geometric(latest_scratch_, n);
+  reserve_geometric(srpt_order_, n);
+  reserve_geometric(latest_order_, n);
 }
 
-void IncrementalOrders::rebuild(std::span<const AliveJob> alive) {
+void IncrementalOrders::rebuild(AliveView alive) {
   const std::size_t n = alive.size();
   reserve(n);
   latest_.resize(n);
   latest_pos_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     latest_[i] =
-        LatestKey{alive[i].release, alive[i].id, static_cast<std::uint32_t>(i)};
+        LatestKey{alive.release(i), alive.id(i), static_cast<std::uint32_t>(i)};
     latest_pos_[i] = static_cast<std::uint32_t>(i);
   }
   heapify(latest_, latest_pos_, LatestKeyLess{});
@@ -157,18 +153,19 @@ void IncrementalOrders::rebuild(std::span<const AliveJob> alive) {
   begin_decision();
 }
 
-PARSCHED_HOT void IncrementalOrders::insert(const AliveJob& job,
+PARSCHED_HOT void IncrementalOrders::insert(AliveView alive,
                                             std::size_t idx) {
   PARSCHED_CHECK(idx == latest_.size(),
                  "IncrementalOrders::insert out of step with the alive set");
   latest_pos_.push_back(static_cast<std::uint32_t>(latest_.size()));
   latest_.push_back(
-      LatestKey{job.release, job.id, static_cast<std::uint32_t>(idx)});
+      LatestKey{alive.release(idx), alive.id(idx),
+                static_cast<std::uint32_t>(idx)});
   sift_up(latest_, latest_pos_, latest_.size() - 1, LatestKeyLess{});
   if (!srpt_stale_) {
     srpt_pos_.push_back(static_cast<std::uint32_t>(srpt_.size()));
-    srpt_.push_back(SrptKey{job.remaining, job.release, job.id,
-                              static_cast<std::uint32_t>(idx)});
+    srpt_.push_back(SrptKey{alive.remaining(idx), alive.release(idx),
+                            alive.id(idx), static_cast<std::uint32_t>(idx)});
     sift_up(srpt_, srpt_pos_, srpt_.size() - 1, SrptKeyLess{});
   }
 }
@@ -201,8 +198,7 @@ PARSCHED_HOT void IncrementalOrders::remove_swap(std::size_t idx,
   }
 }
 
-PARSCHED_HOT void IncrementalOrders::ensure_srpt_fresh(
-    std::span<const AliveJob> alive) {
+PARSCHED_HOT void IncrementalOrders::ensure_srpt_fresh(AliveView alive) {
   if (!srpt_stale_) return;
   const std::size_t n = alive.size();
   PARSCHED_CHECK(n == latest_.size(),
@@ -210,24 +206,22 @@ PARSCHED_HOT void IncrementalOrders::ensure_srpt_fresh(
   srpt_.resize(n);
   srpt_pos_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const AliveJob& j = alive[i];
-    srpt_[i] = SrptKey{j.remaining, j.release, j.id,
-                         static_cast<std::uint32_t>(i)};
+    srpt_[i] = SrptKey{alive.remaining(i), alive.release(i), alive.id(i),
+                       static_cast<std::uint32_t>(i)};
     srpt_pos_[i] = static_cast<std::uint32_t>(i);
   }
   heapify(srpt_, srpt_pos_, SrptKeyLess{});
   srpt_stale_ = false;
 }
 
-PARSCHED_HOT std::size_t IncrementalOrders::min_srpt(
-    std::span<const AliveJob> alive) {
+PARSCHED_HOT std::size_t IncrementalOrders::min_srpt(AliveView alive) {
   ensure_srpt_fresh(alive);
   PARSCHED_CHECK(!srpt_.empty(), "min_srpt over an empty alive set");
   return srpt_[0].idx;
 }
 
 PARSCHED_HOT std::span<const std::size_t> IncrementalOrders::srpt_prefix(
-    std::span<const AliveJob> alive, std::size_t k) {
+    AliveView alive, std::size_t k) {
   ensure_srpt_fresh(alive);
   const std::size_t n = srpt_.size();
   const std::size_t want = std::min(k, n);
@@ -270,7 +264,7 @@ PARSCHED_HOT std::span<const std::size_t> IncrementalOrders::latest_prefix(
   return {latest_order_.data(), want};
 }
 
-void IncrementalOrders::audit(std::span<const AliveJob> alive) const {
+void IncrementalOrders::audit(AliveView alive) const {
   const std::size_t n = alive.size();
   PARSCHED_CHECK(latest_.size() == n && latest_pos_.size() == n,
                  "incremental audit: latest heap size mismatch");
@@ -278,9 +272,9 @@ void IncrementalOrders::audit(std::span<const AliveJob> alive) const {
   for (std::size_t s = 0; s < n; ++s) {
     const LatestKey& e = latest_[s];
     PARSCHED_CHECK(e.idx < n, "incremental audit: latest idx out of range");
-    const AliveJob& j = alive[e.idx];
-    PARSCHED_CHECK(e.release == j.release && e.id == j.id,
-                   "incremental audit: latest key diverged from alive job");
+    PARSCHED_CHECK(
+        e.release == alive.release(e.idx) && e.id == alive.id(e.idx),
+        "incremental audit: latest key diverged from alive job");
     PARSCHED_CHECK(latest_pos_[e.idx] == s,
                    "incremental audit: latest position map inconsistent");
     if (s > 0) {
@@ -295,9 +289,9 @@ void IncrementalOrders::audit(std::span<const AliveJob> alive) const {
   for (std::size_t s = 0; s < n; ++s) {
     const SrptKey& e = srpt_[s];
     PARSCHED_CHECK(e.idx < n, "incremental audit: srpt idx out of range");
-    const AliveJob& j = alive[e.idx];
-    PARSCHED_CHECK(e.remaining == j.remaining && e.release == j.release &&
-                       e.id == j.id,
+    PARSCHED_CHECK(e.remaining == alive.remaining(e.idx) &&
+                       e.release == alive.release(e.idx) &&
+                       e.id == alive.id(e.idx),
                    "incremental audit: srpt key diverged from alive job");
     PARSCHED_CHECK(srpt_pos_[e.idx] == s,
                    "incremental audit: srpt position map inconsistent");

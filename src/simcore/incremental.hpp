@@ -44,8 +44,7 @@
 namespace parsched {
 
 /// Flat heap entries: compact (24/16 bytes) and carrying the alive index
-/// the queries scatter out, so ordering work never strides through the
-/// ~150-byte AliveJob records.
+/// the queries scatter out.
 struct SrptKey {
   double remaining;
   double release;
@@ -90,11 +89,11 @@ class IncrementalOrders {
   /// Rebuild both heaps from scratch over `alive` (snapshot restore).
   /// The SRPT side is left stale — it is regathered lazily at the first
   /// query, exactly like a decay epoch.
-  void rebuild(std::span<const AliveJob> alive);
+  void rebuild(AliveView alive);
 
-  /// Admit: `job` was just appended to the alive set at index `idx`
-  /// (== previous size). O(log n) per heap.
-  void insert(const AliveJob& job, std::size_t idx);
+  /// Admit: alive job `idx` (== previous size) was just appended.
+  /// O(log n) per heap.
+  void insert(AliveView alive, std::size_t idx);
 
   /// The job at alive index `idx` now has `remaining` unprocessed work.
   /// O(log n); a no-op while the SRPT heap is stale (the pending rebuild
@@ -123,7 +122,7 @@ class IncrementalOrders {
   [[nodiscard]] std::uint64_t decay_epochs() const { return decay_epochs_; }
 
   /// Alive index of the SRPT-least job (heap root). Requires size() > 0.
-  [[nodiscard]] std::size_t min_srpt(std::span<const AliveJob> alive);
+  [[nodiscard]] std::size_t min_srpt(AliveView alive);
 
   /// Start a new decision: forget the cached order prefixes (keys may
   /// have moved since the last one). SchedulerContext calls this.
@@ -136,8 +135,8 @@ class IncrementalOrders {
   /// per decision: a query no wider than an earlier one is O(1), and a
   /// wider one rewrites the buffer without changing the earlier prefix,
   /// so every span returned since begin_decision() stays valid.
-  [[nodiscard]] std::span<const std::size_t> srpt_prefix(
-      std::span<const AliveJob> alive, std::size_t k);
+  [[nodiscard]] std::span<const std::size_t> srpt_prefix(AliveView alive,
+                                                        std::size_t k);
 
   /// Same for the latest-arrival order. Never triggers a rebuild: the
   /// keys are immutable after admission.
@@ -146,10 +145,10 @@ class IncrementalOrders {
   /// Audit (PARSCHED_AUDIT): every heap entry matches the alive set, the
   /// position maps are mutually consistent, and both heap properties
   /// hold. Trips a PARSCHED_CHECK on any violation. O(n).
-  void audit(std::span<const AliveJob> alive) const;
+  void audit(AliveView alive) const;
 
  private:
-  void ensure_srpt_fresh(std::span<const AliveJob> alive);
+  void ensure_srpt_fresh(AliveView alive);
 
   // Min-heaps in Less order, entry idx -> slot tracked in the pos maps.
   std::vector<SrptKey> srpt_;

@@ -8,8 +8,7 @@
 namespace parsched {
 
 SchedulerContext::SchedulerContext(double time, int machines,
-                                   std::span<const AliveJob> alive,
-                                   IncrementalOrders& orders)
+                                   AliveView alive, IncrementalOrders& orders)
     : time_(time), machines_(machines), alive_(alive), orders_(orders) {
   PARSCHED_CHECK(orders.size() == alive.size(),
                  "SchedulerContext: orders out of step with the alive set");

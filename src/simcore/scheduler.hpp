@@ -15,33 +15,10 @@
 #include <string>
 #include <vector>
 
-#include "simcore/job.hpp"
+#include "simcore/alive_set.hpp"
 #include "util/mathx.hpp"
 
 namespace parsched {
-
-/// One alive job as seen by a policy. Policies are non-clairvoyant about
-/// the future but clairvoyant about remaining work, matching the paper's
-/// SRPT-style algorithms (`original size` is also visible; the natural
-/// greedy of Section 3 uses remaining work only).
-struct AliveJob {
-  JobId id = kInvalidJob;
-  double release = 0.0;
-  double size = 0.0;       ///< original work p_j
-  double remaining = 0.0;  ///< unprocessed work p_j(t), across all phases
-  double weight = 1.0;     ///< weight w_j of the weighted-flow objective
-  /// Speedup curve of the *current* phase (the whole curve for
-  /// single-phase jobs). This is what the job responds to right now.
-  SpeedupCurve curve;
-  std::int64_t arrival_seq = 0;  ///< global arrival ordinal (0-based)
-  JobTag tag;  ///< workload metadata; online policies must not read this
-
-  // Multi-phase bookkeeping (engine-internal; non-clairvoyant policies
-  // must not read these — they reveal the future phase structure).
-  std::vector<JobPhase> phases;
-  std::size_t phase = 0;
-  double phase_remaining = 0.0;
-};
 
 class IncrementalOrders;
 
@@ -59,12 +36,13 @@ class SchedulerContext {
  public:
   /// `orders` must index exactly `alive` (the engine keeps its heaps in
   /// step; a hand-built context calls orders.rebuild(alive) first).
-  SchedulerContext(double time, int machines, std::span<const AliveJob> alive,
+  SchedulerContext(double time, int machines, AliveView alive,
                    IncrementalOrders& orders);
 
   [[nodiscard]] double time() const { return time_; }
   [[nodiscard]] int machines() const { return machines_; }
-  [[nodiscard]] std::span<const AliveJob> alive() const { return alive_; }
+  /// The alive jobs, read through accessors (see AliveView).
+  [[nodiscard]] AliveView alive() const { return alive_; }
 
   /// Indices into alive() sorted by (remaining, release, id): SRPT order.
   [[nodiscard]] std::span<const std::size_t> by_remaining() const;
@@ -89,7 +67,7 @@ class SchedulerContext {
  private:
   double time_;
   int machines_;
-  std::span<const AliveJob> alive_;
+  AliveView alive_;
   IncrementalOrders& orders_;
 };
 
@@ -111,9 +89,9 @@ class Allocation {
 
   /// Start a fresh decision over n jobs: zero shares, empty support, no
   /// reconsideration. Zeroes only the previous support (all of it after a
-  /// fill()) and reuses every buffer's capacity — every policy calls this
-  /// first on the engine-owned output buffer, so steady-state decisions
-  /// allocate nothing.
+  /// fill()) and reuses every buffer's capacity — every policy starts a
+  /// decision on the engine-owned output buffer with this or fill(), so
+  /// steady-state decisions allocate nothing.
   void reset(std::size_t n) {
     if (dense_) {
       std::fill(shares_.begin(), shares_.end(), 0.0);
@@ -122,9 +100,7 @@ class Allocation {
     }
     shares_.resize(n, 0.0);
     support_.clear();
-    if (support_.capacity() < n) {
-      support_.reserve(std::max(n, 2 * support_.capacity()));
-    }
+    reserve_geometric(support_, n);
     dense_ = false;
     reconsider_at = kInf;
   }
@@ -137,12 +113,15 @@ class Allocation {
     shares_[i] = s;
   }
 
-  /// Give every job the same share s (equipartition). The support becomes
-  /// the contiguous range [0, n).
-  void fill(double s) {
-    std::fill(shares_.begin(), shares_.end(), s);
+  /// Start a fresh decision that gives each of n jobs the same share s
+  /// (equipartition): size n, every share s, the support the contiguous
+  /// range [0, n), no reconsideration. Writes each share once — a policy
+  /// calls this instead of reset(), not after it.
+  void fill(std::size_t n, double s) {
+    shares_.assign(n, s);
     support_.clear();
     dense_ = true;
+    reconsider_at = kInf;
   }
 
   /// Adopt a dense share vector (snapshot restore) and rebuild the
@@ -185,9 +164,10 @@ class Scheduler {
   [[nodiscard]] virtual std::string name() const = 0;
 
   /// Fill `out` with this decision's allocation. `out` is an engine-owned
-  /// buffer reused across decisions; implementations MUST begin with
-  /// out.reset(ctx.alive().size()) (or assign every field) — its previous
-  /// contents are the last decision's answer, not zeros.
+  /// buffer reused across decisions; implementations MUST start the
+  /// decision with out.reset(ctx.alive().size()) or
+  /// out.fill(ctx.alive().size(), s) — its previous contents are the last
+  /// decision's answer, not zeros.
   virtual void allocate(const SchedulerContext& ctx, Allocation& out) = 0;
 
   /// Convenience for callers without a reusable buffer (tests, one-shot

@@ -3,8 +3,8 @@
 // The engine's fused validation+rates pass historically evaluated
 // Γ_j(x_j) through a SpeedupCurve value stored inside each AliveJob: one
 // out-of-line SpeedupCurve::rate() call per alive job per decision. With
-// the alive set restructured as structure-of-arrays (simcore/engine.hpp's
-// AliveSoA), the per-decision rate evaluation becomes one rate_batch call
+// the alive set stored as structure-of-arrays (simcore/alive_set.hpp's
+// AliveSet), the per-decision rate evaluation becomes one rate_batch call
 // over four dense arrays. Per element it runs exactly the scalar
 // arithmetic of SpeedupCurve::rate() (same branch structure, same
 // std::pow call), so its output is bit-identical to the historic per-job

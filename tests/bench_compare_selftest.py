@@ -90,6 +90,15 @@ def report():
                     ["mixed_n10000", "mixed", 10000, 38.0, 39.0, 1.03],
                 ],
             },
+            {
+                "name": "dense_equi",
+                "columns": ["n", "decisions", "fractional_flow",
+                            "wall_seconds", "decisions_per_sec"],
+                "rows": [
+                    [100000, 200, 5012.5, 0.25, 800.0],
+                    [1000000, 50, 50125.0, 0.4, 125.0],
+                ],
+            },
         ],
         "metrics": [{
             "name": "serve.client.latency_ms",
@@ -114,7 +123,7 @@ def scale_rates(doc, factor):
     move with machine speed, which is why it is not a relative gate.
     """
     for t in doc["tables"]:
-        if t["name"] == "dense_alive":
+        if t["name"] in ("dense_alive", "dense_equi"):
             i = t["columns"].index("decisions_per_sec")
             for row in t["rows"]:
                 row[i] *= factor
@@ -228,6 +237,21 @@ def main() -> int:
         t["rows"][0][i] *= 1.6
         return doc
 
+    def equi_rate_regressed(doc):
+        # The dense EQUI step slows 30% while every sibling gate holds.
+        t = next(t for t in doc["tables"] if t["name"] == "dense_equi")
+        i = t["columns"].index("decisions_per_sec")
+        t["rows"][1][i] *= 0.7
+        return doc
+
+    def equi_flow_drift(doc):
+        # Same timing, different work: the stop point's fractional flow
+        # moved, so the rate no longer measures the baseline's drive.
+        t = next(t for t in doc["tables"] if t["name"] == "dense_equi")
+        i = t["columns"].index("fractional_flow")
+        t["rows"][0][i] += 1e-3
+        return doc
+
     def kernel_rate_regressed(doc):
         # The batch kernel loses 25% element throughput while every sibling
         # gate holds — must fail even under calibration.
@@ -238,6 +262,8 @@ def main() -> int:
 
     cases = [
         ("identical", lambda d: d, ["--auto-scale"], 0),
+        ("equi_rate_regressed", equi_rate_regressed, ["--auto-scale"], 1),
+        ("equi_flow_drift", equi_flow_drift, ["--auto-scale"], 1),
         ("kernel_rate_regressed", kernel_rate_regressed,
          ["--auto-scale"], 1),
         ("regressed_one_gate", regressed_one_gate, ["--auto-scale"], 1),

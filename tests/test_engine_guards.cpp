@@ -3,6 +3,7 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "check/contract.hpp"
@@ -44,8 +45,7 @@ class InfeasibleScheduler final : public Scheduler {
   using Scheduler::allocate;
   std::string name() const override { return "Infeasible"; }
   void allocate(const SchedulerContext& ctx, Allocation& out) override {
-    out.reset(ctx.alive().size());
-    out.fill(1.0);
+    out.fill(ctx.alive().size(), 1.0);
   }
 };
 
@@ -55,8 +55,7 @@ class NegativeShareScheduler final : public Scheduler {
   using Scheduler::allocate;
   std::string name() const override { return "NegativeShare"; }
   void allocate(const SchedulerContext& ctx, Allocation& out) override {
-    out.reset(ctx.alive().size());
-    out.fill(0.5);
+    out.fill(ctx.alive().size(), 0.5);
     out.grant(0, -0.5);
   }
 };
@@ -404,6 +403,118 @@ TEST(CachedAllocImport, RejectionLeavesTheEngineUntouched) {
   EXPECT_EQ(got.decisions, want.decisions);
 }
 
+// ---- Restored-state validation -------------------------------------------
+//
+// import_state runs validate() before it touches the engine: each
+// violation is rejected with its own message, and the engine is left as
+// it was (here: never started).
+
+void expect_rejected(const EngineState& st, const std::string& what) {
+  try {
+    validate(st);
+    ADD_FAILURE() << "validate() accepted a state with: " << what;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << "message was: " << e.what();
+  }
+  IntermediateSrpt sched;
+  Engine engine(2);
+  EXPECT_THROW(engine.import_state(st, sched), std::invalid_argument) << what;
+  EXPECT_FALSE(engine.streaming()) << what;
+}
+
+TEST(StateValidation, AcceptsTheHandBuiltBaseState) {
+  EXPECT_NO_THROW(validate(hand_built_state({0.0, 1.5, 0.5})));
+}
+
+TEST(StateValidation, RejectsAPhaseIndexPastThePhaseList) {
+  EngineState st = hand_built_state({0.0, 1.5, 0.5});
+  st.alive[0].phases = {{2.0, SpeedupCurve::sequential()},
+                        {3.0, SpeedupCurve::sequential()}};
+  st.alive[0].phase = 2;
+  expect_rejected(st, "phase index out of range");
+  EngineState single = hand_built_state({0.0, 1.5, 0.5});
+  single.alive[1].phase = 1;  // a single-phase job is always in phase 0
+  expect_rejected(single, "phase index out of range");
+}
+
+TEST(StateValidation, RejectsNaNOrNegativeNow) {
+  for (const double now : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    EngineState st = hand_built_state({0.0, 1.5, 0.5});
+    st.now = now;
+    expect_rejected(st, "now is NaN, infinite or negative");
+  }
+}
+
+TEST(StateValidation, RejectsNaNOrNegativeRemaining) {
+  for (const double rem : {std::numeric_limits<double>::quiet_NaN(), -0.5}) {
+    EngineState st = hand_built_state({0.0, 1.5, 0.5});
+    st.alive[2].remaining = rem;
+    expect_rejected(st, "remaining work is NaN or negative");
+  }
+}
+
+TEST(StateValidation, RejectsNaNPhaseRemaining) {
+  EngineState st = hand_built_state({0.0, 1.5, 0.5});
+  st.alive[1].phase_remaining = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(st, "phase_remaining is NaN");
+}
+
+TEST(StateValidation, RejectsRemainingAboveSize) {
+  EngineState st = hand_built_state({0.0, 1.5, 0.5});
+  st.alive[2].remaining = st.alive[2].size * 2.0;
+  expect_rejected(st, "remaining work exceeds its size");
+}
+
+TEST(StateValidation, RejectsDuplicateAliveIds) {
+  EngineState st = hand_built_state({0.0, 1.5, 0.5});
+  st.alive[2].id = st.alive[0].id;
+  expect_rejected(st, "duplicate alive job id");
+}
+
+TEST(StateValidation, RejectsArrivalSeqAtOrAboveTheCounter) {
+  EngineState st = hand_built_state({0.0, 1.5, 0.5});
+  st.alive[2].arrival_seq = st.arrival_seq;  // admissions 0..2 so far
+  expect_rejected(st, "arrival_seq is outside [0, arrival_seq)");
+}
+
+TEST(StateValidation, RejectsDuplicateCompletedIds) {
+  EngineState st = hand_built_state({0.0, 1.5, 0.5});
+  st.completed = {7, 9, 7};
+  expect_rejected(st, "duplicate completed job id");
+}
+
+TEST(StateValidation, RejectsPendingJobsBelowTheFrontier) {
+  EngineState st = hand_built_state({0.0, 1.5, 0.5});
+  st.pending = {make_job(10, 0.5, 1.0, 0.5)};  // frontier is 1.0
+  expect_rejected(st, "pending job released below the frontier");
+}
+
+TEST(StateValidation, RejectsUnsortedPendingJobs) {
+  EngineState st = hand_built_state({0.0, 1.5, 0.5});
+  st.pending = {make_job(10, 3.0, 1.0, 0.5), make_job(11, 2.0, 1.0, 0.5)};
+  expect_rejected(st, "pending jobs are not sorted by release");
+}
+
+TEST(StateValidation, RejectsCurvesThatFailTheShapeCheck) {
+  // Accepted by piecewise_linear() (slope 1, concave), but its rate
+  // overflows to +inf for shares above ~2: not a usable speedup curve.
+  const SpeedupCurve bad =
+      SpeedupCurve::piecewise_linear({{1.7e308, 1.7e308}});
+  ASSERT_FALSE(is_valid_speedup_curve(bad));
+  EngineState alive_curve = hand_built_state({0.0, 1.5, 0.5});
+  alive_curve.alive[1].curve = bad;
+  expect_rejected(alive_curve, "fails is_valid_speedup_curve");
+  EngineState phase_curve = hand_built_state({0.0, 1.5, 0.5});
+  phase_curve.alive[0].phases = {{2.0, SpeedupCurve::sequential()},
+                                 {3.0, bad}};
+  expect_rejected(phase_curve, "fails is_valid_speedup_curve");
+  EngineState pending_curve = hand_built_state({0.0, 1.5, 0.5});
+  pending_curve.pending = {make_job(10, 2.0, 1.0, 0.5)};
+  pending_curve.pending[0].curve = bad;
+  expect_rejected(pending_curve, "fails is_valid_speedup_curve");
+}
+
 // ---- The Allocation support contract ------------------------------------
 
 TEST(AllocationSupport, GrantListsEachNonzeroIndexOnce) {
@@ -455,13 +566,29 @@ TEST(AllocationSupport, ResetZeroesOnlyThePreviousSupport) {
     EXPECT_EQ(x, 0.0);
   }
   EXPECT_TRUE(a.support().empty());
-  a.fill(0.75);  // dense: the support is the range, kept as a flag
+  a.fill(4, 0.75);  // dense: the support is the range, kept as a flag
   EXPECT_TRUE(a.dense());
   EXPECT_TRUE(a.support().empty());
   a.reset(6);  // a dense reset zeroes everything, then grows
   ASSERT_EQ(a.size(), 6u);
   for (const double x : a.shares()) EXPECT_EQ(x, 0.0);
   EXPECT_FALSE(a.dense());
+}
+
+TEST(AllocationSupport, FillStartsAFreshDenseDecision) {
+  Allocation a;
+  a.reset(8);
+  a.grant(3, 1.0);
+  a.reconsider_at = 5.0;
+  for (const std::size_t n : {std::size_t{6}, std::size_t{12}}) {
+    a.fill(n, 0.25);  // no reset() first: fill starts the decision
+    ASSERT_EQ(a.size(), n);
+    for (const double x : a.shares()) EXPECT_EQ(x, 0.25);
+    EXPECT_TRUE(a.dense());
+    EXPECT_TRUE(a.support().empty());
+    EXPECT_EQ(a.reconsider_at, kInf);
+    a.reconsider_at = 5.0;
+  }
 }
 
 TEST(AllocationSupport, AssignRebuildsTheSupportFromShares) {

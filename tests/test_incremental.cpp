@@ -4,8 +4,8 @@
 //
 // The contract under test: every helper — served from heaps that replace
 // a per-decision O(n log n) ordering rebuild with O(log n) event
-// maintenance, next to the engine's reusable scratch buffers, the FlowQ
-// fast advance arm and the sparse completion sweep — answers exactly as
+// maintenance, next to the engine's reusable scratch buffers, the idle
+// flow-quotient arm and the sparse completion sweep — answers exactly as
 // the original per-call sorts (refimpl:: below) would, at every decision
 // of every registry policy, and checking it leaves the run unchanged.
 //
@@ -66,31 +66,33 @@ namespace refimpl {
 
 /// (remaining, release, id) lexicographic SRPT order.
 struct SrptLess {
-  std::span<const AliveJob> alive;
+  AliveView alive;
   bool operator()(std::size_t a, std::size_t b) const {
-    const AliveJob& ja = alive[a];
-    const AliveJob& jb = alive[b];
-    if (ja.remaining != jb.remaining) return ja.remaining < jb.remaining;
-    if (ja.release != jb.release) return ja.release < jb.release;
-    return ja.id < jb.id;
+    if (alive.remaining(a) != alive.remaining(b)) {
+      return alive.remaining(a) < alive.remaining(b);
+    }
+    if (alive.release(a) != alive.release(b)) {
+      return alive.release(a) < alive.release(b);
+    }
+    return alive.id(a) < alive.id(b);
   }
 };
 
 /// (release, id) descending: latest arrival first.
 struct LatestLess {
-  std::span<const AliveJob> alive;
+  AliveView alive;
   bool operator()(std::size_t a, std::size_t b) const {
-    const AliveJob& ja = alive[a];
-    const AliveJob& jb = alive[b];
-    if (ja.release != jb.release) return ja.release > jb.release;
-    return ja.id > jb.id;
+    if (alive.release(a) != alive.release(b)) {
+      return alive.release(a) > alive.release(b);
+    }
+    return alive.id(a) > alive.id(b);
   }
 };
 
 /// The first min(k, n) indices of `less`'s order over alive, via
 /// nth_element + sort of the prefix (a full sort when k >= n).
 template <class Less>
-void sorted_prefix(std::span<const AliveJob> alive, std::size_t k,
+void sorted_prefix(AliveView alive, std::size_t k,
                    std::vector<std::size_t>& out) {
   out.resize(alive.size());
   std::iota(out.begin(), out.end(), std::size_t{0});
@@ -104,17 +106,17 @@ void sorted_prefix(std::span<const AliveJob> alive, std::size_t k,
   std::sort(out.begin(), out.end(), Less{alive});
 }
 
-void by_remaining(std::span<const AliveJob> alive,
+void by_remaining(AliveView alive,
                   std::vector<std::size_t>& out) {
   sorted_prefix<SrptLess>(alive, alive.size(), out);
 }
 
-void smallest_remaining(std::span<const AliveJob> alive, std::size_t k,
+void smallest_remaining(AliveView alive, std::size_t k,
                         std::vector<std::size_t>& out) {
   sorted_prefix<SrptLess>(alive, k, out);
 }
 
-std::size_t min_remaining(std::span<const AliveJob> alive) {
+std::size_t min_remaining(AliveView alive) {
   PARSCHED_CHECK(!alive.empty(), "min_remaining over an empty context");
   std::size_t best = 0;
   const SrptLess less{alive};
@@ -124,12 +126,12 @@ std::size_t min_remaining(std::span<const AliveJob> alive) {
   return best;
 }
 
-void by_latest_arrival(std::span<const AliveJob> alive,
+void by_latest_arrival(AliveView alive,
                        std::vector<std::size_t>& out) {
   sorted_prefix<LatestLess>(alive, alive.size(), out);
 }
 
-void latest_arrivals(std::span<const AliveJob> alive, std::size_t k,
+void latest_arrivals(AliveView alive, std::size_t k,
                      std::vector<std::size_t>& out) {
   sorted_prefix<LatestLess>(alive, k, out);
 }
@@ -200,7 +202,7 @@ class OracleScheduler final : public Scheduler {
   }
 
   void check(const SchedulerContext& ctx) {
-    const std::span<const AliveJob> alive = ctx.alive();
+    const AliveView alive = ctx.alive();
     const std::size_t n = alive.size();
     const std::size_t m = static_cast<std::size_t>(ctx.machines());
     // Ascending widths first, so narrow queries reach the heap traversal
@@ -809,9 +811,18 @@ std::vector<AliveJob> random_alive(std::mt19937_64& rng, std::size_t n,
   return alive;
 }
 
+/// The records as an AliveSet, the form contexts and heaps read.
+AliveSet as_set(const std::vector<AliveJob>& records) {
+  AliveSet set;
+  set.assign(records);
+  return set;
+}
+
 void expect_orders_match(IncrementalOrders& inc,
-                         const std::vector<AliveJob>& alive,
+                         const std::vector<AliveJob>& records,
                          const std::string& what) {
+  const AliveSet set = as_set(records);
+  const AliveView alive = set.view();
   std::vector<std::size_t> srpt_ref;
   refimpl::by_remaining(alive, srpt_ref);
   std::vector<std::size_t> latest_ref;
@@ -843,7 +854,8 @@ TEST(IncrementalOrdersUnit, RandomChurnMatchesRefimpl) {
   std::vector<AliveJob> alive = random_alive(rng, 80, 6);
   IncrementalOrders inc;
   inc.reserve(alive.size());
-  for (std::size_t i = 0; i < alive.size(); ++i) inc.insert(alive[i], i);
+  const AliveSet initial = as_set(alive);
+  for (std::size_t i = 0; i < alive.size(); ++i) inc.insert(initial.view(), i);
   expect_orders_match(inc, alive, "initial");
 
   std::uniform_real_distribution<double> u(0.0, 1.0);
@@ -872,7 +884,7 @@ TEST(IncrementalOrdersUnit, RandomChurnMatchesRefimpl) {
       j.size = j.remaining;
       inc.reserve(alive.size() + 1);
       alive.push_back(j);
-      inc.insert(alive.back(), alive.size() - 1);
+      inc.insert(as_set(alive).view(), alive.size() - 1);
     } else {
       // Mass update + decay epoch (the lazy-rebuild path).
       for (std::size_t i = 0; i < alive.size(); ++i) {
@@ -919,22 +931,24 @@ std::vector<AliveJob> tie_heavy_alive() {
 }
 
 IncrementalOrders build_inc(const std::vector<AliveJob>& alive) {
+  const AliveSet set = as_set(alive);
   IncrementalOrders inc;
   inc.reserve(alive.size());
-  for (std::size_t i = 0; i < alive.size(); ++i) inc.insert(alive[i], i);
+  for (std::size_t i = 0; i < alive.size(); ++i) inc.insert(set.view(), i);
   return inc;
 }
 
 TEST(IncrementalTieBreaks, SrptOrderPinnedAtFullAndSmallK) {
   const std::vector<AliveJob> alive = tie_heavy_alive();
   const std::vector<std::size_t> want_prefix = {17, 9, 5};
+  const AliveSet set = as_set(alive);
   std::vector<std::size_t> full_ref;
-  refimpl::by_remaining(alive, full_ref);
+  refimpl::by_remaining(set.view(), full_ref);
   IncrementalOrders inc = build_inc(alive);
   // k = 3 <= 24/8 (heap traversal) and k = n (heap-copy full sort).
   for (const std::size_t k : {std::size_t{3}, alive.size()}) {
     inc.begin_decision();
-    const auto got = inc.srpt_prefix(alive, k);
+    const auto got = inc.srpt_prefix(set.view(), k);
     ASSERT_EQ(got.size(), k);
     for (std::size_t i = 0; i < want_prefix.size(); ++i) {
       EXPECT_EQ(got[i], want_prefix[i]) << "k=" << k << " position " << i;
@@ -962,8 +976,9 @@ TEST(IncrementalTieBreaks, LatestOrderPinnedAtFullAndSmallK) {
   alive[4].release = 9.0;
   alive[4].id = 104;
   const std::vector<std::size_t> want_prefix = {11, 3, 4};
+  const AliveSet set = as_set(alive);
   std::vector<std::size_t> full_ref;
-  refimpl::by_latest_arrival(alive, full_ref);
+  refimpl::by_latest_arrival(set.view(), full_ref);
   IncrementalOrders inc = build_inc(alive);
   for (const std::size_t k : {std::size_t{3}, alive.size()}) {
     inc.begin_decision();
@@ -994,15 +1009,16 @@ TEST(IncrementalTieBreaks, TieOrderSurvivesChurn) {
   inc.remove_swap(9, last);
   alive[9] = alive[last];
   alive.pop_back();
+  const AliveSet set = as_set(alive);
   std::vector<std::size_t> ref;
-  refimpl::by_remaining(alive, ref);
+  refimpl::by_remaining(set.view(), ref);
   inc.begin_decision();
-  const auto got = inc.srpt_prefix(alive, alive.size());
+  const auto got = inc.srpt_prefix(set.view(), alive.size());
   ASSERT_EQ(got.size(), alive.size());
   for (std::size_t i = 0; i < alive.size(); ++i) {
     EXPECT_EQ(got[i], ref[i]) << "position " << i;
   }
-  inc.audit(alive);
+  inc.audit(set.view());
 }
 
 // ---- The E1/E5 grids, phased jobs and direct helper checks -----------
@@ -1118,7 +1134,7 @@ TEST(ContextCacheHelpers, AllHelpersMatchRefimplAcrossKs) {
   std::vector<std::size_t> ref;
   for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{40},
                               std::size_t{200}}) {
-    const std::vector<AliveJob> alive = random_alive(rng, n, 5);
+    const AliveSet set = as_set(random_alive(rng, n, 5));
     const std::vector<std::size_t> ks = {0,     1,     2,         3,
                                          n / 8, n / 2, n ? n - 1 : 0, n,
                                          n + 10};
@@ -1126,26 +1142,26 @@ TEST(ContextCacheHelpers, AllHelpersMatchRefimplAcrossKs) {
       // Fresh heaps per query so each k takes its cold path (heap
       // traversal for k < n, sorted key copy at k >= n).
       IncrementalOrders orders;
-      orders.rebuild(alive);
-      const SchedulerContext ctx(0.0, 4, alive, orders);
+      orders.rebuild(set.view());
+      const SchedulerContext ctx(0.0, 4, set.view(), orders);
       const std::string what =
           "n=" + std::to_string(n) + " k=" + std::to_string(k);
-      refimpl::smallest_remaining(alive, k, ref);
+      refimpl::smallest_remaining(set.view(), k, ref);
       expect_span_eq(ctx.smallest_remaining(k), ref,
                      "smallest_remaining " + what);
-      refimpl::latest_arrivals(alive, k, ref);
+      refimpl::latest_arrivals(set.view(), k, ref);
       expect_span_eq(ctx.latest_arrivals(k), ref, "latest_arrivals " + what);
     }
     IncrementalOrders orders;
-    orders.rebuild(alive);
-    const SchedulerContext ctx(0.0, 4, alive, orders);
-    refimpl::by_remaining(alive, ref);
+    orders.rebuild(set.view());
+    const SchedulerContext ctx(0.0, 4, set.view(), orders);
+    refimpl::by_remaining(set.view(), ref);
     expect_span_eq(ctx.by_remaining(), ref,
                    "by_remaining n=" + std::to_string(n));
-    refimpl::by_latest_arrival(alive, ref);
+    refimpl::by_latest_arrival(set.view(), ref);
     expect_span_eq(ctx.by_latest_arrival(), ref,
                    "by_latest_arrival n=" + std::to_string(n));
-    EXPECT_EQ(ctx.min_remaining(), refimpl::min_remaining(alive));
+    EXPECT_EQ(ctx.min_remaining(), refimpl::min_remaining(set.view()));
   }
 }
 
@@ -1156,15 +1172,15 @@ TEST(ContextCacheHelpers, AllHelpersMatchRefimplAcrossKs) {
 TEST(ContextCacheHelpers, PrefixUpgradesPreserveEarlierAnswers) {
   std::mt19937_64 rng(99);
   const std::size_t n = 160;
-  const std::vector<AliveJob> alive = random_alive(rng, n, 5);
+  const AliveSet set = as_set(random_alive(rng, n, 5));
   std::vector<std::size_t> ref;
-  refimpl::by_remaining(alive, ref);
+  refimpl::by_remaining(set.view(), ref);
   std::vector<std::size_t> lref;
-  refimpl::by_latest_arrival(alive, lref);
+  refimpl::by_latest_arrival(set.view(), lref);
 
   IncrementalOrders orders;
-  orders.rebuild(alive);
-  const SchedulerContext ctx(0.0, 4, alive, orders);
+  orders.rebuild(set.view());
+  const SchedulerContext ctx(0.0, 4, set.view(), orders);
   EXPECT_EQ(ctx.min_remaining(), ref[0]);
   std::vector<std::span<const std::size_t>> earlier;
   for (const std::size_t k : {std::size_t{2}, std::size_t{10},
@@ -1202,20 +1218,20 @@ TEST(ContextCacheHelpers, PrefixUpgradesPreserveEarlierAnswers) {
 // tie-break level is exercised, at several k.
 
 TEST(ContextCacheTieBreaks, SmallestRemainingPinsSrptOrder) {
-  const std::vector<AliveJob> alive = tie_heavy_alive();
+  const AliveSet set = as_set(tie_heavy_alive());
   const std::vector<std::size_t> want = {17, 9, 5};  // (rem, release, id) asc
   // Both k must agree with refimpl and start with the pinned prefix.
   std::vector<std::size_t> ref;
   for (const std::size_t k : {std::size_t{3}, std::size_t{5}}) {
     IncrementalOrders orders;
-    orders.rebuild(alive);
-    const SchedulerContext ctx(0.0, 4, alive, orders);
+    orders.rebuild(set.view());
+    const SchedulerContext ctx(0.0, 4, set.view(), orders);
     const auto got = ctx.smallest_remaining(k);
     ASSERT_EQ(got.size(), k);
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(got[i], want[i]) << "k=" << k << " position " << i;
     }
-    refimpl::smallest_remaining(alive, k, ref);
+    refimpl::smallest_remaining(set.view(), k, ref);
     expect_span_eq(got, ref, "refimpl agreement k=" + std::to_string(k));
   }
 }
@@ -1236,19 +1252,20 @@ TEST(ContextCacheTieBreaks, LatestArrivalsPinsReleaseIdDescOrder) {
   alive[11].id = 131;
   alive[4].release = 9.0;
   alive[4].id = 104;
+  const AliveSet set = as_set(alive);
   const std::vector<std::size_t> want = {11, 3, 4};
   std::vector<std::size_t> ref;
   for (const std::size_t k : {std::size_t{2}, std::size_t{3},
                               std::size_t{6}}) {
     IncrementalOrders orders;
-    orders.rebuild(alive);
-    const SchedulerContext ctx(0.0, 4, alive, orders);
+    orders.rebuild(set.view());
+    const SchedulerContext ctx(0.0, 4, set.view(), orders);
     const auto got = ctx.latest_arrivals(k);
     ASSERT_EQ(got.size(), k);
     for (std::size_t i = 0; i < std::min(k, want.size()); ++i) {
       EXPECT_EQ(got[i], want[i]) << "k=" << k << " position " << i;
     }
-    refimpl::latest_arrivals(alive, k, ref);
+    refimpl::latest_arrivals(set.view(), k, ref);
     expect_span_eq(got, ref, "refimpl agreement k=" + std::to_string(k));
   }
 }

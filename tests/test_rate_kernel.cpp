@@ -1,19 +1,24 @@
 // Tests for src/speedup/kernel.hpp — the batched rate kernel — and the
-// engine's SoA alive-set mirror that feeds it.
+// engine's alive set (simcore/alive_set.hpp) that feeds it.
 //
 // The contract under test, layer by layer:
 //   * rate_batch is bit-identical to the scalar SpeedupCurve::rate()
 //     loop it replaced — a pure layout change.
-//   * The engine's AliveSoA mirror matches alive_ field-for-field under
-//     any interleaving of admit / advance / complete / snapshot-import,
-//     and its rate scratch holds Γ(share) for each support position of
-//     the cached decision.
+//   * The alive set's view and its materialized AliveJob records match a
+//     reference vector<AliveJob> field for field under admit / advance /
+//     phase change / mass swap-remove / restore.
+//   * Inside the engine, the view, the records observers receive and the
+//     snapshot records agree under any interleaving of admit / advance /
+//     complete / snapshot-import, and the rate scratch holds Γ(share) for
+//     each support position of the cached decision.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "sched/registry.hpp"
@@ -92,48 +97,202 @@ TEST(RateKernel, DefaultArmBitIdenticalToScalarLoop) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine SoA mirror: property test over admit / advance / complete /
+// The alive set against a reference vector<AliveJob>.
+
+void expect_same_job(const AliveJob& got, const AliveJob& want,
+                     const std::string& where) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  EXPECT_EQ(got.id, want.id) << where;
+  EXPECT_EQ(bits(got.release), bits(want.release)) << where;
+  EXPECT_EQ(bits(got.size), bits(want.size)) << where;
+  EXPECT_EQ(bits(got.remaining), bits(want.remaining)) << where;
+  EXPECT_EQ(bits(got.weight), bits(want.weight)) << where;
+  EXPECT_EQ(got.curve, want.curve) << where;
+  EXPECT_EQ(got.arrival_seq, want.arrival_seq) << where;
+  EXPECT_EQ(got.tag, want.tag) << where;
+  EXPECT_EQ(got.phases, want.phases) << where;
+  EXPECT_EQ(got.phase, want.phase) << where;
+  EXPECT_EQ(bits(got.phase_remaining), bits(want.phase_remaining)) << where;
+}
+
+/// The view's accessors, materialize() into a fresh buffer
+/// and into `refreshed` (a buffer carried over from earlier calls) all
+/// equal `ref`.
+void expect_set_matches(const AliveSet& set, const std::vector<AliveJob>& ref,
+                        const std::string& what,
+                        std::vector<AliveJob>& refreshed) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const AliveView view = set.view();
+  ASSERT_EQ(view.size(), ref.size()) << what;
+  std::vector<AliveJob> records;
+  set.materialize(records);
+  set.materialize(refreshed);
+  ASSERT_EQ(refreshed.size(), ref.size()) << what;
+  ASSERT_EQ(records.size(), ref.size()) << what;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    const AliveJob& want = ref[i];
+    const std::string where = what + " i=" + std::to_string(i);
+    EXPECT_EQ(view.id(i), want.id) << where;
+    EXPECT_EQ(bits(view.release(i)), bits(want.release)) << where;
+    EXPECT_EQ(bits(view.job_size(i)), bits(want.size)) << where;
+    EXPECT_EQ(bits(view.remaining(i)), bits(want.remaining)) << where;
+    EXPECT_EQ(bits(view.weight(i)), bits(want.weight)) << where;
+    EXPECT_EQ(view.arrival_seq(i), want.arrival_seq) << where;
+    EXPECT_EQ(view.curve(i), want.curve) << where;
+    // The rate kernel's (kind, alpha) follow the current curve.
+    EXPECT_EQ(set.kinds[i], static_cast<std::uint8_t>(want.curve.kind()))
+        << where;
+    EXPECT_EQ(bits(set.alphas[i]), bits(want.curve.alpha())) << where;
+    expect_same_job(records[i], want, where + " materialized");
+    expect_same_job(refreshed[i], want, where + " refreshed");
+  }
+}
+
+AliveJob random_record(Rng& rng, JobId id, std::int64_t seq) {
+  AliveJob a;
+  a.id = id;
+  a.release = rng.uniform(0.0, 4.0);
+  a.weight = rng.uniform(0.5, 2.0);
+  a.arrival_seq = seq;
+  a.tag.phase = static_cast<int>(rng.uniform_int(-1, 3));
+  a.tag.index = static_cast<std::int64_t>(id);
+  if (rng.bernoulli(0.5)) {
+    a.curve = SpeedupCurve::power_law(rng.uniform(0.1, 0.9));
+    a.size = rng.uniform(0.5, 3.0);
+    a.phase_remaining = a.size;
+  } else {
+    a.phases = {{rng.uniform(0.2, 1.0), SpeedupCurve::power_law(0.3)},
+                {rng.uniform(0.2, 1.0), SpeedupCurve::sequential()},
+                {rng.uniform(0.2, 1.0),
+                 SpeedupCurve::piecewise_linear({{2.0, 1.5}, {4.0, 2.0}})}};
+    a.size = a.phases[0].work + a.phases[1].work + a.phases[2].work;
+    a.curve = a.phases[0].curve;
+    a.phase_remaining = a.phases[0].work;
+  }
+  a.remaining = a.size;
+  return a;
+}
+
+TEST(AliveSet, ViewAndRecordsMatchReferenceUnderChurn) {
+  Rng rng(0xA11E);
+  AliveSet set;
+  std::vector<AliveJob> ref;
+  std::vector<AliveJob> refreshed;
+  JobId next_id = 0;
+  for (int round = 0; round < 300; ++round) {
+    const int op = static_cast<int>(rng.uniform_int(0, 9));
+    if (op <= 3 || ref.size() < 4) {
+      // Admit a few jobs.
+      for (int k = 0; k < 3; ++k) {
+        const AliveJob a =
+            random_record(rng, next_id, static_cast<std::int64_t>(next_id));
+        ++next_id;
+        set.reserve(set.size() + 1);
+        set.push_back(AliveJob(a));
+        ref.push_back(a);
+      }
+    } else if (op <= 5) {
+      // Advance: remaining and phase_remaining drop by the same work.
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        if (!rng.bernoulli(0.6)) continue;
+        const double w = rng.uniform(0.0, 0.4);
+        ref[i].remaining = std::max(0.0, ref[i].remaining - w);
+        ref[i].phase_remaining = std::max(0.0, ref[i].phase_remaining - w);
+        set.remaining[i] = ref[i].remaining;
+        set.phase_remaining[i] = ref[i].phase_remaining;
+      }
+    } else if (op == 6) {
+      // Phase change for every multi-phase job not yet in its last phase.
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        AliveJob& a = ref[i];
+        if (a.phases.empty() || a.phase + 1 >= a.phases.size()) continue;
+        ASSERT_GT(set.phases_left[i], 0u);
+        ++a.phase;
+        a.phase_remaining = a.phases[a.phase].work;
+        a.curve = a.phases[a.phase].curve;
+        set.next_phase(i);
+      }
+    } else if (op <= 8) {
+      // Mass completion: swap-remove about a third of the jobs, largest
+      // position first, then truncate once.
+      std::size_t end = ref.size();
+      for (std::size_t i = ref.size(); i-- > 0;) {
+        if (!rng.bernoulli(0.35)) continue;
+        --end;
+        if (i != end) {
+          set.relocate(end, i);
+          ref[i] = ref[end];
+        }
+      }
+      set.resize(end);
+      ref.resize(end);
+    } else {
+      // Restore from the materialized records.
+      std::vector<AliveJob> records;
+      set.materialize(records);
+      AliveSet restored;
+      restored.assign(records);
+      set = std::move(restored);
+    }
+    expect_set_matches(set, ref, "round " + std::to_string(round),
+                       refreshed);
+    ASSERT_EQ(set.flow_q.size(), ref.size());
+    ASSERT_EQ(set.cold.size(), ref.size());
+    if (HasFailure()) return;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The engine's alive set: property test over admit / advance / complete /
 // snapshot-import interleavings.
+
+/// Checks, at every decision, that the records observers receive are the
+/// engine's alive set, field for field.
+class RecordsCheck final : public Observer {
+ public:
+  const Engine* engine = nullptr;
+  std::size_t decisions = 0;
+
+  void on_decision(double, std::span<const AliveJob> alive,
+                   std::span<const double> shares) override {
+    ++decisions;
+    const AliveSet& set = engine->alive_set();
+    ASSERT_EQ(shares.size(), set.size());
+    expect_set_matches(set, {alive.begin(), alive.end()},
+                       "observer decision " + std::to_string(decisions),
+                       refreshed_);
+  }
+
+ private:
+  std::vector<AliveJob> refreshed_;
+};
 
 /// `rates_computed`: the engine has computed the rates of its cached
 /// decision (false right after a snapshot import, which recomputes them
-/// at the first resume).
-void expect_mirror_matches(const Engine& eng, bool rates_computed = true) {
-  const AliveSoA& soa = eng.alive_soa();
+/// at the first resume). Returns whether that decision's support was a
+/// sparse index list (rated one job per kernel call).
+bool expect_engine_consistent(const Engine& eng, bool rates_computed = true) {
   const EngineState st = eng.export_state();
-  ASSERT_EQ(soa.size(), st.alive.size());
-  // The rate scratch is reserved for the whole alive set at admission
-  // and holds one rate per support position of the cached decision.
-  const SupportRates& rates = eng.support_rates();
-  ASSERT_GE(rates.rate.capacity(), st.alive.size());
-  ASSERT_GE(rates.share.capacity(), st.alive.size());
+  // The snapshot's records are the alive set, field for field.
+  std::vector<AliveJob> refreshed;
+  expect_set_matches(eng.alive_set(), st.alive, "engine", refreshed);
+  // The rate scratch holds one rate per support position of the cached
+  // decision.
+  const std::span<const double> rates = eng.support_rates();
   if (st.has_cached_alloc && rates_computed) {
     const Allocation& alloc = st.cached_alloc;
     const std::size_t k =
         alloc.dense() ? st.alive.size() : alloc.support().size();
-    ASSERT_EQ(rates.rate.size(), k);
-    for (std::size_t j = 0; j < k; ++j) {
+    EXPECT_EQ(rates.size(), k);
+    for (std::size_t j = 0; j < std::min(k, rates.size()); ++j) {
       const std::size_t i = alloc.dense() ? j : alloc.support()[j];
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(rates.rate[j]),
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(rates[j]),
                 std::bit_cast<std::uint64_t>(
                     st.alive[i].curve.rate(alloc.shares()[i])))
           << "rate mismatch at support position " << j;
     }
   }
-  for (std::size_t i = 0; i < st.alive.size(); ++i) {
-    const AliveJob& a = st.alive[i];
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(soa.remaining[i]),
-              std::bit_cast<std::uint64_t>(a.remaining))
-        << "remaining mismatch at i=" << i;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(soa.release[i]),
-              std::bit_cast<std::uint64_t>(a.release))
-        << "release mismatch at i=" << i;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(soa.alpha[i]),
-              std::bit_cast<std::uint64_t>(a.curve.alpha()))
-        << "alpha mismatch at i=" << i;
-    EXPECT_EQ(soa.kind[i], static_cast<std::uint8_t>(a.curve.kind()))
-        << "kind mismatch at i=" << i;
-  }
+  return st.has_cached_alloc && !st.cached_alloc.dense();
 }
 
 Job random_job(Rng& rng, JobId id, double release) {
@@ -155,8 +314,8 @@ Job random_job(Rng& rng, JobId id, double release) {
       j.curve = SpeedupCurve::piecewise_linear({{2.0, 1.5}, {4.0, 2.0}});
       break;
     default:
-      // Multi-phase: the phase switch rewrites the live curve, which the
-      // SoA mirror must track (Engine's soa_.set_curve sync site).
+      // Multi-phase: the phase switch rewrites the live curve and the
+      // rate kernel's (kind, alpha) with it (AliveSet::set_curve).
       return make_phased_job(
           id, release,
           {{rng.uniform(0.2, 1.0), SpeedupCurve::power_law(0.3)},
@@ -166,14 +325,21 @@ Job random_job(Rng& rng, JobId id, double release) {
   return j;
 }
 
-TEST(EngineSoA, MirrorTracksAliveSetUnderInterleaving) {
+/// Random admit / advance / snapshot-restore interleavings under
+/// `policy`, checking the engine's consistency after every advance.
+void drive_interleaving(const std::string& policy) {
+  SCOPED_TRACE(policy);
   auto eng = std::make_unique<Engine>(4);
-  auto sched = make_scheduler("isrpt");
+  auto sched = make_scheduler(policy);
+  RecordsCheck check;
+  check.engine = eng.get();
+  eng->add_observer(&check);
   eng->begin(*sched);
 
   Rng rng(0x50A1);
   JobId next_id = 0;
   std::size_t admitted = 0;
+  int sparse = 0;
   for (int step = 0; step < 160; ++step) {
     const double frontier = eng->frontier();
     const auto n_admit = rng.uniform_int(0, 2);
@@ -181,23 +347,84 @@ TEST(EngineSoA, MirrorTracksAliveSetUnderInterleaving) {
       eng->admit(random_job(rng, next_id++, frontier + rng.uniform(0.0, 1.0)));
       ++admitted;
     }
+    if (step == 100) {
+      // A backlog of mixed jobs: ISRPT then serves 4 of > 32 alive, a
+      // support small enough to stay a sparse index list.
+      for (int k = 0; k < 60; ++k) {
+        eng->admit(random_job(rng, next_id++, frontier));
+        ++admitted;
+      }
+    }
+    if (step % 20 == 9) {
+      // A burst of identical jobs: they complete at the same instant,
+      // so one step swap-removes them all.
+      for (int k = 0; k < 6; ++k) {
+        Job j;
+        j.id = next_id++;
+        j.release = frontier;
+        j.size = 0.25;
+        eng->admit(j);
+        ++admitted;
+      }
+    }
     eng->advance_to(frontier + rng.uniform(0.05, 0.9));
-    expect_mirror_matches(*eng);
+    sparse += expect_engine_consistent(*eng) ? 1 : 0;
 
     if (step % 40 == 17) {
       // Snapshot round-trip into a fresh engine mid-run: import_state
-      // must rebuild the mirror from the restored alive set.
+      // must rebuild the alive set from the restored records.
       const EngineState st = eng->export_state();
       auto eng2 = std::make_unique<Engine>(4);
-      auto sched2 = make_scheduler("isrpt");
+      auto sched2 = make_scheduler(policy);
+      eng2->add_observer(&check);
       eng2->import_state(st, *sched2);
-      expect_mirror_matches(*eng2, /*rates_computed=*/false);
+      expect_engine_consistent(*eng2, /*rates_computed=*/false);
+      check.engine = eng2.get();
       eng = std::move(eng2);
       sched = std::move(sched2);
     }
+    if (::testing::Test::HasFailure()) return;
   }
   const SimResult r = eng->finish();
   EXPECT_EQ(r.jobs(), admitted);
+  EXPECT_GT(check.decisions, 160u);
+  EXPECT_GT(sparse, 0) << "no sparse support was ever checked";
+}
+
+TEST(EngineAliveSet, ViewRecordsAndSnapshotAgreeUnderInterleaving) {
+  // ISRPT grants whole machines (share 1, where every curve rates x);
+  // Par-SRPT puts all m machines on one job, so a sparse support's rate
+  // depends on that job's curve kind, piecewise-linear ones included.
+  drive_interleaving("isrpt");
+  drive_interleaving("par-srpt");
+}
+
+TEST(EngineAliveSetRates, SparseSupportRatesUseEachJobsOwnCurve) {
+  // Ten jobs, Par-SRPT: all 4 machines on the shortest (job 9), a
+  // one-index support of ten jobs, so it stays sparse. Job 9's
+  // piecewise-linear curve rates share 4 at 1.75; any other job's curve
+  // would give a different rate (sequential: 1, power-law 0.5: 2).
+  Engine eng(4);
+  auto sched = make_scheduler("par-srpt");
+  eng.begin(*sched);
+  for (JobId id = 0; id < 10; ++id) {
+    Job j;
+    j.id = id;
+    j.size = id == 9 ? 1.0 : 5.0 + static_cast<double>(id);
+    j.curve = id == 0   ? SpeedupCurve::sequential()
+              : id == 9 ? SpeedupCurve::piecewise_linear({{2.0, 1.5},
+                                                          {4.0, 1.75}})
+                        : SpeedupCurve::power_law(0.5);
+    eng.admit(j);
+  }
+  eng.advance_to(0.1);  // job 9 completes at 1/1.75: the step defers
+  const EngineState st = eng.export_state();
+  ASSERT_TRUE(st.has_cached_alloc);
+  ASSERT_FALSE(st.cached_alloc.dense());
+  ASSERT_EQ(st.cached_alloc.support().size(), 1u);
+  EXPECT_EQ(st.cached_alloc.support()[0], 9u);
+  ASSERT_EQ(eng.support_rates().size(), 1u);
+  EXPECT_EQ(eng.support_rates()[0], 1.75);
 }
 
 }  // namespace

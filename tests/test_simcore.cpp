@@ -88,6 +88,35 @@ TEST(Engine, StreamingAdmitRejectsBadJobsBeforeQueueingThem) {
   EXPECT_EQ(r.records[0].job.id, 2u);
 }
 
+TEST(Engine, StreamingAdmitOutOfReleaseOrderMatchesTheBatchRun) {
+  // The pending queue is kept sorted by release, stable among equal
+  // releases: admitting the pairs latest-first (each pair in id order)
+  // must reproduce the batch run, whose arrival order is the instance's.
+  std::vector<Job> jobs;
+  for (int i = 0; i < 8; ++i) {
+    jobs.push_back(make_job(static_cast<JobId>(i), 0.25 * (i / 2),
+                            1.0 + 0.5 * i, 0.5));
+  }
+  IntermediateSrpt batch_sched;
+  const SimResult want = simulate(Instance(2, jobs), batch_sched);
+  IntermediateSrpt sched;
+  Engine eng(2);
+  eng.begin(sched);
+  for (int pair = 3; pair >= 0; --pair) {
+    eng.admit(jobs[static_cast<std::size_t>(2 * pair)]);
+    eng.admit(jobs[static_cast<std::size_t>(2 * pair + 1)]);
+  }
+  const SimResult got = eng.finish();
+  EXPECT_EQ(got.total_flow, want.total_flow);
+  EXPECT_EQ(got.fractional_flow, want.fractional_flow);
+  EXPECT_EQ(got.decisions, want.decisions);
+  ASSERT_EQ(got.records.size(), want.records.size());
+  for (std::size_t i = 0; i < want.records.size(); ++i) {
+    EXPECT_EQ(got.records[i].job.id, want.records[i].job.id) << i;
+    EXPECT_EQ(got.records[i].completion, want.records[i].completion) << i;
+  }
+}
+
 TEST(Engine, RejectsNonPositiveOrNonFiniteSpeed) {
   // At infinite speed a completion interval is 0 and the work done in
   // it inf * 0 = NaN.
@@ -207,8 +236,7 @@ class OvercommitScheduler final : public Scheduler {
   using Scheduler::allocate;
   std::string name() const override { return "Overcommit"; }
   void allocate(const SchedulerContext& ctx, Allocation& out) override {
-    out.reset(ctx.alive().size());
-    out.fill(static_cast<double>(ctx.machines()) + 1.0);
+    out.fill(ctx.alive().size(), static_cast<double>(ctx.machines()) + 1.0);
   }
 };
 
@@ -217,8 +245,7 @@ class PastReconsider final : public Scheduler {
   using Scheduler::allocate;
   std::string name() const override { return "Past"; }
   void allocate(const SchedulerContext& ctx, Allocation& out) override {
-    out.reset(ctx.alive().size());
-    out.fill(1.0);
+    out.fill(ctx.alive().size(), 1.0);
     out.reconsider_at = ctx.time() - 1.0;
   }
 };
@@ -316,9 +343,11 @@ TEST(SchedulerContext, ByRemainingOrder) {
   alive[1].remaining = 1.0;
   alive[2].id = 2;
   alive[2].remaining = 3.0;
+  AliveSet set;
+  set.assign(alive);
   IncrementalOrders orders;
-  orders.rebuild(alive);
-  const SchedulerContext ctx(0.0, 4, alive, orders);
+  orders.rebuild(set.view());
+  const SchedulerContext ctx(0.0, 4, set.view(), orders);
   const auto order = ctx.by_remaining();
   EXPECT_EQ(order[0], 1u);
   EXPECT_EQ(order[1], 2u);
@@ -331,9 +360,11 @@ TEST(SchedulerContext, ByLatestArrival) {
   alive[0].release = 1.0;
   alive[1].id = 1;
   alive[1].release = 9.0;
+  AliveSet set;
+  set.assign(alive);
   IncrementalOrders orders;
-  orders.rebuild(alive);
-  const SchedulerContext ctx(0.0, 4, alive, orders);
+  orders.rebuild(set.view());
+  const SchedulerContext ctx(0.0, 4, set.view(), orders);
   const auto order = ctx.by_latest_arrival();
   EXPECT_EQ(order[0], 1u);
   EXPECT_EQ(order[1], 0u);

@@ -18,10 +18,10 @@ import tempfile
 from pathlib import Path
 
 
-def histogram(quantiles=True, torn=False, monotone=True):
+def histogram(quantiles=True, torn=False, monotone=True, overflow=1):
     h = {
         "bounds": [1.0, 2.0],
-        "counts": [1, 2, 1],
+        "counts": [1, 3 - overflow, overflow],
         "total": 4 if not torn else 5,
         "sum": 6.0,
     }
@@ -32,8 +32,9 @@ def histogram(quantiles=True, torn=False, monotone=True):
     return h
 
 
-def run_stats(split="ok"):
-    """A RunStats object; split is "ok", "none", "partial" or "torn"."""
+def run_stats(split="ok", alive_overflow=1):
+    """A RunStats object; split is "ok", "none", "partial" or "torn";
+    alive_overflow samples of the four alive counts exceed the bounds."""
     stats = {
         "wall_seconds": 0.1,
         "decide_seconds": 0.02,
@@ -43,7 +44,7 @@ def run_stats(split="ok"):
         "arrivals": 2,
         "completions": 2,
         "decision_interval": histogram(),
-        "alive_count": histogram(),
+        "alive_count": histogram(overflow=alive_overflow),
     }
     if split != "none":
         stats.update({
@@ -127,6 +128,12 @@ def e11_report(drop_table=None, drop_column=None):
             "name": "incremental_orders",
             "columns": ["n", "decisions_per_sec_incremental"],
             "rows": [[100000, 1600.0]],
+        },
+        {
+            "name": "dense_equi",
+            "columns": ["n", "decisions", "fractional_flow",
+                        "wall_seconds", "decisions_per_sec"],
+            "rows": [[100000, 200, 5012.5, 0.25, 800.0]],
         },
         {
             "name": "flight_recorder_overhead",
@@ -252,6 +259,12 @@ def main() -> int:
          bench_report(stats=run_stats("partial")), False, 1),
         ("BENCH_stats_torn_split.json",
          bench_report(stats=run_stats("torn")), False, 1),
+        # Histogram bounds must cover the recorded range: an overflow
+        # bucket holding most samples is flagged, half of them is not.
+        ("BENCH_stats_alive_overflow.json",
+         bench_report(stats=run_stats(alive_overflow=3)), False, 1),
+        ("BENCH_stats_alive_half_overflow.json",
+         bench_report(stats=run_stats(alive_overflow=2)), False, 0),
         ("snapshot_ok.jsonl", snapshot_jsonl(), True, 0),
         ("snapshot_bad_seq.jsonl", snapshot_jsonl(bad_seq=True), True, 1),
         ("snapshot_bad_schema.jsonl", snapshot_jsonl(bad_schema=True),
@@ -278,6 +291,10 @@ def main() -> int:
          e11_report(drop_table="rate_kernel"), False, 1),
         ("BENCH_e11_no_batch_rate.json",
          e11_report(drop_column="batch_melems_per_sec"), False, 1),
+        ("BENCH_e11_no_dense_equi.json",
+         e11_report(drop_table="dense_equi"), False, 1),
+        ("BENCH_e11_equi_no_flow.json",
+         e11_report(drop_column="fractional_flow"), False, 1),
         ("BENCH_cluster_no_p99.json",
          cluster_report(drop_column="p99_ms"), False, 1),
         # Migration events are part of the flight-record vocabulary.

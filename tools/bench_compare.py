@@ -17,8 +17,8 @@ report against a committed baseline in two bands:
 
 Gates extracted from a report:
 
-  * every `decisions_per_sec` column of a `dense_alive` table row
-    (higher is better), keyed by the row's n;
+  * every `decisions_per_sec` column of a `dense_alive` or `dense_equi`
+    table row (higher is better), keyed by the row's n;
   * the `decisions_per_sec_incremental` column of an
     `incremental_orders` table row (higher is better), keyed by n — the
     ordering heaps must not lose ground against the clock;
@@ -82,6 +82,7 @@ RUN_EXACT_FIELDS = (
 # direction: "higher" = higher is better, "lower" = lower is better.
 TABLE_GATES = {
     "dense_alive": ("n", [("decisions_per_sec", "higher")]),
+    "dense_equi": ("n", [("decisions_per_sec", "higher")]),
     "incremental_orders": (
         "n",
         [("decisions_per_sec_incremental", "higher")],
@@ -125,6 +126,12 @@ TABLE_GATES = {
             ("batch_melems_per_sec", "higher"),
         ],
     ),
+}
+
+# table name -> (key column, [deterministic columns]): the work a timed
+# row measured, compared in the exact band like RUN_EXACT_FIELDS.
+TABLE_EXACT = {
+    "dense_equi": ("n", ["decisions", "fractional_flow"]),
 }
 
 # table name -> (cap column, cap value): candidate-only absolute bound.
@@ -186,6 +193,25 @@ def check_runs(base: dict, cand: dict, problems: list) -> None:
                     f"{b[field]} vs candidate {c[field]} (deterministic "
                     f"field — not a timing difference)"
                 )
+
+
+def check_table_exact(base: dict, cand: dict, problems: list) -> None:
+    """Deterministic table columns agree row by row (rows matched by key;
+    missing tables and key sets are reported by collect_gates)."""
+    for name, (key_col, columns) in TABLE_EXACT.items():
+        bt, ct = table_by_name(base, name), table_by_name(cand, name)
+        if bt is None or ct is None:
+            continue
+        brows, crows = table_rows(bt, key_col), table_rows(ct, key_col)
+        for row_key in sorted(set(brows) & set(crows)):
+            for col in columns:
+                b, c = brows[row_key].get(col), crows[row_key].get(col)
+                if b is None or c is None or not close(b, c):
+                    problems.append(
+                        f"{name}[{row_key}].{col}: baseline {b} vs "
+                        f"candidate {c} (deterministic field — not a "
+                        f"timing difference)"
+                    )
 
 
 def collect_gates(base: dict, cand: dict, problems: list) -> list:
@@ -275,6 +301,7 @@ def main(argv: list[str]) -> int:
     base, cand = load(paths[0]), load(paths[1])
     problems: list[str] = []
     check_runs(base, cand, problems)
+    check_table_exact(base, cand, problems)
     check_caps(cand, problems)
     gates = collect_gates(base, cand, problems)
 

@@ -60,6 +60,8 @@ REPORT_REQUIRED_TABLES = {
     "e11_engine_perf": {
         "dense_alive": ["n", "decisions_per_sec"],
         "incremental_orders": ["n", "decisions_per_sec_incremental"],
+        "dense_equi": ["n", "decisions", "fractional_flow",
+                       "decisions_per_sec"],
         "flight_recorder_overhead": ["n", "overhead_pct"],
         "rate_kernel": ["case", "population", "scalar_melems_per_sec",
                         "batch_melems_per_sec"],
@@ -130,6 +132,13 @@ def check_histogram(h: dict, where: str) -> None:
                       f"total says {h['total']}")
     if bounds != sorted(bounds):
         raise Invalid(f"{where}: bounds are not sorted")
+    # Bounds that stop below the scale a run reaches put its samples in
+    # the overflow bucket, where they carry no shape at all.
+    if 2 * counts[-1] > h["total"]:
+        last = bounds[-1] if bounds else None
+        raise Invalid(f"{where}: {counts[-1]} of {h['total']} samples "
+                      f"overflow the last bound {last}; the bounds do not "
+                      f"cover the range recorded")
     # The schema-2 quantile keys. Optional (snapshot lines from older
     # writers omit them) but, when present, numeric and monotone.
     quantiles = [q for q in ("p50", "p90", "p99") if q in h]
