@@ -6,8 +6,10 @@
 // event counts, and a check::TrajectoryHasher digest of every observer
 // callback (decision times, alive remaining work, shares). It covers
 // every registry policy family on the E1 and E5 grids, on multi-phase
-// jobs and on the completion-tolerance corpus. A change to the decision
-// step that claims to be bit-identical must reproduce the file exactly.
+// jobs and on the completion-tolerance corpus, plus dense-step corpora
+// of ~10^3 alive jobs (see "Dense decision steps" below). A change to
+// the decision step that claims to be bit-identical must reproduce the
+// file exactly.
 //
 // Each line is `key decisions events total_flow weighted_flow
 // fractional_flow makespan records_fnv trajectory_fnv`. Running an
@@ -22,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -163,10 +166,102 @@ Instance tolerance_corpus_instance() {
   return Instance(4, jobs);
 }
 
+// ---- Dense decision steps -------------------------------------------------
+//
+// Corpora whose decisions cover ~10^3 alive jobs with a dense support (an
+// allocation's range [0, n)), so the rates pass and the advance sweep run
+// over many full and partial blocks of jobs: EQUI at sizes that leave
+// partial blocks, over mixed curve kinds and over multi-phase jobs; LAPS,
+// whose support is widened to the dense range with zero shares inside it;
+// and a policy that alternates dense and sparse decisions.
+
+/// Job i of a dense corpus: released at t = 0, except every 16th job,
+/// which arrives later (so steps also visit an unswept admission tail);
+/// size in [1, 9) from the fractional part of i times the golden ratio.
+Job dense_job(std::size_t i, SpeedupCurve curve) {
+  Job j;
+  j.id = static_cast<JobId>(i);
+  j.release = i % 16 == 15 ? 0.05 * static_cast<double>(i / 16) : 0.0;
+  const double g = static_cast<double>(i) * 0.6180339887498949;
+  j.size = 1.0 + 8.0 * (g - std::floor(g));
+  j.curve = curve;
+  return j;
+}
+
+Instance dense_instance(std::size_t n, int machines) {
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < n; ++i) {
+    jobs.push_back(dense_job(i, SpeedupCurve::power_law(0.5)));
+  }
+  return Instance(machines, jobs);
+}
+
+/// Every curve kind, on m = 256: EQUI's share m/n exceeds 1 once fewer
+/// than 256 jobs are alive, so the power-law and piecewise-linear jobs
+/// then take the kernel's pow and knot-vector arms.
+Instance dense_mixed_curve_instance() {
+  const SpeedupCurve curves[] = {
+      SpeedupCurve::fully_parallel(), SpeedupCurve::sequential(),
+      SpeedupCurve::power_law(0.3), SpeedupCurve::power_law(0.75),
+      SpeedupCurve::piecewise_linear({{2.0, 1.8}, {8.0, 4.0}})};
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < 1023; ++i) {
+    jobs.push_back(dense_job(i, curves[i % 5]));
+  }
+  return Instance(256, jobs);
+}
+
+/// Three-phase jobs of varied phase work: under EQUI, phases end at
+/// scattered positions inside the sweep's blocks.
+Instance dense_phased_instance() {
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < 1100; ++i) {
+    const Job base = dense_job(i, SpeedupCurve::power_law(0.5));
+    jobs.push_back(make_phased_job(
+        base.id, base.release,
+        {{0.25 * base.size, SpeedupCurve::power_law(0.3)},
+         {0.5 + 0.125 * static_cast<double>(i % 7),
+          SpeedupCurve::sequential()},
+         {0.5 * base.size, SpeedupCurve::power_law(0.9)}}));
+  }
+  return Instance(16, jobs);
+}
+
+/// Alternates a dense decision (equipartition through fill) with a
+/// sparse one (one machine each to m jobs spread over the alive set) by
+/// the parity of the alive count. A sparse step after a dense one reads
+/// the idle jobs' flow quotients, which the dense step last touched.
+class FillGrantAlternating final : public Scheduler {
+ public:
+  using Scheduler::allocate;
+  [[nodiscard]] std::string name() const override { return "fill-grant"; }
+  void allocate(const SchedulerContext& ctx, Allocation& out) override {
+    const std::size_t n = ctx.alive().size();
+    const auto m = static_cast<std::size_t>(ctx.machines());
+    if (n % 2 == 0 || n < 8 * m) {
+      out.fill(n, static_cast<double>(m) / static_cast<double>(n));
+      return;
+    }
+    out.reset(n);
+    for (std::size_t k = 0; k < m; ++k) out.grant(k * n / m + k % 3, 1.0);
+  }
+};
+
+std::unique_ptr<Scheduler> make_policy(const std::string& name) {
+  if (name == "fill-grant") return std::make_unique<FillGrantAlternating>();
+  return make_scheduler(name);
+}
+
 struct Corpus {
   std::string name;
   Instance inst;
   double speed;
+  /// The policies run on this corpus; empty means every kAllPolicies one.
+  std::vector<std::string> policies = {};
+  /// When positive: run streamed, snapshot the engine (export_state) at
+  /// this frontier while a decision is deferred, and pin the run of a
+  /// second engine restored from it (import_state) to completion.
+  double snapshot_at = 0.0;
 };
 
 std::vector<Corpus> corpora() {
@@ -196,7 +291,38 @@ std::vector<Corpus> corpora() {
   out.push_back({"phased.hand", hand_phased_instance(), 1.0});
   out.push_back({"phased.gen", generated_phased_instance(), 1.0});
   out.push_back({"tolerance", tolerance_corpus_instance(), 1.0});
+  for (const std::size_t n : {1000u, 1023u, 4099u}) {
+    out.push_back({"dense.n" + std::to_string(n), dense_instance(n, 16), 1.0,
+                   {"equi", "laps:0.25", "fill-grant"}});
+  }
+  out.push_back({"dense.mixed", dense_mixed_curve_instance(), 1.0,
+                 {"equi", "laps:0.25"}});
+  out.push_back({"dense.phased", dense_phased_instance(), 1.0,
+                 {"equi", "fill-grant"}});
+  // Cut just after the release at t = 1.0: the arrival is admitted, the
+  // decision taken and deferred before any sweep has visited it.
+  out.push_back({"dense.snapshot", dense_instance(1023, 16), 1.0,
+                 {"equi", "laps:0.25", "fill-grant"}, 1.0 + 1e-7});
   return out;
+}
+
+/// The continuation of a run snapshotted at c.snapshot_at, with `hasher`
+/// attached to the restored engine only.
+SimResult run_restored(const Corpus& c, const std::string& policy,
+                       EngineConfig cfg, TrajectoryHasher& hasher) {
+  auto donor_sched = make_policy(policy);
+  Engine donor(c.inst.machines(), cfg);
+  donor.begin(*donor_sched);
+  for (const Job& j : c.inst.jobs()) donor.admit(j);
+  donor.advance_to(c.snapshot_at);
+  const EngineState snap = donor.export_state();
+  EXPECT_TRUE(snap.has_cached_alloc) << c.name << "/" << policy;
+  auto sched = make_policy(policy);
+  sched->load_state(donor_sched->save_state());
+  Engine cont(c.inst.machines(), cfg);
+  cont.add_observer(&hasher);
+  cont.import_state(snap, *sched);
+  return cont.finish();
 }
 
 /// key -> fingerprint for every (corpus, policy) pair with a name prefix.
@@ -204,12 +330,20 @@ std::map<std::string, std::string> compute(const std::string& prefix) {
   std::map<std::string, std::string> out;
   for (const Corpus& c : corpora()) {
     if (c.name.rfind(prefix, 0) != 0) continue;
-    for (const char* policy : kAllPolicies) {
-      auto sched = make_scheduler(policy);
+    std::vector<std::string> policies = c.policies;
+    if (policies.empty()) policies.assign(std::begin(kAllPolicies),
+                                          std::end(kAllPolicies));
+    for (const std::string& policy : policies) {
       EngineConfig cfg;
       cfg.speed = c.speed;
       TrajectoryHasher hasher;
-      const SimResult r = simulate(c.inst, *sched, cfg, {&hasher});
+      SimResult r;
+      if (c.snapshot_at > 0.0) {
+        r = run_restored(c, policy, cfg, hasher);
+      } else {
+        auto sched = make_policy(policy);
+        r = simulate(c.inst, *sched, cfg, {&hasher});
+      }
       out[c.name + "/" + policy] = fingerprint(r, hasher.hash());
     }
   }
@@ -264,6 +398,16 @@ TEST(EngineGoldens, AllPoliciesOnE5Grid) { expect_goldens("e5."); }
 TEST(EngineGoldens, AllPoliciesOnPhasedJobs) { expect_goldens("phased."); }
 TEST(EngineGoldens, AllPoliciesOnCompletionToleranceCorpus) {
   expect_goldens("tolerance");
+}
+TEST(EngineGoldens, DenseStepsAtBlockSizes) { expect_goldens("dense.n"); }
+TEST(EngineGoldens, DenseStepsOverMixedCurves) {
+  expect_goldens("dense.mixed");
+}
+TEST(EngineGoldens, DenseStepsOverPhasedJobs) {
+  expect_goldens("dense.phased");
+}
+TEST(EngineGoldens, DenseStepsAcrossASnapshot) {
+  expect_goldens("dense.snapshot");
 }
 
 // ---- First-visit edge cases ---------------------------------------------
