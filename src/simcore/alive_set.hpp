@@ -82,10 +82,12 @@ struct AliveSet {
   std::vector<std::uint8_t> kinds;
   std::vector<double> alphas;
   /// Engine scratch, not job state: the flow quotient 0.5*(r+r)/size of
-  /// the job's remaining work r at its last advance-sweep visit (0 until
-  /// the first; absent from AliveJob). A job the sweep skips — rate 0 and
-  /// visited before — adds flow_q[i]*dt to the fractional flow, exactly
-  /// what a visit would add, since nothing else about it can change.
+  /// the job's remaining work r at its last sparse-sweep visit (0 until
+  /// the first; absent from AliveJob). Dense steps leave it stale and the
+  /// next sparse step rebuilds it. A job a sparse sweep skips — rate 0
+  /// and visited before — adds flow_q[i]*dt to the fractional flow,
+  /// exactly what a visit would add, since nothing else about it can
+  /// change.
   std::vector<double> flow_q;
   std::vector<AliveCold> cold;
 

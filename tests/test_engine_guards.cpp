@@ -460,6 +460,30 @@ TEST(StateValidation, RejectsNaNPhaseRemaining) {
   expect_rejected(st, "phase_remaining is NaN");
 }
 
+TEST(StateValidation, RejectsNegativeZeroRemaining) {
+  EngineState st = hand_built_state({0.0, 1.5, 0.5});
+  st.alive[2].remaining = -0.0;
+  expect_rejected(st, "remaining work is -0.0");
+}
+
+TEST(StateValidation, RejectsInfinitePhaseRemaining) {
+  EngineState st = hand_built_state({0.0, 1.5, 0.5});
+  st.alive[1].phase_remaining = std::numeric_limits<double>::infinity();
+  expect_rejected(st, "phase_remaining is infinite");
+}
+
+TEST(StateValidation, RejectsNegativePhaseRemaining) {
+  EngineState st = hand_built_state({0.0, 1.5, 0.5});
+  st.alive[1].phase_remaining = -0.25;
+  expect_rejected(st, "phase_remaining is negative");
+}
+
+TEST(StateValidation, RejectsNegativeZeroPhaseRemaining) {
+  EngineState st = hand_built_state({0.0, 1.5, 0.5});
+  st.alive[1].phase_remaining = -0.0;
+  expect_rejected(st, "phase_remaining is -0.0");
+}
+
 TEST(StateValidation, RejectsRemainingAboveSize) {
   EngineState st = hand_built_state({0.0, 1.5, 0.5});
   st.alive[2].remaining = st.alive[2].size * 2.0;
