@@ -7,12 +7,14 @@
 // callback (decision times, alive remaining work, shares). It covers
 // every registry policy family on the E1 and E5 grids, on multi-phase
 // jobs and on the completion-tolerance corpus, plus dense-step corpora
-// of ~10^3 alive jobs (see "Dense decision steps" below). A change to
+// of ~10^3 alive jobs (see "Dense decision steps" below) and uniform
+// decisions at their edges (see "Uniform decisions"). A change to
 // the decision step that claims to be bit-identical must reproduce the
 // file exactly.
 //
 // Each line is `key decisions events total_flow weighted_flow
-// fractional_flow makespan records_fnv trajectory_fnv`. Running an
+// fractional_flow makespan records_fnv trajectory_fnv`, or `key throws
+// <message>` for a run whose allocation the engine rejects. Running an
 // EngineGoldens test with PARSCHED_WRITE_GOLDENS=<path> writes the whole
 // file to <path> instead of comparing; regenerate it only for a change
 // that declares a semantic difference.
@@ -33,7 +35,9 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/determinism.hpp"
@@ -247,8 +251,139 @@ class FillGrantAlternating final : public Scheduler {
   }
 };
 
+// ---- Uniform decisions ----------------------------------------------------
+//
+// Test policies that start every decision with Allocation::fill(n, s), so
+// each one is uniform: every alive job holds the same share s. They pin
+// the edges of a uniform share — zero of either sign, a Σ right at the
+// overcommit limit, an overcommit, NaN and negative shares — with
+// allocation validation on (the error) and off (the bits).
+
+/// Equipartition, m/n to each of n jobs.
+void fill_equi(const SchedulerContext& ctx, Allocation& out) {
+  const std::size_t n = ctx.alive().size();
+  out.fill(n, static_cast<double>(ctx.machines()) / static_cast<double>(n));
+}
+
+/// Alternates a fill of `zero` (+0.0 or -0.0) that asks to be
+/// reconsidered 0.125 later with an equipartition.
+class ZeroFillAlternating final : public Scheduler {
+ public:
+  using Scheduler::allocate;
+  explicit ZeroFillAlternating(double zero) : zero_(zero) {}
+  [[nodiscard]] std::string name() const override {
+    return std::signbit(zero_) ? "zero-fill:-0" : "zero-fill:+0";
+  }
+  void reset() override { idle_ = false; }
+  void allocate(const SchedulerContext& ctx, Allocation& out) override {
+    idle_ = !idle_;
+    if (!idle_) return fill_equi(ctx, out);
+    out.fill(ctx.alive().size(), zero_);
+    out.reconsider_at = ctx.time() + 0.125;
+  }
+
+ private:
+  double zero_;
+  bool idle_ = false;
+};
+
+/// The engine's overcommit limit for m machines.
+double overcommit_limit(int machines) {
+  return static_cast<double>(machines) * (1.0 + 1e-9) + 1e-9;
+}
+
+/// Σ of n copies of s, added in index order (the engine's serial sum).
+double serial_sum(std::size_t n, double s) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) sum += s;
+  return sum;
+}
+
+/// Once more than m jobs are alive, the largest share s whose serial
+/// n-fold sum is still within the overcommit limit: n·s is then so close
+/// to the limit that fl(n·s)·(1 + 4n·2^-53) exceeds it. Equipartition
+/// otherwise.
+class FillAtLimit final : public Scheduler {
+ public:
+  using Scheduler::allocate;
+  [[nodiscard]] std::string name() const override { return "fill-at-limit"; }
+  void allocate(const SchedulerContext& ctx, Allocation& out) override {
+    const std::size_t n = ctx.alive().size();
+    const double limit = overcommit_limit(ctx.machines());
+    if (n <= static_cast<std::size_t>(ctx.machines())) {
+      return fill_equi(ctx, out);
+    }
+    // serial_sum is nondecreasing in s, so bisect over the bit patterns
+    // of the positive doubles in [lo, hi]: lo passes, hi fails.
+    std::uint64_t lo = bits(limit / static_cast<double>(n) * (1.0 - 1e-12));
+    std::uint64_t hi = bits(limit / static_cast<double>(n) * (1.0 + 1e-12));
+    while (hi - lo > 1) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      (serial_sum(n, from_bits(mid)) <= limit ? lo : hi) = mid;
+    }
+    const double s = from_bits(lo);
+    const double nd = static_cast<double>(n);
+    EXPECT_LE(serial_sum(n, s), limit);
+    EXPECT_GT(nd * s * (1.0 + nd * 0x1p-51), limit) << "n = " << n;
+    out.fill(n, s);
+  }
+
+ private:
+  static double from_bits(std::uint64_t u) {
+    double x = 0.0;
+    std::memcpy(&x, &u, sizeof(x));
+    return x;
+  }
+};
+
+/// Equipartition, except that the third decision fills `share(m, n)`
+/// and asks to be reconsidered 0.125 later (so a run that does not
+/// validate allocations goes on past it).
+class FillOnThirdDecision final : public Scheduler {
+ public:
+  using Scheduler::allocate;
+  using Share = double (*)(int machines, std::size_t n);
+  FillOnThirdDecision(std::string name, Share share)
+      : name_(std::move(name)), share_(share) {}
+  [[nodiscard]] std::string name() const override { return name_; }
+  void reset() override { decisions_ = 0; }
+  void allocate(const SchedulerContext& ctx, Allocation& out) override {
+    if (++decisions_ != 3) return fill_equi(ctx, out);
+    const std::size_t n = ctx.alive().size();
+    out.fill(n, share_(ctx.machines(), n));
+    out.reconsider_at = ctx.time() + 0.125;
+  }
+
+ private:
+  std::string name_;
+  Share share_;
+  int decisions_ = 0;
+};
+
 std::unique_ptr<Scheduler> make_policy(const std::string& name) {
   if (name == "fill-grant") return std::make_unique<FillGrantAlternating>();
+  if (name == "zero-fill:+0") return std::make_unique<ZeroFillAlternating>(0.0);
+  if (name == "zero-fill:-0") {
+    return std::make_unique<ZeroFillAlternating>(-0.0);
+  }
+  if (name == "fill-at-limit") return std::make_unique<FillAtLimit>();
+  if (name == "fill-over") {
+    // 1.5·m/n: a Σ of 1.5·m.
+    return std::make_unique<FillOnThirdDecision>(
+        name, [](int m, std::size_t n) {
+          return 1.5 * static_cast<double>(m) / static_cast<double>(n);
+        });
+  }
+  if (name == "fill-nan") {
+    return std::make_unique<FillOnThirdDecision>(
+        name, [](int, std::size_t) { return std::nan(""); });
+  }
+  if (name == "fill-neg") {
+    return std::make_unique<FillOnThirdDecision>(
+        name, [](int m, std::size_t n) {
+          return -0.25 * static_cast<double>(m) / static_cast<double>(n);
+        });
+  }
   return make_scheduler(name);
 }
 
@@ -262,7 +397,25 @@ struct Corpus {
   /// this frontier while a decision is deferred, and pin the run of a
   /// second engine restored from it (import_state) to completion.
   double snapshot_at = 0.0;
+  /// EngineConfig::validate_allocations.
+  bool validate = true;
 };
+
+/// n jobs on `machines` machines, all released at t = 0, cycling through
+/// every curve kind: EQUI's share is m/n, exactly 1 when n = m.
+Instance batch_instance(std::size_t n, int machines) {
+  const SpeedupCurve curves[] = {
+      SpeedupCurve::fully_parallel(), SpeedupCurve::sequential(),
+      SpeedupCurve::power_law(0.5),
+      SpeedupCurve::piecewise_linear({{2.0, 1.5}, {4.0, 2.0}})};
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < n; ++i) {
+    Job j = dense_job(i, curves[i % 4]);
+    j.release = 0.0;
+    jobs.push_back(j);
+  }
+  return Instance(machines, jobs);
+}
 
 std::vector<Corpus> corpora() {
   std::vector<Corpus> out;
@@ -303,6 +456,27 @@ std::vector<Corpus> corpora() {
   // decision taken and deferred before any sweep has visited it.
   out.push_back({"dense.snapshot", dense_instance(1023, 16), 1.0,
                  {"equi", "laps:0.25", "fill-grant"}, 1.0 + 1e-7});
+  // Uniform decisions (every share the same): EQUI at n = m, where its
+  // share is exactly 1, and at n = m + 1; EQUI at speeds 0.5 and 1.5; the
+  // uniform test policies above, with allocation validation on and off;
+  // and a deferred uniform decision carried through a snapshot.
+  out.push_back({"uniform.n64.m64", batch_instance(64, 64), 1.0, {"equi"}});
+  out.push_back({"uniform.n65.m64", batch_instance(65, 64), 1.0, {"equi"}});
+  for (const double speed : {0.5, 1.5}) {
+    out.push_back({"uniform.speed" + std::string(speed < 1.0 ? "0.5" : "1.5"),
+                   dense_instance(1023, 16), speed, {"equi"}});
+  }
+  out.push_back({"uniform.zero", dense_instance(1000, 16), 1.0,
+                 {"zero-fill:+0", "zero-fill:-0"}});
+  out.push_back({"uniform.limit", dense_instance(1023, 16), 1.0,
+                 {"fill-at-limit"}});
+  for (const bool validate : {true, false}) {
+    out.push_back({validate ? "uniform.validated" : "uniform.unvalidated",
+                   dense_instance(1000, 16), 1.0,
+                   {"fill-over", "fill-nan", "fill-neg"}, 0.0, validate});
+  }
+  out.push_back({"uniform.snapshot", dense_instance(1023, 16), 1.5,
+                 {"equi", "fill-at-limit"}, 1.0 + 1e-7});
   return out;
 }
 
@@ -336,15 +510,23 @@ std::map<std::string, std::string> compute(const std::string& prefix) {
     for (const std::string& policy : policies) {
       EngineConfig cfg;
       cfg.speed = c.speed;
+      cfg.validate_allocations = c.validate;
       TrajectoryHasher hasher;
       SimResult r;
-      if (c.snapshot_at > 0.0) {
-        r = run_restored(c, policy, cfg, hasher);
-      } else {
-        auto sched = make_policy(policy);
-        r = simulate(c.inst, *sched, cfg, {&hasher});
+      const std::string key = c.name + "/" + policy;
+      try {
+        if (c.snapshot_at > 0.0) {
+          r = run_restored(c, policy, cfg, hasher);
+        } else {
+          auto sched = make_policy(policy);
+          r = simulate(c.inst, *sched, cfg, {&hasher});
+        }
+      } catch (const std::logic_error& e) {
+        // A rejected allocation: pin the error instead of the bits.
+        out[key] = std::string("throws ") + e.what();
+        continue;
       }
-      out[c.name + "/" + policy] = fingerprint(r, hasher.hash());
+      out[key] = fingerprint(r, hasher.hash());
     }
   }
   return out;
@@ -409,6 +591,7 @@ TEST(EngineGoldens, DenseStepsOverPhasedJobs) {
 TEST(EngineGoldens, DenseStepsAcrossASnapshot) {
   expect_goldens("dense.snapshot");
 }
+TEST(EngineGoldens, UniformStepsAtTheirEdges) { expect_goldens("uniform."); }
 
 // ---- First-visit edge cases ---------------------------------------------
 
