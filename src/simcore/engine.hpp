@@ -200,10 +200,15 @@ class Engine final : public EngineView {
 
   /// Test surface: the alive set, in the order EngineState serializes.
   [[nodiscard]] const AliveSet& alive_set() const { return alive_; }
-  /// Test surface: the rates of the decision last computed, aligned with
-  /// its allocation's support (see rates_).
-  [[nodiscard]] std::span<const double> support_rates() const {
-    return rates_;
+  /// The rate of the decision last computed at support position j (see
+  /// rates_): job j's when the allocation is dense, job support()[j]'s
+  /// otherwise. Also a test surface, with support_rate_count().
+  [[nodiscard]] double support_rate(std::size_t j) const {
+    return rates_uniform_ ? uniform_rate_ : rates_[j];
+  }
+  /// Test surface: how many support positions support_rate() answers for.
+  [[nodiscard]] std::size_t support_rate_count() const {
+    return rates_uniform_ ? cached_alloc_.size() : rates_.size();
   }
 
  private:
@@ -276,8 +281,11 @@ class Engine final : public EngineView {
   /// position j: speed * Γ(share) of alive job support()[j], or of job j
   /// itself when the allocation is dense(). Reserved to the alive count
   /// at admission. Their values for a *deferred* decision stay frozen
-  /// with it (the rates_valid_ protocol below).
+  /// with it (the rates_valid_ protocol below). Not written for a uniform
+  /// decision (rates_uniform_): every rate is then uniform_rate_.
   std::vector<double> rates_;
+  bool rates_uniform_ = false;
+  double uniform_rate_ = 0.0;
   /// Persistent ordering heaps behind every SchedulerContext helper.
   /// Unlike the rest of this scratch block the heaps carry state
   /// *across* decision steps — but still derived state: every key is

@@ -22,6 +22,7 @@ void Allocation::assign(std::vector<double> shares) {
     if (!is_pos_zero(shares_[i])) support_.push_back(i);
   }
   dense_ = false;
+  uniform_ = false;
 }
 
 PARSCHED_HOT void Allocation::sort_support() {

@@ -81,8 +81,11 @@ class SchedulerContext {
 /// share whose bits are not +0.0 is always in the support, and the engine
 /// spends per-decision work on the support rather than on every alive
 /// job. A fill() support is the whole range [0, n) and is kept as a flag,
-/// not as a list of n indices. The dense share vector stays materialised
-/// for observers and snapshots.
+/// not as a list of n indices. A fill() also marks the allocation
+/// uniform: every share is the one value uniform_share(), which the
+/// engine then reads instead of the n shares (grant(), reset() and
+/// assign() clear the mark). The dense share vector stays materialised
+/// for observers, snapshots and tests.
 class Allocation {
  public:
   double reconsider_at = kInf;
@@ -102,6 +105,7 @@ class Allocation {
     support_.clear();
     reserve_geometric(support_, n);
     dense_ = false;
+    uniform_ = false;
     reconsider_at = kInf;
   }
 
@@ -111,16 +115,19 @@ class Allocation {
       support_.push_back(i);
     }
     shares_[i] = s;
+    uniform_ = false;
   }
 
   /// Start a fresh decision that gives each of n jobs the same share s
   /// (equipartition): size n, every share s, the support the contiguous
-  /// range [0, n), no reconsideration. Writes each share once — a policy
-  /// calls this instead of reset(), not after it.
+  /// range [0, n), uniform, no reconsideration. Writes each share once —
+  /// a policy calls this instead of reset(), not after it.
   void fill(std::size_t n, double s) {
     shares_.assign(n, s);
     support_.clear();
     dense_ = true;
+    uniform_ = true;
+    uniform_share_ = s;
     reconsider_at = kInf;
   }
 
@@ -139,6 +146,11 @@ class Allocation {
   /// True after fill(), or after sort_support() widened a large support:
   /// the support is all of [0, size()).
   [[nodiscard]] bool dense() const { return dense_; }
+  /// True after fill() until the next grant(), reset() or assign(): every
+  /// share is uniform_share(), bit for bit (so the allocation is dense).
+  [[nodiscard]] bool uniform() const { return uniform_; }
+  /// The share of every job when uniform(); meaningless otherwise.
+  [[nodiscard]] double uniform_share() const { return uniform_share_; }
   /// The granted indices (empty when dense()); ascending and unique once
   /// sort_support() has run.
   [[nodiscard]] std::span<const std::size_t> support() const {
@@ -153,6 +165,8 @@ class Allocation {
   std::vector<double> shares_;
   std::vector<std::size_t> support_;
   bool dense_ = false;
+  bool uniform_ = false;
+  double uniform_share_ = 0.0;
 };
 
 /// Online scheduling policy. Implementations must be deterministic

@@ -267,5 +267,13 @@ TEST(EngineAllocAudit, DenseAliveRunIsAllocationFreeWithContextCache) {
   (void)run_audited("laps:0.25");
 }
 
+TEST(EngineAllocAudit, DenseAliveRunIsAllocationFreeWithEqui) {
+  SKIP_WITHOUT_HOOK();
+  // EQUI fills m/n: a uniform decision (one rate for every job, nothing
+  // written per job) while n >= 16, a dense one once fewer jobs are left.
+  // Both arms and the one-rate advance sweep run inside the fences.
+  EXPECT_GE(run_audited("equi").decisions, 10'000u);
+}
+
 }  // namespace
 }  // namespace parsched

@@ -9,12 +9,13 @@
 //     phase change / mass swap-remove / restore.
 //   * Inside the engine, the view, the records observers receive and the
 //     snapshot records agree under any interleaving of admit / advance /
-//     complete / snapshot-import, and the rate scratch holds Γ(share) for
-//     each support position of the cached decision.
+//     complete / snapshot-import, and the engine's rate at each support
+//     position of the cached decision is Γ(share), uniform ones included.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -267,32 +268,37 @@ class RecordsCheck final : public Observer {
   std::vector<AliveJob> refreshed_;
 };
 
+/// Which rates arm computed a cached decision (Engine::compute_rates).
+enum class RatesArm { kNone, kUniform, kDense, kSparse };
+
 /// `rates_computed`: the engine has computed the rates of its cached
 /// decision (false right after a snapshot import, which recomputes them
-/// at the first resume). Returns whether that decision's support was a
-/// sparse index list (rated one job per kernel call).
-bool expect_engine_consistent(const Engine& eng, bool rates_computed = true) {
+/// at the first resume). Returns the arm that rated that decision, or
+/// kNone when there is none or it was not checked.
+RatesArm expect_engine_consistent(const Engine& eng,
+                                  bool rates_computed = true) {
   const EngineState st = eng.export_state();
   // The snapshot's records are the alive set, field for field.
   std::vector<AliveJob> refreshed;
   expect_set_matches(eng.alive_set(), st.alive, "engine", refreshed);
-  // The rate scratch holds one rate per support position of the cached
-  // decision.
-  const std::span<const double> rates = eng.support_rates();
-  if (st.has_cached_alloc && rates_computed) {
-    const Allocation& alloc = st.cached_alloc;
-    const std::size_t k =
-        alloc.dense() ? st.alive.size() : alloc.support().size();
-    EXPECT_EQ(rates.size(), k);
-    for (std::size_t j = 0; j < std::min(k, rates.size()); ++j) {
-      const std::size_t i = alloc.dense() ? j : alloc.support()[j];
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(rates[j]),
-                std::bit_cast<std::uint64_t>(
-                    st.alive[i].curve.rate(alloc.shares()[i])))
-          << "rate mismatch at support position " << j;
-    }
+  if (!st.has_cached_alloc || !rates_computed) return RatesArm::kNone;
+  // The engine answers one rate per support position of the cached
+  // decision — for a uniform one, without a rate per job behind it.
+  const Allocation& alloc = st.cached_alloc;
+  const std::size_t k =
+      alloc.dense() ? st.alive.size() : alloc.support().size();
+  EXPECT_EQ(eng.support_rate_count(), k);
+  for (std::size_t j = 0; j < std::min(k, eng.support_rate_count()); ++j) {
+    const std::size_t i = alloc.dense() ? j : alloc.support()[j];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(eng.support_rate(j)),
+              std::bit_cast<std::uint64_t>(
+                  st.alive[i].curve.rate(alloc.shares()[i])))
+        << "rate mismatch at support position " << j;
   }
-  return st.has_cached_alloc && !st.cached_alloc.dense();
+  if (!alloc.dense()) return RatesArm::kSparse;
+  const double s = alloc.uniform_share();
+  return alloc.uniform() && s >= 0.0 && s <= 1.0 ? RatesArm::kUniform
+                                                 : RatesArm::kDense;
 }
 
 Job random_job(Rng& rng, JobId id, double release) {
@@ -327,7 +333,8 @@ Job random_job(Rng& rng, JobId id, double release) {
 
 /// Random admit / advance / snapshot-restore interleavings under
 /// `policy`, checking the engine's consistency after every advance.
-void drive_interleaving(const std::string& policy) {
+/// Returns how many checked decisions each arm rated, indexed by RatesArm.
+std::array<int, 4> drive_interleaving(const std::string& policy) {
   SCOPED_TRACE(policy);
   auto eng = std::make_unique<Engine>(4);
   auto sched = make_scheduler(policy);
@@ -339,7 +346,7 @@ void drive_interleaving(const std::string& policy) {
   Rng rng(0x50A1);
   JobId next_id = 0;
   std::size_t admitted = 0;
-  int sparse = 0;
+  std::array<int, 4> arms{};
   for (int step = 0; step < 160; ++step) {
     const double frontier = eng->frontier();
     const auto n_admit = rng.uniform_int(0, 2);
@@ -368,7 +375,7 @@ void drive_interleaving(const std::string& policy) {
       }
     }
     eng->advance_to(frontier + rng.uniform(0.05, 0.9));
-    sparse += expect_engine_consistent(*eng) ? 1 : 0;
+    ++arms[static_cast<std::size_t>(expect_engine_consistent(*eng))];
 
     if (step % 40 == 17) {
       // Snapshot round-trip into a fresh engine mid-run: import_state
@@ -383,20 +390,30 @@ void drive_interleaving(const std::string& policy) {
       eng = std::move(eng2);
       sched = std::move(sched2);
     }
-    if (::testing::Test::HasFailure()) return;
+    if (::testing::Test::HasFailure()) return arms;
   }
   const SimResult r = eng->finish();
   EXPECT_EQ(r.jobs(), admitted);
   EXPECT_GT(check.decisions, 160u);
-  EXPECT_GT(sparse, 0) << "no sparse support was ever checked";
+  return arms;
+}
+
+int checked(const std::array<int, 4>& arms, RatesArm arm) {
+  return arms[static_cast<std::size_t>(arm)];
 }
 
 TEST(EngineAliveSet, ViewRecordsAndSnapshotAgreeUnderInterleaving) {
   // ISRPT grants whole machines (share 1, where every curve rates x);
   // Par-SRPT puts all m machines on one job, so a sparse support's rate
   // depends on that job's curve kind, piecewise-linear ones included.
-  drive_interleaving("isrpt");
-  drive_interleaving("par-srpt");
+  // EQUI fills m/n: a uniform decision once n >= m, whose rates the
+  // engine keeps as one scalar; a dense one (shares above 1, rated by
+  // each job's curve) while n < m.
+  EXPECT_GT(checked(drive_interleaving("isrpt"), RatesArm::kSparse), 0);
+  EXPECT_GT(checked(drive_interleaving("par-srpt"), RatesArm::kSparse), 0);
+  const std::array<int, 4> equi = drive_interleaving("equi");
+  EXPECT_GT(checked(equi, RatesArm::kUniform), 0);
+  EXPECT_GT(checked(equi, RatesArm::kDense), 0);
 }
 
 TEST(EngineAliveSetRates, SparseSupportRatesUseEachJobsOwnCurve) {
@@ -423,8 +440,8 @@ TEST(EngineAliveSetRates, SparseSupportRatesUseEachJobsOwnCurve) {
   ASSERT_FALSE(st.cached_alloc.dense());
   ASSERT_EQ(st.cached_alloc.support().size(), 1u);
   EXPECT_EQ(st.cached_alloc.support()[0], 9u);
-  ASSERT_EQ(eng.support_rates().size(), 1u);
-  EXPECT_EQ(eng.support_rates()[0], 1.75);
+  ASSERT_EQ(eng.support_rate_count(), 1u);
+  EXPECT_EQ(eng.support_rate(0), 1.75);
 }
 
 }  // namespace
