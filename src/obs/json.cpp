@@ -51,7 +51,7 @@ JsonWriter::JsonWriter(std::ostream& os, int indent)
 
 JsonWriter::~JsonWriter() {
   // Do not throw from a destructor; unbalanced writers are caught by the
-  // explicit done() assertion at call sites (and by the syntax checker).
+  // explicit done() assertion at call sites (and by json_syntax_valid).
 }
 
 void JsonWriter::newline_indent() {
@@ -175,222 +175,6 @@ JsonWriter& JsonWriter::null() {
   return *this;
 }
 
-// --------------------------------------------------------- syntax checker
-
-namespace {
-
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view text) : text_(text) {}
-
-  bool run(std::string* error) {
-    skip_ws();
-    if (!parse_value()) return fail(error);
-    skip_ws();
-    if (pos_ != text_.size()) {
-      reason_ = "trailing characters after value";
-      return fail(error);
-    }
-    return true;
-  }
-
- private:
-  bool fail(std::string* error) {
-    if (error != nullptr) {
-      *error = "offset " + std::to_string(pos_) + ": " + reason_;
-    }
-    return false;
-  }
-
-  [[nodiscard]] bool eof() const { return pos_ >= text_.size(); }
-  [[nodiscard]] char peek() const { return text_[pos_]; }
-
-  void skip_ws() {
-    while (!eof() && (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
-                      peek() == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) {
-      reason_ = "invalid literal";
-      return false;
-    }
-    pos_ += word.size();
-    return true;
-  }
-
-  bool parse_value() {
-    if (++depth_ > 512) {
-      reason_ = "nesting too deep";
-      return false;
-    }
-    bool ok = false;
-    if (eof()) {
-      reason_ = "unexpected end of input";
-    } else {
-      switch (peek()) {
-        case '{': ok = parse_object(); break;
-        case '[': ok = parse_array(); break;
-        case '"': ok = parse_string(); break;
-        case 't': ok = literal("true"); break;
-        case 'f': ok = literal("false"); break;
-        case 'n': ok = literal("null"); break;
-        default: ok = parse_number(); break;
-      }
-    }
-    --depth_;
-    return ok;
-  }
-
-  bool parse_object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (!eof() && peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (eof() || peek() != '"') {
-        reason_ = "expected object key string";
-        return false;
-      }
-      if (!parse_string()) return false;
-      skip_ws();
-      if (eof() || peek() != ':') {
-        reason_ = "expected ':' after object key";
-        return false;
-      }
-      ++pos_;
-      skip_ws();
-      if (!parse_value()) return false;
-      skip_ws();
-      if (!eof() && peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (!eof() && peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      reason_ = "expected ',' or '}' in object";
-      return false;
-    }
-  }
-
-  bool parse_array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (!eof() && peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (!parse_value()) return false;
-      skip_ws();
-      if (!eof() && peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (!eof() && peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      reason_ = "expected ',' or ']' in array";
-      return false;
-    }
-  }
-
-  bool parse_string() {
-    ++pos_;  // opening quote
-    while (!eof()) {
-      const char c = text_[pos_];
-      if (static_cast<unsigned char>(c) < 0x20) {
-        reason_ = "raw control character in string";
-        return false;
-      }
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (eof()) break;
-        const char esc = text_[pos_];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (eof() || std::isxdigit(static_cast<unsigned char>(
-                             text_[pos_])) == 0) {
-              reason_ = "bad \\u escape";
-              return false;
-            }
-          }
-        } else if (std::string_view("\"\\/bfnrt").find(esc) ==
-                   std::string_view::npos) {
-          reason_ = "bad escape character";
-          return false;
-        }
-      }
-      ++pos_;
-    }
-    reason_ = "unterminated string";
-    return false;
-  }
-
-  bool parse_number() {
-    const std::size_t start = pos_;
-    if (!eof() && peek() == '-') ++pos_;
-    if (eof() || std::isdigit(static_cast<unsigned char>(peek())) == 0) {
-      reason_ = "invalid number";
-      return false;
-    }
-    if (peek() == '0') {
-      ++pos_;
-    } else {
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) {
-        ++pos_;
-      }
-    }
-    if (!eof() && peek() == '.') {
-      ++pos_;
-      if (eof() || std::isdigit(static_cast<unsigned char>(peek())) == 0) {
-        reason_ = "digit required after decimal point";
-        return false;
-      }
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) {
-        ++pos_;
-      }
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (eof() || std::isdigit(static_cast<unsigned char>(peek())) == 0) {
-        reason_ = "digit required in exponent";
-        return false;
-      }
-      while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) {
-        ++pos_;
-      }
-    }
-    return pos_ > start;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  int depth_ = 0;
-  std::string reason_ = "invalid JSON";
-};
-
-}  // namespace
-
-bool json_syntax_valid(std::string_view text, std::string* error) {
-  return JsonChecker(text).run(error);
-}
-
 // ----------------------------------------------------------------- parser
 
 const JsonValue* JsonValue::find(std::string_view key) const {
@@ -438,9 +222,7 @@ void append_utf8(std::string& out, std::uint32_t cp) {
   }
 }
 
-/// Same grammar as JsonChecker, but builds a JsonValue tree. Kept as a
-/// separate pass: the checker stays allocation-free for the hot
-/// validate-artifacts path.
+/// Strict RFC-8259 recursive-descent parser building a JsonValue tree.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
@@ -733,6 +515,11 @@ class JsonParser {
 bool json_parse(std::string_view text, JsonValue& out, std::string* error) {
   out = JsonValue{};
   return JsonParser(text).run(out, error);
+}
+
+bool json_syntax_valid(std::string_view text, std::string* error) {
+  JsonValue discarded;
+  return json_parse(text, discarded, error);
 }
 
 }  // namespace parsched::obs

@@ -1,4 +1,4 @@
-// parsched — minimal streaming JSON emission (and a syntax checker).
+// parsched — minimal streaming JSON emission and a strict parser.
 //
 // The trace exporter and report writers need deterministic, correctly
 // escaped JSON without any third-party dependency. JsonWriter is a
@@ -8,8 +8,9 @@
 // are byte-exact). Misuse (a value where a key is required, unbalanced
 // end_*) trips a PARSCHED_CHECK rather than emitting malformed output.
 //
-// json_syntax_valid() is a strict RFC-8259 syntax checker used by tests
-// and the CLI to prove emitted artifacts parse cleanly.
+// json_parse() is the read side (the serve NDJSON protocol), one strict
+// RFC-8259 grammar; json_syntax_valid() runs it to prove emitted
+// artifacts parse cleanly.
 #pragma once
 
 #include <cstdint>
@@ -79,9 +80,10 @@ class JsonWriter {
   bool wrote_root_ = false;
 };
 
-/// Strict JSON syntax check (full RFC-8259 grammar, no extensions).
-/// On failure returns false and, when `error` is non-null, sets a
-/// human-readable "offset N: reason" message.
+/// Strict JSON syntax check: json_parse() into a discarded value (full
+/// RFC-8259 grammar, no extensions; a lone surrogate escape or a number
+/// outside double range is rejected). On failure returns false and, when
+/// `error` is non-null, sets a human-readable "offset N: reason" message.
 [[nodiscard]] bool json_syntax_valid(std::string_view text,
                                      std::string* error = nullptr);
 
@@ -120,9 +122,9 @@ struct JsonValue {
   [[nodiscard]] bool bool_or(std::string_view key, bool fallback) const;
 };
 
-/// Parse one JSON document (strict RFC-8259, the same grammar as
-/// json_syntax_valid). On failure returns false and, when `error` is
-/// non-null, sets an "offset N: reason" message; `out` is unspecified.
+/// Parse one JSON document (strict RFC-8259). On failure returns false
+/// and, when `error` is non-null, sets an "offset N: reason" message;
+/// `out` is unspecified.
 [[nodiscard]] bool json_parse(std::string_view text, JsonValue& out,
                               std::string* error = nullptr);
 

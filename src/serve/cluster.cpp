@@ -1,13 +1,14 @@
 #include "serve/cluster.hpp"
 
 #include <algorithm>
-#include <ctime>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
 
 #include "check/contract.hpp"
 #include "obs/flight_recorder.hpp"
+#include "serve/snapshot.hpp"
 
 namespace parsched::serve {
 
@@ -22,13 +23,31 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-void sleep_ms(long ms) {
-  timespec ts{};
-  ts.tv_nsec = ms * 1'000'000L;
-  nanosleep(&ts, nullptr);
+/// Count a reject on `counter` (when metrics are on) and answer it.
+Submit reject(obs::Counter* counter, Submit verdict) {
+  if (counter != nullptr) counter->inc();
+  return verdict;
 }
 
 }  // namespace
+
+const std::vector<double>& latency_bounds_ms() {
+  static const std::vector<double> bounds{0.05, 0.1, 0.2, 0.5, 1.0,  2.0,
+                                          5.0,  10.0, 20.0, 50.0, 100.0,
+                                          200.0, 500.0, 1000.0};
+  return bounds;
+}
+
+const char* to_string(Submit s) {
+  switch (s) {
+    case Submit::kAccepted: return "accepted";
+    case Submit::kQueueFull: return "queue_full";
+    case Submit::kUnknownSession: return "unknown_session";
+    case Submit::kDraining: return "draining";
+    case Submit::kSessionCap: return "session_cap";
+  }
+  return "unknown";
+}
 
 int ring_lookup(const std::vector<std::pair<std::uint64_t, int>>& ring,
                 std::uint64_t key) {
@@ -64,23 +83,27 @@ int consistent_shard(std::uint64_t key, int shards) {
   return ring_lookup(build_ring(shards), key);
 }
 
+Cluster::Shard::Shard(int threads, bool instrumented)
+    : metrics(instrumented ? std::make_unique<obs::MetricsRegistry>()
+                           : nullptr),
+      pool(exec::ThreadPool::Config{threads, metrics.get()}) {
+  if (metrics == nullptr) return;
+  requests = &metrics->counter("serve.requests");
+  op_errors = &metrics->counter("serve.op_errors");
+  request_timer = &metrics->timer("serve.request");
+  latency_ms = &metrics->histogram("serve.request.latency_ms",
+                                   latency_bounds_ms());
+  queue_depth = &metrics->gauge("serve.queue.depth");
+  sessions_active = &metrics->gauge("serve.sessions.active");
+  sessions_opened = &metrics->counter("serve.sessions.opened");
+  sessions_closed = &metrics->counter("serve.sessions.closed");
+  reject_queue_full = &metrics->counter("serve.reject.queue_full");
+}
+
 Cluster::Cluster(Config cfg) : cfg_(cfg) {
   if (cfg_.shards < 1) cfg_.shards = 1;
-  shards_.resize(static_cast<std::size_t>(cfg_.shards));
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    if (cfg_.metrics != nullptr) {
-      shards_[i].metrics = std::make_unique<obs::MetricsRegistry>();
-    }
-    Server::Config sc;
-    sc.threads = cfg_.threads_per_shard;
-    // The cluster enforces the session cap globally; the per-shard cap
-    // is set to the same bound so an adversarial all-one-shard skew is
-    // admitted up to the cluster-wide limit, never double-rejected.
-    sc.max_sessions = cfg_.max_sessions;
-    sc.max_queue = cfg_.max_queue;
-    sc.metrics = shards_[i].metrics.get();
-    sc.recorder = cfg_.recorder;
-    shards_[i].server = std::make_unique<Server>(sc);
+  for (int i = 0; i < cfg_.shards; ++i) {
+    shards_.emplace_back(cfg_.threads_per_shard, cfg_.metrics != nullptr);
   }
   ring_ = build_ring(cfg_.shards);
   if (cfg_.metrics != nullptr) {
@@ -104,136 +127,110 @@ Cluster::Cluster(Config cfg) : cfg_(cfg) {
 
 Cluster::~Cluster() { drain(); }
 
-Submit Cluster::open(const Session::Config& scfg, SessionId& id_out,
-                     std::uint64_t key, int* shard_out) {
+template <class Source>
+Submit Cluster::install(Source source, SessionId& id_out,
+                        std::uint64_t key, int* shard_out) {
+  SessionId id = 0;
   int shard = 0;
-  SessionId cid = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (draining_) {
-      if (reject_draining_ != nullptr) reject_draining_->inc();
-      return Submit::kDraining;
-    }
+    if (draining_) return reject(reject_draining_, Submit::kDraining);
     if (routes_.size() >= cfg_.max_sessions) {
-      if (reject_session_cap_ != nullptr) reject_session_cap_->inc();
-      return Submit::kSessionCap;
+      return reject(reject_session_cap_, Submit::kSessionCap);
     }
-    cid = next_id_++;
+    id = next_id_++;
     Route r;
-    r.key = key != 0 ? key : cid;
+    r.key = key != 0 ? key : id;
     shard = ring_lookup(ring_, r.key);
     r.shard = shard;
     r.placement = shard;
-    r.migrating = true;  // parked until the shard server installed it
-    routes_.emplace(cid, r);
+    r.migrating = true;  // parked until the strand exists
+    routes_.emplace(id, std::move(r));
   }
-
-  // Construct outside the lock: make_scheduler may throw (caller error)
-  // and session construction is not cheap enough to serialize.
-  Session::Config with_metrics = scfg;
-  if (with_metrics.metrics == nullptr) {
-    with_metrics.metrics = shards_[static_cast<std::size_t>(shard)]
-                               .metrics.get();
-  }
-  if (with_metrics.recorder == nullptr) {
-    with_metrics.recorder = cfg_.recorder;
-  }
-  std::unique_ptr<Session> session;
+  // Built outside the lock: make_scheduler and restore may throw (caller
+  // error) and session construction is not cheap enough to serialize.
+  auto strand = std::make_shared<Strand>();
+  strand->id = id;
   try {
-    session = std::make_unique<Session>(std::move(with_metrics));
+    strand->session = build(shard, std::move(source));
   } catch (...) {
     std::lock_guard<std::mutex> lock(mu_);
-    routes_.erase(cid);
+    routes_.erase(id);
     throw;
   }
-
-  SessionId inner = 0;
-  const Submit verdict =
-      shards_[static_cast<std::size_t>(shard)].server->adopt(
-          std::move(session), inner);
   std::lock_guard<std::mutex> lock(mu_);
-  if (verdict != Submit::kAccepted) {
-    routes_.erase(cid);
-    return verdict;
+  const auto it = routes_.find(id);
+  if (draining_ || it == routes_.end()) {  // drain() began meanwhile
+    routes_.erase(id);
+    return reject(reject_draining_, Submit::kDraining);
   }
-  auto it = routes_.find(cid);
-  it->second.inner = inner;
-  it->second.migrating = false;
+  attach_locked(it->second, shard, std::move(strand));
   if (opened_ != nullptr) {
     opened_->inc();
     sessions_gauge_->set(static_cast<double>(routes_.size()));
   }
-  id_out = cid;
+  id_out = id;
   if (shard_out != nullptr) *shard_out = shard;
   return Submit::kAccepted;
 }
 
-Submit Cluster::adopt(std::unique_ptr<Session> session, SessionId& id_out,
+Submit Cluster::open(const Session::Config& scfg, SessionId& id_out,
+                     std::uint64_t key, int* shard_out) {
+  return install(scfg, id_out, key, shard_out);
+}
+
+Submit Cluster::adopt(SessionSnapshot snap, SessionId& id_out,
                       std::uint64_t key, int* shard_out) {
-  PARSCHED_CHECK(session != nullptr, "adopting a null session");
-  int shard = 0;
-  SessionId cid = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (draining_) {
-      if (reject_draining_ != nullptr) reject_draining_->inc();
-      return Submit::kDraining;
-    }
-    if (routes_.size() >= cfg_.max_sessions) {
-      if (reject_session_cap_ != nullptr) reject_session_cap_->inc();
-      return Submit::kSessionCap;
-    }
-    cid = next_id_++;
-    Route r;
-    r.key = key != 0 ? key : cid;
-    shard = ring_lookup(ring_, r.key);
-    r.shard = shard;
-    r.placement = shard;
-    r.migrating = true;
-    routes_.emplace(cid, r);
-  }
-  SessionId inner = 0;
-  const Submit verdict =
-      shards_[static_cast<std::size_t>(shard)].server->adopt(
-          std::move(session), inner);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (verdict != Submit::kAccepted) {
-    routes_.erase(cid);
-    return verdict;
-  }
-  auto it = routes_.find(cid);
-  it->second.inner = inner;
-  it->second.migrating = false;
-  if (opened_ != nullptr) {
-    opened_->inc();
-    sessions_gauge_->set(static_cast<double>(routes_.size()));
-  }
-  id_out = cid;
-  if (shard_out != nullptr) *shard_out = shard;
-  return Submit::kAccepted;
+  return install(std::move(snap), id_out, key, shard_out);
 }
 
-Submit Cluster::submit(SessionId id, std::function<void(Session&)> op) {
-  // The lock is held across the shard submit so a concurrent migrate()
-  // cannot slip its drain op between our route lookup and our enqueue —
-  // that interleaving would run `op` on the source strand *after* the
+std::unique_ptr<Session> Cluster::build(int shard,
+                                        Session::Config scfg) const {
+  if (scfg.metrics == nullptr) {
+    scfg.metrics = shards_[static_cast<std::size_t>(shard)].metrics.get();
+  }
+  if (scfg.recorder == nullptr) scfg.recorder = cfg_.recorder;
+  return std::make_unique<Session>(std::move(scfg));
+}
+
+std::unique_ptr<Session> Cluster::build(int shard,
+                                        SessionSnapshot snap) const {
+  return Session::restore(
+      std::move(snap), shards_[static_cast<std::size_t>(shard)].metrics.get(),
+      cfg_.recorder);
+}
+
+void Cluster::attach_locked(Route& route, int shard,
+                            std::shared_ptr<Strand> strand) {
+  route.shard = shard;
+  route.strand = std::move(strand);
+  route.migrating = false;
+  Shard& s = shards_[static_cast<std::size_t>(shard)];
+  ++s.strands;
+  if (s.sessions_opened != nullptr) {
+    s.sessions_opened->inc();
+    s.sessions_active->set(static_cast<double>(s.strands));
+  }
+}
+
+Submit Cluster::submit(SessionId id, Op op) {
+  // The lock is held across the route lookup and the enqueue so a
+  // concurrent migrate() cannot slip its drain op between them — that
+  // interleaving would run `op` on the source strand *after* the
   // snapshot was taken and silently lose its effect on the migrated
   // session.
   std::lock_guard<std::mutex> lock(mu_);
-  if (draining_) {
-    if (reject_draining_ != nullptr) reject_draining_->inc();
-    return Submit::kDraining;
-  }
+  return record_submit(id, route_locked(id, std::move(op)));
+}
+
+Submit Cluster::route_locked(SessionId id, Op op) {
+  if (draining_) return reject(reject_draining_, Submit::kDraining);
   const auto it = routes_.find(id);
   if (it == routes_.end()) {
-    if (reject_unknown_ != nullptr) reject_unknown_->inc();
-    return Submit::kUnknownSession;
+    return reject(reject_unknown_, Submit::kUnknownSession);
   }
-  Route& r = it->second;
-  if (r.migrating) {
-    if (reject_migrating_ != nullptr) reject_migrating_->inc();
-    return Submit::kDraining;
-  }
+  const Route& r = it->second;
+  if (r.migrating) return reject(reject_migrating_, Submit::kDraining);
   if (r.shard != r.placement) {
     if (reroutes_ != nullptr) reroutes_->inc();
     if (cfg_.recorder != nullptr) {
@@ -243,34 +240,144 @@ Submit Cluster::submit(SessionId id, std::function<void(Session&)> op) {
                             static_cast<std::uint32_t>(r.placement));
     }
   }
-  return shards_[static_cast<std::size_t>(r.shard)].server->submit(
-      r.inner, std::move(op));
+  return enqueue(r.shard, r.strand, std::move(op));
+}
+
+Submit Cluster::record_submit(SessionId id, Submit verdict) const {
+  if (cfg_.recorder != nullptr) {
+    cfg_.recorder->record(obs::FlightEvent::kSubmit, id,
+                          obs::monotonic_seconds(),
+                          static_cast<double>(verdict));
+  }
+  return verdict;
+}
+
+Submit Cluster::enqueue(int shard_index,
+                        const std::shared_ptr<Strand>& strand, Op op) {
+  Shard& shard = shards_[static_cast<std::size_t>(shard_index)];
+  bool start = false;
+  {
+    std::lock_guard<std::mutex> lock(strand->mu);
+    if (strand->queue.size() >= cfg_.max_queue) {
+      return reject(shard.reject_queue_full, Submit::kQueueFull);
+    }
+    strand->queue.push_back(std::move(op));
+    start = !std::exchange(strand->running, true);
+  }
+  queue_depth_delta(shard, 1);
+  if (start) {
+    // The strand task: drains the session's queue, then stops. The
+    // future is intentionally dropped — op exceptions are handled inside
+    // run_strand, and drain() synchronizes on the pool shutdown.
+    shard.pool.submit([this, &shard, strand] { run_strand(shard, strand); });
+  }
+  return Submit::kAccepted;
+}
+
+void Cluster::queue_depth_delta(Shard& shard, std::int64_t delta) {
+  if (shard.queue_depth == nullptr) return;
+  std::lock_guard<std::mutex> lock(shard.depth_mu);
+  shard.queued += delta;
+  shard.queue_depth->set(static_cast<double>(shard.queued));
+}
+
+void Cluster::run_strand(Shard& shard,
+                         const std::shared_ptr<Strand>& strand) {
+  for (;;) {
+    Op op;
+    std::size_t depth = 0;
+    bool idle = false;
+    bool retiring = false;
+    {
+      std::lock_guard<std::mutex> lock(strand->mu);
+      idle = strand->queue.empty();
+      if (idle) {
+        strand->running = false;
+        retiring = strand->closing;
+      } else {
+        op = std::move(strand->queue.front());
+        strand->queue.pop_front();
+        depth = strand->queue.size();
+      }
+    }
+    if (idle) {
+      // close_strand() saw `running` and left the retirement to us.
+      if (retiring) retire(shard, *strand);
+      return;
+    }
+    queue_depth_delta(shard, -1);
+    if (cfg_.recorder != nullptr) {
+      cfg_.recorder->record(obs::FlightEvent::kDispatch, strand->id,
+                            obs::monotonic_seconds(),
+                            static_cast<double>(depth));
+    }
+    const bool timed = shard.requests != nullptr;
+    if (timed) shard.requests->inc();
+    const double t0 = timed ? obs::monotonic_seconds() : 0.0;
+    try {
+      op(*strand->session);
+    } catch (...) {
+      // Protocol callers report their own errors; an op that leaks an
+      // exception must not kill the strand.
+      if (shard.op_errors != nullptr) shard.op_errors->inc();
+    }
+    if (timed) {
+      const double dt = obs::monotonic_seconds() - t0;
+      shard.request_timer->add(dt);
+      shard.latency_ms->observe(dt * 1000.0);
+    }
+  }
+}
+
+void Cluster::close_strand(Shard& shard, Strand& strand) {
+  bool idle = false;
+  {
+    std::lock_guard<std::mutex> lock(strand.mu);
+    strand.closing = true;
+    // Not running means the queue is empty; otherwise the strand task
+    // retires the session when its queue empties.
+    idle = !strand.running;
+  }
+  if (idle) retire(shard, strand);
+}
+
+void Cluster::retire(Shard& shard, Strand& strand) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (shard.strands > 0) --shard.strands;  // drain() may have zeroed it
+    if (shard.sessions_closed != nullptr) {
+      shard.sessions_closed->inc();
+      shard.sessions_active->set(static_cast<double>(shard.strands));
+    }
+  }
+  strand.session.reset();  // the Session dies here, outside every lock
 }
 
 Submit Cluster::close(SessionId id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = routes_.find(id);
-  if (it == routes_.end()) {
-    if (reject_unknown_ != nullptr) reject_unknown_->inc();
-    return Submit::kUnknownSession;
-  }
-  Route& r = it->second;
-  if (r.migrating) {
-    // Closing mid-migration would race the adoption hop; the caller
-    // retries once the move settled.
-    if (reject_migrating_ != nullptr) reject_migrating_->inc();
-    return Submit::kDraining;
-  }
-  const Submit verdict =
-      shards_[static_cast<std::size_t>(r.shard)].server->close(r.inner);
-  if (verdict == Submit::kAccepted || verdict == Submit::kUnknownSession) {
+  std::shared_ptr<Strand> strand;
+  int shard = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = routes_.find(id);
+    if (it == routes_.end()) {
+      return reject(reject_unknown_, Submit::kUnknownSession);
+    }
+    if (it->second.migrating) {
+      // Closing mid-migration would race the install on the target; the
+      // caller retries once the move settled.
+      return reject(reject_migrating_, Submit::kDraining);
+    }
+    strand = std::move(it->second.strand);
+    shard = it->second.shard;
     routes_.erase(it);
     if (closed_ != nullptr) {
       closed_->inc();
       sessions_gauge_->set(static_cast<double>(routes_.size()));
     }
   }
-  return verdict;
+  // No submit can reach the strand any more: the route is gone.
+  close_strand(shards_[static_cast<std::size_t>(shard)], *strand);
+  return Submit::kAccepted;
 }
 
 Submit Cluster::migrate(SessionId id, int target_shard) {
@@ -286,20 +393,13 @@ Submit Cluster::migrate(SessionId id, int target_shard) {
                                 std::to_string(target_shard) +
                                 " is out of the ring");
   }
-  if (draining_) {
-    if (reject_draining_ != nullptr) reject_draining_->inc();
-    return Submit::kDraining;
-  }
+  if (draining_) return reject(reject_draining_, Submit::kDraining);
   const auto it = routes_.find(id);
   if (it == routes_.end()) {
-    if (reject_unknown_ != nullptr) reject_unknown_->inc();
-    return Submit::kUnknownSession;
+    return reject(reject_unknown_, Submit::kUnknownSession);
   }
   Route& r = it->second;
-  if (r.migrating) {
-    if (reject_migrating_ != nullptr) reject_migrating_->inc();
-    return Submit::kDraining;
-  }
+  if (r.migrating) return reject(reject_migrating_, Submit::kDraining);
   if (r.shard == target_shard) return Submit::kAccepted;  // no-op
 
   const int source = r.shard;
@@ -309,18 +409,11 @@ Submit Cluster::migrate(SessionId id, int target_shard) {
   // op completes before the snapshot, no later op can slip in (submits
   // answer kDraining while `migrating`), so the blob captures a clean
   // cut of the session — the bit-identity hinge.
-  const Submit verdict =
-      shards_[static_cast<std::size_t>(source)].server->submit(
-          r.inner, [this, id, source, target_shard](Session& s) {
-            std::string blob;
-            try {
-              blob = s.snapshot();
-            } catch (const std::exception&) {
-              abort_migration(id);  // finished sessions cannot move
-              return;
-            }
-            finish_migration(id, source, target_shard, blob);
-          });
+  const Submit verdict = record_submit(
+      id, enqueue(source, r.strand,
+                  [this, id, source, target_shard](Session& s) {
+                    finish_migration(id, source, target_shard, s);
+                  }));
   if (verdict != Submit::kAccepted) {
     r.migrating = false;
     --migrations_in_flight_;
@@ -331,34 +424,24 @@ Submit Cluster::migrate(SessionId id, int target_shard) {
 }
 
 void Cluster::finish_migration(SessionId id, int source, int target,
-                               const std::string& blob) {
-  std::unique_ptr<Session> session;
+                               const Session& session) {
+  auto moved = std::make_shared<Strand>();
+  moved->id = id;
   try {
-    session = Session::restore(
-        blob, shards_[static_cast<std::size_t>(target)].metrics.get());
+    moved->session = build(target, decode_snapshot(session.snapshot()));
   } catch (const std::exception&) {
-    abort_migration(id);
+    abort_migration(id);  // finished sessions cannot move
     return;
   }
-  SessionId inner2 = 0;
-  const Submit verdict =
-      shards_[static_cast<std::size_t>(target)].server->adopt(
-          std::move(session), inner2);
-  if (verdict != Submit::kAccepted) {
-    abort_migration(id);
-    return;
-  }
-  SessionId old_inner = 0;
-  bool flipped = false;
+  std::shared_ptr<Strand> old;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = routes_.find(id);
+    // The route cannot vanish while `migrating` parks close(); if it
+    // did, the restored copy is simply dropped.
     if (it != routes_.end()) {
-      old_inner = it->second.inner;
-      it->second.shard = target;
-      it->second.inner = inner2;
-      it->second.migrating = false;
-      flipped = true;
+      old = std::move(it->second.strand);
+      attach_locked(it->second, target, std::move(moved));
     }
     if (migrations_ != nullptr) migrations_->inc();
     if (cfg_.recorder != nullptr) {
@@ -370,14 +453,10 @@ void Cluster::finish_migration(SessionId id, int source, int target,
     --migrations_in_flight_;
     migration_cv_.notify_all();
   }
-  if (flipped) {
-    // The source copy is now a shadow; retire it. Its strand (we are on
-    // it) retires the entry once this op returns.
-    shards_[static_cast<std::size_t>(source)].server->close(old_inner);
-  } else {
-    // Route vanished (cannot happen while `migrating` parks close, but
-    // stay safe): the adopted copy is an orphan.
-    shards_[static_cast<std::size_t>(target)].server->close(inner2);
+  // The source copy is now a shadow. We run on its strand, so it
+  // retires once this op returns.
+  if (old != nullptr) {
+    close_strand(shards_[static_cast<std::size_t>(source)], *old);
   }
 }
 
@@ -403,19 +482,19 @@ int Cluster::evacuate(int shard) {
     throw std::invalid_argument("evacuate: shard " + std::to_string(shard) +
                                 " out of range");
   }
-  const auto idx = static_cast<std::size_t>(shard);
+  Shard& victim = shards_[static_cast<std::size_t>(shard)];
   std::vector<std::pair<SessionId, int>> moves;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (draining_) return 0;
-    if (shards_[idx].in_ring) {
+    if (victim.in_ring) {
       int in_ring = 0;
       for (const Shard& s : shards_) in_ring += s.in_ring ? 1 : 0;
       if (in_ring <= 1) {
         throw std::invalid_argument(
             "evacuate: cannot remove the last in-ring shard");
       }
-      shards_[idx].in_ring = false;
+      victim.in_ring = false;
       rebuild_ring_locked();
     }
     for (const auto& [sid, r] : routes_) {
@@ -433,51 +512,53 @@ int Cluster::evacuate(int shard) {
       // Shrinking ring raced us; the session stays put.
     }
   }
+  std::size_t remaining = 0;
   {
     std::unique_lock<std::mutex> lock(mu_);
     migration_cv_.wait(lock,
                        [this] { return migrations_in_flight_ == 0; });
-  }
-  // Wait for the source server to retire the migrated shadows, then
-  // drain it if it emptied (finished sessions that could not move stay
-  // servable, so the shard is left undrained in that case). Bounded:
-  // retirement is strand completion, not client-paced.
-  std::size_t remaining = 0;
-  for (int spin = 0; spin < 60'000; ++spin) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      remaining = 0;
-      for (const auto& [sid, r] : routes_) {
-        if (r.shard == shard) ++remaining;
-      }
+    for (const auto& [sid, r] : routes_) {
+      if (r.shard == shard) ++remaining;
     }
-    if (shards_[idx].server->session_count() <= remaining) break;
-    sleep_ms(1);
   }
-  if (remaining == 0 && !shards_[idx].drained) {
-    shards_[idx].server->drain();
-    shards_[idx].drained = true;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t still_here = 0;
-  for (const auto& [sid, r] : routes_) {
-    if (r.shard == shard) ++still_here;
-  }
-  return static_cast<int>(moves.size() - still_here);
+  // Sessions that could not move (already finished) keep the pool
+  // running. Otherwise no route points at the shard and it is out of
+  // the ring, so nothing new reaches its pool: the draining shutdown
+  // waits for the migrated shadows to retire, then joins the workers.
+  if (remaining == 0) victim.pool.shutdown(true);
+  return static_cast<int>(moves.size() - remaining);
 }
 
 void Cluster::drain() {
   {
+    // A second drain (the destructor after an explicit call) is fine:
+    // the pool shutdown below is idempotent.
     std::lock_guard<std::mutex> lock(mu_);
     draining_ = true;
   }
-  for (Shard& s : shards_) {
-    s.server->drain();
-    s.drained = true;
+  // No new submit can enqueue past this point; every accepted op either
+  // already holds a pool task or sits in a queue a running strand will
+  // drain. The draining shutdown therefore covers everything.
+  for (Shard& s : shards_) s.pool.shutdown(true);
+  std::unordered_map<SessionId, Route> routes;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    routes.swap(routes_);
+    for (Shard& s : shards_) {
+      s.strands = 0;
+      if (s.sessions_active != nullptr) s.sessions_active->set(0.0);
+    }
+    if (sessions_gauge_ != nullptr) sessions_gauge_->set(0.0);
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  routes_.clear();
-  if (sessions_gauge_ != nullptr) sessions_gauge_->set(0.0);
+  routes.clear();  // the sessions die here, outside the lock
+  // The pools are quiet: the graceful-shutdown dump is deterministic over
+  // whatever the run recorded. Idempotent like the drain itself (a second
+  // call rewrites the same file).
+  if (cfg_.recorder != nullptr) {
+    cfg_.recorder->record(obs::FlightEvent::kNote, 0,
+                          obs::monotonic_seconds());
+    cfg_.recorder->dump_to_file("drain");
+  }
 }
 
 int Cluster::shards() const { return static_cast<int>(shards_.size()); }
@@ -542,12 +623,6 @@ obs::MetricsSnapshot Cluster::merged_snapshot() const {
               return a.name < b.name;
             });
   return out;
-}
-
-Server& Cluster::shard_server(int shard) {
-  PARSCHED_CHECK(shard >= 0 && shard < static_cast<int>(shards_.size()),
-                 "shard index out of range");
-  return *shards_[static_cast<std::size_t>(shard)].server;
 }
 
 }  // namespace parsched::serve

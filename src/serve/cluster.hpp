@@ -1,10 +1,17 @@
-// parsched — the sharded serving plane.
+// parsched — the serving plane: one session table over N shards.
 //
-// A Cluster shards sessions across N independent shard workers. Each
-// shard is a full serve::Server — its own exec::ThreadPool, its own
-// strand table, its own MetricsRegistry — so shards share no mutable
-// state except the cluster's routing table, and a wedged or saturated
-// shard cannot stall its siblings' pools.
+// A Cluster owns every live session. Each session is a *strand*: its
+// queued operations execute one at a time, in submission order, on its
+// shard's exec::ThreadPool, so Session itself needs no locking — but
+// operations of different sessions run concurrently. A shard is a pool
+// and its own MetricsRegistry, so shards share no mutable state except
+// the cluster's session table, and a saturated shard cannot stall its
+// siblings' pools.
+//
+// One table, one id space: routes_ maps the client's session id to its
+// shard, its ring placement, its routing key and its strand. Every
+// request takes one lock to find the strand; flight events, metrics and
+// replies all name the session by the id the client holds.
 //
 // Routing is consistent-hash: every session carries a routing key
 // (client-supplied, or defaulted to the session id), hashed onto a ring
@@ -15,52 +22,100 @@
 // count can predict placement, which is how loadgen's adversarial
 // all-one-shard burst aims its traffic.
 //
-// Backpressure stays explicit and per-shard: open/submit/close answer
-// with the same Submit verdicts as Server, and every verdict is
-// non-blocking. The cluster adds one cluster-wide session cap on top of
-// the per-shard queues (Submit::kSessionCap), and a kDraining verdict
-// while a session is mid-migration — callers retry exactly as they
-// would for a full queue.
+// Backpressure is explicit and non-blocking: open/submit/close answer
+// synchronously with a Submit verdict. A full per-session queue, an
+// unknown session, a draining cluster, the cluster-wide session cap, or
+// a session mid-migration (kDraining) all *reject* — callers retry as
+// they would for a full queue; the cluster never blocks a caller and
+// never drops work silently. The soak legs of CI drive this at
+// queue-overflow rates under TSan.
 //
-// Live migration (the tentpole guarantee): migrate() drains a session's
-// strand on the source shard, snapshots it with the versioned PSNP
-// encoder, restores the blob on the target shard and atomically flips
-// the routing entry — all while the cluster keeps serving. Because the
-// snapshot runs *on the strand* (after every previously accepted op,
-// before any later one — later submits reject kDraining and retry), the
-// migrated session's continuation is bit-identical to an unmigrated
-// run: same doubles, same order. evacuate() applies this to a whole
-// shard: take it out of the ring, migrate every live session to its new
-// ring position, then drain the emptied Server — the "kill a shard
-// mid-soak" operation of the CI leg.
+// One install path: open() (from a Session::Config), adopt() (from a
+// decoded snapshot, the restore verb) and migration pick the shard
+// first, then build the session on that shard's registry and the
+// cluster's recorder — so every session the cluster runs carries the
+// same plumbing, wherever it came from.
 //
-// Metrics: per-shard registries are merged into the exposition under
-// "serve.shard<i>.*" (e.g. serve.shard0.requests), aggregated totals
-// keep the plain Server names, and cluster-level counters live under
-// "serve.cluster.*" (opened/closed/migrations/reroutes/rejects).
-// Flight recording: migrations land in the ring as kMigrate events and
-// post-migration submits as kReroute, beside the per-shard kSubmit /
-// kDispatch stream.
+// Live migration: migrate() queues a drain op on the session's strand
+// that snapshots it with the versioned PSNP encoder, installs the
+// restored copy as a new strand on the target shard and flips the
+// route — all while the cluster keeps serving. Because the snapshot
+// runs *on the strand* (after every previously accepted op, before any
+// later one — later submits reject kDraining and retry), the migrated
+// session's continuation is bit-identical to an unmigrated run: same
+// doubles, same order. The old strand retires once the drain op
+// returns. evacuate() applies this to a whole shard: take it out of the
+// ring, migrate every live session to its new ring position, then shut
+// the emptied shard's pool down — the "kill a shard mid-soak" operation
+// of the CI leg.
+//
+// drain() is the graceful shutdown: new work is rejected with
+// Submit::kDraining, every already-queued operation still runs, and the
+// call returns once every shard's pool is idle. The destructor drains.
+//
+// Metrics (when Config::metrics is set): per-shard registries are
+// merged into the exposition under "serve.shard<i>.*" (e.g.
+// serve.shard0.requests), aggregated totals keep the plain names, and
+// cluster-level counters live under "serve.cluster.*"
+// (opened/closed/migrations/reroutes/rejects). Per shard:
+//   serve.sessions.opened / serve.sessions.closed   counters (strands)
+//   serve.sessions.active                           gauge
+//   serve.queue.depth                               gauge (queued ops)
+//   serve.reject.queue_full                         counter
+//   serve.requests / serve.op_errors                counters
+//   serve.request                                   timer (op execution)
+//   serve.request.latency_ms                        histogram (op
+//                                                   execution, ms — the
+//                                                   server-side twin of
+//                                                   loadgen's
+//                                                   serve.client.latency_ms)
+//
+// Flight recording (when Config::recorder is set): every submit verdict
+// (kSubmit) and every strand dispatch (kDispatch, with the queue depth
+// left behind) is recorded under the client's session id, migrations as
+// kMigrate and post-migration submits as kReroute; drain() dumps the
+// ring (reason "drain") once the pools are quiet — so a soak run always
+// leaves a black box behind, even when nothing went wrong.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
-#include "serve/server.hpp"
+#include "serve/session.hpp"
 
 namespace parsched::obs {
 class FlightRecorder;
 }  // namespace parsched::obs
 
 namespace parsched::serve {
+
+/// The latency bucket bounds (milliseconds) shared by the server-side
+/// serve.request.latency_ms histogram and loadgen's
+/// serve.client.latency_ms — identical buckets keep the two sides
+/// comparable in exposition output and BENCH reports.
+[[nodiscard]] const std::vector<double>& latency_bounds_ms();
+
+using SessionId = std::uint64_t;
+
+/// Synchronous verdict for every cluster call.
+enum class Submit : std::uint8_t {
+  kAccepted,
+  kQueueFull,       ///< the session's op queue is at Config::max_queue
+  kUnknownSession,  ///< no such id (never opened, or already closed)
+  kDraining,        ///< cluster drain()ing, or the session is migrating
+  kSessionCap,      ///< Config::max_sessions sessions already open
+};
+
+[[nodiscard]] const char* to_string(Submit s);
 
 /// Virtual ring points per shard; enough that 4–16 shards spread keys
 /// within a few percent of uniform.
@@ -94,8 +149,8 @@ class Cluster {
     /// exposition; must outlive the cluster. Per-shard registries are
     /// owned by the cluster itself.
     obs::MetricsRegistry* metrics = nullptr;
-    /// Borrowed flight recorder shared by every shard server (one ring,
-    /// one black box). Must outlive the cluster.
+    /// Borrowed flight recorder shared by every shard and every session
+    /// (one ring, one black box). Must outlive the cluster.
     obs::FlightRecorder* recorder = nullptr;
   };
 
@@ -107,25 +162,29 @@ class Cluster {
 
   /// Open a session, placed by consistent hash of `key` (0 means "no
   /// key": the fresh session id is used, spreading keyless sessions
-  /// uniformly). On kAccepted `id_out` holds the cluster-wide session
-  /// id and `shard_out` (when non-null) the shard it landed on. Throws
-  /// std::invalid_argument for an unknown policy spec.
+  /// uniformly). On kAccepted `id_out` holds the session id and
+  /// `shard_out` (when non-null) the shard it landed on. Throws
+  /// std::invalid_argument for an unknown policy spec (a caller error,
+  /// not load — rejects are for load).
   Submit open(const Session::Config& scfg, SessionId& id_out,
               std::uint64_t key = 0, int* shard_out = nullptr);
 
-  /// Adopt an externally built session (snapshot restore path); same
-  /// placement rules as open().
-  Submit adopt(std::unique_ptr<Session> session, SessionId& id_out,
+  /// Restore a decoded snapshot as a new session (the restore verb);
+  /// same placement and errors as open().
+  Submit adopt(SessionSnapshot snap, SessionId& id_out,
                std::uint64_t key = 0, int* shard_out = nullptr);
 
   /// Queue `op` on the session's strand, wherever the session currently
-  /// lives. A session mid-migration answers kDraining (retry; it will
-  /// land on the new shard).
+  /// lives. The operation runs on a pool thread with exclusive access to
+  /// the session; exceptions it throws are swallowed after being counted
+  /// (serve.op_errors) — protocol-level callers report errors through
+  /// their own channel. A session mid-migration answers kDraining
+  /// (retry; it will land on the new shard).
   Submit submit(SessionId id, std::function<void(Session&)> op);
 
-  /// Close a session: already-queued operations still run, the routing
-  /// entry is gone immediately (subsequent submits answer
-  /// kUnknownSession).
+  /// Close a session: the route is gone immediately (subsequent submits
+  /// answer kUnknownSession), already-queued operations still run, and
+  /// the session is destroyed once its queue empties.
   Submit close(SessionId id);
 
   /// Live-migrate one session to `target_shard`. Returns the verdict
@@ -139,12 +198,12 @@ class Cluster {
 
   /// Take `shard` out of the ring, migrate every live session it holds
   /// to the key's new ring position, wait for the moves to settle, and
-  /// — when the shard emptied — drain its Server. Returns the number of
-  /// sessions migrated. Sessions that cannot move (already finished)
-  /// stay servable on the out-of-ring shard, which is then left
-  /// undrained. Throws std::invalid_argument on the last in-ring shard
-  /// or an out-of-range id; evacuating an already-evacuated shard is a
-  /// zero-migration no-op.
+  /// — when no session is left on the shard — shut its pool down.
+  /// Returns the number of sessions migrated. Sessions that cannot move
+  /// (already finished) stay servable on the out-of-ring shard, whose
+  /// pool then keeps running. Throws std::invalid_argument on the last
+  /// in-ring shard or an out-of-range id; evacuating an
+  /// already-evacuated shard is a zero-migration no-op.
   int evacuate(int shard);
 
   /// Reject new work and wait until every queued operation on every
@@ -166,39 +225,78 @@ class Cluster {
   /// names. This is what the protocol's stats verb exposes.
   [[nodiscard]] obs::MetricsSnapshot merged_snapshot() const;
 
-  /// The shard's Server (tests and the evacuation path).
-  [[nodiscard]] Server& shard_server(int shard);
-
  private:
-  struct Shard {
-    std::unique_ptr<obs::MetricsRegistry> metrics;
-    std::unique_ptr<Server> server;
-    bool in_ring = true;
-    bool drained = false;
+  using Op = std::function<void(Session&)>;
+
+  /// One session and its op queue. At most one pool task drains the
+  /// queue at a time (`running`); a closing strand retires — counts
+  /// itself out and destroys its session — once the queue empties.
+  struct Strand {
+    SessionId id = 0;  ///< the client's session id (flight events)
+    std::mutex mu;     // guards queue, running, closing
+    std::unique_ptr<Session> session;
+    std::deque<Op> queue;
+    bool running = false;  ///< a strand task is active on the pool
+    bool closing = false;  ///< set once, by close() or a migration
   };
 
-  /// Routing-table entry: cluster session id -> (shard, inner Server
-  /// id). `migrating` parks submits (kDraining) while the snapshot/
-  /// restore hop is in flight; `placement` remembers the original shard
-  /// so post-migration traffic can be recorded as reroutes.
+  /// A shard worker: its pool and its registry with the instruments
+  /// cached at construction (registry lookups take a lock; the dispatch
+  /// and reject paths should not). Instruments are null without
+  /// Config::metrics.
+  struct Shard {
+    Shard(int threads, bool instrumented);
+
+    std::unique_ptr<obs::MetricsRegistry> metrics;
+    exec::ThreadPool pool;
+    obs::Counter* requests = nullptr;
+    obs::Counter* op_errors = nullptr;
+    obs::TimerStat* request_timer = nullptr;
+    obs::Histogram* latency_ms = nullptr;
+    obs::Gauge* queue_depth = nullptr;
+    obs::Gauge* sessions_active = nullptr;
+    obs::Counter* sessions_opened = nullptr;
+    obs::Counter* sessions_closed = nullptr;
+    obs::Counter* reject_queue_full = nullptr;
+    std::size_t strands = 0;  ///< unretired strands; under the cluster mu_
+    bool in_ring = true;      ///< under the cluster mu_
+    std::mutex depth_mu;      // guards queued (mirrors the gauge)
+    std::int64_t queued = 0;
+  };
+
+  /// Session-table entry. `migrating` parks submits (kDraining) while an
+  /// install or a snapshot/restore hop is in flight; `placement`
+  /// remembers the original shard so post-migration traffic can be
+  /// recorded as reroutes.
   struct Route {
     int shard = 0;
     int placement = 0;
-    SessionId inner = 0;
     std::uint64_t key = 0;
     bool migrating = false;
+    std::shared_ptr<Strand> strand;
   };
 
-  Submit place(std::unique_ptr<Session> session, SessionId& id_out,
-               std::uint64_t key, int* shard_out);
+  template <class Source>
+  Submit install(Source source, SessionId& id_out, std::uint64_t key,
+                 int* shard_out);
+  std::unique_ptr<Session> build(int shard, Session::Config scfg) const;
+  std::unique_ptr<Session> build(int shard, SessionSnapshot snap) const;
+  void attach_locked(Route& route, int shard,
+                     std::shared_ptr<Strand> strand);
+  Submit route_locked(SessionId id, Op op);
+  Submit enqueue(int shard, const std::shared_ptr<Strand>& strand, Op op);
+  Submit record_submit(SessionId id, Submit verdict) const;
+  void run_strand(Shard& shard, const std::shared_ptr<Strand>& strand);
+  void close_strand(Shard& shard, Strand& strand);
+  void retire(Shard& shard, Strand& strand);
+  void queue_depth_delta(Shard& shard, std::int64_t delta);
   void finish_migration(SessionId id, int source, int target,
-                        const std::string& blob);
+                        const Session& session);
   void abort_migration(SessionId id);
   void rebuild_ring_locked();
-  void migration_done();
 
   Config cfg_;
-  std::vector<Shard> shards_;
+  std::deque<Shard> shards_;  // deque: a Shard is immovable
 
   obs::Counter* opened_ = nullptr;
   obs::Counter* closed_ = nullptr;

@@ -135,11 +135,10 @@ bool dispatch(Cluster& cluster, Request req, Reply& reply) {
       }
       case BinOp::kRestore: {
         require_path(req);
-        auto session = Session::restore(read_snapshot_file(req.path));
         SessionId sid = 0;
         int shard = -1;
-        if (accepted(reply,
-                     cluster.adopt(std::move(session), sid, 0, &shard))) {
+        if (accepted(reply, cluster.adopt(read_snapshot_file(req.path), sid,
+                                          0, &shard))) {
           reply.session(sid, shard);
         }
         break;

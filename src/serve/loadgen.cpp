@@ -17,7 +17,6 @@
 #include "obs/json.hpp"
 #include "serve/binproto.hpp"
 #include "serve/cluster.hpp"
-#include "serve/server.hpp"
 #include "serve/transport.hpp"
 #include "speedup/curve.hpp"
 

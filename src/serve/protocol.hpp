@@ -65,12 +65,6 @@ class ProtocolHandler {
   /// trailing '\n') or one response frame payload (PBIN, unframed).
   using WriteFn = std::function<void(const std::string&)>;
 
-  /// Single-shard compatibility: one Server-shaped shard.
-  explicit ProtocolHandler(Server::Config cfg)
-      : cluster_(Cluster::Config{1, cfg.threads, cfg.max_sessions,
-                                 cfg.max_queue, cfg.metrics,
-                                 cfg.recorder}) {}
-
   explicit ProtocolHandler(Cluster::Config cfg) : cluster_(cfg) {}
 
   /// Process one NDJSON request line. Responses (possibly deferred to a

@@ -29,32 +29,36 @@ Session::Session(Config cfg)
 }
 
 Session::Session(RestoreTag, SessionSnapshot snap,
-                 obs::MetricsRegistry* metrics) {
+                 obs::MetricsRegistry* metrics,
+                 obs::FlightRecorder* recorder) {
   cfg_.policy = snap.policy;
   cfg_.machines = snap.engine.machines;
   cfg_.speed = snap.engine.config.speed;
   cfg_.metrics = metrics;
+  cfg_.recorder = recorder;
   sched_ = make_scheduler(snap.policy);
   policy_name_ = sched_->name();
   sched_->reset();
   sched_->load_state(snap.scheduler_state);
   EngineConfig ec = snap.engine.config;
   ec.metrics = metrics;
-  ec.recorder = nullptr;  // observability plumbing, never restored
+  ec.recorder = recorder;  // observability plumbing, never in the blob
   ec.collect_stats = false;  // profiling does not continue across a restore
   engine_ = std::make_unique<Engine>(snap.engine.machines, ec);
   engine_->import_state(snap.engine, *sched_);
 }
 
 std::unique_ptr<Session> Session::restore(const std::string& blob,
-                                          obs::MetricsRegistry* metrics) {
-  return restore(decode_snapshot(blob), metrics);
+                                          obs::MetricsRegistry* metrics,
+                                          obs::FlightRecorder* recorder) {
+  return restore(decode_snapshot(blob), metrics, recorder);
 }
 
 std::unique_ptr<Session> Session::restore(SessionSnapshot snap,
-                                          obs::MetricsRegistry* metrics) {
+                                          obs::MetricsRegistry* metrics,
+                                          obs::FlightRecorder* recorder) {
   return std::unique_ptr<Session>(
-      new Session(RestoreTag{}, std::move(snap), metrics));
+      new Session(RestoreTag{}, std::move(snap), metrics, recorder));
 }
 
 void Session::admit(const Job& job) {

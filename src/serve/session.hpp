@@ -17,8 +17,8 @@
 // process, and the continuation is bit-identical to the donor's
 // (tests/test_serve.cpp holds both properties).
 //
-// Sessions are NOT thread-safe; the serve::Server runs each session on a
-// strand (at most one queued operation executing at a time), which is
+// Sessions are NOT thread-safe; the serve::Cluster runs each session on
+// a strand (at most one queued operation executing at a time), which is
 // the concurrency contract.
 #pragma once
 
@@ -47,8 +47,8 @@ class Session {
     obs::MetricsRegistry* metrics = nullptr;
     /// Borrowed flight recorder handed to the engine (admissions,
     /// decision steps, completions, stalls land in the ring). Must
-    /// outlive the session. Not carried across snapshot restore — the
-    /// recorder is observability plumbing, not session state.
+    /// outlive the session. Not carried in a snapshot — the recorder is
+    /// observability plumbing, not session state; restore() takes one.
     obs::FlightRecorder* recorder = nullptr;
   };
 
@@ -92,19 +92,23 @@ class Session {
   /// valid before finish().
   [[nodiscard]] std::string snapshot() const;
 
-  /// Reconstruct a session from a snapshot() blob; `metrics` is attached
-  /// to the restored engine (the blob carries no registry). Throws
-  /// std::invalid_argument on a corrupt or wrong-version blob.
+  /// Reconstruct a session from a snapshot() blob; `metrics` and
+  /// `recorder` are attached to the restored engine (the blob carries
+  /// neither). Throws std::invalid_argument on a corrupt or
+  /// wrong-version blob.
   static std::unique_ptr<Session> restore(
-      const std::string& blob, obs::MetricsRegistry* metrics = nullptr);
+      const std::string& blob, obs::MetricsRegistry* metrics = nullptr,
+      obs::FlightRecorder* recorder = nullptr);
 
   /// Same, from an already-decoded snapshot (the file restore path).
   static std::unique_ptr<Session> restore(
-      SessionSnapshot snap, obs::MetricsRegistry* metrics = nullptr);
+      SessionSnapshot snap, obs::MetricsRegistry* metrics = nullptr,
+      obs::FlightRecorder* recorder = nullptr);
 
  private:
   struct RestoreTag {};
-  Session(RestoreTag, SessionSnapshot snap, obs::MetricsRegistry* metrics);
+  Session(RestoreTag, SessionSnapshot snap, obs::MetricsRegistry* metrics,
+          obs::FlightRecorder* recorder);
 
   Config cfg_;
   std::string policy_name_;

@@ -475,6 +475,8 @@ TEST(Json, SyntaxCheckerAcceptsAndRejects) {
   EXPECT_FALSE(obs::json_syntax_valid("01", &err));
   EXPECT_FALSE(obs::json_syntax_valid("\"unterminated", &err));
   EXPECT_FALSE(obs::json_syntax_valid("", &err));
+  EXPECT_FALSE(obs::json_syntax_valid("\"\\ud800\"", &err));  // lone surrogate
+  EXPECT_FALSE(obs::json_syntax_valid("1e400", &err));  // beyond double range
 }
 
 // ------------------------------------------------- engine instrumentation

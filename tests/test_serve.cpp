@@ -12,10 +12,11 @@
 //    donor blob byte for byte.
 //
 // Around them: JSON parser round trips (the protocol's read side),
-// Server strand/backpressure semantics (explicit rejects, never
-// blocking), protocol request/response behavior, and an in-process
-// socket soak driving loadgen against a live server — the test the
-// `thread` (TSan) CI leg leans on.
+// strand/backpressure semantics on a one-shard Cluster (explicit
+// rejects, never blocking), the plumbing every installed session
+// carries (flight ids, registry, recorder), protocol request/response
+// behavior, and an in-process socket soak driving loadgen against a
+// live server — the test the `thread` (TSan) CI leg leans on.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -27,6 +28,7 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -37,9 +39,9 @@
 #include "obs/json.hpp"
 #include "sched/registry.hpp"
 #include "serve/binproto.hpp"
+#include "serve/cluster.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/protocol.hpp"
-#include "serve/server.hpp"
 #include "serve/session.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/transport.hpp"
@@ -495,27 +497,24 @@ TEST(JsonParse, DuplicateKeysKeepLast) {
 
 // -------------------------------------------------------------- server
 
-serve::Server::Config server_config(int threads, std::size_t sessions,
-                                    std::size_t queue,
-                                    obs::MetricsRegistry* reg = nullptr) {
-  serve::Server::Config cfg;
-  cfg.threads = threads;
-  cfg.max_sessions = sessions;
-  cfg.max_queue = queue;
-  cfg.metrics = reg;
-  return cfg;
+// One shard: the session table, strands and backpressure without
+// routing across shards (test_cluster.cpp covers that).
+serve::Cluster::Config server_config(int threads, std::size_t sessions,
+                                     std::size_t queue,
+                                     obs::MetricsRegistry* reg = nullptr) {
+  return serve::Cluster::Config{1, threads, sessions, queue, reg, nullptr};
 }
 
 TEST(Server, OpenSubmitCloseLifecycle) {
   obs::MetricsRegistry reg;
-  serve::Server server(server_config(2, 4, 8, &reg));
+  serve::Cluster cluster(server_config(2, 4, 8, &reg));
   serve::SessionId id = 0;
-  ASSERT_EQ(server.open({"equi", 2, 1.0, nullptr}, id),
+  ASSERT_EQ(cluster.open({"equi", 2, 1.0, nullptr}, id),
             serve::Submit::kAccepted);
-  EXPECT_EQ(server.session_count(), 1u);
+  EXPECT_EQ(cluster.session_count(), 1u);
 
   std::promise<double> flow;
-  ASSERT_EQ(server.submit(id,
+  ASSERT_EQ(cluster.submit(id,
                           [&flow](serve::Session& s) {
                             Job j;
                             j.id = 0;
@@ -527,44 +526,43 @@ TEST(Server, OpenSubmitCloseLifecycle) {
             serve::Submit::kAccepted);
   EXPECT_GT(flow.get_future().get(), 0.0);
 
-  EXPECT_EQ(server.close(id), serve::Submit::kAccepted);
-  // Retirement is asynchronous while the strand winds down: the reject
-  // is immediate either way, first kDraining (closing) then
-  // kUnknownSession (removed). Wait out the handover before pinning it.
-  while (server.session_count() != 0) std::this_thread::yield();
-  EXPECT_EQ(server.submit(id, [](serve::Session&) {}),
+  EXPECT_EQ(cluster.close(id), serve::Submit::kAccepted);
+  // The route goes at once; the strand retires its session
+  // asynchronously once its queue empties.
+  while (cluster.session_count() != 0) std::this_thread::yield();
+  EXPECT_EQ(cluster.submit(id, [](serve::Session&) {}),
             serve::Submit::kUnknownSession);
-  server.drain();
+  cluster.drain();
 
-  const obs::MetricsSnapshot snap = reg.snapshot();
+  const obs::MetricsSnapshot snap = cluster.merged_snapshot();
   const auto* opened = snap.find("serve.sessions.opened");
   ASSERT_NE(opened, nullptr);
   EXPECT_EQ(opened->value, 1.0);
 }
 
 TEST(Server, UnknownSessionAndUnknownPolicy) {
-  serve::Server server(server_config(1, 2, 2));
-  EXPECT_EQ(server.submit(99, [](serve::Session&) {}),
+  serve::Cluster cluster(server_config(1, 2, 2));
+  EXPECT_EQ(cluster.submit(99, [](serve::Session&) {}),
             serve::Submit::kUnknownSession);
-  EXPECT_EQ(server.close(99), serve::Submit::kUnknownSession);
+  EXPECT_EQ(cluster.close(99), serve::Submit::kUnknownSession);
   serve::SessionId id = 0;
-  EXPECT_THROW((void)server.open({"nope", 1, 1.0, nullptr}, id),
+  EXPECT_THROW((void)cluster.open({"nope", 1, 1.0, nullptr}, id),
                std::invalid_argument);
 }
 
 TEST(Server, SessionCapRejects) {
-  serve::Server server(server_config(1, 2, 2));
+  serve::Cluster cluster(server_config(1, 2, 2));
   serve::SessionId a = 0, b = 0, c = 0;
-  EXPECT_EQ(server.open({"equi", 1, 1.0, nullptr}, a),
+  EXPECT_EQ(cluster.open({"equi", 1, 1.0, nullptr}, a),
             serve::Submit::kAccepted);
-  EXPECT_EQ(server.open({"equi", 1, 1.0, nullptr}, b),
+  EXPECT_EQ(cluster.open({"equi", 1, 1.0, nullptr}, b),
             serve::Submit::kAccepted);
-  EXPECT_EQ(server.open({"equi", 1, 1.0, nullptr}, c),
+  EXPECT_EQ(cluster.open({"equi", 1, 1.0, nullptr}, c),
             serve::Submit::kSessionCap);
-  EXPECT_EQ(server.close(a), serve::Submit::kAccepted);
+  EXPECT_EQ(cluster.close(a), serve::Submit::kAccepted);
   // Closing is asynchronous only when ops are queued; an idle session
   // frees its slot immediately.
-  EXPECT_EQ(server.open({"equi", 1, 1.0, nullptr}, c),
+  EXPECT_EQ(cluster.open({"equi", 1, 1.0, nullptr}, c),
             serve::Submit::kAccepted);
 }
 
@@ -573,15 +571,15 @@ TEST(Server, SessionCapRejects) {
 TEST(Server, QueueFullRejectsInsteadOfBlocking) {
   obs::MetricsRegistry reg;
   constexpr std::size_t kQueue = 4;
-  serve::Server server(server_config(2, 2, kQueue, &reg));
+  serve::Cluster cluster(server_config(2, 2, kQueue, &reg));
   serve::SessionId id = 0;
-  ASSERT_EQ(server.open({"equi", 1, 1.0, nullptr}, id),
+  ASSERT_EQ(cluster.open({"equi", 1, 1.0, nullptr}, id),
             serve::Submit::kAccepted);
 
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
   std::promise<void> entered;
-  ASSERT_EQ(server.submit(id,
+  ASSERT_EQ(cluster.submit(id,
                           [opened, &entered](serve::Session&) {
                             entered.set_value();
                             opened.wait();
@@ -590,40 +588,40 @@ TEST(Server, QueueFullRejectsInsteadOfBlocking) {
   entered.get_future().wait();  // the gate op is running, not queued
 
   for (std::size_t i = 0; i < kQueue; ++i) {
-    EXPECT_EQ(server.submit(id, [](serve::Session&) {}),
+    EXPECT_EQ(cluster.submit(id, [](serve::Session&) {}),
               serve::Submit::kAccepted)
         << "op " << i << " should fit in the queue";
   }
-  EXPECT_EQ(server.submit(id, [](serve::Session&) {}),
+  EXPECT_EQ(cluster.submit(id, [](serve::Session&) {}),
             serve::Submit::kQueueFull);
 
   gate.set_value();
-  server.drain();
-  const obs::MetricsSnapshot snap = reg.snapshot();
+  cluster.drain();
+  const obs::MetricsSnapshot snap = cluster.merged_snapshot();
   const auto* rejects = snap.find("serve.reject.queue_full");
   ASSERT_NE(rejects, nullptr);
   EXPECT_EQ(rejects->value, 1.0);
 }
 
 TEST(Server, DrainRunsQueuedOpsThenRejects) {
-  serve::Server server(server_config(2, 4, 16));
+  serve::Cluster cluster(server_config(2, 4, 16));
   serve::SessionId id = 0;
-  ASSERT_EQ(server.open({"equi", 1, 1.0, nullptr}, id),
+  ASSERT_EQ(cluster.open({"equi", 1, 1.0, nullptr}, id),
             serve::Submit::kAccepted);
   std::atomic<int> ran{0};
   for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(server.submit(id,
+    ASSERT_EQ(cluster.submit(id,
                             [&ran](serve::Session&) {
                               ran.fetch_add(1, std::memory_order_relaxed);
                             }),
               serve::Submit::kAccepted);
   }
-  server.drain();
+  cluster.drain();
   EXPECT_EQ(ran.load(), 8) << "drain dropped queued operations";
-  EXPECT_EQ(server.submit(id, [](serve::Session&) {}),
+  EXPECT_EQ(cluster.submit(id, [](serve::Session&) {}),
             serve::Submit::kDraining);
   serve::SessionId id2 = 0;
-  EXPECT_EQ(server.open({"equi", 1, 1.0, nullptr}, id2),
+  EXPECT_EQ(cluster.open({"equi", 1, 1.0, nullptr}, id2),
             serve::Submit::kDraining);
 }
 
@@ -631,7 +629,7 @@ TEST(Server, DrainRunsQueuedOpsThenRejects) {
 // sessions; each strand must run its ops one at a time and in order.
 // Runs under TSan in the `thread` CI leg.
 TEST(Server, StrandSerializesOpsPerSession) {
-  serve::Server server(server_config(4, 4, 512));
+  serve::Cluster cluster(server_config(4, 4, 512));
   constexpr int kSessions = 4;
   constexpr int kProducers = 3;
   constexpr int kOpsPerProducer = 50;
@@ -640,7 +638,7 @@ TEST(Server, StrandSerializesOpsPerSession) {
   std::vector<std::atomic<int>> active(kSessions);
   std::vector<std::atomic<int>> done(kSessions);
   for (int s = 0; s < kSessions; ++s) {
-    ASSERT_EQ(server.open({"equi", 1, 1.0, nullptr},
+    ASSERT_EQ(cluster.open({"equi", 1, 1.0, nullptr},
                           ids[static_cast<std::size_t>(s)]),
               serve::Submit::kAccepted);
   }
@@ -654,7 +652,7 @@ TEST(Server, StrandSerializesOpsPerSession) {
         const int s = (p + i) % kSessions;
         const auto su = static_cast<std::size_t>(s);
         // Queue-full rejects are legitimate here; retry until accepted.
-        while (server.submit(ids[su],
+        while (cluster.submit(ids[su],
                              [&active, &done, &overlap, su](
                                  serve::Session&) {
                                if (active[su].fetch_add(1) != 0) {
@@ -669,13 +667,176 @@ TEST(Server, StrandSerializesOpsPerSession) {
     });
   }
   for (auto& t : producers) t.join();
-  server.drain();
+  cluster.drain();
   EXPECT_FALSE(overlap.load()) << "two ops ran concurrently on a strand";
   int total = 0;
   for (int s = 0; s < kSessions; ++s) {
     total += done[static_cast<std::size_t>(s)].load();
   }
   EXPECT_EQ(total, kProducers * kOpsPerProducer);
+}
+
+// ------------------------------------------------- cluster plumbing
+
+/// The first key the all-shards ring places on `shard`.
+std::uint64_t key_on_shard(int shard, int shards) {
+  std::uint64_t key = 1;
+  while (serve::consistent_shard(key, shards) != shard) ++key;
+  return key;
+}
+
+// Flight events name the session by the id its client holds — on every
+// shard, for every verdict (cluster-level rejects included) — and a
+// dispatch carries the queue depth it leaves behind.
+TEST(ClusterFlight, SubmitAndDispatchNameTheClientSession) {
+  obs::FlightRecorder rec(1024);
+  serve::Cluster cluster(serve::Cluster::Config{2, 1, 8, 16, nullptr, &rec});
+  serve::SessionId a = 0;
+  serve::SessionId b = 0;
+  int shard_a = -1;
+  int shard_b = -1;
+  ASSERT_EQ(cluster.open({"equi", 1, 1.0, nullptr}, a, key_on_shard(0, 2),
+                         &shard_a),
+            serve::Submit::kAccepted);
+  ASSERT_EQ(cluster.open({"equi", 1, 1.0, nullptr}, b, key_on_shard(1, 2),
+                         &shard_b),
+            serve::Submit::kAccepted);
+  ASSERT_NE(shard_a, shard_b);
+
+  // A gated first op on `a` leaves two ops queued behind it.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  std::promise<void> entered;
+  ASSERT_EQ(cluster.submit(a,
+                           [opened, &entered](serve::Session&) {
+                             entered.set_value();
+                             opened.wait();
+                           }),
+            serve::Submit::kAccepted);
+  entered.get_future().wait();
+  ASSERT_EQ(cluster.submit(a, [](serve::Session&) {}),
+            serve::Submit::kAccepted);
+  ASSERT_EQ(cluster.submit(a, [](serve::Session&) {}),
+            serve::Submit::kAccepted);
+  ASSERT_EQ(cluster.submit(b, [](serve::Session&) {}),
+            serve::Submit::kAccepted);
+  constexpr serve::SessionId kUnknown = 999;
+  ASSERT_EQ(cluster.submit(kUnknown, [](serve::Session&) {}),
+            serve::Submit::kUnknownSession);
+  gate.set_value();
+  cluster.drain();
+
+  std::set<serve::SessionId> submitted;
+  std::set<serve::SessionId> dispatched;
+  std::vector<double> depths_a;
+  bool unknown_seen = false;
+  for (const auto& ev : rec.snapshot()) {
+    if (ev.kind == obs::FlightEvent::kSubmit) {
+      if (ev.id == kUnknown) {
+        unknown_seen = true;
+        EXPECT_EQ(ev.v, static_cast<double>(serve::Submit::kUnknownSession));
+      } else {
+        EXPECT_TRUE(ev.id == a || ev.id == b) << "submit id " << ev.id;
+        submitted.insert(ev.id);
+      }
+    } else if (ev.kind == obs::FlightEvent::kDispatch) {
+      EXPECT_TRUE(ev.id == a || ev.id == b) << "dispatch id " << ev.id;
+      dispatched.insert(ev.id);
+      if (ev.id == a) depths_a.push_back(ev.v);
+    }
+  }
+  const std::set<serve::SessionId> both{a, b};
+  EXPECT_EQ(submitted, both);
+  EXPECT_EQ(dispatched, both);
+  EXPECT_TRUE(unknown_seen) << "the unknown-session reject was not recorded";
+  EXPECT_EQ(depths_a, (std::vector<double>{0.0, 1.0, 0.0}));
+}
+
+// A migrated session keeps the cluster's recorder: its engine events do
+// not stop at the move.
+TEST(ClusterPlumbing, MigratedSessionKeepsRecordingEngineEvents) {
+  obs::FlightRecorder rec(4096);
+  obs::MetricsRegistry reg;
+  serve::Cluster cluster(serve::Cluster::Config{2, 1, 8, 16, &reg, &rec});
+  serve::SessionId id = 0;
+  ASSERT_EQ(cluster.open({"isrpt", 2, 1.0, nullptr}, id),
+            serve::Submit::kAccepted);
+  const auto admit = [&cluster, id](JobId job, double release) {
+    return cluster.submit(id, [job, release](serve::Session& s) {
+      Job j;
+      j.id = job;
+      j.release = release;
+      j.size = 2.0;
+      s.admit(j);
+    });
+  };
+  ASSERT_EQ(admit(0, 0.0), serve::Submit::kAccepted);
+  const int target = 1 - cluster.shard_of(id);
+  ASSERT_EQ(cluster.migrate(id, target), serve::Submit::kAccepted);
+  for (int i = 0; i < 5000 && cluster.shard_of(id) != target; ++i) {
+    timespec ts{0, 1'000'000};  // 1ms
+    nanosleep(&ts, nullptr);
+  }
+  ASSERT_EQ(cluster.shard_of(id), target);
+  ASSERT_EQ(admit(100, 1.0), serve::Submit::kAccepted);
+  ASSERT_EQ(admit(101, 1.5), serve::Submit::kAccepted);
+  ASSERT_EQ(cluster.submit(id, [](serve::Session& s) { s.advance(2.0); }),
+            serve::Submit::kAccepted);
+  cluster.drain();
+
+  std::set<std::uint64_t> admitted;
+  for (const auto& ev : rec.snapshot()) {
+    if (ev.kind == obs::FlightEvent::kAdmit) admitted.insert(ev.id);
+  }
+  EXPECT_EQ(admitted.count(0), 1u);
+  EXPECT_EQ(admitted.count(100), 1u) << "no engine events after the move";
+  EXPECT_EQ(admitted.count(101), 1u) << "no engine events after the move";
+}
+
+// A session restored from a snapshot file runs on its shard's registry:
+// its engine totals land under serve.shard<i>.*.
+TEST(ClusterPlumbing, RestoredSessionCountsUnderItsShard) {
+  obs::MetricsRegistry reg;
+  serve::ProtocolHandler handler(server_config(1, 4, 16, &reg));
+  const auto call = [&handler](const std::string& line) {
+    std::promise<std::string> reply;
+    auto fut = reply.get_future();
+    (void)handler.handle_line(
+        line, [&reply](const std::string& resp) { reply.set_value(resp); });
+    obs::JsonValue v;
+    EXPECT_TRUE(obs::json_parse(fut.get(), v));
+    return v;
+  };
+  const obs::JsonValue opened =
+      call(R"({"op":"open","id":1,"policy":"equi","machines":2})");
+  ASSERT_TRUE(opened.bool_or("ok", false));
+  const std::string s = std::to_string(
+      static_cast<std::uint64_t>(opened.number_or("session", 0.0)));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(call(R"({"op":"admit","id":2,"session":)" + s +
+                     R"(,"job":{"id":)" + std::to_string(i) +
+                     R"(,"size":1}})")
+                    .bool_or("ok", false));
+  }
+  const std::string path = testing::TempDir() + "restore_registry.psnp";
+  ASSERT_TRUE(call(R"({"op":"snapshot","id":3,"session":)" + s +
+                   R"(,"path":)" + obs::json_quote(path) + "}")
+                  .bool_or("ok", false));
+  const obs::JsonValue restored =
+      call(R"({"op":"restore","id":4,"path":)" + obs::json_quote(path) + "}");
+  ASSERT_TRUE(restored.bool_or("ok", false));
+  const std::string s2 = std::to_string(
+      static_cast<std::uint64_t>(restored.number_or("session", 0.0)));
+  const int shard = static_cast<int>(restored.number_or("shard", -1.0));
+  ASSERT_TRUE(call(R"({"op":"finish","id":5,"session":)" + s2 + "}")
+                  .bool_or("ok", false));
+
+  const obs::MetricsSnapshot snap = handler.cluster().merged_snapshot();
+  const auto* completions = snap.find(
+      "serve.shard" + std::to_string(shard) + ".engine.completions");
+  ASSERT_NE(completions, nullptr) << "restored session has no registry";
+  EXPECT_EQ(completions->value, 3.0);
+  handler.drain();
 }
 
 // ------------------------------------------------------------- protocol
@@ -685,7 +846,7 @@ TEST(Server, StrandSerializesOpsPerSession) {
 // accepted, rejected, or failed — produces exactly one response line.
 class ProtoClient {
  public:
-  explicit ProtoClient(serve::Server::Config cfg) : handler_(cfg) {}
+  explicit ProtoClient(serve::Cluster::Config cfg) : handler_(cfg) {}
 
   std::string call(const std::string& line) {
     std::promise<std::string> reply;
@@ -867,7 +1028,7 @@ TEST(Protocol, StatsWithoutMetricsIsARequestError) {
 
 TEST(Protocol, DumpVerbReturnsFlightRecordInline) {
   obs::FlightRecorder rec(64);
-  serve::Server::Config cfg = server_config(2, 4, 16);
+  serve::Cluster::Config cfg = server_config(2, 4, 16);
   cfg.recorder = &rec;
   ProtoClient client(cfg);
 
