@@ -39,13 +39,14 @@ void write_record(const AliveSet& s, std::size_t i, AliveJob& a) {
   a.tag = c.tag;
   a.phases = c.phases;
   a.phase = c.phases.empty() ? 0 : c.phases.size() - 1 - s.phases_left[i];
-  a.phase_remaining = s.phase_remaining[i];
+  a.phase_remaining = s.phase_work(i);
 }
 
 }  // namespace
 
 void AliveSet::clear() {
   each_array(*this, [](auto& v) { v.clear(); });
+  multi_phase = 0;
 }
 
 void AliveSet::reserve(std::size_t n) {
@@ -63,6 +64,9 @@ void AliveSet::relocate(std::size_t from, std::size_t to) {
 void AliveSet::push_back(AliveJob&& a) {
   PARSCHED_CHECK(a.phase < std::max<std::size_t>(1, a.phases.size()),
                  "alive job phase index out of range");
+  if (a.phases.size() > 1 && multi_phase++ == 0) {
+    std::copy(remaining.begin(), remaining.end(), phase_remaining.begin());
+  }
   const std::size_t i = size();
   ids.push_back(a.id);
   releases.push_back(a.release);
@@ -84,6 +88,11 @@ void AliveSet::assign(std::span<const AliveJob> records) {
   clear();
   reserve(records.size());
   for (const AliveJob& a : records) push_back(AliveJob(a));
+}
+
+std::vector<JobPhase> AliveSet::take_phases(std::size_t i) {
+  if (cold[i].phases.size() > 1) --multi_phase;
+  return std::move(cold[i].phases);
 }
 
 void AliveSet::set_curve(std::size_t i, SpeedupCurve curve) {

@@ -63,8 +63,9 @@ class AliveView;
 
 /// The engine's alive set. Position i is the same job in every array;
 /// admission appends, completion moves the back job into the freed slot
-/// (relocate) and truncates (resize). Every mutator touches every array,
-/// so the arrays cannot drift apart. Growth is geometric (reserve), paid
+/// (relocate) and truncates (resize). Every mutator that adds, moves or
+/// drops a job touches every array, so the arrays cannot drift apart.
+/// Growth is geometric (reserve), paid
 /// at admission outside the engine's AllocGuard fences.
 struct AliveSet {
   std::vector<JobId> ids;
@@ -73,6 +74,15 @@ struct AliveSet {
   std::vector<double> remaining;
   std::vector<double> weights;
   std::vector<std::int64_t> arrival_seqs;
+  /// Work left in the current phase — maintained only while some alive
+  /// job has more than one phase (multi_phase > 0). For a job with at
+  /// most one phase it equals `remaining` bit for bit: admission sets
+  /// both to the size, every advance applies the same max(0, x - step) to
+  /// both, and no phase change ever touches it. So while multi_phase is
+  /// 0 the engine's step reads `remaining` instead and leaves this array
+  /// stale; phase_work() and materialize() read through the same way,
+  /// and the push_back() that admits the first multi-phase job rebuilds
+  /// the array from `remaining` (O(n), once per such admission).
   std::vector<double> phase_remaining;
   /// Phases after the current one: phases.size() - 1 - phase for a
   /// multi-phase job, 0 for a single-phase one.
@@ -90,8 +100,15 @@ struct AliveSet {
   /// change.
   std::vector<double> flow_q;
   std::vector<AliveCold> cold;
+  /// Alive jobs with more than one phase (push_back counts them,
+  /// take_phases() uncounts them, clear() resets the count).
+  std::size_t multi_phase = 0;
 
   [[nodiscard]] std::size_t size() const { return ids.size(); }
+  /// Job i's current-phase work (see phase_remaining).
+  [[nodiscard]] double phase_work(std::size_t i) const {
+    return multi_phase == 0 ? remaining[i] : phase_remaining[i];
+  }
   [[nodiscard]] bool empty() const { return ids.empty(); }
   [[nodiscard]] AliveView view() const;
 
@@ -108,6 +125,10 @@ struct AliveSet {
   /// Job i's current phase drained: move it to the next one (requires
   /// phases_left[i] > 0).
   void next_phase(std::size_t i);
+  /// Job i's phase list, moved out for its completion record; the job no
+  /// longer counts as multi-phase. The completion swap-remove calls this
+  /// before it overwrites or truncates the job's slot.
+  std::vector<JobPhase> take_phases(std::size_t i);
   /// Move job `from` into slot `to` (the completion swap-remove; the
   /// caller truncates with resize() afterwards).
   void relocate(std::size_t from, std::size_t to);

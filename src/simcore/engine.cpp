@@ -147,29 +147,25 @@ PARSCHED_HOT [[gnu::noinline]] double min_of(const double* p, std::size_t n) {
   return lo;
 }
 
-/// s + s + ... + s (n terms), added in index order: Σ of a uniform
-/// allocation's shares, bit for bit.
-[[gnu::noinline]] double repeated_sum(double s, std::size_t n) {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) sum += s;
-  return sum;
-}
-
 /// Jobs per block of the dense advance sweep: the unit in which it
 /// replays phase and completion tests.
 constexpr std::size_t kSweepBlock = 256;
 
 /// Advances jobs [0, len) of the given arrays for dt, each at rate[k] —
-/// or, when kUniform, all at `uniform_rate` (rate is not read) — and
+/// or, when kUniform, all at `uniform_rate` (rate is not read; without
+/// kUniform, uniform_rate is not) — and
 /// returns acc + their flow terms 0.5*(before+after)/size*dt, added in
-/// index order. Branch-free: on SSE2 two jobs at a time, with packed
-/// arithmetic whose every lane is the scalar loop's correctly rounded
-/// operation (max(x, 0) is std::max(0.0, x), NaN and -0.0 included), so
-/// the bits do not depend on the path. `event` is set when some job's
-/// remaining work or phase work is now within its completion tolerance:
-/// only then does the caller replay the phase and completion tests over
-/// the block.
-template <bool kUniform>
+/// index order. With kPhases the phase work pr drops by the same step;
+/// without it pr is neither read nor written and the phase work after
+/// the step is taken to be the remaining work after it (every job has at
+/// most one phase: see AliveSet::phase_remaining). Branch-free: on SSE2
+/// two jobs at a time, with packed arithmetic whose every lane is the
+/// scalar loop's correctly rounded operation (max(x, 0) is
+/// std::max(0.0, x), NaN and -0.0 included), so the bits do not depend
+/// on the path. `event` is set when some job's remaining work or phase
+/// work is now within its completion tolerance: only then does the
+/// caller replay the phase and completion tests over the block.
+template <bool kUniform, bool kPhases>
 PARSCHED_HOT [[gnu::noinline]] double sweep_block(
     double acc, double* __restrict__ rem, double* __restrict__ pr,
     const double* __restrict__ size, const double* __restrict__ rate,
@@ -192,12 +188,13 @@ PARSCHED_HOT [[gnu::noinline]] double sweep_block(
     const __m128d before = _mm_loadu_pd(rem + k);
     const __m128d after = _mm_max_pd(_mm_sub_pd(before, step), zero);
     const __m128d phase_after =
-        _mm_max_pd(_mm_sub_pd(_mm_loadu_pd(pr + k), step), zero);
+        kPhases ? _mm_max_pd(_mm_sub_pd(_mm_loadu_pd(pr + k), step), zero)
+                : after;
     const __m128d sz = _mm_loadu_pd(size + k);
     const __m128d term = _mm_mul_pd(
         _mm_div_pd(_mm_mul_pd(half, _mm_add_pd(before, after)), sz), vdt);
     _mm_storeu_pd(rem + k, after);
-    _mm_storeu_pd(pr + k, phase_after);
+    if (kPhases) _mm_storeu_pd(pr + k, phase_after);
     acc += _mm_cvtsd_f64(term);
     acc += _mm_cvtsd_f64(_mm_unpackhi_pd(term, term));
     const __m128d tol = _mm_mul_pd(vtol, _mm_max_pd(sz, one));
@@ -209,10 +206,10 @@ PARSCHED_HOT [[gnu::noinline]] double sweep_block(
     const double step = kUniform ? uniform_step : rate[k] * dt;
     const double before = rem[k];
     const double after = std::max(0.0, before - step);
-    const double phase_after = std::max(0.0, pr[k] - step);
+    const double phase_after = kPhases ? std::max(0.0, pr[k] - step) : after;
     acc += 0.5 * (before + after) / size[k] * dt;
     rem[k] = after;
-    pr[k] = phase_after;
+    if (kPhases) pr[k] = phase_after;
     const double tol = completion_tol * std::max(1.0, size[k]);
     hit |= std::min(after, phase_after) <= tol;
   }
@@ -472,12 +469,16 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
   //   * sparse — a small share of the jobs (Allocation::sort_support):
   //     the kernel once per job.
   // The rate scratch is reserved at admission, so nothing here allocates
-  // — the AllocGuard fence around this call stays armed.
+  // — the AllocGuard fence around this call stays armed. The dt-scans
+  // read each job's phase work: `remaining` itself while no alive job has
+  // more than one phase (AliveSet::phase_remaining).
   Allocation& alloc = cached_alloc_;
   alloc.sort_support();
-  const std::span<const double> shares = alloc.shares();
+  const std::size_t n = alloc.size();
   const std::span<const std::size_t> sup = alloc.support();
-  const double* const phase_rem = alive_.phase_remaining.data();
+  const double* const phase_rem = alive_.multi_phase == 0
+                                      ? alive_.remaining.data()
+                                      : alive_.phase_remaining.data();
   const double limit = static_cast<double>(m_) * (1.0 + 1e-9) + 1e-9;
   const auto throw_negative = [this] {
     throw std::logic_error("negative share from policy " +  // lint: alloc-ok
@@ -489,6 +490,11 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
                              sched_->name());
     }
   };
+  const double s = alloc.uniform_share();
+  rates_uniform_ = alloc.uniform() && s >= 0.0 && s <= 1.0;
+  // The uniform arm reads no share, so a fill()'s stay unwritten.
+  const std::span<const double> shares =
+      rates_uniform_ ? std::span<const double>() : alloc.shares();
   // speed·Γ(share) of jobs [i, i + len) into out, through the kernel
   // (the scalar SpeedupCurve::rate() arithmetic, whatever the curve kind).
   const auto kernel_rates = [&](std::size_t i, std::size_t len, double* out) {
@@ -498,40 +504,19 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
   };
   double dt_complete = kInf;
   std::size_t nonzero = 0;
-  const double s = alloc.uniform_share();
-  rates_uniform_ = alloc.uniform() && s >= 0.0 && s <= 1.0;
   if (rates_uniform_) {
-    // What dense_rates computes for n shares equal to s, from s alone:
-    // each rate is speed * s, and the dt-scan is min(phase_remaining)/r0.
-    // A NaN, negative or above-1 s takes the dense arm instead.
-    const std::size_t n = shares.size();
+    // What dense_rates computes for n shares equal to s, from s alone and
+    // without writing the shares: each rate is speed * s, Σ is the serial
+    // sum of n copies of s (uniform_sum, exact in O(log n)), and the
+    // dt-scan is min(phase work)/r0. A NaN, negative or above-1 s takes
+    // the dense arm instead.
     uniform_rate_ = cfg_.speed * s;
-    if (validate) {
-      // Σ is the serial sum S of n copies of s. With u = 2^-53, n < 2^40
-      // and s >= 0 (-0.0 included: then S and the bound are both zero):
-      //   S <= n·s·(1 + γ), γ = (n-1)u/(1 - (n-1)u), the error bound of
-      //     recursive summation of nonnegative terms;
-      //   n·s <= fl(n·s)/(1 - u) (n is exact in a double; a product
-      //     below the normal range has n·s < 1 < limit, so S passes);
-      //   B = fl(fl(n·s)·fl(1 + 4n·u)) >= fl(n·s)·(1 + 4n·u)(1 - u)^2,
-      //     since 4n·u is a power-of-two scaling of n, hence exact;
-      //   (1 + γ)/(1 - u) <= (1 + 4n·u)(1 - u)^2 for every n >= 1: the
-      //     left side is below 1 + 1.001(n-1)u + 1.001u, the right side
-      //     above 1 + 4n·u - 2.01u, and 1.001n <= 4n - 2.01.
-      // So S <= B, and B <= limit proves that S passes without forming
-      // it. Otherwise the serial sum decides, as the dense arm's does.
-      const double nd = static_cast<double>(n);
-      if (!(n < (std::size_t{1} << 40) &&
-            nd * s * (1.0 + nd * 0x1p-51) <= limit)) {
-        check_sum(repeated_sum(s, n));
-      }
-    }
+    if (validate) check_sum(uniform_sum(s, n));
     if (uniform_rate_ > 0.0) {
       nonzero = n;
       dt_complete = min_of(phase_rem, n) / uniform_rate_;
     }
   } else if (alloc.dense()) {
-    const std::size_t n = shares.size();
     rates_.resize(n);
     const DenseRates d = dense_rates(shares.data(), phase_rem, rates_.data(),
                                      n, cfg_.speed, validate);
@@ -607,14 +592,19 @@ void Engine::lap(double& bucket) {
   const double size = s.sizes[i];
   const double before = s.remaining[i];
   double after;
+  // The phase work is kept only while some job has several phases (see
+  // AliveSet::phase_remaining).
+  const bool phased = s.multi_phase > 0;
   if (r != 0.0) {  // lint: float-eq-ok
     after = std::max(0.0, before - r * dt);
-    s.phase_remaining[i] = std::max(0.0, s.phase_remaining[i] - r * dt);
+    if (phased) {
+      s.phase_remaining[i] = std::max(0.0, s.phase_remaining[i] - r * dt);
+    }
   } else {
     // First visit at rate 0 (admission / restore): same arithmetic as
     // the r != 0 arm with the r*dt terms — exactly 0.0 here — elided.
     after = std::max(0.0, before);
-    s.phase_remaining[i] = std::max(0.0, s.phase_remaining[i]);
+    if (phased) s.phase_remaining[i] = std::max(0.0, s.phase_remaining[i]);
   }
   ff += 0.5 * (before + after) / size * dt;
   s.remaining[i] = after;
@@ -641,18 +631,20 @@ PARSCHED_HOT bool Engine::advance_sweep(double dt) {
     // phase or completion event (its last visit settled it). The flow
     // quotients are not written here: they go stale until the next
     // sparse sweep rebuilds them.
-    // A uniform step advances every job at the one rate.
+    // A uniform step advances every job at the one rate; a step with no
+    // multi-phase job alive leaves the phase work alone.
+    const bool phased = alive_.multi_phase > 0;
+    const auto sweep =
+        rates_uniform_
+            ? (phased ? &sweep_block<true, true> : &sweep_block<true, false>)
+            : (phased ? &sweep_block<false, true>
+                      : &sweep_block<false, false>);
     for (std::size_t b = 0; b < n; b += kSweepBlock) {
       const std::size_t len = std::min(kSweepBlock, n - b);
       bool event = false;
-      double* const rem = &alive_.remaining[b];
-      double* const pr = &alive_.phase_remaining[b];
-      const double* const size = &alive_.sizes[b];
-      ff = rates_uniform_
-               ? sweep_block<true>(ff, rem, pr, size, nullptr, uniform_rate_,
-                                   len, dt, cfg_.completion_tol, event)
-               : sweep_block<false>(ff, rem, pr, size, &rates_[b], 0.0, len,
-                                    dt, cfg_.completion_tol, event);
+      ff = sweep(ff, &alive_.remaining[b], &alive_.phase_remaining[b],
+                 &alive_.sizes[b], rates_uniform_ ? nullptr : &rates_[b],
+                 uniform_rate_, len, dt, cfg_.completion_tol, event);
       if (event) {
         for (std::size_t i = b; i < b + len; ++i) {
           phase_advanced |= settle_job(i);
@@ -855,7 +847,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
         rec.job.weight = alive_.weights[i];
         rec.job.curve = c.phases.empty() ? c.curve : c.phases.front().curve;
         rec.job.tag = c.tag;
-        rec.job.phases = std::move(c.phases);
+        rec.job.phases = alive_.take_phases(i);
         rec.completion = now_;
         result_.total_flow += rec.flow();
         result_.weighted_flow += rec.job.weight * rec.flow();
@@ -923,7 +915,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     const std::size_t k = alloc.dense() ? alive_.size() : sup.size();
     for (std::size_t j = 0; j < k; ++j) {
       const std::size_t i = alloc.dense() ? j : sup[j];
-      if (support_rate(j) > 0.0 && alive_.phase_remaining[i] <= 0.0) {
+      if (support_rate(j) > 0.0 && alive_.phase_work(i) <= 0.0) {
         stuck = static_cast<std::uint64_t>(alive_.ids[i]);
         const std::size_t phases =
             std::max<std::size_t>(1, alive_.cold[i].phases.size());
@@ -1235,6 +1227,16 @@ void validate(const EngineState& s) {
     }
     if (sum > static_cast<double>(s.machines) * (1.0 + 1e-9) + 1e-9) {
       reject("cached allocation overcommits the machines");
+    }
+  }
+  // The engine keeps no phase work for a job with at most one phase: it
+  // is that job's remaining work, bit for bit (AliveSet::phase_remaining).
+  for (const AliveJob& a : s.alive) {
+    if (a.phases.size() <= 1 &&
+        std::bit_cast<std::uint64_t>(a.phase_remaining) !=
+            std::bit_cast<std::uint64_t>(a.remaining)) {
+      reject("alive job with at most one phase has phase_remaining != "
+             "remaining");
     }
   }
 }

@@ -113,8 +113,10 @@ struct EngineState {
 /// sorted by release at or above `frontier`, every curve (alive, phase,
 /// pending) passes is_valid_speedup_curve, and a cached allocation has
 /// one finite, nonnegative share per alive job with
-/// Σ ≤ machines·(1+1e-9)+1e-9. Throws std::invalid_argument naming the
-/// first violation.
+/// Σ ≤ machines·(1+1e-9)+1e-9, and an alive job with at most one phase
+/// has phase_remaining bit-equal to its remaining work (the engine keeps
+/// no separate phase work for it). Throws std::invalid_argument naming
+/// the first violation.
 void validate(const EngineState& state);
 
 class Engine final : public EngineView {

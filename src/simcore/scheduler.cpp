@@ -17,6 +17,8 @@ SchedulerContext::SchedulerContext(double time, int machines,
 
 void Allocation::assign(std::vector<double> shares) {
   shares_ = std::move(shares);
+  size_ = shares_.size();
+  unwritten_ = false;
   support_.clear();
   for (std::size_t i = 0; i < shares_.size(); ++i) {
     if (!is_pos_zero(shares_[i])) support_.push_back(i);
@@ -31,7 +33,7 @@ PARSCHED_HOT void Allocation::sort_support() {
   // them; SRPT-style policies grant m of a few dozen) is cheaper to treat
   // as the whole range than to sort and visit by index. The range is a
   // superset of the support, so that is always correct.
-  if (support_.size() * 8 >= shares_.size()) {
+  if (support_.size() * 8 >= size_) {
     support_.clear();
     dense_ = true;
     return;

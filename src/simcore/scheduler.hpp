@@ -84,8 +84,12 @@ class SchedulerContext {
 /// not as a list of n indices. A fill() also marks the allocation
 /// uniform: every share is the one value uniform_share(), which the
 /// engine then reads instead of the n shares (grant(), reset() and
-/// assign() clear the mark). The dense share vector stays materialised
-/// for observers, snapshots and tests.
+/// assign() clear the mark). A fill() records n and s only: the n shares
+/// are written the first time they are read (shares(), a grant() after
+/// the fill, or a copy's shares()), into capacity the fill() reserved,
+/// so a uniform decision nobody observes writes no share at all, and the
+/// later write allocates nothing. That first shares() is a write: threads
+/// that share one const Allocation must not make it concurrently.
 class Allocation {
  public:
   double reconsider_at = kInf;
@@ -97,11 +101,13 @@ class Allocation {
   /// steady-state decisions allocate nothing.
   void reset(std::size_t n) {
     if (dense_) {
-      std::fill(shares_.begin(), shares_.end(), 0.0);
+      shares_.assign(n, 0.0);
     } else {
       for (const std::size_t i : support_) shares_[i] = 0.0;
+      shares_.resize(n, 0.0);
     }
-    shares_.resize(n, 0.0);
+    size_ = n;
+    unwritten_ = false;
     support_.clear();
     reserve_geometric(support_, n);
     dense_ = false;
@@ -111,6 +117,7 @@ class Allocation {
 
   /// Set job i's share to s (overwriting an earlier grant).
   void grant(std::size_t i, double s) {
+    write_shares();
     if (!dense_ && is_pos_zero(shares_[i]) && !is_pos_zero(s)) {
       support_.push_back(i);
     }
@@ -120,10 +127,13 @@ class Allocation {
 
   /// Start a fresh decision that gives each of n jobs the same share s
   /// (equipartition): size n, every share s, the support the contiguous
-  /// range [0, n), uniform, no reconsideration. Writes each share once —
-  /// a policy calls this instead of reset(), not after it.
+  /// range [0, n), uniform, no reconsideration. Writes no share (see the
+  /// class comment) — a policy calls this instead of reset(), not after
+  /// it.
   void fill(std::size_t n, double s) {
-    shares_.assign(n, s);
+    reserve_geometric(shares_, n);  // the later write cannot allocate
+    size_ = n;
+    unwritten_ = true;
     support_.clear();
     dense_ = true;
     uniform_ = true;
@@ -141,8 +151,12 @@ class Allocation {
   /// The engine calls this once per decision, before reading support().
   void sort_support();
 
-  [[nodiscard]] std::span<const double> shares() const { return shares_; }
-  [[nodiscard]] std::size_t size() const { return shares_.size(); }
+  /// The n shares, written first if a fill() left them unwritten.
+  [[nodiscard]] std::span<const double> shares() const {
+    write_shares();
+    return shares_;
+  }
+  [[nodiscard]] std::size_t size() const { return size_; }
   /// True after fill(), or after sort_support() widened a large support:
   /// the support is all of [0, size()).
   [[nodiscard]] bool dense() const { return dense_; }
@@ -162,7 +176,18 @@ class Allocation {
     return std::bit_cast<std::uint64_t>(x) == 0;
   }
 
-  std::vector<double> shares_;
+  /// After a fill(): write its n shares into the capacity fill() reserved.
+  void write_shares() const {
+    if (!unwritten_) return;
+    shares_.assign(size_, uniform_share_);
+    unwritten_ = false;
+  }
+
+  /// Holds the size() shares unless unwritten_; then its contents are
+  /// stale and every share is uniform_share_.
+  mutable std::vector<double> shares_;
+  mutable bool unwritten_ = false;
+  std::size_t size_ = 0;
   std::vector<std::size_t> support_;
   bool dense_ = false;
   bool uniform_ = false;

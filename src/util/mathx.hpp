@@ -3,10 +3,12 @@
 // Everything here is small, header-only and allocation-free: float
 // comparisons with mixed absolute/relative tolerance, the size-class index
 // used by the Leonardi–Raz style analysis (Section 2.2 of the paper), and
-// the closed-form quantities from the paper's lower-bound constructions.
+// the closed-form quantities from the paper's lower-bound constructions,
+// and the exact serial sum of n copies of one double.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -108,6 +110,82 @@ struct AdversaryConstants {
   const double r = std::round(x);
   PARSCHED_CHECK(std::fabs(x - r) <= tol, "expected an integral value");
   return static_cast<std::int64_t>(r);
+}
+
+/// s + s + ... + s (n terms), added one at a time from +0.0 in
+/// round-to-nearest-even, bit for bit: the serial sum of n copies of s,
+/// in O(log n) steps instead of n.
+///
+/// Write a positive finite double x as M·2^E with M < 2^53 an integer:
+/// the significand with its hidden bit, E = max(biased exponent, 1) -
+/// 1075, so subnormals and the lowest normal binade share the fixed grid
+/// 2^-1074. A partial sum a = A·2^E then stays on its grid while it is
+/// below 2^(E+53), and s = (q + ρ)·2^E with q an integer and ρ in [0, 1)
+/// (a >= s, so s's grid is no coarser). When A + q < 2^53, fl(a + s) is
+/// exact up to rounding (q + ρ) to the grid: it adds q grid units if
+/// ρ < 1/2 and q + 1 if ρ > 1/2; a tie goes to the even one of A + q and
+/// A + q + 1. After one step A is even on a tie, so from the second step
+/// on the increment is constant until the sum leaves the binade: that
+/// many steps are one multiplication. A step that leaves the binade is
+/// one plain addition. So the loop runs twice per binade the sum
+/// crosses, and it crosses at most log2(n) + 2 of them.
+///
+/// Negative s is the mirror image (rounding to nearest is symmetric);
+/// NaN and ±inf propagate as in the serial loop, and ±0.0 sums to +0.0.
+[[nodiscard]] inline double uniform_sum(double s, std::uint64_t n) {
+  if (n == 0 || s == 0.0) return 0.0;  // lint: float-eq-ok
+  if (!(s > 0.0)) return std::isnan(s) ? s : -uniform_sum(-s, n);
+  if (std::isinf(s)) return s;
+  const auto split = [](double x, std::uint64_t& m, int& e) {
+    const auto b = std::bit_cast<std::uint64_t>(x);
+    const int biased = static_cast<int>(b >> 52);
+    m = b & ((std::uint64_t{1} << 52) - 1);
+    if (biased != 0) m |= std::uint64_t{1} << 52;
+    e = std::max(biased, 1) - 1075;
+  };
+  constexpr std::uint64_t kTop = (std::uint64_t{1} << 53) - 1;
+  std::uint64_t ms = 0;
+  int es = 0;
+  split(s, ms, es);
+  double a = s;  // 0.0 + s
+  --n;
+  while (n > 0 && std::isfinite(a)) {
+    std::uint64_t A = 0;
+    int e = 0;
+    split(a, A, e);
+    // q and the sign of ρ - 1/2 (cmp), from the bits of s shifted to a's
+    // grid; a shift past 53 leaves q = 0 and ρ < 1/2.
+    const int shift = e - es;
+    std::uint64_t q = 0;
+    int cmp = -1;
+    if (shift == 0) {
+      q = ms;
+    } else if (shift <= 53) {
+      q = ms >> shift;
+      const std::uint64_t rem = ms & ((std::uint64_t{1} << shift) - 1);
+      const std::uint64_t half = std::uint64_t{1} << (shift - 1);
+      cmp = rem < half ? -1 : (rem > half ? 1 : 0);
+    }
+    if (A + q > kTop) {  // this step leaves the binade
+      a += s;
+      --n;
+      continue;
+    }
+    const auto step = [q, cmp](std::uint64_t at) {
+      return cmp < 0 ? q : (cmp > 0 ? q + 1 : q + ((at + q) & 1));
+    };
+    A += step(A);
+    --n;
+    if (A + q <= kTop) {  // the next step starts in this binade too
+      const std::uint64_t d = step(A);
+      const std::uint64_t t =
+          d == 0 ? n : std::min<std::uint64_t>(n, (kTop - q - A) / d + 1);
+      A += t * d;
+      n -= t;
+    }
+    a = std::ldexp(static_cast<double>(A), e);
+  }
+  return a;
 }
 
 }  // namespace parsched

@@ -1,11 +1,13 @@
 // Engine guard rails and EngineView queries.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "check/alloc_guard.hpp"
 #include "check/contract.hpp"
 #include "check/invariant_auditor.hpp"
 #include "sched/intermediate_srpt.hpp"
@@ -484,6 +486,25 @@ TEST(StateValidation, RejectsNegativeZeroPhaseRemaining) {
   expect_rejected(st, "phase_remaining is -0.0");
 }
 
+TEST(StateValidation, RejectsSinglePhaseWorkThatIsNotTheRemainingWork) {
+  // A job with at most one phase has no phase work of its own: it is the
+  // remaining work, bit for bit.
+  EngineState st = hand_built_state({0.0, 1.5, 0.5});
+  st.alive[1].phase_remaining = std::nextafter(st.alive[1].remaining, 0.0);
+  expect_rejected(st, "at most one phase has phase_remaining != remaining");
+  EngineState one_phase = hand_built_state({0.0, 1.5, 0.5});
+  one_phase.alive[2].phases = {{4.0, SpeedupCurve::fully_parallel()}};
+  one_phase.alive[2].phase_remaining = 2.0;
+  expect_rejected(one_phase,
+                  "at most one phase has phase_remaining != remaining");
+  // A multi-phase job's phase work is its own.
+  EngineState multi = hand_built_state({0.0, 1.5, 0.5});
+  multi.alive[0].phases = {{2.0, SpeedupCurve::sequential()},
+                           {3.0, SpeedupCurve::sequential()}};
+  multi.alive[0].phase_remaining = 2.0;
+  EXPECT_NO_THROW(validate(multi));
+}
+
 TEST(StateValidation, RejectsRemainingAboveSize) {
   EngineState st = hand_built_state({0.0, 1.5, 0.5});
   st.alive[2].remaining = st.alive[2].size * 2.0;
@@ -622,6 +643,115 @@ TEST(AllocationSupport, AssignRebuildsTheSupportFromShares) {
   EXPECT_EQ(std::vector<std::size_t>(a.support().begin(), a.support().end()),
             want);
   EXPECT_FALSE(a.dense());
+}
+
+// ---- fill() writes its shares on first read ------------------------------
+
+/// Every share of `a` has the bits of `x`, and there are n of them.
+void expect_all_shares(const Allocation& a, std::size_t n, double x) {
+  ASSERT_EQ(a.size(), n);
+  ASSERT_EQ(a.shares().size(), n);
+  for (const double s : a.shares()) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(s), std::bit_cast<std::uint64_t>(x));
+  }
+}
+
+TEST(AllocationFill, SharesReadAfterAFillAreTheFilledShare) {
+  Allocation a;
+  a.fill(5, 0.25);
+  EXPECT_EQ(a.size(), 5u);
+  EXPECT_TRUE(a.uniform());
+  EXPECT_EQ(a.uniform_share(), 0.25);
+  expect_all_shares(a, 5, 0.25);
+  EXPECT_TRUE(a.uniform());  // reading writes the shares, changes nothing
+  a.fill(3, -0.0);           // a smaller fill over written shares
+  expect_all_shares(a, 3, -0.0);
+}
+
+TEST(AllocationFill, GrantAfterAFillKeepsTheOtherShares) {
+  Allocation a;
+  a.fill(4, 0.5);
+  a.grant(2, 1.0);
+  EXPECT_EQ(a.size(), 4u);
+  EXPECT_FALSE(a.uniform());
+  EXPECT_TRUE(a.dense());
+  const std::vector<double> want = {0.5, 0.5, 1.0, 0.5};
+  EXPECT_EQ(std::vector<double>(a.shares().begin(), a.shares().end()), want);
+}
+
+TEST(AllocationFill, ResetAfterAnUnreadFillZeroesEveryShare) {
+  for (const std::size_t n : {std::size_t{3}, std::size_t{6},
+                              std::size_t{9}}) {
+    Allocation a;
+    a.reset(6);
+    a.grant(1, 2.0);
+    a.fill(6, 0.75);  // never read
+    a.reset(n);
+    EXPECT_EQ(a.size(), n);
+    EXPECT_FALSE(a.dense());
+    EXPECT_FALSE(a.uniform());
+    EXPECT_TRUE(a.support().empty());
+    expect_all_shares(a, n, 0.0);
+  }
+}
+
+TEST(AllocationFill, AssignAfterAnUnreadFillTakesTheNewShares) {
+  Allocation a;
+  a.fill(4, 0.5);
+  a.assign({0.0, 1.0});
+  EXPECT_EQ(a.size(), 2u);
+  EXPECT_FALSE(a.uniform());
+  const std::vector<double> want = {0.0, 1.0};
+  EXPECT_EQ(std::vector<double>(a.shares().begin(), a.shares().end()), want);
+  EXPECT_EQ(std::vector<std::size_t>(a.support().begin(), a.support().end()),
+            std::vector<std::size_t>{1});
+}
+
+TEST(AllocationFill, CopiesOfAnUnreadFillReadTheFilledShare) {
+  Allocation a;
+  a.reset(4);
+  a.grant(0, 3.0);
+  a.fill(3, 0.125);
+  const Allocation copy = a;  // neither has written its shares
+  Allocation assigned;
+  assigned = copy;
+  expect_all_shares(copy, 3, 0.125);
+  expect_all_shares(assigned, 3, 0.125);
+  expect_all_shares(a, 3, 0.125);
+  EXPECT_TRUE(copy.uniform());
+  EXPECT_TRUE(copy.dense());
+}
+
+TEST(AllocationFill, AnEmptyFillHasNoShares) {
+  Allocation a;
+  a.fill(0, 0.5);
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_TRUE(a.shares().empty());
+  EXPECT_TRUE(a.uniform());
+  a.reset(2);
+  expect_all_shares(a, 2, 0.0);
+}
+
+TEST(AllocationFill, WritingTheSharesReusesTheVectorsCapacity) {
+  if (!alloc_hook_active()) GTEST_SKIP() << "allocation hook compiled out";
+  Allocation a;
+  a.reset(1000);  // sizes the share vector and the support's capacity
+  const std::size_t sizes[] = {1000, 10, 999};
+  std::size_t written[3] = {};
+  const AllocStats before = alloc_stats();
+  {
+    AllocGuard guard("AllocationFill: warm fills");
+    for (std::size_t k = 0; k < 3; ++k) {
+      const std::size_t n = sizes[k];
+      a.fill(n, 1.0 / static_cast<double>(n));
+      written[k] = a.shares().size();
+      a.fill(n, 0.5);
+      a.grant(n - 1, 0.25);
+      a.reset(n);
+    }
+  }
+  EXPECT_EQ(alloc_stats().allocations, before.allocations);
+  for (std::size_t k = 0; k < 3; ++k) EXPECT_EQ(written[k], sizes[k]);
 }
 
 TEST(AllocationSupport, AuditedRunsCheckTheInvariantForEveryPolicy) {

@@ -2,11 +2,16 @@
 // tables, options, and piecewise timelines.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <cstdio>
 #include <fstream>
 #include <tuple>
+#include <vector>
 
 #include "util/mathx.hpp"
 #include "util/options.hpp"
@@ -84,6 +89,88 @@ TEST(Mathx, RoundIntegral) {
   EXPECT_EQ(round_integral(4.0), 4);
   EXPECT_EQ(round_integral(4.0 + 1e-9), 4);
   EXPECT_EQ(round_integral(-3.0), -3);
+}
+
+// ---------------------------------------------------------- uniform_sum
+
+/// The oracle: s + s + ... + s (n terms), one addition at a time.
+double repeated_sum(double s, std::uint64_t n) {
+  double sum = 0.0;
+  for (std::uint64_t i = 0; i < n; ++i) sum += s;
+  return sum;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// uniform_sum(s, k) against the serial sum at checkpoints along one
+/// pass of n additions: every k <= 64, then about every doubling, and n.
+void expect_matches_serial(double s, std::uint64_t n) {
+  double acc = 0.0;
+  std::uint64_t next = 1;
+  for (std::uint64_t k = 1; k <= n; ++k) {
+    acc += s;
+    if (k != next && k != n) continue;
+    ASSERT_EQ(bits(uniform_sum(s, k)), bits(acc))
+        << std::hexfloat << "s=" << s << " k=" << k;
+    next = next < 64 ? next + 1 : 2 * next + next % 7;
+  }
+}
+
+TEST(UniformSum, MatchesTheSerialSumOnEquipartitionShares) {
+  std::vector<std::uint64_t> ns;
+  for (std::uint64_t n = 1; n <= 100; ++n) ns.push_back(n);
+  for (const std::uint64_t n :
+       {127u, 255u, 1000u, 1023u, 4099u, 65537u, 100000u, 1000000u,
+        2300000u, 2500000u, 3000000u}) {
+    ns.push_back(n);
+  }
+  for (int m = 1; m <= 64; ++m) {
+    for (const std::uint64_t n : ns) {
+      ASSERT_EQ(bits(uniform_sum(m / static_cast<double>(n), n)),
+                bits(repeated_sum(m / static_cast<double>(n), n)))
+          << "m=" << m << " n=" << n;
+    }
+  }
+  for (const int m : {1, 3, 16, 64}) {
+    expect_matches_serial(m / 1e7, 10'000'000);
+  }
+}
+
+TEST(UniformSum, MatchesTheSerialSumOnRandomShares) {
+  std::mt19937_64 rng(0x5eed);
+  // Any finite positive double (a random bit pattern), then shares in
+  // (0, 1), each along one pass.
+  for (int i = 0; i < 2000; ++i) {
+    const double s = std::bit_cast<double>(rng() >> 1);
+    if (!std::isfinite(s)) continue;
+    expect_matches_serial(s, 1 + rng() % 20000);
+  }
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 1000; ++i) {
+    const double s = unit(rng);
+    expect_matches_serial(s, 1 + rng() % 100000);
+    expect_matches_serial(-s, 1 + rng() % 1000);  // the mirror image
+  }
+}
+
+TEST(UniformSum, PowersOfTwoZerosAndTheSmallestSubnormal) {
+  for (int k = -1074; k <= 8; ++k) expect_matches_serial(std::ldexp(1.0, k), 3000);
+  // Subnormal partial sums: a fixed grid, every addition exact.
+  expect_matches_serial(0x1p-1074, 10'000'000);
+  expect_matches_serial(3 * 0x1p-1074, 100000);
+  expect_matches_serial(0x1.fffffffffffffp-1023, 1000);  // largest subnormal
+  for (const double zero : {0.0, -0.0}) {
+    for (const std::uint64_t n : {0u, 1u, 5u, 1000000u}) {
+      EXPECT_EQ(bits(uniform_sum(zero, n)), bits(repeated_sum(zero, n)));
+    }
+  }
+  EXPECT_EQ(bits(uniform_sum(0.5, 0)), bits(0.0));
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(bits(uniform_sum(inf, 3)), bits(inf));
+  EXPECT_EQ(bits(uniform_sum(-inf, 3)), bits(-inf));
+  EXPECT_TRUE(std::isnan(uniform_sum(std::nan(""), 3)));
+  // Overflow to +inf on the way, as the serial loop does.
+  expect_matches_serial(0x1.8p1023, 10);
 }
 
 // ------------------------------------------------------------------ rng
