@@ -8,10 +8,10 @@
 #pragma once
 
 #include <iosfwd>
-#include <map>
 #include <string>
 #include <vector>
 
+#include "obs/segments.hpp"
 #include "simcore/observer.hpp"
 #include "util/timeline.hpp"
 
@@ -21,13 +21,7 @@ struct Plan;  // sched/opt/plan.hpp
 
 class AllocationTrace final : public Observer {
  public:
-  /// One maximal interval during which job `job` held `share` processors.
-  struct Segment {
-    JobId job = kInvalidJob;
-    double t0 = 0.0;
-    double t1 = 0.0;
-    double share = 0.0;
-  };
+  using Segment = obs::AllocationSegment;
 
   void on_decision(double t, std::span<const AliveJob> alive,
                    std::span<const double> shares) override;
@@ -35,7 +29,7 @@ class AllocationTrace final : public Observer {
   void on_done(double t) override;
 
   [[nodiscard]] const std::vector<Segment>& segments() const {
-    return segments_;
+    return recorder_.segments();
   }
 
   /// Total allocated processors as a step function of time.
@@ -61,11 +55,7 @@ class AllocationTrace final : public Observer {
   [[nodiscard]] Plan to_plan() const;
 
  private:
-  void close_open_segments(double t);
-
-  std::vector<Segment> segments_;
-  // Open segment per job: (start, share).
-  std::map<JobId, std::pair<double, double>> open_;
+  obs::SegmentRecorder recorder_;
   double end_time_ = 0.0;
 };
 

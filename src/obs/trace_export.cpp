@@ -1,31 +1,15 @@
 #include "obs/trace_export.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/json.hpp"
 #include "util/fsio.hpp"
 
 namespace parsched::obs {
 
-void TraceExporter::close_open_segments(double t) {
-  for (auto it = open_.begin(); it != open_.end();) {
-    const auto [start, share] = it->second;
-    if (t > start) segments_.push_back({it->first, start, t, share});
-    it = open_.erase(it);
-  }
-}
-
 void TraceExporter::on_decision(double t, std::span<const AliveJob> alive,
                                 std::span<const double> shares) {
-  close_open_segments(t);
-  double allocated = 0.0;
-  for (std::size_t i = 0; i < alive.size(); ++i) {
-    if (shares[i] > 0.0) {
-      open_[alive[i].id] = {t, shares[i]};
-      allocated += shares[i];
-    }
-  }
+  const double allocated = recorder_.decide(t, alive, shares);
   end_time_ = std::max(end_time_, t);
   if (cfg_.decision_instants && room()) {
     events_.push_back({Event::Kind::kDecision, t, kInvalidJob, 0.0});
@@ -43,12 +27,7 @@ void TraceExporter::on_arrival(double t, const Job& job) {
 }
 
 void TraceExporter::on_completion(double t, const Job& job) {
-  const auto it = open_.find(job.id);
-  if (it != open_.end()) {
-    const auto [start, share] = it->second;
-    if (t > start) segments_.push_back({job.id, start, t, share});
-    open_.erase(it);
-  }
+  recorder_.complete(t, job.id);
   end_time_ = std::max(end_time_, t);
   if (room()) {
     events_.push_back({Event::Kind::kCompletion, t, job.id, 0.0});
@@ -56,28 +35,8 @@ void TraceExporter::on_completion(double t, const Job& job) {
 }
 
 void TraceExporter::on_done(double t) {
-  close_open_segments(t);
+  recorder_.done(t);
   end_time_ = std::max(end_time_, t);
-  // Merge back-to-back segments whose share did not change (decision
-  // points that re-affirmed this job's allocation), mirroring
-  // AllocationTrace::on_done.
-  std::sort(segments_.begin(), segments_.end(),
-            [](const Segment& a, const Segment& b) {
-              if (a.job != b.job) return a.job < b.job;
-              return a.t0 < b.t0;
-            });
-  std::vector<Segment> merged;
-  merged.reserve(segments_.size());
-  for (const Segment& s : segments_) {
-    if (!merged.empty() && merged.back().job == s.job &&
-        merged.back().share == s.share &&
-        std::fabs(merged.back().t1 - s.t0) < 1e-12) {
-      merged.back().t1 = s.t1;
-    } else {
-      merged.push_back(s);
-    }
-  }
-  segments_ = std::move(merged);
 }
 
 void TraceExporter::write_chrome_trace(const std::string& path) const {
@@ -110,7 +69,7 @@ void TraceExporter::write_chrome_trace(const std::string& path) const {
 
   // Job tracks: tid = job id + 1 (tid 0 is the engine's decision track).
   std::vector<JobId> job_ids;
-  for (const Segment& s : segments_) job_ids.push_back(s.job);
+  for (const Segment& s : segments()) job_ids.push_back(s.job);
   std::sort(job_ids.begin(), job_ids.end());
   job_ids.erase(std::unique(job_ids.begin(), job_ids.end()), job_ids.end());
   for (const JobId id : job_ids) {
@@ -118,7 +77,7 @@ void TraceExporter::write_chrome_trace(const std::string& path) const {
   }
 
   // Allocation segments as complete ("X") events on the job's track.
-  for (const Segment& s : segments_) {
+  for (const Segment& s : segments()) {
     w.begin_object();
     // Built via append: GCC 12's -Werror=restrict misfires on
     // operator+(const char*, std::string&&) here.
@@ -214,7 +173,7 @@ void TraceExporter::write_jsonl(const std::string& path) const {
       w.kv("allocated", c.allocated);
     });
   }
-  for (const Segment& s : segments_) {
+  for (const Segment& s : segments()) {
     line([&](JsonWriter& w) {
       w.kv("ev", "segment").kv("job", s.job).kv("t0", s.t0).kv("t1", s.t1);
       w.kv("share", s.share);

@@ -24,9 +24,9 @@
 
 #include <cstdint>
 #include <string>
-#include <map>
 #include <vector>
 
+#include "obs/segments.hpp"
 #include "simcore/observer.hpp"
 
 namespace parsched::obs {
@@ -45,12 +45,7 @@ class TraceExporter final : public Observer {
     std::size_t max_events = 1'000'000;
   };
 
-  struct Segment {
-    JobId job = kInvalidJob;
-    double t0 = 0.0;
-    double t1 = 0.0;
-    double share = 0.0;
-  };
+  using Segment = AllocationSegment;
 
   struct Event {
     enum class Kind : std::uint8_t { kArrival, kCompletion, kDecision };
@@ -77,7 +72,7 @@ class TraceExporter final : public Observer {
   void on_done(double t) override;
 
   [[nodiscard]] const std::vector<Segment>& segments() const {
-    return segments_;
+    return recorder_.segments();
   }
   [[nodiscard]] const std::vector<Event>& events() const { return events_; }
   [[nodiscard]] const std::vector<CounterSample>& counters() const {
@@ -93,7 +88,6 @@ class TraceExporter final : public Observer {
   void write_jsonl(const std::string& path) const;
 
  private:
-  void close_open_segments(double t);
   [[nodiscard]] bool room() {
     if (events_.size() + counters_.size() < cfg_.max_events) return true;
     ++dropped_;
@@ -101,10 +95,9 @@ class TraceExporter final : public Observer {
   }
 
   Config cfg_;
-  std::vector<Segment> segments_;
+  SegmentRecorder recorder_;
   std::vector<Event> events_;
   std::vector<CounterSample> counters_;
-  std::map<JobId, std::pair<double, double>> open_;  // job -> (t0, share)
   double end_time_ = 0.0;
   std::uint64_t dropped_ = 0;
 };

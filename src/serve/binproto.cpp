@@ -210,107 +210,53 @@ bool FrameBuffer::next(std::string& payload) {
 
 // ---- request encoders -----------------------------------------------------
 
-namespace {
-WireWriter request_head(BinOp op, std::uint64_t rid) {
+std::string encode_frame(const Request& req) {
   WireWriter w;
-  w.u8(static_cast<std::uint8_t>(op));
-  w.u64(rid);
-  return w;
-}
-}  // namespace
-
-std::string bin_ping(std::uint64_t rid) {
-  return request_head(BinOp::kPing, rid).take();
+  w.u8(static_cast<std::uint8_t>(req.op));
+  w.u64(req.rid);
+  const std::uint8_t fields = verb(req.op).fields;
+  if ((fields & kFieldSession) != 0) w.u64(req.session);
+  if ((fields & kFieldOpen) != 0) {
+    w.str(req.policy);
+    w.u32(static_cast<std::uint32_t>(req.machines));
+    w.f64(req.speed);
+    w.u64(req.key);
+  }
+  if ((fields & kFieldJob) != 0) put_job(w, req.job);
+  if ((fields & kFieldTo) != 0) w.f64(req.to);
+  if ((fields & kFieldPath) != 0) w.str(req.path);
+  if ((fields & kFieldShard) != 0) w.u32(static_cast<std::uint32_t>(req.shard));
+  return w.take();
 }
 
 std::string bin_open(std::uint64_t rid, const std::string& policy,
                      int machines, double speed, std::uint64_t key) {
-  WireWriter w = request_head(BinOp::kOpen, rid);
-  w.str(policy);
-  w.u32(static_cast<std::uint32_t>(machines));
-  w.f64(speed);
-  w.u64(key);
-  return w.take();
+  return encode_frame({.op = BinOp::kOpen, .rid = rid, .policy = policy,
+                       .machines = machines, .speed = speed, .key = key});
 }
 
 std::string bin_admit(std::uint64_t rid, std::uint64_t session,
                       const Job& job) {
-  WireWriter w = request_head(BinOp::kAdmit, rid);
-  w.u64(session);
-  put_job(w, job);
-  return w.take();
+  return encode_frame(
+      {.op = BinOp::kAdmit, .rid = rid, .session = session, .job = job});
 }
 
 std::string bin_advance(std::uint64_t rid, std::uint64_t session,
                         double to) {
-  WireWriter w = request_head(BinOp::kAdvance, rid);
-  w.u64(session);
-  w.f64(to);
-  return w.take();
-}
-
-std::string bin_query(std::uint64_t rid, std::uint64_t session) {
-  WireWriter w = request_head(BinOp::kQuery, rid);
-  w.u64(session);
-  return w.take();
-}
-
-std::string bin_snapshot(std::uint64_t rid, std::uint64_t session,
-                         const std::string& path) {
-  WireWriter w = request_head(BinOp::kSnapshot, rid);
-  w.u64(session);
-  w.str(path);
-  return w.take();
-}
-
-std::string bin_restore(std::uint64_t rid, const std::string& path) {
-  WireWriter w = request_head(BinOp::kRestore, rid);
-  w.str(path);
-  return w.take();
-}
-
-std::string bin_finish(std::uint64_t rid, std::uint64_t session) {
-  WireWriter w = request_head(BinOp::kFinish, rid);
-  w.u64(session);
-  return w.take();
-}
-
-std::string bin_close(std::uint64_t rid, std::uint64_t session) {
-  WireWriter w = request_head(BinOp::kClose, rid);
-  w.u64(session);
-  return w.take();
+  return encode_frame(
+      {.op = BinOp::kAdvance, .rid = rid, .session = session, .to = to});
 }
 
 std::string bin_stats(std::uint64_t rid) {
-  return request_head(BinOp::kStats, rid).take();
+  return encode_frame({.op = BinOp::kStats, .rid = rid});
 }
 
-std::string bin_dump(std::uint64_t rid, const std::string& path) {
-  WireWriter w = request_head(BinOp::kDump, rid);
-  w.str(path);
-  return w.take();
+std::string bin_finish(std::uint64_t rid, std::uint64_t session) {
+  return encode_frame({.op = BinOp::kFinish, .rid = rid, .session = session});
 }
 
-std::string bin_shutdown(std::uint64_t rid) {
-  return request_head(BinOp::kShutdown, rid).take();
-}
-
-std::string bin_migrate(std::uint64_t rid, std::uint64_t session,
-                        int shard) {
-  WireWriter w = request_head(BinOp::kMigrate, rid);
-  w.u64(session);
-  w.u32(static_cast<std::uint32_t>(shard));
-  return w.take();
-}
-
-std::string bin_evacuate(std::uint64_t rid, int shard) {
-  WireWriter w = request_head(BinOp::kEvacuate, rid);
-  w.u32(static_cast<std::uint32_t>(shard));
-  return w.take();
-}
-
-std::string bin_cluster(std::uint64_t rid) {
-  return request_head(BinOp::kCluster, rid).take();
+std::string bin_close(std::uint64_t rid, std::uint64_t session) {
+  return encode_frame({.op = BinOp::kClose, .rid = rid, .session = session});
 }
 
 // ---- response decoder -----------------------------------------------------

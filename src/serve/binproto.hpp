@@ -28,11 +28,17 @@
 // encoding, all little-endian):
 //
 //   request:   u8 op, u64 request_id, the verb's field groups in
-//              Request order (serve/dispatch.hpp kField*)
+//              Request order (serve/dispatch.hpp kField*); written by
+//              encode_frame() and read by decode_frame(), the one
+//              encode/decode pair (serve/protocol.hpp)
 //   response:  u8 status (0 ok / 1 error / 2 reject), u64 request_id,
 //              u8 op, then the ok fields of the outcome, an error's str
 //              message, or a reject's u8 Submit verdict code
 //
+// Clients build a serve::Request and encode it with encode_frame(); the
+// bin_* functions below are shorthands for the verbs a closed-loop
+// client sends most. parse_bin_response() reads a reply, and
+// decode_reply_line() reads an NDJSON reply into the same BinResponse.
 // docs/API.md §serve/ has the field tables. Unknown ops and corrupt
 // payloads answer status=error; a frame longer than kMaxFramePayload
 // kills the connection (it cannot be resynchronized).
@@ -109,7 +115,9 @@ class FrameBuffer {
 
 // ---- request encoders (client side) ---------------------------------------
 
-[[nodiscard]] std::string bin_ping(std::uint64_t rid);
+// Shorthands for encode_frame() (serve/protocol.hpp) of the verbs a
+// closed-loop client sends most; any other request is a Request passed
+// to encode_frame() itself.
 [[nodiscard]] std::string bin_open(std::uint64_t rid,
                                    const std::string& policy, int machines,
                                    double speed, std::uint64_t key = 0);
@@ -117,25 +125,11 @@ class FrameBuffer {
                                     const Job& job);
 [[nodiscard]] std::string bin_advance(std::uint64_t rid,
                                       std::uint64_t session, double to);
-[[nodiscard]] std::string bin_query(std::uint64_t rid,
-                                    std::uint64_t session);
-[[nodiscard]] std::string bin_snapshot(std::uint64_t rid,
-                                       std::uint64_t session,
-                                       const std::string& path);
-[[nodiscard]] std::string bin_restore(std::uint64_t rid,
-                                      const std::string& path);
+[[nodiscard]] std::string bin_stats(std::uint64_t rid);
 [[nodiscard]] std::string bin_finish(std::uint64_t rid,
                                      std::uint64_t session);
 [[nodiscard]] std::string bin_close(std::uint64_t rid,
                                     std::uint64_t session);
-[[nodiscard]] std::string bin_stats(std::uint64_t rid);
-[[nodiscard]] std::string bin_dump(std::uint64_t rid,
-                                   const std::string& path = "");
-[[nodiscard]] std::string bin_shutdown(std::uint64_t rid);
-[[nodiscard]] std::string bin_migrate(std::uint64_t rid,
-                                      std::uint64_t session, int shard);
-[[nodiscard]] std::string bin_evacuate(std::uint64_t rid, int shard);
-[[nodiscard]] std::string bin_cluster(std::uint64_t rid);
 
 // ---- response decoder (client side) ---------------------------------------
 

@@ -23,19 +23,20 @@
 
 namespace parsched::serve {
 
-/// One decoded request: the verb, the request id and the union of the
-/// verb fields; a verb's Verb::fields mask says which it carries.
+/// One request: the verb, the request id and the union of the verb
+/// fields; a verb's Verb::fields mask says which it carries. Every member
+/// has a default, so a designated initializer names only what it sets.
 struct Request {
   BinOp op = BinOp::kPing;
   std::uint64_t rid = 0;
   SessionId session = 0;  ///< kFieldSession
-  std::string policy;     ///< kFieldOpen: policy, machines, speed, key
+  std::string policy{};   ///< kFieldOpen: policy, machines, speed, key
   int machines = 0;
   double speed = 0.0;
   std::uint64_t key = 0;
-  Job job;                ///< kFieldJob
+  Job job{};              ///< kFieldJob
   double to = 0.0;        ///< kFieldTo
-  std::string path;       ///< kFieldPath ("" means none)
+  std::string path{};     ///< kFieldPath ("" means none)
   int shard = 0;          ///< kFieldShard
 
   friend bool operator==(const Request&, const Request&) = default;

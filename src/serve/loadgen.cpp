@@ -3,20 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <ctime>
-#include <functional>
 #include <future>
-#include <memory>
 #include <mutex>
-#include <sstream>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "exec/sweep.hpp"
 #include "exec/thread_pool.hpp"
-#include "obs/json.hpp"
 #include "serve/binproto.hpp"
 #include "serve/cluster.hpp"
+#include "serve/protocol.hpp"
 #include "serve/transport.hpp"
 #include "speedup/curve.hpp"
 
@@ -59,214 +57,27 @@ struct Shared {
   obs::Histogram* latency_ms = nullptr;
 };
 
-/// One protocol reply, normalized across NDJSON and PBIN. A non-empty
-/// `reject` is retryable backpressure; a non-empty `error` is a caller
-/// bug or server failure.
-struct WireReply {
-  bool ok = false;
-  std::string reject;
-  std::string error;
-  std::uint64_t session = 0;   // open
-  SessionOutcome result;       // finish (jobs/flows/decisions/events)
-  std::string exposition;      // stats
-};
-
-/// One worker connection: the protocol verbs the generator issues,
-/// abstracted over the wire format so the driver is written once.
-class WireClient {
+/// One worker connection: it sends a Request in the codec the
+/// connection speaks and reads the reply as a BinResponse.
+class Connection {
  public:
-  virtual ~WireClient() = default;
-  virtual WireReply open(const std::string& policy, int machines,
-                         std::uint64_t key) = 0;
-  virtual WireReply admit(std::uint64_t session, std::uint32_t job,
-                          double release, double size, double alpha) = 0;
-  virtual WireReply advance(std::uint64_t session, double to) = 0;
-  virtual WireReply query(std::uint64_t session) = 0;
-  virtual WireReply finish(std::uint64_t session) = 0;
-  virtual WireReply close(std::uint64_t session) = 0;
-  virtual WireReply stats() = 0;
-};
-
-// ---- NDJSON wire ----------------------------------------------------------
-
-class JsonWire final : public WireClient {
- public:
-  JsonWire(const std::string& path, double timeout)
-      : client_(path, timeout) {}
-
-  WireReply open(const std::string& policy, int machines,
-                 std::uint64_t key) override {
-    std::ostringstream os;
-    obs::JsonWriter w(os);
-    w.begin_object();
-    w.kv("op", "open");
-    w.kv("id", rid_++);
-    w.kv("policy", policy);
-    w.kv("machines", machines);
-    if (key != 0) w.kv("key", key);
-    w.end_object();
-    return call(os.str());
+  explicit Connection(const LoadgenConfig& cfg) {
+    if (cfg.binary) {
+      bin_.emplace(cfg.socket_path, cfg.connect_timeout);
+    } else {
+      line_.emplace(cfg.socket_path, cfg.connect_timeout);
+    }
   }
 
-  WireReply admit(std::uint64_t session, std::uint32_t job, double release,
-                  double size, double alpha) override {
-    std::ostringstream os;
-    obs::JsonWriter w(os);
-    w.begin_object();
-    w.kv("op", "admit");
-    w.kv("id", rid_++);
-    w.kv("session", session);
-    w.key("job");
-    w.begin_object();
-    w.kv("id", job);
-    w.kv("release", release);
-    w.kv("size", size);
-    w.kv("curve", "pow:" + obs::json_number(alpha));
-    w.end_object();
-    w.end_object();
-    return call(os.str());
-  }
-
-  WireReply advance(std::uint64_t session, double to) override {
-    std::ostringstream os;
-    obs::JsonWriter w(os);
-    w.begin_object();
-    w.kv("op", "advance");
-    w.kv("id", rid_++);
-    w.kv("session", session);
-    w.kv("to", to);
-    w.end_object();
-    return call(os.str());
-  }
-
-  WireReply query(std::uint64_t session) override {
-    return call(simple("query", session));
-  }
-  WireReply finish(std::uint64_t session) override {
-    return call(simple("finish", session));
-  }
-  WireReply close(std::uint64_t session) override {
-    return call(simple("close", session));
-  }
-
-  WireReply stats() override {
-    std::ostringstream os;
-    obs::JsonWriter w(os);
-    w.begin_object();
-    w.kv("op", "stats");
-    w.kv("id", rid_++);
-    w.end_object();
-    return call(os.str());
+  BinResponse call(Request req) {
+    req.rid = rid_++;
+    if (bin_) return bin_->call(encode_frame(req));
+    return decode_reply_line(line_->request(encode_line(req)));
   }
 
  private:
-  std::string simple(const char* op, std::uint64_t session) {
-    std::ostringstream os;
-    obs::JsonWriter w(os);
-    w.begin_object();
-    w.kv("op", op);
-    w.kv("id", rid_++);
-    w.kv("session", session);
-    w.end_object();
-    return os.str();
-  }
-
-  WireReply call(const std::string& line) {
-    const std::string resp = client_.request(line);
-    obs::JsonValue v;
-    std::string err;
-    if (!obs::json_parse(resp, v, &err)) {
-      throw std::runtime_error("unparseable response: " + err);
-    }
-    WireReply out;
-    out.ok = v.bool_or("ok", false);
-    if (!out.ok) {
-      out.reject = v.string_or("reject", "");
-      out.error = v.string_or("error", "unknown");
-      return out;
-    }
-    out.session = static_cast<std::uint64_t>(v.number_or("session", 0.0));
-    out.exposition = v.string_or("exposition", "");
-    SessionOutcome& r = out.result;
-    r.jobs = static_cast<std::uint64_t>(v.number_or("jobs", 0.0));
-    r.total_flow = v.number_or("total_flow", 0.0);
-    r.weighted_flow = v.number_or("weighted_flow", 0.0);
-    r.fractional_flow = v.number_or("fractional_flow", 0.0);
-    r.makespan = v.number_or("makespan", 0.0);
-    r.decisions = static_cast<std::uint64_t>(v.number_or("decisions", 0.0));
-    r.events = static_cast<std::uint64_t>(v.number_or("events", 0.0));
-    return out;
-  }
-
-  Client client_;
-  int rid_ = 0;
-};
-
-// ---- PBIN wire ------------------------------------------------------------
-
-class BinWire final : public WireClient {
- public:
-  BinWire(const std::string& path, double timeout) : client_(path, timeout) {}
-
-  WireReply open(const std::string& policy, int machines,
-                 std::uint64_t key) override {
-    return call(bin_open(rid_++, policy, machines, 1.0, key));
-  }
-
-  WireReply admit(std::uint64_t session, std::uint32_t job, double release,
-                  double size, double alpha) override {
-    Job j;
-    j.id = job;
-    j.release = release;
-    j.size = size;
-    j.curve = SpeedupCurve::power_law(alpha);
-    return call(bin_admit(rid_++, session, j));
-  }
-
-  WireReply advance(std::uint64_t session, double to) override {
-    return call(bin_advance(rid_++, session, to));
-  }
-  WireReply query(std::uint64_t session) override {
-    return call(bin_query(rid_++, session));
-  }
-  WireReply finish(std::uint64_t session) override {
-    return call(bin_finish(rid_++, session));
-  }
-  WireReply close(std::uint64_t session) override {
-    return call(bin_close(rid_++, session));
-  }
-  WireReply stats() override { return call(bin_stats(rid_++)); }
-
- private:
-  WireReply call(const std::string& payload) {
-    const BinResponse resp = client_.call(payload);
-    WireReply out;
-    switch (resp.status) {
-      case BinStatus::kOk:
-        out.ok = true;
-        break;
-      case BinStatus::kReject:
-        out.reject = to_string(static_cast<Submit>(resp.verdict));
-        out.error = "rejected: " + out.reject;
-        return out;
-      case BinStatus::kError:
-        out.error = resp.error;
-        return out;
-    }
-    out.session = resp.session;
-    out.exposition = resp.text;
-    SessionOutcome& r = out.result;
-    r.jobs = resp.jobs;
-    r.total_flow = resp.total_flow;
-    r.weighted_flow = resp.weighted_flow;
-    r.fractional_flow = resp.fractional_flow;
-    r.makespan = resp.makespan;
-    r.decisions = resp.decisions;
-    r.events = resp.events;
-    return out;
-  }
-
-  BinClient client_;
+  std::optional<BinClient> bin_;
+  std::optional<Client> line_;
   std::uint64_t rid_ = 0;
 };
 
@@ -328,11 +139,11 @@ std::vector<SessionPlan> plan_fleet(const LoadgenConfig& cfg, int shards) {
 
 /// One timed request with reject-retry. Latencies go to the local batch
 /// (merged once per worker); throws on errors or exhausted retries.
-WireReply timed(const std::function<WireReply()>& op, Shared& shared,
-                std::vector<double>& local_lat) {
+BinResponse timed(Connection& wire, const Request& req, Shared& shared,
+                  std::vector<double>& local_lat) {
   for (int attempt = 0;; ++attempt) {
     const double t0 = obs::monotonic_seconds();
-    const WireReply reply = op();
+    BinResponse reply = wire.call(req);
     const double ms = (obs::monotonic_seconds() - t0) * 1e3;
     if (shared.requests != nullptr) shared.requests->inc();
     if (shared.latency_ms != nullptr) shared.latency_ms->observe(ms);
@@ -341,8 +152,8 @@ WireReply timed(const std::function<WireReply()>& op, Shared& shared,
       std::lock_guard<std::mutex> lock(shared.mu);
       ++shared.result.requests;
     }
-    if (reply.ok) return reply;
-    if (reply.reject.empty()) {
+    if (reply.status == BinStatus::kOk) return reply;
+    if (reply.status == BinStatus::kError) {
       throw std::runtime_error("server error: " + reply.error);
     }
     // Backpressure (includes a migration's draining window): count,
@@ -353,9 +164,9 @@ WireReply timed(const std::function<WireReply()>& op, Shared& shared,
       ++shared.result.rejects;
     }
     if (attempt >= kMaxRetries) {
-      throw std::runtime_error("request rejected " +
-                               std::to_string(kMaxRetries) + " times (" +
-                               reply.reject + ")");
+      throw std::runtime_error(
+          "request rejected " + std::to_string(kMaxRetries) + " times (" +
+          to_string(static_cast<Submit>(reply.verdict)) + ")");
     }
     backoff_sleep(attempt);
   }
@@ -369,12 +180,7 @@ void drive_block(const LoadgenConfig& cfg,
                  const std::vector<SessionPlan>& plans, std::size_t first,
                  std::size_t count, Shared& shared) {
   std::vector<double> local_lat;
-  std::unique_ptr<WireClient> wire;
-  if (cfg.binary) {
-    wire = std::make_unique<BinWire>(cfg.socket_path, cfg.connect_timeout);
-  } else {
-    wire = std::make_unique<JsonWire>(cfg.socket_path, cfg.connect_timeout);
-  }
+  Connection wire(cfg);
 
   struct Live {
     const SessionPlan* plan = nullptr;
@@ -390,9 +196,13 @@ void drive_block(const LoadgenConfig& cfg,
     live[k].rng = exec::task_seed(cfg.seed,
                                   static_cast<std::uint64_t>(plan.index));
     live[k].t0 = obs::monotonic_seconds();
-    const WireReply opened = timed(
-        [&] { return wire->open(cfg.policy, cfg.machines, plan.key); },
-        shared, local_lat);
+    const BinResponse opened = timed(wire,
+                                     {.op = BinOp::kOpen,
+                                      .policy = cfg.policy,
+                                      .machines = cfg.machines,
+                                      .speed = 1.0,
+                                      .key = plan.key},
+                                     shared, local_lat);
     if (opened.session == 0) {
       throw std::runtime_error("open returned no session");
     }
@@ -403,25 +213,25 @@ void drive_block(const LoadgenConfig& cfg,
   for (int i = 0; i < max_admissions; ++i) {
     for (Live& s : live) {
       if (i >= s.plan->admissions) continue;
-      const double release = release_time(cfg, *s.plan, i);
-      const double size = 0.5 + 1.5 * next_unit(s.rng);
-      const double alpha = 0.25 + 0.5 * next_unit(s.rng);
-      timed(
-          [&] {
-            return wire->admit(s.session, static_cast<std::uint32_t>(i),
-                               release, size, alpha);
-          },
-          shared, local_lat);
+      Request admit{.op = BinOp::kAdmit, .session = s.session};
+      admit.job.id = static_cast<JobId>(i);
+      admit.job.release = release_time(cfg, *s.plan, i);
+      admit.job.size = 0.5 + 1.5 * next_unit(s.rng);
+      admit.job.curve =
+          SpeedupCurve::power_law(0.25 + 0.5 * next_unit(s.rng));
+      timed(wire, admit, shared, local_lat);
       if (cfg.advance_every > 0 && (i + 1) % cfg.advance_every == 0) {
-        timed([&] { return wire->advance(s.session, release); }, shared,
-              local_lat);
+        timed(wire,
+              {.op = BinOp::kAdvance,
+               .session = s.session,
+               .to = admit.job.release},
+              shared, local_lat);
       }
       if (cfg.stats_every > 0 && (i + 1) % cfg.stats_every == 0) {
         // Live-telemetry probe riding inside the load: the exposition
         // writer races every hot strand of the server while we scrape.
-        const WireReply stats =
-            timed([&] { return wire->stats(); }, shared, local_lat);
-        if (stats.exposition.empty()) {
+        if (timed(wire, {.op = BinOp::kStats}, shared, local_lat)
+                .text.empty()) {
           throw std::runtime_error("stats returned an empty exposition");
         }
         std::lock_guard<std::mutex> lock(shared.mu);
@@ -431,16 +241,19 @@ void drive_block(const LoadgenConfig& cfg,
   }
 
   for (Live& s : live) {
-    timed([&] { return wire->query(s.session); }, shared, local_lat);
-    const WireReply fin =
-        timed([&] { return wire->finish(s.session); }, shared, local_lat);
-    timed([&] { return wire->close(s.session); }, shared, local_lat);
-    SessionOutcome out = fin.result;
-    out.session_index = s.plan->index;
-    out.wall_seconds = obs::monotonic_seconds() - s.t0;
+    timed(wire, {.op = BinOp::kQuery, .session = s.session}, shared,
+          local_lat);
+    const BinResponse fin = timed(
+        wire, {.op = BinOp::kFinish, .session = s.session}, shared, local_lat);
+    timed(wire, {.op = BinOp::kClose, .session = s.session}, shared,
+          local_lat);
+    const SessionOutcome out{s.plan->index,       fin.jobs,
+                             fin.total_flow,      fin.weighted_flow,
+                             fin.fractional_flow, fin.makespan,
+                             fin.decisions,       fin.events,
+                             obs::monotonic_seconds() - s.t0};
     std::lock_guard<std::mutex> lock(shared.mu);
-    shared.result.sessions[static_cast<std::size_t>(s.plan->index)] =
-        std::move(out);
+    shared.result.sessions[static_cast<std::size_t>(s.plan->index)] = out;
   }
 
   std::lock_guard<std::mutex> lock(shared.mu);
@@ -448,18 +261,13 @@ void drive_block(const LoadgenConfig& cfg,
                                     local_lat.begin(), local_lat.end());
 }
 
-/// Ask the server how many shards it runs (the NDJSON "cluster" verb —
-/// the admin path works regardless of what the workers speak).
+/// Ask the server how many shards it runs (the "cluster" verb).
 int probe_shards(const LoadgenConfig& cfg) {
-  Client admin(cfg.socket_path, cfg.connect_timeout);
-  const std::string resp = admin.request(R"({"op":"cluster","id":0})");
-  obs::JsonValue v;
-  std::string err;
-  if (!obs::json_parse(resp, v, &err) || !v.bool_or("ok", false)) {
-    throw std::runtime_error("cluster probe failed: " + resp);
+  const BinResponse resp = Connection(cfg).call({.op = BinOp::kCluster});
+  if (resp.status != BinStatus::kOk) {
+    throw std::runtime_error("cluster probe failed: " + resp.error);
   }
-  const int shards = static_cast<int>(v.number_or("shards", 1.0));
-  return shards > 0 ? shards : 1;
+  return resp.shards > 0 ? resp.shards : 1;
 }
 
 }  // namespace
@@ -552,8 +360,7 @@ LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
   pool.shutdown(true);
 
   if (cfg.shutdown_after) {
-    Client admin(cfg.socket_path, cfg.connect_timeout);
-    (void)admin.request(R"({"op":"shutdown","id":0})");
+    (void)Connection(cfg).call({.op = BinOp::kShutdown});
   }
 
   shared.result.wall_seconds = obs::monotonic_seconds() - t0;

@@ -147,6 +147,41 @@ Request decode(const JsonValue& json) {
   return req;
 }
 
+/// The spec parse_curve() reads back as `c`; NDJSON has none for a
+/// piecewise-linear curve.
+std::string curve_spec(const SpeedupCurve& c) {
+  switch (c.kind()) {
+    case SpeedupCurve::Kind::kFullyParallel: return "par";
+    case SpeedupCurve::Kind::kSequential: return "seq";
+    case SpeedupCurve::Kind::kPowerLaw:
+      return "pow:" + obs::json_number(c.alpha());
+    case SpeedupCurve::Kind::kPiecewiseLinear: break;
+  }
+  throw std::invalid_argument(
+      "NDJSON cannot spell a piecewise-linear curve (use PBIN)");
+}
+
+void write_job(JsonWriter& w, const Job& job) {
+  w.begin_object();
+  w.kv("id", static_cast<std::uint64_t>(job.id));
+  w.kv("release", job.release);
+  w.kv("size", job.size);
+  w.kv("weight", job.weight);
+  w.kv("curve", curve_spec(job.curve));
+  if (!job.phases.empty()) {
+    w.key("phases");
+    w.begin_array();
+    for (const JobPhase& phase : job.phases) {
+      w.begin_object();
+      w.kv("work", phase.work);
+      w.kv("curve", curve_spec(phase.curve));
+      w.end_object();
+    }
+    w.end_array();
+  }
+  w.end_object();
+}
+
 /// Shared shape of the query/finish payloads.
 void write_result_fields(JsonWriter& w, const SimResult& r) {
   w.kv("jobs", static_cast<std::uint64_t>(r.records.size()));
@@ -292,6 +327,94 @@ JsonValue parse_line(std::string_view line) {
 
 Request decode_line(std::string_view line) {
   return decode(parse_line(line));
+}
+
+std::string encode_line(const Request& req) {
+  const Verb& v = verb(req.op);
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.begin_object();
+  w.kv("op", v.name);
+  w.kv("id", req.rid);
+  if ((v.fields & kFieldSession) != 0) w.kv("session", req.session);
+  if ((v.fields & kFieldOpen) != 0) {
+    w.kv("policy", req.policy);
+    w.kv("machines", req.machines);
+    w.kv("speed", req.speed);
+    w.kv("key", req.key);
+  }
+  if ((v.fields & kFieldJob) != 0) {
+    w.key("job");
+    write_job(w, req.job);
+  }
+  if ((v.fields & kFieldTo) != 0) w.kv("to", req.to);
+  if ((v.fields & kFieldPath) != 0) w.kv("path", req.path);
+  if ((v.fields & kFieldShard) != 0) w.kv("shard", req.shard);
+  w.end_object();
+  return os.str();
+}
+
+BinResponse decode_reply_line(std::string_view line) {
+  const JsonValue json = parse_line(line);
+  if (!json.is_object()) {
+    throw std::invalid_argument("reply must be a JSON object");
+  }
+  BinResponse out;
+  (void)whole(json.number_or("id", 0.0), out.rid);
+  if (!json.bool_or("ok", false)) {
+    const std::string reject = json.string_or("reject", "");
+    if (reject.empty()) {
+      out.error = json.string_or("error", "");
+      return out;
+    }
+    out.status = BinStatus::kReject;
+    for (const Submit s : {Submit::kQueueFull, Submit::kUnknownSession,
+                           Submit::kDraining, Submit::kSessionCap}) {
+      if (reject == to_string(s)) out.verdict = static_cast<std::uint8_t>(s);
+    }
+    if (out.verdict == 0) {
+      throw std::invalid_argument("unknown reject verdict: " + reject);
+    }
+    return out;
+  }
+  out.status = BinStatus::kOk;
+  out.session = integral_or<std::uint64_t>(json, "session", 0);
+  out.shard = integral_or<int>(json, "shard", -1);
+  out.policy = json.string_or("policy", "");
+  out.time = json.number_or("time", 0.0);
+  out.frontier = json.number_or("frontier", 0.0);
+  out.alive = integral_or<std::uint64_t>(json, "alive", 0);
+  out.pending = integral_or<std::uint64_t>(json, "pending", 0);
+  out.finished = json.bool_or("finished", false);
+  out.jobs = integral_or<std::uint64_t>(json, "jobs", 0);
+  out.total_flow = json.number_or("total_flow", 0.0);
+  out.weighted_flow = json.number_or("weighted_flow", 0.0);
+  out.fractional_flow = json.number_or("fractional_flow", 0.0);
+  out.makespan = json.number_or("makespan", 0.0);
+  out.decisions = integral_or<std::uint64_t>(json, "decisions", 0);
+  out.events = integral_or<std::uint64_t>(json, "events", 0);
+  if (const JsonValue* records = json.find("records"); records != nullptr) {
+    for (const JsonValue& r : records->array) {
+      out.records.push_back({integral_or<std::uint32_t>(r, "job", 0),
+                             r.number_or("release", 0.0),
+                             r.number_or("completion", 0.0)});
+    }
+  }
+  out.text = json.string_or("exposition", json.string_or("dump", ""));
+  out.migrated = integral_or<int>(json, "migrated", 0);
+  out.shards = integral_or<int>(json, "shards", 0);
+  out.sessions = integral_or<std::uint64_t>(json, "sessions", 0);
+  if (const JsonValue* counts = json.find("shard_sessions");
+      counts != nullptr) {
+    for (const JsonValue& n : counts->array) {
+      out.shard_sessions.push_back(
+          integral<std::uint32_t>(n, "shard_sessions"));
+    }
+  }
+  if (const JsonValue* ring = json.find("in_ring"); ring != nullptr) {
+    for (const JsonValue& b : ring->array) out.in_ring.push_back(b.boolean);
+  }
+  return out;
 }
 
 bool ProtocolHandler::handle_line(std::string_view line, WriteFn write) {

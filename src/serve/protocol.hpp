@@ -35,6 +35,11 @@
 // handle_frame() a PBIN frame (serve/binproto.hpp), into the same
 // Request, and serve::dispatch() (serve/dispatch.hpp) executes it
 // against the handler's Cluster and answers through the codec's Reply.
+// Clients use the mirror image: encode_line() / encode_frame() write a
+// Request in the groups and order their decoders read, and
+// decode_reply_line() reads an NDJSON reply into the BinResponse that
+// parse_bin_response() gives a PBIN one, so a client handles one reply
+// type whichever wire it speaks.
 // Session verbs answer from pool threads via the WriteFn, which must
 // therefore be thread-safe (the transports wrap a mutex around the
 // output). Per session, responses arrive in request order; across
@@ -54,10 +59,33 @@ namespace parsched::serve {
 /// std::invalid_argument with the message the error response carries.
 [[nodiscard]] Request decode_line(std::string_view line);
 
+/// The NDJSON codec's encode half, the mirror of decode_line(): the
+/// verb's field groups in verb-table order, every field of a group
+/// written. decode_line(encode_line(r)) == r when, besides that, the
+/// request's doubles are finite and its rid and key are at most 2^53
+/// (JSON numbers are doubles). Throws
+/// std::invalid_argument for a piecewise-linear job or phase curve,
+/// which NDJSON cannot spell.
+[[nodiscard]] std::string encode_line(const Request& req);
+
+/// The NDJSON codec's reply reader: one reply line in the shape
+/// parse_bin_response() gives a PBIN reply. The line carries no op
+/// (`op` stays kPing) and a reject carries its verdict code but no
+/// error text, as on PBIN; an evacuate reply also fills `shard`. Throws
+/// std::invalid_argument when the line is not a reply.
+[[nodiscard]] BinResponse decode_reply_line(std::string_view line);
+
 /// The PBIN codec's decode half (serve/binproto.cpp): fills `req` from a
 /// request frame payload, op and request id first, so a throw
 /// (std::invalid_argument) leaves what the error response echoes.
 void decode_frame(std::string_view payload, Request& req);
+
+/// The PBIN codec's encode half (serve/binproto.cpp), the mirror of
+/// decode_frame(): u8 op, u64 rid, then the verb's field groups in
+/// verb-table order. decode_frame(encode_frame(r)) == r for every
+/// request whose fields outside the verb's groups are at their
+/// defaults.
+[[nodiscard]] std::string encode_frame(const Request& req);
 
 class ProtocolHandler {
  public:

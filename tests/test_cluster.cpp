@@ -310,7 +310,8 @@ TEST(BinProto, HelloRoundTripAndRejection) {
 // body split mid-double. Reassembly must be offset-oblivious.
 TEST(BinProto, FrameBufferReassemblesTornFramesAtEveryOffset) {
   const std::vector<std::string> payloads = {
-      "x", std::string(300, 'y'), "", serve::bin_ping(7)};
+      "x", std::string(300, 'y'), "",
+      serve::encode_frame({.op = serve::BinOp::kPing, .rid = 7})};
   std::string stream;
   for (const std::string& p : payloads) stream += serve::frame(p);
 
@@ -617,15 +618,23 @@ std::vector<std::string> drive_pbin(bool migrate,
         h, serve::bin_admit(static_cast<std::uint64_t>(100 + i), sid, j)));
     if (i == 11 && migrate) {
       const serve::BinResponse resp = serve::parse_bin_response(
-          frame_request(h, serve::bin_migrate(900, sid, (shard + 2) % 4)));
+          frame_request(h, serve::encode_frame({.op = serve::BinOp::kMigrate,
+                                                .rid = 900,
+                                                .session = sid,
+                                                .shard = (shard + 2) % 4})));
       EXPECT_EQ(resp.status, serve::BinStatus::kOk);
     }
   }
   observable.push_back(
       frame_request_retry(h, serve::bin_advance(300, sid, 4.5)));
-  observable.push_back(frame_request_retry(h, serve::bin_query(301, sid)));
-  observable.push_back(
-      frame_request_retry(h, serve::bin_snapshot(302, sid, snap_path)));
+  observable.push_back(frame_request_retry(
+      h, serve::encode_frame(
+             {.op = serve::BinOp::kQuery, .rid = 301, .session = sid})));
+  observable.push_back(frame_request_retry(
+      h, serve::encode_frame({.op = serve::BinOp::kSnapshot,
+                              .rid = 302,
+                              .session = sid,
+                              .path = snap_path})));
   observable.push_back(frame_request_retry(h, serve::bin_finish(303, sid)));
   observable.push_back(frame_request_retry(h, serve::bin_close(304, sid)));
   h.drain();
@@ -743,7 +752,8 @@ TEST(ClusterSocket, PbinClientRoundTrip) {
     serve::BinClient client(path);
     EXPECT_EQ(client.negotiated(), serve::kBinProtoVersion);
 
-    serve::BinResponse r = client.call(serve::bin_ping(1));
+    serve::BinResponse r =
+        client.call(serve::encode_frame({.op = serve::BinOp::kPing, .rid = 1}));
     EXPECT_EQ(r.status, serve::BinStatus::kOk);
     EXPECT_EQ(r.rid, 1u);
 
@@ -762,11 +772,13 @@ TEST(ClusterSocket, PbinClientRoundTrip) {
     EXPECT_EQ(client.call(serve::bin_advance(4, sid, 1.0)).status,
               serve::BinStatus::kOk);
 
-    r = client.call(serve::bin_query(5, sid));
+    r = client.call(serve::encode_frame(
+        {.op = serve::BinOp::kQuery, .rid = 5, .session = sid}));
     ASSERT_EQ(r.status, serve::BinStatus::kOk);
     EXPECT_EQ(r.policy, "EQUI");
 
-    r = client.call(serve::bin_cluster(6));
+    r = client.call(
+        serve::encode_frame({.op = serve::BinOp::kCluster, .rid = 6}));
     ASSERT_EQ(r.status, serve::BinStatus::kOk);
     EXPECT_EQ(r.shards, 2);
     EXPECT_EQ(r.sessions, 1u);
@@ -789,12 +801,16 @@ TEST(ClusterSocket, PbinClientRoundTrip) {
               serve::BinStatus::kOk);
 
     // Unknown session: reject with a retryable verdict, not an error.
-    r = client.call(serve::bin_query(9, sid));
+    r = client.call(serve::encode_frame(
+        {.op = serve::BinOp::kQuery, .rid = 9, .session = sid}));
     EXPECT_EQ(r.status, serve::BinStatus::kReject);
     EXPECT_EQ(static_cast<serve::Submit>(r.verdict),
               serve::Submit::kUnknownSession);
 
-    EXPECT_EQ(client.call(serve::bin_shutdown(10)).status,
+    EXPECT_EQ(client
+                  .call(serve::encode_frame(
+                      {.op = serve::BinOp::kShutdown, .rid = 10}))
+                  .status,
               serve::BinStatus::kOk);
   }
   server_thread.join();
@@ -815,7 +831,10 @@ TEST(ClusterSocket, VersionNegotiationRejectsUnspeakableClient) {
   {
     serve::BinClient v9(path, 10.0, 9);
     EXPECT_EQ(v9.negotiated(), serve::kBinProtoVersion);
-    EXPECT_EQ(v9.call(serve::bin_ping(1)).status, serve::BinStatus::kOk);
+    EXPECT_EQ(
+        v9.call(serve::encode_frame({.op = serve::BinOp::kPing, .rid = 1}))
+            .status,
+        serve::BinStatus::kOk);
   }
 
   // The rejected connection must not have hurt the listener: NDJSON

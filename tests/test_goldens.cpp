@@ -37,6 +37,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -44,6 +45,7 @@
 #include <utility>
 #include <vector>
 
+#include "check/contract.hpp"
 #include "check/determinism.hpp"
 #include "sched/registry.hpp"
 #include "serve/snapshot.hpp"
@@ -649,6 +651,11 @@ std::map<std::string, std::string> compute(const std::string& prefix) {
     std::vector<std::string> policies = c.policies;
     if (policies.empty()) policies.assign(std::begin(kAllPolicies),
                                           std::end(kAllPolicies));
+    // With validation off the uniform test policies hand the rate kernel
+    // shares its debug contracts reject (NaN): log them, so that a build
+    // with DCHECKs pins the bits a build without them computes.
+    std::optional<ScopedContractPolicy> log_contracts;
+    if (!c.validate) log_contracts.emplace(ContractPolicy::kLog);
     for (const std::string& policy : policies) {
       EngineConfig cfg;
       cfg.speed = c.speed;
@@ -736,7 +743,20 @@ TEST(EngineGoldens, DenseStepsOverPhasedJobs) {
 TEST(EngineGoldens, DenseStepsAcrossASnapshot) {
   expect_goldens("dense.snapshot");
 }
-TEST(EngineGoldens, UniformStepsAtTheirEdges) { expect_goldens("uniform."); }
+TEST(EngineGoldens, UniformStepsAtTheirEdges) {
+  const auto debug_failures = [] {
+    return check_detail::stats().debug_failed.load();
+  };
+  const std::uint64_t before = debug_failures();
+  expect_goldens("uniform.");
+  // uniform.unvalidated's NaN shares trip the rate kernel's DCHECK exactly
+  // when DCHECKs are compiled in.
+#if defined(NDEBUG) && !defined(PARSCHED_FORCE_DCHECKS)
+  EXPECT_EQ(debug_failures(), before);
+#else
+  EXPECT_GT(debug_failures(), before);
+#endif
+}
 
 // ---- First-visit edge cases ---------------------------------------------
 

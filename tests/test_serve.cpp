@@ -1380,7 +1380,8 @@ TEST(Transport, BinaryFrameTornAtEveryOffset) {
   };
   std::uint64_t rid = 1;
   for (std::size_t cut = 1; cut < 12; ++cut) {
-    const std::string framed = serve::frame(serve::bin_ping(rid));
+    const std::string framed = serve::frame(
+        serve::encode_frame({.op = serve::BinOp::kPing, .rid = rid}));
     ASSERT_LT(cut, framed.size());
     ASSERT_TRUE(serve::send_all(fd, framed.data(), cut));
     nanosleep(&ts, nullptr);
@@ -1403,7 +1404,8 @@ TEST(Transport, BinaryFrameTornAtEveryOffset) {
   EXPECT_EQ(opened.status, serve::BinStatus::kOk);
   EXPECT_GT(opened.session, 0u);
 
-  const std::string bye = serve::frame(serve::bin_shutdown(rid + 1));
+  const std::string bye = serve::frame(
+      serve::encode_frame({.op = serve::BinOp::kShutdown, .rid = rid + 1}));
   ASSERT_TRUE(serve::send_all(fd, bye.data(), bye.size()));
   (void)read_response();
   ::close(fd);
