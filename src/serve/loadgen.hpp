@@ -49,8 +49,8 @@ struct LoadgenConfig {
   int machines = 4;
   std::uint64_t seed = 1;
   double connect_timeout = 10.0;
-  bool shutdown_after = false;  ///< send {"op":"shutdown"} when done
-  /// Every k admissions, each session also scrapes {"op":"stats"} and
+  bool shutdown_after = false;  ///< send the shutdown verb when done
+  /// Every k admissions, each session also scrapes the stats verb and
   /// checks the exposition payload is non-empty — a live-telemetry probe
   /// riding inside the load (the TSan soak uses it to race the
   /// exposition writer against hot strands). 0 disables.
