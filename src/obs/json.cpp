@@ -3,6 +3,7 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <ostream>
 
@@ -458,7 +459,9 @@ class JsonParser {
 
   bool parse_number(JsonValue& out) {
     const std::size_t start = pos_;
+    bool literal = true;  // no fraction, no exponent
     if (!eof() && peek() == '-') ++pos_;
+    const std::size_t digits_at = pos_;
     if (eof() || std::isdigit(static_cast<unsigned char>(peek())) == 0) {
       reason_ = "invalid number";
       return false;
@@ -470,7 +473,9 @@ class JsonParser {
         ++pos_;
       }
     }
+    const std::size_t digits = pos_ - digits_at;
     if (!eof() && peek() == '.') {
+      literal = false;
       ++pos_;
       if (eof() || std::isdigit(static_cast<unsigned char>(peek())) == 0) {
         reason_ = "digit required after decimal point";
@@ -481,6 +486,7 @@ class JsonParser {
       }
     }
     if (!eof() && (peek() == 'e' || peek() == 'E')) {
+      literal = false;
       ++pos_;
       if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
       if (eof() || std::isdigit(static_cast<unsigned char>(peek())) == 0) {
@@ -501,6 +507,13 @@ class JsonParser {
       reason_ = "number out of range";
       return false;
     }
+    // 15 digits stay below 2^53; a longer literal is bounded exactly.
+    std::int64_t whole = 0;
+    out.integer =
+        literal && (digits <= 15 ||
+                    (std::from_chars(first, last, whole).ec == std::errc() &&
+                     whole >= -(std::int64_t{1} << 53) &&
+                     whole <= (std::int64_t{1} << 53)));
     return true;
   }
 

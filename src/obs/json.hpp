@@ -100,6 +100,12 @@ struct JsonValue {
   Kind kind = Kind::kNull;
   bool boolean = false;
   double number = 0.0;
+  /// A number written as an integer literal (no fraction, no exponent)
+  /// of magnitude at most 2^53, every one of which `number` holds
+  /// exactly. Past 2^53 a double no longer tells the integers apart:
+  /// 2^53 + 1 parses to 2^53, so a reader of integral members takes a
+  /// number of magnitude 2^53 only when this is set.
+  bool integer = false;
   std::string string;
   std::vector<JsonValue> array;
   std::vector<std::pair<std::string, JsonValue>> object;

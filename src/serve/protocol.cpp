@@ -1,11 +1,13 @@
 #include "serve/protocol.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "obs/expose.hpp"
@@ -20,29 +22,50 @@ namespace {
 using obs::JsonValue;
 using obs::JsonWriter;
 
-/// `x` as a T when it is a whole number in T's range.
+/// The largest integer an integral member of type T carries: T's
+/// maximum, cut to 2^53, below which a double (every JSON number) holds
+/// each integer. Signed members are narrower than 2^53, so their lowest
+/// value needs no cut.
 template <class T>
-bool whole(double x, T& out) {
-  // [lowest, 2^digits) is exact in double for every T used here.
-  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+constexpr T whole_max() {
+  static_assert(std::is_unsigned_v<T> ||
+                std::numeric_limits<T>::digits <= 53);
+  if constexpr (std::numeric_limits<T>::digits > 53) return T{1} << 53;
+  return std::numeric_limits<T>::max();
+}
+
+/// `v`, a number, as a T when it is a whole number in [T's lowest,
+/// whole_max<T>()]. At 2^53 the double also stands for the integers
+/// that round to it (2^53 + 1 parses to 2^53), so there only an exact
+/// integer literal is taken (JsonValue::integer).
+template <class T>
+bool whole(const JsonValue& v, T& out) {
+  const double x = v.number;
   if (!(x >= static_cast<double>(std::numeric_limits<T>::lowest()) &&
-        x < hi && x == std::trunc(x))) {  // lint: float-eq-ok
+        x <= static_cast<double>(whole_max<T>()) &&
+        x == std::trunc(x))) {  // lint: float-eq-ok
     return false;
   }
+  if (std::fabs(x) == 0x1p53 && !v.integer) return false;  // lint: float-eq-ok
   out = static_cast<T>(x);
   return true;
+}
+
+/// The error of an integral member that whole() does not take, thrown
+/// by the decoder and by encode_line alike.
+template <class T>
+std::invalid_argument out_of_range(const char* field) {
+  return std::invalid_argument(
+      std::string(field) + " must be an integer in [" +
+      std::to_string(std::numeric_limits<T>::lowest()) + ", " +
+      std::to_string(whole_max<T>()) + "]");
 }
 
 /// The one reader of integral request fields.
 template <class T>
 T integral(const JsonValue& v, const char* field) {
   T out{};
-  if (!whole(v.number, out)) {
-    throw std::invalid_argument(
-        std::string(field) + " must be an integer in [" +
-        std::to_string(std::numeric_limits<T>::lowest()) + ", " +
-        std::to_string(std::numeric_limits<T>::max()) + "]");
-  }
+  if (!whole(v, out)) throw out_of_range<T>(field);
   return out;
 }
 
@@ -118,8 +141,13 @@ Request decode(const JsonValue& json) {
   if (v == nullptr) throw std::invalid_argument("unknown op: " + name);
   Request req;
   req.op = v->op;
-  // Any number is echoed back verbatim; a whole one is also the rid.
-  (void)whole(json.number_or("id", -1.0), req.rid);
+  // Any number is echoed back verbatim; a whole nonnegative one is also
+  // the rid, and an error past 2^53, where the double has rounded it.
+  if (const JsonValue* id = json.find("id");
+      id != nullptr && id->is_number() && id->number >= 0.0 &&
+      id->number == std::trunc(id->number)) {  // lint: float-eq-ok
+    req.rid = integral<std::uint64_t>(*id, "id");
+  }
   if ((v->fields & kFieldSession) != 0) {
     req.session = integral<SessionId>(
         number_field(json, "session", "missing session"), "session");
@@ -331,6 +359,15 @@ Request decode_line(std::string_view line) {
 
 std::string encode_line(const Request& req) {
   const Verb& v = verb(req.op);
+  // What decode_line would reject, or read back rounded, is not sent.
+  const auto check = [](std::uint64_t x, const char* field) {
+    if (x > whole_max<std::uint64_t>()) {
+      throw out_of_range<std::uint64_t>(field);
+    }
+  };
+  check(req.rid, "id");
+  if ((v.fields & kFieldSession) != 0) check(req.session, "session");
+  if ((v.fields & kFieldOpen) != 0) check(req.key, "key");
   std::ostringstream os;
   JsonWriter w(os);
   w.begin_object();
@@ -360,7 +397,9 @@ BinResponse decode_reply_line(std::string_view line) {
     throw std::invalid_argument("reply must be a JSON object");
   }
   BinResponse out;
-  (void)whole(json.number_or("id", 0.0), out.rid);
+  if (const JsonValue* id = json.find("id"); id != nullptr && id->is_number()) {
+    (void)whole(*id, out.rid);
+  }
   if (!json.bool_or("ok", false)) {
     const std::string reject = json.string_or("reject", "");
     if (reject.empty()) {

@@ -28,8 +28,12 @@
 // (queue full, draining, session cap, unknown session) additionally
 // carry {"reject":"queue_full"} so clients can tell backpressure from
 // caller bugs. Integral fields (session, machines, key, shard, job.id)
-// must be whole numbers in their type's range. Curve specs are "par",
-// "seq", or "pow:<alpha>".
+// must be whole numbers in their type's range, and at most 2^53 in
+// magnitude: JSON numbers are doubles, which past 2^53 round an integer
+// to a neighbour (2^53 + 1 reads as 2^53), so such a value is an error,
+// not a different id. A whole nonnegative "id" is the request id, under
+// the same bound; any other number is only echoed. Curve specs are
+// "par", "seq", or "pow:<alpha>".
 //
 // The handler speaks both wires: handle_line() decodes an NDJSON line,
 // handle_frame() a PBIN frame (serve/binproto.hpp), into the same
@@ -62,10 +66,10 @@ namespace parsched::serve {
 /// The NDJSON codec's encode half, the mirror of decode_line(): the
 /// verb's field groups in verb-table order, every field of a group
 /// written. decode_line(encode_line(r)) == r when, besides that, the
-/// request's doubles are finite and its rid and key are at most 2^53
-/// (JSON numbers are doubles). Throws
-/// std::invalid_argument for a piecewise-linear job or phase curve,
-/// which NDJSON cannot spell.
+/// request's doubles are finite. Throws std::invalid_argument, as the
+/// decoder would, for a rid, session or key above 2^53 (JSON numbers are
+/// doubles), and for a piecewise-linear job or phase curve, which NDJSON
+/// cannot spell.
 [[nodiscard]] std::string encode_line(const Request& req);
 
 /// The NDJSON codec's reply reader: one reply line in the shape

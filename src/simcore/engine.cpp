@@ -164,15 +164,20 @@ constexpr std::size_t kSweepBlock = 256;
 /// std::max(0.0, x), NaN and -0.0 included), so the bits do not depend
 /// on the path. `event` is set when some job's remaining work or phase
 /// work is now within its completion tolerance: only then does the
-/// caller replay the phase and completion tests over the block.
+/// caller replay the phase and completion tests over the block. Without
+/// kPhases, `low` is set to the least remaining work after the step (kInf
+/// when len is 0), so that the next uniform decision's dt-scan need not
+/// read it again; with kPhases, where a phase change rewrites the phase
+/// work, `low` is not written.
 template <bool kUniform, bool kPhases>
 PARSCHED_HOT [[gnu::noinline]] double sweep_block(
     double acc, double* __restrict__ rem, double* __restrict__ pr,
     const double* __restrict__ size, const double* __restrict__ rate,
     double uniform_rate, std::size_t len, double dt, double completion_tol,
-    bool& event) {
+    bool& event, double& low) {
   std::size_t k = 0;
   bool hit = false;
+  double lo = kInf;
   const double uniform_step = uniform_rate * dt;
 #if defined(__SSE2__)
   const __m128d vdt = _mm_set1_pd(dt);
@@ -182,6 +187,7 @@ PARSCHED_HOT [[gnu::noinline]] double sweep_block(
   const __m128d half = _mm_set1_pd(0.5);
   const __m128d one = _mm_set1_pd(1.0);
   __m128d hits = zero;
+  __m128d lows = _mm_set1_pd(kInf);
   for (; k + 2 <= len; k += 2) {
     const __m128d step =
         kUniform ? vstep : _mm_mul_pd(_mm_loadu_pd(rate + k), vdt);
@@ -198,9 +204,14 @@ PARSCHED_HOT [[gnu::noinline]] double sweep_block(
     acc += _mm_cvtsd_f64(term);
     acc += _mm_cvtsd_f64(_mm_unpackhi_pd(term, term));
     const __m128d tol = _mm_mul_pd(vtol, _mm_max_pd(sz, one));
-    hits = _mm_or_pd(hits, _mm_cmple_pd(_mm_min_pd(after, phase_after), tol));
+    hits = _mm_or_pd(
+        hits,
+        _mm_cmple_pd(kPhases ? _mm_min_pd(after, phase_after) : after, tol));
+    if (!kPhases) lows = _mm_min_pd(lows, after);
   }
   hit = _mm_movemask_pd(hits) != 0;
+  lo = std::min(_mm_cvtsd_f64(lows),
+                _mm_cvtsd_f64(_mm_unpackhi_pd(lows, lows)));
 #endif
   for (; k < len; ++k) {
     const double step = kUniform ? uniform_step : rate[k] * dt;
@@ -212,8 +223,10 @@ PARSCHED_HOT [[gnu::noinline]] double sweep_block(
     if (kPhases) pr[k] = phase_after;
     const double tol = completion_tol * std::max(1.0, size[k]);
     hit |= std::min(after, phase_after) <= tol;
+    lo = std::min(lo, after);
   }
   event = hit;
+  if (!kPhases) low = lo;
   return acc;
 }
 
@@ -238,6 +251,19 @@ void Engine::audit_support() const {
   }
   PARSCHED_CHECK(j == sup.size(),
                  "allocation support is unsorted, duplicated or out of range");
+}
+
+// PARSCHED_AUDIT check of the carried uniform dt-scan: `low`, the least
+// phase work compute_rates found from the last dense sweep's minimum and
+// the tail admitted since, is the least phase work over every alive job.
+void Engine::audit_uniform_scan(double low) const {
+  const double* const phase_rem = alive_.multi_phase == 0
+                                      ? alive_.remaining.data()
+                                      : alive_.phase_remaining.data();
+  PARSCHED_CHECK(std::bit_cast<std::uint64_t>(low) ==
+                     std::bit_cast<std::uint64_t>(
+                         min_of(phase_rem, alive_.size())),
+                 "carried uniform dt-scan differs from a full scan");
 }
 
 namespace {
@@ -313,6 +339,7 @@ void Engine::begin_run(Scheduler& sched) {
   zero_dt_streak_ = 0;
   alloc_warm_n_ = 0;
   swept_ = 0;
+  swept_low_valid_ = false;
   flow_q_stale_ = false;
   orders_.clear();
   rates_valid_ = false;
@@ -463,7 +490,8 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
   // dt-scan nor the nonzero count reads. There are three arms:
   //   * uniform — every share is one s in [0, 1] (Allocation::fill, e.g.
   //     EQUI with n >= m): one rate speed*s for all jobs, kept as a
-  //     scalar; no share is read and no rate is written;
+  //     scalar; no share is read and no rate is written, and the dt-scan
+  //     reads only the jobs the last dense sweep did not (swept_low_);
   //   * dense — the support is [0, n): all three in one pass
   //     (dense_rates); only shares above 1 reach the kernel;
   //   * sparse — a small share of the jobs (Allocation::sort_support):
@@ -509,12 +537,19 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
     // without writing the shares: each rate is speed * s, Σ is the serial
     // sum of n copies of s (uniform_sum, exact in O(log n)), and the
     // dt-scan is min(phase work)/r0. A NaN, negative or above-1 s takes
-    // the dense arm instead.
+    // the dense arm instead. The min over alive_[0, swept_) is the one the
+    // last dense sweep carried, when it holds: min is order-free over
+    // phase work (see dense_rates), so splitting the scan moves no bit.
     uniform_rate_ = cfg_.speed * s;
     if (validate) check_sum(uniform_sum(s, n));
     if (uniform_rate_ > 0.0) {
       nonzero = n;
-      dt_complete = min_of(phase_rem, n) / uniform_rate_;
+      const std::size_t from = swept_low_valid_ ? std::min(swept_, n) : 0;
+      const double low =
+          std::min(swept_low_valid_ ? swept_low_ : kInf,
+                   min_of(phase_rem + from, n - from));
+      if (audit_allocs_) audit_uniform_scan(low);
+      dt_complete = low / uniform_rate_;
     }
   } else if (alloc.dense()) {
     rates_.resize(n);
@@ -632,32 +667,49 @@ PARSCHED_HOT bool Engine::advance_sweep(double dt) {
     // quotients are not written here: they go stale until the next
     // sparse sweep rebuilds them.
     // A uniform step advances every job at the one rate; a step with no
-    // multi-phase job alive leaves the phase work alone.
+    // multi-phase job alive leaves the phase work alone, and carries the
+    // least remaining work over the jobs that stay alive to the next
+    // uniform dt-scan: a block's least work, or — in a block where some
+    // job completes — the least work its replay leaves out of comp_idx_.
+    // Completion swap-removes only move values, so after them this is the
+    // min over alive_[0, swept_).
     const bool phased = alive_.multi_phase > 0;
     const auto sweep =
         rates_uniform_
             ? (phased ? &sweep_block<true, true> : &sweep_block<true, false>)
             : (phased ? &sweep_block<false, true>
                       : &sweep_block<false, false>);
+    double low = kInf;
     for (std::size_t b = 0; b < n; b += kSweepBlock) {
       const std::size_t len = std::min(kSweepBlock, n - b);
       bool event = false;
+      double block_low = kInf;
       ff = sweep(ff, &alive_.remaining[b], &alive_.phase_remaining[b],
                  &alive_.sizes[b], rates_uniform_ ? nullptr : &rates_[b],
-                 uniform_rate_, len, dt, cfg_.completion_tol, event);
+                 uniform_rate_, len, dt, cfg_.completion_tol, event,
+                 block_low);
       if (event) {
+        block_low = kInf;
         for (std::size_t i = b; i < b + len; ++i) {
           phase_advanced |= settle_job(i);
+          if (comp_idx_.empty() || comp_idx_.back() != i) {
+            block_low = std::min(block_low, alive_.remaining[i]);
+          }
         }
       }
+      low = std::min(low, block_low);
     }
     flow_q_stale_ = true;
+    swept_low_ = low;
+    swept_low_valid_ = !phased;
   } else {
     // A sparse step visits the support and the unswept tail
     // alive_[swept_, n), in ascending index order. Every other job has
     // rate 0 and has been visited before, so a visit would change nothing
     // but the flow: it adds its quotient q[i]*dt instead, through
-    // idle_flow over each gap between visits.
+    // idle_flow over each gap between visits. It carries no min of the
+    // remaining work.
+    swept_low_valid_ = false;
     double* const q = alive_.flow_q.data();
     if (flow_q_stale_) {
       flow_quotients(q, alive_.remaining.data(), alive_.sizes.data(), tail);
@@ -1130,6 +1182,7 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   // each one and recomputes its flow quotient. For a job the donor had
   // already swept, that visit changes nothing else.
   swept_ = 0;
+  swept_low_valid_ = false;
   flow_q_stale_ = false;
   reserve_alive(alive_.size());
   // The heaps are derived state: rebuild the latest-arrival heap from

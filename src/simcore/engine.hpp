@@ -245,6 +245,9 @@ class Engine final : public EngineView {
   /// unique and in range, and every share outside it is exactly +0.0.
   /// O(n), audit runs only.
   void audit_support() const;
+  /// PARSCHED_AUDIT: `low`, a uniform decision's dt-scan, is bit-equal to
+  /// the min of the phase work over the whole alive set. O(n).
+  void audit_uniform_scan(double low) const;
   /// Flight-recorder failure hook: record a stall/trip event and dump the
   /// ring (no-op without a recorder). Cold path only.
   void record_failure(bool contract_trip, std::uint64_t id,
@@ -308,6 +311,15 @@ class Engine final : public EngineView {
   /// at its first step — a job admitted within completion_tol completes
   /// there even at share 0.
   std::size_t swept_ = 0;
+  /// The least remaining work over alive_[0, swept_), kept by the last
+  /// advance sweep when swept_low_valid_: a dense sweep with no
+  /// multi-phase job alive takes it over the jobs it leaves alive (their
+  /// remaining work is their phase work, and stays so when a multi-phase
+  /// admission starts a separate phase_remaining, which copies it). A
+  /// sparse sweep, a sweep with a multi-phase job alive, begin_run() and
+  /// import_state() drop it; the uniform dt-scan then reads all n jobs.
+  double swept_low_ = kInf;
+  bool swept_low_valid_ = false;
   /// A dense step advanced remaining work without rewriting the flow
   /// quotients (AliveSet::flow_q): the next sparse sweep recomputes them
   /// over the swept range before it reads any.

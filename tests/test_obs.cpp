@@ -479,6 +479,25 @@ TEST(Json, SyntaxCheckerAcceptsAndRejects) {
   EXPECT_FALSE(obs::json_syntax_valid("1e400", &err));  // beyond double range
 }
 
+TEST(Json, IntegerLiteralsUpTo2To53AreMarked) {
+  const auto integer = [](const std::string& text) {
+    obs::JsonValue v;
+    EXPECT_TRUE(obs::json_parse(text, v)) << text;
+    return v.integer;
+  };
+  for (const char* text : {"0", "-0", "7", "123456789012345",
+                           "9007199254740992", "-9007199254740992"}) {
+    EXPECT_TRUE(integer(text)) << text;
+  }
+  // 2^53 + 1 parses to the double 2^53; a fraction or an exponent is not
+  // an integer literal, whatever its value.
+  for (const char* text : {"9007199254740993", "-9007199254740993",
+                           "18446744073709551616", "1.0", "1e3", "0.5"}) {
+    EXPECT_FALSE(integer(text)) << text;
+  }
+  EXPECT_FALSE(integer("\"7\""));
+}
+
 // ------------------------------------------------- engine instrumentation
 
 TEST(RunStats, AbsentOnTheDefaultUninstrumentedPath) {

@@ -714,6 +714,56 @@ TEST(ServeCodec, NdjsonIntegralFieldsRejectOutOfRangeAndFractionalValues) {
   EXPECT_EQ(q.number_or("alive", -1.0), 0.0);
 }
 
+// JSON numbers are doubles, which past 2^53 no longer tell the integers
+// apart (2^53 + 1 parses to 2^53): an id, key or session there is
+// rejected with the range error instead of being read rounded, and the
+// encoder refuses to write one. PBIN carries all three as exact u64s.
+TEST(ServeCodec, NdjsonIntegersPast2To53AreRejectedNotRounded) {
+  constexpr std::uint64_t k2to53 = std::uint64_t{1} << 53;
+  EXPECT_EQ(serve::decode_line(R"({"op":"ping","id":9007199254740992})").rid,
+            k2to53);
+  EXPECT_EQ(
+      serve::decode_line(R"({"op":"open","id":1,"key":9007199254740992})").key,
+      k2to53);
+  EXPECT_EQ(serve::decode_line(
+                R"({"op":"query","id":1,"session":9007199254740992})")
+                .session,
+            k2to53);
+  const std::string range = " must be an integer in [0, 9007199254740992]";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"id", R"({"op":"ping","id":9007199254740993})"},
+      {"id", R"({"op":"ping","id":9007199254740992.5})"},
+      {"id", R"({"op":"ping","id":1e16})"},
+      {"key", R"({"op":"open","id":1,"key":9007199254740993})"},
+      {"key", R"({"op":"open","id":1,"key":18446744073709551615})"},
+      {"session", R"({"op":"query","id":1,"session":9007199254740993})"},
+  };
+  SyncClient c;
+  for (const auto& [field, line] : cases) {
+    try {
+      (void)serve::decode_line(line);
+      ADD_FAILURE() << "accepted " << line;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(e.what(), field + range) << line;
+    }
+    const obs::JsonValue r = c.line(line);
+    EXPECT_FALSE(r.bool_or("ok", true)) << line;
+    EXPECT_EQ(r.string_or("error", ""), field + range) << line;
+  }
+
+  Request ping{.op = BinOp::kPing, .rid = k2to53};
+  EXPECT_TRUE(serve::decode_line(serve::encode_line(ping)) == ping);
+  Request open = filled(BinOp::kOpen, single_job());
+  open.key = k2to53;
+  EXPECT_TRUE(serve::decode_line(serve::encode_line(open)) == open);
+  ping.rid = k2to53 + 1;
+  EXPECT_THROW((void)serve::encode_line(ping), std::invalid_argument);
+  EXPECT_TRUE(decoded_frame(serve::encode_frame(ping)) == ping);
+  open.key = k2to53 + 1;
+  EXPECT_THROW((void)serve::encode_line(open), std::invalid_argument);
+  EXPECT_TRUE(decoded_frame(serve::encode_frame(open)) == open);
+}
+
 // Replies echo the request id so pipelining clients can match them: an
 // integral id comes back as an integer (not the shortest double form,
 // 1e+05), a fractional one as a number, on success and error replies.
