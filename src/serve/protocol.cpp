@@ -34,19 +34,18 @@ constexpr T whole_max() {
   return std::numeric_limits<T>::max();
 }
 
-/// `v`, a number, as a T when it is a whole number in [T's lowest,
-/// whole_max<T>()]. At 2^53 the double also stands for the integers
-/// that round to it (2^53 + 1 parses to 2^53), so there only an exact
-/// integer literal is taken (JsonValue::integer).
+/// `v`, a number, as a T when it was written as an integer literal
+/// (JsonValue::integer) in [T's lowest, whole_max<T>()]. Only the literal
+/// tells: a fraction or exponent can round to a whole double
+/// (1.0000000000000001 parses to 1, 9007199254740993 to 2^53).
 template <class T>
 bool whole(const JsonValue& v, T& out) {
   const double x = v.number;
-  if (!(x >= static_cast<double>(std::numeric_limits<T>::lowest()) &&
-        x <= static_cast<double>(whole_max<T>()) &&
-        x == std::trunc(x))) {  // lint: float-eq-ok
+  if (!(v.integer &&
+        x >= static_cast<double>(std::numeric_limits<T>::lowest()) &&
+        x <= static_cast<double>(whole_max<T>()))) {
     return false;
   }
-  if (std::fabs(x) == 0x1p53 && !v.integer) return false;  // lint: float-eq-ok
   out = static_cast<T>(x);
   return true;
 }
@@ -142,7 +141,9 @@ Request decode(const JsonValue& json) {
   Request req;
   req.op = v->op;
   // Any number is echoed back verbatim; a whole nonnegative one is also
-  // the rid, and an error past 2^53, where the double has rounded it.
+  // the rid, and an error unless it is an integer literal of at most
+  // 2^53 (past that, or written with a fraction or exponent, the double
+  // may have been rounded to it).
   if (const JsonValue* id = json.find("id");
       id != nullptr && id->is_number() && id->number >= 0.0 &&
       id->number == std::trunc(id->number)) {  // lint: float-eq-ok
@@ -227,6 +228,7 @@ class LineReply final : public Reply {
  public:
   LineReply(const JsonValue* id, BinOp op, ProtocolHandler::WriteFn write)
       : has_id_(id != nullptr && id->is_number()),
+        id_integer_(has_id_ && id->integer),
         id_(has_id_ ? id->number : 0.0),
         op_(op),
         write_(std::move(write)) {}
@@ -315,10 +317,11 @@ class LineReply final : public Reply {
     JsonWriter w(os);
     w.begin_object();
     if (has_id_) {
-      // An integral id echoes as an integer: the shortest double form of
-      // 100000 is 1e+05, which a client matching replies by id would not
-      // recognise. Up to 2^53 every integer is exact in a double.
-      if (std::trunc(id_) == id_ && std::fabs(id_) <= 0x1p53) {
+      // An id written as an integer literal echoes as one: the shortest
+      // double form of 100000 is 1e+05, which a client matching replies
+      // by id would not recognise. Such a literal is at most 2^53, so the
+      // double holds it exactly.
+      if (id_integer_) {
         w.kv("id", static_cast<std::int64_t>(id_));
       } else {
         w.kv("id", id_);
@@ -337,6 +340,7 @@ class LineReply final : public Reply {
   }
 
   bool has_id_;
+  bool id_integer_;  ///< the id was an integer literal (JsonValue::integer)
   double id_;
   BinOp op_;
   ProtocolHandler::WriteFn write_;

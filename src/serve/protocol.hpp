@@ -28,11 +28,12 @@
 // (queue full, draining, session cap, unknown session) additionally
 // carry {"reject":"queue_full"} so clients can tell backpressure from
 // caller bugs. Integral fields (session, machines, key, shard, job.id)
-// must be whole numbers in their type's range, and at most 2^53 in
-// magnitude: JSON numbers are doubles, which past 2^53 round an integer
-// to a neighbour (2^53 + 1 reads as 2^53), so such a value is an error,
-// not a different id. A whole nonnegative "id" is the request id, under
-// the same bound; any other number is only echoed. Curve specs are
+// must be integer literals in their type's range, and at most 2^53 in
+// magnitude: JSON numbers are doubles, which round a longer integer or
+// a fraction to a whole neighbour (2^53 + 1 reads as 2^53,
+// 1.0000000000000001 as 1), so such a value is an error, not a
+// different id. A whole nonnegative "id" is the request id, under the
+// same rule; any other number is only echoed. Curve specs are
 // "par", "seq", or "pow:<alpha>".
 //
 // The handler speaks both wires: handle_line() decodes an NDJSON line,

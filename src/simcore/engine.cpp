@@ -18,6 +18,7 @@
 #include "speedup/kernel.hpp"
 #include "util/env.hpp"
 #include "util/mathx.hpp"
+#include "util/ordered_sum.hpp"
 
 namespace parsched {
 
@@ -31,15 +32,16 @@ double pwl_rate_from_cold(const void* ctx, std::size_t i, double x) {
   return static_cast<const AliveCold*>(ctx)[i].curve.rate(x);
 }
 
-/// fractional_flow contribution of `count` idle jobs: acc + q[0]*dt +
-/// q[1]*dt + ... in index order. A small out-of-line loop over a local
-/// accumulator, so the sum stays in a register: a prototype that summed
-/// inside decision_step spilled it to memory on every element and took
-/// 1.99 ms per 10^6 idle jobs against 0.73 ms.
-[[gnu::noinline]] double idle_flow(double acc, const double* q,
-                                   std::size_t count, double dt) {
-  for (std::size_t i = 0; i < count; ++i) acc += q[i] * dt;
-  return acc;
+/// PARSCHED_AUDIT check of the blocked idle-flow sum: `sum`, what
+/// ordered_scaled_sum returned for acc + q[0]*dt + ... + q[count-1]*dt,
+/// is the serial loop's result bit for bit (a NaN as a NaN). O(count).
+void audit_idle_flow(double acc, const double* q, std::size_t count,
+                     double dt, double sum) {
+  const double serial = ordered_sum::serial(acc, q, count, dt);
+  PARSCHED_CHECK(std::bit_cast<std::uint64_t>(sum) ==
+                         std::bit_cast<std::uint64_t>(serial) ||
+                     (std::isnan(sum) && std::isnan(serial)),
+                 "blocked idle-flow sum differs from the serial loop");
 }
 
 /// Flow quotients of jobs [0, count), recomputed from their remaining
@@ -707,10 +709,18 @@ PARSCHED_HOT bool Engine::advance_sweep(double dt) {
     // alive_[swept_, n), in ascending index order. Every other job has
     // rate 0 and has been visited before, so a visit would change nothing
     // but the flow: it adds its quotient q[i]*dt instead, through
-    // idle_flow over each gap between visits. It carries no min of the
-    // remaining work.
+    // idle_flow over each gap between visits (ordered_scaled_sum: the
+    // serial loop's bits, with long gaps added in lanes). It carries no
+    // min of the remaining work.
     swept_low_valid_ = false;
     double* const q = alive_.flow_q.data();
+    // fractional_flow of the `count` idle jobs from `from` on.
+    const auto idle_flow = [this, q, dt](double acc, std::size_t from,
+                                         std::size_t count) {
+      const double sum = ordered_scaled_sum(acc, q + from, count, dt);
+      if (audit_allocs_) audit_idle_flow(acc, q + from, count, dt, sum);
+      return sum;
+    };
     if (flow_q_stale_) {
       flow_quotients(q, alive_.remaining.data(), alive_.sizes.data(), tail);
       flow_q_stale_ = false;
@@ -720,7 +730,7 @@ PARSCHED_HOT bool Engine::advance_sweep(double dt) {
     std::size_t idle_from = 0;  // first index whose flow is not yet added
     for (std::size_t j = 0; j < sup.size() && sup[j] < tail; ++j) {
       const std::size_t i = sup[j];
-      ff = idle_flow(ff, q + idle_from, i - idle_from, dt);
+      ff = idle_flow(ff, idle_from, i - idle_from);
       idle_from = i + 1;
       if (rate[j] == 0.0) {  // lint: float-eq-ok
         ff += q[i] * dt;  // a zero share (e.g. -0.0) stays idle
@@ -728,7 +738,7 @@ PARSCHED_HOT bool Engine::advance_sweep(double dt) {
         phase_advanced |= visit_job(i, rate[j], dt, ff);
       }
     }
-    ff = idle_flow(ff, q + idle_from, tail - idle_from, dt);
+    ff = idle_flow(ff, idle_from, tail - idle_from);
     // The tail: every job is visited, at its support rate or at rate 0.
     std::size_t j = static_cast<std::size_t>(
         std::lower_bound(sup.begin(), sup.end(), tail) - sup.begin());

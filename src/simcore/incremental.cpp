@@ -139,12 +139,14 @@ void IncrementalOrders::reserve(std::size_t n) {
 void IncrementalOrders::rebuild(AliveView alive) {
   const std::size_t n = alive.size();
   reserve(n);
-  latest_.resize(n);
-  latest_pos_.resize(n);
+  // Each entry is written once, into reserved capacity: a resize would
+  // zero-fill what the gather then overwrites.
+  latest_.clear();
+  latest_pos_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    latest_[i] =
-        LatestKey{alive.release(i), alive.id(i), static_cast<std::uint32_t>(i)};
-    latest_pos_[i] = static_cast<std::uint32_t>(i);
+    latest_.push_back(LatestKey{alive.release(i), alive.id(i),
+                                static_cast<std::uint32_t>(i)});
+    latest_pos_.push_back(static_cast<std::uint32_t>(i));
   }
   heapify(latest_, latest_pos_, LatestKeyLess{});
   srpt_.clear();
@@ -203,12 +205,14 @@ PARSCHED_HOT void IncrementalOrders::ensure_srpt_fresh(AliveView alive) {
   const std::size_t n = alive.size();
   PARSCHED_CHECK(n == latest_.size(),
                  "IncrementalOrders out of step with the alive set");
-  srpt_.resize(n);
-  srpt_pos_.resize(n);
+  // Gathered into reserved capacity, each entry written once (as in
+  // rebuild).
+  srpt_.clear();
+  srpt_pos_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    srpt_[i] = SrptKey{alive.remaining(i), alive.release(i), alive.id(i),
-                       static_cast<std::uint32_t>(i)};
-    srpt_pos_[i] = static_cast<std::uint32_t>(i);
+    srpt_.push_back(SrptKey{alive.remaining(i), alive.release(i),
+                            alive.id(i), static_cast<std::uint32_t>(i)});
+    srpt_pos_.push_back(static_cast<std::uint32_t>(i));
   }
   heapify(srpt_, srpt_pos_, SrptKeyLess{});
   srpt_stale_ = false;
@@ -226,7 +230,7 @@ PARSCHED_HOT std::span<const std::size_t> IncrementalOrders::srpt_prefix(
   const std::size_t n = srpt_.size();
   const std::size_t want = std::min(k, n);
   if (want > srpt_memo_) {
-    srpt_order_.resize(n);
+    srpt_order_.resize(want);  // only the k-prefix is written
     if (want < n) {
       fill_topk(srpt_, cand_, want, srpt_order_.data(), SrptKeyLess{});
     } else {
@@ -248,7 +252,7 @@ PARSCHED_HOT std::span<const std::size_t> IncrementalOrders::latest_prefix(
   const std::size_t n = latest_.size();
   const std::size_t want = std::min(k, n);
   if (want > latest_memo_) {
-    latest_order_.resize(n);
+    latest_order_.resize(want);
     if (want < n) {
       fill_topk(latest_, cand_, want, latest_order_.data(), LatestKeyLess{});
     } else {

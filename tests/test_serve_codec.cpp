@@ -6,7 +6,7 @@
 //    the wires apart. Each encoder is its decoder's mirror, the PBIN
 //    request bytes are pinned, and one scripted conversation gets the
 //    same replies over both wires.
-//  * Validation: NDJSON integral fields must be whole numbers in range,
+//  * Validation: NDJSON integral fields must be integer literals in range,
 //    and every f64 of a job must be finite (and in range) before the job
 //    is queued. A rejected admit leaves the session untouched: its
 //    finish still equals a batch simulate() of the good jobs.
@@ -697,6 +697,19 @@ TEST(ServeCodec, NdjsonIntegralFieldsRejectOutOfRangeAndFractionalValues) {
        R"({"op":"admit","id":7,"session":1,"job":{"id":-1,"size":1}})"},
       {"job.id",
        R"({"op":"admit","id":7,"session":1,"job":{"id":2.5,"size":1}})"},
+      // A fraction or exponent that rounds to a whole double is not an
+      // integer literal: 1.0000000000000001 parses to 1.
+      {"session", R"({"op":"query","id":2,"session":1.0000000000000001})"},
+      {"session", R"({"op":"query","id":2,"session":1.0})"},
+      {"session", R"({"op":"query","id":2,"session":1e0})"},
+      {"machines", R"({"op":"open","id":3,"machines":2.0})"},
+      {"key", R"({"op":"open","id":4,"key":1e3})"},
+      {"shard", R"({"op":"migrate","id":5,"session":1,"shard":0.0})"},
+      {"shard", R"({"op":"evacuate","id":6,"shard":-0.0})"},
+      {"job.id",
+       R"({"op":"admit","id":7,"session":1,"job":{"id":2.0,"size":1}})"},
+      {"id", R"({"op":"ping","id":1.0})"},
+      {"id", R"({"op":"ping","id":4503599627370497.5})"},
   };
   for (const auto& [field, line] : cases) {
     const obs::JsonValue r = c.line(line);
