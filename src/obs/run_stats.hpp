@@ -19,7 +19,8 @@
 //                          changes, completion tests, the fractional-
 //                          flow sum over idle jobs
 //     heap_upkeep_seconds  ordering-heap key maintenance for the jobs
-//                          that ran (per-key sifts or a decay epoch)
+//                          that ran (per-key sifts, or marking the SRPT
+//                          heap stale)
 //     completion_seconds   the step's event handling: completion
 //                          swap-removes and records, the arrivals
 //                          admitted at the step's end time (with their

@@ -422,7 +422,7 @@ void Engine::admit_job_now(Job j) {
   a.phases = j.phases;
   a.phase_remaining = j.phases.empty() ? j.size : j.phases[0].work;
   // The job joins the unswept tail; the sweep sets its flow quotient at
-  // its first visit. Then one O(log n) sift per ordering heap.
+  // its first visit. Then one O(log n) sift per fresh ordering heap.
   alive_.push_back(std::move(a));
   orders_.insert(alive_.view(), alive_.size() - 1);
   ++result_.events;
@@ -850,29 +850,29 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
   }
   const bool phase_advanced = advance_sweep(dt);
   if (stats_ != nullptr) lap(stats_->advance_seconds);
-  // Heap key maintenance for the jobs that ran. With a sparse allocation
-  // (SRPT-style: at most m of n jobs run) each changed key costs one
-  // O(log n) sift, applied in ascending index order (the keys live in the
-  // heap entries, so the order of updates is all that matters); when most
-  // keys move at once (EQUI-style dense allocations, > n/8 nonzero rates)
-  // n sifts lose to one O(n) rebuild, so declare a lazy-decay epoch
-  // instead — the SRPT heap goes stale and is regathered at the next
-  // query (never, for policies that only consume latest-arrival order,
-  // whose keys are immutable). dt == 0 moves no key, and a heap already
-  // stale stays stale for free.
+  // SRPT key maintenance for the jobs that ran (latest-arrival keys never
+  // change). With a sparse allocation (SRPT-style: at most m of n jobs
+  // run) each changed key costs one O(log n) sift, applied in ascending
+  // index order (the keys live in the heap entries, so the order of
+  // updates is all that matters); when most keys move at once
+  // (EQUI-style dense allocations, > n/8 nonzero rates) n sifts lose to
+  // one O(n) gather, so the SRPT heap is marked stale instead and
+  // regathered at its next query (never, for policies that do not read
+  // SRPT order). dt == 0 moves no key, and a heap already stale stays
+  // stale for free.
   // Exact-zero test on purpose: dt == 0 steps (simultaneous events)
   // change no remaining-work key bit, so the heaps need no maintenance.
-  if (dt != 0.0 && !orders_.srpt_stale()) {  // lint: float-eq-ok
+  if (dt != 0.0 && !orders_.srpt.stale()) {  // lint: float-eq-ok
     if (rates_nonzero_ * 8 > alive_.size()) {
-      orders_.decay_epoch();
+      orders_.srpt.mark_stale();
     } else {
+      const AliveView view = alive_.view();
       const bool dense = alloc.dense();
       const std::span<const std::size_t> sup = alloc.support();
       const std::size_t k = dense ? alive_.size() : sup.size();
       for (std::size_t j = 0; j < k; ++j) {
         if (support_rate(j) == 0.0) continue;  // lint: float-eq-ok
-        const std::size_t i = dense ? j : sup[j];
-        orders_.update_remaining(i, alive_.remaining[i]);
+        orders_.srpt.refresh(view, dense ? j : sup[j]);
       }
     }
   }
@@ -926,7 +926,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
         --end;
         // Mirror the swap-remove into the heaps: delete index i, remap
         // the back entry (alive index `end`) to i — the same move
-        // relocate() performs on every array. O(log n) per heap.
+        // relocate() performs on every array. O(log n) per fresh heap.
         orders_.remove_swap(i, end);
         if (i == end) break;
         alive_.relocate(end, i);
@@ -992,10 +992,10 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     throw SimulationStall(now_, os.str());
   }
   // PARSCHED_AUDIT: after every advanced step, cross-check the
-  // persistent heaps against the alive set — key payloads, position
-  // maps and both heap properties (O(n), audit runs only). A divergence
-  // here trips a contract failure at the step that caused it instead of
-  // surfacing decisions later as a wrong ordering.
+  // fresh heaps against the alive set — key payloads, position maps and
+  // heap properties (O(n), audit runs only). A divergence here trips a
+  // contract failure at the step that caused it instead of surfacing
+  // decisions later as a wrong ordering.
   if (audit_allocs_) orders_.audit(alive_.view());
   if (cfg_.recorder != nullptr) {
     cfg_.recorder->record(obs::FlightEvent::kDecision, result_.decisions,
@@ -1195,11 +1195,10 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   swept_low_valid_ = false;
   flow_q_stale_ = false;
   reserve_alive(alive_.size());
-  // The heaps are derived state: rebuild the latest-arrival heap from
-  // the restored alive set now and leave the SRPT side lazily stale —
-  // the first SRPT query regathers it, bit-identically to the donor.
+  // The heaps are derived state: both go stale, and each order's first
+  // query regathers it from the restored alive set, bit-identically to
+  // the donor (both orders are strict total orders).
   orders_.clear();
-  orders_.rebuild(alive_.view());
   rates_valid_ = false;  // a deferred decision recomputes its rates once
   stats_ = nullptr;  // profiling does not continue across a restore
   run_start_ = 0.0;

@@ -294,14 +294,15 @@ class Engine final : public EngineView {
   /// Persistent ordering heaps behind every SchedulerContext helper.
   /// Unlike the rest of this scratch block the heaps carry state
   /// *across* decision steps — but still derived state: every key is
-  /// recomputable from alive_, and import_state()/begin_run() rebuild
-  /// them, so they stay out of EngineState.
+  /// recomputable from alive_, and import_state()/begin_run() mark them
+  /// stale (each regathers at its first query), so they stay out of
+  /// EngineState.
   IncrementalOrders orders_;
   /// Jobs with a nonzero rate in the current decision (set by
   /// compute_rates): the heap upkeep after the sweep uses it to pick
-  /// between per-job O(log n) heap updates and one lazy-decay epoch when
-  /// most keys move at once (> n/8, where n sifts start losing to one
-  /// O(n) rebuild).
+  /// between per-job O(log n) SRPT heap updates and marking that heap
+  /// stale when most keys move at once (> n/8, where n sifts start
+  /// losing to one O(n) gather).
   std::size_t rates_nonzero_ = 0;
   std::vector<std::size_t> completion_order_;  // new-record indices, id-sorted
   std::vector<std::size_t> comp_idx_;  // this step's completed positions, asc

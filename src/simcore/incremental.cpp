@@ -67,8 +67,8 @@ void erase_slot(std::vector<E>& heap, std::vector<std::uint32_t>& pos,
   }
 }
 
-/// Fill the initial position map and heapify in O(n). Entries must
-/// already sit at slot i with pos[entry.idx] == i.
+/// Heapify in O(n). Entries must already sit at slot i with
+/// pos[entry.idx] == i.
 template <class E, class Less>
 void heapify(std::vector<E>& heap, std::vector<std::uint32_t>& pos,
              Less less) {
@@ -112,198 +112,114 @@ void fill_topk(const std::vector<E>& heap, std::vector<std::uint32_t>& cand,
 
 }  // namespace
 
-void IncrementalOrders::clear() {
-  srpt_.clear();
-  latest_.clear();
-  srpt_pos_.clear();
-  latest_pos_.clear();
-  cand_.clear();
-  begin_decision();
-  srpt_stale_ = true;
-  decay_epochs_ = 0;
-}
-
-void IncrementalOrders::reserve(std::size_t n) {
-  reserve_geometric(srpt_, n);
-  reserve_geometric(latest_, n);
-  reserve_geometric(srpt_pos_, n);
-  reserve_geometric(latest_pos_, n);
+template <class Key, class Less>
+void OrderHeap<Key, Less>::reserve(std::size_t n) {
+  reserve_geometric(heap_, n);
+  reserve_geometric(pos_, n);
   // The top-k traversal holds at most want+1 live candidates.
   reserve_geometric(cand_, n + 1);
-  reserve_geometric(srpt_scratch_, n);
-  reserve_geometric(latest_scratch_, n);
-  reserve_geometric(srpt_order_, n);
-  reserve_geometric(latest_order_, n);
+  reserve_geometric(scratch_, n);
+  reserve_geometric(order_, n);
 }
 
-void IncrementalOrders::rebuild(AliveView alive) {
+template <class Key, class Less>
+PARSCHED_HOT void OrderHeap<Key, Less>::gather(AliveView alive) {
   const std::size_t n = alive.size();
+  // A no-op in the engine, which reserves at admission; a hand-built
+  // context gets its buffers here, so the spans it hands out stay valid
+  // as wider queries fill the order buffer.
   reserve(n);
   // Each entry is written once, into reserved capacity: a resize would
   // zero-fill what the gather then overwrites.
-  latest_.clear();
-  latest_pos_.clear();
+  heap_.clear();
+  pos_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    latest_.push_back(LatestKey{alive.release(i), alive.id(i),
-                                static_cast<std::uint32_t>(i)});
-    latest_pos_.push_back(static_cast<std::uint32_t>(i));
+    heap_.push_back(Key::of(alive, i));
+    pos_.push_back(static_cast<std::uint32_t>(i));
   }
-  heapify(latest_, latest_pos_, LatestKeyLess{});
-  srpt_.clear();
-  srpt_pos_.clear();
-  srpt_stale_ = true;  // regathered from the alive set at the next query
-  begin_decision();
+  heapify(heap_, pos_, Less{});
+  stale_ = false;
 }
 
-PARSCHED_HOT void IncrementalOrders::insert(AliveView alive,
-                                            std::size_t idx) {
-  PARSCHED_CHECK(idx == latest_.size(),
-                 "IncrementalOrders::insert out of step with the alive set");
-  latest_pos_.push_back(static_cast<std::uint32_t>(latest_.size()));
-  latest_.push_back(
-      LatestKey{alive.release(idx), alive.id(idx),
-                static_cast<std::uint32_t>(idx)});
-  sift_up(latest_, latest_pos_, latest_.size() - 1, LatestKeyLess{});
-  if (!srpt_stale_) {
-    srpt_pos_.push_back(static_cast<std::uint32_t>(srpt_.size()));
-    srpt_.push_back(SrptKey{alive.remaining(idx), alive.release(idx),
-                            alive.id(idx), static_cast<std::uint32_t>(idx)});
-    sift_up(srpt_, srpt_pos_, srpt_.size() - 1, SrptKeyLess{});
-  }
+template <class Key, class Less>
+PARSCHED_HOT void OrderHeap<Key, Less>::insert(AliveView alive,
+                                               std::size_t idx) {
+  if (stale_) return;  // the pending gather reads every key
+  PARSCHED_CHECK(idx == heap_.size(),
+                 "OrderHeap::insert out of step with the alive set");
+  pos_.push_back(static_cast<std::uint32_t>(heap_.size()));
+  heap_.push_back(Key::of(alive, idx));
+  sift_up(heap_, pos_, heap_.size() - 1, Less{});
 }
 
-PARSCHED_HOT void IncrementalOrders::update_remaining(std::size_t idx,
-                                                      double remaining) {
-  if (srpt_stale_) return;  // the pending rebuild re-reads every key
-  const std::size_t s = srpt_pos_[idx];
-  srpt_[s].remaining = remaining;
-  reheap(srpt_, srpt_pos_, s, SrptKeyLess{});
+template <class Key, class Less>
+PARSCHED_HOT void OrderHeap<Key, Less>::refresh(AliveView alive,
+                                                std::size_t idx) {
+  if (stale_) return;
+  const std::size_t s = pos_[idx];
+  heap_[s] = Key::of(alive, idx);
+  reheap(heap_, pos_, s, Less{});
 }
 
-PARSCHED_HOT void IncrementalOrders::remove_swap(std::size_t idx,
-                                                 std::size_t last) {
-  erase_slot(latest_, latest_pos_, latest_pos_[idx], LatestKeyLess{});
+template <class Key, class Less>
+PARSCHED_HOT void OrderHeap<Key, Less>::remove_swap(std::size_t idx,
+                                                    std::size_t last) {
+  if (stale_) return;
+  erase_slot(heap_, pos_, pos_[idx], Less{});
   if (idx != last) {
-    const std::uint32_t s = latest_pos_[last];
-    latest_[s].idx = static_cast<std::uint32_t>(idx);
-    latest_pos_[idx] = s;
+    const std::uint32_t s = pos_[last];
+    heap_[s].idx = static_cast<std::uint32_t>(idx);
+    pos_[idx] = s;
   }
-  latest_pos_.pop_back();
-  if (!srpt_stale_) {
-    erase_slot(srpt_, srpt_pos_, srpt_pos_[idx], SrptKeyLess{});
-    if (idx != last) {
-      const std::uint32_t s = srpt_pos_[last];
-      srpt_[s].idx = static_cast<std::uint32_t>(idx);
-      srpt_pos_[idx] = s;
-    }
-    srpt_pos_.pop_back();
-  }
+  pos_.pop_back();
 }
 
-PARSCHED_HOT void IncrementalOrders::ensure_srpt_fresh(AliveView alive) {
-  if (!srpt_stale_) return;
-  const std::size_t n = alive.size();
-  PARSCHED_CHECK(n == latest_.size(),
-                 "IncrementalOrders out of step with the alive set");
-  // Gathered into reserved capacity, each entry written once (as in
-  // rebuild).
-  srpt_.clear();
-  srpt_pos_.clear();
-  for (std::size_t i = 0; i < n; ++i) {
-    srpt_.push_back(SrptKey{alive.remaining(i), alive.release(i),
-                            alive.id(i), static_cast<std::uint32_t>(i)});
-    srpt_pos_.push_back(static_cast<std::uint32_t>(i));
-  }
-  heapify(srpt_, srpt_pos_, SrptKeyLess{});
-  srpt_stale_ = false;
-}
-
-PARSCHED_HOT std::size_t IncrementalOrders::min_srpt(AliveView alive) {
-  ensure_srpt_fresh(alive);
-  PARSCHED_CHECK(!srpt_.empty(), "min_srpt over an empty alive set");
-  return srpt_[0].idx;
-}
-
-PARSCHED_HOT std::span<const std::size_t> IncrementalOrders::srpt_prefix(
+template <class Key, class Less>
+PARSCHED_HOT std::span<const std::size_t> OrderHeap<Key, Less>::prefix(
     AliveView alive, std::size_t k) {
-  ensure_srpt_fresh(alive);
-  const std::size_t n = srpt_.size();
+  if (stale_) gather(alive);
+  const std::size_t n = heap_.size();
+  PARSCHED_CHECK(n == alive.size(),
+                 "OrderHeap out of step with the alive set");
   const std::size_t want = std::min(k, n);
-  if (want > srpt_memo_) {
-    srpt_order_.resize(want);  // only the k-prefix is written
+  if (want > memo_) {
+    order_.resize(want);  // only the k-prefix is written
     if (want < n) {
-      fill_topk(srpt_, cand_, want, srpt_order_.data(), SrptKeyLess{});
+      fill_topk(heap_, cand_, want, order_.data(), Less{});
     } else {
       // Full order: sort a compact copy of the keys (the heap itself
       // must keep its shape).
-      srpt_scratch_.assign(srpt_.begin(), srpt_.end());
-      std::sort(srpt_scratch_.begin(), srpt_scratch_.end(), SrptKeyLess{});
-      for (std::size_t i = 0; i < n; ++i) {
-        srpt_order_[i] = srpt_scratch_[i].idx;
-      }
+      scratch_.assign(heap_.begin(), heap_.end());
+      std::sort(scratch_.begin(), scratch_.end(), Less{});
+      for (std::size_t i = 0; i < n; ++i) order_[i] = scratch_[i].idx;
     }
-    srpt_memo_ = want;
+    memo_ = want;
   }
-  return {srpt_order_.data(), want};
+  return {order_.data(), want};
 }
 
-PARSCHED_HOT std::span<const std::size_t> IncrementalOrders::latest_prefix(
-    std::size_t k) {
-  const std::size_t n = latest_.size();
-  const std::size_t want = std::min(k, n);
-  if (want > latest_memo_) {
-    latest_order_.resize(want);
-    if (want < n) {
-      fill_topk(latest_, cand_, want, latest_order_.data(), LatestKeyLess{});
-    } else {
-      latest_scratch_.assign(latest_.begin(), latest_.end());
-      std::sort(latest_scratch_.begin(), latest_scratch_.end(),
-                LatestKeyLess{});
-      for (std::size_t i = 0; i < n; ++i) {
-        latest_order_[i] = latest_scratch_[i].idx;
-      }
-    }
-    latest_memo_ = want;
-  }
-  return {latest_order_.data(), want};
-}
-
-void IncrementalOrders::audit(AliveView alive) const {
+template <class Key, class Less>
+void OrderHeap<Key, Less>::audit(AliveView alive) const {
+  if (stale_) return;  // keys pending a gather carry no claim
   const std::size_t n = alive.size();
-  PARSCHED_CHECK(latest_.size() == n && latest_pos_.size() == n,
-                 "incremental audit: latest heap size mismatch");
-  const LatestKeyLess lless{};
+  PARSCHED_CHECK(heap_.size() == n && pos_.size() == n,
+                 "incremental audit: heap out of step with the alive set");
+  const Less less{};
   for (std::size_t s = 0; s < n; ++s) {
-    const LatestKey& e = latest_[s];
-    PARSCHED_CHECK(e.idx < n, "incremental audit: latest idx out of range");
-    PARSCHED_CHECK(
-        e.release == alive.release(e.idx) && e.id == alive.id(e.idx),
-        "incremental audit: latest key diverged from alive job");
-    PARSCHED_CHECK(latest_pos_[e.idx] == s,
-                   "incremental audit: latest position map inconsistent");
+    const Key& e = heap_[s];
+    PARSCHED_CHECK(e.idx < n, "incremental audit: heap idx out of range");
+    PARSCHED_CHECK(e == Key::of(alive, e.idx),
+                   "incremental audit: heap key diverged from alive job");
+    PARSCHED_CHECK(pos_[e.idx] == s,
+                   "incremental audit: position map inconsistent");
     if (s > 0) {
-      PARSCHED_CHECK(!lless(e, latest_[(s - 1) / 2]),
-                     "incremental audit: latest heap property violated");
-    }
-  }
-  if (srpt_stale_) return;  // keys pending a lazy regather carry no claim
-  PARSCHED_CHECK(srpt_.size() == n && srpt_pos_.size() == n,
-                 "incremental audit: srpt heap size mismatch");
-  const SrptKeyLess sless{};
-  for (std::size_t s = 0; s < n; ++s) {
-    const SrptKey& e = srpt_[s];
-    PARSCHED_CHECK(e.idx < n, "incremental audit: srpt idx out of range");
-    PARSCHED_CHECK(e.remaining == alive.remaining(e.idx) &&
-                       e.release == alive.release(e.idx) &&
-                       e.id == alive.id(e.idx),
-                   "incremental audit: srpt key diverged from alive job");
-    PARSCHED_CHECK(srpt_pos_[e.idx] == s,
-                   "incremental audit: srpt position map inconsistent");
-    if (s > 0) {
-      PARSCHED_CHECK(!sless(e, srpt_[(s - 1) / 2]),
-                     "incremental audit: srpt heap property violated");
+      PARSCHED_CHECK(!less(e, heap_[(s - 1) / 2]),
+                     "incremental audit: heap property violated");
     }
   }
 }
+
+template class OrderHeap<SrptKey, SrptKeyLess>;
+template class OrderHeap<LatestKey, LatestKeyLess>;
 
 }  // namespace parsched

@@ -4,57 +4,72 @@
 // the alive set: SRPT order (remaining, release, id) and latest-arrival
 // order (release, id descending). Rebuilding them per decision costs
 // O(n log n) per step, which caps dense-alive runs (n = 10⁵–10⁶) well
-// below the rate the serve layer generates. This class keeps both orders
-// *across* decisions as a pair of intrusive binary heaps, so the
-// per-event maintenance cost is O(log n):
+// below the rate the serve layer generates. OrderHeap keeps one order
+// *across* decisions as an intrusive binary heap, so the per-event
+// maintenance cost is O(log n); IncrementalOrders holds one OrderHeap
+// per order.
 //
-//   admit       → one sift-up per heap
-//   complete    → one heap-delete per heap (mirroring the engine's
-//                 swap-remove of alive_, so entry indexes track alive
-//                 indexes exactly)
-//   advance     → one sift per job whose remaining work changed — or,
-//                 when a step changes most keys at once (an EQUI-style
-//                 allocation runs every job), one lazy-decay epoch: the
-//                 SRPT heap is marked stale and rebuilt in O(n) at the
-//                 next query, which is cheaper than n sift-downs and
-//                 free for policies that never ask for SRPT order.
+// A heap is built on its first query: it starts stale, and the first
+// query gathers every key from the alive set and heapifies in O(n).
+// While fresh it is kept in step with the alive set:
 //
-// The latest-arrival keys are immutable after admission, so that heap is
-// never stale. Queries never mutate keys: a k-prefix is produced by a
-// bounded traversal of the heap (a candidate min-heap over heap slots,
+//   admit       → one sift-up
+//   complete    → one heap-delete (mirroring the engine's swap-remove of
+//                 alive_, so entry indexes track alive indexes exactly)
+//   advance     → one sift per job whose remaining work changed (SRPT
+//                 only; latest-arrival keys never change) — or, when a
+//                 step changes most keys at once (an EQUI-style
+//                 allocation runs every job), the engine marks the SRPT
+//                 heap stale again, since an O(n) regather at the next
+//                 query is cheaper than n sift-downs.
+//
+// A stale heap skips all upkeep, so a policy that never asks for an
+// order never pays for it: ISRPT, EQUI and Greedy never touch the
+// latest-arrival heap, and EQUI and LAPS never touch the SRPT one.
+// Queries never mutate keys: a k-prefix is produced by a bounded
+// traversal of the heap (a candidate min-heap over heap slots,
 // O(k log k) after the O(1) root), and a full order by sorting a compact
-// copy of the key array. The class also owns the per-decision memo
-// behind SchedulerContext's helpers: one order buffer per ordering plus
-// its valid prefix length, reset by begin_decision(). The test-side
+// copy of the key array. Each heap also owns its part of the
+// per-decision memo behind SchedulerContext's helpers: an order buffer
+// plus its valid prefix length, reset by begin_decision(). The test-side
 // oracle (tests/test_incremental.cpp) re-derives every helper answer
 // with plain per-call sorts and checks them decision by decision.
 //
 // Allocation discipline: reserve(n) pre-sizes every internal buffer with
 // geometric growth; the engine calls it at admission, after which every
-// query and update — including a stale rebuild — is allocation-free and
-// safe inside the engine's AllocGuard fences.
+// query and update — including the first-query gather — is
+// allocation-free and safe inside the engine's AllocGuard fences.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "simcore/scheduler.hpp"
+#include "simcore/alive_set.hpp"
 
 namespace parsched {
 
 /// Flat heap entries: compact (24/16 bytes) and carrying the alive index
-/// the queries scatter out.
+/// the queries scatter out. `of` gathers job i's key from the alive set.
 struct SrptKey {
   double remaining;
   double release;
   JobId id;
   std::uint32_t idx;
+  static SrptKey of(AliveView alive, std::size_t i) {
+    return {alive.remaining(i), alive.release(i), alive.id(i),
+            static_cast<std::uint32_t>(i)};
+  }
+  bool operator==(const SrptKey&) const = default;
 };
 struct LatestKey {
   double release;
   JobId id;
   std::uint32_t idx;
+  static LatestKey of(AliveView alive, std::size_t i) {
+    return {alive.release(i), alive.id(i), static_cast<std::uint32_t>(i)};
+  }
+  bool operator==(const LatestKey&) const = default;
 };
 
 /// The single definition of both tie-break orders. The key structs carry
@@ -75,99 +90,114 @@ struct LatestKeyLess {
   }
 };
 
-class IncrementalOrders {
+/// One order over the alive set: a min-heap in Less order, built on its
+/// first query and kept in step with the alive set while fresh.
+template <class Key, class Less>
+class OrderHeap {
  public:
-  /// Drop every entry (a new run is starting). Keeps buffer capacity.
-  void clear();
+  /// Forget every entry: the next query regathers every key from the
+  /// alive set. Keeps buffer capacity.
+  void mark_stale() {
+    stale_ = true;
+    memo_ = 0;
+  }
+  [[nodiscard]] bool stale() const { return stale_; }
 
   /// Pre-size every internal buffer for up to `n` alive jobs (geometric
-  /// growth, amortized O(1) per admission). Must be called with the new
-  /// alive count before insert() so the heap push lands in reserved
-  /// storage — the engine does this outside its AllocGuard fences.
+  /// growth, amortized O(1) per admission).
   void reserve(std::size_t n);
 
-  /// Rebuild both heaps from scratch over `alive` (snapshot restore).
-  /// The SRPT side is left stale — it is regathered lazily at the first
-  /// query, exactly like a decay epoch.
-  void rebuild(AliveView alive);
-
   /// Admit: alive job `idx` (== previous size) was just appended.
-  /// O(log n) per heap.
+  /// O(log n); a no-op while stale.
   void insert(AliveView alive, std::size_t idx);
 
-  /// The job at alive index `idx` now has `remaining` unprocessed work.
-  /// O(log n); a no-op while the SRPT heap is stale (the pending rebuild
-  /// re-reads every key from the alive set anyway).
-  void update_remaining(std::size_t idx, double remaining);
+  /// Job `idx`'s key changed in the alive set: re-read it and restore
+  /// the heap order. O(log n); a no-op while stale.
+  void refresh(AliveView alive, std::size_t idx);
 
   /// Complete: mirror of the engine's swap-remove. The job at alive
   /// index `idx` is gone and the job previously at index `last` (the
   /// back of the alive array before the removal) now lives at `idx`;
-  /// idx == last removes the back element. O(log n) per heap.
+  /// idx == last removes the back element. O(log n); a no-op while
+  /// stale.
   void remove_swap(std::size_t idx, std::size_t last);
 
-  /// Lazy-decay epoch: most remaining-work keys just changed at once, so
-  /// per-key sifts would cost more than a rebuild. Marks the SRPT heap
-  /// stale; the next SRPT query regathers keys from the alive set and
-  /// re-heapifies in O(n). Policies that never query SRPT order (EQUI,
-  /// LAPS) never pay the rebuild.
-  void decay_epoch() {
-    srpt_stale_ = true;
-    ++decay_epochs_;
-  }
+  /// Start a new decision: forget the cached order prefix (keys may have
+  /// moved since the last one).
+  void begin_decision() { memo_ = 0; }
 
-  [[nodiscard]] std::size_t size() const { return latest_.size(); }
-  [[nodiscard]] bool srpt_stale() const { return srpt_stale_; }
-  /// Telemetry: decay epochs declared since clear() (stale-rebuild cap).
-  [[nodiscard]] std::uint64_t decay_epochs() const { return decay_epochs_; }
+  /// The first min(k, size) alive indexes of the order. Cached per
+  /// decision: a query no wider than an earlier one is O(1), and a wider
+  /// one rewrites the buffer without changing the earlier prefix, so
+  /// every span returned since begin_decision() stays valid. A stale
+  /// heap is gathered from `alive` first.
+  [[nodiscard]] std::span<const std::size_t> prefix(AliveView alive,
+                                                    std::size_t k);
 
-  /// Alive index of the SRPT-least job (heap root). Requires size() > 0.
-  [[nodiscard]] std::size_t min_srpt(AliveView alive);
-
-  /// Start a new decision: forget the cached order prefixes (keys may
-  /// have moved since the last one). SchedulerContext calls this.
-  void begin_decision() {
-    srpt_memo_ = 0;
-    latest_memo_ = 0;
-  }
-
-  /// The first min(k, size) alive indexes of the SRPT order. Cached
-  /// per decision: a query no wider than an earlier one is O(1), and a
-  /// wider one rewrites the buffer without changing the earlier prefix,
-  /// so every span returned since begin_decision() stays valid.
-  [[nodiscard]] std::span<const std::size_t> srpt_prefix(AliveView alive,
-                                                        std::size_t k);
-
-  /// Same for the latest-arrival order. Never triggers a rebuild: the
-  /// keys are immutable after admission.
-  [[nodiscard]] std::span<const std::size_t> latest_prefix(std::size_t k);
-
-  /// Audit (PARSCHED_AUDIT): every heap entry matches the alive set, the
-  /// position maps are mutually consistent, and both heap properties
-  /// hold. Trips a PARSCHED_CHECK on any violation. O(n).
+  /// Audit (PARSCHED_AUDIT) of a fresh heap: every entry matches the
+  /// alive set, the position map is consistent, and the heap property
+  /// holds. Trips a PARSCHED_CHECK on any violation. O(n).
   void audit(AliveView alive) const;
 
  private:
-  void ensure_srpt_fresh(AliveView alive);
+  void gather(AliveView alive);
 
-  // Min-heaps in Less order, entry idx -> slot tracked in the pos maps.
-  std::vector<SrptKey> srpt_;
-  std::vector<LatestKey> latest_;
-  std::vector<std::uint32_t> srpt_pos_;
-  std::vector<std::uint32_t> latest_pos_;
+  std::vector<Key> heap_;
+  std::vector<std::uint32_t> pos_;   ///< alive index -> heap slot
   std::vector<std::uint32_t> cand_;  ///< top-k traversal: heap-slot heap
-  // Full-order queries sort a compact copy (the live arrays must keep
-  // their heap shape — queries never mutate keys).
-  std::vector<SrptKey> srpt_scratch_;
-  std::vector<LatestKey> latest_scratch_;
-  // Per-decision memo: the order buffers behind the returned spans and
-  // the length of their valid prefixes (0 after begin_decision()).
-  std::vector<std::size_t> srpt_order_;
-  std::vector<std::size_t> latest_order_;
-  std::size_t srpt_memo_ = 0;
-  std::size_t latest_memo_ = 0;
-  bool srpt_stale_ = true;  ///< rebuilt lazily at the next SRPT query
-  std::uint64_t decay_epochs_ = 0;
+  // Full-order queries sort a compact copy (the heap must keep its
+  // shape — queries never mutate keys).
+  std::vector<Key> scratch_;
+  // Per-decision memo: the order buffer behind the returned spans and
+  // the length of its valid prefix (0 after begin_decision()).
+  std::vector<std::size_t> order_;
+  std::size_t memo_ = 0;
+  bool stale_ = true;  ///< gathered from the alive set at the next query
+};
+
+/// The two orders the policies read, each kept by its own OrderHeap.
+/// The engine forwards every admission and completion to both (a stale
+/// heap ignores them) and marks the SRPT heap stale on a dense step.
+class IncrementalOrders {
+ public:
+  OrderHeap<SrptKey, SrptKeyLess> srpt;
+  OrderHeap<LatestKey, LatestKeyLess> latest;
+
+  /// A new run or a restored state: both orders regather at their first
+  /// query.
+  void clear() {
+    srpt.mark_stale();
+    latest.mark_stale();
+  }
+
+  /// Must be called with the new alive count before insert() so the heap
+  /// push lands in reserved storage — the engine does this outside its
+  /// AllocGuard fences.
+  void reserve(std::size_t n) {
+    srpt.reserve(n);
+    latest.reserve(n);
+  }
+
+  void insert(AliveView alive, std::size_t idx) {
+    srpt.insert(alive, idx);
+    latest.insert(alive, idx);
+  }
+
+  void remove_swap(std::size_t idx, std::size_t last) {
+    srpt.remove_swap(idx, last);
+    latest.remove_swap(idx, last);
+  }
+
+  /// SchedulerContext calls this.
+  void begin_decision() {
+    srpt.begin_decision();
+    latest.begin_decision();
+  }
+
+  void audit(AliveView alive) const {
+    srpt.audit(alive);
+    latest.audit(alive);
+  }
 };
 
 }  // namespace parsched

@@ -10,8 +10,6 @@ namespace parsched {
 SchedulerContext::SchedulerContext(double time, int machines,
                                    AliveView alive, IncrementalOrders& orders)
     : time_(time), machines_(machines), alive_(alive), orders_(orders) {
-  PARSCHED_CHECK(orders.size() == alive.size(),
-                 "SchedulerContext: orders out of step with the alive set");
   orders.begin_decision();
 }
 
@@ -45,26 +43,27 @@ PARSCHED_HOT void Allocation::sort_support() {
 
 PARSCHED_HOT std::span<const std::size_t> SchedulerContext::by_remaining()
     const {
-  return orders_.srpt_prefix(alive_, alive_.size());
+  return orders_.srpt.prefix(alive_, alive_.size());
 }
 
 PARSCHED_HOT std::span<const std::size_t> SchedulerContext::smallest_remaining(
     std::size_t k) const {
-  return orders_.srpt_prefix(alive_, k);
+  return orders_.srpt.prefix(alive_, k);
 }
 
 PARSCHED_HOT std::size_t SchedulerContext::min_remaining() const {
-  return orders_.min_srpt(alive_);
+  PARSCHED_CHECK(!alive_.empty(), "min_remaining over an empty alive set");
+  return smallest_remaining(1)[0];
 }
 
 PARSCHED_HOT std::span<const std::size_t> SchedulerContext::by_latest_arrival()
     const {
-  return orders_.latest_prefix(alive_.size());
+  return orders_.latest.prefix(alive_, alive_.size());
 }
 
 PARSCHED_HOT std::span<const std::size_t> SchedulerContext::latest_arrivals(
     std::size_t k) const {
-  return orders_.latest_prefix(k);
+  return orders_.latest.prefix(alive_, k);
 }
 
 }  // namespace parsched

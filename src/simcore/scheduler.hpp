@@ -34,8 +34,9 @@ class IncrementalOrders;
 /// wider query never changes an earlier answer.
 class SchedulerContext {
  public:
-  /// `orders` must index exactly `alive` (the engine keeps its heaps in
-  /// step; a hand-built context calls orders.rebuild(alive) first).
+  /// `orders` must index exactly `alive` or be stale: the engine keeps
+  /// its heaps in step, and each heap is built from `alive` on its first
+  /// query, so a hand-built context passes a fresh IncrementalOrders.
   SchedulerContext(double time, int machines, AliveView alive,
                    IncrementalOrders& orders);
 
@@ -53,7 +54,8 @@ class SchedulerContext {
   [[nodiscard]] std::span<const std::size_t> smallest_remaining(
       std::size_t k) const;
 
-  /// Index of the single job with least remaining work (the heap root).
+  /// Index of the single job with least remaining work:
+  /// smallest_remaining(1)[0]. Requires a nonempty alive set.
   [[nodiscard]] std::size_t min_remaining() const;
 
   /// Indices into alive() sorted by (release, id) descending: latest first

@@ -54,11 +54,11 @@ def report():
             },
             {
                 "name": "incremental_orders",
-                "columns": ["n", "decisions",
+                "columns": ["n", "decisions", "fractional_flow",
                             "decisions_per_sec_incremental"],
                 "rows": [
-                    [100000, 320, 1600.0],
-                    [1000000, 48, 85.0],
+                    [100000, 320, 9875.5, 1600.0],
+                    [1000000, 48, 98765.5, 85.0],
                 ],
             },
             {
@@ -218,6 +218,23 @@ def main() -> int:
         t["rows"][0][i] *= 0.7
         return doc
 
+    def incremental_decisions_drift(doc):
+        # Same timing, different work: the ISRPT drive stopped after a
+        # different number of decisions, so its rate measures another
+        # drive.
+        t = next(t for t in doc["tables"]
+                 if t["name"] == "incremental_orders")
+        i = t["columns"].index("decisions")
+        t["rows"][1][i] += 1
+        return doc
+
+    def incremental_flow_drift(doc):
+        t = next(t for t in doc["tables"]
+                 if t["name"] == "incremental_orders")
+        i = t["columns"].index("fractional_flow")
+        t["rows"][0][i] += 1e-3
+        return doc
+
     def cluster_throughput_regressed(doc):
         # The sharded soak retires 25% fewer requests per second while
         # every sibling gate holds — a cluster-plane regression the
@@ -276,6 +293,10 @@ def main() -> int:
         ("p99_spike", p99_spike, ["--auto-scale", "--tolerance=0.15"], 1),
         ("p99_spike_loose", p99_spike, ["--tolerance=0.60"], 0),
         ("incremental_rate_regressed", incremental_rate_regressed,
+         ["--auto-scale"], 1),
+        ("incremental_decisions_drift", incremental_decisions_drift,
+         ["--auto-scale"], 1),
+        ("incremental_flow_drift", incremental_flow_drift,
          ["--auto-scale"], 1),
         ("cluster_throughput_regressed", cluster_throughput_regressed,
          ["--auto-scale"], 1),

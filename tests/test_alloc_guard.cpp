@@ -252,8 +252,8 @@ AuditedRun run_audited(const char* policy) {
 
 TEST(EngineAllocAudit, DenseAliveRunIsAllocationFreeWithIncrementalOrders) {
   SKIP_WITHOUT_HOOK();
-  // Heap maintenance (insert / update_remaining / remove_swap / lazy
-  // rebuilds) runs inside the fences: all of it must live in storage
+  // Heap maintenance (insert / refresh / remove_swap / first-query
+  // gathers) runs inside the fences: all of it must live in storage
   // pre-paid by IncrementalOrders::reserve at admission. Distinct sizes
   // make every ISRPT completion its own decision point.
   EXPECT_GE(run_audited("isrpt").decisions, 10'000u);
@@ -262,8 +262,8 @@ TEST(EngineAllocAudit, DenseAliveRunIsAllocationFreeWithIncrementalOrders) {
 TEST(EngineAllocAudit, DenseAliveRunIsAllocationFreeWithContextCache) {
   SKIP_WITHOUT_HOOK();
   // The other half of the context's helpers: LAPS reads latest-arrival
-  // prefixes through the per-decision memo every step while its dense
-  // allocation declares a decay epoch per sweep.
+  // prefixes through the per-decision memo every step, and its dense
+  // allocation would mark a fresh SRPT heap stale at every sweep.
   (void)run_audited("laps:0.25");
 }
 

@@ -32,9 +32,9 @@
 //
 // Alongside the fuzzer: ~12 pinned seed-corpus regression cases for the
 // heap edge cases (duplicate keys, completion bursts emptying the heap,
-// admit-during-deferral, decay epochs crossing the top-k boundary, ...),
-// the E1/E5 experiment grids, direct helper and memo checks, and
-// tie-break pins at k == n and k < n/8.
+// admit-during-deferral, stale-heap regathers crossing the top-k
+// boundary, ...), the E1/E5 experiment grids, direct helper and memo
+// checks, and tie-break pins at k == n and k < n/8.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -609,9 +609,10 @@ TEST(IncrementalSeedCorpus, AdmitDuringDeferredDecision) {
 TEST(IncrementalSeedCorpus, DecayCrossingTopKBoundary) {
   // m = 16 machines, 220 equal-release jobs: ISRPT's m nonzero rates sit
   // under the n/8 mass-update threshold while n > 128 (eager per-key
-  // sifts) and above it once completions shrink n below 128 (lazy decay
-  // epochs + stale rebuilds). The run crosses the boundary, and the
-  // policy's smallest_remaining(m) top-k straddles it.
+  // sifts) and above it once completions shrink n below 128 (the SRPT
+  // heap goes stale and is regathered at the next query). The run
+  // crosses the boundary, and the policy's smallest_remaining(m) top-k
+  // straddles it.
   AuditScope audit;
   std::vector<Job> jobs;
   std::mt19937_64 rng(42);
@@ -752,10 +753,11 @@ TEST(IncrementalSeedCorpus, SnapshotRestoreRebuildsHeaps) {
 
 TEST(IncrementalSeedCorpus, MassDecayUnderDenseAllocations) {
   // EQUI-family allocations run every alive job: every sweep crosses the
-  // n/8 threshold and declares a decay epoch. oldest-equi also queries
-  // latest_arrivals(n) (never stale); equi queries nothing, so its SRPT
-  // heap stays stale forever — both must still pass the oracle, under
-  // the full engine-side heap audit.
+  // n/8 threshold, where a fresh SRPT heap would be marked stale.
+  // oldest-equi also queries latest_arrivals(n) (that heap is built at
+  // its first query and stays fresh); equi queries nothing, so neither
+  // heap is ever built — both must still pass the oracle (which builds
+  // them on its own queries), under the full engine-side heap audit.
   AuditScope audit;
   const Instance inst = fuzz_instance(0xDECA1ull, 150);
   for (const char* policy : {"equi", "oldest-equi:0.5", "greedy"}) {
@@ -831,75 +833,116 @@ void expect_orders_match(IncrementalOrders& inc,
        {std::size_t{1}, alive.size() / 8, alive.size() / 2, alive.size()}) {
     if (k == 0) continue;
     inc.begin_decision();  // a cold query per k, not a memo hit
-    const auto srpt = inc.srpt_prefix(alive, k);
+    const auto srpt = inc.srpt.prefix(alive, k);
     ASSERT_EQ(srpt.size(), k) << what;
     for (std::size_t i = 0; i < k; ++i) {
       ASSERT_EQ(srpt[i], srpt_ref[i]) << what << " srpt k=" << k << " @" << i;
     }
-    const auto latest = inc.latest_prefix(k);
+    const auto latest = inc.latest.prefix(alive, k);
     ASSERT_EQ(latest.size(), k) << what;
     for (std::size_t i = 0; i < k; ++i) {
       ASSERT_EQ(latest[i], latest_ref[i])
           << what << " latest k=" << k << " @" << i;
     }
   }
-  if (!alive.empty()) {
-    EXPECT_EQ(inc.min_srpt(alive), refimpl::min_remaining(alive)) << what;
-  }
   inc.audit(alive);
 }
 
-TEST(IncrementalOrdersUnit, RandomChurnMatchesRefimpl) {
-  std::mt19937_64 rng(20260808);
-  std::vector<AliveJob> alive = random_alive(rng, 80, 6);
-  IncrementalOrders inc;
-  inc.reserve(alive.size());
-  const AliveSet initial = as_set(alive);
-  for (std::size_t i = 0; i < alive.size(); ++i) inc.insert(initial.view(), i);
-  expect_orders_match(inc, alive, "initial");
+/// Counts of the churn operations a schedule applied.
+struct ChurnCounts {
+  int drops = 0;
+  int removals = 0;
+  int inserts = 0;
+  int stale_marks = 0;
+};
 
+/// One random churn operation on `alive`, mirrored into `inc`.
+void churn_once(std::mt19937_64& rng, int round, std::vector<AliveJob>& alive,
+                IncrementalOrders& inc, ChurnCounts& counts) {
   std::uniform_real_distribution<double> u(0.0, 1.0);
-  for (int round = 0; round < 400; ++round) {
-    const double op = u(rng);
-    if (op < 0.35 && !alive.empty()) {
-      // Advance: shrink a few remaining-work keys.
-      for (int k = 0; k < 3 && !alive.empty(); ++k) {
-        const std::size_t i = rng() % alive.size();
-        alive[i].remaining = std::max(0.125, alive[i].remaining * 0.75);
-        inc.update_remaining(i, alive[i].remaining);
-      }
-    } else if (op < 0.6 && alive.size() > 2) {
-      // Complete: swap-remove, mirrored.
+  const double op = u(rng);
+  if (op < 0.35 && !alive.empty()) {
+    // Advance: shrink a few remaining-work keys.
+    for (int k = 0; k < 3 && !alive.empty(); ++k) {
       const std::size_t i = rng() % alive.size();
-      const std::size_t last = alive.size() - 1;
-      inc.remove_swap(i, last);
-      alive[i] = alive[last];
-      alive.pop_back();
-    } else if (op < 0.85) {
-      // Admit.
-      AliveJob j;
-      j.id = static_cast<JobId>(1000 + round);
-      j.remaining = 0.5 + 5.0 * u(rng);
-      j.release = 4.0 + 0.01 * round;
-      j.size = j.remaining;
-      inc.reserve(alive.size() + 1);
-      alive.push_back(j);
-      inc.insert(as_set(alive).view(), alive.size() - 1);
-    } else {
-      // Mass update + decay epoch (the lazy-rebuild path).
-      for (std::size_t i = 0; i < alive.size(); ++i) {
-        alive[i].remaining = std::max(0.125, alive[i].remaining * 0.9);
-      }
-      inc.decay_epoch();
+      alive[i].remaining = std::max(0.125, alive[i].remaining * 0.75);
+      inc.srpt.refresh(as_set(alive).view(), i);
+      ++counts.drops;
     }
-    if (round % 25 == 0) {
-      expect_orders_match(inc, alive,
-                          "round " + std::to_string(round));
-      if (HasFatalFailure()) return;
+  } else if (op < 0.6 && alive.size() > 2) {
+    // Complete: swap-remove, mirrored.
+    const std::size_t i = rng() % alive.size();
+    const std::size_t last = alive.size() - 1;
+    inc.remove_swap(i, last);
+    alive[i] = alive[last];
+    alive.pop_back();
+    ++counts.removals;
+  } else if (op < 0.85) {
+    // Admit.
+    AliveJob j;
+    j.id = static_cast<JobId>(1000 + round);
+    j.remaining = 0.5 + 5.0 * u(rng);
+    j.release = 4.0 + 0.01 * round;
+    j.size = j.remaining;
+    inc.reserve(alive.size() + 1);
+    alive.push_back(j);
+    inc.insert(as_set(alive).view(), alive.size() - 1);
+    ++counts.inserts;
+  } else {
+    // Mass update + stale SRPT heap (the engine's dense-step path).
+    for (std::size_t i = 0; i < alive.size(); ++i) {
+      alive[i].remaining = std::max(0.125, alive[i].remaining * 0.9);
     }
+    inc.srpt.mark_stale();
+    ++counts.stale_marks;
   }
-  expect_orders_match(inc, alive, "final");
-  EXPECT_GT(inc.decay_epochs(), 0u);
+}
+
+TEST(IncrementalOrdersUnit, RandomChurnMatchesRefimpl) {
+  // Schedule 1 queries both orders from the start, so the churn runs as
+  // upkeep on fresh heaps (and regathers after each stale mark).
+  {
+    std::mt19937_64 rng(20260808);
+    std::vector<AliveJob> alive = random_alive(rng, 80, 6);
+    IncrementalOrders inc;
+    expect_orders_match(inc, alive, "initial");
+    ChurnCounts counts;
+    for (int round = 0; round < 400; ++round) {
+      churn_once(rng, round, alive, inc, counts);
+      if (round % 25 == 0) {
+        expect_orders_match(inc, alive, "round " + std::to_string(round));
+        if (HasFatalFailure()) return;
+      }
+    }
+    expect_orders_match(inc, alive, "final");
+    EXPECT_GT(counts.stale_marks, 0);
+  }
+  // Schedule 2 queries neither order until after inserts, swap-removes
+  // and SRPT drops, so both heaps are first built from a churned set and
+  // then maintained from there.
+  {
+    std::mt19937_64 rng(20261019);
+    std::vector<AliveJob> alive = random_alive(rng, 80, 6);
+    IncrementalOrders inc;
+    ChurnCounts counts;
+    int round = 0;
+    for (; round < 60; ++round) churn_once(rng, round, alive, inc, counts);
+    ASSERT_GT(counts.inserts, 0);
+    ASSERT_GT(counts.removals, 0);
+    ASSERT_GT(counts.drops, 0);
+    ASSERT_TRUE(inc.srpt.stale() && inc.latest.stale());
+    expect_orders_match(inc, alive, "first query after churn");
+    if (HasFatalFailure()) return;
+    for (; round < 300; ++round) {
+      churn_once(rng, round, alive, inc, counts);
+      if (round % 25 == 0) {
+        expect_orders_match(inc, alive,
+                            "lazy round " + std::to_string(round));
+        if (HasFatalFailure()) return;
+      }
+    }
+    expect_orders_match(inc, alive, "lazy final");
+  }
 }
 
 // ---- Tie-break pinning on the heaps --------------------------------------
@@ -930,11 +973,13 @@ std::vector<AliveJob> tie_heavy_alive() {
   return alive;
 }
 
+/// Both heaps built over `alive` by a first query, so later churn is
+/// upkeep on fresh heaps.
 IncrementalOrders build_inc(const std::vector<AliveJob>& alive) {
   const AliveSet set = as_set(alive);
   IncrementalOrders inc;
-  inc.reserve(alive.size());
-  for (std::size_t i = 0; i < alive.size(); ++i) inc.insert(set.view(), i);
+  (void)inc.srpt.prefix(set.view(), 1);
+  (void)inc.latest.prefix(set.view(), 1);
   return inc;
 }
 
@@ -948,7 +993,7 @@ TEST(IncrementalTieBreaks, SrptOrderPinnedAtFullAndSmallK) {
   // k = 3 <= 24/8 (heap traversal) and k = n (heap-copy full sort).
   for (const std::size_t k : {std::size_t{3}, alive.size()}) {
     inc.begin_decision();
-    const auto got = inc.srpt_prefix(set.view(), k);
+    const auto got = inc.srpt.prefix(set.view(), k);
     ASSERT_EQ(got.size(), k);
     for (std::size_t i = 0; i < want_prefix.size(); ++i) {
       EXPECT_EQ(got[i], want_prefix[i]) << "k=" << k << " position " << i;
@@ -982,7 +1027,7 @@ TEST(IncrementalTieBreaks, LatestOrderPinnedAtFullAndSmallK) {
   IncrementalOrders inc = build_inc(alive);
   for (const std::size_t k : {std::size_t{3}, alive.size()}) {
     inc.begin_decision();
-    const auto got = inc.latest_prefix(k);
+    const auto got = inc.latest.prefix(set.view(), k);
     ASSERT_EQ(got.size(), k);
     for (std::size_t i = 0; i < want_prefix.size(); ++i) {
       EXPECT_EQ(got[i], want_prefix[i]) << "k=" << k << " position " << i;
@@ -1002,7 +1047,7 @@ TEST(IncrementalTieBreaks, TieOrderSurvivesChurn) {
   for (const std::size_t i : {std::size_t{0}, std::size_t{12},
                               std::size_t{20}}) {
     alive[i].remaining = 1.0;
-    inc.update_remaining(i, 1.0);
+    inc.srpt.refresh(as_set(alive).view(), i);
   }
   // Remove one of the original tied jobs via the swap-remove mirror.
   const std::size_t last = alive.size() - 1;
@@ -1013,7 +1058,7 @@ TEST(IncrementalTieBreaks, TieOrderSurvivesChurn) {
   std::vector<std::size_t> ref;
   refimpl::by_remaining(set.view(), ref);
   inc.begin_decision();
-  const auto got = inc.srpt_prefix(set.view(), alive.size());
+  const auto got = inc.srpt.prefix(set.view(), alive.size());
   ASSERT_EQ(got.size(), alive.size());
   for (std::size_t i = 0; i < alive.size(); ++i) {
     EXPECT_EQ(got[i], ref[i]) << "position " << i;
@@ -1142,7 +1187,6 @@ TEST(ContextCacheHelpers, AllHelpersMatchRefimplAcrossKs) {
       // Fresh heaps per query so each k takes its cold path (heap
       // traversal for k < n, sorted key copy at k >= n).
       IncrementalOrders orders;
-      orders.rebuild(set.view());
       const SchedulerContext ctx(0.0, 4, set.view(), orders);
       const std::string what =
           "n=" + std::to_string(n) + " k=" + std::to_string(k);
@@ -1153,7 +1197,6 @@ TEST(ContextCacheHelpers, AllHelpersMatchRefimplAcrossKs) {
       expect_span_eq(ctx.latest_arrivals(k), ref, "latest_arrivals " + what);
     }
     IncrementalOrders orders;
-    orders.rebuild(set.view());
     const SchedulerContext ctx(0.0, 4, set.view(), orders);
     refimpl::by_remaining(set.view(), ref);
     expect_span_eq(ctx.by_remaining(), ref,
@@ -1179,7 +1222,6 @@ TEST(ContextCacheHelpers, PrefixUpgradesPreserveEarlierAnswers) {
   refimpl::by_latest_arrival(set.view(), lref);
 
   IncrementalOrders orders;
-  orders.rebuild(set.view());
   const SchedulerContext ctx(0.0, 4, set.view(), orders);
   EXPECT_EQ(ctx.min_remaining(), ref[0]);
   std::vector<std::span<const std::size_t>> earlier;
@@ -1224,7 +1266,6 @@ TEST(ContextCacheTieBreaks, SmallestRemainingPinsSrptOrder) {
   std::vector<std::size_t> ref;
   for (const std::size_t k : {std::size_t{3}, std::size_t{5}}) {
     IncrementalOrders orders;
-    orders.rebuild(set.view());
     const SchedulerContext ctx(0.0, 4, set.view(), orders);
     const auto got = ctx.smallest_remaining(k);
     ASSERT_EQ(got.size(), k);
@@ -1258,7 +1299,6 @@ TEST(ContextCacheTieBreaks, LatestArrivalsPinsReleaseIdDescOrder) {
   for (const std::size_t k : {std::size_t{2}, std::size_t{3},
                               std::size_t{6}}) {
     IncrementalOrders orders;
-    orders.rebuild(set.view());
     const SchedulerContext ctx(0.0, 4, set.view(), orders);
     const auto got = ctx.latest_arrivals(k);
     ASSERT_EQ(got.size(), k);

@@ -346,7 +346,6 @@ TEST(SchedulerContext, ByRemainingOrder) {
   AliveSet set;
   set.assign(alive);
   IncrementalOrders orders;
-  orders.rebuild(set.view());
   const SchedulerContext ctx(0.0, 4, set.view(), orders);
   const auto order = ctx.by_remaining();
   EXPECT_EQ(order[0], 1u);
@@ -363,7 +362,6 @@ TEST(SchedulerContext, ByLatestArrival) {
   AliveSet set;
   set.assign(alive);
   IncrementalOrders orders;
-  orders.rebuild(set.view());
   const SchedulerContext ctx(0.0, 4, set.view(), orders);
   const auto order = ctx.by_latest_arrival();
   EXPECT_EQ(order[0], 1u);

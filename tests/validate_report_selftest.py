@@ -126,8 +126,9 @@ def e11_report(drop_table=None, drop_column=None):
         },
         {
             "name": "incremental_orders",
-            "columns": ["n", "decisions_per_sec_incremental"],
-            "rows": [[100000, 1600.0]],
+            "columns": ["n", "decisions", "fractional_flow",
+                        "decisions_per_sec_incremental"],
+            "rows": [[100000, 320, 9875.5, 1600.0]],
         },
         {
             "name": "dense_equi",

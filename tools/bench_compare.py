@@ -132,6 +132,7 @@ TABLE_GATES = {
 # row measured, compared in the exact band like RUN_EXACT_FIELDS.
 TABLE_EXACT = {
     "dense_equi": ("n", ["decisions", "fractional_flow"]),
+    "incremental_orders": ("n", ["decisions", "fractional_flow"]),
 }
 
 # table name -> (cap column, cap value): candidate-only absolute bound.

@@ -59,7 +59,8 @@ REPORT_REQUIRED_TABLES = {
     },
     "e11_engine_perf": {
         "dense_alive": ["n", "decisions_per_sec"],
-        "incremental_orders": ["n", "decisions_per_sec_incremental"],
+        "incremental_orders": ["n", "decisions", "fractional_flow",
+                               "decisions_per_sec_incremental"],
         "dense_equi": ["n", "decisions", "fractional_flow",
                        "decisions_per_sec"],
         "flight_recorder_overhead": ["n", "overhead_pct"],
