@@ -95,6 +95,7 @@ void write_run_stats(JsonWriter& w, const RunStats& s) {
   w.kv("advance_seconds", s.advance_seconds);
   w.kv("heap_upkeep_seconds", s.heap_upkeep_seconds);
   w.kv("completion_seconds", s.completion_seconds);
+  w.kv("admit_seconds", s.admit_seconds);
   w.kv("decisions", s.decisions);
   w.kv("arrivals", s.arrivals);
   w.kv("completions", s.completions);

@@ -18,6 +18,7 @@
 //                            "rates_seconds": ..., "advance_seconds": ...,
 //                            "heap_upkeep_seconds": ...,
 //                            "completion_seconds": ...,
+//                            "admit_seconds": ...,
 //                            "decision_interval": {histogram},
 //                            "alive_count": {histogram} } | null, ... } ],
 //     "tables": [ { "name": ..., "columns": [...], "rows": [[...]] } ],

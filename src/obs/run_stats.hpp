@@ -1,17 +1,20 @@
 // parsched — per-run engine profiling buckets.
 //
 // When EngineConfig::collect_stats is set, the engine splits each run's
-// wall time into three buckets, splits the solver bucket four ways, and
+// wall time into three buckets, splits the solver bucket five ways, and
 // fills two histograms, returning the result as SimResult::stats. With
 // the flag off (the default) the hot path takes one predictable branch
 // per decision and RunStats is never even constructed — the
 // uninstrumented path stays zero-overhead.
 //
+// The drive loop is timed in laps, so the buckets of an advance_to()
+// call add up to its wall time but for its entry and exit.
+//
 // Bucket semantics:
-//   decide_seconds    time inside Scheduler::allocate()
+//   decide_seconds    Scheduler::allocate() and the step's set-up for it
 //   observer_seconds  time inside Observer::on_decision callbacks
-//   solver_seconds    everything else in the decision steps; at run end
-//                     it is set to the exact sum of its four parts:
+//   solver_seconds    everything else in the drive loop; at run end it
+//                     is set to the exact sum of its five parts:
 //     rates_seconds        share validation, the rate kernel, the
 //                          dt-to-completion scan and the choice of dt
 //                          (including deferred-step resumes)
@@ -21,11 +24,12 @@
 //     heap_upkeep_seconds  ordering-heap key maintenance for the jobs
 //                          that ran (per-key sifts, or marking the SRPT
 //                          heap stale)
-//     completion_seconds   the step's event handling: completion
-//                          swap-removes and records, the arrivals
-//                          admitted at the step's end time (with their
-//                          heap inserts/removes and on_arrival /
-//                          on_completion callbacks), audits
+//     completion_seconds   the step's completions: swap-removes,
+//                          records, heap removes, on_completion
+//                          callbacks, audits
+//     admit_seconds        every admission (clock start, idle jumps,
+//                          step ends): the source's calls, check_job,
+//                          on_arrival and the append with heap inserts
 //   wall_seconds      whole run; >= the sum of the three buckets
 #pragma once
 
@@ -60,6 +64,7 @@ struct RunStats {
   double advance_seconds = 0.0;
   double heap_upkeep_seconds = 0.0;
   double completion_seconds = 0.0;
+  double admit_seconds = 0.0;
 
   std::uint64_t decisions = 0;
   std::uint64_t arrivals = 0;

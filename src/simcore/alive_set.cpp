@@ -61,33 +61,42 @@ void AliveSet::relocate(std::size_t from, std::size_t to) {
   each_array(*this, [from, to](auto& v) { v[to] = std::move(v[from]); });
 }
 
-void AliveSet::push_back(AliveJob&& a) {
-  PARSCHED_CHECK(a.phase < std::max<std::size_t>(1, a.phases.size()),
-                 "alive job phase index out of range");
-  if (a.phases.size() > 1 && multi_phase++ == 0) {
+void AliveSet::append(const Job& job, std::int64_t arrival_seq) {
+  if (job.phases.size() > 1 && multi_phase++ == 0) {
     std::copy(remaining.begin(), remaining.end(), phase_remaining.begin());
   }
   const std::size_t i = size();
-  ids.push_back(a.id);
-  releases.push_back(a.release);
-  sizes.push_back(a.size);
-  remaining.push_back(a.remaining);
-  weights.push_back(a.weight);
-  arrival_seqs.push_back(a.arrival_seq);
-  phase_remaining.push_back(a.phase_remaining);
+  ids.push_back(job.id);
+  releases.push_back(job.release);
+  sizes.push_back(job.size);
+  remaining.push_back(job.size);
+  weights.push_back(job.weight);
+  arrival_seqs.push_back(arrival_seq);
+  phase_remaining.push_back(job.phases.empty() ? job.size
+                                               : job.phases.front().work);
   phases_left.push_back(static_cast<std::uint32_t>(
-      a.phases.empty() ? 0 : a.phases.size() - 1 - a.phase));
+      job.phases.empty() ? 0 : job.phases.size() - 1));
   kinds.push_back(0);
   alphas.push_back(0.0);
   flow_q.push_back(0.0);
-  cold.push_back({SpeedupCurve{}, a.tag, std::move(a.phases)});
-  set_curve(i, std::move(a.curve));
+  cold.push_back({SpeedupCurve{}, job.tag, job.phases});
+  set_curve(i, job.curve);
 }
 
 void AliveSet::assign(std::span<const AliveJob> records) {
   clear();
   reserve(records.size());
-  for (const AliveJob& a : records) push_back(AliveJob(a));
+  for (const AliveJob& a : records) {
+    PARSCHED_CHECK(a.phase < std::max<std::size_t>(1, a.phases.size()),
+                   "alive job phase index out of range");
+    const std::size_t i = size();
+    append({a.id, a.release, a.size, a.weight, a.curve, a.tag, a.phases},
+           a.arrival_seq);
+    remaining[i] = a.remaining;
+    phase_remaining[i] = a.phase_remaining;
+    phases_left[i] -= static_cast<std::uint32_t>(a.phase);
+    set_curve(i, a.curve);
+  }
 }
 
 std::vector<JobPhase> AliveSet::take_phases(std::size_t i) {

@@ -5,9 +5,10 @@
 // the advance sweep stream 8-byte elements instead of striding through
 // per-job records. Fields the step needs only when a phase ends or a job
 // completes (the full current curve, the tag, the phase list) sit in a
-// side array of cold records. Policies read the set through AliveView;
-// AliveJob is the materialized record form, built on demand for
-// snapshots (EngineState) and observers.
+// side array of cold records. Jobs enter as Jobs, straight into the
+// columns. Policies read the set through AliveView; AliveJob is the
+// materialized record form, built on demand for snapshots (EngineState)
+// and observers.
 #pragma once
 
 #include <algorithm>
@@ -81,8 +82,8 @@ struct AliveSet {
   /// both, and no phase change ever touches it. So while multi_phase is
   /// 0 the engine's step reads `remaining` instead and leaves this array
   /// stale; phase_work() and materialize() read through the same way,
-  /// and the push_back() that admits the first multi-phase job rebuilds
-  /// the array from `remaining` (O(n), once per such admission).
+  /// and the append() of the first multi-phase job rebuilds the array
+  /// from `remaining` (O(n), once per such admission).
   std::vector<double> phase_remaining;
   /// Phases after the current one: phases.size() - 1 - phase for a
   /// multi-phase job, 0 for a single-phase one.
@@ -100,7 +101,7 @@ struct AliveSet {
   /// change.
   std::vector<double> flow_q;
   std::vector<AliveCold> cold;
-  /// Alive jobs with more than one phase (push_back counts them,
+  /// Alive jobs with more than one phase (append counts them,
   /// take_phases() uncounts them, clear() resets the count).
   std::size_t multi_phase = 0;
 
@@ -115,10 +116,14 @@ struct AliveSet {
   void clear();
   /// Capacity for at least n jobs (geometric growth).
   void reserve(std::size_t n);
-  /// Append a job (its flow quotient starts at 0). Requires
+  /// Append `job` (normalized) as it arrives: all of its work left, its
+  /// first phase current, flow quotient 0. The caller reserves capacity
+  /// for the batch it appends.
+  void append(const Job& job, std::int64_t arrival_seq);
+  /// Replace the whole set with `records`, in order (snapshot restore):
+  /// each goes through append() and then takes the record's progress
+  /// (remaining work, phase, phase work, current curve). Requires
   /// a.phase < max(1, a.phases.size()).
-  void push_back(AliveJob&& a);
-  /// Replace the whole set with `records`, in order (snapshot restore).
   void assign(std::span<const AliveJob> records);
   /// Job i now responds to `curve`: the one site that derives kinds/alphas.
   void set_curve(std::size_t i, SpeedupCurve curve);

@@ -330,7 +330,7 @@ void Engine::begin_run(Scheduler& sched) {
   sched.reset();
   alive_.clear();
   completed_.clear();
-  pending_.clear();
+  pending_ = JobQueue();
   now_ = 0.0;
   frontier_ = 0.0;
   arrival_seq_ = 0;
@@ -354,6 +354,7 @@ void Engine::begin_run(Scheduler& sched) {
     stats_ = &*result_.stats;
   }
   run_start_ = cfg_.collect_stats ? obs::monotonic_seconds() : 0.0;
+  t_lap_ = run_start_;  // run()'s first lap; advance_to() starts its own
 }
 
 void Engine::finalize_run() {
@@ -364,7 +365,8 @@ void Engine::finalize_run() {
     stats_->decisions = result_.decisions;
     stats_->solver_seconds = stats_->rates_seconds + stats_->advance_seconds +
                              stats_->heap_upkeep_seconds +
-                             stats_->completion_seconds;
+                             stats_->completion_seconds +
+                             stats_->admit_seconds;
   }
   if (cfg_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *cfg_.metrics;
@@ -381,6 +383,7 @@ void Engine::finalize_run() {
       reg.timer("engine.solver.advance").add(stats_->advance_seconds);
       reg.timer("engine.solver.heap_upkeep").add(stats_->heap_upkeep_seconds);
       reg.timer("engine.solver.completion").add(stats_->completion_seconds);
+      reg.timer("engine.solver.admit").add(stats_->admit_seconds);
       reg.timer("engine.observer").add(stats_->observer_seconds);
     }
   }
@@ -407,33 +410,6 @@ void Engine::record_failure(bool contract_trip, std::uint64_t id,
   cfg_.recorder->dump_to_file(reason);
 }
 
-void Engine::admit_job_now(Job j) {
-  j.normalize_phases();
-  if (j.size <= 0.0) throw std::invalid_argument("nonpositive job size");
-  AliveJob a;
-  a.id = j.id;
-  a.release = j.release;
-  a.size = j.size;
-  a.remaining = j.size;
-  a.weight = j.weight;
-  a.curve = j.curve;
-  a.arrival_seq = arrival_seq_++;
-  a.tag = j.tag;
-  a.phases = j.phases;
-  a.phase_remaining = j.phases.empty() ? j.size : j.phases[0].work;
-  // The job joins the unswept tail; the sweep sets its flow quotient at
-  // its first visit. Then one O(log n) sift per fresh ordering heap.
-  alive_.push_back(std::move(a));
-  orders_.insert(alive_.view(), alive_.size() - 1);
-  ++result_.events;
-  if (cfg_.recorder != nullptr) {
-    cfg_.recorder->record(obs::FlightEvent::kAdmit,
-                          static_cast<std::uint64_t>(j.id), now_, j.release,
-                          static_cast<std::uint32_t>(alive_.size()));
-  }
-  for (Observer* obs : observers_) obs->on_arrival(now_, j);
-}
-
 void Engine::reserve_alive(std::size_t n) {
   // Every per-job buffer — the alive set, the rate scratch, the
   // completion positions (the sweep may push one per alive job), the
@@ -446,10 +422,14 @@ void Engine::reserve_alive(std::size_t n) {
 }
 
 void Engine::admit_pending(ArrivalSource& source) {
+  // The one admission path. Each batch is checked whole, then goes from
+  // Job straight into the alive columns, one reserve per batch, before
+  // the source is asked again — so an adaptive source sees every job it
+  // released. Batches come in release order, so arrival_seq does too.
   for (;;) {
     const double nt = source.next_time(*this);
-    if (!(nt <= now_ + cfg_.time_tol)) break;
-    std::vector<Job> jobs = source.take(nt, *this);
+    if (nt > now_ + cfg_.time_tol) return;  // kInf, too; NaN is taken
+    const std::span<const Job> jobs = source.take(nt, *this);
     if (jobs.empty()) {
       // Pure decision point: the source must make progress.
       PARSCHED_CHECK(source.next_time(*this) > nt,
@@ -457,28 +437,24 @@ void Engine::admit_pending(ArrivalSource& source) {
                      "decision point");
       continue;
     }
+    for (const Job& j : jobs) check_job(j);
+    PARSCHED_CHECK(nt >= now_ - cfg_.time_tol,
+                   "arrival source moved backwards in time");
     reserve_alive(alive_.size() + jobs.size());
-    for (Job& j : jobs) admit_job_now(std::move(j));
-  }
-}
-
-void Engine::release_due() {
-  // The streaming twin of admit_pending(): pending_ is kept sorted by
-  // release (stable among equals), so admission order — and therefore
-  // arrival_seq — matches what a VectorSource over the same jobs yields.
-  // Most calls (one per decision step) find nothing due; a release sizes
-  // the buffers for its whole batch at once.
-  const double t = now_ + cfg_.time_tol;
-  if (pending_.empty() || !(pending_.front().release <= t)) return;
-  const auto due = std::upper_bound(
-      pending_.begin(), pending_.end(), t,
-      [](double x, const Job& j) { return x < j.release; });
-  const auto count = static_cast<std::size_t>(due - pending_.begin());
-  reserve_alive(alive_.size() + count);
-  for (std::size_t k = 0; k < count; ++k) {
-    Job j = std::move(pending_.front());
-    pending_.pop_front();
-    admit_job_now(std::move(j));
+    for (const Job& j : jobs) {
+      for (Observer* obs : observers_) obs->on_arrival(now_, j);
+      // The job joins the unswept tail; the sweep sets its flow quotient
+      // at its first visit. Then one O(log n) sift per fresh heap.
+      alive_.append(j, arrival_seq_++);
+      orders_.insert(alive_.view(), alive_.size() - 1);
+      if (cfg_.recorder != nullptr) {
+        cfg_.recorder->record(obs::FlightEvent::kAdmit,
+                              static_cast<std::uint64_t>(j.id), now_,
+                              j.release,
+                              static_cast<std::uint32_t>(alive_.size()));
+      }
+    }
+    result_.events += jobs.size();
   }
 }
 
@@ -753,12 +729,13 @@ PARSCHED_HOT bool Engine::advance_sweep(double dt) {
 
 PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
                                                 double horizon) {
-  // One decision interval of the simulation, shared verbatim between the
-  // batch loop (horizon = kInf, never defers) and the streaming loop. The
-  // allocation is computed at most once per decision point: a step
-  // deferred past the horizon caches it — the context the policy saw
+  // One decision interval of the simulation, for the drive loop (a
+  // horizon of kInf never defers). The allocation is computed at most
+  // once per decision point: a step deferred past the horizon caches
+  // it — the context the policy saw
   // (now_, machines, alive_) cannot change while deferred, because
   // admissions land in pending_ and time only moves inside this function.
+  if (stats_ != nullptr) lap(stats_->admit_seconds);  // the source's query
   if (!has_cached_alloc_) {
     if (++result_.decisions > cfg_.max_decisions) {
       throw std::runtime_error("engine exceeded max_decisions guard");
@@ -774,12 +751,9 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     if (audit_allocs_ && alive_.size() <= alloc_warm_n_) {
       fence.emplace("Engine decision step: allocate+rates");
     }
-    const double t_decide0 = stats_ != nullptr ? obs::monotonic_seconds()
-                                               : 0.0;
     sched_->allocate(ctx, cached_alloc_);
     if (stats_ != nullptr) {
-      t_lap_ = obs::monotonic_seconds();
-      stats_->decide_seconds += t_lap_ - t_decide0;
+      lap(stats_->decide_seconds);
       stats_->alive_count.add(static_cast<double>(alive_.size()));
     }
     if (cached_alloc_.size() != alive_.size()) {
@@ -803,7 +777,6 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     if (stats_ != nullptr) lap(stats_->observer_seconds);
     has_cached_alloc_ = true;
   } else {
-    if (stats_ != nullptr) t_lap_ = obs::monotonic_seconds();
     // Resuming a deferred decision: the context the policy saw is frozen
     // (that is the deferral contract), so the rates computed at decision
     // time are still exact. Only a snapshot restore — which does not
@@ -1006,55 +979,48 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
   return Step::kAdvanced;
 }
 
-SimResult Engine::run(Scheduler& sched, ArrivalSource& source) {
-  begin_run(sched);
-  source.reset();
-
-  // Start the clock at the first arrival.
-  {
-    const double first = source.next_time(*this);
-    if (first == kInf) {
-      finalize_run();
-      return take_result();
-    }
-    now_ = std::max(0.0, first);
-  }
-  admit_pending(source);
-
+void Engine::drain_to(ArrivalSource& source, double horizon) {
+  // The one drive loop, for run() (horizon kInf: never defers) and the
+  // streaming API (its pending queue is the source). Every step ends
+  // with the arrivals due at its end time; with collect_stats on, every
+  // moment from the caller's lap start lands in some bucket.
   for (;;) {
     if (alive_.empty()) {
+      // Idle, or the clock's start (now_ is 0): jump to the next arrival.
       const double nt = source.next_time(*this);
-      if (nt == kInf) break;  // all done
-      PARSCHED_CHECK(nt >= now_ - cfg_.time_tol,
-                     "arrival source moved backwards in time");
+      if (nt == kInf || nt > horizon) return;
       now_ = std::max(now_, nt);
-      admit_pending(source);
-      continue;
+    } else {
+      // The source sees the state at the top of the iteration (allocate()
+      // does not touch it), so asking it before the step keeps adaptive
+      // sources' answers unchanged.
+      const double t_arrive = source.next_time(*this);
+      try {
+        if (decision_step(t_arrive, horizon) == Step::kDeferred) return;
+      } catch (const ContractViolation&) {
+        // An alloc-guard / contract trip escaping a decision step is a
+        // flight-recorder moment: dump the ring before the exception
+        // unwinds past the engine.
+        record_failure(true, 0, "contract_trip");
+        throw;
+      }
     }
-
-    // The engine state the source sees here is exactly the state at the
-    // top of the iteration (allocate() does not touch it), so querying
-    // the next arrival before the decision step keeps adaptive sources'
-    // answers unchanged.
-    const double t_arrive = source.next_time(*this);
-    try {
-      decision_step(t_arrive, kInf);  // horizon kInf: never defers
-    } catch (const ContractViolation&) {
-      // An alloc-guard / contract trip escaping a decision step is a
-      // flight-recorder moment: dump the ring before the exception
-      // unwinds past the engine.
-      record_failure(true, 0, "contract_trip");
-      throw;
-    }
-    // Arrivals at the step's end time: charged to the completion bucket,
-    // the step's other event handling.
     admit_pending(source);
-    if (stats_ != nullptr) lap(stats_->completion_seconds);
+    if (stats_ != nullptr) lap(stats_->admit_seconds);
   }
+}
 
+SimResult Engine::end_run() {
   for (Observer* obs : observers_) obs->on_done(now_);
   finalize_run();
   return take_result();
+}
+
+SimResult Engine::run(Scheduler& sched, ArrivalSource& source) {
+  begin_run(sched);
+  source.reset();
+  drain_to(source, kInf);
+  return end_run();
 }
 
 // ---- Streaming API --------------------------------------------------------
@@ -1066,8 +1032,8 @@ void Engine::begin(Scheduler& sched) {
 
 void Engine::admit(Job job) {
   PARSCHED_CHECK(streaming_, "Engine::admit() outside a streaming run");
-  // Validate now: a job that fails later, in release_due(), has already
-  // left pending_ and would be lost silently.
+  // Validate now, so a bad job is refused to its sender rather than at
+  // its release, inside a later advance_to().
   job.normalize_phases();
   check_job(job);
   if (job.release < frontier_) {
@@ -1076,58 +1042,27 @@ void Engine::admit(Job job) {
        << " < frontier " << frontier_;
     throw std::invalid_argument(os.str());
   }
-  // In release order (the common case) the job goes at the back without
-  // a search; upper_bound would find the same position.
-  const auto it =
-      pending_.empty() || pending_.back().release <= job.release
-          ? pending_.end()
-          : std::upper_bound(
-                pending_.begin(), pending_.end(), job.release,
-                [](double r, const Job& j) { return r < j.release; });
-  pending_.insert(it, std::move(job));
+  pending_.push(std::move(job));
 }
 
 void Engine::advance_to(double t) {
   PARSCHED_CHECK(streaming_, "Engine::advance_to() outside a streaming run");
+  if (stats_ != nullptr) t_lap_ = obs::monotonic_seconds();
   frontier_ = std::max(frontier_, t);
-  drain_to(frontier_);
-}
-
-void Engine::drain_to(double horizon) {
-  for (;;) {
-    if (alive_.empty()) {
-      if (pending_.empty()) return;
-      const double nt = pending_.front().release;
-      if (nt > horizon) return;
-      // Identical arithmetic to the batch idle jump (and to the batch
-      // clock start, where now_ is still 0).
-      now_ = std::max(now_, nt);
-      release_due();
-      continue;
-    }
-    const double t_arrive =
-        pending_.empty() ? kInf : pending_.front().release;
-    Step step;
-    try {
-      step = decision_step(t_arrive, horizon);
-    } catch (const ContractViolation&) {
-      record_failure(true, 0, "contract_trip");  // see run(): black-box dump
-      throw;
-    }
-    if (step == Step::kDeferred) return;
-    release_due();  // see run(): charged to the completion bucket
-    if (stats_ != nullptr) lap(stats_->completion_seconds);
+  // Room for every queued job at once: the queue hands a large release
+  // out in parts, and growing the alive columns part by part fragments
+  // the heap (DESIGN §2.3, the drive loop).
+  if (!pending_.jobs().empty()) {
+    reserve_alive(alive_.size() + pending_.jobs().size());
   }
+  drain_to(pending_, frontier_);
 }
 
 SimResult Engine::finish() {
   PARSCHED_CHECK(streaming_, "Engine::finish() outside a streaming run");
-  frontier_ = kInf;
-  drain_to(kInf);
+  advance_to(kInf);
   streaming_ = false;
-  for (Observer* obs : observers_) obs->on_done(now_);
-  finalize_run();
-  return take_result();
+  return end_run();
 }
 
 EngineState Engine::export_state() const {
@@ -1141,7 +1076,7 @@ EngineState Engine::export_state() const {
   alive_.materialize(s.alive);
   s.completed.assign(completed_.begin(), completed_.end());
   std::sort(s.completed.begin(), s.completed.end());
-  s.pending.assign(pending_.begin(), pending_.end());
+  s.pending.assign(pending_.jobs().begin(), pending_.jobs().end());
   s.has_cached_alloc = has_cached_alloc_;
   s.cached_alloc = cached_alloc_;
   s.result = result_;
@@ -1176,7 +1111,8 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   alive_.assign(s.alive);
   completed_ =
       std::unordered_set<JobId>(s.completed.begin(), s.completed.end());
-  pending_.assign(s.pending.begin(), s.pending.end());
+  pending_ = JobQueue();
+  for (const Job& j : s.pending) pending_.push(j);
   has_cached_alloc_ = s.has_cached_alloc;
   // Rebuild the support from the nonzero shares: a restored allocation
   // carries no trustworthy support of its own.
@@ -1194,7 +1130,7 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   swept_ = 0;
   swept_low_valid_ = false;
   flow_q_stale_ = false;
-  reserve_alive(alive_.size());
+  reserve_alive(alive_.size() + pending_.jobs().size());
   // The heaps are derived state: both go stale, and each order's first
   // query regathers it from the restored alive set, bit-identically to
   // the donor (both orders are strict total orders).
@@ -1211,6 +1147,7 @@ void validate(const EngineState& s) {
   if (!(s.now >= 0.0) || !std::isfinite(s.now)) {
     reject("now is NaN, infinite or negative");
   }
+  if (!(s.now <= s.frontier)) reject("now is past the frontier, or NaN");
   const auto check_curve = [&](const SpeedupCurve& c) {
     if (!is_valid_speedup_curve(c)) {
       reject("a speedup curve fails is_valid_speedup_curve");
@@ -1308,7 +1245,8 @@ SimResult simulate(const Instance& instance, Scheduler& sched,
                    const std::vector<Observer*>& observers) {
   Engine engine(instance.machines(), config);
   for (Observer* obs : observers) engine.add_observer(obs);
-  VectorSource source(instance.jobs());
+  JobQueue source;
+  for (const Job& j : instance.jobs()) source.push(j);
   return engine.run(sched, source);
 }
 

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
@@ -48,15 +47,15 @@ struct EngineConfig {
   bool validate_allocations = true;
   /// Collect per-run profiling (SimResult::stats): wall time split into
   /// policy-decide / event-solver / observer buckets, the solver bucket
-  /// split into rates / advance / heap-upkeep / completion parts, plus
-  /// decision-interval and alive-count histograms (obs/run_stats.hpp).
+  /// split into rates / advance / heap-upkeep / completion / admit parts,
+  /// plus decision-interval and alive-count histograms (run_stats.hpp).
   /// Off by default — the uninstrumented hot path takes no clock
   /// readings at all.
   bool collect_stats = false;
   /// Optional registry the engine mirrors run totals into (counters
   /// engine.runs/decisions/arrivals/completions always; timers
   /// engine.decide/solver/observer and engine.solver.rates/advance/
-  /// heap_upkeep/completion when collect_stats is also set).
+  /// heap_upkeep/completion/admit when collect_stats is also set).
   /// Borrowed; must outlive run().
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional flight recorder (obs/flight_recorder.hpp): the engine
@@ -105,8 +104,8 @@ struct EngineState {
 
 /// Check a restored state before any of it reaches an engine: every
 /// alive job's phase index is in range (< max(1, phases.size())), `now`
-/// and every remaining work are finite and nonnegative, no remaining
-/// exceeds its job's size, every phase_remaining is finite and
+/// and every remaining work are finite and nonnegative, now <= frontier,
+/// no remaining exceeds its job's size, every phase_remaining is finite and
 /// nonnegative, no remaining or phase_remaining is -0.0, alive and
 /// completed ids are each unique, every alive arrival_seq lies in
 /// [0, arrival_seq), pending jobs pass check_job and are
@@ -126,14 +125,16 @@ class Engine final : public EngineView {
   /// Observers are borrowed; they must outlive run().
   void add_observer(Observer* obs);
 
-  /// Run the policy against the arrival source to completion.
+  /// Run the policy against the arrival source to completion. Throws
+  /// std::invalid_argument for a released job that fails check_job().
   SimResult run(Scheduler& sched, ArrivalSource& source);
 
   // ---- Streaming (incremental-arrival) API -------------------------------
   //
   // The serve/ layer drives the engine online: jobs are admitted as they
   // become known and time is advanced in increments. The streaming path
-  // runs the *same* decision-step arithmetic as run() — a session that
+  // is run()'s drive loop with the admitted jobs as its arrival source —
+  // the same decision steps and the same admission — so a session that
   // admits the jobs of an instance (in release order) and advances
   // arbitrarily produces a SimResult identical to the batch run, double
   // for double. The one obligation advance_to(t) imposes is that every
@@ -169,9 +170,11 @@ class Engine final : public EngineView {
   [[nodiscard]] double frontier() const { return frontier_; }
   /// True when no alive or pending jobs remain.
   [[nodiscard]] bool drained() const {
-    return alive_.empty() && pending_.empty();
+    return alive_.empty() && pending_.jobs().empty();
   }
-  [[nodiscard]] std::size_t pending_count() const { return pending_.size(); }
+  [[nodiscard]] std::size_t pending_count() const {
+    return pending_.jobs().size();
+  }
   /// Results accumulated so far (live view; totals of completed jobs only).
   [[nodiscard]] const SimResult& partial() const { return result_; }
 
@@ -222,13 +225,16 @@ class Engine final : public EngineView {
   void begin_run(Scheduler& sched);
   void finalize_run();
   SimResult take_result();
-  /// Requires reserve_alive() for the new alive count first.
-  void admit_job_now(Job j);
+  /// Observers' on_done, then finalize_run() and take_result().
+  SimResult end_run();
   /// Capacity for n alive jobs in every per-job buffer (geometric).
   void reserve_alive(std::size_t n);
+  /// The one admission path: every batch `source` releases up to
+  /// now_ + time_tol, each job checked (check_job) before any lands.
   void admit_pending(ArrivalSource& source);
-  void release_due();
-  void drain_to(double horizon);
+  /// The one drive loop (run() and the streaming API): decision steps
+  /// and idle jumps up to `horizon`, admitting from `source` after each.
+  void drain_to(ArrivalSource& source, double horizon);
   Step decision_step(double t_arrive, double horizon);
   void compute_rates(bool validate);
   /// The advance sweep: a dense step advances every job in blocks; a
@@ -267,7 +273,7 @@ class Engine final : public EngineView {
   Scheduler* sched_ = nullptr;
   bool streaming_ = false;
   double frontier_ = 0.0;
-  std::deque<Job> pending_;  // sorted by release, stable among equals
+  JobQueue pending_;  // the streaming run's arrivals, not yet due
   bool has_cached_alloc_ = false;
   Allocation cached_alloc_;
   SimResult result_;

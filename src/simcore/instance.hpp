@@ -26,7 +26,6 @@ class Instance {
   [[nodiscard]] double min_size() const { return min_size_; }
   [[nodiscard]] double max_size() const { return max_size_; }
   [[nodiscard]] double total_work() const { return total_work_; }
-  [[nodiscard]] double last_release() const { return last_release_; }
 
   /// Largest alpha over the jobs' speedup curves (Theorem 1's alpha).
   [[nodiscard]] double max_alpha() const { return max_alpha_; }
@@ -38,7 +37,6 @@ class Instance {
   double min_size_ = 1.0;
   double max_size_ = 1.0;
   double total_work_ = 0.0;
-  double last_release_ = 0.0;
   double max_alpha_ = 0.0;
 };
 

@@ -25,6 +25,17 @@ void check_job(const Job& job) {
   }
   if (job.release < 0.0) throw std::invalid_argument("negative release time");
   if (job.size <= 0.0) throw std::invalid_argument("nonpositive job size");
+  // A multi-phase job carries what normalize_phases() derives from its
+  // phases, summed in the same order.
+  double total = 0.0;
+  for (const JobPhase& p : job.phases) {
+    if (!(p.work > 0.0)) throw std::invalid_argument("nonpositive phase work");
+    total += p.work;
+  }
+  if (!job.phases.empty() &&
+      (total != job.size || !(job.curve == job.phases.front().curve))) {
+    throw std::invalid_argument("multi-phase job is not normalized");
+  }
 }
 
 Job make_phased_job(JobId id, double release, std::vector<JobPhase> phases) {

@@ -71,8 +71,10 @@ struct Job {
 };
 
 /// The admission check every job passes before it can reach an engine
-/// (Instance construction and streaming Engine::admit share it): release,
-/// size and weight must be finite, release >= 0 and size > 0. Written so
+/// (Instance construction, streaming Engine::admit and the engine's own
+/// admission of every released job share it): release, size and weight
+/// must be finite, release >= 0 and size > 0, and a multi-phase job must
+/// be normalized (normalize_phases() would change nothing). Written so
 /// that NaN fails every comparison; throws std::invalid_argument.
 void check_job(const Job& job);
 

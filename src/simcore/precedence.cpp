@@ -136,8 +136,10 @@ double PrecedenceSource::next_time(const EngineView& view) {
   return t;
 }
 
-std::vector<Job> PrecedenceSource::take(double t, const EngineView& view) {
-  std::vector<Job> out;
+std::span<const Job> PrecedenceSource::take(double t,
+                                            const EngineView& view) {
+  std::vector<Job>& out = batch_;
+  out.clear();
   const auto& nodes = dag_->nodes();
   const double tol = 1e-9 * std::max(1.0, t);
   for (std::size_t i = 0; i < nodes.size(); ++i) {

@@ -63,7 +63,7 @@ class PrecedenceSource final : public ArrivalSource {
   explicit PrecedenceSource(const DagInstance& dag);
 
   [[nodiscard]] double next_time(const EngineView& view) override;
-  std::vector<Job> take(double t, const EngineView& view) override;
+  std::span<const Job> take(double t, const EngineView& view) override;
   void reset() override;
 
  private:
@@ -72,6 +72,7 @@ class PrecedenceSource final : public ArrivalSource {
 
   const DagInstance* dag_;
   std::vector<bool> released_;
+  std::vector<Job> batch_;  // the jobs the last take() released
 };
 
 /// Convenience: run a policy on a precedence instance.

@@ -6,26 +6,32 @@
 
 namespace parsched {
 
-VectorSource::VectorSource(std::vector<Job> jobs) : jobs_(std::move(jobs)) {
-  std::stable_sort(jobs_.begin(), jobs_.end(),
-                   [](const Job& a, const Job& b) {
-                     return a.release < b.release;
-                   });
+void JobQueue::push(Job job) {
+  // In release order (the common case) the job goes at the back without
+  // a search; upper_bound would find the same position.
+  const auto it =
+      jobs_.empty() || jobs_.back().release <= job.release
+          ? jobs_.end()
+          : std::upper_bound(
+                jobs_.begin(), jobs_.end(), job.release,
+                [](double r, const Job& j) { return r < j.release; });
+  jobs_.insert(it, std::move(job));
 }
 
-double VectorSource::next_time(const EngineView& view) {
+double JobQueue::next_time(const EngineView& view) {
   (void)view;
-  return next_ < jobs_.size() ? jobs_[next_].release : kInf;
+  return jobs_.empty() ? kInf : jobs_.front().release;
 }
 
-std::vector<Job> VectorSource::take(double t, const EngineView& view) {
+std::span<const Job> JobQueue::take(double t, const EngineView& view) {
   (void)view;
-  std::vector<Job> out;
-  while (next_ < jobs_.size() && jobs_[next_].release <= t) {
-    out.push_back(jobs_[next_]);
-    ++next_;
+  part_.clear();
+  while (!jobs_.empty() && jobs_.front().release <= t &&
+         part_.size() < kPart) {
+    part_.push_back(std::move(jobs_.front()));
+    jobs_.pop_front();
   }
-  return out;
+  return part_;
 }
 
 }  // namespace parsched

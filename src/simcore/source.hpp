@@ -1,12 +1,15 @@
 // parsched — arrival sources.
 //
-// The engine pulls arrivals from an ArrivalSource. A VectorSource replays a
-// fixed Instance; an adaptive source (e.g. the Section-4 adversary in
+// The engine pulls arrivals from an ArrivalSource. A JobQueue releases a
+// fixed Instance or a streaming run's admissions; an adaptive source
+// (e.g. the Section-4 adversary in
 // src/workload/adversary.*) may decide what to release next as a function
 // of the observed engine state, which is exactly the power the paper's
 // lower-bound adversary has.
 #pragma once
 
+#include <deque>
+#include <span>
 #include <vector>
 
 #include "simcore/job.hpp"
@@ -47,26 +50,40 @@ class ArrivalSource {
   [[nodiscard]] virtual double next_time(const EngineView& view) = 0;
 
   /// Release the jobs arriving at exactly time t (which equals the last
-  /// next_time()). May return an empty vector (pure decision point), but
-  /// then the subsequent next_time() must be strictly greater than t.
-  virtual std::vector<Job> take(double t, const EngineView& view) = 0;
+  /// next_time()), normalized (Job::normalize_phases), as a view valid
+  /// until the next call on the source. A source may release them in
+  /// parts: next_time() then returns t again until the last part. May be
+  /// empty (pure decision point), but then the subsequent next_time()
+  /// must be strictly greater than t.
+  virtual std::span<const Job> take(double t, const EngineView& view) = 0;
 
   /// Restart from the beginning (for reuse across runs).
   virtual void reset() = 0;
 };
 
-/// Replays a fixed, release-sorted list of jobs.
-class VectorSource final : public ArrivalSource {
+/// Jobs queued in release order and handed out once each: a fixed
+/// instance's (simulate) or a streaming run's admissions. take() moves
+/// the due jobs out of the queue into a reused buffer, at most kPart at a
+/// time (the rest follow at the next take()), so a large release frees
+/// the queue's blocks as it goes and never needs a second buffer of its
+/// size.
+class JobQueue final : public ArrivalSource {
  public:
-  explicit VectorSource(std::vector<Job> jobs);
+  static constexpr std::size_t kPart = 4096;
+
+  /// Queue `job` behind every queued job released at or before it: O(1)
+  /// in release order, a binary search and a deque insert otherwise.
+  void push(Job job);
+  /// The jobs not yet taken, in release order.
+  [[nodiscard]] const std::deque<Job>& jobs() const { return jobs_; }
 
   [[nodiscard]] double next_time(const EngineView& view) override;
-  std::vector<Job> take(double t, const EngineView& view) override;
-  void reset() override { next_ = 0; }
+  std::span<const Job> take(double t, const EngineView& view) override;
+  void reset() override {}  // the jobs taken are gone: nothing to replay
 
  private:
-  std::vector<Job> jobs_;  // sorted by release
-  std::size_t next_ = 0;
+  std::deque<Job> jobs_;   // sorted by release, stable among equals
+  std::vector<Job> part_;  // the last take()'s jobs
 };
 
 }  // namespace parsched

@@ -34,22 +34,6 @@ inline constexpr double kEps = 1e-9;
   return a < b && !approx_eq(a, b, tol);
 }
 
-/// True when a <= b up to tolerance.
-[[nodiscard]] inline bool leq_tol(double a, double b, double tol = kEps) {
-  return a <= b || approx_eq(a, b, tol);
-}
-
-/// Clamp tiny negatives (numerical dust) to exactly zero.
-[[nodiscard]] inline double clamp_nonneg(double x, double tol = kEps) {
-  if (x < 0.0) {
-    PARSCHED_CHECK(x > -1e-6,
-                   "value is negative beyond numerical tolerance");
-    (void)tol;
-    return 0.0;
-  }
-  return x;
-}
-
 /// Size-class index of the paper's analysis: a job with remaining work
 /// w in [2^k, 2^{k+1}) is in class k; w < 1 is the special class -1.
 [[nodiscard]] inline int size_class(double remaining) {
@@ -96,13 +80,6 @@ struct AdversaryConstants {
   PARSCHED_CHECK(alpha < 1.0 && P >= 2.0,
                  "Theorem 1 envelope needs alpha < 1 and P >= 2");
   return std::pow(4.0, 1.0 / (1.0 - alpha)) * std::log2(P);
-}
-
-/// Integer power for small exponents (exact for doubles representing ints).
-[[nodiscard]] inline double ipow(double base, int exp) {
-  double out = 1.0;
-  for (int i = 0; i < exp; ++i) out *= base;
-  return out;
 }
 
 /// Round x to the nearest integer and assert it was already integral.

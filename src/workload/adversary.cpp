@@ -108,11 +108,13 @@ double AdversarySource::next_time(const EngineView& view) {
   return t;
 }
 
-std::vector<Job> AdversarySource::take(double t, const EngineView& view) {
-  std::vector<Job> out;
+std::span<const Job> AdversarySource::take(double t,
+                                           const EngineView& view) {
+  std::vector<Job>& out = batch_;
+  out.clear();
   const double tol = 1e-9 * std::max(1.0, t);
   while (!pending_.empty() && pending_.front().release <= t + tol) {
-    out.push_back(pending_.front());
+    out.push_back(std::move(pending_.front()));
     pending_.pop_front();
   }
   if (!part2_ && t >= decision_time_ - tol) {

@@ -78,7 +78,7 @@ class AdversarySource final : public ArrivalSource {
   explicit AdversarySource(const AdversaryConfig& cfg);
 
   [[nodiscard]] double next_time(const EngineView& view) override;
-  std::vector<Job> take(double t, const EngineView& view) override;
+  std::span<const Job> take(double t, const EngineView& view) override;
   void reset() override;
 
   [[nodiscard]] const AdversaryParams& params() const { return params_; }
@@ -94,6 +94,7 @@ class AdversarySource final : public ArrivalSource {
 
   // Pending scheduled arrivals for the current phase (time-sorted).
   std::deque<Job> pending_;
+  std::vector<Job> batch_;  // the jobs the last take() released
   double decision_time_ = 0.0;  ///< next midpoint; kInf once in part 2
   int current_phase_ = 0;
   bool part2_ = false;

@@ -220,6 +220,30 @@ TEST(EngineGuards, MaxDecisionsAborts) {
   EXPECT_THROW((void)simulate(inst, sched, cfg), std::runtime_error);
 }
 
+// Every admission is checked (check_job), whatever the source: run()
+// refuses what Instance construction and the streaming admit() refuse.
+TEST(EngineGuards, RunRejectsInvalidJobsFromAQueue) {
+  const double inf = std::numeric_limits<double>::infinity();
+  struct Case {
+    const char* what;
+    Job job;
+  };
+  const Case cases[] = {
+      {"NaN size", make_job(0, 0.0, std::nan(""), 0.5)},
+      {"infinite size", make_job(0, 0.0, inf, 0.5)},
+      {"negative release", make_job(0, -5.0, 1.0, 0.5)},
+  };
+  for (const Case& c : cases) {
+    JobQueue source;
+    source.push(c.job);
+    source.push(make_job(1, 0.0, 1.0, 0.5));
+    auto sched = make_scheduler("equi");
+    Engine engine(2);
+    EXPECT_THROW((void)engine.run(*sched, source), std::invalid_argument)
+        << c.what;
+  }
+}
+
 // A probing source that asserts EngineView invariants mid-run.
 class ProbeSource final : public ArrivalSource {
  public:
@@ -237,17 +261,18 @@ class ProbeSource final : public ArrivalSource {
     return static_cast<double>(released_);
   }
 
-  std::vector<Job> take(double t, const EngineView& view) override {
+  std::span<const Job> take(double t, const EngineView& view) override {
     (void)view;
-    Job j = make_job(static_cast<JobId>(released_), t, 2.0, 0.5);
-    j.tag = released_ == 0 ? JobTag{0, JobTag::Class::kShort, 0}
-                           : JobTag{1, JobTag::Class::kLong, 0};
+    batch_ = make_job(static_cast<JobId>(released_), t, 2.0, 0.5);
+    batch_.tag = released_ == 0 ? JobTag{0, JobTag::Class::kShort, 0}
+                                : JobTag{1, JobTag::Class::kLong, 0};
     ++released_;
-    return {j};
+    return {&batch_, 1};
   }
 
   void reset() override { released_ = 0; }
 
+  Job batch_;
   bool probed_ = false;
   double probe_remaining_ = -1.0;
   std::size_t probe_count_ = 99;
@@ -278,12 +303,14 @@ TEST(EngineGuards, IsCompletedFlipsAfterCompletion) {
       if (stage_ == 1) return view.is_completed(0) ? view.time() : kInf;
       return kInf;
     }
-    std::vector<Job> take(double t, const EngineView& view) override {
+    std::span<const Job> take(double t, const EngineView& view) override {
       (void)view;
       ++stage_;
-      return {make_job(static_cast<JobId>(stage_ - 1), t, 1.0, 0.5)};
+      batch_ = make_job(static_cast<JobId>(stage_ - 1), t, 1.0, 0.5);
+      return {&batch_, 1};
     }
     void reset() override { stage_ = 0; }
+    Job batch_;
     int stage_ = 0;
   };
   GateSource source;
@@ -438,6 +465,16 @@ TEST(StateValidation, RejectsAPhaseIndexPastThePhaseList) {
   EngineState single = hand_built_state({0.0, 1.5, 0.5});
   single.alive[1].phase = 1;  // a single-phase job is always in phase 0
   expect_rejected(single, "phase index out of range");
+}
+
+TEST(StateValidation, RejectsNowPastTheFrontier) {
+  // The engine never runs past its frontier; a state that did would admit
+  // pending jobs behind its own clock.
+  for (const double frontier : {0.5, std::numeric_limits<double>::quiet_NaN()}) {
+    EngineState st = hand_built_state({0.0, 1.5, 0.5});
+    st.frontier = frontier;
+    expect_rejected(st, "now is past the frontier");
+  }
 }
 
 TEST(StateValidation, RejectsNaNOrNegativeNow) {

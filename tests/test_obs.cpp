@@ -553,7 +553,39 @@ TEST(RunStats, EngineMirrorsCountersIntoRegistry) {
   EXPECT_EQ(snap.find("engine.decide")->count, 1u);
 }
 
-// The solver bucket is split into four parts that add up to it exactly,
+// A release of 10^5 jobs at once is charged to the admission bucket, so
+// the buckets of the first advance_to — which releases them and takes the
+// first decision — account for nearly all of its wall time.
+TEST(RunStats, FirstAdvanceBucketsCoverItsWallTime) {
+  constexpr std::size_t kJobs = 100'000;
+  IntermediateSrpt sched;
+  EngineConfig ec;
+  ec.collect_stats = true;
+  Engine eng(64, ec);
+  eng.begin(sched);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    eng.admit(make_job(static_cast<JobId>(i), 0.0,
+                       1.0 + static_cast<double>((i * 7919u) % 99991u) /
+                                 99991.0,
+                       0.5));
+  }
+  const double t0 = obs::monotonic_seconds();
+  eng.advance_to(0.875);  // before the first completion, at t >= 1
+  const double wall = obs::monotonic_seconds() - t0;
+  ASSERT_EQ(eng.alive_set().size(), kJobs);
+  const obs::RunStats& s = *eng.partial().stats;
+  const double buckets = s.decide_seconds + s.observer_seconds +
+                         s.rates_seconds + s.advance_seconds +
+                         s.heap_upkeep_seconds + s.completion_seconds +
+                         s.admit_seconds;
+  EXPECT_GT(s.admit_seconds, 0.0);
+  EXPECT_GE(buckets, 0.9 * wall)
+      << "decide " << s.decide_seconds << " s, admit " << s.admit_seconds
+      << " s, wall " << wall << " s";
+  EXPECT_LE(buckets, wall + 1e-6);
+}
+
+// The solver bucket is split into five parts that add up to it exactly,
 // in batch and streaming runs, and each part is mirrored as a timer.
 TEST(RunStats, SolverSplitAddsUpToSolverSeconds) {
   RandomWorkloadConfig cfg;
@@ -587,9 +619,10 @@ TEST(RunStats, SolverSplitAddsUpToSolverSeconds) {
     EXPECT_GT(s.advance_seconds, 0.0) << streamed;
     EXPECT_GE(s.heap_upkeep_seconds, 0.0) << streamed;
     EXPECT_GT(s.completion_seconds, 0.0) << streamed;
+    EXPECT_GT(s.admit_seconds, 0.0) << streamed;
     EXPECT_EQ(s.solver_seconds, s.rates_seconds + s.advance_seconds +
                                     s.heap_upkeep_seconds +
-                                    s.completion_seconds)
+                                    s.completion_seconds + s.admit_seconds)
         << streamed;
     EXPECT_LE(s.decide_seconds + s.solver_seconds + s.observer_seconds,
               s.wall_seconds + 1e-6)
@@ -597,7 +630,8 @@ TEST(RunStats, SolverSplitAddsUpToSolverSeconds) {
     const auto snap = reg.snapshot();
     for (const char* part : {"engine.solver.rates", "engine.solver.advance",
                              "engine.solver.heap_upkeep",
-                             "engine.solver.completion"}) {
+                             "engine.solver.completion",
+                             "engine.solver.admit"}) {
       ASSERT_NE(snap.find(part), nullptr) << part;
       EXPECT_EQ(snap.find(part)->count, 1u) << part;
     }

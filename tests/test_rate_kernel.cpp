@@ -5,8 +5,10 @@
 //   * rate_batch is bit-identical to the scalar SpeedupCurve::rate()
 //     loop it replaced — a pure layout change.
 //   * The alive set's view and its materialized AliveJob records match a
-//     reference vector<AliveJob> field for field under admit / advance /
-//     phase change / mass swap-remove / restore.
+//     reference vector<AliveJob> field for field under admit (Job
+//     straight into the columns) / advance / phase change / mass
+//     swap-remove / restore (the same append, then each record's
+//     progress).
 //   * Inside the engine, the view, the records observers receive and the
 //     snapshot records agree under any interleaving of admit / advance /
 //     complete / snapshot-import, and the engine's rate at each support
@@ -149,28 +151,40 @@ void expect_set_matches(const AliveSet& set, const std::vector<AliveJob>& ref,
   }
 }
 
-AliveJob random_record(Rng& rng, JobId id, std::int64_t seq) {
-  AliveJob a;
-  a.id = id;
-  a.release = rng.uniform(0.0, 4.0);
-  a.weight = rng.uniform(0.5, 2.0);
-  a.arrival_seq = seq;
-  a.tag.phase = static_cast<int>(rng.uniform_int(-1, 3));
-  a.tag.index = static_cast<std::int64_t>(id);
+/// A random arrival: single-phase, or three phases over three curve kinds.
+Job random_job(Rng& rng, JobId id) {
+  Job j;
+  j.id = id;
+  j.release = rng.uniform(0.0, 4.0);
+  j.weight = rng.uniform(0.5, 2.0);
+  j.tag.phase = static_cast<int>(rng.uniform_int(-1, 3));
+  j.tag.index = static_cast<std::int64_t>(id);
   if (rng.bernoulli(0.5)) {
-    a.curve = SpeedupCurve::power_law(rng.uniform(0.1, 0.9));
-    a.size = rng.uniform(0.5, 3.0);
-    a.phase_remaining = a.size;
+    j.curve = SpeedupCurve::power_law(rng.uniform(0.1, 0.9));
+    j.size = rng.uniform(0.5, 3.0);
   } else {
-    a.phases = {{rng.uniform(0.2, 1.0), SpeedupCurve::power_law(0.3)},
+    j.phases = {{rng.uniform(0.2, 1.0), SpeedupCurve::power_law(0.3)},
                 {rng.uniform(0.2, 1.0), SpeedupCurve::sequential()},
                 {rng.uniform(0.2, 1.0),
                  SpeedupCurve::piecewise_linear({{2.0, 1.5}, {4.0, 2.0}})}};
-    a.size = a.phases[0].work + a.phases[1].work + a.phases[2].work;
-    a.curve = a.phases[0].curve;
-    a.phase_remaining = a.phases[0].work;
+    j.normalize_phases();
   }
-  a.remaining = a.size;
+  return j;
+}
+
+/// The record of `j` as it arrives: all work left, first phase current.
+AliveJob arrival_record(const Job& j, std::int64_t seq) {
+  AliveJob a;
+  a.id = j.id;
+  a.release = j.release;
+  a.size = j.size;
+  a.remaining = j.size;
+  a.weight = j.weight;
+  a.curve = j.curve;
+  a.arrival_seq = seq;
+  a.tag = j.tag;
+  a.phases = j.phases;
+  a.phase_remaining = j.phases.empty() ? j.size : j.phases[0].work;
   return a;
 }
 
@@ -184,13 +198,13 @@ TEST(AliveSet, ViewAndRecordsMatchReferenceUnderChurn) {
     const int op = static_cast<int>(rng.uniform_int(0, 9));
     if (op <= 3 || ref.size() < 4) {
       // Admit a few jobs.
+      set.reserve(set.size() + 3);
       for (int k = 0; k < 3; ++k) {
-        const AliveJob a =
-            random_record(rng, next_id, static_cast<std::int64_t>(next_id));
+        const Job j = random_job(rng, next_id);
+        const auto seq = static_cast<std::int64_t>(next_id);
         ++next_id;
-        set.reserve(set.size() + 1);
-        set.push_back(AliveJob(a));
-        ref.push_back(a);
+        set.append(j, seq);
+        ref.push_back(arrival_record(j, seq));
       }
     } else if (op <= 5) {
       // Advance: remaining and phase_remaining drop by the same work.

@@ -2,8 +2,12 @@
 // substrate everything else stands on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <span>
+#include <vector>
 
 #include "sched/equi.hpp"
 #include "sched/intermediate_srpt.hpp"
@@ -66,6 +70,24 @@ TEST(Instance, RejectsNonFiniteJobFields) {
   EXPECT_NO_THROW(check_job(make_job(0, 0, 1, 0.5)));
 }
 
+TEST(Instance, CheckJobRequiresNormalizedPhases) {
+  // The engine admits a job's size and curve as given, so a multi-phase
+  // job must carry what normalize_phases() derives from its phases.
+  Job j = make_phased_job(0, 0.0,
+                          {{0.5, SpeedupCurve::power_law(0.5)},
+                           {1.5, SpeedupCurve::sequential()}});
+  EXPECT_NO_THROW(check_job(j));
+  Job size = j;
+  size.size = 3.0;
+  Job curve = j;
+  curve.curve = SpeedupCurve::sequential();
+  Job work = j;
+  work.phases[1].work = -1.5;
+  for (const Job& bad : {size, curve, work}) {
+    EXPECT_THROW(check_job(bad), std::invalid_argument);
+  }
+}
+
 TEST(Engine, StreamingAdmitRejectsBadJobsBeforeQueueingThem) {
   // A job that only failed when released (in advance) would already have
   // left the pending queue, and be lost without an answer. Admit checks
@@ -114,6 +136,68 @@ TEST(Engine, StreamingAdmitOutOfReleaseOrderMatchesTheBatchRun) {
   for (std::size_t i = 0; i < want.records.size(); ++i) {
     EXPECT_EQ(got.records[i].job.id, want.records[i].job.id) << i;
     EXPECT_EQ(got.records[i].completion, want.records[i].completion) << i;
+  }
+}
+
+TEST(JobQueue, HandsOutEveryJobOnceInStableReleaseOrderInParts) {
+  // Rounds of out-of-order pushes, each followed by taking what is due,
+  // over several parts' worth of jobs: every job comes out once, in a
+  // stable sort by release of everything pushed, no part exceeds kPart
+  // jobs, and jobs() holds the jobs not yet taken.
+  const Engine view(1);
+  JobQueue q;
+  std::vector<Job> all;
+  std::vector<JobId> out;
+  std::uint32_t x = 20261019;
+  const auto draw = [&x] {
+    x = x * 1103515245u + 12345u;
+    return static_cast<int>((x >> 8) % 300);
+  };
+  double floor = 0.0;
+  JobId id = 0;
+  const auto remaining = [&] {
+    std::vector<Job> want = all;
+    std::stable_sort(want.begin(), want.end(),
+                     [](const Job& a, const Job& b) {
+                       return a.release < b.release;
+                     });
+    want.erase(want.begin(), want.begin() + static_cast<long>(out.size()));
+    return want;
+  };
+  for (int round = 0; round < 12; ++round) {
+    // One round pushes in falling release order.
+    const int count = round == 5 ? 10000 : 1500;
+    for (int k = 0; k < count; ++k) {
+      const double r = round == 5 ? floor + 2.99 * (count - k) / count
+                                  : floor + 0.01 * draw();
+      Job j = make_job(id++, r, 1.0, 0.5);
+      all.push_back(j);
+      q.push(std::move(j));
+    }
+    const double t = floor + 1.5;
+    const std::vector<Job> want = remaining();
+    ASSERT_EQ(std::vector<Job>(q.jobs().begin(), q.jobs().end()), want);
+    for (double nt = q.next_time(view); nt <= t; nt = q.next_time(view)) {
+      const std::span<const Job> part = q.take(nt, view);
+      ASSERT_FALSE(part.empty());
+      ASSERT_LE(part.size(), JobQueue::kPart);
+      for (const Job& j : part) {
+        ASSERT_LE(j.release, nt);
+        out.push_back(j.id);
+      }
+    }
+    floor = t;
+  }
+  for (double nt = q.next_time(view); nt < kInf; nt = q.next_time(view)) {
+    for (const Job& j : q.take(nt, view)) out.push_back(j.id);
+  }
+  EXPECT_TRUE(q.jobs().empty());
+  std::stable_sort(all.begin(), all.end(), [](const Job& a, const Job& b) {
+    return a.release < b.release;
+  });
+  ASSERT_EQ(out.size(), all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    ASSERT_EQ(out[i], all[i].id) << i;
   }
 }
 

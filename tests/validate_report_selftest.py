@@ -33,8 +33,10 @@ def histogram(quantiles=True, torn=False, monotone=True, overflow=1):
 
 
 def run_stats(split="ok", alive_overflow=1):
-    """A RunStats object; split is "ok", "none", "partial" or "torn";
-    alive_overflow samples of the four alive counts exceed the bounds."""
+    """A RunStats object; split is "ok", "none", "partial" or "torn" (the
+    four-part split of older reports), or "ok5" or "torn5" (with the
+    admission part); alive_overflow samples of the four alive counts
+    exceed the bounds."""
     stats = {
         "wall_seconds": 0.1,
         "decide_seconds": 0.02,
@@ -55,6 +57,9 @@ def run_stats(split="ok", alive_overflow=1):
         })
     if split == "partial":
         del stats["heap_upkeep_seconds"]
+    if split in ("ok5", "torn5"):
+        stats["completion_seconds"] = 0.015
+        stats["admit_seconds"] = 0.01 if split == "ok5" else 0.02
     return stats
 
 
@@ -260,6 +265,10 @@ def main() -> int:
          bench_report(stats=run_stats("partial")), False, 1),
         ("BENCH_stats_torn_split.json",
          bench_report(stats=run_stats("torn")), False, 1),
+        ("BENCH_stats_split5.json", bench_report(stats=run_stats("ok5")),
+         False, 0),
+        ("BENCH_stats_torn_split5.json",
+         bench_report(stats=run_stats("torn5")), False, 1),
         # Histogram bounds must cover the recorded range: an overflow
         # bucket holding most samples is flagged, half of them is not.
         ("BENCH_stats_alive_overflow.json",

@@ -310,7 +310,8 @@ int cmd_trace(const Options& opt) {
     std::cout << "solver split: rates " << s.rates_seconds << "s + advance "
               << s.advance_seconds << "s + heap upkeep "
               << s.heap_upkeep_seconds << "s + completion "
-              << s.completion_seconds << "s\n";
+              << s.completion_seconds << "s + admit " << s.admit_seconds
+              << "s\n";
   }
   return 0;
 }

@@ -92,16 +92,18 @@ STATS_REQUIRED = {
     "completions": int,
 }
 
-# The four parts of solver_seconds (obs/run_stats.hpp). Optional, since
+# The parts of solver_seconds (obs/run_stats.hpp). Optional, since
 # reports written before the split lack them, but all-or-nothing, each
 # nonnegative, and adding up to solver_seconds (the engine sets
-# solver_seconds to their sum).
+# solver_seconds to their sum). The admission part came later: a report
+# without it splits solver_seconds four ways.
 SOLVER_PARTS = (
     "rates_seconds",
     "advance_seconds",
     "heap_upkeep_seconds",
     "completion_seconds",
 )
+SOLVER_LATER_PARTS = ("admit_seconds",)
 
 class Invalid(Exception):
     pass
@@ -160,10 +162,12 @@ def check_stats(stats, where: str) -> None:
         missing = [key for key in SOLVER_PARTS if key not in stats]
         if missing:
             raise Invalid(f"{where}: solver split is missing {missing}")
-        for key in SOLVER_PARTS:
+        parts = list(SOLVER_PARTS) + [
+            key for key in SOLVER_LATER_PARTS if key in stats]
+        for key in parts:
             if need(stats, key, (int, float), where) < 0:
                 raise Invalid(f"{where}: '{key}' is negative")
-        total = sum(stats[key] for key in SOLVER_PARTS)
+        total = sum(stats[key] for key in parts)
         solver = stats["solver_seconds"]
         if abs(total - solver) > 1e-9 * max(1.0, abs(solver)):
             raise Invalid(f"{where}: solver split sums to {total}, "
