@@ -376,13 +376,12 @@ Table measure_dense_equi() {
 
 // ---- Rate-kernel microbenchmark (PR 10) ---------------------------------
 //
-// Two ways of evaluating speed * Γ_i(x_i) over the alive set, timed over
-// the SoA flat arrays the engine actually feeds them:
-//   * scalar — the historic per-job loop: one SpeedupCurve::rate() call
-//     (one std::pow for power-law jobs) per element;
-//   * batch  — speedup::rate_batch, the engine's kernel (same
-//     arithmetic, flat-array layout; bit-equality with scalar is
-//     asserted inline).
+// Two ways of evaluating speed * Γ_i(x_i) over flat arrays:
+//   * scalar — the per-job loop the engine runs: one SpeedupCurve::rate()
+//     call (one std::pow for power-law jobs) per element;
+//   * batch  — speedup::rate_batch over (kind, α) arrays (same
+//     arithmetic; bit-equality with scalar is asserted inline). No
+//     engine path calls it.
 // "shared" gives every element the same (x, α), "mixed" draws distinct
 // (x, α) per element. Every element sits at x > 1, the only branch that
 // calls std::pow; an engine decision rarely has more than a few such

@@ -95,7 +95,6 @@ class InvariantAuditor final : public Observer {
   /// reuse without reset() reports stale-state violations by design.
   void reset();
 
-  [[nodiscard]] std::uint64_t violation_count() const { return count_; }
   [[nodiscard]] bool ok() const { return count_ == 0; }
   /// First max_recorded violations (parallel to the exact total count).
   [[nodiscard]] const std::vector<Violation>& violations() const {

@@ -98,9 +98,10 @@ class FlightRecorder {
   /// "drain", "dump_verb", ...).
   void dump_jsonl(std::ostream& os, std::string_view reason) const;
 
-  /// Dump to `dump_path()` via the checked fsio writers. A no-op when no
-  /// dump path is set; swallows write errors (the black box must never
-  /// turn a failure into a different failure) but returns false on them.
+  /// Dump to the path set_dump_path() armed, via the checked fsio
+  /// writers. A no-op when no dump path is set; swallows write errors
+  /// (the black box must never turn a failure into a different failure)
+  /// but returns false on them.
   bool dump_to_file(std::string_view reason) const noexcept;
 
   /// Arm automatic dumping: engine/serve failure hooks call
@@ -108,7 +109,6 @@ class FlightRecorder {
   /// concurrent record()+set_dump_path on the same recorder — configure
   /// before the run starts.
   void set_dump_path(std::string path) { dump_path_ = std::move(path); }
-  [[nodiscard]] const std::string& dump_path() const { return dump_path_; }
 
   /// Total events ever recorded (monotone; >= retained window size).
   [[nodiscard]] std::uint64_t recorded() const {

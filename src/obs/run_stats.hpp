@@ -15,7 +15,7 @@
 //   observer_seconds  time inside Observer::on_decision callbacks
 //   solver_seconds    everything else in the drive loop; at run end it
 //                     is set to the exact sum of its five parts:
-//     rates_seconds        share validation, the rate kernel, the
+//     rates_seconds        share validation, the rates Γ(share), the
 //                          dt-to-completion scan and the choice of dt
 //                          (including deferred-step resumes)
 //     advance_seconds      the advance sweep: remaining work, phase

@@ -19,8 +19,6 @@ void each_array(Set& s, F f) {
   f(s.arrival_seqs);
   f(s.phase_remaining);
   f(s.phases_left);
-  f(s.kinds);
-  f(s.alphas);
   f(s.flow_q);
   f(s.cold);
 }
@@ -65,7 +63,6 @@ void AliveSet::append(const Job& job, std::int64_t arrival_seq) {
   if (job.phases.size() > 1 && multi_phase++ == 0) {
     std::copy(remaining.begin(), remaining.end(), phase_remaining.begin());
   }
-  const std::size_t i = size();
   ids.push_back(job.id);
   releases.push_back(job.release);
   sizes.push_back(job.size);
@@ -76,11 +73,8 @@ void AliveSet::append(const Job& job, std::int64_t arrival_seq) {
                                                : job.phases.front().work);
   phases_left.push_back(static_cast<std::uint32_t>(
       job.phases.empty() ? 0 : job.phases.size() - 1));
-  kinds.push_back(0);
-  alphas.push_back(0.0);
   flow_q.push_back(0.0);
-  cold.push_back({SpeedupCurve{}, job.tag, job.phases});
-  set_curve(i, job.curve);
+  cold.push_back({job.curve, job.tag, job.phases});
 }
 
 void AliveSet::assign(std::span<const AliveJob> records) {
@@ -95,7 +89,7 @@ void AliveSet::assign(std::span<const AliveJob> records) {
     remaining[i] = a.remaining;
     phase_remaining[i] = a.phase_remaining;
     phases_left[i] -= static_cast<std::uint32_t>(a.phase);
-    set_curve(i, a.curve);
+    cold[i].curve = a.curve;
   }
 }
 
@@ -104,18 +98,12 @@ std::vector<JobPhase> AliveSet::take_phases(std::size_t i) {
   return std::move(cold[i].phases);
 }
 
-void AliveSet::set_curve(std::size_t i, SpeedupCurve curve) {
-  kinds[i] = static_cast<std::uint8_t>(curve.kind());
-  alphas[i] = curve.alpha();
-  cold[i].curve = std::move(curve);
-}
-
 void AliveSet::next_phase(std::size_t i) {
   const std::vector<JobPhase>& phases = cold[i].phases;
   const JobPhase& next = phases[phases.size() - phases_left[i]];
   --phases_left[i];
   phase_remaining[i] = next.work;
-  set_curve(i, next.curve);
+  cold[i].curve = next.curve;
 }
 
 void AliveSet::materialize(std::vector<AliveJob>& out) const {

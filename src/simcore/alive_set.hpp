@@ -3,12 +3,12 @@
 // Every per-job field the decision step reads lives once, in a flat
 // array indexed by alive position, so the rates pass, the dt-scan and
 // the advance sweep stream 8-byte elements instead of striding through
-// per-job records. Fields the step needs only when a phase ends or a job
-// completes (the full current curve, the tag, the phase list) sit in a
-// side array of cold records. Jobs enter as Jobs, straight into the
-// columns. Policies read the set through AliveView; AliveJob is the
-// materialized record form, built on demand for snapshots (EngineState)
-// and observers.
+// per-job records. Fields the step needs only to rate a share above 1
+// or a sparse support, when a phase ends or when a job completes (the
+// current curve, the tag, the phase list) sit in a side array of cold
+// records. Jobs enter as Jobs, straight into the columns. Policies read
+// the set through AliveView; AliveJob is the materialized record form,
+// built on demand for snapshots (EngineState) and observers.
 #pragma once
 
 #include <algorithm>
@@ -52,10 +52,11 @@ struct AliveJob {
   double phase_remaining = 0.0;
 };
 
-/// The per-job fields the decision step touches only when a phase ends,
-/// a job completes, or a record is materialized.
+/// The per-job fields the decision step touches only to rate a share
+/// above 1 or a sparse support, when a phase ends, a job completes, or a
+/// record is materialized.
 struct AliveCold {
-  SpeedupCurve curve;  ///< the current phase's curve
+  SpeedupCurve curve;  ///< the current phase's curve: the job's only Γ
   JobTag tag;
   std::vector<JobPhase> phases;
 };
@@ -88,10 +89,6 @@ struct AliveSet {
   /// Phases after the current one: phases.size() - 1 - phase for a
   /// multi-phase job, 0 for a single-phase one.
   std::vector<std::uint32_t> phases_left;
-  /// The rate kernel's view of the current curve (speedup/kernel.hpp):
-  /// derived from cold[i].curve by set_curve() and nowhere else.
-  std::vector<std::uint8_t> kinds;
-  std::vector<double> alphas;
   /// Engine scratch, not job state: the flow quotient 0.5*(r+r)/size of
   /// the job's remaining work r at its last sparse-sweep visit (0 until
   /// the first; absent from AliveJob). Dense steps leave it stale and the
@@ -125,8 +122,6 @@ struct AliveSet {
   /// (remaining work, phase, phase work, current curve). Requires
   /// a.phase < max(1, a.phases.size()).
   void assign(std::span<const AliveJob> records);
-  /// Job i now responds to `curve`: the one site that derives kinds/alphas.
-  void set_curve(std::size_t i, SpeedupCurve curve);
   /// Job i's current phase drained: move it to the next one (requires
   /// phases_left[i] > 0).
   void next_phase(std::size_t i);

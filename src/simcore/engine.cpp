@@ -15,7 +15,6 @@
 #include "check/contract.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
-#include "speedup/kernel.hpp"
 #include "util/env.hpp"
 #include "util/mathx.hpp"
 #include "util/ordered_sum.hpp"
@@ -23,14 +22,6 @@
 namespace parsched {
 
 namespace {
-
-/// speedup::PwlRateFn trampoline for piecewise-linear curves: the flat
-/// (kind, alpha) arrays cannot encode a knot vector, so element i
-/// delegates to its curve in the cold array `ctx` — the scalar
-/// SpeedupCurve::rate() path, hence bit-identical.
-double pwl_rate_from_cold(const void* ctx, std::size_t i, double x) {
-  return static_cast<const AliveCold*>(ctx)[i].curve.rate(x);
-}
 
 /// PARSCHED_AUDIT check of the blocked idle-flow sum: `sum`, what
 /// ordered_scaled_sum returned for acc + q[0]*dt + ... + q[count-1]*dt,
@@ -62,19 +53,14 @@ struct DenseRates {
   double p0;          ///< min phase_remaining over the jobs at rate r0
   double dt;          ///< min phase_remaining/rate over the other rates
   std::size_t nonzero;
-  /// [first_big, last_big] spans the shares left to rate_batch (> 1 or
-  /// NaN); first_big is n when there are none.
-  std::size_t first_big;
-  std::size_t last_big;
 };
 
 /// The dense rates pass over n jobs in one loop: validation and Σ of the
-/// shares, rate = speed * x for x <= 1 (every curve has Γ(x) = x there),
-/// the nonzero count and the dt-scan. Shares above 1 or NaN need the
-/// job's curve; the caller evaluates the range they span through
-/// rate_batch afterwards. Stops at the first invalid share when
-/// validating. Out of line, over locals, so the accumulators stay in
-/// registers.
+/// shares, rate = speed * Γ(x) — speed * x for x <= 1 (every curve has
+/// Γ(x) = x there), the job's own curve for a share above 1 or NaN —
+/// the nonzero count and the dt-scan. Stops at the first invalid share
+/// when validating. Out of line, over locals, so the accumulators stay
+/// in registers.
 ///
 /// The dt-scan takes min(p/r) over the jobs with a positive rate. Jobs
 /// whose rate equals r0, the first positive rate of a share <= 1,
@@ -85,7 +71,8 @@ struct DenseRates {
 /// sweep's clamps produce +0.0 and validate(EngineState) rejects -0.0).
 PARSCHED_HOT [[gnu::noinline]] DenseRates dense_rates(
     const double* __restrict__ shares, const double* __restrict__ phase_rem,
-    double* __restrict__ rate, std::size_t n, double speed, bool validate) {
+    const AliveCold* __restrict__ cold, double* __restrict__ rate,
+    std::size_t n, double speed, bool validate) {
   // r0 is fixed before the pass (a rate the loop would re-select at
   // every job costs a dependency chain through it); it is usually job 0's.
   double r0 = 0.0;
@@ -96,20 +83,11 @@ PARSCHED_HOT [[gnu::noinline]] DenseRates dense_rates(
   double p0 = kInf;
   double dt = kInf;
   std::size_t nonzero = 0;
-  std::size_t first_big = n;
-  std::size_t last_big = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const double s = shares[i];
-    if (validate && !(s >= 0.0)) {
-      return {i, sum, r0, p0, dt, nonzero, first_big, last_big};
-    }
+    if (validate && !(s >= 0.0)) return {i, sum, r0, p0, dt, nonzero};
     sum += s;
-    if (!(s <= 1.0)) {
-      first_big = std::min(first_big, i);
-      last_big = i;
-      continue;
-    }
-    const double r = speed * s;
+    const double r = s <= 1.0 ? speed * s : speed * cold[i].curve.rate(s);
     rate[i] = r;
     if (r > 0.0) {
       ++nonzero;
@@ -120,7 +98,7 @@ PARSCHED_HOT [[gnu::noinline]] DenseRates dense_rates(
       }
     }
   }
-  return {n, sum, r0, p0, dt, nonzero, first_big, last_big};
+  return {n, sum, r0, p0, dt, nonzero};
 }
 
 /// min(p[0], ..., p[n-1]), or kInf when n == 0: the dt-scan of a uniform
@@ -317,14 +295,6 @@ double Engine::remaining_tagged(JobTag::Class cls, int phase) const {
   return total;
 }
 
-std::size_t Engine::alive_tagged(JobTag::Class cls, int phase) const {
-  std::size_t n = 0;
-  for (const AliveCold& c : alive_.cold) {
-    if (c.tag.cls == cls && (phase < 0 || c.tag.phase == phase)) ++n;
-  }
-  return n;
-}
-
 void Engine::begin_run(Scheduler& sched) {
   sched_ = &sched;
   sched.reset();
@@ -471,9 +441,11 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
   //     scalar; no share is read and no rate is written, and the dt-scan
   //     reads only the jobs the last dense sweep did not (swept_low_);
   //   * dense — the support is [0, n): all three in one pass
-  //     (dense_rates); only shares above 1 reach the kernel;
+  //     (dense_rates); only shares above 1 read the job's curve;
   //   * sparse — a small share of the jobs (Allocation::sort_support):
-  //     the kernel once per job.
+  //     each job's curve, in the dt-scan's loop.
+  // Every rate is speed * Γ(share) through the job's SpeedupCurve; the
+  // dense pass writes speed * share without the call for a share <= 1.
   // The rate scratch is reserved at admission, so nothing here allocates
   // — the AllocGuard fence around this call stays armed. The dt-scans
   // read each job's phase work: `remaining` itself while no alive job has
@@ -501,13 +473,6 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
   // The uniform arm reads no share, so a fill()'s stay unwritten.
   const std::span<const double> shares =
       rates_uniform_ ? std::span<const double>() : alloc.shares();
-  // speed·Γ(share) of jobs [i, i + len) into out, through the kernel
-  // (the scalar SpeedupCurve::rate() arithmetic, whatever the curve kind).
-  const auto kernel_rates = [&](std::size_t i, std::size_t len, double* out) {
-    speedup::rate_batch({&alive_.kinds[i], len}, {&alive_.alphas[i], len},
-                        shares.subspan(i, len), cfg_.speed, {out, len},
-                        {&pwl_rate_from_cold, &alive_.cold[i]});
-  };
   double dt_complete = kInf;
   std::size_t nonzero = 0;
   if (rates_uniform_) {
@@ -531,24 +496,13 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
     }
   } else if (alloc.dense()) {
     rates_.resize(n);
-    const DenseRates d = dense_rates(shares.data(), phase_rem, rates_.data(),
-                                     n, cfg_.speed, validate);
+    const DenseRates d =
+        dense_rates(shares.data(), phase_rem, alive_.cold.data(),
+                    rates_.data(), n, cfg_.speed, validate);
     if (d.bad < n) throw_negative();
     check_sum(d.sum);
     dt_complete = d.dt;
     nonzero = d.nonzero;
-    if (d.first_big < n) {
-      // One kernel call over the span of the shares above 1; the shares
-      // <= 1 inside it get the rates the pass already wrote, bit for bit.
-      kernel_rates(d.first_big, d.last_big + 1 - d.first_big,
-                   &rates_[d.first_big]);
-      for (std::size_t i = d.first_big; i <= d.last_big; ++i) {
-        if (!(shares[i] <= 1.0) && rates_[i] > 0.0) {
-          ++nonzero;
-          dt_complete = std::min(dt_complete, phase_rem[i] / rates_[i]);
-        }
-      }
-    }
     if (d.r0 > 0.0) dt_complete = std::min(dt_complete, d.p0 / d.r0);
   } else {
     const std::size_t k = sup.size();
@@ -559,13 +513,15 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
     }
     check_sum(sum);
     rates_.resize(k);
-    for (std::size_t j = 0; j < k; ++j) kernel_rates(sup[j], 1, &rates_[j]);
     // The end of the current *phase* is the next per-job event (for a
     // single-phase job that is its completion).
     for (std::size_t j = 0; j < k; ++j) {
-      if (rates_[j] > 0.0) {
+      const std::size_t i = sup[j];
+      const double r = cfg_.speed * alive_.cold[i].curve.rate(shares[i]);
+      rates_[j] = r;
+      if (r > 0.0) {
         ++nonzero;
-        dt_complete = std::min(dt_complete, phase_rem[sup[j]] / rates_[j]);
+        dt_complete = std::min(dt_complete, phase_rem[i] / r);
       }
     }
   }
@@ -604,20 +560,11 @@ void Engine::lap(double& bucket) {
   AliveSet& s = alive_;
   const double size = s.sizes[i];
   const double before = s.remaining[i];
-  double after;
+  const double after = std::max(0.0, before - r * dt);
   // The phase work is kept only while some job has several phases (see
   // AliveSet::phase_remaining).
-  const bool phased = s.multi_phase > 0;
-  if (r != 0.0) {  // lint: float-eq-ok
-    after = std::max(0.0, before - r * dt);
-    if (phased) {
-      s.phase_remaining[i] = std::max(0.0, s.phase_remaining[i] - r * dt);
-    }
-  } else {
-    // First visit at rate 0 (admission / restore): same arithmetic as
-    // the r != 0 arm with the r*dt terms — exactly 0.0 here — elided.
-    after = std::max(0.0, before);
-    if (phased) s.phase_remaining[i] = std::max(0.0, s.phase_remaining[i]);
+  if (s.multi_phase > 0) {
+    s.phase_remaining[i] = std::max(0.0, s.phase_remaining[i] - r * dt);
   }
   ff += 0.5 * (before + after) / size * dt;
   s.remaining[i] = after;

@@ -197,8 +197,6 @@ class Engine final : public EngineView {
   }
   [[nodiscard]] double remaining_tagged(JobTag::Class cls,
                                         int phase) const override;
-  [[nodiscard]] std::size_t alive_tagged(JobTag::Class cls,
-                                         int phase) const override;
   [[nodiscard]] bool is_completed(JobId id) const override {
     return completed_.count(id) > 0;
   }

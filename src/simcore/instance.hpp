@@ -23,8 +23,6 @@ class Instance {
   /// (with the normalization min size = 1, simply the max size).
   [[nodiscard]] double P() const { return p_ratio_; }
 
-  [[nodiscard]] double min_size() const { return min_size_; }
-  [[nodiscard]] double max_size() const { return max_size_; }
   [[nodiscard]] double total_work() const { return total_work_; }
 
   /// Largest alpha over the jobs' speedup curves (Theorem 1's alpha).

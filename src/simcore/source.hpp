@@ -31,10 +31,6 @@ class EngineView {
   [[nodiscard]] virtual double remaining_tagged(JobTag::Class cls,
                                                 int phase) const = 0;
 
-  /// Number of alive jobs with the given tag class and phase.
-  [[nodiscard]] virtual std::size_t alive_tagged(JobTag::Class cls,
-                                                 int phase) const = 0;
-
   /// True once the job has been completed by the running schedule. Used
   /// by precedence-constrained sources to release successors.
   [[nodiscard]] virtual bool is_completed(JobId id) const = 0;

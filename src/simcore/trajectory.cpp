@@ -39,16 +39,6 @@ double TrajectoryRecorder::remaining_at(JobId id, double t) const {
   return jt.remaining.value(t);
 }
 
-std::vector<double> TrajectoryRecorder::all_times() const {
-  std::vector<double> out;
-  for (const auto& [id, jt] : traj_) {
-    (void)id;
-    out.insert(out.end(), jt.remaining.times().begin(),
-               jt.remaining.times().end());
-  }
-  return out;
-}
-
 void CountTracker::record(double t) {
   count_.append(t, static_cast<double>(alive_));
 }

@@ -38,9 +38,6 @@ class TrajectoryRecorder final : public Observer {
   /// completion).
   [[nodiscard]] double remaining_at(JobId id, double t) const;
 
-  /// All knot times across all trajectories (unsorted, with duplicates).
-  [[nodiscard]] std::vector<double> all_times() const;
-
  private:
   std::unordered_map<JobId, JobTrajectory> traj_;
 };

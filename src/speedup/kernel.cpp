@@ -8,8 +8,8 @@
 namespace parsched::speedup {
 
 // The flat kind bytes are the numeric values of SpeedupCurve::Kind —
-// the engine's SoA sync writes static_cast<uint8_t>(curve.kind()), and
-// the dispatch below depends on the correspondence never drifting.
+// callers write static_cast<uint8_t>(curve.kind()), and the dispatch
+// below depends on the correspondence never drifting.
 static_assert(kKindFullyParallel ==
               static_cast<std::uint8_t>(SpeedupCurve::Kind::kFullyParallel));
 static_assert(kKindSequential ==

@@ -1,23 +1,20 @@
 // parsched — batched speedup-rate evaluation over flat (kind, α) arrays.
 //
-// The engine's fused validation+rates pass historically evaluated
-// Γ_j(x_j) through a SpeedupCurve value stored inside each AliveJob: one
-// out-of-line SpeedupCurve::rate() call per alive job per decision. With
-// the alive set stored as structure-of-arrays (simcore/alive_set.hpp's
-// AliveSet), the per-decision rate evaluation becomes one rate_batch call
-// over four dense arrays. Per element it runs exactly the scalar
-// arithmetic of SpeedupCurve::rate() (same branch structure, same
-// std::pow call), so its output is bit-identical to the historic per-job
-// loop: a pure layout change.
+// Per element rate_batch runs exactly the scalar arithmetic of
+// SpeedupCurve::rate() (same branch structure, same std::pow call), so
+// its output is bit-identical to a per-job rate() loop. It measured no
+// faster than that loop (E11's rate_kernel table), and no engine path
+// calls it: the engine rates each job through its own SpeedupCurve. Its
+// remaining users are perfbench's rate replay, E11's rate_kernel table
+// and tests/test_rate_kernel.cpp.
 //
 // Only power-law elements with x > 1 reach std::pow. A feasible
 // allocation has Σ x_j ≤ m, so fewer than m jobs per decision can hold
 // x > 1 — on the E1b/E2b grids about 1.2 pow calls per decision out of
 // ~20 rate elements, and none at all on the dense n = 10⁶ workloads.
 //
-// The kernel is allocation-free over caller-owned spans — safe inside
-// the engine's AllocGuard fences — and multiplies by the engine speed in
-// the same `speed * Γ(x)` expression the scalar path used.
+// The kernel is allocation-free over caller-owned spans and multiplies
+// by the speed in the same `speed * Γ(x)` expression as the engine.
 #pragma once
 
 #include <cstddef>

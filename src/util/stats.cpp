@@ -44,8 +44,6 @@ double RunningStats::variance() const {
   return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
 }
 
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 double RunningStats::min() const { return n_ ? min_ : 0.0; }
 
 double RunningStats::max() const { return n_ ? max_ : 0.0; }

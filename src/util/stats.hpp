@@ -20,7 +20,6 @@ class RunningStats {
   [[nodiscard]] std::size_t count() const { return n_; }
   [[nodiscard]] double mean() const;
   [[nodiscard]] double variance() const;  ///< sample variance (n-1)
-  [[nodiscard]] double stddev() const;
   [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
 

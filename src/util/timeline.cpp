@@ -43,14 +43,6 @@ double StepFunction::integrate(double a, double b) const {
   return total;
 }
 
-double StepFunction::front_time() const {
-  return times_.empty() ? 0.0 : times_.front();
-}
-
-double StepFunction::back_time() const {
-  return times_.empty() ? 0.0 : times_.back();
-}
-
 void PiecewiseLinear::append(double t, double value) {
   if (!times_.empty()) {
     PARSCHED_CHECK(t >= times_.back(),
@@ -114,14 +106,6 @@ double PiecewiseLinear::integrate(double a, double b) const {
     total += values_.back() * (b - lo);
   }
   return total;
-}
-
-double PiecewiseLinear::front_time() const {
-  return times_.empty() ? 0.0 : times_.front();
-}
-
-double PiecewiseLinear::back_time() const {
-  return times_.empty() ? 0.0 : times_.back();
 }
 
 std::vector<double> merged_breakpoints(

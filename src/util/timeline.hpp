@@ -32,10 +32,6 @@ class StepFunction {
   /// Exact integral over [a, b].
   [[nodiscard]] double integrate(double a, double b) const;
 
-  /// Earliest/latest breakpoint time (empty -> 0).
-  [[nodiscard]] double front_time() const;
-  [[nodiscard]] double back_time() const;
-
   [[nodiscard]] const std::vector<double>& times() const { return times_; }
   [[nodiscard]] const std::vector<double>& values() const { return values_; }
 
@@ -60,9 +56,6 @@ class PiecewiseLinear {
 
   /// Exact integral over [a, b].
   [[nodiscard]] double integrate(double a, double b) const;
-
-  [[nodiscard]] double front_time() const;
-  [[nodiscard]] double back_time() const;
 
   [[nodiscard]] const std::vector<double>& times() const { return times_; }
   [[nodiscard]] const std::vector<double>& values() const { return values_; }

@@ -253,7 +253,6 @@ class ProbeSource final : public ArrivalSource {
       if (view.alive_count() == 2) {
         probed_ = true;
         probe_remaining_ = view.remaining_tagged(JobTag::Class::kShort, 0);
-        probe_count_ = view.alive_tagged(JobTag::Class::kLong, -1);
         completed_before_ = view.is_completed(0);
       }
       return kInf;
@@ -275,7 +274,6 @@ class ProbeSource final : public ArrivalSource {
   Job batch_;
   bool probed_ = false;
   double probe_remaining_ = -1.0;
-  std::size_t probe_count_ = 99;
   bool completed_before_ = true;
   int released_ = 0;
 };
@@ -290,7 +288,6 @@ TEST(EngineGuards, EngineViewQueriesAreConsistent) {
   // Both jobs alive when probed: the short-tagged one has <= 2.0 left.
   EXPECT_GT(source.probe_remaining_, 0.0);
   EXPECT_LE(source.probe_remaining_, 2.0);
-  EXPECT_EQ(source.probe_count_, 1u);      // one long-tagged job, any phase
   EXPECT_FALSE(source.completed_before_);  // job 0 not done at probe time
 }
 

@@ -1,9 +1,10 @@
-// Tests for src/speedup/kernel.hpp — the batched rate kernel — and the
-// engine's alive set (simcore/alive_set.hpp) that feeds it.
+// Tests for src/speedup/kernel.hpp — the batched rate kernel — and for
+// the engine's alive set (simcore/alive_set.hpp) and the rates the engine
+// computes from its curves.
 //
 // The contract under test, layer by layer:
 //   * rate_batch is bit-identical to the scalar SpeedupCurve::rate()
-//     loop it replaced — a pure layout change.
+//     loop (no engine path calls it).
 //   * The alive set's view and its materialized AliveJob records match a
 //     reference vector<AliveJob> field for field under admit (Job
 //     straight into the columns) / advance / phase change / mass
@@ -12,7 +13,9 @@
 //   * Inside the engine, the view, the records observers receive and the
 //     snapshot records agree under any interleaving of admit / advance /
 //     complete / snapshot-import, and the engine's rate at each support
-//     position of the cached decision is Γ(share), uniform ones included.
+//     position of the cached decision is Γ(share), uniform ones included;
+//     a dense decision's shares above 1 are rated through each job's own
+//     curve, and its dt is the serial min of phase work / rate.
 
 #include <gtest/gtest.h>
 
@@ -142,10 +145,6 @@ void expect_set_matches(const AliveSet& set, const std::vector<AliveJob>& ref,
     EXPECT_EQ(bits(view.weight(i)), bits(want.weight)) << where;
     EXPECT_EQ(view.arrival_seq(i), want.arrival_seq) << where;
     EXPECT_EQ(view.curve(i), want.curve) << where;
-    // The rate kernel's (kind, alpha) follow the current curve.
-    EXPECT_EQ(set.kinds[i], static_cast<std::uint8_t>(want.curve.kind()))
-        << where;
-    EXPECT_EQ(bits(set.alphas[i]), bits(want.curve.alpha())) << where;
     expect_same_job(records[i], want, where + " materialized");
     expect_same_job(refreshed[i], want, where + " refreshed");
   }
@@ -334,8 +333,8 @@ Job random_job(Rng& rng, JobId id, double release) {
       j.curve = SpeedupCurve::piecewise_linear({{2.0, 1.5}, {4.0, 2.0}});
       break;
     default:
-      // Multi-phase: the phase switch rewrites the live curve and the
-      // rate kernel's (kind, alpha) with it (AliveSet::set_curve).
+      // Multi-phase: the phase switch rewrites the live curve, which
+      // the engine rates the job through from then on.
       return make_phased_job(
           id, release,
           {{rng.uniform(0.2, 1.0), SpeedupCurve::power_law(0.3)},
@@ -456,6 +455,121 @@ TEST(EngineAliveSetRates, SparseSupportRatesUseEachJobsOwnCurve) {
   EXPECT_EQ(st.cached_alloc.support()[0], 9u);
   ASSERT_EQ(eng.support_rate_count(), 1u);
   EXPECT_EQ(eng.support_rate(0), 1.75);
+}
+
+/// Grants each alive job the share listed under its id, recording the
+/// time of every decision.
+class FixedShares final : public Scheduler {
+ public:
+  explicit FixedShares(std::vector<double> by_id) : by_id_(std::move(by_id)) {}
+  [[nodiscard]] std::string name() const override { return "fixed-shares"; }
+  void allocate(const SchedulerContext& ctx, Allocation& out) override {
+    times.push_back(ctx.time());
+    const AliveView alive = ctx.alive();
+    out.reset(alive.size());
+    for (std::size_t i = 0; i < alive.size(); ++i) {
+      const double s = by_id_[static_cast<std::size_t>(alive.id(i))];
+      if (s != 0.0) out.grant(i, s);  // lint: float-eq-ok
+    }
+  }
+  std::vector<double> times;
+
+ private:
+  std::vector<double> by_id_;
+};
+
+/// The engine's deferred decision is dense and not uniform; each of its
+/// rates is speed * Γ(share) through the job's current curve, bit for
+/// bit. Returns the serial min of phase work / rate over the positive
+/// rates: the step's dt.
+double expect_dense_rates(const Engine& eng, double speed) {
+  const EngineState st = eng.export_state();
+  EXPECT_TRUE(st.has_cached_alloc);
+  EXPECT_TRUE(st.cached_alloc.dense());
+  EXPECT_FALSE(st.cached_alloc.uniform());
+  const std::span<const double> shares = st.cached_alloc.shares();
+  EXPECT_EQ(eng.support_rate_count(), st.alive.size());
+  double dt = kInf;
+  for (std::size_t i = 0; i < std::min(st.alive.size(),
+                                       eng.support_rate_count());
+       ++i) {
+    const AliveJob& a = st.alive[i];
+    const double want = speed * a.curve.rate(shares[i]);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(eng.support_rate(i)),
+              std::bit_cast<std::uint64_t>(want))
+        << "job " << a.id << " share " << shares[i];
+    if (want > 0.0) dt = std::min(dt, a.phase_remaining / want);
+  }
+  return dt;
+}
+
+TEST(EngineAliveSetRates, DenseDecisionRatesBigSharesThroughEachJobsCurve) {
+  // Ten jobs, nine with a share: a support far above n/8, so the decision
+  // stays dense. Every curve kind holds a share <= 1 and one above 1. Job
+  // 0's share 1 fixes r0 = speed, which the sequential job at share 3
+  // also runs at; it has the least work, so its p0/r0 is the second
+  // decision's dt. Job 8 runs its fully parallel first phase at share 3;
+  // that phase ends first, and the next decision rates the job's
+  // piecewise-linear second phase at share 3.
+  const double speed = 1.25;
+  const SpeedupCurve pwl =
+      SpeedupCurve::piecewise_linear({{2.0, 1.5}, {4.0, 1.75}});
+  const std::vector<std::pair<SpeedupCurve, double>> single = {
+      {SpeedupCurve::sequential(), 1.0},
+      {SpeedupCurve::fully_parallel(), 0.5},
+      {SpeedupCurve::fully_parallel(), 2.5},
+      {SpeedupCurve::sequential(), 3.0},
+      {SpeedupCurve::power_law(0.5), 0.25},
+      {SpeedupCurve::power_law(0.5), 4.0},
+      {pwl, 0.75},
+      {pwl, 3.0},
+  };
+  EngineConfig cfg;
+  cfg.speed = speed;
+  Engine eng(20, cfg);
+  std::vector<double> shares;
+  for (const auto& [curve, share] : single) shares.push_back(share);
+  shares.push_back(3.0);  // job 8, multi-phase
+  shares.push_back(0.0);  // job 9, idle
+  FixedShares sched(shares);
+  eng.begin(sched);
+  for (std::size_t id = 0; id < single.size(); ++id) {
+    Job j;
+    j.id = static_cast<JobId>(id);
+    j.size = id == 3 ? 0.5 : 2.0 + 0.5 * static_cast<double>(id);
+    j.curve = single[id].first;
+    eng.admit(j);
+  }
+  eng.admit(make_phased_job(
+      8, 0.0,
+      {{0.05, SpeedupCurve::fully_parallel()},
+       {4.0, SpeedupCurve::piecewise_linear({{2.0, 1.5}, {4.0, 2.0}})}}));
+  Job idle;
+  idle.id = 9;
+  idle.size = 1.0;
+  idle.curve = SpeedupCurve::power_law(0.7);
+  eng.admit(idle);
+
+  eng.advance_to(0.0);  // the first decision defers: its dt is positive
+  const double dt1 = expect_dense_rates(eng, speed);
+  ASSERT_EQ(sched.times.size(), 1u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(dt1),
+            std::bit_cast<std::uint64_t>(0.05 / (3.0 * speed)));
+  eng.advance_to(dt1);  // job 8's first phase ends: the next decision
+  ASSERT_EQ(sched.times.size(), 2u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sched.times[1]),
+            std::bit_cast<std::uint64_t>(dt1));
+  const EngineState st = eng.export_state();
+  ASSERT_EQ(st.alive.size(), 10u);
+  EXPECT_EQ(st.alive[8].phase, 1u);
+  EXPECT_EQ(st.alive[8].curve.kind(), SpeedupCurve::Kind::kPiecewiseLinear);
+  const double dt2 = expect_dense_rates(eng, speed);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(dt2),
+            std::bit_cast<std::uint64_t>(st.alive[3].remaining / speed));
+  eng.advance_to(dt1 + dt2);
+  ASSERT_EQ(sched.times.size(), 3u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sched.times[2]),
+            std::bit_cast<std::uint64_t>(dt1 + dt2));
 }
 
 }  // namespace
