@@ -11,10 +11,10 @@
 // the decide/solver/observer per-phase buckets — plus a
 // "parallel_speedup" table measuring the exec::SweepRunner substrate:
 // the same sharded sweep workload at jobs = 1/2/4/8 with wall time,
-// merge overhead, pool idle fraction, steal counts, and a bit-exact
-// total-flow equality check across job counts (the determinism
-// contract, enforced inline). Pass --benchmark_filter=NONE to emit the
-// report without the (slow) microbenchmark sweep.
+// merge overhead, pool idle fraction, and a bit-exact total-flow
+// equality check across job counts (the determinism contract, enforced
+// inline). Pass --benchmark_filter=NONE to emit the report without the
+// (slow) microbenchmark sweep.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -153,12 +153,12 @@ double sweep_task_flow(const exec::TaskContext& ctx) {
 }
 
 // Run the sweep at jobs = 1/2/4/8 and tabulate wall time, speedup vs the
-// serial run, merge overhead, pool idle fraction, and steals. The exact
+// serial run, merge overhead, and pool idle fraction. The exact
 // total-flow equality across job counts is checked inline — a reseeding
 // or merge-order bug aborts the bench rather than shipping wrong rows.
 Table measure_parallel_speedup() {
   Table sp({"jobs", "tasks", "wall_seconds", "speedup_vs_j1",
-            "merge_seconds", "idle_fraction", "steals", "total_flow"},
+            "merge_seconds", "idle_fraction", "total_flow"},
            6);
   double wall_j1 = 0.0;
   double flow_j1 = 0.0;
@@ -182,8 +182,7 @@ Table measure_parallel_speedup() {
         st.wall_seconds > 0.0 ? wall_j1 / st.wall_seconds : 0.0;
     sp.add_row({static_cast<std::int64_t>(j),
                 static_cast<std::int64_t>(kSweepTasks), st.wall_seconds,
-                speedup, st.merge_seconds, st.idle_fraction(),
-                static_cast<std::int64_t>(st.steals), total});
+                speedup, st.merge_seconds, st.idle_fraction(), total});
   }
   return sp;
 }

@@ -16,7 +16,6 @@
 //
 //   ContractPolicy::kThrow  (default)  throw ContractViolation
 //   ContractPolicy::kLog               record + write to stderr, continue
-//   ContractPolicy::kAbort             write to stderr and std::abort()
 //
 // Every failure increments process-wide atomic counters (see
 // contract_stats()) regardless of policy, so harnesses can assert "no
@@ -30,7 +29,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -48,7 +46,6 @@ class ContractViolation : public std::logic_error {
 enum class ContractPolicy : int {
   kThrow = 0,  ///< throw ContractViolation (default)
   kLog = 1,    ///< count + log to stderr, then continue
-  kAbort = 2,  ///< print to stderr and abort()
 };
 
 namespace check_detail {
@@ -88,8 +85,8 @@ inline ContractPolicy set_contract_policy(ContractPolicy p) {
       static_cast<int>(p), std::memory_order_relaxed));
 }
 
-/// RAII guard: swap the failure policy for a scope (tests of the kLog /
-/// kAbort paths, harnesses that prefer logging over exceptions).
+/// RAII guard: swap the failure policy for a scope (tests of the kLog
+/// path, harnesses that prefer logging over exceptions).
 class ScopedContractPolicy {
  public:
   explicit ScopedContractPolicy(ContractPolicy p)
@@ -103,12 +100,6 @@ class ScopedContractPolicy {
 };
 
 namespace check_detail {
-
-[[noreturn]] inline void abort_with(const std::string& msg) {
-  std::fprintf(stderr, "%s\n", msg.c_str());
-  std::fflush(stderr);
-  std::abort();
-}
 
 /// Slow path of a failed check. Not [[noreturn]]: kLog continues.
 inline void fail(const char* kind, const char* expr, const char* file,
@@ -129,8 +120,6 @@ inline void fail(const char* kind, const char* expr, const char* file,
       std::fprintf(stderr, "%s\n", msg.c_str());
       std::fflush(stderr);
       return;
-    case ContractPolicy::kAbort:
-      abort_with(msg);
   }
 }
 

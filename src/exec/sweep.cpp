@@ -81,9 +81,6 @@ void SweepRunner::run_tasks(
     if (const auto* idle = pool_snap.find("exec.pool.idle")) {
       stats_.pool_idle_seconds = idle->value;
     }
-    if (const auto* steals = pool_snap.find("exec.pool.steals")) {
-      stats_.steals = static_cast<std::uint64_t>(steals->value);
-    }
     std::exception_ptr first_error;
     for (auto& f : futures) {
       try {

@@ -1,10 +1,10 @@
 // parsched — sharded parameter sweeps with a determinism contract.
 //
 // A sweep is N independent simulation tasks indexed 0..N-1. SweepRunner
-// runs them on a work-stealing ThreadPool (exec/thread_pool.hpp) and
-// merges the results back **in task-index order**, so every table row,
-// CSV byte, and BENCH_*.json report an experiment emits is identical at
-// any job count. The contract, relied on by tests/test_exec.cpp and the
+// runs them on a ThreadPool (exec/thread_pool.hpp) and merges the
+// results back **in task-index order**, so every table row, CSV byte,
+// and BENCH_*.json report an experiment emits is identical at any job
+// count. The contract, relied on by tests/test_exec.cpp and the
 // CI artifact-diff step:
 //
 //   same base seed  =>  same artifact bytes, for any --jobs value.
@@ -31,8 +31,8 @@
 //   });
 //   for (auto& r : rows) table.add_row(r);   // index order, stable bytes
 //
-// last_stats() reports wall/merge/task seconds, pool idle time and steal
-// counts — the numbers behind E11's parallel-speedup table.
+// last_stats() reports wall/merge/task seconds and pool idle time — the
+// numbers behind E11's parallel-speedup table.
 #pragma once
 
 #include <cstdint>
@@ -76,7 +76,6 @@ struct SweepStats {
   double task_seconds = 0.0;       ///< summed per-task wall time
   double merge_seconds = 0.0;      ///< registry merge + result assembly
   double pool_idle_seconds = 0.0;  ///< summed worker wait time
-  std::uint64_t steals = 0;        ///< tasks obtained by work stealing
 
   /// Fraction of worker capacity spent idle: idle / (jobs * wall).
   [[nodiscard]] double idle_fraction() const {

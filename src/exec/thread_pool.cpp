@@ -5,203 +5,85 @@
 
 namespace parsched::exec {
 
-namespace {
-
-// Identity of the current worker thread, for nested submission: tasks
-// submitted from inside a pool push onto the submitting worker's own
-// deque instead of round-robining through the front door.
-thread_local ThreadPool* tl_pool = nullptr;
-thread_local std::size_t tl_index = 0;
-
-// Cheap xorshift for randomized victim selection during stealing. Seeded
-// per worker; steal order does not affect results (tasks are independent
-// and merged by index), only contention.
-std::uint64_t xorshift(std::uint64_t& s) {
-  s ^= s << 13;
-  s ^= s >> 7;
-  s ^= s << 17;
-  return s;
-}
-
-}  // namespace
-
 int ThreadPool::hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-ThreadPool::ThreadPool(Config cfg) : metrics_(cfg.metrics) {
+ThreadPool::ThreadPool(Config cfg) {
   const int n = cfg.threads > 0 ? cfg.threads : hardware_threads();
-  if (metrics_ != nullptr) {
-    tasks_counter_ = &metrics_->counter("exec.pool.tasks");
-    steals_counter_ = &metrics_->counter("exec.pool.steals");
-    idle_timer_ = &metrics_->timer("exec.pool.idle");
-    metrics_->gauge("exec.pool.threads").set(static_cast<double>(n));
+  if (cfg.metrics != nullptr) {
+    tasks_counter_ = &cfg.metrics->counter("exec.pool.tasks");
+    idle_timer_ = &cfg.metrics->timer("exec.pool.idle");
+    cfg.metrics->gauge("exec.pool.threads").set(static_cast<double>(n));
   }
   workers_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  // Start threads only after the worker array is complete: stealing scans
-  // the whole array.
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
-    workers_[i]->thread = std::thread([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
-ThreadPool::~ThreadPool() { shutdown(true); }
+ThreadPool::~ThreadPool() { shutdown(); }
 
 void ThreadPool::enqueue(std::function<void()> task) {
-  std::size_t target;
-  if (tl_pool == this) {
-    target = tl_index;  // nested task: stay on the submitting worker
-  } else {
-    target = next_worker_.fetch_add(1, std::memory_order_relaxed) %
-             workers_.size();
-  }
   {
-    // The push must become visible before the epoch bump, and both must
-    // be ordered against shutdown's accepting_ flip — otherwise a worker
-    // can consume the epoch increment before the task lands (lost
-    // wakeup), or a racing non-draining shutdown can clear the deques
-    // before this push arrives (stranded outstanding_ count). Holding
-    // wake_mu_ across check + push + bump closes both windows.
-    std::lock_guard<std::mutex> lk(wake_mu_);
+    std::lock_guard<std::mutex> lk(mu_);
     if (!accepting_) {
       throw std::runtime_error("ThreadPool::submit after shutdown");
     }
-    {
-      std::lock_guard<std::mutex> wlk(workers_[target]->mu);
-      workers_[target]->deque.push_back(std::move(task));
-    }
-    outstanding_.fetch_add(1, std::memory_order_relaxed);
-    ++epoch_;
+    queue_.push_back(std::move(task));
+    ++outstanding_;
   }
   if (tasks_counter_ != nullptr) tasks_counter_->inc();
-  wake_cv_.notify_one();
+  work_cv_.notify_one();
 }
 
-bool ThreadPool::try_get_task(std::size_t self,
-                              std::function<void()>& out) {
-  {  // Own deque first, LIFO end: nested work runs depth-first.
-    Worker& w = *workers_[self];
-    std::lock_guard<std::mutex> lk(w.mu);
-    if (!w.deque.empty()) {
-      out = std::move(w.deque.back());
-      w.deque.pop_back();
-      return true;
-    }
-  }
-  // Steal from a random victim's FIFO end.
-  thread_local std::uint64_t steal_state = 0;
-  if (steal_state == 0) {
-    steal_state = 0x9e3779b97f4a7c15ULL ^ (self + 1);
-  }
-  const std::size_t n = workers_.size();
-  const std::size_t start = static_cast<std::size_t>(xorshift(steal_state));
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t victim = (start + k) % n;
-    if (victim == self) continue;
-    Worker& w = *workers_[victim];
-    std::lock_guard<std::mutex> lk(w.mu);
-    if (!w.deque.empty()) {
-      out = std::move(w.deque.front());
-      w.deque.pop_front();
-      if (steals_counter_ != nullptr) steals_counter_->inc();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::finish_task() {
-  if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last task out: wake wait_idle()/shutdown(). The lock pairs with
-    // their check-then-wait so the notify cannot be lost.
-    std::lock_guard<std::mutex> lk(wake_mu_);
-    idle_cv_.notify_all();
-  }
-}
-
-void ThreadPool::worker_loop(std::size_t self) {
-  tl_pool = this;
-  tl_index = self;
-  std::uint64_t seen_epoch = 0;
-  std::function<void()> task;
+void ThreadPool::worker_loop() {
+  const auto ready = [this] { return !queue_.empty() || !accepting_; };
+  std::unique_lock<std::mutex> lk(mu_);
   for (;;) {
-    if (halt_.load(std::memory_order_acquire)) break;
-    if (try_get_task(self, task)) {
-      task();  // packaged_task: exceptions are captured into the future
-      task = nullptr;
-      finish_task();
+    if (queue_.empty()) {
+      // Once the pool stops accepting, an empty queue stays empty: a
+      // task still running elsewhere cannot submit more.
+      if (!accepting_) return;
+      if (idle_timer_ != nullptr) {
+        const double t0 = obs::monotonic_seconds();
+        work_cv_.wait(lk, ready);
+        idle_timer_->add(obs::monotonic_seconds() - t0);
+      } else {
+        work_cv_.wait(lk, ready);
+      }
       continue;
     }
-    std::unique_lock<std::mutex> lk(wake_mu_);
-    if (stop_) break;
-    if (epoch_ != seen_epoch) {
-      // Work arrived between the failed scan and the lock: rescan.
-      seen_epoch = epoch_;
-      continue;
-    }
-    if (idle_timer_ != nullptr) {
-      const double t0 = obs::monotonic_seconds();
-      wake_cv_.wait(lk, [&] { return stop_ || epoch_ != seen_epoch; });
-      idle_timer_->add(obs::monotonic_seconds() - t0);
-    } else {
-      wake_cv_.wait(lk, [&] { return stop_ || epoch_ != seen_epoch; });
-    }
-    seen_epoch = epoch_;
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    lk.unlock();
+    task();  // packaged_task: exceptions are captured into the future
+    task = nullptr;  // release the captures before reporting completion
+    lk.lock();
+    if (--outstanding_ == 0) idle_cv_.notify_all();
   }
-  tl_pool = nullptr;
 }
 
 void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> lk(wake_mu_);
-  idle_cv_.wait(lk, [&] {
-    return outstanding_.load(std::memory_order_acquire) == 0;
-  });
+  std::unique_lock<std::mutex> lk(mu_);
+  idle_cv_.wait(lk, [this] { return outstanding_ == 0; });
 }
 
-void ThreadPool::shutdown(bool drain) {
+void ThreadPool::shutdown() {
   // Serialize concurrent shutdowns end-to-end: a second caller (e.g. the
   // destructor racing an explicit shutdown from another thread) must not
   // return until the first has finished joining, or it could destroy
   // workers_ while the first caller's join is still touching them.
   std::lock_guard<std::mutex> serial(shutdown_mu_);
   {
-    std::lock_guard<std::mutex> lk(wake_mu_);
-    if (joined_) return;
+    std::lock_guard<std::mutex> lk(mu_);
     accepting_ = false;
-    // Non-draining shutdown: freeze the workers' task scan in the same
-    // critical section that closes the front door, so once submit()
-    // throws, no queued task can still be picked up.
-    if (!drain) halt_.store(true, std::memory_order_release);
   }
-  if (drain) wait_idle();
-  {
-    std::lock_guard<std::mutex> lk(wake_mu_);
-    joined_ = true;
-    stop_ = true;
-    halt_.store(true, std::memory_order_release);
-  }
-  wake_cv_.notify_all();
-  for (auto& w : workers_) {
-    if (w->thread.joinable()) w->thread.join();
-  }
-  // Without drain, pending tasks die here; destroying a never-invoked
-  // packaged_task breaks its promise, so waiting futures unblock with
-  // std::future_error rather than hanging.
-  std::uint64_t discarded = 0;
-  for (auto& w : workers_) {
-    std::lock_guard<std::mutex> lk(w->mu);
-    discarded += w->deque.size();
-    w->deque.clear();
-  }
-  if (discarded > 0) {
-    PARSCHED_CHECK(!drain, "drained shutdown left pending tasks");
-    outstanding_.fetch_sub(discarded, std::memory_order_acq_rel);
-    std::lock_guard<std::mutex> lk(wake_mu_);
-    idle_cv_.notify_all();
+  // Workers run the queue dry, then return.
+  work_cv_.notify_all();
+  for (std::thread& w : workers_) {
+    if (w.joinable()) w.join();
   }
 }
 

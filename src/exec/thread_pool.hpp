@@ -1,33 +1,32 @@
-// parsched — the work-stealing thread pool.
+// parsched — the thread pool.
 //
-// Execution substrate for parallel parameter sweeps (exec/sweep.hpp) and
-// every future sharding/batching subsystem. One pool owns N worker
-// threads; each worker keeps a private deque of tasks. Submission from a
-// worker thread pushes onto that worker's own deque (LIFO execution keeps
-// nested work cache-hot); submission from outside distributes round-robin.
-// An idle worker first drains its own deque, then steals from a random
-// victim's opposite end (FIFO), the classic Blumofe–Leiserson discipline.
+// Execution substrate for parallel parameter sweeps (exec/sweep.hpp),
+// loadgen's client workers and the serving plane's shards. One pool owns
+// N worker threads and one FIFO task queue; an idle worker takes the
+// oldest task. Every caller submits independent tasks, so nothing is
+// gained from per-worker queues: one mutex guards the queue, the
+// outstanding-task count and the accepting flag, and two condition
+// variables go with it (workers sleep on one, wait_idle() on the other).
 //
-// All shared state is guarded by mutexes or atomics — the pool is
-// TSan-clean by construction (the `thread` leg of CI runs the stress
-// suite against it). Like obs/metrics.hpp, this header is the project's
-// only sanctioned home for raw threads: parsched_lint's `raw-thread`
-// rule bans `std::thread` / `std::async` in src/ outside exec/ so no
-// subsystem can spin up unaccounted concurrency.
+// The pool is TSan-clean by construction (the `thread` leg of CI runs
+// the stress suite against it). Like obs/metrics.hpp, this header is the
+// project's only sanctioned home for raw threads: parsched_lint's
+// `raw-thread` rule bans `std::thread` / `std::async` in src/ outside
+// these two files so no subsystem can spin up unaccounted concurrency.
 //
 // Tasks are arbitrary callables; submit() returns a std::future that
 // carries the task's result or its exception to the caller. Shutdown is
-// explicit or via the destructor:
+// explicit or via the destructor, and always runs the queued tasks first:
 //
 //   ThreadPool pool({.threads = 8, .metrics = &registry});
 //   auto f = pool.submit([] { return heavy_work(); });
 //   f.get();                  // value or rethrown exception
-//   pool.shutdown(true);      // drain pending work, then join
+//   pool.shutdown();          // drain pending work, then join
 //
-// With a MetricsRegistry attached the pool maintains
-// exec.pool.{tasks,steals} counters, an exec.pool.idle timer (summed
-// worker wait time — the numerator of the idle fraction reported by
-// E11's parallel-speedup table) and an exec.pool.threads gauge.
+// With a MetricsRegistry attached the pool maintains an exec.pool.tasks
+// counter, an exec.pool.idle timer (summed worker wait time — the
+// numerator of the idle fraction reported by E11's parallel-speedup
+// table) and an exec.pool.threads gauge.
 #pragma once
 
 #include <condition_variable>
@@ -41,7 +40,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "check/contract.hpp"
 #include "obs/metrics.hpp"
 
 namespace parsched::exec {
@@ -58,14 +56,10 @@ class ThreadPool {
 
   ThreadPool() : ThreadPool(Config()) {}
   explicit ThreadPool(Config cfg);
-  ~ThreadPool();  // shutdown(true)
+  ~ThreadPool();  // shutdown()
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
-
-  [[nodiscard]] int threads() const {
-    return static_cast<int>(workers_.size());
-  }
 
   /// Run `fn` on some worker; the future carries the result or the
   /// task's exception. Safe to call from inside a task (nested
@@ -83,30 +77,19 @@ class ThreadPool {
   /// Block until every submitted task (including nested ones) finished.
   void wait_idle();
 
-  /// Stop the pool and join the workers. `drain` runs all pending tasks
-  /// first; otherwise pending tasks are discarded and their futures
-  /// report std::future_error (broken_promise). Idempotent.
-  void shutdown(bool drain = true);
+  /// Stop accepting tasks, run every queued one, then join the workers.
+  /// Idempotent, and safe to call from several threads at once.
+  void shutdown();
 
   /// max(1, std::thread::hardware_concurrency()).
   [[nodiscard]] static int hardware_threads();
 
  private:
-  struct Worker {
-    std::mutex mu;
-    std::deque<std::function<void()>> deque;
-    std::thread thread;
-  };
-
   void enqueue(std::function<void()> task);
-  void worker_loop(std::size_t self);
-  bool try_get_task(std::size_t self, std::function<void()>& out);
-  void finish_task();
+  void worker_loop();
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  std::vector<std::thread> workers_;
   obs::Counter* tasks_counter_ = nullptr;
-  obs::Counter* steals_counter_ = nullptr;
   obs::TimerStat* idle_timer_ = nullptr;
 
   // Held for the whole of shutdown(): concurrent shutdown callers (the
@@ -115,26 +98,13 @@ class ThreadPool {
   // until the first has finished joining.
   std::mutex shutdown_mu_;
 
-  // wake_mu_ guards epoch_/stop_/accepting_ and serializes the
-  // check-then-wait of sleeping workers against enqueue's bump+notify.
-  // Lock order: shutdown_mu_ → wake_mu_ → Worker::mu (enqueue pushes the
-  // task under wake_mu_ so the push is ordered against both the epoch
-  // bump and shutdown's accepting_ flip).
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;  // workers sleep here
+  // mu_ guards everything below. Lock order: shutdown_mu_ → mu_.
+  std::mutex mu_;
+  std::condition_variable work_cv_;  // workers sleep here
   std::condition_variable idle_cv_;  // wait_idle sleeps here
-  std::uint64_t epoch_ = 0;          // bumped on every enqueue
-  bool stop_ = false;
+  std::deque<std::function<void()>> queue_;
+  std::uint64_t outstanding_ = 0;  // queued + running tasks
   bool accepting_ = true;
-  bool joined_ = false;
-
-  std::atomic<std::uint64_t> outstanding_{0};  // queued + running tasks
-  std::atomic<std::uint64_t> next_worker_{0};  // round-robin cursor
-
-  // Set the moment a non-draining shutdown begins (and always before
-  // join): workers stop scanning for queued work immediately, so tasks
-  // pending at that point are reliably discarded, not raced for.
-  std::atomic<bool> halt_{false};
 };
 
 }  // namespace parsched::exec

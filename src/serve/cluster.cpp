@@ -525,7 +525,7 @@ int Cluster::evacuate(int shard) {
   // running. Otherwise no route points at the shard and it is out of
   // the ring, so nothing new reaches its pool: the draining shutdown
   // waits for the migrated shadows to retire, then joins the workers.
-  if (remaining == 0) victim.pool.shutdown(true);
+  if (remaining == 0) victim.pool.shutdown();
   return static_cast<int>(moves.size() - remaining);
 }
 
@@ -539,7 +539,7 @@ void Cluster::drain() {
   // No new submit can enqueue past this point; every accepted op either
   // already holds a pool task or sits in a queue a running strand will
   // drain. The draining shutdown therefore covers everything.
-  for (Shard& s : shards_) s.pool.shutdown(true);
+  for (Shard& s : shards_) s.pool.shutdown();
   std::unordered_map<SessionId, Route> routes;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -581,11 +581,6 @@ int Cluster::shard_of(SessionId id) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = routes_.find(id);
   return it == routes_.end() ? -1 : it->second.shard;
-}
-
-int Cluster::shard_for_key(std::uint64_t key) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_lookup(ring_, key);
 }
 
 bool Cluster::shard_in_ring(int shard) const {

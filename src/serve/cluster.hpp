@@ -17,10 +17,10 @@
 // (client-supplied, or defaulted to the session id), hashed onto a ring
 // of kVirtualNodes splitmix-derived points per shard. Removing a shard
 // from the ring (evacuate) remaps only the keys that hashed to it; all
-// other sessions keep their placement. shard_for_key() is a pure
-// function of (key, ring membership) — clients that know the shard
-// count can predict placement, which is how loadgen's adversarial
-// all-one-shard burst aims its traffic.
+// other sessions keep their placement. ring_lookup() and
+// consistent_shard() are pure functions of (key, ring membership) —
+// clients that know the shard count can predict placement, which is how
+// loadgen's adversarial all-one-shard burst aims its traffic.
 //
 // Backpressure is explicit and non-blocking: open/submit/close answer
 // synchronously with a Submit verdict. A full per-session queue, an
@@ -215,8 +215,6 @@ class Cluster {
   [[nodiscard]] std::size_t session_count(int shard) const;
   /// Current shard of a live session; -1 when unknown.
   [[nodiscard]] int shard_of(SessionId id) const;
-  /// Ring placement for `key` under the current membership.
-  [[nodiscard]] int shard_for_key(std::uint64_t key) const;
   [[nodiscard]] bool shard_in_ring(int shard) const;
   [[nodiscard]] const Config& config() const { return cfg_; }
 

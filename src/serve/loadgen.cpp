@@ -357,7 +357,7 @@ LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
       if (first_error.empty()) first_error = e.what();
     }
   }
-  pool.shutdown(true);
+  pool.shutdown();
 
   if (cfg.shutdown_after) {
     (void)Connection(cfg).call({.op = BinOp::kShutdown});

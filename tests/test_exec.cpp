@@ -1,5 +1,4 @@
-// exec/ — the work-stealing ThreadPool and the SweepRunner determinism
-// contract.
+// exec/ — the ThreadPool and the SweepRunner determinism contract.
 //
 // The differential harness is the heart of this file: the same sweep is
 // run serially (jobs=1, the exact legacy path) and sharded (jobs=8),
@@ -10,8 +9,8 @@
 // number.
 //
 // The ThreadPool stress suite runs under the `thread` (TSan) CI leg:
-// multiple producer threads, nested submission, randomized stealing,
-// exception propagation, and both draining and non-draining shutdown.
+// multiple producer threads, nested submission, every worker running at
+// once, exception propagation, and concurrent shutdown.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -210,9 +209,9 @@ TEST(SweepRunner, MapOneTaskMatchesInlineSeed) {
   }
 }
 
-// Many more tasks than workers: the queue depth forces every worker
-// through repeated steal/drain cycles, and the artifact bytes must
-// still match the one-worker run exactly.
+// Many more tasks than workers: every worker goes back to the queue
+// many times, and the artifact bytes must still match the one-worker
+// run exactly.
 TEST(SweepRunner, TasksFarExceedingJobsStayByteIdentical) {
   auto run = [](int jobs) {
     obs::MetricsRegistry merged;
@@ -336,7 +335,7 @@ TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
   // state goes through refcount atomics inside the precompiled
   // libstdc++, which TSan cannot see; the join gives it a visible
   // happens-before edge. (SweepRunner orders the same way.)
-  pool.shutdown(true);
+  pool.shutdown();
   try {
     (void)f.get();
     FAIL() << "expected runtime_error";
@@ -347,9 +346,9 @@ TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
 
 TEST(ThreadPool, SubmitAfterShutdownThrows) {
   exec::ThreadPool pool(pool_config(2));
-  pool.shutdown(true);
+  pool.shutdown();
   EXPECT_THROW((void)pool.submit([] { return 1; }), std::runtime_error);
-  pool.shutdown(true);  // idempotent
+  pool.shutdown();  // idempotent
 }
 
 TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
@@ -363,9 +362,9 @@ TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
 // ------------------------------------------------- thread pool: stress
 
 // N producer threads hammer the pool concurrently while every fourth
-// task submits a nested child from inside the pool (exercising the
-// own-deque LIFO path); the imbalanced per-producer batch sizes force
-// stealing. Run under TSan in the `thread` CI leg.
+// task submits a nested child from inside the pool, so the queue is
+// pushed from outside and inside at once; the per-producer batch sizes
+// differ. Run under TSan in the `thread` CI leg.
 TEST(ThreadPool, StressProducersNestingAndStealing) {
   obs::MetricsRegistry reg;
   exec::ThreadPool pool(pool_config(4, &reg));
@@ -421,50 +420,37 @@ TEST(ThreadPool, NestedSubmissionCompletesBeforeWaitIdleReturns) {
   EXPECT_EQ(done.load(), 96);
 }
 
-// Non-draining shutdown: once submit() starts throwing, no queued task
-// may still run; their futures must unblock with broken_promise instead
-// of hanging. A single worker is pinned inside a gated task so the
-// pending backlog is deterministic.
-TEST(ThreadPool, ShutdownWithoutDrainBreaksPendingPromises) {
-  exec::ThreadPool pool(pool_config(1));
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  std::atomic<bool> started{false};
-  auto blocker = pool.submit([&started, opened] {
-    started.store(true, std::memory_order_release);
-    opened.wait();
-  });
-  while (!started.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-
-  std::vector<std::future<int>> pending;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 4; ++i) {
-    pending.push_back(pool.submit([&ran] {
-      ran.fetch_add(1, std::memory_order_relaxed);
-      return 1;
+// k workers, k tasks, and each task waits until all k have started: it
+// passes only if one queue wakes every idle worker. The wait is bounded
+// so a lost wakeup fails the test instead of hanging it.
+TEST(ThreadPool, EveryWorkerRunsAtOnce) {
+  constexpr int kWorkers = 4;
+  std::atomic<int> started{0};
+  // True once all k tasks have started; false after ~10 s without that.
+  const auto all_started = [&started] {
+    const double deadline = obs::monotonic_seconds() + 10.0;
+    while (started.load(std::memory_order_acquire) < kWorkers) {
+      if (obs::monotonic_seconds() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+  exec::ThreadPool pool(pool_config(kWorkers));
+  std::vector<std::future<bool>> futs;
+  futs.reserve(kWorkers);
+  for (int i = 0; i < kWorkers; ++i) {
+    futs.push_back(pool.submit([&started, &all_started] {
+      started.fetch_add(1, std::memory_order_release);
+      return all_started();
     }));
   }
-
-  std::thread closer([&pool] { pool.shutdown(false); });  // lint: thread-ok
-  // shutdown(false) closes the front door and freezes the task scan in
-  // one critical section; once a submit throws, the backlog is sealed.
-  for (;;) {
-    try {
-      (void)pool.submit([] {});
-    } catch (const std::runtime_error&) {
-      break;
-    }
-    std::this_thread::yield();
-  }
-  gate.set_value();
-  closer.join();
-
-  blocker.get();  // the running task finished normally
-  EXPECT_EQ(ran.load(), 0) << "a discarded task still executed";
-  for (auto& f : pending) {
-    EXPECT_THROW((void)f.get(), std::future_error);
+  // Wait here too: shutdown() wakes every worker, which would hide a
+  // lost wakeup if it came first.
+  EXPECT_TRUE(all_started()) << "only " << started.load() << " of "
+                             << kWorkers << " tasks started";
+  pool.shutdown();
+  for (auto& f : futs) {
+    EXPECT_TRUE(f.get()) << "a task timed out waiting for its siblings";
   }
 }
 
@@ -479,8 +465,8 @@ TEST(ThreadPool, ConcurrentShutdownCallsAreSafe) {
       (void)pool.submit(
           [&done] { done.fetch_add(1, std::memory_order_relaxed); });
     }
-    std::thread racer([&pool] { pool.shutdown(true); });  // lint: thread-ok
-    pool.shutdown(true);
+    std::thread racer([&pool] { pool.shutdown(); });  // lint: thread-ok
+    pool.shutdown();
     racer.join();
     EXPECT_EQ(done.load(), 32);
   }
@@ -494,7 +480,7 @@ TEST(ThreadPool, DestructorDrainsOutstandingWork) {
       (void)pool.submit(
           [&done] { done.fetch_add(1, std::memory_order_relaxed); });
     }
-  }  // ~ThreadPool == shutdown(true): everything must have run
+  }  // ~ThreadPool == shutdown(): everything must have run
   EXPECT_EQ(done.load(), 64);
 }
 

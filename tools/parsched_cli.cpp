@@ -18,7 +18,7 @@
 //   compare  run every registry policy plus the OPT sandwich
 //   bound    print the provable lower bounds only
 //   sweep    run a (policy x P x alpha x seed) grid of random-instance
-//            simulations, sharded across a work-stealing pool
+//            simulations, sharded across a thread pool
 //            (--jobs=N, else PARSCHED_JOBS, else all hardware threads).
 //            Table/CSV/report bytes are identical at any job count:
 //            per-task seeds derive from exec::task_seed(base, index)
@@ -162,7 +162,7 @@ int cmd_sweep(const Options& opt) {
   std::cerr << "sweep: " << st.tasks << " tasks on " << st.jobs
             << " worker(s), wall " << st.wall_seconds << "s (merge "
             << st.merge_seconds << "s, idle fraction "
-            << st.idle_fraction() << ", steals " << st.steals << ")\n";
+            << st.idle_fraction() << ")\n";
 
   if (opt.has("csv")) {
     const std::string csv = opt.get("csv", "sweep.csv");

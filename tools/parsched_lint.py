@@ -42,10 +42,10 @@ linted scope):
   raw-thread        spelling `std::thread` / `std::jthread` /
                     `std::async` (or including <thread>) is banned in
                     src/ outside exec/thread_pool.{hpp,cpp}: all
-                    concurrency must run through the work-stealing
-                    ThreadPool so parallelism is instrumented, TSan-
-                    covered, and honors --jobs / PARSCHED_JOBS
-                    uniformly. (<future>, mutexes and atomics are fine
+                    concurrency must run through exec::ThreadPool
+                    so parallelism is instrumented, TSan-covered,
+                    and honors --jobs / PARSCHED_JOBS uniformly.
+                    (<future>, mutexes and atomics are fine
                     anywhere — only thread *creation* is fenced.) A
                     test that deliberately attacks the pool/server from
                     a raw thread annotates it with a trailing
@@ -209,7 +209,7 @@ def lint_file(path: Path, rel: str, findings: list[str]) -> None:
         ):
             findings.append(
                 f"{rel}:{lineno}: [raw-thread] raw thread creation outside "
-                "exec/thread_pool; submit work to exec::ThreadPool / "
+                "exec/thread_pool.{hpp,cpp}; submit work to exec::ThreadPool / "
                 "exec::SweepRunner so concurrency is instrumented and "
                 "honors --jobs / PARSCHED_JOBS (tests attacking the pool "
                 f"from outside annotate '// {SUPPRESS_THREAD}')"

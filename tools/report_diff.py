@@ -7,15 +7,17 @@ exception — two runs of the same bench can never agree on seconds. This
 tool normalizes a parsched-bench-report by masking exactly the fields
 that are allowed to differ, then diffs the rest byte-for-byte:
 
-  * any key named wall_seconds / decide_seconds / solver_seconds /
-    observer_seconds, wherever it appears (runs, stats, nested);
+  * any key named for a run's wall time or one of its time buckets
+    (wall_seconds, decide_seconds, solver_seconds, observer_seconds and
+    the five solver parts rates/advance/heap_upkeep/completion/admit
+    _seconds), wherever it appears (runs, stats, nested);
   * metrics entries of kind "timer" (their seconds are wall time), and
     any metric named under "exec.pool." (pool instrumentation scales
     with the worker count by design);
-  * the timing columns of a "parallel_speedup" table (wall_seconds,
-    speedup_vs_j1, merge_seconds, idle_fraction, steals) — but NOT its
-    jobs/tasks/total_flow columns, so a cross-job-count flow divergence
-    still fails the diff.
+  * the timing columns of E11's timed tables (TIMING_TABLE_COLUMNS) —
+    but NOT the columns naming the work a row measured (n, jobs, tasks,
+    total_flow, and the decisions/fractional_flow bench_compare pins),
+    so a cross-job-count flow divergence still fails the diff.
 
 Everything else — flow totals, decision counts, table rows, histogram
 buckets, metadata — must match exactly.
@@ -41,24 +43,44 @@ TIMING_KEYS = {
     "decide_seconds",
     "solver_seconds",
     "observer_seconds",
+    "rates_seconds",
+    "advance_seconds",
+    "heap_upkeep_seconds",
+    "completion_seconds",
+    "admit_seconds",
 }
 
+# table name -> its timing columns. dense_alive repeats its drive for a
+# fixed wall budget, so its reps and decisions columns are timing too.
 TIMING_TABLE_COLUMNS = {
-    "wall_seconds",
-    "speedup_vs_j1",
-    "merge_seconds",
-    "idle_fraction",
-    "steals",
+    "parallel_speedup": {
+        "wall_seconds", "speedup_vs_j1", "merge_seconds", "idle_fraction",
+    },
+    "dense_alive": {
+        "reps", "decisions", "wall_seconds", "decisions_per_sec",
+        "speedup_vs_baseline",
+    },
+    "dense_equi": {"wall_seconds", "decisions_per_sec"},
+    "incremental_orders": {
+        "first_advance_seconds", "wall_incremental_seconds",
+        "decisions_per_sec_incremental", "decide_incremental_seconds",
+    },
+    "flight_recorder_overhead": {
+        "wall_off_seconds", "wall_on_seconds", "decisions_per_sec_off",
+        "decisions_per_sec_on", "overhead_pct",
+    },
+    "rate_kernel": {
+        "scalar_melems_per_sec", "batch_melems_per_sec", "batch_speedup",
+    },
 }
 
 
 def mask_table(table: dict) -> dict:
-    if table.get("name") != "parallel_speedup":
+    timing = TIMING_TABLE_COLUMNS.get(table.get("name"))
+    if timing is None:
         return table
     columns = table.get("columns", [])
-    timing_idx = {
-        i for i, c in enumerate(columns) if c in TIMING_TABLE_COLUMNS
-    }
+    timing_idx = {i for i, c in enumerate(columns) if c in timing}
     out = dict(table)
     out["rows"] = [
         [MASKED if i in timing_idx else cell for i, cell in enumerate(row)]
