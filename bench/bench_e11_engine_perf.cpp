@@ -250,8 +250,11 @@ Table measure_dense_alive() {
 //
 // Two rates over the creeping steps:
 //   * decisions_per_sec_incremental — full decision steps (allocate +
-//     rates + advance sweep). The sparse step's idle flow sum is an O(n)
-//     floor under this rate.
+//     rates + advance sweep). The sparse step's idle-flow sum adds a
+//     512-job block of equal flow quotients in O(1), so once the
+//     never-run backlog is summarized it no longer streams all n
+//     quotients. The first two creeping steps (the visit of the whole
+//     batch, then the first summary scan) stay O(n) inside this window.
 //   * decide_incremental_seconds — the Scheduler::allocate() bucket
 //     alone (RunStats::decide_seconds), where the ordering queries live.
 struct DenseDriveSample {

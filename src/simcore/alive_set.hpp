@@ -95,7 +95,9 @@ struct AliveSet {
   /// next sparse step rebuilds it. A job a sparse sweep skips — rate 0
   /// and visited before — adds flow_q[i]*dt to the fractional flow,
   /// exactly what a visit would add, since nothing else about it can
-  /// change.
+  /// change. The engine summarizes it per aligned block of 512 jobs
+  /// (Engine::block_q_), so every write here, relocate() included, has
+  /// the engine mark that block mixed.
   std::vector<double> flow_q;
   std::vector<AliveCold> cold;
   /// Alive jobs with more than one phase (append counts them,

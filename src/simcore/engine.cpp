@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -33,6 +34,25 @@ void audit_idle_flow(double acc, const double* q, std::size_t count,
                          std::bit_cast<std::uint64_t>(serial) ||
                      (std::isnan(sum) && std::isnan(serial)),
                  "blocked idle-flow sum differs from the serial loop");
+}
+
+/// Jobs per flow-quotient summary (Engine::block_q_): an aligned block
+/// of flow_q is one lane block of ordered_scaled_sum when it is mixed.
+constexpr std::size_t kFlowBlock = ordered_sum::kBlock;
+
+/// A flow-quotient summary that vouches for nothing ("mixed").
+constexpr double kMixed = std::numeric_limits<double>::quiet_NaN();
+
+/// The summary of the kFlowBlock quotients at q: their common value when
+/// all have the same bits, kMixed otherwise (a NaN common value is mixed,
+/// too). Cheap next to ordered_scaled_sum over the same block.
+double block_summary(const double* q) {
+  const auto first = std::bit_cast<std::uint64_t>(q[0]);
+  std::uint64_t diff = 0;
+  for (std::size_t k = 1; k < kFlowBlock; ++k) {
+    diff |= std::bit_cast<std::uint64_t>(q[k]) ^ first;
+  }
+  return diff == 0 ? q[0] : kMixed;
 }
 
 /// Flow quotients of jobs [0, count), recomputed from their remaining
@@ -313,6 +333,7 @@ void Engine::begin_run(Scheduler& sched) {
   swept_ = 0;
   swept_low_valid_ = false;
   flow_q_stale_ = false;
+  std::fill(block_q_.begin(), block_q_.end(), kMixed);
   orders_.clear();
   rates_valid_ = false;
   stats_ = nullptr;
@@ -389,6 +410,8 @@ void Engine::reserve_alive(std::size_t n) {
   reserve_geometric(rates_, n);
   reserve_geometric(comp_idx_, n);
   orders_.reserve(n);
+  const std::size_t blocks = (n + kFlowBlock - 1) / kFlowBlock;
+  if (block_q_.size() < blocks) block_q_.resize(blocks, kMixed);
 }
 
 void Engine::admit_pending(ArrivalSource& source) {
@@ -569,7 +592,55 @@ void Engine::lap(double& bucket) {
   ff += 0.5 * (before + after) / size * dt;
   s.remaining[i] = after;
   s.flow_q[i] = 0.5 * (after + after) / size;
+  block_q_[i / kFlowBlock] = kMixed;
   return settle_job(i);
+}
+
+double Engine::idle_flow(double acc, std::size_t from, std::size_t count,
+                         double dt) {
+  // The partial blocks at either end are summed term by term. A full
+  // block whose summary holds one quotient adds it count times in O(1)
+  // (repeated_scaled_sum); a mixed one is summed term by term and
+  // summarized again, so after one step of rate-0 visits a block of
+  // equal quotients is O(1) from then on.
+  const double* const q = alive_.flow_q.data();
+  const std::size_t end = from + count;
+  const std::size_t first = (from + kFlowBlock - 1) / kFlowBlock;
+  const std::size_t last = end / kFlowBlock;  // past the last full block
+  double sum = acc;
+  if (first >= last) {
+    sum = ordered_scaled_sum(sum, q + from, count, dt);
+  } else {
+    sum = ordered_scaled_sum(sum, q + from, first * kFlowBlock - from, dt);
+    for (std::size_t b = first; b < last; ++b) {
+      double& common = block_q_[b];
+      if (!std::isnan(common)) {
+        sum = repeated_scaled_sum(sum, common, kFlowBlock, dt);
+      } else {
+        sum = ordered_scaled_sum(sum, q + b * kFlowBlock, kFlowBlock, dt);
+        common = block_summary(q + b * kFlowBlock);
+      }
+    }
+    sum = ordered_scaled_sum(sum, q + last * kFlowBlock,
+                             end - last * kFlowBlock, dt);
+  }
+  if (audit_allocs_) audit_idle_flow(acc, q + from, count, dt, sum);
+  return sum;
+}
+
+void Engine::audit_flow_blocks() const {
+  const std::size_t n = alive_.size();
+  for (std::size_t b = 0; b < block_q_.size(); ++b) {
+    const double common = block_q_[b];
+    if (std::isnan(common)) continue;
+    PARSCHED_CHECK((b + 1) * kFlowBlock <= n,
+                   "flow-quotient block marked equal past the alive set");
+    for (std::size_t i = b * kFlowBlock; i < (b + 1) * kFlowBlock; ++i) {
+      PARSCHED_CHECK(std::bit_cast<std::uint64_t>(alive_.flow_q[i]) ==
+                         std::bit_cast<std::uint64_t>(common),
+                     "flow quotient differs from its block's summary");
+    }
+  }
 }
 
 PARSCHED_HOT bool Engine::advance_sweep(double dt) {
@@ -632,28 +703,25 @@ PARSCHED_HOT bool Engine::advance_sweep(double dt) {
     // alive_[swept_, n), in ascending index order. Every other job has
     // rate 0 and has been visited before, so a visit would change nothing
     // but the flow: it adds its quotient q[i]*dt instead, through
-    // idle_flow over each gap between visits (ordered_scaled_sum: the
-    // serial loop's bits, with long gaps added in lanes). It carries no
-    // min of the remaining work.
+    // idle_flow over each gap between visits (the serial loop's bits, a
+    // block of equal quotients in O(1)). It carries no min of the
+    // remaining work.
     swept_low_valid_ = false;
-    double* const q = alive_.flow_q.data();
-    // fractional_flow of the `count` idle jobs from `from` on.
-    const auto idle_flow = [this, q, dt](double acc, std::size_t from,
-                                         std::size_t count) {
-      const double sum = ordered_scaled_sum(acc, q + from, count, dt);
-      if (audit_allocs_) audit_idle_flow(acc, q + from, count, dt, sum);
-      return sum;
-    };
+    const double* const q = alive_.flow_q.data();
     if (flow_q_stale_) {
-      flow_quotients(q, alive_.remaining.data(), alive_.sizes.data(), tail);
+      flow_quotients(alive_.flow_q.data(), alive_.remaining.data(),
+                     alive_.sizes.data(), tail);
+      std::fill_n(block_q_.begin(), (tail + kFlowBlock - 1) / kFlowBlock,
+                  kMixed);
       flow_q_stale_ = false;
     }
+    if (audit_allocs_) audit_flow_blocks();
     const double* const rate = rates_.data();
     const std::span<const std::size_t> sup = cached_alloc_.support();
     std::size_t idle_from = 0;  // first index whose flow is not yet added
     for (std::size_t j = 0; j < sup.size() && sup[j] < tail; ++j) {
       const std::size_t i = sup[j];
-      ff = idle_flow(ff, idle_from, i - idle_from);
+      ff = idle_flow(ff, idle_from, i - idle_from, dt);
       idle_from = i + 1;
       if (rate[j] == 0.0) {  // lint: float-eq-ok
         ff += q[i] * dt;  // a zero share (e.g. -0.0) stays idle
@@ -661,7 +729,7 @@ PARSCHED_HOT bool Engine::advance_sweep(double dt) {
         phase_advanced |= visit_job(i, rate[j], dt, ff);
       }
     }
-    ff = idle_flow(ff, idle_from, tail - idle_from);
+    ff = idle_flow(ff, idle_from, tail - idle_from, dt);
     // The tail: every job is visited, at its support rate or at rate 0.
     std::size_t j = static_cast<std::size_t>(
         std::lower_bound(sup.begin(), sup.end(), tail) - sup.begin());
@@ -844,6 +912,10 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
         }
         result_.records.push_back(std::move(rec));
         --end;
+        // Slot i takes the back job's flow quotient and slot `end` leaves
+        // the set, so no block marked equal reaches past the alive set.
+        block_q_[i / kFlowBlock] = kMixed;
+        block_q_[end / kFlowBlock] = kMixed;
         // Mirror the swap-remove into the heaps: delete index i, remap
         // the back entry (alive index `end`) to i — the same move
         // relocate() performs on every array. O(log n) per fresh heap.
@@ -1077,6 +1149,7 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   swept_ = 0;
   swept_low_valid_ = false;
   flow_q_stale_ = false;
+  std::fill(block_q_.begin(), block_q_.end(), kMixed);
   reserve_alive(alive_.size() + pending_.jobs().size());
   // The heaps are derived state: both go stale, and each order's first
   // query regathers it from the restored alive set, bit-identically to

@@ -240,6 +240,11 @@ class Engine final : public EngineView {
   /// jobs between them add their cached flow quotients. Returns whether
   /// any multi-phase job moved to its next phase.
   bool advance_sweep(double dt);
+  /// acc plus the flow quotient times dt of each of the `count` idle jobs
+  /// from `from` on, added in index order (the serial loop's bits),
+  /// through block_q_.
+  double idle_flow(double acc, std::size_t from, std::size_t count,
+                   double dt);
   bool visit_job(std::size_t i, double r, double dt, double& ff);
   bool settle_job(std::size_t i);
   /// Collect-stats only: add the wall time since the last lap to
@@ -252,6 +257,9 @@ class Engine final : public EngineView {
   /// PARSCHED_AUDIT: `low`, a uniform decision's dt-scan, is bit-equal to
   /// the min of the phase work over the whole alive set. O(n).
   void audit_uniform_scan(double low) const;
+  /// PARSCHED_AUDIT: every block block_q_ marks equal lies inside the
+  /// alive set and holds its recorded quotient bit for bit. O(n).
+  void audit_flow_blocks() const;
   /// Flight-recorder failure hook: record a stall/trip event and dump the
   /// ring (no-op without a recorder). Cold path only.
   void record_failure(bool contract_trip, std::uint64_t id,
@@ -329,6 +337,15 @@ class Engine final : public EngineView {
   /// quotients (AliveSet::flow_q): the next sparse sweep recomputes them
   /// over the swept range before it reads any.
   bool flow_q_stale_ = false;
+  /// One summary per aligned block of 512 entries of AliveSet::flow_q:
+  /// the quotient every job of the block holds, bit for bit, or NaN
+  /// ("mixed") when they differ or have not been compared since a
+  /// write. idle_flow adds an equal block in O(1) and summarizes a mixed
+  /// one after summing it; every writer of flow_q marks its block mixed
+  /// (a sweep visit, both slots of a completion swap-remove, the rebuild
+  /// after a dense step), and begin_run() and import_state() mark them
+  /// all. Sized at admission (reserve_alive).
+  std::vector<double> block_q_;
   /// rates_ / dt_complete_ for the decision in cached_alloc_, valid while
   /// the decision is deferred (its inputs are frozen by the deferral
   /// contract). Only a snapshot restore — which does not carry scratch —

@@ -26,6 +26,25 @@ constexpr std::size_t kVecs = 2;
   return acc;
 }
 
+/// acc's grid (see ordered_scaled_sum): M = 2^(e-1), the bound 2^e and
+/// u/2 for acc in [2^(e-1), 2^e).
+struct Grid {
+  double m;
+  double top;   ///< 2^e, or +inf
+  double half;  ///< u/2, exact
+};
+
+/// acc's grid, when acc is positive and finite and above the lowest
+/// normal binade (whose u/2 is not a double).
+[[gnu::always_inline]] inline bool grid_of(double acc, Grid& g) {
+  const std::uint64_t biased = std::bit_cast<std::uint64_t>(acc) >> 52;
+  if (!(acc > 0.0) || biased < 2 || biased > 2046) return false;
+  g.m = std::bit_cast<double>(biased << 52);
+  g.top = g.m + g.m;
+  g.half = g.m * 0x1p-53;
+  return true;
+}
+
 /// One block of `len` terms on acc's grid: true, with `out` the serial
 /// sum, when the block is taken (see ordered_scaled_sum); false when it
 /// must be redone serially. Each lane sums RN_u(t) and tracks the least
@@ -36,13 +55,9 @@ constexpr std::size_t kVecs = 2;
                                               double& out) {
   constexpr std::size_t kW = sizeof(V) / sizeof(double);
   constexpr std::size_t kStep = kW * kVecs;
-  const std::uint64_t biased = std::bit_cast<std::uint64_t>(acc) >> 52;
-  // acc positive and finite, above the lowest normal binade (whose u/2
-  // is not a double).
-  if (!(acc > 0.0) || biased < 2 || biased > 2046) return false;
-  const double m = std::bit_cast<double>(biased << 52);  // M = 2^(e-1)
-  const double top = m + m;                              // 2^e, or +inf
-  const double half = m * 0x1p-53;                       // u/2, exact
+  Grid g{};
+  if (!grid_of(acc, g)) return false;
+  const double m = g.m;
   const V vm = m - V{};  // scalar - vector broadcasts
   const V vdt = dt - V{};
   const Vi vabs = INT64_MAX - Vi{};  // clears the sign bit
@@ -82,7 +97,7 @@ constexpr std::size_t kVecs = 2;
     most = std::max(most, t > r ? t - r : r - t);
   }
   s += acc;
-  if (!(s < top && least >= 0.0 && most < half)) return false;
+  if (!(s < g.top && least >= 0.0 && most < g.half)) return false;
   out = s;
   return true;
 }
@@ -136,6 +151,21 @@ double ordered_scaled_sum(double acc, const double* q, std::size_t count,
                               ? &ordered_sum::avx2
                               : &ordered_sum::serial;
   return arm(acc, q, count, dt);
+}
+
+double repeated_scaled_sum(double acc, double q, std::size_t count,
+                           double dt) {
+  const double t = q * dt;
+  Grid g{};
+  if (grid_of(acc, g)) {
+    const double r = (t + g.m) - g.m;
+    // count·r is exact below 2^e (r is a multiple of u), and at or above
+    // it (count·r rounded up to at least 2^e) the test fails.
+    const double s = acc + static_cast<double>(count) * r;
+    if (s < g.top && t >= 0.0 && (t > r ? t - r : r - t) < g.half) return s;
+  }
+  for (std::size_t i = 0; i < count; ++i) acc += t;
+  return acc;
 }
 
 }  // namespace parsched

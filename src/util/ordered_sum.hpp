@@ -4,7 +4,8 @@
 // The engine's fractional flow over idle jobs is one long chain of
 // additions whose order is part of its bits. ordered_scaled_sum returns
 // exactly what the plain loop returns, but adds most terms on the
-// accumulator's grid, where the order of addition does not matter.
+// accumulator's grid, where the order of addition does not matter;
+// repeated_scaled_sum does the same for a run of equal terms in O(1).
 #pragma once
 
 #include <cstddef>
@@ -30,6 +31,16 @@ namespace parsched {
 /// negative or NaN terms. Short sums take the serial loop directly.
 [[nodiscard]] double ordered_scaled_sum(double acc, const double* q,
                                         std::size_t count, double dt);
+
+/// acc + q*dt + q*dt + ... (count terms): the bits of
+/// `for (count) acc += q * dt;`, for every input. All terms are the one
+/// t = fl(q·dt), so on acc's grid (as above) the sum is acc + count·RN_u(t)
+/// — count·RN_u(t) and the final add are exact whenever the result stays
+/// below 2^e. Taken, in O(1), under the blocked sum's test (acc positive
+/// and normal, t >= 0 and not a tie, the sum below 2^e); the serial loop
+/// runs otherwise.
+[[nodiscard]] double repeated_scaled_sum(double acc, double q,
+                                         std::size_t count, double dt);
 
 /// The arms behind ordered_scaled_sum, for tests. Both return the same
 /// bits; the blocked arm is used when the CPU has AVX2, the plain loop

@@ -364,6 +364,123 @@ TEST(OrderedSum, SeededRandomCasesMatchTheSerialLoop) {
   }
 }
 
+// ----------------------------------------------------- repeated_scaled_sum
+
+/// repeated_scaled_sum against the serial loop over `count` copies of q,
+/// bit for bit (a NaN only as a NaN).
+void expect_repeated_sum(double acc, double q, std::size_t count, double dt,
+                         const std::string& what) {
+  const std::vector<double> terms(count, q);
+  const double want = ordered_sum::serial(acc, terms.data(), count, dt);
+  const double got = repeated_scaled_sum(acc, q, count, dt);
+  EXPECT_TRUE(std::isnan(want) ? std::isnan(got) : bits(got) == bits(want))
+      << std::hexfloat << what << " acc=" << acc << " q=" << q
+      << " dt=" << dt << " count=" << count << " want=" << want
+      << " got=" << got;
+}
+
+constexpr std::size_t kRunCounts[] = {0, 1, 2, 511, 512, 513, 1'000'000};
+
+TEST(RepeatedSum, AccumulatorAtZeroSubnormalAndBelowAPowerOfTwo) {
+  for (const double acc :
+       {0.0, -0.0, 0x1p-1074, 0x1p-1050, 0x1.fffffffffffffp-1023, 0x1p-1022,
+        0x1p-1021, std::nextafter(1.0, 0.0), std::nextafter(2.0, 0.0),
+        std::nextafter(0x1p40, 0.0), 1.0, 0x1.8p1023}) {
+    for (const double q : {1.0, 0.37, 0x1p-60, 0x1p-1074}) {
+      for (const std::size_t count : kRunCounts) {
+        expect_repeated_sum(acc, q, count, 0.001, "edge acc");
+        expect_repeated_sum(acc, q, count, 1.0, "edge acc, dt 1");
+      }
+    }
+  }
+}
+
+TEST(RepeatedSum, RunsThatCrossABinade) {
+  // Partial sums cross 2.0 after `at` terms of t = 2^-20 each.
+  const double t = 0x1p-20;
+  for (const std::size_t at : {0u, 1u, 255u, 511u, 512u, 513u}) {
+    const double acc = 2.0 - static_cast<double>(at) * t + 0.25 * t;
+    for (const std::size_t count : {kSumBlock, kSumBlock + 1}) {
+      expect_repeated_sum(acc, t, count, 1.0,
+                          "crossing after " + std::to_string(at));
+    }
+  }
+  // Landing exactly on 2.0, and the last term crossing it.
+  for (const std::size_t count : {1u, 2u, 512u, 513u}) {
+    const double acc = 2.0 - static_cast<double>(count) * t;
+    expect_repeated_sum(acc, t, count, 1.0, "lands on 2.0");
+    expect_repeated_sum(acc + 0x1p-52, t, count, 1.0, "last term crosses");
+  }
+  // A run whose exact sum 2^1 + u rounds, as a tie, to 2.0 itself, while
+  // the serial loop's last term, off a tie, rounds up from 2.0.
+  const double u = 0x1p-52;
+  expect_repeated_sum(2.0 - 3.0 * u, u * (1.0 + 0x1p-10), 4, 1.0,
+                      "one grid step past 2.0");
+  // Many binades in one run.
+  expect_repeated_sum(0x1p-30, t, 4000, 1.0, "many binades");
+  expect_repeated_sum(0.5, 1.0, 1'000'000, 0.001, "10^6 terms of 0.001");
+}
+
+TEST(RepeatedSum, TiesAtBothAccumulatorParities) {
+  // acc in [1, 2): grid u = 2^-52. A term of u/2 is a tie: from an even
+  // sum it rounds down, from an odd one up.
+  const double u = 0x1p-52;
+  for (const double acc : {1.0, 1.0 + u, 1.5, 1.5 + u}) {
+    for (const double q :
+         {0.5 * u, 1.5 * u, 0.5 * u + 0x1p-105, 0.5 * u - 0x1p-106}) {
+      for (const std::size_t count : kRunCounts) {
+        expect_repeated_sum(acc, q, count, 1.0, "tie");
+        // The same through dt: q·dt lands exactly on the tie.
+        expect_repeated_sum(acc, 4.0 * q, count, 0.25, "scaled tie");
+      }
+    }
+  }
+}
+
+TEST(RepeatedSum, NegativeNanAndInfiniteTerms) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double max = std::numeric_limits<double>::max();
+  for (const double acc : {1.0, 0x1.23456789abcdep+20, 0x1p1023, 0.0, inf,
+                           -inf, nan, -1.0}) {
+    for (const double q :
+         {0.0, -0.0, -1e-300, -0x1p-60, -1.0, nan, inf, -inf, max}) {
+      for (const double dt : {1.0, 0.0, -0.0, 0.375}) {
+        for (const std::size_t count : {0u, 1u, 512u}) {
+          expect_repeated_sum(acc, q, count, dt, "special term");
+        }
+      }
+    }
+  }
+  // Negative terms from the bottom and the middle of a binade (where the
+  // serial loop never moves), over a long run.
+  expect_repeated_sum(1.0, -0x1.8p-54, 1'000'000, 1.0, "negative run");
+  expect_repeated_sum(1.5, -0x1.8p-54, 512, 1.0, "negative run mid-binade");
+  expect_repeated_sum(1.0, inf, 1'000'000, 1.0, "inf run");
+  expect_repeated_sum(1.0, nan, 1'000'000, 1.0, "nan run");
+}
+
+TEST(RepeatedSum, SeededRandomCasesMatchTheSerialLoop) {
+  std::mt19937_64 rng(0x5e9ea7);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int c = 0; c < 5000; ++c) {
+    const std::size_t count = rng() % (3 * kSumBlock);
+    const double q = std::ldexp(0.5 + unit(rng),
+                                static_cast<int>(rng() % 80) - 60);
+    double acc = 0.0;
+    switch (rng() % 3) {
+      case 0: acc = q * static_cast<double>(count) * unit(rng); break;
+      case 1: acc = std::ldexp(unit(rng), static_cast<int>(rng() % 120)); break;
+      default: acc = std::fabs(std::bit_cast<double>(rng())); break;
+    }
+    const double dt = rng() % 2 == 0
+                          ? std::ldexp(1.0, static_cast<int>(rng() % 9) - 4)
+                          : unit(rng);
+    expect_repeated_sum(acc, q, count, dt, "random case " + std::to_string(c));
+    if (HasFailure()) return;
+  }
+}
+
 // ------------------------------------------------------------------ rng
 
 TEST(Rng, DeterministicForSameSeed) {
