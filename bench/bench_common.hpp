@@ -17,7 +17,7 @@
 //
 // Sweep-ported benches (E1, E2, E5, E11) run their parameter grids
 // through sweep_runner() — an exec::SweepRunner honoring PARSCHED_JOBS
-// (default: all hardware threads; 1 = the exact legacy serial path).
+// (default: all hardware threads; 1 = one worker, tasks in index order).
 // Results merge in task-index order, so the emitted CSV/JSON bytes are
 // identical at any job count.
 #pragma once

@@ -153,7 +153,7 @@ double sweep_task_flow(const exec::TaskContext& ctx) {
 }
 
 // Run the sweep at jobs = 1/2/4/8 and tabulate wall time, speedup vs the
-// serial run, merge overhead, and pool idle fraction. The exact
+// one-worker run, merge overhead, and pool idle fraction. The exact
 // total-flow equality across job counts is checked inline — a reseeding
 // or merge-order bug aborts the bench rather than shipping wrong rows.
 Table measure_parallel_speedup() {

@@ -59,38 +59,33 @@ void SweepRunner::run_tasks(
     task_walls[i] = obs::monotonic_seconds() - start;
   };
 
-  if (jobs_ <= 1 || tasks <= 1) {
-    // Exact legacy path: calling thread, index order, no pool.
-    for (std::size_t i = 0; i < tasks; ++i) run_one(i);
-  } else {
-    obs::MetricsRegistry pool_metrics;
-    std::vector<std::future<void>> futures;
-    futures.reserve(tasks);
-    {
-      ThreadPool pool({jobs_, &pool_metrics});
-      for (std::size_t i = 0; i < tasks; ++i) {
-        futures.push_back(pool.submit([&run_one, i] { run_one(i); }));
-      }
-      // Collect in index order so the *lowest* failing task's exception
-      // is the one rethrown, independent of completion order. get() on
-      // the rest still happens below — wait for everything first so a
-      // throw cannot leave tasks running against dead stack frames.
-      pool.wait_idle();
-    }  // pool joined here
-    const obs::MetricsSnapshot pool_snap = pool_metrics.snapshot();
-    if (const auto* idle = pool_snap.find("exec.pool.idle")) {
-      stats_.pool_idle_seconds = idle->value;
+  obs::MetricsRegistry pool_metrics;
+  std::vector<std::future<void>> futures;
+  futures.reserve(tasks);
+  {
+    ThreadPool pool({jobs_, &pool_metrics});
+    for (std::size_t i = 0; i < tasks; ++i) {
+      futures.push_back(pool.submit([&run_one, i] { run_one(i); }));
     }
-    std::exception_ptr first_error;
-    for (auto& f : futures) {
-      try {
-        f.get();
-      } catch (...) {
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    if (first_error) std::rethrow_exception(first_error);
+    // Collect in index order so the *lowest* failing task's exception
+    // is the one rethrown, independent of completion order. get() on
+    // the rest still happens below — wait for everything first so a
+    // throw cannot leave tasks running against dead stack frames.
+    pool.wait_idle();
+  }  // pool joined here
+  const obs::MetricsSnapshot pool_snap = pool_metrics.snapshot();
+  if (const auto* idle = pool_snap.find("exec.pool.idle")) {
+    stats_.pool_idle_seconds = idle->value;
   }
+  std::exception_ptr first_error;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 
   const double merge_start = obs::monotonic_seconds();
   if (merge_metrics_ != nullptr) {

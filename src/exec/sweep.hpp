@@ -21,9 +21,9 @@
 //    never by completion order.
 //
 // Job-count resolution (resolve_jobs): an explicit --jobs beats the
-// PARSCHED_JOBS environment variable beats hardware_concurrency.
-// jobs == 1 is the exact legacy path: tasks run inline on the calling
-// thread in index order and no pool is created.
+// PARSCHED_JOBS environment variable beats hardware_concurrency. Every
+// job count runs the tasks on a pool of that many workers; jobs == 1 is
+// one worker taking them in index order.
 //
 //   exec::SweepRunner runner({.jobs = exec::resolve_jobs(0)});
 //   auto rows = runner.map<Row>(points.size(), [&](const auto& ctx) {
@@ -87,7 +87,7 @@ struct SweepStats {
 class SweepRunner {
  public:
   struct Config {
-    /// Parallelism; <= 0 resolves via resolve_jobs(0). 1 = legacy path.
+    /// Pool workers; <= 0 resolves via resolve_jobs(0).
     int jobs = 0;
     /// Base seed for task_seed derivation.
     std::uint64_t base_seed = 0;
@@ -124,7 +124,7 @@ class SweepRunner {
   }
 
  private:
-  /// Shared driver: seeds, per-task registries, inline-vs-pool execution,
+  /// Runs every task: seeds, per-task registries, pool execution,
   /// index-order registry merge, stats.
   void run_tasks(std::size_t tasks,
                  const std::function<void(const TaskContext&)>& body);

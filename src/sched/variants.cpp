@@ -69,7 +69,7 @@ PARSCHED_HOT void QuantizedEqui::allocate(const SchedulerContext& ctx,
   // earliest-first position i is the latest-first span read backwards
   // (latest[n-1-i]) — same sequence the old reversed copy produced,
   // without mutating (or copying) the shared cached order.
-  const auto latest = ctx.by_latest_arrival();
+  const auto latest = ctx.latest_arrivals(n);
   const auto earliest = [&](std::size_t i) { return latest[n - 1 - i]; };
   if (n <= m) {
     // Whole processors, remainder rotated round-robin by arrival sequence.

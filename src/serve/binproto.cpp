@@ -1,19 +1,14 @@
 #include "serve/binproto.hpp"
 
-#include <cerrno>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "obs/expose.hpp"
 #include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
-#include "serve/transport.hpp"
 #include "serve/wire.hpp"
 
 namespace parsched::serve {
@@ -144,20 +139,6 @@ class FrameReply final : public Reply {
   ProtocolHandler::WriteFn write_;
 };
 
-/// Read exactly `n` bytes (blocking), riding out EINTR; throws on EOF.
-void recv_exact(int fd, char* out, std::size_t n, const char* what) {
-  while (n > 0) {
-    const ssize_t got = ::recv(fd, out, n, 0);
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) {
-      throw std::runtime_error(std::string("server connection lost (") +
-                               what + ")");
-    }
-    out += got;
-    n -= static_cast<std::size_t>(got);
-  }
-}
-
 }  // namespace
 
 // ---- framing --------------------------------------------------------------
@@ -188,12 +169,44 @@ std::uint32_t decode_hello(std::string_view hello) {
   return r.u32();
 }
 
+void FrameBuffer::feed(std::string_view data) {
+  if (head_ > 0) {  // drop what next() took; a byte moves at most once
+    buf_.erase(0, head_);
+    head_ = 0;
+  }
+  buf_.append(data.data(), data.size());
+}
+
 bool FrameBuffer::next(std::string& payload) {
-  if (buf_.size() < 4) return false;
+  if (wire_ == Wire::kLine) {
+    for (;;) {
+      const std::size_t nl = buf_.find('\n', head_ + scanned_);
+      const std::size_t len =
+          (nl == std::string::npos ? buf_.size() : nl) - head_;
+      if (len > kMaxFramePayload) {
+        throw std::invalid_argument("line longer than the " +
+                                    std::to_string(kMaxFramePayload) +
+                                    "-byte cap");
+      }
+      if (nl == std::string::npos) {
+        scanned_ = len;
+        return false;
+      }
+      const std::size_t start = head_;
+      head_ = nl + 1;
+      scanned_ = 0;
+      if (len > 0) {
+        payload.assign(buf_, start, len);
+        return true;
+      }
+    }
+  }
+  const std::size_t avail = buf_.size() - head_;
+  if (avail < 4) return false;
   std::uint32_t len = 0;
-  for (int i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < 4; ++i) {
     len |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(buf_[static_cast<std::size_t>(i)]))
+               static_cast<std::uint8_t>(buf_[head_ + i]))
            << (8 * i);
   }
   if (len > kMaxFramePayload) {
@@ -202,10 +215,19 @@ bool FrameBuffer::next(std::string& payload) {
                                 std::to_string(kMaxFramePayload) +
                                 "-byte cap");
   }
-  if (buf_.size() < 4 + static_cast<std::size_t>(len)) return false;
-  payload.assign(buf_, 4, len);
-  buf_.erase(0, 4 + static_cast<std::size_t>(len));
+  if (avail < 4 + static_cast<std::size_t>(len)) return false;
+  payload.assign(buf_, head_ + 4, len);
+  head_ += 4 + static_cast<std::size_t>(len);
   return true;
+}
+
+std::string FrameBuffer::wrap(std::string_view payload) const {
+  if (wire_ == Wire::kFrame) return frame(payload);
+  std::string out;
+  out.reserve(payload.size() + 1);
+  out.append(payload);
+  out.push_back('\n');
+  return out;
 }
 
 // ---- request encoders -----------------------------------------------------
@@ -377,56 +399,6 @@ bool ProtocolHandler::handle_frame(std::string_view payload, WriteFn write) {
     return true;
   }
   return dispatch(cluster_, std::move(req), reply);
-}
-
-// ---- blocking client ------------------------------------------------------
-
-BinClient::BinClient(const std::string& path, double timeout_seconds,
-                     std::uint32_t version) {
-  fd_ = connect_unix_client(path, timeout_seconds);
-  const std::string hello = encode_hello(version);
-  if (!send_all(fd_, hello.data(), hello.size())) {
-    ::close(fd_);
-    fd_ = -1;
-    throw std::runtime_error("server connection lost (hello)");
-  }
-  char reply[kBinHelloSize];
-  try {
-    recv_exact(fd_, reply, sizeof(reply), "hello");
-  } catch (...) {
-    ::close(fd_);
-    fd_ = -1;
-    throw;
-  }
-  negotiated_ = decode_hello(std::string_view(reply, sizeof(reply)));
-  if (negotiated_ == 0) {
-    ::close(fd_);
-    fd_ = -1;
-    throw std::runtime_error("server rejected PBIN version " +
-                             std::to_string(version));
-  }
-}
-
-BinClient::~BinClient() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-std::string BinClient::request(const std::string& payload) {
-  const std::string framed = frame(payload);
-  if (!send_all(fd_, framed.data(), framed.size())) {
-    throw std::runtime_error("server connection lost (send)");
-  }
-  std::string out;
-  while (!frames_.next(out)) {
-    char buf[4096];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      throw std::runtime_error("server connection lost (recv)");
-    }
-    frames_.feed(std::string_view(buf, static_cast<std::size_t>(n)));
-  }
-  return out;
 }
 
 }  // namespace parsched::serve

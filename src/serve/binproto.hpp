@@ -23,9 +23,11 @@
 // PBIN hello. The server answers min(client_version, kBinProtoVersion),
 // or 0 when it cannot speak anything the client proposed (then closes).
 //
-// Framing: u32 LE payload length, then the payload; FrameBuffer
-// reassembles frames torn at any byte offset. Payload layout (WireWriter
-// encoding, all little-endian):
+// Framing: u32 LE payload length, then the payload. FrameBuffer is the
+// one framer of both wires: it cuts NDJSON lines and PBIN frames torn at
+// any byte offset, caps either at kMaxFramePayload bytes, and wraps a
+// payload for the writer; the transport and the Client both use it.
+// Payload layout (WireWriter encoding, all little-endian):
 //
 //   request:   u8 op, u64 request_id, the verb's field groups in
 //              Request order (serve/dispatch.hpp kField*); written by
@@ -40,8 +42,8 @@
 // client sends most. parse_bin_response() reads a reply, and
 // decode_reply_line() reads an NDJSON reply into the same BinResponse.
 // docs/API.md §serve/ has the field tables. Unknown ops and corrupt
-// payloads answer status=error; a frame longer than kMaxFramePayload
-// kills the connection (it cannot be resynchronized).
+// payloads answer status=error; a frame or NDJSON line longer than
+// kMaxFramePayload kills the connection (it cannot be resynchronized).
 #pragma once
 
 #include <cstdint>
@@ -56,8 +58,9 @@ namespace parsched::serve {
 inline constexpr char kBinMagic[4] = {'P', 'B', 'I', 'N'};
 inline constexpr std::uint32_t kBinProtoVersion = 1;
 inline constexpr std::size_t kBinHelloSize = 8;
-/// Upper bound on one frame payload; a length beyond this is corruption
-/// (the stream cannot be resynchronized past it).
+/// Upper bound on one frame payload or NDJSON line (without its '\n');
+/// a longer one is corruption (the stream cannot be resynchronized past
+/// it).
 inline constexpr std::uint32_t kMaxFramePayload = 64u << 20;
 
 /// The serve verbs. Values are the PBIN wire codes — append only.
@@ -97,20 +100,36 @@ enum class BinStatus : std::uint8_t {
 /// Parse an 8-byte hello; throws std::invalid_argument on bad magic.
 [[nodiscard]] std::uint32_t decode_hello(std::string_view hello);
 
-/// Incremental frame reassembly: feed() arbitrary byte chunks, next()
-/// yields complete payloads in order. Tolerates a frame header or body
-/// split at any byte offset. Throws std::invalid_argument when a frame
-/// length exceeds kMaxFramePayload.
+/// The two serve wires: NDJSON lines and PBIN frames.
+enum class Wire : std::uint8_t { kLine, kFrame };
+
+/// The framer of one wire. feed() takes arbitrary byte chunks; next()
+/// yields complete payloads in order: a line without its '\n' (empty
+/// lines are skipped) or a frame payload, torn at any byte offset. Each
+/// byte is scanned once, however the stream is chunked. next() throws
+/// std::invalid_argument for a frame length or a line longer than
+/// kMaxFramePayload, or for more than kMaxFramePayload bytes without a
+/// '\n'. wrap() gives the bytes a writer sends for one payload.
 class FrameBuffer {
  public:
-  void feed(std::string_view data) { buf_.append(data.data(), data.size()); }
+  explicit FrameBuffer(Wire wire = Wire::kFrame) : wire_(wire) {}
+
+  [[nodiscard]] Wire wire() const { return wire_; }
+
+  void feed(std::string_view data);
 
   /// Extract the next complete payload into `payload`; false when more
   /// bytes are needed.
   bool next(std::string& payload);
 
+  /// `payload` framed for this wire: with '\n' appended, or frame().
+  [[nodiscard]] std::string wrap(std::string_view payload) const;
+
  private:
+  Wire wire_;
   std::string buf_;
+  std::size_t head_ = 0;     ///< start of the bytes next() has not taken
+  std::size_t scanned_ = 0;  ///< bytes past head_ known to hold no '\n'
 };
 
 // ---- request encoders (client side) ---------------------------------------
@@ -177,36 +196,5 @@ struct BinResponse {
 
 /// Parse a response payload; throws std::invalid_argument on corruption.
 [[nodiscard]] BinResponse parse_bin_response(std::string_view payload);
-
-// ---- blocking client ------------------------------------------------------
-
-/// Blocking PBIN client over a Unix-domain socket — the binary twin of
-/// transport.hpp's Client. Performs the hello handshake at
-/// construction; throws std::runtime_error when the server rejects the
-/// proposed version. Not thread-safe: one client per thread.
-class BinClient {
- public:
-  explicit BinClient(const std::string& path, double timeout_seconds = 10.0,
-                     std::uint32_t version = kBinProtoVersion);
-  ~BinClient();
-  BinClient(const BinClient&) = delete;
-  BinClient& operator=(const BinClient&) = delete;
-
-  /// Send one request payload, block for the next response payload.
-  /// Strict request/response, like the NDJSON client.
-  [[nodiscard]] std::string request(const std::string& payload);
-
-  /// Convenience: request + parse.
-  [[nodiscard]] BinResponse call(const std::string& payload) {
-    return parse_bin_response(request(payload));
-  }
-
-  [[nodiscard]] std::uint32_t negotiated() const { return negotiated_; }
-
- private:
-  int fd_ = -1;
-  std::uint32_t negotiated_ = 0;
-  FrameBuffer frames_;
-};
 
 }  // namespace parsched::serve

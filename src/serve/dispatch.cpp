@@ -173,11 +173,7 @@ bool dispatch(Cluster& cluster, Request req, Reply& reply) {
         require_path(req);
         on_strand(cluster, req.session, reply,
                   [path = std::move(req.path)](Session& s, Reply& r) {
-                    const std::string blob = s.snapshot();
-                    auto out = open_output(path, "session snapshot");
-                    out.write(blob.data(),
-                              static_cast<std::streamsize>(blob.size()));
-                    finish_output(out, path);
+                    write_snapshot_file(path, s.snapshot());
                     r.ok();
                   });
         break;

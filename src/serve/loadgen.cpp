@@ -5,7 +5,6 @@
 #include <ctime>
 #include <future>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -57,29 +56,11 @@ struct Shared {
   obs::Histogram* latency_ms = nullptr;
 };
 
-/// One worker connection: it sends a Request in the codec the
-/// connection speaks and reads the reply as a BinResponse.
-class Connection {
- public:
-  explicit Connection(const LoadgenConfig& cfg) {
-    if (cfg.binary) {
-      bin_.emplace(cfg.socket_path, cfg.connect_timeout);
-    } else {
-      line_.emplace(cfg.socket_path, cfg.connect_timeout);
-    }
-  }
-
-  BinResponse call(Request req) {
-    req.rid = rid_++;
-    if (bin_) return bin_->call(encode_frame(req));
-    return decode_reply_line(line_->request(encode_line(req)));
-  }
-
- private:
-  std::optional<BinClient> bin_;
-  std::optional<Client> line_;
-  std::uint64_t rid_ = 0;
-};
+/// A client of the wire the run drives.
+Client open_client(const LoadgenConfig& cfg) {
+  return Client(cfg.socket_path, cfg.connect_timeout,
+                cfg.binary ? Wire::kFrame : Wire::kLine);
+}
 
 // ---- the deterministic workload -------------------------------------------
 
@@ -139,7 +120,7 @@ std::vector<SessionPlan> plan_fleet(const LoadgenConfig& cfg, int shards) {
 
 /// One timed request with reject-retry. Latencies go to the local batch
 /// (merged once per worker); throws on errors or exhausted retries.
-BinResponse timed(Connection& wire, const Request& req, Shared& shared,
+BinResponse timed(Client& wire, const Request& req, Shared& shared,
                   std::vector<double>& local_lat) {
   for (int attempt = 0;; ++attempt) {
     const double t0 = obs::monotonic_seconds();
@@ -180,7 +161,7 @@ void drive_block(const LoadgenConfig& cfg,
                  const std::vector<SessionPlan>& plans, std::size_t first,
                  std::size_t count, Shared& shared) {
   std::vector<double> local_lat;
-  Connection wire(cfg);
+  Client wire = open_client(cfg);
 
   struct Live {
     const SessionPlan* plan = nullptr;
@@ -263,7 +244,7 @@ void drive_block(const LoadgenConfig& cfg,
 
 /// Ask the server how many shards it runs (the "cluster" verb).
 int probe_shards(const LoadgenConfig& cfg) {
-  const BinResponse resp = Connection(cfg).call({.op = BinOp::kCluster});
+  const BinResponse resp = open_client(cfg).call({.op = BinOp::kCluster});
   if (resp.status != BinStatus::kOk) {
     throw std::runtime_error("cluster probe failed: " + resp.error);
   }
@@ -360,7 +341,7 @@ LoadgenResult run_loadgen(const LoadgenConfig& cfg) {
   pool.shutdown();
 
   if (cfg.shutdown_after) {
-    (void)Connection(cfg).call({.op = BinOp::kShutdown});
+    (void)open_client(cfg).call({.op = BinOp::kShutdown});
   }
 
   shared.result.wall_seconds = obs::monotonic_seconds() - t0;

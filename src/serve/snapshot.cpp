@@ -214,9 +214,7 @@ SessionSnapshot decode_snapshot(std::string_view blob) {
   return snap;
 }
 
-void write_snapshot_file(const std::string& path,
-                         const SessionSnapshot& snap) {
-  const std::string blob = encode_snapshot(snap);
+void write_snapshot_file(const std::string& path, std::string_view blob) {
   auto out = open_output(path, "session snapshot");
   out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
   finish_output(out, path);

@@ -49,10 +49,10 @@ struct SessionSnapshot {
 /// corrupt, truncated, or wrong-version blob.
 [[nodiscard]] SessionSnapshot decode_snapshot(std::string_view blob);
 
-/// File convenience wrappers (util/fsio-checked write; read throws
+/// File wrappers: write an encode_snapshot() blob (util/fsio-checked;
+/// the snapshot verb's writer), and read one back (throws
 /// std::runtime_error when the file cannot be opened).
-void write_snapshot_file(const std::string& path,
-                         const SessionSnapshot& snap);
+void write_snapshot_file(const std::string& path, std::string_view blob);
 [[nodiscard]] SessionSnapshot read_snapshot_file(const std::string& path);
 
 }  // namespace parsched::serve

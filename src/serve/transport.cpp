@@ -7,7 +7,9 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -32,31 +34,18 @@ void sleep_seconds(double seconds) {
 }
 
 /// One accepted connection. Pool threads write responses through
-/// write_line()/write_frame() while the poll loop reads requests, so
-/// writes serialize behind `mu` and survive the connection being closed
-/// (they become no-ops). The protocol mode is decided by the first byte
-/// the client sends and never changes afterwards.
+/// write() while the poll loop reads requests, so writes serialize
+/// behind `mu` and survive the connection being closed (they become
+/// no-ops). The first byte the client sends picks the wire: 'P' opens
+/// the PBIN hello, anything else an NDJSON line stream.
 struct Connection {
-  enum class Mode { kUndecided, kLine, kBinary };
-
   explicit Connection(int sock) : fd(sock) {}
 
-  void write_line(const std::string& line) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (closed) return;
-    std::string framed = line;
-    framed.push_back('\n');
-    if (!send_all(fd, framed.data(), framed.size())) closed = true;
-  }
+  /// One reply payload, framed for this connection's wire. Pool threads
+  /// read only the framer's wire, which is set before the first request.
+  void write(const std::string& payload) { write_raw(framer->wrap(payload)); }
 
-  void write_frame(const std::string& payload) {
-    const std::string framed = frame(payload);
-    std::lock_guard<std::mutex> lock(mu);
-    if (closed) return;
-    if (!send_all(fd, framed.data(), framed.size())) closed = true;
-  }
-
-  /// Unframed bytes — the PBIN hello only.
+  /// Bytes as they are: the PBIN hello answer, or a framed reply.
   void write_raw(const std::string& bytes) {
     std::lock_guard<std::mutex> lock(mu);
     if (closed) return;
@@ -74,78 +63,58 @@ struct Connection {
   std::mutex mu;
   int fd;
   bool closed = false;
-  Mode mode = Mode::kUndecided;
-  bool hello_done = false;  // PBIN handshake answered (poll-loop only)
-  std::string inbox;        // unconsumed request bytes (poll-loop only)
-  FrameBuffer frames;       // PBIN reassembly (poll-loop only)
+  std::optional<FrameBuffer> framer;  // set by the first byte (poll loop)
+  std::string hello;                  // PBIN hello bytes (poll loop only)
 };
 
-/// Drain `conn->inbox` as NDJSON lines. Returns false once a shutdown
-/// request has been served.
-bool pump_lines(ProtocolHandler& handler,
-                const std::shared_ptr<Connection>& conn) {
-  std::size_t start = 0;
-  bool running = true;
-  for (;;) {
-    const std::size_t nl = conn->inbox.find('\n', start);
-    if (nl == std::string::npos) break;
-    const std::string line = conn->inbox.substr(start, nl - start);
-    start = nl + 1;
-    if (line.empty()) continue;
-    const std::shared_ptr<Connection> sink = conn;
-    if (!handler.handle_line(line, [sink](const std::string& resp) {
-          sink->write_line(resp);
-        })) {
-      running = false;
-      break;
-    }
+/// Feed bytes the client sent and serve every complete request. Returns
+/// false once a shutdown request has been served. Throws
+/// std::invalid_argument when the stream cannot be read on — a bad or
+/// rejected PBIN hello, or a line or frame over kMaxFramePayload — and
+/// the caller drops the connection.
+bool pump(ProtocolHandler& handler, const std::shared_ptr<Connection>& conn,
+          std::string_view bytes) {
+  if (!conn->framer) {
+    conn->framer.emplace(bytes.front() == kBinMagic[0] ? Wire::kFrame
+                                                       : Wire::kLine);
   }
-  conn->inbox.erase(0, start);
-  return running;
-}
-
-/// Drain `conn->inbox` as PBIN: hello handshake first, then frames.
-/// Returns false once a shutdown request has been served; a corrupt
-/// hello or an oversized frame marks the connection dead instead (the
-/// byte stream cannot be resynchronized).
-bool pump_frames(ProtocolHandler& handler,
-                 const std::shared_ptr<Connection>& conn, bool& kill) {
-  if (!conn->hello_done) {
-    if (conn->inbox.size() < kBinHelloSize) return true;
-    std::uint32_t proposed = 0;
-    try {
-      proposed = decode_hello(
-          std::string_view(conn->inbox).substr(0, kBinHelloSize));
-    } catch (const std::invalid_argument&) {
-      kill = true;
-      return true;
-    }
-    conn->inbox.erase(0, kBinHelloSize);
+  const bool frames = conn->framer->wire() == Wire::kFrame;
+  if (frames && conn->hello.size() < kBinHelloSize) {
+    const std::size_t take =
+        std::min(bytes.size(), kBinHelloSize - conn->hello.size());
+    conn->hello.append(bytes.substr(0, take));
+    bytes.remove_prefix(take);
+    if (conn->hello.size() < kBinHelloSize) return true;
     const std::uint32_t negotiated =
-        proposed == 0 ? 0 : std::min(proposed, kBinProtoVersion);
+        std::min(decode_hello(conn->hello), kBinProtoVersion);
     conn->write_raw(encode_hello(negotiated));
     if (negotiated == 0) {
-      kill = true;
-      return true;
+      throw std::invalid_argument("no PBIN version in common");
     }
-    conn->hello_done = true;
   }
-  conn->frames.feed(conn->inbox);
-  conn->inbox.clear();
+  conn->framer->feed(bytes);
+  const ProtocolHandler::WriteFn write = [conn](const std::string& reply) {
+    conn->write(reply);
+  };
   std::string payload;
-  try {
-    while (conn->frames.next(payload)) {
-      const std::shared_ptr<Connection> sink = conn;
-      if (!handler.handle_frame(payload, [sink](const std::string& resp) {
-            sink->write_frame(resp);
-          })) {
-        return false;
-      }
+  while (conn->framer->next(payload)) {
+    if (!(frames ? handler.handle_frame(payload, write)
+                 : handler.handle_line(payload, write))) {
+      return false;
     }
-  } catch (const std::invalid_argument&) {
-    kill = true;  // oversized frame length: corruption
   }
   return true;
+}
+
+/// Block for at most `max` bytes, riding out EINTR; throws
+/// std::runtime_error once the server is gone.
+std::size_t recv_some(int fd, char* out, std::size_t max) {
+  for (;;) {
+    const ssize_t n = ::recv(fd, out, max, 0);
+    if (n > 0) return static_cast<std::size_t>(n);
+    if (n < 0 && errno == EINTR) continue;
+    throw std::runtime_error("server connection lost (recv)");
+  }
 }
 
 }  // namespace
@@ -250,27 +219,19 @@ void serve_unix_socket(ProtocolHandler& handler, const std::string& path) {
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       const auto it = conns.find(fds[i].fd);
       if (it == conns.end()) continue;
-      const std::shared_ptr<Connection>& conn = it->second;
       char buf[4096];
-      const ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
+      const ssize_t n = ::recv(fds[i].fd, buf, sizeof(buf), 0);
       if (n <= 0) {
         if (n < 0 && errno == EINTR) continue;
         dead.push_back(fds[i].fd);
         continue;
       }
-      conn->inbox.append(buf, static_cast<std::size_t>(n));
-      if (conn->mode == Connection::Mode::kUndecided) {
-        conn->mode = conn->inbox.front() == kBinMagic[0]
-                         ? Connection::Mode::kBinary
-                         : Connection::Mode::kLine;
+      try {
+        running = pump(handler, it->second,
+                       std::string_view(buf, static_cast<std::size_t>(n)));
+      } catch (const std::invalid_argument&) {
+        dead.push_back(fds[i].fd);  // framing error: cannot resynchronize
       }
-      bool kill = false;
-      if (conn->mode == Connection::Mode::kLine) {
-        running = pump_lines(handler, conn);
-      } else {
-        running = pump_frames(handler, conn, kill);
-      }
-      if (kill) dead.push_back(fds[i].fd);
       if (!running) break;
     }
     for (const int fd : dead) {
@@ -316,42 +277,51 @@ int connect_unix_client(const std::string& path, double timeout_seconds) {
   }
 }
 
-Client::Client(const std::string& path, double timeout_seconds)
-    : fd_(connect_unix_client(path, timeout_seconds)) {}
-
-Client::~Client() {
-  if (fd_ >= 0) ::close(fd_);
+Client::Client(const std::string& path, double timeout_seconds, Wire wire,
+               std::uint32_t version)
+    : fd_(connect_unix_client(path, timeout_seconds)), framer_(wire) {
+  if (wire == Wire::kLine) return;
+  try {
+    const std::string hello = encode_hello(version);
+    if (!send_all(fd_, hello.data(), hello.size())) {
+      throw std::runtime_error("server connection lost (hello)");
+    }
+    char reply[kBinHelloSize];
+    for (std::size_t got = 0; got < sizeof(reply);) {
+      got += recv_some(fd_, reply + got, sizeof(reply) - got);
+    }
+    negotiated_ = decode_hello(std::string_view(reply, sizeof(reply)));
+    if (negotiated_ == 0) {
+      throw std::runtime_error("server rejected PBIN version " +
+                               std::to_string(version));
+    }
+  } catch (...) {
+    ::close(fd_);
+    throw;
+  }
 }
 
-void Client::send_line(const std::string& line) {
-  std::string framed = line;
-  framed.push_back('\n');
-  if (!send_all(fd_, framed.data(), framed.size())) {
+Client::~Client() { ::close(fd_); }
+
+std::string Client::request(const std::string& payload) {
+  const std::string bytes = framer_.wrap(payload);
+  if (!send_all(fd_, bytes.data(), bytes.size())) {
     throw std::runtime_error("server connection lost (send)");
   }
-}
-
-std::string Client::read_line() {
-  for (;;) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      return line;
-    }
+  std::string reply;
+  while (!framer_.next(reply)) {
     char buf[4096];
-    const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      throw std::runtime_error("server connection lost (recv)");
-    }
-    buffer_.append(buf, static_cast<std::size_t>(n));
+    framer_.feed(std::string_view(buf, recv_some(fd_, buf, sizeof(buf))));
   }
+  return reply;
 }
 
-std::string Client::request(const std::string& line) {
-  send_line(line);
-  return read_line();
+BinResponse Client::call(Request req) {
+  req.rid = rid_++;
+  if (framer_.wire() == Wire::kFrame) {
+    return parse_bin_response(request(encode_frame(req)));
+  }
+  return decode_reply_line(request(encode_line(req)));
 }
 
 }  // namespace parsched::serve

@@ -14,24 +14,31 @@
 //
 // Both return once a client's "shutdown" request has been served (or on
 // EOF / listener error), after draining the cluster so every queued
-// response is flushed. Responses are produced on pool threads; each
-// connection serializes its writes behind a mutex, so concurrent
-// sessions interleave whole lines/frames, never bytes.
+// response is flushed. On the socket, each connection cuts its requests
+// with one FrameBuffer of its wire (serve/binproto.hpp) and writes every
+// reply through one path that frames it for that wire. Responses are
+// produced on pool threads; each connection serializes its writes
+// behind a mutex, so concurrent sessions interleave whole lines/frames,
+// never bytes. A line or frame longer than kMaxFramePayload, a bad PBIN
+// hello or a rejected version drops that connection alone.
 //
 // The accept loop is hardened against transient failures: EINTR,
 // ECONNABORTED and load-shedding errnos (EMFILE/ENFILE/ENOBUFS) skip
 // the failed accept and keep listening (accept_should_retry()); only a
 // genuinely broken listener (EBADF, EINVAL) stops the loop.
 //
-// Client is the matching blocking NDJSON client (used by parsched
-// loadgen and the protocol round-trip tests): connect with retry —
-// the server may still be binding — then strict request/response. The
-// PBIN twin, BinClient, lives in serve/binproto.hpp.
+// Client is the matching blocking client of either wire (used by
+// parsched loadgen and ctl, and the socket tests): connect with retry —
+// the server may still be binding — then, on PBIN, the hello, then
+// strict request/response. serve_stdio reads its own pipe with
+// std::getline and does not use the framer.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
+#include "serve/binproto.hpp"
 #include "serve/protocol.hpp"
 
 namespace parsched::serve {
@@ -59,28 +66,39 @@ void serve_unix_socket(ProtocolHandler& handler, const std::string& path);
 /// when the peer vanished (EPIPE surfaces as a return, never a signal).
 bool send_all(int fd, const char* data, std::size_t len);
 
-/// Blocking NDJSON client over a Unix-domain socket. Not thread-safe:
-/// one client per thread (loadgen opens one per session).
+/// Blocking client of either wire over a Unix-domain socket. Not
+/// thread-safe: one client per thread (loadgen opens one per worker).
 class Client {
  public:
   /// Connect, retrying (the server may still be starting) until
-  /// `timeout_seconds` elapses; throws std::runtime_error on timeout.
-  explicit Client(const std::string& path, double timeout_seconds = 10.0);
+  /// `timeout_seconds` elapses; throws std::runtime_error on timeout. On
+  /// Wire::kFrame, proposes `version` in the PBIN hello and throws
+  /// std::runtime_error when the server rejects it.
+  explicit Client(const std::string& path, double timeout_seconds = 10.0,
+                  Wire wire = Wire::kLine,
+                  std::uint32_t version = kBinProtoVersion);
   ~Client();
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
 
-  /// Send one request line, block for the next response line. Strict
+  /// Send one request payload (a line without '\n', or an unframed
+  /// frame payload), block for the next reply payload. Strict
   /// request/response: never issue a second request before the first
-  /// response arrived (responses carry no framing besides order).
-  std::string request(const std::string& line);
+  /// reply arrived (replies carry no framing besides order).
+  std::string request(const std::string& payload);
+
+  /// Stamp `req.rid` from this client's counter (0, 1, ... — a retry
+  /// takes the next one), encode it for the wire, and decode the reply.
+  [[nodiscard]] BinResponse call(Request req);
+
+  /// The PBIN version the hello settled on; 0 on Wire::kLine.
+  [[nodiscard]] std::uint32_t negotiated() const { return negotiated_; }
 
  private:
-  void send_line(const std::string& line);
-  std::string read_line();
-
   int fd_ = -1;
-  std::string buffer_;  // bytes read past the last returned line
+  FrameBuffer framer_;
+  std::uint32_t negotiated_ = 0;
+  std::uint64_t rid_ = 0;
 };
 
 }  // namespace parsched::serve

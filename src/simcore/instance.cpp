@@ -21,8 +21,6 @@ Instance::Instance(int machines, std::vector<Job> jobs)
     check_job(j);
     min_size_ = std::min(min_size_, j.size);
     max_size_ = std::max(max_size_, j.size);
-    total_work_ += j.size;
-    max_alpha_ = std::max(max_alpha_, j.curve.alpha());
   }
   // Ids must be unique (they key results and trajectories).
   std::vector<JobId> ids;

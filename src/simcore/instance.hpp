@@ -23,19 +23,12 @@ class Instance {
   /// (with the normalization min size = 1, simply the max size).
   [[nodiscard]] double P() const { return p_ratio_; }
 
-  [[nodiscard]] double total_work() const { return total_work_; }
-
-  /// Largest alpha over the jobs' speedup curves (Theorem 1's alpha).
-  [[nodiscard]] double max_alpha() const { return max_alpha_; }
-
  private:
   int m_;
   std::vector<Job> jobs_;
   double p_ratio_ = 1.0;
   double min_size_ = 1.0;
   double max_size_ = 1.0;
-  double total_work_ = 0.0;
-  double max_alpha_ = 0.0;
 };
 
 }  // namespace parsched

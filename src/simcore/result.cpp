@@ -10,24 +10,6 @@ double SimResult::max_flow() const {
   return mx;
 }
 
-double SimResult::flow_tagged(JobTag::Class cls, int phase) const {
-  double total = 0.0;
-  for (const auto& r : records) {
-    if (r.job.tag.cls == cls && (phase < 0 || r.job.tag.phase == phase)) {
-      total += r.flow();
-    }
-  }
-  return total;
-}
-
-std::size_t SimResult::count_tagged(JobTag::Class cls, int phase) const {
-  std::size_t n = 0;
-  for (const auto& r : records) {
-    if (r.job.tag.cls == cls && (phase < 0 || r.job.tag.phase == phase)) ++n;
-  }
-  return n;
-}
-
 std::vector<Job> SimResult::realized_jobs() const {
   std::vector<Job> jobs;
   jobs.reserve(records.size());

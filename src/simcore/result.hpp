@@ -48,11 +48,6 @@ struct SimResult {
   }
   [[nodiscard]] double max_flow() const;
 
-  /// Total flow restricted to a tag class (phase = -1 matches any phase).
-  [[nodiscard]] double flow_tagged(JobTag::Class cls, int phase = -1) const;
-  [[nodiscard]] std::size_t count_tagged(JobTag::Class cls,
-                                         int phase = -1) const;
-
   /// All released jobs (the realized instance; for adaptive sources this is
   /// only known after the run). Sorted by release time.
   [[nodiscard]] std::vector<Job> realized_jobs() const;

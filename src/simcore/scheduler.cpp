@@ -41,11 +41,6 @@ PARSCHED_HOT void Allocation::sort_support() {
                  support_.end());
 }
 
-PARSCHED_HOT std::span<const std::size_t> SchedulerContext::by_remaining()
-    const {
-  return orders_.srpt.prefix(alive_, alive_.size());
-}
-
 PARSCHED_HOT std::span<const std::size_t> SchedulerContext::smallest_remaining(
     std::size_t k) const {
   return orders_.srpt.prefix(alive_, k);
@@ -54,11 +49,6 @@ PARSCHED_HOT std::span<const std::size_t> SchedulerContext::smallest_remaining(
 PARSCHED_HOT std::size_t SchedulerContext::min_remaining() const {
   PARSCHED_CHECK(!alive_.empty(), "min_remaining over an empty alive set");
   return smallest_remaining(1)[0];
-}
-
-PARSCHED_HOT std::span<const std::size_t> SchedulerContext::by_latest_arrival()
-    const {
-  return orders_.latest.prefix(alive_, alive_.size());
 }
 
 PARSCHED_HOT std::span<const std::size_t> SchedulerContext::latest_arrivals(

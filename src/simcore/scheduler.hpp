@@ -45,12 +45,9 @@ class SchedulerContext {
   /// The alive jobs, read through accessors (see AliveView).
   [[nodiscard]] AliveView alive() const { return alive_; }
 
-  /// Indices into alive() sorted by (remaining, release, id): SRPT order.
-  [[nodiscard]] std::span<const std::size_t> by_remaining() const;
-
-  /// Indices of the k jobs with least remaining work (SRPT order among
-  /// them) — the first k entries of by_remaining() without paying for the
-  /// full sort: O(k log k) from the SRPT heap.
+  /// Indices of the k jobs with least remaining work, in SRPT order
+  /// (remaining, release, id) — the first k entries of that order without
+  /// paying for the full sort: O(k log k) from the SRPT heap.
   [[nodiscard]] std::span<const std::size_t> smallest_remaining(
       std::size_t k) const;
 
@@ -58,11 +55,8 @@ class SchedulerContext {
   /// smallest_remaining(1)[0]. Requires a nonempty alive set.
   [[nodiscard]] std::size_t min_remaining() const;
 
-  /// Indices into alive() sorted by (release, id) descending: latest first
-  /// (used by LAPS).
-  [[nodiscard]] std::span<const std::size_t> by_latest_arrival() const;
-
-  /// Indices of the k latest-arriving jobs. O(k log k).
+  /// Indices of the k latest-arriving jobs, sorted by (release, id)
+  /// descending: latest first (used by LAPS). O(k log k).
   [[nodiscard]] std::span<const std::size_t> latest_arrivals(
       std::size_t k) const;
 

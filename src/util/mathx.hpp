@@ -28,12 +28,6 @@ inline constexpr double kEps = 1e-9;
   return std::fabs(a - b) <= tol * std::max({1.0, std::fabs(a), std::fabs(b)});
 }
 
-/// True when a < b and not approx_eq(a, b).
-[[nodiscard]] inline bool definitely_less(double a, double b,
-                                          double tol = kEps) {
-  return a < b && !approx_eq(a, b, tol);
-}
-
 /// Size-class index of the paper's analysis: a job with remaining work
 /// w in [2^k, 2^{k+1}) is in class k; w < 1 is the special class -1.
 [[nodiscard]] inline int size_class(double remaining) {

@@ -91,22 +91,6 @@ double Rng::bounded_pareto(double lo, double hi, double shape) {
 
 bool Rng::bernoulli(double p) { return uniform01() < p; }
 
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  PARSCHED_CHECK(!weights.empty(), "weighted_index of an empty vector");
-  double total = 0.0;
-  for (double w : weights) {
-    PARSCHED_CHECK(w >= 0.0, "weights must be nonnegative");
-    total += w;
-  }
-  PARSCHED_CHECK(total > 0.0, "weights must not all be zero");
-  double x = uniform01() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x < 0.0) return i;
-  }
-  return weights.size() - 1;
-}
-
 Rng Rng::split() { return Rng((*this)()); }
 
 }  // namespace parsched

@@ -7,7 +7,6 @@
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 namespace parsched {
 
@@ -44,9 +43,6 @@ class Rng {
 
   /// Bernoulli with success probability p.
   bool bernoulli(double p);
-
-  /// Sample an index according to (unnormalized, nonnegative) weights.
-  std::size_t weighted_index(const std::vector<double>& weights);
 
   /// Derive an independent child generator (for per-run streams).
   Rng split();

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "check/contract.hpp"
-#include "util/rng.hpp"
 
 namespace parsched {
 
@@ -89,31 +88,6 @@ LinearFit linear_fit(const std::vector<double>& x,
   fit.intercept = my - fit.slope * mx;
   fit.r2 = syy > 0.0 ? (sxy * sxy) / (sxx * syy) : 1.0;
   return fit;
-}
-
-Interval bootstrap_mean_ci(const std::vector<double>& values,
-                           double confidence, int resamples,
-                           std::uint64_t seed) {
-  PARSCHED_CHECK(!values.empty(), "bootstrap of an empty sample");
-  PARSCHED_CHECK(0.0 < confidence && confidence < 1.0,
-                 "confidence must lie in (0, 1)");
-  Rng rng(seed);
-  std::vector<double> means;
-  means.reserve(static_cast<std::size_t>(resamples));
-  const auto n = values.size();
-  for (int r = 0; r < resamples; ++r) {
-    double sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      sum += values[static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))];
-    }
-    means.push_back(sum / static_cast<double>(n));
-  }
-  const double tail = (1.0 - confidence) / 2.0 * 100.0;
-  Interval iv;
-  iv.lo = percentile(means, tail);
-  iv.hi = percentile(means, 100.0 - tail);
-  return iv;
 }
 
 }  // namespace parsched

@@ -1,12 +1,11 @@
 // parsched — lightweight statistics used by the benchmark harness.
 //
-// Welford running moments, order statistics, simple linear regression
-// (benches fit competitive ratio ~ a*log2(P) + b to quantify the Theorem-1
-// growth rate), and a seedable bootstrap confidence interval.
+// Welford running moments, order statistics, and simple linear
+// regression (benches fit competitive ratio ~ a*log2(P) + b to quantify
+// the Theorem-1 growth rate).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace parsched {
@@ -44,16 +43,5 @@ struct LinearFit {
 
 [[nodiscard]] LinearFit linear_fit(const std::vector<double>& x,
                                    const std::vector<double>& y);
-
-/// Percentile bootstrap confidence interval for the mean.
-struct Interval {
-  double lo = 0.0;
-  double hi = 0.0;
-};
-
-[[nodiscard]] Interval bootstrap_mean_ci(const std::vector<double>& values,
-                                         double confidence = 0.95,
-                                         int resamples = 1000,
-                                         std::uint64_t seed = 42);
 
 }  // namespace parsched

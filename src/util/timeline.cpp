@@ -108,23 +108,4 @@ double PiecewiseLinear::integrate(double a, double b) const {
   return total;
 }
 
-std::vector<double> merged_breakpoints(
-    const std::vector<const std::vector<double>*>& time_vectors, double lo,
-    double hi, double tol) {
-  std::vector<double> out;
-  out.push_back(lo);
-  for (const auto* tv : time_vectors) {
-    for (double t : *tv) {
-      if (t > lo && t < hi) out.push_back(t);
-    }
-  }
-  out.push_back(hi);
-  std::sort(out.begin(), out.end());
-  std::vector<double> dedup;
-  for (double t : out) {
-    if (dedup.empty() || t - dedup.back() > tol) dedup.push_back(t);
-  }
-  return dedup;
-}
-
 }  // namespace parsched

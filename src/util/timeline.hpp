@@ -6,8 +6,8 @@
 //  * PiecewiseLinear   — continuous piecewise-linear values, used for
 //                        per-job remaining-work trajectories and for the
 //                        potential function Phi(t).
-// Both support exact integration and merged breakpoint grids, which is what
-// the local-competitiveness and potential-function verifiers operate on.
+// Both support exact integration, which is what the local-competitiveness
+// and potential-function verifiers operate on.
 #pragma once
 
 #include <cstddef>
@@ -67,11 +67,5 @@ class PiecewiseLinear {
   std::vector<double> times_;
   std::vector<double> values_;
 };
-
-/// Sorted union of the breakpoint times of several functions, deduplicated
-/// with tolerance `tol` and clipped to [lo, hi].
-[[nodiscard]] std::vector<double> merged_breakpoints(
-    const std::vector<const std::vector<double>*>& time_vectors, double lo,
-    double hi, double tol = 1e-12);
 
 }  // namespace parsched

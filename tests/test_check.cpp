@@ -320,7 +320,7 @@ class AntiSrpt final : public Scheduler {
     const std::size_t n = ctx.alive().size();
     const auto m = static_cast<std::size_t>(ctx.machines());
     out.reset(n);
-    const auto order = ctx.by_remaining();  // ascending; serve from the back
+    const auto order = ctx.smallest_remaining(n);  // serve from the back
     for (std::size_t i = 0; i < std::min(n, m); ++i) {
       out.grant(order[n - 1 - i], 1.0);
     }

@@ -350,6 +350,63 @@ TEST(BinProto, FrameBufferRejectsOversizedLength) {
   EXPECT_THROW((void)buf.next(payload), std::invalid_argument);
 }
 
+// The line wire tears the same way: a line split anywhere, and empty
+// lines between requests, which are skipped.
+TEST(BinProto, FrameBufferReassemblesTornLinesAtEveryOffset) {
+  const serve::FrameBuffer wire(serve::Wire::kLine);
+  const std::vector<std::string> payloads = {
+      "x", std::string(300, 'y'), R"({"op":"ping","id":7})"};
+  std::string stream = "\n";
+  for (const std::string& p : payloads) stream += wire.wrap(p) + "\n";
+  ASSERT_EQ(stream, "\nx\n\n" + payloads[1] + "\n\n" + payloads[2] + "\n\n");
+
+  for (std::size_t cut = 0; cut <= stream.size(); ++cut) {
+    serve::FrameBuffer buf(serve::Wire::kLine);
+    buf.feed(std::string_view(stream).substr(0, cut));
+    std::vector<std::string> got;
+    std::string payload;
+    while (buf.next(payload)) got.push_back(payload);
+    buf.feed(std::string_view(stream).substr(cut));
+    while (buf.next(payload)) got.push_back(payload);
+    EXPECT_EQ(got, payloads) << "cut at " << cut;
+  }
+
+  serve::FrameBuffer drip(serve::Wire::kLine);
+  std::vector<std::string> got;
+  for (const char c : stream) {
+    drip.feed(std::string_view(&c, 1));
+    std::string payload;
+    while (drip.next(payload)) got.push_back(payload);
+  }
+  EXPECT_EQ(got, payloads);
+}
+
+// A line is capped like a frame: kMaxFramePayload bytes without a '\n'
+// still wait for the rest, one more is corruption, whatever the chunks.
+TEST(BinProto, FrameBufferRejectsALineOverTheCap) {
+  const std::string chunk(std::size_t{1} << 20, 'x');
+  std::string payload;
+  {
+    serve::FrameBuffer at_cap(serve::Wire::kLine);
+    for (std::size_t fed = 0; fed < serve::kMaxFramePayload;
+         fed += chunk.size()) {
+      at_cap.feed(chunk);
+      ASSERT_FALSE(at_cap.next(payload));
+    }
+    at_cap.feed("\n");
+    ASSERT_TRUE(at_cap.next(payload));
+    EXPECT_EQ(payload.size(), std::size_t{serve::kMaxFramePayload});
+  }
+  serve::FrameBuffer over(serve::Wire::kLine);
+  for (std::size_t fed = 0; fed < serve::kMaxFramePayload;
+       fed += chunk.size()) {
+    over.feed(chunk);
+    ASSERT_FALSE(over.next(payload));
+  }
+  over.feed("x");
+  EXPECT_THROW((void)over.next(payload), std::invalid_argument);
+}
+
 // --------------------------------------------------- cluster routing
 
 TEST(Cluster, RoutesByKeyAndCountsSessions) {
@@ -749,15 +806,18 @@ TEST(ClusterSocket, PbinClientRoundTrip) {
       [&handler, &path] { serve::serve_unix_socket(handler, path); });
 
   {
-    serve::BinClient client(path);
+    serve::Client client(path, 10.0, serve::Wire::kFrame);
     EXPECT_EQ(client.negotiated(), serve::kBinProtoVersion);
+    const auto call = [&client](const std::string& payload) {
+      return serve::parse_bin_response(client.request(payload));
+    };
 
     serve::BinResponse r =
-        client.call(serve::encode_frame({.op = serve::BinOp::kPing, .rid = 1}));
+        call(serve::encode_frame({.op = serve::BinOp::kPing, .rid = 1}));
     EXPECT_EQ(r.status, serve::BinStatus::kOk);
     EXPECT_EQ(r.rid, 1u);
 
-    r = client.call(serve::bin_open(2, "equi", 2, 1.0, 0));
+    r = call(serve::bin_open(2, "equi", 2, 1.0, 0));
     ASSERT_EQ(r.status, serve::BinStatus::kOk);
     const std::uint64_t sid = r.session;
     EXPECT_GT(sid, 0u);
@@ -767,17 +827,17 @@ TEST(ClusterSocket, PbinClientRoundTrip) {
     j.release = 0.0;
     j.size = 2.0;
     j.curve = SpeedupCurve::power_law(0.5);
-    EXPECT_EQ(client.call(serve::bin_admit(3, sid, j)).status,
+    EXPECT_EQ(call(serve::bin_admit(3, sid, j)).status,
               serve::BinStatus::kOk);
-    EXPECT_EQ(client.call(serve::bin_advance(4, sid, 1.0)).status,
+    EXPECT_EQ(call(serve::bin_advance(4, sid, 1.0)).status,
               serve::BinStatus::kOk);
 
-    r = client.call(serve::encode_frame(
+    r = call(serve::encode_frame(
         {.op = serve::BinOp::kQuery, .rid = 5, .session = sid}));
     ASSERT_EQ(r.status, serve::BinStatus::kOk);
     EXPECT_EQ(r.policy, "EQUI");
 
-    r = client.call(
+    r = call(
         serve::encode_frame({.op = serve::BinOp::kCluster, .rid = 6}));
     ASSERT_EQ(r.status, serve::BinStatus::kOk);
     EXPECT_EQ(r.shards, 2);
@@ -785,7 +845,7 @@ TEST(ClusterSocket, PbinClientRoundTrip) {
     ASSERT_EQ(r.shard_sessions.size(), 2u);
     ASSERT_EQ(r.in_ring.size(), 2u);
 
-    r = client.call(serve::bin_finish(7, sid));
+    r = call(serve::bin_finish(7, sid));
     ASSERT_EQ(r.status, serve::BinStatus::kOk);
     EXPECT_EQ(r.jobs, 1u);
     ASSERT_EQ(r.records.size(), 1u);
@@ -797,19 +857,18 @@ TEST(ClusterSocket, PbinClientRoundTrip) {
     EXPECT_EQ(r.records[0].completion, batch.records[0].completion);
     EXPECT_EQ(r.total_flow, batch.total_flow);
 
-    EXPECT_EQ(client.call(serve::bin_close(8, sid)).status,
+    EXPECT_EQ(call(serve::bin_close(8, sid)).status,
               serve::BinStatus::kOk);
 
     // Unknown session: reject with a retryable verdict, not an error.
-    r = client.call(serve::encode_frame(
+    r = call(serve::encode_frame(
         {.op = serve::BinOp::kQuery, .rid = 9, .session = sid}));
     EXPECT_EQ(r.status, serve::BinStatus::kReject);
     EXPECT_EQ(static_cast<serve::Submit>(r.verdict),
               serve::Submit::kUnknownSession);
 
-    EXPECT_EQ(client
-                  .call(serve::encode_frame(
-                      {.op = serve::BinOp::kShutdown, .rid = 10}))
+    EXPECT_EQ(call(serve::encode_frame(
+                       {.op = serve::BinOp::kShutdown, .rid = 10}))
                   .status,
               serve::BinStatus::kOk);
   }
@@ -825,16 +884,18 @@ TEST(ClusterSocket, VersionNegotiationRejectsUnspeakableClient) {
 
   // Version 0 proposes nothing the server can speak: hello answers 0
   // and the connection closes.
-  EXPECT_THROW(serve::BinClient(path, 10.0, 0), std::runtime_error);
+  EXPECT_THROW(serve::Client(path, 10.0, serve::Wire::kFrame, 0),
+               std::runtime_error);
 
   // A huge client version negotiates down to the server's.
   {
-    serve::BinClient v9(path, 10.0, 9);
+    serve::Client v9(path, 10.0, serve::Wire::kFrame, 9);
     EXPECT_EQ(v9.negotiated(), serve::kBinProtoVersion);
-    EXPECT_EQ(
-        v9.call(serve::encode_frame({.op = serve::BinOp::kPing, .rid = 1}))
-            .status,
-        serve::BinStatus::kOk);
+    EXPECT_EQ(serve::parse_bin_response(v9.request(serve::encode_frame(
+                                            {.op = serve::BinOp::kPing,
+                                             .rid = 1})))
+                  .status,
+              serve::BinStatus::kOk);
   }
 
   // The rejected connection must not have hurt the listener: NDJSON
@@ -843,6 +904,30 @@ TEST(ClusterSocket, VersionNegotiationRejectsUnspeakableClient) {
   EXPECT_NE(ndjson.request(R"({"op":"ping","id":1})").find("\"ok\":true"),
             std::string::npos);
   (void)ndjson.request(R"({"op":"shutdown","id":2})");
+  server_thread.join();
+}
+
+// Client::call stamps request ids from its own counter, from 0, on
+// either wire; the reply carries each back.
+TEST(ClusterSocket, ClientCallStampsRidsOnBothWires) {
+  const std::string path = testing::TempDir() + "cluster_rid.sock";
+  serve::ProtocolHandler handler(
+      serve::Cluster::Config{1, 1, 8, 32, nullptr, nullptr});
+  std::thread server_thread(  // lint: thread-ok
+      [&handler, &path] { serve::serve_unix_socket(handler, path); });
+  {
+    serve::Client line(path);
+    serve::Client frames(path, 10.0, serve::Wire::kFrame);
+    EXPECT_EQ(line.negotiated(), 0u);
+    for (std::uint64_t rid = 0; rid < 3; ++rid) {
+      for (serve::Client* c : {&line, &frames}) {
+        const serve::BinResponse r = c->call({.op = serve::BinOp::kPing});
+        EXPECT_EQ(r.status, serve::BinStatus::kOk);
+        EXPECT_EQ(r.rid, rid);
+      }
+    }
+    (void)line.call({.op = serve::BinOp::kShutdown});
+  }
   server_thread.join();
 }
 

@@ -291,18 +291,24 @@ TEST(SweepRunner, LowestIndexExceptionWins) {
   }
 }
 
-TEST(SweepRunner, InlinePathPropagatesExceptions) {
+// One worker keeps the contract too: a throwing task does not stop the
+// tasks after it, and the exception still reaches the caller.
+TEST(SweepRunner, OneWorkerRunsEveryTaskPastAThrow) {
   exec::SweepRunner::Config rc;
   rc.jobs = 1;
   exec::SweepRunner runner(rc);
-  EXPECT_THROW((void)runner.map<int>(4,
-                                     [](const exec::TaskContext& ctx) -> int {
-                                       if (ctx.index == 2) {
-                                         throw std::runtime_error("inline");
-                                       }
-                                       return 1;
-                                     }),
-               std::runtime_error);
+  std::atomic<int> ran{0};
+  try {
+    (void)runner.map<int>(2, [&ran](const exec::TaskContext& ctx) -> int {
+      ran.fetch_add(1);
+      if (ctx.index == 0) throw std::runtime_error("task 0");
+      return 1;
+    });
+    FAIL() << "expected the task exception to propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 0");
+  }
+  EXPECT_EQ(ran.load(), 2) << "task 1 must still run";
 }
 
 // ------------------------------------------------- thread pool: basics

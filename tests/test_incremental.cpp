@@ -106,11 +106,6 @@ void sorted_prefix(AliveView alive, std::size_t k,
   std::sort(out.begin(), out.end(), Less{alive});
 }
 
-void by_remaining(AliveView alive,
-                  std::vector<std::size_t>& out) {
-  sorted_prefix<SrptLess>(alive, alive.size(), out);
-}
-
 void smallest_remaining(AliveView alive, std::size_t k,
                         std::vector<std::size_t>& out) {
   sorted_prefix<SrptLess>(alive, k, out);
@@ -126,11 +121,6 @@ std::size_t min_remaining(AliveView alive) {
   return best;
 }
 
-void by_latest_arrival(AliveView alive,
-                       std::vector<std::size_t>& out) {
-  sorted_prefix<LatestLess>(alive, alive.size(), out);
-}
-
 void latest_arrivals(AliveView alive, std::size_t k,
                      std::vector<std::size_t>& out) {
   sorted_prefix<LatestLess>(alive, k, out);
@@ -138,12 +128,12 @@ void latest_arrivals(AliveView alive, std::size_t k,
 
 }  // namespace refimpl
 
-/// Checking wrapper: runs the inner policy, then compares by_remaining,
-/// smallest_remaining(k) for k in {1, m, n/8, n}, min_remaining,
-/// by_latest_arrival and latest_arrivals(k) for the same k against
-/// refimpl:: on ctx.alive(). The first disagreement is recorded (as
-/// plain fields, so recording allocates nothing inside an AllocGuard
-/// fence) and described by mismatch().
+/// Checking wrapper: runs the inner policy, then compares
+/// smallest_remaining(k) for k in {1, m, n/8, n}, min_remaining, and
+/// latest_arrivals(k) for the same k against refimpl:: on ctx.alive().
+/// The first disagreement is recorded (as plain fields, so recording
+/// allocates nothing inside an AllocGuard fence) and described by
+/// mismatch().
 class OracleScheduler final : public Scheduler {
  public:
   explicit OracleScheduler(std::unique_ptr<Scheduler> inner)
@@ -212,8 +202,6 @@ class OracleScheduler final : public Scheduler {
       refimpl::smallest_remaining(alive, k, ref_);
       expect("smallest_remaining", k, n, ctx.smallest_remaining(k));
     }
-    refimpl::by_remaining(alive, ref_);
-    expect("by_remaining", n, n, ctx.by_remaining());
     if (n > 0 && ok() && ctx.min_remaining() != refimpl::min_remaining(alive)) {
       bad_ = Mismatch{"min_remaining", decisions_, 1, n, 0};
     }
@@ -221,8 +209,6 @@ class OracleScheduler final : public Scheduler {
       refimpl::latest_arrivals(alive, k, ref_);
       expect("latest_arrivals", k, n, ctx.latest_arrivals(k));
     }
-    refimpl::by_latest_arrival(alive, ref_);
-    expect("by_latest_arrival", n, n, ctx.by_latest_arrival());
   }
 
   std::unique_ptr<Scheduler> inner_;
@@ -234,9 +220,9 @@ class OracleScheduler final : public Scheduler {
 // Every registry family, parameterized variants included, so each
 // ordering helper is exercised by a policy that actually calls it:
 // smallest_remaining (SRPT family), min_remaining (par-srpt),
-// latest_arrivals (LAPS / oldest-equi), by_latest_arrival
-// (quantized-equi), by_remaining (mlf / wisrpt / setf), and the
-// no-helper policies (equi, greedy) that still drive heap maintenance.
+// latest_arrivals (LAPS / oldest-equi / quantized-equi), and the
+// no-helper policies (equi, greedy, mlf, wisrpt, setf) that still drive
+// heap maintenance.
 const char* const kAllPolicies[] = {
     "isrpt",         "seq-srpt",        "par-srpt",
     "greedy",        "equi",            "isrpt-boost",
@@ -826,9 +812,9 @@ void expect_orders_match(IncrementalOrders& inc,
   const AliveSet set = as_set(records);
   const AliveView alive = set.view();
   std::vector<std::size_t> srpt_ref;
-  refimpl::by_remaining(alive, srpt_ref);
+  refimpl::smallest_remaining(alive, alive.size(), srpt_ref);
   std::vector<std::size_t> latest_ref;
-  refimpl::by_latest_arrival(alive, latest_ref);
+  refimpl::latest_arrivals(alive, alive.size(), latest_ref);
   for (const std::size_t k :
        {std::size_t{1}, alive.size() / 8, alive.size() / 2, alive.size()}) {
     if (k == 0) continue;
@@ -988,7 +974,7 @@ TEST(IncrementalTieBreaks, SrptOrderPinnedAtFullAndSmallK) {
   const std::vector<std::size_t> want_prefix = {17, 9, 5};
   const AliveSet set = as_set(alive);
   std::vector<std::size_t> full_ref;
-  refimpl::by_remaining(set.view(), full_ref);
+  refimpl::smallest_remaining(set.view(), set.view().size(), full_ref);
   IncrementalOrders inc = build_inc(alive);
   // k = 3 <= 24/8 (heap traversal) and k = n (heap-copy full sort).
   for (const std::size_t k : {std::size_t{3}, alive.size()}) {
@@ -1023,7 +1009,7 @@ TEST(IncrementalTieBreaks, LatestOrderPinnedAtFullAndSmallK) {
   const std::vector<std::size_t> want_prefix = {11, 3, 4};
   const AliveSet set = as_set(alive);
   std::vector<std::size_t> full_ref;
-  refimpl::by_latest_arrival(set.view(), full_ref);
+  refimpl::latest_arrivals(set.view(), set.view().size(), full_ref);
   IncrementalOrders inc = build_inc(alive);
   for (const std::size_t k : {std::size_t{3}, alive.size()}) {
     inc.begin_decision();
@@ -1056,7 +1042,7 @@ TEST(IncrementalTieBreaks, TieOrderSurvivesChurn) {
   alive.pop_back();
   const AliveSet set = as_set(alive);
   std::vector<std::size_t> ref;
-  refimpl::by_remaining(set.view(), ref);
+  refimpl::smallest_remaining(set.view(), set.view().size(), ref);
   inc.begin_decision();
   const auto got = inc.srpt.prefix(set.view(), alive.size());
   ASSERT_EQ(got.size(), alive.size());
@@ -1198,12 +1184,6 @@ TEST(ContextCacheHelpers, AllHelpersMatchRefimplAcrossKs) {
     }
     IncrementalOrders orders;
     const SchedulerContext ctx(0.0, 4, set.view(), orders);
-    refimpl::by_remaining(set.view(), ref);
-    expect_span_eq(ctx.by_remaining(), ref,
-                   "by_remaining n=" + std::to_string(n));
-    refimpl::by_latest_arrival(set.view(), ref);
-    expect_span_eq(ctx.by_latest_arrival(), ref,
-                   "by_latest_arrival n=" + std::to_string(n));
     EXPECT_EQ(ctx.min_remaining(), refimpl::min_remaining(set.view()));
   }
 }
@@ -1217,9 +1197,9 @@ TEST(ContextCacheHelpers, PrefixUpgradesPreserveEarlierAnswers) {
   const std::size_t n = 160;
   const AliveSet set = as_set(random_alive(rng, n, 5));
   std::vector<std::size_t> ref;
-  refimpl::by_remaining(set.view(), ref);
+  refimpl::smallest_remaining(set.view(), set.view().size(), ref);
   std::vector<std::size_t> lref;
-  refimpl::by_latest_arrival(set.view(), lref);
+  refimpl::latest_arrivals(set.view(), set.view().size(), lref);
 
   IncrementalOrders orders;
   const SchedulerContext ctx(0.0, 4, set.view(), orders);

@@ -19,6 +19,7 @@
 // live server — the test the `thread` (TSan) CI leg leans on.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -37,6 +38,7 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "sched/registry.hpp"
 #include "serve/binproto.hpp"
 #include "serve/cluster.hpp"
@@ -434,7 +436,7 @@ TEST(Snapshot, FileRoundTrip) {
   const serve::SessionSnapshot snap =
       serve::decode_snapshot(s.snapshot());
   const std::string path = testing::TempDir() + "serve_snap_test.psnp";
-  serve::write_snapshot_file(path, snap);
+  serve::write_snapshot_file(path, serve::encode_snapshot(snap));
   const serve::SessionSnapshot back = serve::read_snapshot_file(path);
   EXPECT_EQ(serve::encode_snapshot(back), serve::encode_snapshot(snap));
   EXPECT_THROW((void)serve::read_snapshot_file(path + ".missing"),
@@ -1294,6 +1296,43 @@ TEST(Transport, ListenerSurvivesAbortedConnections) {
   const std::string pong = client.request(R"({"op":"ping","id":1})");
   EXPECT_NE(pong.find("\"ok\":true"), std::string::npos) << pong;
   (void)client.request(R"({"op":"shutdown","id":2})");
+  server_thread.join();
+}
+
+// A client that streams bytes with no '\n' past kMaxFramePayload is cut
+// off: the server does not buffer it without bound, and every other
+// connection is still answered.
+TEST(Transport, OverlongLineDropsOnlyItsConnection) {
+  const std::string path = testing::TempDir() + "serve_overlong.sock";
+  serve::ProtocolHandler handler(server_config(1, 4, 16));
+  std::thread server_thread(  // lint: thread-ok
+      [&handler, &path] { serve::serve_unix_socket(handler, path); });
+
+  serve::Client client(path);
+  EXPECT_NE(client.request(R"({"op":"ping","id":1})").find("\"ok\":true"),
+            std::string::npos);
+  const int fd = serve::connect_unix_client(path, 10.0);
+  const std::string chunk(std::size_t{1} << 20, 'x');
+  // One chunk past the cap; the sends that follow the drop fail.
+  for (std::size_t fed = 0; fed <= serve::kMaxFramePayload;
+       fed += chunk.size()) {
+    if (!serve::send_all(fd, chunk.data(), chunk.size())) break;
+  }
+  bool dropped = false;
+  const double deadline = obs::monotonic_seconds() + 10.0;
+  while (!dropped && obs::monotonic_seconds() < deadline) {
+    pollfd p{fd, POLLIN, 0};
+    if (::poll(&p, 1, 100) > 0) {
+      char c = 0;
+      dropped = ::recv(fd, &c, 1, 0) <= 0;
+    }
+  }
+  ::close(fd);
+  EXPECT_TRUE(dropped) << "an overlong line must close its connection";
+
+  EXPECT_NE(client.request(R"({"op":"ping","id":2})").find("\"ok\":true"),
+            std::string::npos);
+  (void)client.request(R"({"op":"shutdown","id":3})");
   server_thread.join();
 }
 

@@ -38,8 +38,6 @@ TEST(Instance, SortsAndValidates) {
   EXPECT_EQ(inst.machines(), 4);
   EXPECT_DOUBLE_EQ(inst.jobs().front().release, 1.0);
   EXPECT_DOUBLE_EQ(inst.P(), 4.0);
-  EXPECT_DOUBLE_EQ(inst.total_work(), 10.0);
-  EXPECT_DOUBLE_EQ(inst.max_alpha(), 0.5);
 }
 
 TEST(Instance, RejectsBadInput) {
@@ -392,23 +390,6 @@ TEST(Observers, TrajectoryUnderEquipartition) {
 
 // ------------------------------------------------------------- results
 
-TEST(Result, TagAggregation) {
-  Job a = make_job(0, 0.0, 1.0, 0.5);
-  a.tag = {0, JobTag::Class::kShort, 0};
-  Job b = make_job(1, 0.0, 2.0, 0.5);
-  b.tag = {0, JobTag::Class::kLong, 0};
-  Instance inst(2, {a, b});
-  IntermediateSrpt sched;
-  const SimResult r = simulate(inst, sched);
-  EXPECT_EQ(r.count_tagged(JobTag::Class::kShort), 1u);
-  EXPECT_EQ(r.count_tagged(JobTag::Class::kLong), 1u);
-  EXPECT_NEAR(r.flow_tagged(JobTag::Class::kShort), 1.0, 1e-9);
-  // Long job: one machine until t=1 (rem 1), then both at rate 2^{0.5}.
-  EXPECT_NEAR(r.flow_tagged(JobTag::Class::kLong),
-              1.0 + 1.0 / std::sqrt(2.0), 1e-9);
-  EXPECT_EQ(r.realized_jobs().size(), 2u);
-}
-
 TEST(Result, MaxFlowAndAvgFlow) {
   Instance inst(1, {make_job(0, 0.0, 1.0, 0.5), make_job(1, 0.0, 2.0, 0.5)});
   SequentialSrpt sched;
@@ -431,7 +412,7 @@ TEST(SchedulerContext, ByRemainingOrder) {
   set.assign(alive);
   IncrementalOrders orders;
   const SchedulerContext ctx(0.0, 4, set.view(), orders);
-  const auto order = ctx.by_remaining();
+  const auto order = ctx.smallest_remaining(3);
   EXPECT_EQ(order[0], 1u);
   EXPECT_EQ(order[1], 2u);
   EXPECT_EQ(order[2], 0u);
@@ -447,7 +428,7 @@ TEST(SchedulerContext, ByLatestArrival) {
   set.assign(alive);
   IncrementalOrders orders;
   const SchedulerContext ctx(0.0, 4, set.view(), orders);
-  const auto order = ctx.by_latest_arrival();
+  const auto order = ctx.latest_arrivals(2);
   EXPECT_EQ(order[0], 1u);
   EXPECT_EQ(order[1], 0u);
 }

@@ -14,7 +14,7 @@ linted scope):
                     check/contract.hpp itself is exempt.)
 
   float-eq          bare float-literal == / != comparisons are banned
-                    outside util/mathx.hpp (use approx_eq / definitely_less, or
+                    outside util/mathx.hpp (use approx_eq, or
                     annotate a provably-exact comparison with a trailing
                     `// lint: float-eq-ok`). Comparisons against kInf
                     carry no float literal and are allowed.
@@ -230,7 +230,7 @@ def lint_file(path: Path, rel: str, findings: list[str]) -> None:
         ):
             findings.append(
                 f"{rel}:{lineno}: [float-eq] bare float-literal ==/!= "
-                "comparison; use approx_eq/definitely_less from util/mathx.hpp or "
+                "comparison; use approx_eq from util/mathx.hpp or "
                 f"annotate with '// {SUPPRESS_FLOAT_EQ}'"
             )
 
