@@ -8,8 +8,9 @@
 // every registry policy family on the E1 and E5 grids, on multi-phase
 // jobs and on the completion-tolerance corpus, plus dense-step corpora
 // of ~10^3 alive jobs (see "Dense decision steps" below), uniform
-// decisions at their edges (see "Uniform decisions") and sparse steps
-// over idle gaps of thousands of jobs (the "idle." corpus). A change to
+// decisions at their edges (see "Uniform decisions"), sparse steps
+// over idle gaps of thousands of jobs (the "idle." corpus) and the sweep
+// of a batch release's unswept tail (the "tail." corpus). A change to
 // the decision step that claims to be bit-identical must reproduce the
 // file exactly.
 //
@@ -504,6 +505,37 @@ Instance late_phased_instance() {
   return Instance(16, jobs);
 }
 
+/// `front` jobs released at t = 0 (dense_job sizes), then a batch of
+/// `batch` jobs released together at t = 0.5, so the first sweep after
+/// the release visits a `batch`-job unswept tail. In the batch, every
+/// 97th job is short (ISRPT runs it while it is still in the tail, so
+/// the support sits at scattered positions of the tail), every 131st
+/// has three phases, the first within completion_tol, and every 173rd
+/// has all of its work within completion_tol.
+Instance tail_instance(std::size_t front, std::size_t batch, int machines) {
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < front + batch; ++i) {
+    Job j = dense_job(i, SpeedupCurve::power_law(0.5));
+    j.release = 0.0;
+    if (i >= front) {
+      const std::size_t k = i - front;
+      j.release = 0.5;
+      if (k % 173 == 100) {
+        j.size = 5e-10;
+      } else if (k % 131 == 60) {
+        j = make_phased_job(j.id, j.release,
+                            {{5e-10, SpeedupCurve::power_law(0.3)},
+                             {0.25, SpeedupCurve::sequential()},
+                             {j.size, SpeedupCurve::power_law(0.9)}});
+      } else if (k % 97 == 13) {
+        j.size = 0.01 + 0.001 * static_cast<double>(k / 97);
+      }
+    }
+    jobs.push_back(j);
+  }
+  return Instance(machines, jobs);
+}
+
 std::vector<Corpus> corpora() {
   std::vector<Corpus> out;
   for (const std::uint64_t seed : {1u, 7u}) {
@@ -591,6 +623,15 @@ std::vector<Corpus> corpora() {
   // run is cut at t = 4 and restored.
   out.push_back({"idle.blocks", dense_instance(3000, 2), 1.0,
                  {"isrpt", "isrpt-dense:3"}, 4.0 + 1e-7});
+  // The sweep's visit of a batch release's unswept tail: support jobs at
+  // scattered tail positions, phase changes and completions at the first
+  // visit, and — cut just after the release, the decision taken and
+  // deferred before any sweep — a restored engine whose whole alive set
+  // is unswept.
+  out.push_back({"tail.batch", tail_instance(1500, 2500, 2), 1.0,
+                 {"isrpt", "par-srpt", "fill-grant", "isrpt-dense:3"}});
+  out.push_back({"tail.cut", tail_instance(1500, 2500, 2), 1.0,
+                 {"isrpt", "isrpt-dense:3"}, 0.5 + 1e-7});
   return out;
 }
 
@@ -656,7 +697,10 @@ std::uint64_t recorder_digest(const TrajectoryRecorder& rec) {
 ///     its last field digests every knot the recorder kept;
 ///   * uniform.n2500000/<policy> — the overcommit check of a uniform
 ///     decision over 2.5·10^6 alive jobs (FillNearLimitOnce), streamed
-///     with no observer so that no per-job record is built.
+///     with no observer so that no per-job record is built;
+///   * tail.n20000/isrpt — ISRPT on tail_instance(12000, 8000, 16), run
+///     with no observer: a release of 8000 jobs behind 12000 and every
+///     completion after it, at alive sizes of 10^4 jobs.
 void add_special_lines(const std::string& prefix,
                        std::map<std::string, std::string>& out) {
   const auto wanted = [&prefix](const std::string& key) {
@@ -684,6 +728,11 @@ void add_special_lines(const std::string& prefix,
     } catch (const std::logic_error& e) {
       out[key] = std::string("throws ") + e.what();
     }
+  }
+  if (wanted("tail.n20000/isrpt")) {
+    auto sched = make_policy("isrpt");
+    out["tail.n20000/isrpt"] =
+        fingerprint(simulate(tail_instance(12000, 8000, 16), *sched), 0);
   }
 }
 
@@ -789,6 +838,7 @@ TEST(EngineGoldens, DenseStepsAcrossASnapshot) {
   expect_goldens("dense.snapshot");
 }
 TEST(EngineGoldens, SparseStepsOverLongIdleGaps) { expect_goldens("idle."); }
+TEST(EngineGoldens, SweepOfABatchReleaseTail) { expect_goldens("tail."); }
 TEST(EngineGoldens, UniformStepsAtTheirEdges) {
   const auto debug_failures = [] {
     return check_detail::stats().debug_failed.load();
