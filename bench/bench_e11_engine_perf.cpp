@@ -245,16 +245,18 @@ Table measure_dense_alive() {
 // dense instance once and advances in small exact steps until `target`
 // decisions have executed. As in the dense_equi rows, the clock starts
 // after the first advance_to, which releases the whole batch and takes
-// the first decision (the SRPT heap's O(n) gather); that call is
-// reported on its own as first_advance_seconds.
+// the first decision (the SRPT heap's gather: one scan of the keys
+// against a sampled threshold, then a heapify of the ~2k-job head below
+// it); that call is reported on its own as first_advance_seconds.
 //
 // Two rates over the creeping steps:
 //   * decisions_per_sec_incremental — full decision steps (allocate +
 //     rates + advance sweep). The sparse step's idle-flow sum adds a
 //     512-job block of equal flow quotients in O(1), so once the
 //     never-run backlog is summarized it no longer streams all n
-//     quotients. The first two creeping steps (the visit of the whole
-//     batch, then the first summary scan) stay O(n) inside this window.
+//     quotients. The first creeping step visits the whole batch, a
+//     block of rate-0 jobs at a time, and summarizes each block as it
+//     sums it, so it alone stays O(n) inside this window.
 //   * decide_incremental_seconds — the Scheduler::allocate() bucket
 //     alone (RunStats::decide_seconds), where the ordering queries live.
 struct DenseDriveSample {

@@ -25,6 +25,10 @@ namespace parsched::serve {
 
 namespace {
 
+/// Bytes one read(2)/recv(2) of a serve loop asks for: a 64 MiB stream
+/// takes ~1k wakeups.
+constexpr std::size_t kReadBytes = 64 * 1024;
+
 void sleep_seconds(double seconds) {
   timespec ts{};
   ts.tv_sec = static_cast<time_t>(seconds);
@@ -160,10 +164,28 @@ void serve_stdio(ProtocolHandler& handler) {
     std::lock_guard<std::mutex> lock(*out_mu);
     std::cout << line << '\n' << std::flush;
   };
+  FrameBuffer lines(Wire::kLine);
+  std::vector<char> buf(kReadBytes);
   std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    if (!handler.handle_line(line, write)) return;
+  try {
+    for (bool eof = false; !eof;) {
+      const ssize_t n = ::read(STDIN_FILENO, buf.data(), buf.size());
+      if (n < 0 && errno == EINTR) continue;
+      eof = n <= 0;
+      // At EOF (or a read error) a last line without its '\n' is served
+      // as it stands.
+      lines.feed(eof ? std::string_view("\n")
+                     : std::string_view(buf.data(),
+                                        static_cast<std::size_t>(n)));
+      while (lines.next(line)) {
+        if (!handler.handle_line(line, write)) return;
+      }
+    }
+  } catch (const std::invalid_argument&) {
+    // A line over kMaxFramePayload ends the session; the requests before
+    // it are still answered.
+    handler.drain();
+    throw;
   }
   // EOF: flush every queued response before returning.
   handler.drain();
@@ -192,6 +214,7 @@ void serve_unix_socket(ProtocolHandler& handler, const std::string& path) {
   }
 
   std::unordered_map<int, std::shared_ptr<Connection>> conns;
+  std::vector<char> buf(kReadBytes);
   bool running = true;
   while (running) {
     std::vector<pollfd> fds;
@@ -219,16 +242,16 @@ void serve_unix_socket(ProtocolHandler& handler, const std::string& path) {
       if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       const auto it = conns.find(fds[i].fd);
       if (it == conns.end()) continue;
-      char buf[4096];
-      const ssize_t n = ::recv(fds[i].fd, buf, sizeof(buf), 0);
+      const ssize_t n = ::recv(fds[i].fd, buf.data(), buf.size(), 0);
       if (n <= 0) {
         if (n < 0 && errno == EINTR) continue;
         dead.push_back(fds[i].fd);
         continue;
       }
       try {
-        running = pump(handler, it->second,
-                       std::string_view(buf, static_cast<std::size_t>(n)));
+        running = pump(
+            handler, it->second,
+            std::string_view(buf.data(), static_cast<std::size_t>(n)));
       } catch (const std::invalid_argument&) {
         dead.push_back(fds[i].fd);  // framing error: cannot resynchronize
       }

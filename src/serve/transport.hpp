@@ -30,8 +30,10 @@
 // Client is the matching blocking client of either wire (used by
 // parsched loadgen and ctl, and the socket tests): connect with retry —
 // the server may still be binding — then, on PBIN, the hello, then
-// strict request/response. serve_stdio reads its own pipe with
-// std::getline and does not use the framer.
+// strict request/response. serve_stdio cuts stdin with a line
+// FrameBuffer too: a line over kMaxFramePayload ends its session with
+// the framer's std::invalid_argument, after the requests before it are
+// answered.
 #pragma once
 
 #include <cstddef>
@@ -43,7 +45,9 @@
 
 namespace parsched::serve {
 
-/// Serve NDJSON over stdin/stdout until shutdown or EOF.
+/// Serve NDJSON over stdin/stdout until shutdown or EOF (a last line
+/// without its '\n' included). Throws std::invalid_argument for a line
+/// over kMaxFramePayload.
 void serve_stdio(ProtocolHandler& handler);
 
 /// Serve NDJSON + PBIN over a Unix-domain socket at `path` (unlinked

@@ -56,13 +56,43 @@ double block_summary(const double* q) {
 }
 
 /// Flow quotients of jobs [0, count), recomputed from their remaining
-/// work with the expression a sweep visit stores: 0.5*(r+r)/size.
-PARSCHED_HOT [[gnu::noinline]] void flow_quotients(
+/// work with the expression a sweep visit stores, 0.5*(r+r)/size (a
+/// rate-0 visit leaves remaining work as it is: it is never -0.0 or
+/// NaN), and whether any of the jobs may be due what settle_job does:
+/// its remaining work — or, kPhases, its phase work (`pr`) — within
+/// completion_tol·max(1, size). (A last phase's phase work can drift
+/// below that with the remaining work above it; the flag is then set and
+/// settle_job does nothing.) Two jobs at a time with SSE2, as in
+/// sweep_block: GCC vectorizes no loop with the flag in it.
+template <bool kPhases>
+PARSCHED_HOT [[gnu::noinline]] bool flow_quotients(
     double* __restrict__ q, const double* __restrict__ rem,
-    const double* __restrict__ size, std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    q[i] = 0.5 * (rem[i] + rem[i]) / size[i];
+    const double* __restrict__ size, const double* __restrict__ pr,
+    std::size_t count, double completion_tol) {
+  std::size_t k = 0;
+  bool due = false;
+#if defined(__SSE2__)
+  const __m128d vtol = _mm_set1_pd(completion_tol);
+  const __m128d half = _mm_set1_pd(0.5);
+  const __m128d one = _mm_set1_pd(1.0);
+  __m128d hits = _mm_setzero_pd();
+  for (; k + 2 <= count; k += 2) {
+    const __m128d r = _mm_loadu_pd(rem + k);
+    const __m128d sz = _mm_loadu_pd(size + k);
+    _mm_storeu_pd(q + k,
+                  _mm_div_pd(_mm_mul_pd(half, _mm_add_pd(r, r)), sz));
+    const __m128d work = kPhases ? _mm_min_pd(r, _mm_loadu_pd(pr + k)) : r;
+    hits = _mm_or_pd(
+        hits, _mm_cmple_pd(work, _mm_mul_pd(vtol, _mm_max_pd(sz, one))));
   }
+  due = _mm_movemask_pd(hits) != 0;
+#endif
+  for (; k < count; ++k) {
+    q[k] = 0.5 * (rem[k] + rem[k]) / size[k];
+    const double work = kPhases ? std::min(rem[k], pr[k]) : rem[k];
+    due |= work <= completion_tol * std::max(1.0, size[k]);
+  }
+  return due;
 }
 
 /// What the dense rates pass found.
@@ -596,6 +626,30 @@ void Engine::lap(double& bucket) {
   return settle_job(i);
 }
 
+double Engine::visit_idle_run(double acc, std::size_t from, std::size_t to,
+                              double dt, bool& phase_advanced) {
+  // A rate-0 visit changes a job's flow quotient only (its remaining and
+  // phase work stay as they are), and the term it adds is q*dt, so the
+  // run is visit_job's, a block at a time: settle_job keeps index order,
+  // and nothing it moves feeds the flow.
+  AliveSet& s = alive_;
+  const bool phased = s.multi_phase > 0;
+  const auto quotients =
+      phased ? &flow_quotients<true> : &flow_quotients<false>;
+  double sum = acc;
+  for (std::size_t b = from; b < to;) {
+    const std::size_t end = std::min(to, (b / kFlowBlock + 1) * kFlowBlock);
+    block_q_[b / kFlowBlock] = kMixed;
+    if (quotients(&s.flow_q[b], &s.remaining[b], &s.sizes[b],
+                  &s.phase_remaining[b], end - b, cfg_.completion_tol)) {
+      for (std::size_t i = b; i < end; ++i) phase_advanced |= settle_job(i);
+    }
+    sum = idle_flow(sum, b, end - b, dt);
+    b = end;
+  }
+  return sum;
+}
+
 double Engine::idle_flow(double acc, std::size_t from, std::size_t count,
                          double dt) {
   // The partial blocks at either end are summed term by term. A full
@@ -709,8 +763,10 @@ PARSCHED_HOT bool Engine::advance_sweep(double dt) {
     swept_low_valid_ = false;
     const double* const q = alive_.flow_q.data();
     if (flow_q_stale_) {
-      flow_quotients(alive_.flow_q.data(), alive_.remaining.data(),
-                     alive_.sizes.data(), tail);
+      (void)flow_quotients<false>(alive_.flow_q.data(),
+                                  alive_.remaining.data(),
+                                  alive_.sizes.data(), nullptr, tail,
+                                  cfg_.completion_tol);
       std::fill_n(block_q_.begin(), (tail + kFlowBlock - 1) / kFlowBlock,
                   kMixed);
       flow_q_stale_ = false;
@@ -730,13 +786,19 @@ PARSCHED_HOT bool Engine::advance_sweep(double dt) {
       }
     }
     ff = idle_flow(ff, idle_from, tail - idle_from, dt);
-    // The tail: every job is visited, at its support rate or at rate 0.
-    std::size_t j = static_cast<std::size_t>(
-        std::lower_bound(sup.begin(), sup.end(), tail) - sup.begin());
-    for (std::size_t i = tail; i < n; ++i) {
-      const double r = j < sup.size() && sup[j] == i ? rate[j++] : 0.0;
-      phase_advanced |= visit_job(i, r, dt, ff);
+    // The tail: every job is visited, a support job at its rate and each
+    // run of rate-0 jobs between them as one (visit_idle_run), which
+    // leaves the run's full blocks summarized for the next step.
+    std::size_t from = tail;
+    for (std::size_t j = static_cast<std::size_t>(
+             std::lower_bound(sup.begin(), sup.end(), tail) - sup.begin());
+         j < sup.size(); ++j) {
+      const std::size_t i = sup[j];
+      ff = visit_idle_run(ff, from, i, dt, phase_advanced);
+      phase_advanced |= visit_job(i, rate[j], dt, ff);
+      from = i + 1;
     }
+    ff = visit_idle_run(ff, from, n, dt, phase_advanced);
   }
   result_.fractional_flow = ff;
   return phase_advanced;

@@ -246,6 +246,13 @@ class Engine final : public EngineView {
   double idle_flow(double acc, std::size_t from, std::size_t count,
                    double dt);
   bool visit_job(std::size_t i, double r, double dt, double& ff);
+  /// The rate-0 visit of the unswept tail jobs [from, to), a flow-
+  /// quotient block at a time: their quotients, settle_job on the blocks
+  /// where some job is due a phase change or completion, then idle_flow
+  /// over them. Returns acc plus their flow, the bits visit_job adds one
+  /// job at a time; sets `phase_advanced` when a job changed phase.
+  double visit_idle_run(double acc, std::size_t from, std::size_t to,
+                        double dt, bool& phase_advanced);
   bool settle_job(std::size_t i);
   /// Collect-stats only: add the wall time since the last lap to
   /// `bucket` and start the next lap.
@@ -342,9 +349,10 @@ class Engine final : public EngineView {
   /// ("mixed") when they differ or have not been compared since a
   /// write. idle_flow adds an equal block in O(1) and summarizes a mixed
   /// one after summing it; every writer of flow_q marks its block mixed
-  /// (a sweep visit, both slots of a completion swap-remove, the rebuild
-  /// after a dense step), and begin_run() and import_state() mark them
-  /// all. Sized at admission (reserve_alive).
+  /// (a sweep visit, a tail run's visit before its idle_flow, both slots
+  /// of a completion swap-remove, the rebuild after a dense step), and
+  /// begin_run() and import_state() mark them all. Sized at admission
+  /// (reserve_alive).
   std::vector<double> block_q_;
   /// rates_ / dt_complete_ for the decision in cached_alloc_, valid while
   /// the decision is deferred (its inputs are frozen by the deferral

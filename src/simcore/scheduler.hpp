@@ -127,7 +127,9 @@ class Allocation {
   /// class comment) — a policy calls this instead of reset(), not after
   /// it.
   void fill(std::size_t n, double s) {
-    reserve_geometric(shares_, n);  // the later write cannot allocate
+    // The later write cannot allocate, nor a reset(n) after this fill.
+    reserve_geometric(shares_, n);
+    reserve_geometric(support_, n);
     size_ = n;
     unwritten_ = true;
     support_.clear();

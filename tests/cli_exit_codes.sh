@@ -61,6 +61,32 @@ if ! "$BIN" run --instance="$tmp_inst" >/dev/null 2>&1; then
   fails=$((fails + 1))
 fi
 
+# serve --stdio: the last line of a stream is served without its '\n';
+# a line over the 64 MiB frame cap ends the session with an error (exit
+# 1) once the requests before it are answered.
+out=$(printf '%s\n%s' '{"op":"ping","id":1}' '{"op":"ping","id":2}' |
+      "$BIN" serve --stdio 2>/dev/null); code=$?
+if [[ $code -ne 0 || $out != *'"id":2'* ]]; then
+  echo "FAIL: serve --stdio left an unterminated last line unserved" \
+       "(exit $code): $out" >&2
+  fails=$((fails + 1))
+fi
+err_file=$(mktemp)
+trap 'rm -f "$tmp_inst" "$err_file"' EXIT
+out=$({ printf '%s\n' '{"op":"ping","id":1}'
+        head -c 67108865 /dev/zero | tr '\0' 'a'; } |
+      "$BIN" serve --stdio 2>"$err_file"); code=$?
+err=$(cat "$err_file")
+if [[ $code -ne 1 || $err != *"line longer than"* ]]; then
+  echo "FAIL: serve --stdio over-cap line exited $code: $err" >&2
+  fails=$((fails + 1))
+fi
+if [[ $out != *'"id":1'* ]]; then
+  echo "FAIL: serve --stdio dropped the request before an over-cap line:" \
+       "$out" >&2
+  fails=$((fails + 1))
+fi
+
 if [[ $fails -ne 0 ]]; then
   echo "cli_exit_codes: $fails failure(s)" >&2
   exit 1

@@ -34,7 +34,9 @@
 // heap edge cases (duplicate keys, completion bursts emptying the heap,
 // admit-during-deferral, stale-heap regathers crossing the top-k
 // boundary, ...), the E1/E5 experiment grids, direct helper and memo
-// checks, and tie-break pins at k == n and k < n/8.
+// checks, tie-break pins at k == n and k < n/8, and the head cases: at
+// 12000 jobs, where a narrow query heaps only the keys below a sampled
+// threshold, every way across that boundary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -929,6 +931,224 @@ TEST(IncrementalOrdersUnit, RandomChurnMatchesRefimpl) {
     }
     expect_orders_match(inc, alive, "lazy final");
   }
+}
+
+// ---- The head: a proper subset of the alive set --------------------------
+//
+// Over more than 4·kHeadJobs alive jobs a narrow query gathers only the
+// jobs whose key is below a sampled threshold T (the head); the rest form
+// the tail. Each case drives one way across the head's boundary on
+// 12000 jobs and checks the prefixes against refimpl:: and the audit
+// (head iff key below T) after every step.
+
+using SrptHeap = OrderHeap<SrptKey, SrptKeyLess>;
+
+constexpr std::size_t kHeadCaseJobs = 12000;
+
+/// n jobs of distinct remaining work in [1, 1000), ids shuffled, releases
+/// from a handful of values.
+AliveSet head_case_set(std::mt19937_64& rng, std::size_t n) {
+  std::uniform_real_distribution<double> work(1.0, 1000.0);
+  std::vector<JobId> ids(n);
+  std::iota(ids.begin(), ids.end(), JobId{0});
+  std::shuffle(ids.begin(), ids.end(), rng);
+  AliveSet set;
+  set.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    Job j;
+    j.id = ids[i];
+    j.release = static_cast<double>(rng() % 4);
+    j.size = work(rng);
+    set.append(j, static_cast<std::int64_t>(i));
+  }
+  return set;
+}
+
+/// The SRPT k-prefix (a cold query) equals refimpl's, and the heap
+/// passes its audit.
+void expect_srpt_prefix(IncrementalOrders& inc, const AliveSet& set,
+                        std::size_t k, const std::string& what) {
+  std::vector<std::size_t> ref;
+  refimpl::smallest_remaining(set.view(), k, ref);
+  inc.begin_decision();
+  const auto got = inc.srpt.prefix(set.view(), k);
+  ASSERT_EQ(got.size(), ref.size()) << what;
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(got[i], ref[i]) << what << " k=" << k << " @" << i;
+  }
+  inc.srpt.audit(set.view());
+}
+
+/// Admit `j` to the set and the heaps, as the engine does.
+void admit(IncrementalOrders& inc, AliveSet& set, const Job& j) {
+  inc.reserve(set.size() + 1);
+  set.append(j, static_cast<std::int64_t>(set.size()));
+  inc.insert(set.view(), set.size() - 1);
+}
+
+/// Complete alive job i: the engine's swap-remove, mirrored.
+void complete(IncrementalOrders& inc, AliveSet& set, std::size_t i) {
+  const std::size_t last = set.size() - 1;
+  inc.remove_swap(i, last);
+  if (i != last) set.relocate(last, i);
+  set.resize(last);
+}
+
+/// Index of the job with the most remaining work: in the tail whenever
+/// the head is a proper subset.
+std::size_t largest_remaining(const AliveSet& set) {
+  return static_cast<std::size_t>(
+      std::max_element(set.remaining.begin(), set.remaining.end()) -
+      set.remaining.begin());
+}
+
+TEST(IncrementalHead, NarrowQueryGathersAProperSubset) {
+  std::mt19937_64 rng(31);
+  const AliveSet set = head_case_set(rng, kHeadCaseJobs);
+  IncrementalOrders inc;
+  expect_srpt_prefix(inc, set, 16, "first query");
+  EXPECT_GE(inc.srpt.head_size(), 16u);
+  EXPECT_LT(inc.srpt.head_size(), kHeadCaseJobs / 2);
+  // At most four heads' worth of jobs, the head is the whole set.
+  const AliveSet small = head_case_set(rng, 4 * SrptHeap::kHeadJobs);
+  IncrementalOrders whole;
+  expect_srpt_prefix(whole, small, 16, "small set");
+  EXPECT_EQ(whole.srpt.head_size(), small.size());
+}
+
+TEST(IncrementalHead, RefreshMovesATailJobIntoTheHead) {
+  std::mt19937_64 rng(32);
+  AliveSet set = head_case_set(rng, kHeadCaseJobs);
+  IncrementalOrders inc;
+  expect_srpt_prefix(inc, set, 16, "first query");
+  const std::size_t head = inc.srpt.head_size();
+  const std::size_t i = largest_remaining(set);
+  set.remaining[i] = 0.5;  // now the least remaining work of all
+  inc.srpt.refresh(set.view(), i);
+  EXPECT_EQ(inc.srpt.head_size(), head + 1);
+  expect_srpt_prefix(inc, set, 16, "after the refresh");
+  EXPECT_EQ(inc.srpt.prefix(set.view(), 1)[0], i);
+  // A head job whose key drops stays in the head.
+  const std::size_t h = inc.srpt.prefix(set.view(), 16)[15];
+  set.remaining[h] = 0.25;
+  inc.srpt.refresh(set.view(), h);
+  EXPECT_EQ(inc.srpt.head_size(), head + 1);
+  expect_srpt_prefix(inc, set, 16, "after a head refresh");
+}
+
+TEST(IncrementalHead, AdmissionsBelowAndAboveTheThreshold) {
+  std::mt19937_64 rng(33);
+  AliveSet set = head_case_set(rng, kHeadCaseJobs);
+  IncrementalOrders inc;
+  expect_srpt_prefix(inc, set, 16, "first query");
+  const std::size_t head = inc.srpt.head_size();
+  Job below;
+  below.id = 1'000'000;
+  below.release = 5.0;
+  below.size = 0.75;
+  admit(inc, set, below);
+  EXPECT_EQ(inc.srpt.head_size(), head + 1);
+  expect_srpt_prefix(inc, set, 16, "after an admission below T");
+  Job above = below;
+  above.id = 1'000'001;
+  above.size = 2000.0;
+  admit(inc, set, above);
+  EXPECT_EQ(inc.srpt.head_size(), head + 1);
+  expect_srpt_prefix(inc, set, 16, "after an admission above T");
+  expect_srpt_prefix(inc, set, set.size(), "full order");
+}
+
+TEST(IncrementalHead, CompletionsDrainTheHeadUntilAQueryRebuildsIt) {
+  std::mt19937_64 rng(34);
+  AliveSet set = head_case_set(rng, kHeadCaseJobs);
+  IncrementalOrders inc;
+  expect_srpt_prefix(inc, set, 16, "first query");
+  // Complete the 16 least-remaining jobs at a time, highest index first
+  // (each swap-remove then moves a job that is not completed yet).
+  bool rebuilt = false;
+  for (int round = 0; round < 1000 && !rebuilt; ++round) {
+    inc.begin_decision();
+    const auto top = inc.srpt.prefix(set.view(), 16);
+    std::vector<std::size_t> done(top.begin(), top.end());
+    std::sort(done.rbegin(), done.rend());
+    const std::size_t before = inc.srpt.head_size();
+    for (const std::size_t i : done) complete(inc, set, i);
+    ASSERT_EQ(inc.srpt.head_size(), before - 16);
+    const bool short_head = inc.srpt.head_size() < 16;
+    expect_srpt_prefix(inc, set, 16, "round " + std::to_string(round));
+    if (HasFatalFailure()) return;
+    rebuilt = short_head;
+    if (rebuilt) {
+      EXPECT_GE(inc.srpt.head_size(), 16u);
+    }
+  }
+  EXPECT_TRUE(rebuilt);
+}
+
+TEST(IncrementalHead, FullOrderQueryAfterAPartialHead) {
+  std::mt19937_64 rng(35);
+  const AliveSet set = head_case_set(rng, kHeadCaseJobs);
+  IncrementalOrders inc;
+  expect_srpt_prefix(inc, set, 16, "first query");
+  ASSERT_LT(inc.srpt.head_size(), set.size());
+  // Within one decision: the wider query keeps the earlier prefix.
+  const auto narrow = inc.srpt.prefix(set.view(), 16);
+  const std::vector<std::size_t> kept(narrow.begin(), narrow.end());
+  const auto full = inc.srpt.prefix(set.view(), set.size());
+  EXPECT_EQ(inc.srpt.head_size(), set.size());
+  std::vector<std::size_t> ref;
+  refimpl::smallest_remaining(set.view(), set.size(), ref);
+  ASSERT_EQ(full.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(full[i], ref[i]);
+  for (std::size_t i = 0; i < kept.size(); ++i) EXPECT_EQ(narrow[i], kept[i]);
+  inc.srpt.audit(set.view());
+  // The latest-arrival order the same way: a narrow head, then all.
+  std::vector<std::size_t> latest_ref;
+  refimpl::latest_arrivals(set.view(), set.size(), latest_ref);
+  for (const std::size_t k : {std::size_t{16}, set.size()}) {
+    inc.begin_decision();
+    const auto got = inc.latest.prefix(set.view(), k);
+    if (k == 16) {
+      EXPECT_LT(inc.latest.head_size(), set.size());
+    }
+    ASSERT_EQ(got.size(), k);
+    for (std::size_t i = 0; i < k; ++i) ASSERT_EQ(got[i], latest_ref[i]);
+    inc.latest.audit(set.view());
+  }
+}
+
+TEST(IncrementalHead, RemoveSwapWhoseBackJobIsInTheTail) {
+  std::mt19937_64 rng(36);
+  AliveSet set = head_case_set(rng, kHeadCaseJobs);
+  // The two back jobs have more remaining work than any other: both are
+  // in the tail.
+  const std::size_t n = set.size();
+  set.remaining[n - 2] = set.sizes[n - 2] = 5000.0;
+  set.remaining[n - 1] = set.sizes[n - 1] = 5001.0;
+  IncrementalOrders inc;
+  expect_srpt_prefix(inc, set, 16, "first query");
+  const std::size_t head = inc.srpt.head_size();
+  // A head job leaves; the tail job at the back takes its index.
+  const std::size_t i = inc.srpt.prefix(set.view(), 1)[0];
+  complete(inc, set, i);
+  EXPECT_EQ(inc.srpt.head_size(), head - 1);
+  ASSERT_EQ(set.remaining[i], 5001.0);
+  expect_srpt_prefix(inc, set, 16, "head job removed");
+  // That tail job leaves, with the other tail job at the back.
+  complete(inc, set, i);
+  ASSERT_EQ(set.remaining[i], 5000.0);
+  EXPECT_EQ(inc.srpt.head_size(), head - 1);
+  expect_srpt_prefix(inc, set, 16, "tail job removed");
+  // A tail job that is the back job itself.
+  const std::size_t t = largest_remaining(set);
+  std::swap(set.remaining[t], set.remaining[set.size() - 1]);
+  std::swap(set.sizes[t], set.sizes[set.size() - 1]);
+  inc.srpt.mark_stale();  // the swap moved keys behind the heap's back
+  expect_srpt_prefix(inc, set, 16, "regathered");
+  const std::size_t head2 = inc.srpt.head_size();
+  complete(inc, set, set.size() - 1);
+  EXPECT_EQ(inc.srpt.head_size(), head2);
+  expect_srpt_prefix(inc, set, 16, "back tail job removed");
 }
 
 // ---- Tie-break pinning on the heaps --------------------------------------
