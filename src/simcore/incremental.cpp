@@ -133,6 +133,9 @@ PARSCHED_HOT void OrderHeap<Key, Less>::gather(AliveView alive,
   // context gets its buffers here, so the spans it hands out stay valid
   // as wider queries fill the order buffer.
   reserve(n);
+  // A bounded gather has n > 4·target >= 4·kHeadJobs: every sampled
+  // index and the rank r below are in range.
+  static_assert(kSample <= 4 * kHeadJobs);
   const Less less{};
   // Aim at a head of `target` jobs. T is the sample key of rank r: the r
   // sampled keys below it are alive jobs, and about r·n/kSample keys lie
