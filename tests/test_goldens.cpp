@@ -38,6 +38,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -289,6 +290,25 @@ class IsrptDenseEveryThird final : public Scheduler {
   std::vector<std::pair<std::size_t, double>> grants_;
 };
 
+/// EQUI before t = 0.5, where the release corpora release their batch,
+/// and ISRPT from then on: the step that ends at the release is dense, so
+/// the first sparse step after it rebuilds the flow quotients of the jobs
+/// swept before the release.
+class EquiThenIsrpt final : public Scheduler {
+ public:
+  using Scheduler::allocate;
+  [[nodiscard]] std::string name() const override {
+    return "equi-then-isrpt";
+  }
+  void allocate(const SchedulerContext& ctx, Allocation& out) override {
+    (ctx.time() < 0.5 ? equi_ : isrpt_)->allocate(ctx, out);
+  }
+
+ private:
+  std::unique_ptr<Scheduler> equi_ = make_scheduler("equi");
+  std::unique_ptr<Scheduler> isrpt_ = make_scheduler("isrpt");
+};
+
 // ---- Uniform decisions ----------------------------------------------------
 //
 // Test policies that start every decision with Allocation::fill(n, s), so
@@ -429,6 +449,7 @@ class FillOnThirdDecision final : public Scheduler {
 std::unique_ptr<Scheduler> make_policy(const std::string& name) {
   if (name == "fill-grant") return std::make_unique<FillGrantAlternating>();
   if (name == "isrpt-dense:3") return std::make_unique<IsrptDenseEveryThird>();
+  if (name == "equi-then-isrpt") return std::make_unique<EquiThenIsrpt>();
   if (name == "zero-fill:+0") return std::make_unique<ZeroFillAlternating>(0.0);
   if (name == "zero-fill:-0") {
     return std::make_unique<ZeroFillAlternating>(-0.0);
@@ -536,6 +557,36 @@ Instance tail_instance(std::size_t front, std::size_t batch, int machines) {
   return Instance(machines, jobs);
 }
 
+/// `front` jobs released at t = 0 (dense_job sizes), then a batch of
+/// `batch` jobs released together at t = 0.5, the k-th of them passed
+/// through `edit(k, job)` when one is given. Unedited, no job of the
+/// batch is due a phase change or a completion at its first visit, so
+/// every 512-job block the batch fills holds one flow quotient.
+Instance release_instance(std::size_t front, std::size_t batch, int machines,
+                          void (*edit)(std::size_t, Job&) = nullptr) {
+  std::vector<Job> jobs;
+  for (std::size_t i = 0; i < front + batch; ++i) {
+    Job j = dense_job(i, SpeedupCurve::power_law(0.5));
+    j.release = i < front ? 0.0 : 0.5;
+    if (i >= front && edit != nullptr) edit(i - front, j);
+    jobs.push_back(j);
+  }
+  return Instance(machines, jobs);
+}
+
+/// A release_instance edit: the batch's 1000th job gets a first phase
+/// within completion_tol and its 2000th all of its work within it, each
+/// in a 512-job block of its own when the batch follows 512 jobs.
+void due_job(std::size_t k, Job& j) {
+  if (k == 1000) {
+    j = make_phased_job(j.id, j.release,
+                        {{5e-10, SpeedupCurve::sequential()},
+                         {j.size, SpeedupCurve::power_law(0.9)}});
+  } else if (k == 2000) {
+    j.size = 5e-10;
+  }
+}
+
 std::vector<Corpus> corpora() {
   std::vector<Corpus> out;
   for (const std::uint64_t seed : {1u, 7u}) {
@@ -632,6 +683,25 @@ std::vector<Corpus> corpora() {
                  {"isrpt", "par-srpt", "fill-grant", "isrpt-dense:3"}});
   out.push_back({"tail.cut", tail_instance(1500, 2500, 2), 1.0,
                  {"isrpt", "isrpt-dense:3"}, 0.5 + 1e-7});
+  // A release whose 512-job blocks hold equal flow quotients before any
+  // sweep reaches them. Its first job lands mid-block (700 jobs are
+  // alive), and it leaves the arrival queue in two parts (4096 jobs, then
+  // the rest, which complete a block the first part began). Under
+  // fill-grant the first step after it is dense (4900 jobs are alive),
+  // which leaves those summaries stale together with the quotients.
+  out.push_back({"tail.midblock", release_instance(700, 4200, 2), 1.0,
+                 {"isrpt", "fill-grant"}});
+  // A release right after a dense EQUI step: the first sparse step
+  // rebuilds the flow quotients of the jobs swept before the release as
+  // it visits the release; uncut, and cut just after the release.
+  out.push_back({"tail.after-equi", release_instance(600, 2000, 4), 1.0,
+                 {"equi-then-isrpt"}});
+  out.push_back({"tail.after-equi.cut", release_instance(600, 2000, 4),
+                 1.0, {"equi-then-isrpt"}, 0.5 + 1e-7});
+  // Blocks of a release that each hold one job due at its first visit:
+  // a first phase within completion_tol, or all of its work within it.
+  out.push_back({"tail.phase-tol", release_instance(512, 2048, 2, due_job),
+                 1.0, {"isrpt", "isrpt-dense:3"}});
   return out;
 }
 
@@ -700,7 +770,11 @@ std::uint64_t recorder_digest(const TrajectoryRecorder& rec) {
 ///     with no observer so that no per-job record is built;
 ///   * tail.n20000/isrpt — ISRPT on tail_instance(12000, 8000, 16), run
 ///     with no observer: a release of 8000 jobs behind 12000 and every
-///     completion after it, at alive sizes of 10^4 jobs.
+///     completion after it, at alive sizes of 10^4 jobs;
+///   * tail.huge/isrpt — ISRPT over a release whose jobs at alive indexes
+///     1024–2047 (two whole blocks) and 2500 are sized 0.75·DBL_MAX, so
+///     that their flow quotient 0.5·(r+r)/r is +inf; streamed up to t = 3
+///     and pinned there, since those jobs never complete in finite time.
 void add_special_lines(const std::string& prefix,
                        std::map<std::string, std::string>& out) {
   const auto wanted = [&prefix](const std::string& key) {
@@ -733,6 +807,20 @@ void add_special_lines(const std::string& prefix,
     auto sched = make_policy("isrpt");
     out["tail.n20000/isrpt"] =
         fingerprint(simulate(tail_instance(12000, 8000, 16), *sched), 0);
+  }
+  if (wanted("tail.huge/isrpt")) {
+    const Instance inst =
+        release_instance(700, 2048, 2, [](std::size_t k, Job& j) {
+          if ((k >= 324 && k < 1348) || k == 1800) {
+            j.size = 0.75 * std::numeric_limits<double>::max();
+          }
+        });
+    auto sched = make_policy("isrpt");
+    Engine eng(inst.machines());
+    eng.begin(*sched);
+    for (const Job& j : inst.jobs()) eng.admit(j);
+    eng.advance_to(3.0);
+    out["tail.huge/isrpt"] = fingerprint(eng.partial(), 0);
   }
 }
 
@@ -1070,6 +1158,18 @@ TEST(BlockedIdleFlow, AuditedDrivesOnUsedEnginesKeepTheirBits) {
             batch.substr(0, batch.rfind(' ')));
 }
 
+// Under PARSCHED_AUDIT the engine also checks that each block it holds
+// summarized in the unswept tail holds no job due a phase change or a
+// completion. The release corpora fill such blocks before their first
+// sweep, and keep their golden lines audited.
+TEST(BlockedIdleFlow, AuditedReleasesKeepTheirBits) {
+  const AuditScope audit;
+  for (const char* prefix : {"tail.midblock", "tail.after-equi",
+                             "tail.phase-tol", "tail.huge"}) {
+    expect_goldens(prefix);
+  }
+}
+
 // ---- First-visit edge cases ---------------------------------------------
 
 /// Hands every machine to alive index 0 and nothing to anyone else, so
@@ -1194,6 +1294,70 @@ TEST(FirstVisitEdges, SnapshotMidDeferralResumesBitIdentically) {
       const SimResult got = cont.finish();
       EXPECT_EQ(fingerprint(got, 0), fingerprint(want, 0)) << what;
     }
+  }
+}
+
+// ---- Deferred decisions resumed by a creeping frontier -------------------
+//
+// A streamed drive that moves the frontier in small steps resumes each
+// deferred decision many times before its interval ends. However it
+// creeps — plainly, with admissions between creeps, or with
+// collect_stats on — the run must end with the SimResult of one
+// advance_to(∞).
+
+/// `policy` over dense_instance(2000, 2), streamed. The frontier creeps
+/// by 1e-4 up to t = 2 (with `step` false it does not move before
+/// finish()), so one ISRPT interval spans up to ~500 creeps. The jobs are
+/// admitted before the first advance_to, or, with `admit_late`, each at
+/// the last creep that its release allows.
+std::string creep_fingerprint(const std::string& policy, bool step,
+                              bool admit_late, bool stats) {
+  std::vector<Job> jobs = dense_instance(2000, 2).jobs();
+  std::stable_sort(jobs.begin(), jobs.end(), [](const Job& a, const Job& b) {
+    return a.release < b.release;
+  });
+  EngineConfig cfg;
+  cfg.collect_stats = stats;
+  auto sched = make_policy(policy);
+  Engine eng(2, cfg);
+  eng.begin(*sched);
+  std::size_t next = 0;
+  const auto admit_until = [&](double t) {
+    while (next < jobs.size() && jobs[next].release <= t) {
+      eng.admit(jobs[next++]);
+    }
+  };
+  if (!admit_late) admit_until(kInf);
+  for (int k = 0; step && k <= 20000; ++k) {
+    const double t = 1e-4 * static_cast<double>(k);
+    admit_until(t);
+    eng.advance_to(t);
+  }
+  admit_until(kInf);
+  return fingerprint(eng.finish(), 0);
+}
+
+TEST(DeferredResume, CreepingFrontierKeepsTheBits) {
+  for (const char* policy : {"isrpt", "equi"}) {
+    EXPECT_EQ(creep_fingerprint(policy, true, false, false),
+              creep_fingerprint(policy, false, false, false))
+        << policy;
+  }
+}
+
+TEST(DeferredResume, AdmissionsBetweenCreepsKeepTheBits) {
+  for (const char* policy : {"isrpt", "equi"}) {
+    EXPECT_EQ(creep_fingerprint(policy, true, true, false),
+              creep_fingerprint(policy, false, false, false))
+        << policy;
+  }
+}
+
+TEST(DeferredResume, CreepingWithStatsKeepsTheBits) {
+  for (const char* policy : {"isrpt", "equi"}) {
+    EXPECT_EQ(creep_fingerprint(policy, true, false, true),
+              creep_fingerprint(policy, false, false, false))
+        << policy;
   }
 }
 
