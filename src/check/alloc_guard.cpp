@@ -107,6 +107,20 @@ AllocStats alloc_stats() noexcept {
   return AllocStats{s.allocations, s.deallocations, s.bytes};
 }
 
+void note_allocation(std::size_t bytes) {
+#if defined(PARSCHED_ALLOC_HOOK)
+  count_allocation(bytes);
+#else
+  (void)bytes;
+#endif
+}
+
+void note_deallocation() noexcept {
+#if defined(PARSCHED_ALLOC_HOOK)
+  count_deallocation();
+#endif
+}
+
 std::uint64_t alloc_guard_scopes_entered() noexcept {
   return tstate().scopes_entered;
 }

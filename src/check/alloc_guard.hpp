@@ -29,6 +29,7 @@
 // it.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace parsched {
@@ -49,6 +50,15 @@ struct AllocStats {
 
 /// This thread's allocation counters.
 [[nodiscard]] AllocStats alloc_stats() noexcept;
+
+/// Count an allocation that does not go through operator new (a buffer
+/// util/huge_pages.hpp maps itself) as the counting operator new counts
+/// one: inside an armed AllocGuard it trips the guard. No-op when the
+/// hook is compiled out.
+void note_allocation(std::size_t bytes);
+
+/// The matching deallocation count.
+void note_deallocation() noexcept;
 
 /// Total number of AllocGuard scopes ever armed on this thread. Lets a
 /// harness assert that guarded code actually ran guarded (a guard that

@@ -91,7 +91,8 @@ struct AliveSet {
   std::vector<std::uint32_t> phases_left;
   /// Engine scratch, not job state: the flow quotient 0.5*(r+r)/size of
   /// the job's remaining work r at its last sparse-sweep visit (0 until
-  /// the first; absent from AliveJob). Dense steps leave it stale and the
+  /// the first, unless admission wrote it with its block's summary;
+  /// absent from AliveJob). Dense steps leave it stale and the
   /// next sparse step rebuilds it. A job a sparse sweep skips — rate 0
   /// and visited before — adds flow_q[i]*dt to the fractional flow,
   /// exactly what a visit would add, since nothing else about it can

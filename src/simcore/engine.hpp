@@ -230,6 +230,10 @@ class Engine final : public EngineView {
   /// The one admission path: every batch `source` releases up to
   /// now_ + time_tol, each job checked (check_job) before any lands.
   void admit_pending(ArrivalSource& source);
+  /// Flow quotients and summaries of the 512-job blocks that jobs
+  /// [from, n) complete wholly inside the unswept tail, unless a job of
+  /// the block is due a phase change or a completion.
+  void summarize_tail_blocks(std::size_t from);
   /// The one drive loop (run() and the streaming API): decision steps
   /// and idle jumps up to `horizon`, admitting from `source` after each.
   void drain_to(ArrivalSource& source, double horizon);
@@ -265,7 +269,9 @@ class Engine final : public EngineView {
   /// the min of the phase work over the whole alive set. O(n).
   void audit_uniform_scan(double low) const;
   /// PARSCHED_AUDIT: every block block_q_ marks equal lies inside the
-  /// alive set and holds its recorded quotient bit for bit. O(n).
+  /// alive set and holds its recorded quotient bit for bit; one in the
+  /// unswept tail also holds the quotients a first visit writes and no
+  /// job due a phase change or a completion. O(n).
   void audit_flow_blocks() const;
   /// Flight-recorder failure hook: record a stall/trip event and dump the
   /// ring (no-op without a recorder). Cold path only.
@@ -349,10 +355,13 @@ class Engine final : public EngineView {
   /// ("mixed") when they differ or have not been compared since a
   /// write. idle_flow adds an equal block in O(1) and summarizes a mixed
   /// one after summing it; every writer of flow_q marks its block mixed
-  /// (a sweep visit, a tail run's visit before its idle_flow, both slots
-  /// of a completion swap-remove, the rebuild after a dense step), and
-  /// begin_run() and import_state() mark them all. Sized at admission
-  /// (reserve_alive).
+  /// (a sweep visit of a support job, both slots of a completion
+  /// swap-remove, the rebuild after a dense step), and begin_run() and
+  /// import_state() mark them all. Admission summarizes the blocks it
+  /// fills wholly inside the unswept tail (summarize_tail_blocks), where
+  /// a summary also says that no job of the block is due a phase change
+  /// or a completion; the tail holds no other summary. Sized at
+  /// admission (reserve_alive).
   std::vector<double> block_q_;
   /// rates_ / dt_complete_ for the decision in cached_alloc_, valid while
   /// the decision is deferred (its inputs are frozen by the deferral
@@ -360,6 +369,11 @@ class Engine final : public EngineView {
   /// leaves a cached decision without them.
   double dt_complete_ = kInf;
   bool rates_valid_ = false;
+  /// When the last decision step deferred: the time its cached step
+  /// ends (kInf when nothing ends it), computed with the arrival queue's
+  /// next time. -kInf otherwise, and after begin_run() or import_state().
+  /// advance_to() below it, with nothing queued, only moves the frontier.
+  double deferred_end_ = -kInf;
   /// collect_stats: start of the current timing lap (see lap()).
   double t_lap_ = 0.0;
   // Consecutive decision steps that advanced neither time nor any job /

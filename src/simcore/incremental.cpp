@@ -17,8 +17,8 @@ constexpr std::size_t kSample = 4096;
 // Less-least entry, parents precede children.
 
 template <class E, class Less>
-std::size_t sift_up(std::vector<E>& heap, std::vector<std::uint32_t>& pos,
-                    std::size_t s, Less less) {
+std::size_t sift_up(std::vector<E>& heap, PositionMap& pos, std::size_t s,
+                    Less less) {
   const E e = heap[s];
   while (s > 0) {
     const std::size_t p = (s - 1) / 2;
@@ -33,8 +33,8 @@ std::size_t sift_up(std::vector<E>& heap, std::vector<std::uint32_t>& pos,
 }
 
 template <class E, class Less>
-void sift_down(std::vector<E>& heap, std::vector<std::uint32_t>& pos,
-               std::size_t s, Less less) {
+void sift_down(std::vector<E>& heap, PositionMap& pos, std::size_t s,
+               Less less) {
   const std::size_t n = heap.size();
   const E e = heap[s];
   for (;;) {
@@ -52,15 +52,15 @@ void sift_down(std::vector<E>& heap, std::vector<std::uint32_t>& pos,
 
 /// Restore the heap property around a slot whose key changed either way.
 template <class E, class Less>
-void reheap(std::vector<E>& heap, std::vector<std::uint32_t>& pos,
-            std::size_t s, Less less) {
+void reheap(std::vector<E>& heap, PositionMap& pos, std::size_t s,
+            Less less) {
   sift_down(heap, pos, sift_up(heap, pos, s, less), less);
 }
 
 /// Heap-delete by slot: move the back entry into the hole and re-sift.
 template <class E, class Less>
-void erase_slot(std::vector<E>& heap, std::vector<std::uint32_t>& pos,
-                std::size_t s, Less less) {
+void erase_slot(std::vector<E>& heap, PositionMap& pos, std::size_t s,
+                Less less) {
   const E back = heap.back();
   heap.pop_back();
   if (s < heap.size()) {
@@ -73,8 +73,7 @@ void erase_slot(std::vector<E>& heap, std::vector<std::uint32_t>& pos,
 /// Heapify in O(n). Entries must already sit at slot i with
 /// pos[entry.idx] == i.
 template <class E, class Less>
-void heapify(std::vector<E>& heap, std::vector<std::uint32_t>& pos,
-             Less less) {
+void heapify(std::vector<E>& heap, PositionMap& pos, Less less) {
   for (std::size_t i = heap.size() / 2; i-- > 0;) {
     sift_down(heap, pos, i, less);
   }

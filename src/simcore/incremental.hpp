@@ -52,7 +52,10 @@
 // geometric growth; the engine calls it at admission, after which every
 // query and update — including a gather — is allocation-free and safe
 // inside the engine's AllocGuard fences. Reserved capacity a small head
-// never touches costs no page faults.
+// never touches costs no page faults. A bounded gather writes the whole
+// position map, 4 MB at n = 10^6, into a fresh engine's pages; its
+// buffer comes from HugePageAllocator, so that is a couple of huge-page
+// faults where the kernel grants huge pages, not ~1,000 small ones.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +63,13 @@
 #include <vector>
 
 #include "simcore/alive_set.hpp"
+#include "util/huge_pages.hpp"
 
 namespace parsched {
+
+/// An order's position map: alive index -> heap slot (or a tail mark).
+using PositionMap =
+    std::vector<std::uint32_t, HugePageAllocator<std::uint32_t>>;
 
 /// Flat heap entries: compact (24/16 bytes) and carrying the alive index
 /// the queries scatter out. `of` gathers job i's key from the alive set.
@@ -187,7 +195,7 @@ class OrderHeap {
   void gather(AliveView alive, std::size_t want);
 
   std::vector<Key> heap_;            ///< the head
-  std::vector<std::uint32_t> pos_;   ///< alive index -> heap slot, or kTail
+  PositionMap pos_;                  ///< alive index -> heap slot, or kTail
   std::vector<std::uint32_t> cand_;  ///< top-k traversal: heap-slot heap
   // A query as wide as the head sorts a compact copy of it (the heap
   // must keep its shape — queries never mutate keys); a gather draws its

@@ -15,6 +15,7 @@
 // under ASan/TSan whose interceptors own the allocator symbols).
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <future>
@@ -30,6 +31,7 @@
 #include "sched/registry.hpp"
 #include "simcore/engine.hpp"
 #include "simcore/instance.hpp"
+#include "util/huge_pages.hpp"
 
 namespace parsched {
 namespace {
@@ -94,6 +96,56 @@ TEST(AllocGuard, TripsOnAllocationInGuardedScope) {
   EXPECT_TRUE(still_armed_after_catch);
   EXPECT_TRUE(trips_again);
   EXPECT_EQ(AllocGuard::depth(), 0);
+}
+
+// HugePageAllocator maps a buffer of 2 MB or more itself, past operator
+// new, and hands smaller ones to operator new. Both still count through
+// the hook: growing either inside an armed guard trips it (a mapped one
+// before anything is mapped), and outside a guard a mapping counts as
+// one allocation of its bytes and its release as one deallocation.
+TEST(AllocGuard, TripsOnAHugePageBufferGrownInGuardedScope) {
+  SKIP_WITHOUT_HOOK();
+  using Buffer = std::vector<std::uint32_t, HugePageAllocator<std::uint32_t>>;
+  constexpr std::size_t kWords = huge_pages::kHugePage;  // 8 MB of words
+  Buffer big;
+  Buffer small;
+  bool big_tripped = false;
+  bool names_scope = false;
+  bool small_tripped = false;
+  std::size_t capacity_after_trip = 1;
+  {
+    AllocGuard guard("huge-page scope");
+    try {
+      big.reserve(kWords);
+    } catch (const ContractViolation& ex) {
+      big_tripped = true;
+      names_scope = std::strstr(ex.what(), "huge-page scope") != nullptr;
+    }
+    capacity_after_trip = big.capacity();
+    try {
+      small.reserve(16);
+    } catch (const ContractViolation&) {
+      small_tripped = true;
+    }
+  }
+  EXPECT_TRUE(big_tripped);
+  EXPECT_TRUE(names_scope);
+  EXPECT_EQ(capacity_after_trip, 0u);
+  EXPECT_TRUE(small_tripped);
+
+  const AllocStats before = alloc_stats();
+  big.reserve(kWords);
+  const AllocStats mapped = alloc_stats();
+  EXPECT_EQ(mapped.allocations, before.allocations + 1);
+  EXPECT_EQ(mapped.bytes, before.bytes + kWords * sizeof(std::uint32_t));
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.data()) %
+                huge_pages::kHugePage,
+            0u);
+  big.assign(kWords, 7u);  // within capacity: no allocation
+  EXPECT_EQ(big[kWords - 1], 7u);
+  EXPECT_EQ(alloc_stats().allocations, mapped.allocations);
+  Buffer().swap(big);
+  EXPECT_EQ(alloc_stats().deallocations, mapped.deallocations + 1);
 }
 
 TEST(AllocGuard, SilentOnAllocationFreePath) {
