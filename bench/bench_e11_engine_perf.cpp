@@ -254,9 +254,10 @@ Table measure_dense_alive() {
 //     rates + advance sweep). The sparse step's idle-flow sum adds a
 //     512-job block of equal flow quotients in O(1), so once the
 //     never-run backlog is summarized it no longer streams all n
-//     quotients. The first creeping step visits the whole batch, a
-//     block of rate-0 jobs at a time, and summarizes each block as it
-//     sums it, so it alone stays O(n) inside this window.
+//     quotients. Admission summarizes the release's whole 512-job
+//     blocks, inside first_advance_seconds, so the first creeping step
+//     is O(blocks) too, unless a block holds a job due at its first
+//     visit.
 //   * decide_incremental_seconds — the Scheduler::allocate() bucket
 //     alone (RunStats::decide_seconds), where the ordering queries live.
 struct DenseDriveSample {
