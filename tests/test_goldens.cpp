@@ -702,6 +702,18 @@ std::vector<Corpus> corpora() {
   // a first phase within completion_tol, or all of its work within it.
   out.push_back({"tail.phase-tol", release_instance(512, 2048, 2, due_job),
                  1.0, {"isrpt", "isrpt-dense:3"}});
+  // Runs of consecutive 512-job blocks whose summaries hold the same
+  // quotient (a release's fresh jobs all hold 1.0): the support jobs
+  // ISRPT and Par-SRPT run sit at scattered indexes and cut the runs, as
+  // do the blocks a partly run job or a completion's swap-remove leaves
+  // mixed; isrpt-dense:3 leaves every quotient stale between them. Early
+  // on, when one step's idle flow is large against fractional_flow, a
+  // run's sum crosses a power of two partway through. Uncut, and cut at
+  // t = 3 and restored.
+  out.push_back({"runs.release", release_instance(520, 5120, 2), 1.0,
+                 {"isrpt", "par-srpt", "isrpt-dense:3"}});
+  out.push_back({"runs.release.cut", release_instance(520, 5120, 2), 1.0,
+                 {"isrpt"}, 3.0 + 1e-7});
   return out;
 }
 
@@ -774,7 +786,10 @@ std::uint64_t recorder_digest(const TrajectoryRecorder& rec) {
 ///   * tail.huge/isrpt — ISRPT over a release whose jobs at alive indexes
 ///     1024–2047 (two whole blocks) and 2500 are sized 0.75·DBL_MAX, so
 ///     that their flow quotient 0.5·(r+r)/r is +inf; streamed up to t = 3
-///     and pinned there, since those jobs never complete in finite time.
+///     and pinned there, since those jobs never complete in finite time;
+///   * runs.n41000/isrpt — ISRPT on release_instance(1000, 40000, 16), run
+///     with no observer: idle flows over runs of up to ~80 equal blocks,
+///     and SRPT heads gathered again each time completions drain them.
 void add_special_lines(const std::string& prefix,
                        std::map<std::string, std::string>& out) {
   const auto wanted = [&prefix](const std::string& key) {
@@ -821,6 +836,11 @@ void add_special_lines(const std::string& prefix,
     for (const Job& j : inst.jobs()) eng.admit(j);
     eng.advance_to(3.0);
     out["tail.huge/isrpt"] = fingerprint(eng.partial(), 0);
+  }
+  if (wanted("runs.n41000/isrpt")) {
+    auto sched = make_policy("isrpt");
+    out["runs.n41000/isrpt"] =
+        fingerprint(simulate(release_instance(1000, 40000, 16), *sched), 0);
   }
 }
 
@@ -927,6 +947,9 @@ TEST(EngineGoldens, DenseStepsAcrossASnapshot) {
 }
 TEST(EngineGoldens, SparseStepsOverLongIdleGaps) { expect_goldens("idle."); }
 TEST(EngineGoldens, SweepOfABatchReleaseTail) { expect_goldens("tail."); }
+TEST(EngineGoldens, SparseStepsOverRunsOfEqualBlocks) {
+  expect_goldens("runs.");
+}
 TEST(EngineGoldens, UniformStepsAtTheirEdges) {
   const auto debug_failures = [] {
     return check_detail::stats().debug_failed.load();
@@ -1165,7 +1188,7 @@ TEST(BlockedIdleFlow, AuditedDrivesOnUsedEnginesKeepTheirBits) {
 TEST(BlockedIdleFlow, AuditedReleasesKeepTheirBits) {
   const AuditScope audit;
   for (const char* prefix : {"tail.midblock", "tail.after-equi",
-                             "tail.phase-tol", "tail.huge"}) {
+                             "tail.phase-tol", "tail.huge", "runs.release"}) {
     expect_goldens(prefix);
   }
 }
