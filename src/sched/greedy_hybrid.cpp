@@ -58,10 +58,12 @@ PARSCHED_HOT void GreedyHybrid::allocate(const SchedulerContext& ctx,
   double horizon = (max_quantum_ == kInf) ? kInf : now + max_quantum_;
   // Each job's next marginal is evaluated once here, not once per
   // granted job in the pairwise scan below.
+  // A job's share is its granted_ count (+0.0 when it got none), which
+  // spares out.shares() its n-sized write.
   rate_.resize(n);
   next_marginal_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    rate_[i] = alive.curve(i).rate(out.shares()[i]);
+    rate_[i] = alive.curve(i).rate(static_cast<double>(granted_[i]));
     next_marginal_[i] =
         alive.curve(i).marginal(static_cast<double>(granted_[i]));
   }

@@ -40,28 +40,43 @@ void write_record(const AliveSet& s, std::size_t i, AliveJob& a) {
   a.phase_remaining = s.phase_work(i);
 }
 
+/// Floor blocks over n alive jobs.
+std::size_t floor_blocks(std::size_t n) {
+  return (n + RemainingFloors::kBlock - 1) / RemainingFloors::kBlock;
+}
+
 }  // namespace
 
 void AliveSet::clear() {
   each_array(*this, [](auto& v) { v.clear(); });
+  floors.floor.clear();
+  floors.known = true;
   multi_phase = 0;
 }
 
 void AliveSet::reserve(std::size_t n) {
   each_array(*this, [n](auto& v) { reserve_geometric(v, n); });
+  reserve_geometric(floors.floor, floor_blocks(n));
 }
 
 void AliveSet::resize(std::size_t n) {
   each_array(*this, [n](auto& v) { v.resize(n); });
+  floors.floor.resize(floor_blocks(n));
 }
 
 void AliveSet::relocate(std::size_t from, std::size_t to) {
   each_array(*this, [from, to](auto& v) { v[to] = std::move(v[from]); });
+  floors.lower(to, remaining[to]);
 }
 
 void AliveSet::append(const Job& job, std::int64_t arrival_seq) {
   if (job.phases.size() > 1 && multi_phase++ == 0) {
     std::copy(remaining.begin(), remaining.end(), phase_remaining.begin());
+  }
+  if (size() % RemainingFloors::kBlock == 0) {
+    floors.floor.push_back(job.size);
+  } else {
+    floors.lower(size(), job.size);
   }
   ids.push_back(job.id);
   releases.push_back(job.release);
@@ -91,6 +106,7 @@ void AliveSet::assign(std::span<const AliveJob> records) {
     phases_left[i] -= static_cast<std::uint32_t>(a.phase);
     cold[i].curve = a.curve;
   }
+  floors.known = false;
 }
 
 std::vector<JobPhase> AliveSet::take_phases(std::size_t i) {

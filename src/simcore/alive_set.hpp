@@ -63,6 +63,26 @@ struct AliveCold {
 
 class AliveView;
 
+/// Lower bounds of the alive jobs' remaining work, one per aligned block
+/// of kBlock alive indexes, so that a scan for the jobs below some
+/// remaining work passes over a block whose bound is above it (the SRPT
+/// gather, OrderHeap::gather). While `known`, floor[b] is at most the
+/// remaining work of every job in block b; append() sets it, and every
+/// writer of remaining work lowers it (lower()). A dense step, which
+/// lowers every job's, marks the floors unknown instead, and the next
+/// scan of every key rebuilds them.
+struct RemainingFloors {
+  static constexpr std::size_t kBlock = 64;
+  std::vector<double> floor;  ///< ceil(n / kBlock) entries
+  bool known = true;          ///< an empty set's floors hold
+
+  /// Alive job i's remaining work is now r.
+  void lower(std::size_t i, double r) {
+    double& f = floor[i / kBlock];
+    f = std::min(f, r);
+  }
+};
+
 /// The engine's alive set. Position i is the same job in every array;
 /// admission appends, completion moves the back job into the freed slot
 /// (relocate) and truncates (resize). Every mutator that adds, moves or
@@ -101,6 +121,9 @@ struct AliveSet {
   /// the engine mark that block mixed.
   std::vector<double> flow_q;
   std::vector<AliveCold> cold;
+  /// Derived from `remaining`, not job state. Mutable: a gather through
+  /// a const view rebuilds unknown floors in the scan it makes anyway.
+  mutable RemainingFloors floors;
   /// Alive jobs with more than one phase (append counts them,
   /// take_phases() uncounts them, clear() resets the count).
   std::size_t multi_phase = 0;
@@ -112,7 +135,13 @@ struct AliveSet {
   }
   [[nodiscard]] bool empty() const { return ids.empty(); }
   [[nodiscard]] AliveView view() const;
+  /// Set job i's remaining work to r, keeping its block's floor.
+  void set_remaining(std::size_t i, double r) {
+    remaining[i] = r;
+    floors.lower(i, r);
+  }
 
+  /// Empty the set; its (empty) floors are known.
   void clear();
   /// Capacity for at least n jobs (geometric growth).
   void reserve(std::size_t n);
@@ -122,8 +151,8 @@ struct AliveSet {
   void append(const Job& job, std::int64_t arrival_seq);
   /// Replace the whole set with `records`, in order (snapshot restore):
   /// each goes through append() and then takes the record's progress
-  /// (remaining work, phase, phase work, current curve). Requires
-  /// a.phase < max(1, a.phases.size()).
+  /// (remaining work, phase, phase work, current curve); the floors are
+  /// left unknown. Requires a.phase < max(1, a.phases.size()).
   void assign(std::span<const AliveJob> records);
   /// Job i's current phase drained: move it to the next one (requires
   /// phases_left[i] > 0).
@@ -133,7 +162,8 @@ struct AliveSet {
   /// before it overwrites or truncates the job's slot.
   std::vector<JobPhase> take_phases(std::size_t i);
   /// Move job `from` into slot `to` (the completion swap-remove; the
-  /// caller truncates with resize() afterwards).
+  /// caller truncates with resize() afterwards), lowering the floor of
+  /// the block it moves into.
   void relocate(std::size_t from, std::size_t to);
   void resize(std::size_t n);
   /// Every record, in alive order, written into `out` in place (reusing
@@ -173,6 +203,8 @@ class AliveView {
   [[nodiscard]] const SpeedupCurve& curve(std::size_t i) const {
     return set_->cold[i].curve;
   }
+  /// The set's remaining-work floors (a scan may rebuild unknown ones).
+  [[nodiscard]] RemainingFloors& floors() const { return set_->floors; }
 
  private:
   const AliveSet* set_;

@@ -263,8 +263,8 @@ PARSCHED_HOT [[gnu::noinline]] double sweep_block(
 }  // namespace
 
 // PARSCHED_AUDIT check of the support invariant the sparse step rests
-// on: compute_rates, the sweep and Allocation::reset touch only the
-// support, so a nonzero share outside it would be silently ignored.
+// on: compute_rates and the sweep touch only the support, so a nonzero
+// share outside it would be silently ignored.
 void Engine::audit_support() const {
   const Allocation& alloc = cached_alloc_;
   if (alloc.dense()) return;
@@ -507,7 +507,7 @@ void Engine::summarize_tail_blocks(std::size_t from) {
   }
 }
 
-PARSCHED_HOT void Engine::compute_rates(bool validate) {
+PARSCHED_HOT Engine::PolicyError Engine::compute_rates(bool validate) {
   // The decision's shares → rates pass over the allocation's support:
   // (1) validation of every granted share and of Σ ≤ m, (2) Γ(share) at
   // each support position, (3) a scan for the earliest phase end and the
@@ -537,21 +537,12 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
                                       ? alive_.remaining.data()
                                       : alive_.phase_remaining.data();
   const double limit = static_cast<double>(m_) * (1.0 + 1e-9) + 1e-9;
-  const auto throw_negative = [this] {
-    throw std::logic_error("negative share from policy " +  // lint: alloc-ok
-                           sched_->name());
-  };
-  const auto check_sum = [&](double sum) {
-    if (validate && sum > limit) {
-      throw std::logic_error("overcommitted shares from " +  // lint: alloc-ok
-                             sched_->name());
-    }
-  };
+  const auto over_limit = [&](double sum) { return validate && sum > limit; };
   const double s = alloc.uniform_share();
   rates_uniform_ = alloc.uniform() && s >= 0.0 && s <= 1.0;
-  // The uniform arm reads no share, so a fill()'s stay unwritten.
-  const std::span<const double> shares =
-      rates_uniform_ ? std::span<const double>() : alloc.shares();
+  // Only the dense arm reads the n shares: a fill()'s stay unwritten in
+  // the uniform arm, and a reset()'s in the sparse one, which reads the
+  // granted shares aligned with the support.
   double dt_complete = kInf;
   std::size_t nonzero = 0;
   if (rates_uniform_) {
@@ -563,7 +554,9 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
     // last dense sweep carried, when it holds: min is order-free over
     // phase work (see dense_rates), so splitting the scan moves no bit.
     uniform_rate_ = cfg_.speed * s;
-    if (validate) check_sum(uniform_sum(s, n));
+    if (validate && over_limit(uniform_sum(s, n))) {
+      return PolicyError::kOvercommitted;
+    }
     if (uniform_rate_ > 0.0) {
       nonzero = n;
       const std::size_t from = swept_low_valid_ ? std::min(swept_, n) : 0;
@@ -576,27 +569,28 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
   } else if (alloc.dense()) {
     rates_.resize(n);
     const DenseRates d =
-        dense_rates(shares.data(), phase_rem, alive_.cold.data(),
+        dense_rates(alloc.shares().data(), phase_rem, alive_.cold.data(),
                     rates_.data(), n, cfg_.speed, validate);
-    if (d.bad < n) throw_negative();
-    check_sum(d.sum);
+    if (d.bad < n) return PolicyError::kNegativeShare;
+    if (over_limit(d.sum)) return PolicyError::kOvercommitted;
     dt_complete = d.dt;
     nonzero = d.nonzero;
     if (d.r0 > 0.0) dt_complete = std::min(dt_complete, d.p0 / d.r0);
   } else {
     const std::size_t k = sup.size();
+    const std::span<const double> granted = alloc.granted();
     double sum = 0.0;
-    for (const std::size_t i : sup) {
-      if (validate && !(shares[i] >= 0.0)) throw_negative();
-      sum += shares[i];
+    for (const double g : granted) {
+      if (validate && !(g >= 0.0)) return PolicyError::kNegativeShare;
+      sum += g;
     }
-    check_sum(sum);
+    if (over_limit(sum)) return PolicyError::kOvercommitted;
     rates_.resize(k);
     // The end of the current *phase* is the next per-job event (for a
     // single-phase job that is its completion).
     for (std::size_t j = 0; j < k; ++j) {
       const std::size_t i = sup[j];
-      const double r = cfg_.speed * alive_.cold[i].curve.rate(shares[i]);
+      const double r = cfg_.speed * alive_.cold[i].curve.rate(granted[j]);
       rates_[j] = r;
       if (r > 0.0) {
         ++nonzero;
@@ -607,6 +601,7 @@ PARSCHED_HOT void Engine::compute_rates(bool validate) {
   dt_complete_ = dt_complete;
   rates_nonzero_ = nonzero;
   rates_valid_ = true;
+  return PolicyError::kNone;
 }
 
 void Engine::lap(double& bucket) {
@@ -646,7 +641,7 @@ void Engine::lap(double& bucket) {
     s.phase_remaining[i] = std::max(0.0, s.phase_remaining[i] - r * dt);
   }
   ff += 0.5 * (before + after) / size * dt;
-  s.remaining[i] = after;
+  s.set_remaining(i, after);
   s.flow_q[i] = 0.5 * (after + after) / size;
   block_q_[i / kFlowBlock] = kMixed;
   return settle_job(i);
@@ -660,11 +655,12 @@ double Engine::visit_idle_run(double acc, std::size_t from, std::size_t to,
   // and nothing it moves feeds the flow. A block that admission
   // summarized (summarize_tail_blocks) holds the quotients already and
   // no job due a settle; the tail holds no other summary.
+  // The flow of the whole run is then one idle_flow, since settle_job
+  // writes no quotient: its summarized blocks add up in runs.
   AliveSet& s = alive_;
   const bool phased = s.multi_phase > 0;
   const auto quotients =
       phased ? &flow_quotients<true> : &flow_quotients<false>;
-  double sum = acc;
   for (std::size_t b = from; b < to;) {
     const std::size_t end = std::min(to, (b / kFlowBlock + 1) * kFlowBlock);
     if (std::isnan(block_q_[b / kFlowBlock]) &&
@@ -672,19 +668,19 @@ double Engine::visit_idle_run(double acc, std::size_t from, std::size_t to,
                   &s.phase_remaining[b], end - b, cfg_.completion_tol)) {
       for (std::size_t i = b; i < end; ++i) phase_advanced |= settle_job(i);
     }
-    sum = idle_flow(sum, b, end - b, dt);
     b = end;
   }
-  return sum;
+  return idle_flow(acc, from, to - from, dt);
 }
 
 double Engine::idle_flow(double acc, std::size_t from, std::size_t count,
                          double dt) {
-  // The partial blocks at either end are summed term by term. A full
-  // block whose summary holds one quotient adds it count times in O(1)
-  // (repeated_scaled_sum); a mixed one is summed term by term and
-  // summarized again, so after one step of rate-0 visits a block of
-  // equal quotients is O(1) from then on.
+  // The partial blocks at either end are summed term by term. A run of
+  // consecutive full blocks whose summaries hold the same quotient, bit
+  // for bit, adds it in O(1) (repeated_block_sum, a block at a time only
+  // where the run's sum fails the grid test); a mixed block is summed
+  // term by term and summarized again, so after one step of rate-0
+  // visits a block of equal quotients is O(1) from then on.
   const double* const q = alive_.flow_q.data();
   const std::size_t end = from + count;
   const std::size_t first = (from + kFlowBlock - 1) / kFlowBlock;
@@ -694,14 +690,22 @@ double Engine::idle_flow(double acc, std::size_t from, std::size_t count,
     sum = ordered_scaled_sum(sum, q + from, count, dt);
   } else {
     sum = ordered_scaled_sum(sum, q + from, first * kFlowBlock - from, dt);
-    for (std::size_t b = first; b < last; ++b) {
-      double& common = block_q_[b];
-      if (!std::isnan(common)) {
-        sum = repeated_scaled_sum(sum, common, kFlowBlock, dt);
-      } else {
+    for (std::size_t b = first; b < last;) {
+      const double common = block_q_[b];
+      if (std::isnan(common)) {
         sum = ordered_scaled_sum(sum, q + b * kFlowBlock, kFlowBlock, dt);
-        common = block_summary(q + b * kFlowBlock);
+        block_q_[b] = block_summary(q + b * kFlowBlock);
+        ++b;
+        continue;
       }
+      const auto bits = std::bit_cast<std::uint64_t>(common);
+      std::size_t run_end = b + 1;
+      while (run_end < last &&
+             std::bit_cast<std::uint64_t>(block_q_[run_end]) == bits) {
+        ++run_end;
+      }
+      sum = repeated_block_sum(sum, common, run_end - b, dt);
+      b = run_end;
     }
     sum = ordered_scaled_sum(sum, q + last * kFlowBlock,
                              end - last * kFlowBlock, dt);
@@ -792,6 +796,7 @@ PARSCHED_HOT bool Engine::advance_sweep(double dt) {
       low = std::min(low, block_low);
     }
     flow_q_stale_ = true;
+    alive_.floors.known = false;  // the next full SRPT gather rebuilds them
     swept_low_ = low;
     swept_low_valid_ = !phased;
   } else {
@@ -863,10 +868,9 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     SchedulerContext ctx(now_, m_, alive_.view(), orders_);
     // PARSCHED_AUDIT: warm allocate+rates sections must not touch the
     // heap — every scratch buffer is capacity-stable once a step at this
-    // alive count has completed. (A policy-error throw inside the scope
-    // surfaces as the guard's ContractViolation under audit, since
-    // building the error message allocates; the diagnostic still names
-    // the offending region.)
+    // alive count has completed. Every policy-error throw releases the
+    // fence first, since building its message allocates: under audit the
+    // caller sees the policy's error, as without it.
     std::optional<AllocGuard> fence;
     if (audit_allocs_ && alive_.size() <= alloc_warm_n_) {
       fence.emplace("Engine decision step: allocate+rates");
@@ -881,7 +885,14 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
       throw std::logic_error("allocation size mismatch from policy " +
                              sched_->name());
     }
-    compute_rates(cfg_.validate_allocations);
+    const PolicyError error = compute_rates(cfg_.validate_allocations);
+    if (error != PolicyError::kNone) {
+      fence.reset();
+      throw std::logic_error((error == PolicyError::kNegativeShare
+                                  ? "negative share from policy "
+                                  : "overcommitted shares from ") +
+                             sched_->name());
+    }
     if (audit_allocs_) audit_support();
     fence.reset();
     alloc_warm_n_ = std::max(alloc_warm_n_, alive_.size());
@@ -902,7 +913,7 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     // time are still exact. Only a snapshot restore — which does not
     // serialize scratch — needs them rebuilt, from the same frozen
     // inputs, hence bit-identically.
-    if (!rates_valid_) compute_rates(false);
+    if (!rates_valid_) (void)compute_rates(false);  // nothing to reject
   }
   const Allocation& alloc = cached_alloc_;
   if (alloc.reconsider_at != kInf && alloc.reconsider_at <= now_) {

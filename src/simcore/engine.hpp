@@ -238,7 +238,15 @@ class Engine final : public EngineView {
   /// and idle jumps up to `horizon`, admitting from `source` after each.
   void drain_to(ArrivalSource& source, double horizon);
   Step decision_step(double t_arrive, double horizon);
-  void compute_rates(bool validate);
+  /// What compute_rates found wrong with a policy's shares: the caller
+  /// throws, once it has released its AllocGuard fence.
+  enum class PolicyError : std::uint8_t {
+    kNone,
+    kNegativeShare,  ///< a share NaN or below zero
+    kOvercommitted,  ///< Σ shares above m·(1 + 1e-9) + 1e-9
+  };
+  /// Validation (when `validate`), rates and dt-scan of cached_alloc_.
+  [[nodiscard]] PolicyError compute_rates(bool validate);
   /// The advance sweep: a dense step advances every job in blocks; a
   /// sparse one visits the support and the unswept tail, and the idle
   /// jobs between them add their cached flow quotients. Returns whether
@@ -246,15 +254,16 @@ class Engine final : public EngineView {
   bool advance_sweep(double dt);
   /// acc plus the flow quotient times dt of each of the `count` idle jobs
   /// from `from` on, added in index order (the serial loop's bits),
-  /// through block_q_.
+  /// through block_q_: a run of full blocks with one summary in O(1).
   double idle_flow(double acc, std::size_t from, std::size_t count,
                    double dt);
   bool visit_job(std::size_t i, double r, double dt, double& ff);
   /// The rate-0 visit of the unswept tail jobs [from, to), a flow-
-  /// quotient block at a time: their quotients, settle_job on the blocks
-  /// where some job is due a phase change or completion, then idle_flow
-  /// over them. Returns acc plus their flow, the bits visit_job adds one
-  /// job at a time; sets `phase_advanced` when a job changed phase.
+  /// quotient block at a time: their quotients and settle_job on the
+  /// blocks where some job is due a phase change or completion; then one
+  /// idle_flow over the run. Returns acc plus their flow, the bits
+  /// visit_job adds one job at a time; sets `phase_advanced` when a job
+  /// changed phase.
   double visit_idle_run(double acc, std::size_t from, std::size_t to,
                         double dt, bool& phase_advanced);
   bool settle_job(std::size_t i);
@@ -353,11 +362,12 @@ class Engine final : public EngineView {
   /// One summary per aligned block of 512 entries of AliveSet::flow_q:
   /// the quotient every job of the block holds, bit for bit, or NaN
   /// ("mixed") when they differ or have not been compared since a
-  /// write. idle_flow adds an equal block in O(1) and summarizes a mixed
-  /// one after summing it; every writer of flow_q marks its block mixed
-  /// (a sweep visit of a support job, both slots of a completion
-  /// swap-remove, the rebuild after a dense step), and begin_run() and
-  /// import_state() mark them all. Admission summarizes the blocks it
+  /// write. idle_flow adds a run of consecutive blocks with the same
+  /// summary in O(1) and summarizes a mixed one after summing it; every
+  /// writer of flow_q marks its block mixed (a sweep visit of a support
+  /// job, both slots of a completion swap-remove, the rebuild after a
+  /// dense step), and begin_run() and import_state() mark them all.
+  /// Admission summarizes the blocks it
   /// fills wholly inside the unswept tail (summarize_tail_blocks), where
   /// a summary also says that no job of the block is due a phase change
   /// or a completion; the tail holds no other summary. Sized at

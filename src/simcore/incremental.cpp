@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "check/contract.hpp"
+#include "util/mathx.hpp"
 
 namespace parsched {
 
@@ -166,29 +167,63 @@ PARSCHED_HOT void OrderHeap<Key, Less>::gather(AliveView alive,
                      scratch_.begin() + static_cast<std::ptrdiff_t>(r),
                      scratch_.end(), less);
     bound_ = scratch_[r];
-    // Every job starts in the tail; the scan moves the head's into the
-    // heap. A block of 64 jobs whose first key field alone puts each
-    // after T is passed over on that one array.
-    pos_.assign(n, kTail);
-    for (std::size_t b = 0; b < n; b += 64) {
-      const std::size_t end = std::min(b + 64, n);
+    scan_head(alive);
+    if (heap_.size() >= want) break;
+  }
+  heapify(heap_, pos_, less);
+  stale_ = false;
+}
+
+template <class Key, class Less>
+PARSCHED_HOT void OrderHeap<Key, Less>::scan_head(AliveView alive) {
+  // Every job starts in the tail; the scan moves the head's into the
+  // heap. A block of 64 jobs whose first key field alone puts each after
+  // T is passed over: for the SRPT order on its remaining-work floor —
+  // known floors are read instead of the key column, and unknown ones
+  // are rebuilt here from the keys (the exact least of each block) —
+  // otherwise on that one array. Of a near block, only the jobs whose
+  // first field does not put them after T build a key.
+  constexpr std::size_t kB = RemainingFloors::kBlock;
+  const std::size_t n = alive.size();
+  const Less less{};
+  pos_.assign(n, kTail);
+  RemainingFloors& floors = alive.floors();
+  const bool rebuild = Less::kFloored && !floors.known;
+  for (std::size_t b = 0; b < n; b += kB) {
+    const std::size_t end = std::min(b + kB, n);
+    if constexpr (Less::kFloored) {
+      double& floor = floors.floor[b / kB];
+      if (rebuild) {
+        // Four lanes of minima: remaining work is never NaN, so the
+        // least is the same in any order.
+        double lo[4] = {kInf, kInf, kInf, kInf};
+        std::size_t i = b;
+        for (; i + 4 <= end; i += 4) {
+          for (std::size_t w = 0; w < 4; ++w) {
+            lo[w] = std::min(lo[w], alive.remaining(i + w));
+          }
+        }
+        for (; i < end; ++i) lo[0] = std::min(lo[0], alive.remaining(i));
+        floor = std::min(std::min(lo[0], lo[1]), std::min(lo[2], lo[3]));
+      }
+      if (bound_.remaining < floor) continue;
+    } else {
       bool near = false;
       for (std::size_t i = b; i < end && !near; ++i) {
         near = !Less::after_by_first(alive, i, bound_);
       }
       if (!near) continue;
-      for (std::size_t i = b; i < end; ++i) {
-        const Key k = Key::of(alive, i);
-        if (less(k, bound_)) {
-          pos_[i] = static_cast<std::uint32_t>(heap_.size());
-          heap_.push_back(k);
-        }
+    }
+    for (std::size_t i = b; i < end; ++i) {
+      if (Less::after_by_first(alive, i, bound_)) continue;
+      const Key k = Key::of(alive, i);
+      if (less(k, bound_)) {
+        pos_[i] = static_cast<std::uint32_t>(heap_.size());
+        heap_.push_back(k);
       }
     }
-    if (heap_.size() >= want) break;
   }
-  heapify(heap_, pos_, less);
-  stale_ = false;
+  if (rebuild) floors.known = true;
 }
 
 template <class Key, class Less>
@@ -266,6 +301,16 @@ PARSCHED_HOT std::span<const std::size_t> OrderHeap<Key, Less>::prefix(
 
 template <class Key, class Less>
 void OrderHeap<Key, Less>::audit(AliveView alive) const {
+  if constexpr (Less::kFloored) {
+    const RemainingFloors& floors = alive.floors();
+    constexpr std::size_t kB = RemainingFloors::kBlock;
+    PARSCHED_CHECK(floors.floor.size() == (alive.size() + kB - 1) / kB,
+                   "incremental audit: one floor per 64 alive jobs");
+    for (std::size_t i = 0; floors.known && i < alive.size(); ++i) {
+      PARSCHED_CHECK(!(alive.remaining(i) < floors.floor[i / kB]),
+                     "incremental audit: remaining work below its floor");
+    }
+  }
   if (stale_) return;  // keys pending a gather carry no claim
   const std::size_t n = alive.size();
   const std::size_t head = heap_.size();

@@ -52,7 +52,11 @@
 // geometric growth; the engine calls it at admission, after which every
 // query and update — including a gather — is allocation-free and safe
 // inside the engine's AllocGuard fences. Reserved capacity a small head
-// never touches costs no page faults. A bounded gather writes the whole
+// never touches costs no page faults. A bounded SRPT gather reads the
+// alive set's remaining-work floors (one per 64 jobs, RemainingFloors)
+// instead of every key, and builds keys only in the blocks whose floor is
+// not above T; unknown floors (after a dense step or a restore) are
+// rebuilt by that gather's scan of every key. It still writes the whole
 // position map, 4 MB at n = 10^6, into a fresh engine's pages; its
 // buffer comes from HugePageAllocator, so that is a couple of huge-page
 // faults where the kernel grants huge pages, not ~1,000 small ones.
@@ -110,6 +114,9 @@ struct SrptKeyLess {
                              const SrptKey& b) {
     return b.remaining < alive.remaining(i);
   }
+  /// A gather reads the alive set's remaining-work floors
+  /// (RemainingFloors) instead of every key.
+  static constexpr bool kFloored = true;
 };
 
 struct LatestKeyLess {
@@ -121,6 +128,7 @@ struct LatestKeyLess {
                              const LatestKey& b) {
     return b.release > alive.release(i);
   }
+  static constexpr bool kFloored = false;
 };
 
 /// One order over the alive set: a min-heap in Less order over the jobs
@@ -180,7 +188,9 @@ class OrderHeap {
 
   /// Audit (PARSCHED_AUDIT) of a fresh heap: every entry matches the
   /// alive set, the position map is consistent, the heap property
-  /// holds, and a job is in the head iff its key is below T. Trips a
+  /// holds, and a job is in the head iff its key is below T; for the
+  /// SRPT order, stale or not, each known remaining-work floor is at most
+  /// the remaining work of every job in its block. Trips a
   /// PARSCHED_CHECK on any violation. O(n).
   void audit(AliveView alive) const;
 
@@ -193,6 +203,9 @@ class OrderHeap {
   }
   /// Pick T for a head of at least `want` jobs and gather it.
   void gather(AliveView alive, std::size_t want);
+  /// A bounded gather's scan: the jobs whose key is below T, in index
+  /// order, into the heap and the position map.
+  void scan_head(AliveView alive);
 
   std::vector<Key> heap_;            ///< the head
   PositionMap pos_;                  ///< alive index -> heap slot, or kTail

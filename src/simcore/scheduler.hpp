@@ -80,32 +80,36 @@ class SchedulerContext {
 /// not as a list of n indices. A fill() also marks the allocation
 /// uniform: every share is the one value uniform_share(), which the
 /// engine then reads instead of the n shares (grant(), reset() and
-/// assign() clear the mark). A fill() records n and s only: the n shares
-/// are written the first time they are read (shares(), a grant() after
-/// the fill, or a copy's shares()), into capacity the fill() reserved,
-/// so a uniform decision nobody observes writes no share at all, and the
-/// later write allocates nothing. That first shares() is a write: threads
-/// that share one const Allocation must not make it concurrently.
+/// assign() clear the mark).
+///
+/// Neither reset() nor fill() writes a share. A fill() records n and s;
+/// after a reset() the grants are kept as a list of (index, share) in
+/// grant order, the last grant of an index winning. The n shares are
+/// written the first time they are read (shares(), a grant() after a
+/// fill(), a widening to the dense range in sort_support(), or a copy's
+/// shares()), into capacity reset() or fill() reserved, so a decision
+/// nobody observes writes n shares only when it is dense, and the later
+/// write allocates nothing. That first shares() is a write: threads that
+/// share one const Allocation must not make it concurrently.
 class Allocation {
  public:
   double reconsider_at = kInf;
 
   /// Start a fresh decision over n jobs: zero shares, empty support, no
-  /// reconsideration. Zeroes only the previous support (all of it after a
-  /// fill()) and reuses every buffer's capacity — every policy starts a
-  /// decision on the engine-owned output buffer with this or fill(), so
-  /// steady-state decisions allocate nothing.
+  /// reconsideration. Writes no share (see the class comment) and reuses
+  /// every buffer's capacity — every policy starts a decision on the
+  /// engine-owned output buffer with this or fill(), so steady-state
+  /// decisions allocate nothing.
   void reset(std::size_t n) {
-    if (dense_) {
-      shares_.assign(n, 0.0);
-    } else {
-      for (const std::size_t i : support_) shares_[i] = 0.0;
-      shares_.resize(n, 0.0);
-    }
+    // Stale shares are never copied when the buffer grows.
+    shares_.clear();
+    reserve_geometric(shares_, n);
     size_ = n;
-    unwritten_ = false;
+    unwritten_ = true;
     support_.clear();
+    granted_.clear();
     reserve_geometric(support_, n);
+    reserve_list(n);
     dense_ = false;
     uniform_ = false;
     reconsider_at = kInf;
@@ -113,6 +117,13 @@ class Allocation {
 
   /// Set job i's share to s (overwriting an earlier grant).
   void grant(std::size_t i, double s) {
+    // A list of n/8 grants would be written by sort_support() anyway, so
+    // the grants after it go on on written shares.
+    if (listing() && support_.size() * 8 < size_) {
+      support_.push_back(i);
+      granted_.push_back(s);
+      return;
+    }
     write_shares();
     if (!dense_ && is_pos_zero(shares_[i]) && !is_pos_zero(s)) {
       support_.push_back(i);
@@ -130,9 +141,11 @@ class Allocation {
     // The later write cannot allocate, nor a reset(n) after this fill.
     reserve_geometric(shares_, n);
     reserve_geometric(support_, n);
+    reserve_list(n);
     size_ = n;
     unwritten_ = true;
     support_.clear();
+    granted_.clear();
     dense_ = true;
     uniform_ = true;
     uniform_share_ = s;
@@ -143,13 +156,16 @@ class Allocation {
   /// support from its entries whose bits are not +0.0, ascending.
   void assign(std::vector<double> shares);
 
-  /// Sort the support ascending and drop duplicate entries (an index
-  /// granted nonzero, then +0.0, then nonzero again is listed twice) — or,
-  /// when it covers at least 1/8 of the jobs, widen it to the dense range.
-  /// The engine calls this once per decision, before reading support().
+  /// Make the support the ascending indices whose share is not +0.0 (an
+  /// index granted twice is listed twice before, one granted +0.0 maybe
+  /// once) — or, when the grants that turned a +0.0 share into another
+  /// number at least 1/8 of the jobs, widen it to the dense range
+  /// (writing the shares). The engine calls this once per decision,
+  /// before reading support() and granted().
   void sort_support();
 
-  /// The n shares, written first if a fill() left them unwritten.
+  /// The n shares, written first if reset() or fill() left them
+  /// unwritten.
   [[nodiscard]] std::span<const double> shares() const {
     write_shares();
     return shares_;
@@ -164,29 +180,83 @@ class Allocation {
   /// The share of every job when uniform(); meaningless otherwise.
   [[nodiscard]] double uniform_share() const { return uniform_share_; }
   /// The granted indices (empty when dense()); ascending and unique once
-  /// sort_support() has run.
+  /// sort_support() has run. Before that it may list an index more than
+  /// once, or one whose share is +0.0.
   [[nodiscard]] std::span<const std::size_t> support() const {
     return support_;
   }
+  /// The share of each support() entry, aligned with it: the sparse
+  /// decision's shares without the n-sized vector. Valid after
+  /// sort_support() on a sparse allocation, until the next grant().
+  [[nodiscard]] std::span<const double> granted() const { return granted_; }
 
  private:
+  /// One listed grant, as sort_support() orders the list.
+  struct Grant {
+    std::size_t index;
+    std::size_t seq;  ///< position in grant order: the last one wins
+    double share;
+  };
+
   static bool is_pos_zero(double x) {
     return std::bit_cast<std::uint64_t>(x) == 0;
   }
 
-  /// After a fill(): write its n shares into the capacity fill() reserved.
+  /// After a reset(): the grants are a list, the shares unwritten.
+  [[nodiscard]] bool listing() const { return unwritten_ && !dense_; }
+
+  /// Capacity for the longest list over n jobs (grant() writes the
+  /// shares once it holds n/8 grants), and for the support sort_support()
+  /// aligns granted() with, which is shorter when it does not widen.
+  void reserve_list(std::size_t n) {
+    reserve_geometric(granted_, n / 8 + 1);
+    reserve_geometric(order_, n / 8 + 1);
+  }
+
+  /// Write the shares a fill() or a reset() left unwritten: n copies of
+  /// the fill's share, or the listed grants over zeros in grant order. Of
+  /// the list it keeps the support grant() lists on written shares: each
+  /// grant that turned a +0.0 share into another (a sorted list keeps
+  /// every entry).
   void write_shares() const {
     if (!unwritten_) return;
-    shares_.assign(size_, uniform_share_);
+    if (dense_) {
+      shares_.assign(size_, uniform_share_);
+    } else {
+      shares_.assign(size_, 0.0);
+      std::size_t kept = 0;
+      for (std::size_t j = 0; j < support_.size(); ++j) {
+        const std::size_t i = support_[j];
+        const double s = granted_[j];
+        if (is_pos_zero(shares_[i]) && !is_pos_zero(s)) {
+          support_[kept] = i;
+          granted_[kept] = s;
+          ++kept;
+        }
+        shares_[i] = s;
+      }
+      support_.resize(kept);
+      granted_.resize(kept);
+    }
     unwritten_ = false;
   }
 
+  /// sort_support() of a list shorter than n/8: sorted, unique, each
+  /// index with its last grant's share, the shares still unwritten.
+  void sort_list();
+
   /// Holds the size() shares unless unwritten_; then its contents are
-  /// stale and every share is uniform_share_.
+  /// stale, and the shares are uniform_share_ (dense_) or the list.
   mutable std::vector<double> shares_;
   mutable bool unwritten_ = false;
   std::size_t size_ = 0;
-  std::vector<std::size_t> support_;
+  // Mutable with the shares: writing a list keeps only part of it.
+  mutable std::vector<std::size_t> support_;
+  /// Aligned with support_: each listed grant's share while listing();
+  /// each support entry's share after sort_support().
+  mutable std::vector<double> granted_;
+  /// sort_support()'s scratch for a listed support.
+  std::vector<Grant> order_;
   bool dense_ = false;
   bool uniform_ = false;
   double uniform_share_ = 0.0;

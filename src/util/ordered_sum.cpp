@@ -153,18 +153,46 @@ double ordered_scaled_sum(double acc, const double* q, std::size_t count,
   return arm(acc, q, count, dt);
 }
 
+namespace {
+
+/// repeated_scaled_sum's O(1) arm: true, with `out` the serial sum of
+/// `count` terms t = q·dt, when the grid test passes.
+bool grid_repeated_sum(double acc, double t, std::size_t count,
+                       double& out) {
+  Grid g{};
+  if (!grid_of(acc, g)) return false;
+  const double r = (t + g.m) - g.m;
+  // count·r is exact below 2^e (r is a multiple of u), and at or above
+  // it (count·r rounded up to at least 2^e) the test fails.
+  const double s = acc + static_cast<double>(count) * r;
+  if (!(s < g.top && t >= 0.0 && (t > r ? t - r : r - t) < g.half)) {
+    return false;
+  }
+  out = s;
+  return true;
+}
+
+}  // namespace
+
 double repeated_scaled_sum(double acc, double q, std::size_t count,
                            double dt) {
   const double t = q * dt;
-  Grid g{};
-  if (grid_of(acc, g)) {
-    const double r = (t + g.m) - g.m;
-    // count·r is exact below 2^e (r is a multiple of u), and at or above
-    // it (count·r rounded up to at least 2^e) the test fails.
-    const double s = acc + static_cast<double>(count) * r;
-    if (s < g.top && t >= 0.0 && (t > r ? t - r : r - t) < g.half) return s;
-  }
+  double s = 0.0;
+  if (grid_repeated_sum(acc, t, count, s)) return s;
   for (std::size_t i = 0; i < count; ++i) acc += t;
+  return acc;
+}
+
+double repeated_block_sum(double acc, double q, std::size_t blocks,
+                          double dt) {
+  double s = 0.0;
+  if (blocks > 1 &&
+      grid_repeated_sum(acc, q * dt, blocks * ordered_sum::kBlock, s)) {
+    return s;
+  }
+  for (std::size_t b = 0; b < blocks; ++b) {
+    acc = repeated_scaled_sum(acc, q, ordered_sum::kBlock, dt);
+  }
   return acc;
 }
 

@@ -42,6 +42,16 @@ namespace parsched {
 [[nodiscard]] double repeated_scaled_sum(double acc, double q,
                                          std::size_t count, double dt);
 
+/// acc + q*dt + q*dt + ... over `blocks` blocks of ordered_sum::kBlock
+/// terms each: the bits of repeated_scaled_sum(acc, q, blocks·kBlock, dt),
+/// which are the serial loop's. The whole run is one O(1) sum under the
+/// grid test; when the test fails (the run's sum crosses a power of two,
+/// a term is a tie, ...), the run is summed a block at a time, each one
+/// repeated_scaled_sum, so that the blocks after a crossing still take
+/// their O(1) arm.
+[[nodiscard]] double repeated_block_sum(double acc, double q,
+                                        std::size_t blocks, double dt);
+
 /// The arms behind ordered_scaled_sum, for tests. Both return the same
 /// bits; the blocked arm is used when the CPU has AVX2, the plain loop
 /// otherwise (narrower vectors measured no faster than the loop).

@@ -20,6 +20,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -162,6 +163,29 @@ TEST(AllocGuard, SilentOnAllocationFreePath) {
     EXPECT_EQ(guard.observed(), 0u);
   }
   EXPECT_EQ(AllocGuard::depth(), 0);
+}
+
+TEST(AllocGuard, FirstSharesReadAfterResetIsAllocationFree) {
+  // reset() writes no share but reserves the n shares' capacity, so the
+  // first shares() after it — a write — allocates nothing, as in a warm
+  // decision step.
+  SKIP_WITHOUT_HOOK();
+  Allocation a;
+  a.reset(10'000);
+  a.grant(17, 1.0);
+  (void)a.shares();
+  {
+    AllocGuard guard("first shares() after reset");
+    a.reset(10'000);
+    a.grant(9'000, 1.0);
+    a.grant(12, 0.5);
+    a.sort_support();
+    const std::span<const double> shares = a.shares();
+    ASSERT_EQ(shares.size(), 10'000u);
+    EXPECT_EQ(shares[9'000], 1.0);
+    EXPECT_EQ(shares[17], 0.0);
+    EXPECT_EQ(guard.observed(), 0u);
+  }
 }
 
 TEST(AllocGuard, NestedGuardsNameTheInnermostScope) {

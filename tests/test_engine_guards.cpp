@@ -1,10 +1,15 @@
 // Engine guard rails and EngineView queries.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <random>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/alloc_guard.hpp"
@@ -677,6 +682,210 @@ TEST(AllocationSupport, AssignRebuildsTheSupportFromShares) {
   EXPECT_EQ(std::vector<std::size_t>(a.support().begin(), a.support().end()),
             want);
   EXPECT_FALSE(a.dense());
+}
+
+// ---- reset() writes no share: the grants are a list ----------------------
+//
+// The reference is the dense vector a reset() used to zero: a grant writes
+// its index, and the support lists each grant that turns a +0.0 share into
+// another. Whenever the list is read back (shares(), sort_support()), the
+// Allocation must hold that vector's shares, bit for bit, and — after
+// sort_support() — the indices of its shares that are not +0.0, or the
+// dense range when that support list covers 1/8 of the jobs.
+
+/// The dense vector and support list of the old reset()/grant().
+struct DenseReference {
+  std::vector<double> shares;
+  std::vector<std::size_t> support;
+
+  void reset(std::size_t n) {
+    shares.assign(n, 0.0);
+    support.clear();
+  }
+  void grant(std::size_t i, double s) {
+    if (std::bit_cast<std::uint64_t>(shares[i]) == 0 &&
+        std::bit_cast<std::uint64_t>(s) != 0) {
+      support.push_back(i);
+    }
+    shares[i] = s;
+  }
+};
+
+/// `a` holds the reference's shares, bit for bit.
+void expect_reference_shares(const Allocation& a, const DenseReference& ref,
+                             const std::string& what) {
+  const std::span<const double> got = a.shares();
+  ASSERT_EQ(got.size(), ref.shares.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(ref.shares[i]))
+        << what << " share " << i;
+  }
+}
+
+/// After sort_support(): the dense range when the reference's support
+/// covers 1/8 of the jobs; otherwise the indices whose share is not
+/// +0.0, ascending, and granted() aligned with them.
+void expect_reference_support(Allocation& a, const DenseReference& ref,
+                              const std::string& what) {
+  a.sort_support();
+  const std::size_t n = ref.shares.size();
+  if (ref.support.size() * 8 >= n) {
+    EXPECT_TRUE(a.dense()) << what;
+    EXPECT_TRUE(a.support().empty()) << what;
+    return;
+  }
+  std::vector<std::size_t> want;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::bit_cast<std::uint64_t>(ref.shares[i]) != 0) want.push_back(i);
+  }
+  ASSERT_FALSE(a.dense()) << what;
+  ASSERT_EQ(std::vector<std::size_t>(a.support().begin(), a.support().end()),
+            want)
+      << what;
+  ASSERT_EQ(a.granted().size(), want.size()) << what;
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.granted()[j]),
+              std::bit_cast<std::uint64_t>(ref.shares[want[j]]))
+        << what << " granted " << j;
+  }
+}
+
+TEST(AllocationList, RegrantsAndZeroGrantsMatchTheDenseVector) {
+  Allocation a;
+  DenseReference ref;
+  const auto both = [&](std::size_t i, double s) {
+    a.grant(i, s);
+    ref.grant(i, s);
+  };
+  a.reset(64);
+  ref.reset(64);
+  both(40, 1.0);
+  both(10, 0.5);
+  both(40, 2.0);   // a re-grant: the last share wins
+  both(30, 0.0);   // +0.0: not in the support
+  both(50, -0.0);  // -0.0: in it
+  both(20, 1.0);
+  both(20, 0.0);   // back to +0.0: out of the sorted support
+  expect_reference_support(a, ref, "sorted list");
+  expect_reference_shares(a, ref, "sorted list");
+  // The same grants read back before sort_support().
+  Allocation b;
+  b.reset(64);
+  const std::pair<std::size_t, double> grants[] = {
+      {40, 1.0}, {10, 0.5}, {40, 2.0}, {30, 0.0},
+      {50, -0.0}, {20, 1.0}, {20, 0.0}};
+  for (const auto& [i, s] : grants) b.grant(i, s);
+  expect_reference_shares(b, ref, "unsorted list");
+  expect_reference_support(b, ref, "sorted after a read");
+}
+
+TEST(AllocationList, SeededDecisionsMatchTheDenseVector) {
+  // Random decisions on one Allocation: grants (re-grants of an index,
+  // +0.0 and -0.0 among them) up to past 1/8 of the jobs, so that some
+  // widen; read back before or after sort_support(); a fill() or a
+  // widened decision between some of them.
+  std::mt19937_64 rng(0xa110c);
+  Allocation a;
+  DenseReference ref;
+  const double values[] = {1.0, 0.5, 2.0, 0.0, -0.0, 0.25};
+  for (int d = 0; d < 400; ++d) {
+    const std::size_t n = 1 + rng() % 200;
+    const std::string what = "decision " + std::to_string(d);
+    if (rng() % 6 == 0) {
+      a.fill(n, 0.125);
+      ref.shares.assign(n, 0.125);
+      expect_reference_shares(a, ref, what + " fill");
+      continue;
+    }
+    a.reset(n);
+    ref.reset(n);
+    const std::size_t grants = rng() % (n / 4 + 2);
+    for (std::size_t g = 0; g < grants; ++g) {
+      const std::size_t i = rng() % n;
+      const double s = values[rng() % 6];
+      a.grant(i, s);
+      ref.grant(i, s);
+    }
+    if (rng() % 2 == 0) expect_reference_shares(a, ref, what + " unsorted");
+    expect_reference_support(a, ref, what);
+    expect_reference_shares(a, ref, what + " sorted");
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(AllocationList, ResetAfterAFillAndAfterAWideningZeroesEveryShare) {
+  Allocation a;
+  a.fill(32, 0.5);  // never read
+  a.reset(32);
+  a.grant(7, 1.0);
+  DenseReference ref;
+  ref.reset(32);
+  ref.grant(7, 1.0);
+  expect_reference_support(a, ref, "after an unread fill");
+  expect_reference_shares(a, ref, "after an unread fill");
+  for (std::size_t i = 0; i < 8; ++i) a.grant(i, 1.0);  // not sorted yet
+  a.reset(40);  // grows past the written shares
+  ref.reset(40);
+  for (std::size_t i = 0; i < 8; ++i) {
+    a.grant(3 * i, 1.0);
+    ref.grant(3 * i, 1.0);
+  }
+  expect_reference_support(a, ref, "widened");  // 8 of 40: dense
+  ASSERT_TRUE(a.dense());
+  expect_reference_shares(a, ref, "widened");
+  a.reset(40);
+  a.grant(39, 0.75);
+  ref.reset(40);
+  ref.grant(39, 0.75);
+  expect_reference_support(a, ref, "after a widened decision");
+  expect_reference_shares(a, ref, "after a widened decision");
+}
+
+TEST(AllocationList, ACopyThatWasNeverReadWritesItsOwnShares) {
+  Allocation a;
+  a.reset(100);
+  a.grant(90, 1.0);
+  a.grant(3, 0.5);
+  a.grant(90, 0.25);
+  const Allocation before_sort = a;  // copied with the list unsorted
+  a.sort_support();
+  const Allocation after_sort = a;  // copied sorted, shares unwritten
+  DenseReference ref;
+  ref.reset(100);
+  ref.grant(90, 1.0);
+  ref.grant(3, 0.5);
+  ref.grant(90, 0.25);
+  expect_reference_shares(before_sort, ref, "copy of an unsorted list");
+  expect_reference_shares(after_sort, ref, "copy of a sorted list");
+  expect_reference_shares(a, ref, "the original");
+}
+
+TEST(AllocationList, GrantsPastAnEighthOfTheJobsGoOnOnWrittenShares) {
+  // The list holds at most ceil(n/8) grants (sort_support() would write a
+  // longer one anyway); the shares are then written and the grants go on
+  // there, re-grants and +0.0 among them. ISRPT's boost variant grants
+  // n + 1 times when n < m.
+  for (const std::size_t n : {4u, 64u, 70u}) {
+    // Distinct indices (the support widens), or five of them granted over
+    // and over.
+    for (const std::size_t spread : {n, std::size_t{5}}) {
+      Allocation a;
+      DenseReference ref;
+      a.reset(n);
+      ref.reset(n);
+      for (std::size_t k = 0; k < n / 4 + 11; ++k) {
+        const std::size_t i = (3 * k) % std::min(n, spread);
+        const double s = k % 3 == 0 ? 0.0 : static_cast<double>(k);
+        a.grant(i, s);
+        ref.grant(i, s);
+      }
+      const std::string what = "past n/8 grants, n = " + std::to_string(n) +
+                               ", spread " + std::to_string(spread);
+      expect_reference_support(a, ref, what);
+      expect_reference_shares(a, ref, what);
+    }
+  }
 }
 
 // ---- fill() writes its shares on first read ------------------------------

@@ -1023,14 +1023,14 @@ TEST(IncrementalHead, RefreshMovesATailJobIntoTheHead) {
   expect_srpt_prefix(inc, set, 16, "first query");
   const std::size_t head = inc.srpt.head_size();
   const std::size_t i = largest_remaining(set);
-  set.remaining[i] = 0.5;  // now the least remaining work of all
+  set.set_remaining(i, 0.5);  // now the least remaining work of all
   inc.srpt.refresh(set.view(), i);
   EXPECT_EQ(inc.srpt.head_size(), head + 1);
   expect_srpt_prefix(inc, set, 16, "after the refresh");
   EXPECT_EQ(inc.srpt.prefix(set.view(), 1)[0], i);
   // A head job whose key drops stays in the head.
   const std::size_t h = inc.srpt.prefix(set.view(), 16)[15];
-  set.remaining[h] = 0.25;
+  set.set_remaining(h, 0.25);
   inc.srpt.refresh(set.view(), h);
   EXPECT_EQ(inc.srpt.head_size(), head + 1);
   expect_srpt_prefix(inc, set, 16, "after a head refresh");
@@ -1141,7 +1141,9 @@ TEST(IncrementalHead, RemoveSwapWhoseBackJobIsInTheTail) {
   expect_srpt_prefix(inc, set, 16, "tail job removed");
   // A tail job that is the back job itself.
   const std::size_t t = largest_remaining(set);
-  std::swap(set.remaining[t], set.remaining[set.size() - 1]);
+  const double back = set.remaining[set.size() - 1];
+  set.set_remaining(set.size() - 1, set.remaining[t]);
+  set.set_remaining(t, back);
   std::swap(set.sizes[t], set.sizes[set.size() - 1]);
   inc.srpt.mark_stale();  // the swap moved keys behind the heap's back
   expect_srpt_prefix(inc, set, 16, "regathered");
@@ -1149,6 +1151,112 @@ TEST(IncrementalHead, RemoveSwapWhoseBackJobIsInTheTail) {
   complete(inc, set, set.size() - 1);
   EXPECT_EQ(inc.srpt.head_size(), head2);
   expect_srpt_prefix(inc, set, 16, "back tail job removed");
+}
+
+// ---- Remaining-work floors: the gather skips far blocks ------------------
+//
+// A bounded SRPT gather reads one floor per 64 alive jobs instead of every
+// key. Over 12000 jobs whose work grows with the index, most blocks are
+// far from T; a job whose key drops must lower its block's floor, or the
+// next gather misses it.
+
+/// n jobs whose work grows with the index (job i: 1 + i, then shuffled
+/// within each 64-job block), ids shuffled.
+AliveSet rising_set(std::mt19937_64& rng, std::size_t n) {
+  std::vector<JobId> ids(n);
+  std::iota(ids.begin(), ids.end(), JobId{0});
+  std::shuffle(ids.begin(), ids.end(), rng);
+  AliveSet set;
+  set.reserve(n + 1);
+  for (std::size_t i = 0; i < n; ++i) {
+    Job j;
+    j.id = ids[i];
+    j.release = static_cast<double>(rng() % 4);
+    j.size =
+        1.0 + static_cast<double>(i) + 0.5 * static_cast<double>(rng() % 64);
+    set.append(j, static_cast<std::int64_t>(i));
+  }
+  return set;
+}
+
+TEST(IncrementalFloors, GathersSkipFarBlocksAndKeepEveryHeadExact) {
+  std::mt19937_64 rng(37);
+  AliveSet set = rising_set(rng, kHeadCaseJobs);
+  IncrementalOrders inc;
+  ASSERT_TRUE(set.floors.known);
+  expect_srpt_prefix(inc, set, 16, "first query, floors from admission");
+  ASSERT_LT(inc.srpt.head_size(), set.size() / 2);
+  // A tiny job at the back, then a far-block job completes: the
+  // swap-remove moves the tiny key into the far block.
+  Job tiny;
+  tiny.id = 5'000'000;
+  tiny.release = 9.0;
+  tiny.size = 0.5;
+  admit(inc, set, tiny);
+  const std::size_t far = set.size() - 700;
+  ASSERT_GT(set.remaining[far], 1000.0);
+  complete(inc, set, far);
+  ASSERT_EQ(set.remaining[far], 0.5);
+  inc.srpt.audit(set.view());
+  inc.srpt.mark_stale();
+  expect_srpt_prefix(inc, set, 16, "regathered after the move-in");
+  EXPECT_EQ(inc.srpt.prefix(set.view(), 1)[0], far);
+  // Sparse steps: a far job's key drops through set_remaining.
+  const std::size_t far2 = set.size() - 3000;
+  set.set_remaining(far2, 0.25);
+  inc.srpt.refresh(set.view(), far2);
+  inc.srpt.mark_stale();
+  expect_srpt_prefix(inc, set, 16, "regathered after a sparse drop");
+  EXPECT_EQ(inc.srpt.prefix(set.view(), 1)[0], far2);
+  // A dense step: every key drops, the floors are unknown, and the next
+  // gather rebuilds them in its scan.
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    set.remaining[i] = set.remaining[i] * (i % 2 == 0 ? 0.5 : 0.9);
+  }
+  set.floors.known = false;
+  inc.srpt.mark_stale();
+  expect_srpt_prefix(inc, set, 16, "after a dense step");
+  EXPECT_TRUE(set.floors.known);
+  // A snapshot restore: assign() leaves the floors unknown.
+  std::vector<AliveJob> records;
+  set.materialize(records);
+  AliveSet restored;
+  restored.assign(records);
+  EXPECT_FALSE(restored.floors.known);
+  IncrementalOrders fresh;
+  expect_srpt_prefix(fresh, restored, 16, "after a restore");
+  EXPECT_TRUE(restored.floors.known);
+  expect_srpt_prefix(fresh, restored, 2100, "a wider query regathers");
+}
+
+TEST(IncrementalFloors, EngineDriveAgreesWithAFullSortAtEveryDecision) {
+  // ISRPT over 12000 jobs, audited (every known floor checked after each
+  // step, visits lowering them), with every helper checked against
+  // refimpl:: at every decision; the run is snapshotted and restored
+  // halfway, which leaves the restored floors unknown.
+  const AuditScope audit;
+  std::vector<Job> jobs;
+  std::mt19937_64 rng(41);
+  for (std::size_t i = 0; i < kHeadCaseJobs; ++i) {
+    Job j;
+    j.id = static_cast<JobId>(i);
+    j.release = i < 10000 ? 0.0 : 0.25 * static_cast<double>(i % 7);
+    j.size = 0.05 + 0.001 * static_cast<double>(i) +
+             0.01 * static_cast<double>(rng() % 8);
+    jobs.push_back(j);
+  }
+  OracleScheduler sched(make_scheduler("isrpt"));
+  Engine eng(16);
+  eng.begin(sched);
+  for (const Job& j : jobs) eng.admit(j);
+  eng.advance_to(1.0);
+  EXPECT_TRUE(sched.ok()) << sched.mismatch();
+  const EngineState snap = eng.export_state();
+  OracleScheduler cont_sched(make_scheduler("isrpt"));
+  Engine cont(16);
+  cont.import_state(snap, cont_sched);
+  cont.advance_to(2.0);
+  EXPECT_TRUE(cont_sched.ok()) << cont_sched.mismatch();
 }
 
 // ---- Tie-break pinning on the heaps --------------------------------------

@@ -454,6 +454,60 @@ TEST(RepeatedSum, NegativeNanAndInfiniteTerms) {
   expect_repeated_sum(1.0, nan, 1'000'000, 1.0, "nan run");
 }
 
+/// repeated_block_sum against the serial loop over blocks·kBlock copies
+/// of q, bit for bit (a NaN only as a NaN).
+void expect_block_run_sum(double acc, double q, std::size_t blocks,
+                          double dt, const std::string& what) {
+  const std::vector<double> terms(blocks * kSumBlock, q);
+  const double want = ordered_sum::serial(acc, terms.data(), terms.size(), dt);
+  const double got = repeated_block_sum(acc, q, blocks, dt);
+  EXPECT_TRUE(std::isnan(want) ? std::isnan(got) : bits(got) == bits(want))
+      << std::hexfloat << what << " acc=" << acc << " q=" << q
+      << " dt=" << dt << " blocks=" << blocks << " want=" << want
+      << " got=" << got;
+}
+
+TEST(RepeatedSum, RunsOfBlocksMatchTheSerialLoop) {
+  // A run of whole blocks in one sum, and — where its sum crosses a power
+  // of two partway through, or every term is a tie — a block at a time.
+  const double t = 0x1p-20;
+  for (const std::size_t blocks : {1u, 2u, 3u, 7u, 40u}) {
+    const double len = static_cast<double>(blocks * kSumBlock);
+    for (const double frac : {0.0, 0.3, 0.5, 0.99, 1.0, 1.01}) {
+      // The run's partial sums cross 2.0 after frac of its terms.
+      expect_block_run_sum(2.0 - frac * len * t + 0.25 * t, t, blocks, 1.0,
+                           "crossing at " + std::to_string(frac));
+    }
+    expect_block_run_sum(2.0 - len * t, t, blocks, 1.0, "lands on 2.0");
+    const double u = 0x1p-52;
+    for (const double acc : {1.0, 1.0 + u, 1.5 + u}) {
+      expect_block_run_sum(acc, 0.5 * u, blocks, 1.0, "tie");
+      expect_block_run_sum(acc, 2.0 * u, blocks, 0.25, "scaled tie");
+    }
+    for (const double acc : {0.0, 0x1p-1074, 1e300, 0x1.8p1023}) {
+      expect_block_run_sum(acc, 0.375, blocks, 0.001, "edge acc");
+    }
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double q : {-1.0, nan, std::numeric_limits<double>::infinity(),
+                           0.0, -0.0}) {
+      expect_block_run_sum(1.0, q, blocks, 0.5, "special term");
+    }
+    expect_block_run_sum(0x1p-30, t, blocks, 1.0, "many binades");
+  }
+  std::mt19937_64 rng(0xb10c5);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int c = 0; c < 300; ++c) {
+    const std::size_t blocks = 1 + rng() % 12;
+    const double q = std::ldexp(0.5 + unit(rng),
+                                static_cast<int>(rng() % 40) - 30);
+    const double acc =
+        q * static_cast<double>(blocks * kSumBlock) * 4.0 * unit(rng);
+    expect_block_run_sum(acc, q, blocks, unit(rng),
+                         "random case " + std::to_string(c));
+    if (HasFailure()) return;
+  }
+}
+
 TEST(RepeatedSum, SeededRandomCasesMatchTheSerialLoop) {
   std::mt19937_64 rng(0x5e9ea7);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
