@@ -245,9 +245,10 @@ Table measure_dense_alive() {
 // dense instance once and advances in small exact steps until `target`
 // decisions have executed. As in the dense_equi rows, the clock starts
 // after the first advance_to, which releases the whole batch and takes
-// the first decision (the SRPT heap's gather: one scan of the keys
-// against a sampled threshold, then a heapify of the ~2k-job head below
-// it); that call is reported on its own as first_advance_seconds.
+// the first decision (the SRPT heap's gather: a read of the
+// remaining-work floors and of the blocks near a sampled threshold, then
+// a heapify of the ~2k-job head below it); that call is reported on its
+// own as first_advance_seconds.
 //
 // Two rates over the creeping steps:
 //   * decisions_per_sec_incremental — full decision steps (allocate +

@@ -205,6 +205,15 @@ class AliveView {
   }
   /// The set's remaining-work floors (a scan may rebuild unknown ones).
   [[nodiscard]] RemainingFloors& floors() const { return set_->floors; }
+  /// Prefetch hints for a scan that reads jobs out of index order: job
+  /// i's remaining work, or its release and id.
+  void prefetch_remaining(std::size_t i) const {
+    __builtin_prefetch(set_->remaining.data() + i);
+  }
+  void prefetch_release_and_id(std::size_t i) const {
+    __builtin_prefetch(set_->releases.data() + i);
+    __builtin_prefetch(set_->ids.data() + i);
+  }
 
  private:
   const AliveSet* set_;

@@ -365,7 +365,7 @@ void Engine::begin_run(Scheduler& sched) {
   swept_low_valid_ = false;
   flow_q_stale_ = false;
   std::fill(block_q_.begin(), block_q_.end(), kMixed);
-  orders_.clear();
+  orders_.clear(0);
   rates_valid_ = false;
   stats_ = nullptr;
   // Profiling is opt-in: with collect_stats off (the default) `stats_` is
@@ -468,10 +468,8 @@ void Engine::admit_pending(ArrivalSource& source) {
     reserve_alive(first + jobs.size());
     for (const Job& j : jobs) {
       for (Observer* obs : observers_) obs->on_arrival(now_, j);
-      // The job joins the unswept tail; then one O(log n) sift per fresh
-      // heap.
+      // The job joins the unswept tail.
       alive_.append(j, arrival_seq_++);
-      orders_.insert(alive_.view(), alive_.size() - 1);
       if (cfg_.recorder != nullptr) {
         cfg_.recorder->record(obs::FlightEvent::kAdmit,
                               static_cast<std::uint64_t>(j.id), now_,
@@ -479,6 +477,9 @@ void Engine::admit_pending(ArrivalSource& source) {
                               static_cast<std::uint32_t>(alive_.size()));
       }
     }
+    // Then one O(log n) sift per job and fresh heap, in index order; a
+    // stale heap only grows its position map.
+    orders_.insert(alive_.view(), first);
     result_.events += jobs.size();
     summarize_tail_blocks(first);
   }
@@ -1274,10 +1275,11 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   flow_q_stale_ = false;
   std::fill(block_q_.begin(), block_q_.end(), kMixed);
   reserve_alive(alive_.size() + pending_.jobs().size());
-  // The heaps are derived state: both go stale, and each order's first
-  // query regathers it from the restored alive set, bit-identically to
-  // the donor (both orders are strict total orders).
-  orders_.clear();
+  // The heaps are derived state: both go stale, with a position-map
+  // entry per restored job, and each order's first query regathers it
+  // from the restored alive set, bit-identically to the donor (both
+  // orders are strict total orders).
+  orders_.clear(alive_.size());
   rates_valid_ = false;  // a deferred decision recomputes its rates once
   deferred_end_ = -kInf;  // and is tested against the frontier again
   stats_ = nullptr;  // profiling does not continue across a restore

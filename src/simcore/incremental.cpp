@@ -12,6 +12,11 @@ namespace {
 /// Keys a gather samples to pick T: every (n/kSample)-th alive job's.
 constexpr std::size_t kSample = 4096;
 
+/// How far ahead a bounded gather's scan prefetches: near blocks, and
+/// candidates whose full key it builds.
+constexpr std::size_t kBlocksAhead = 4;
+constexpr std::size_t kKeysAhead = 16;
+
 // Intrusive sift helpers: every entry move mirrors into the position map
 // (alive index -> heap slot), which is what lets remove_swap() find an
 // arbitrary job's slot in O(1). Min-heaps in Less order: the root is the
@@ -123,16 +128,19 @@ void OrderHeap<Key, Less>::reserve(std::size_t n) {
   reserve_geometric(cand_, n + 1);
   reserve_geometric(scratch_, n);
   reserve_geometric(order_, n);
+  if (4 * kHeadJobs < n) sample_.reserve(kSample);
 }
 
 template <class Key, class Less>
 PARSCHED_HOT void OrderHeap<Key, Less>::gather(AliveView alive,
                                                std::size_t want) {
   const std::size_t n = alive.size();
-  // A no-op in the engine, which reserves at admission; a hand-built
-  // context gets its buffers here, so the spans it hands out stay valid
-  // as wider queries fill the order buffer.
+  // No-ops in the engine, which reserves at admission and keeps the map
+  // the alive set's length; a hand-built context gets its buffers here,
+  // so the spans it hands out stay valid as wider queries fill the order
+  // buffer.
   reserve(n);
+  pos_.resize(n);
   // A bounded gather has n > 4·target >= 4·kHeadJobs: every sampled
   // index and the rank r below are in range.
   static_assert(kSample <= 4 * kHeadJobs);
@@ -147,26 +155,31 @@ PARSCHED_HOT void OrderHeap<Key, Less>::gather(AliveView alive,
     // Each entry is written once, into reserved capacity: a resize would
     // zero-fill what the gather then overwrites.
     heap_.clear();
-    pos_.clear();
     if (!bounded_) {
       // Every job is in the head, at its own index. (The scan below
       // costs a set of tens of jobs, regathered after each dense step,
       // more than it saves.)
       for (std::size_t i = 0; i < n; ++i) {
         heap_.push_back(Key::of(alive, i));
-        pos_.push_back(static_cast<std::uint32_t>(i));
+        pos_[i] = static_cast<std::uint32_t>(i);
       }
       break;
     }
-    scratch_.clear();
+    // T is the full key of the sampled job whose first field has rank r
+    // (ties of that field fall either way: any T keeps the head exact).
+    sample_.clear();
     for (std::size_t j = 0; j < kSample; ++j) {
-      scratch_.push_back(Key::of(alive, j * n / kSample));
+      const std::size_t i = j * n / kSample;
+      sample_.push_back(
+          {Less::first(alive, i), static_cast<std::uint32_t>(i)});
     }
     const std::size_t r = (target * kSample + n - 1) / n;
-    std::nth_element(scratch_.begin(),
-                     scratch_.begin() + static_cast<std::ptrdiff_t>(r),
-                     scratch_.end(), less);
-    bound_ = scratch_[r];
+    std::nth_element(
+        sample_.begin(), sample_.begin() + static_cast<std::ptrdiff_t>(r),
+        sample_.end(), [](const Sample& a, const Sample& b) {
+          return Less::first_less(a.first, b.first);
+        });
+    bound_ = Key::of(alive, sample_[r].idx);
     scan_head(alive);
     if (heap_.size() >= want) break;
   }
@@ -176,21 +189,30 @@ PARSCHED_HOT void OrderHeap<Key, Less>::gather(AliveView alive,
 
 template <class Key, class Less>
 PARSCHED_HOT void OrderHeap<Key, Less>::scan_head(AliveView alive) {
-  // Every job starts in the tail; the scan moves the head's into the
-  // heap. A block of 64 jobs whose first key field alone puts each after
-  // T is passed over: for the SRPT order on its remaining-work floor —
-  // known floors are read instead of the key column, and unknown ones
-  // are rebuilt here from the keys (the exact least of each block) —
-  // otherwise on that one array. Of a near block, only the jobs whose
-  // first field does not put them after T build a key.
+  // Three passes, each over what the last one left, and none over n map
+  // entries (a tail job's needs no mark):
+  //  1. the near blocks: a block of 64 jobs whose first key field alone
+  //     puts each after T is passed over — for the SRPT order on its
+  //     remaining-work floor, read in order (unknown floors are rebuilt
+  //     here from the keys, the exact least of each block), otherwise on
+  //     that one array. The rest are listed in cand_.
+  //  2. the candidates: of the near blocks, with the next ones'
+  //     remaining work prefetched, the jobs whose first field does not
+  //     put them after T, listed in the heap by index alone.
+  //  3. their full keys, with the next candidates' prefetched: those
+  //     below T are compacted to the front of the heap and mapped.
   constexpr std::size_t kB = RemainingFloors::kBlock;
   const std::size_t n = alive.size();
   const Less less{};
-  pos_.assign(n, kTail);
+  const auto after = [&](std::size_t i) {
+    return Less::first_less(Less::first(bound_), Less::first(alive, i));
+  };
   RemainingFloors& floors = alive.floors();
   const bool rebuild = Less::kFloored && !floors.known;
+  cand_.clear();
   for (std::size_t b = 0; b < n; b += kB) {
     const std::size_t end = std::min(b + kB, n);
+    bool near = false;
     if constexpr (Less::kFloored) {
       double& floor = floors.floor[b / kB];
       if (rebuild) {
@@ -206,40 +228,67 @@ PARSCHED_HOT void OrderHeap<Key, Less>::scan_head(AliveView alive) {
         for (; i < end; ++i) lo[0] = std::min(lo[0], alive.remaining(i));
         floor = std::min(std::min(lo[0], lo[1]), std::min(lo[2], lo[3]));
       }
-      if (bound_.remaining < floor) continue;
+      near = !(bound_.remaining < floor);
     } else {
-      bool near = false;
-      for (std::size_t i = b; i < end && !near; ++i) {
-        near = !Less::after_by_first(alive, i, bound_);
-      }
-      if (!near) continue;
+      for (std::size_t i = b; i < end && !near; ++i) near = !after(i);
     }
-    for (std::size_t i = b; i < end; ++i) {
-      if (Less::after_by_first(alive, i, bound_)) continue;
-      const Key k = Key::of(alive, i);
-      if (less(k, bound_)) {
-        pos_[i] = static_cast<std::uint32_t>(heap_.size());
-        heap_.push_back(k);
-      }
-    }
+    if (near) cand_.push_back(static_cast<std::uint32_t>(b / kB));
   }
   if (rebuild) floors.known = true;
+  for (std::size_t c = 0; c < cand_.size(); ++c) {
+    if constexpr (Less::kFloored) {
+      if (c + kBlocksAhead < cand_.size()) {
+        constexpr std::size_t kLine = 64 / sizeof(double);
+        const std::size_t a = cand_[c + kBlocksAhead] * kB;
+        const std::size_t a_end = std::min(a + kB, n);
+        for (std::size_t i = a; i < a_end; i += kLine) {
+          alive.prefetch_remaining(i);
+        }
+      }
+    }
+    const std::size_t b = cand_[c] * kB;
+    const std::size_t end = std::min(b + kB, n);
+    for (std::size_t i = b; i < end; ++i) {
+      if (after(i)) continue;
+      Key k{};
+      k.idx = static_cast<std::uint32_t>(i);
+      heap_.push_back(k);
+    }
+  }
+  std::size_t head = 0;
+  for (std::size_t c = 0; c < heap_.size(); ++c) {
+    if (c + kKeysAhead < heap_.size()) {
+      alive.prefetch_release_and_id(heap_[c + kKeysAhead].idx);
+    }
+    const Key k = Key::of(alive, heap_[c].idx);
+    if (less(k, bound_)) {
+      pos_[k.idx] = static_cast<std::uint32_t>(head);
+      heap_[head++] = k;
+    }
+  }
+  heap_.resize(head);
 }
 
 template <class Key, class Less>
 PARSCHED_HOT void OrderHeap<Key, Less>::insert(AliveView alive,
-                                               std::size_t idx) {
-  if (stale_) return;  // the pending gather reads every key
-  PARSCHED_CHECK(idx == pos_.size(),
-                 "OrderHeap::insert out of step with the alive set");
-  const Key k = Key::of(alive, idx);
-  if (!below_bound(k)) {
-    pos_.push_back(kTail);
+                                               std::size_t first) {
+  const std::size_t n = alive.size();
+  if (stale_) {
+    // The pending gather reads every key; the map holds every job's
+    // entry all the same, so its pages are committed at admission.
+    pos_.resize(n);
     return;
   }
-  pos_.push_back(static_cast<std::uint32_t>(heap_.size()));
-  heap_.push_back(k);
-  sift_up(heap_, pos_, heap_.size() - 1, Less{});
+  PARSCHED_CHECK(first == pos_.size(),
+                 "OrderHeap::insert out of step with the alive set");
+  for (std::size_t i = first; i < n; ++i) {
+    // A tail job's entry names the slot past the head.
+    pos_.push_back(static_cast<std::uint32_t>(heap_.size()));
+    const Key k = Key::of(alive, i);
+    if (!below_bound(k)) continue;
+    heap_.push_back(k);
+    sift_up(heap_, pos_, heap_.size() - 1, Less{});
+  }
 }
 
 template <class Key, class Less>
@@ -248,7 +297,7 @@ PARSCHED_HOT void OrderHeap<Key, Less>::refresh(AliveView alive,
   if (stale_) return;
   const Key k = Key::of(alive, idx);
   const std::uint32_t s = pos_[idx];
-  if (s == kTail) {
+  if (!in_head(idx)) {
     if (!below_bound(k)) return;
     pos_[idx] = static_cast<std::uint32_t>(heap_.size());
     heap_.push_back(k);
@@ -258,19 +307,24 @@ PARSCHED_HOT void OrderHeap<Key, Less>::refresh(AliveView alive,
     reheap(heap_, pos_, s, Less{});
   } else {
     erase_slot(heap_, pos_, s, Less{});
-    pos_[idx] = kTail;
   }
 }
 
 template <class Key, class Less>
 PARSCHED_HOT void OrderHeap<Key, Less>::remove_swap(std::size_t idx,
                                                     std::size_t last) {
-  if (stale_) return;
-  if (pos_[idx] != kTail) erase_slot(heap_, pos_, pos_[idx], Less{});
+  if (stale_) {
+    pos_.resize(last);  // the map stays the alive set's length
+    return;
+  }
+  if (in_head(idx)) erase_slot(heap_, pos_, pos_[idx], Less{});
   if (idx != last) {
-    const std::uint32_t s = pos_[last];
-    if (s != kTail) heap_[s].idx = static_cast<std::uint32_t>(idx);
-    pos_[idx] = s;
+    // Job `last`'s membership is read before its entry moves: a tail
+    // job's entry names no slot of its own, wherever it is copied.
+    if (in_head(last)) {
+      heap_[pos_[last]].idx = static_cast<std::uint32_t>(idx);
+    }
+    pos_[idx] = pos_[last];
   }
   pos_.pop_back();
 }
@@ -311,10 +365,13 @@ void OrderHeap<Key, Less>::audit(AliveView alive) const {
                      "incremental audit: remaining work below its floor");
     }
   }
-  if (stale_) return;  // keys pending a gather carry no claim
   const std::size_t n = alive.size();
+  PARSCHED_CHECK(pos_.size() == n,
+                 "incremental audit: position map out of step with the "
+                 "alive set");
+  if (stale_) return;  // keys pending a gather carry no claim
   const std::size_t head = heap_.size();
-  PARSCHED_CHECK(pos_.size() == n && head <= n,
+  PARSCHED_CHECK(head <= n,
                  "incremental audit: heap out of step with the alive set");
   const Less less{};
   for (std::size_t s = 0; s < head; ++s) {
@@ -330,10 +387,8 @@ void OrderHeap<Key, Less>::audit(AliveView alive) const {
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
-    PARSCHED_CHECK((pos_[i] != kTail) == below_bound(Key::of(alive, i)),
+    PARSCHED_CHECK(in_head(i) == below_bound(Key::of(alive, i)),
                    "incremental audit: head is not the keys below T");
-    PARSCHED_CHECK(pos_[i] == kTail || pos_[i] < head,
-                   "incremental audit: position map out of the head");
   }
 }
 

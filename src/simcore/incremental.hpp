@@ -13,9 +13,9 @@
 // query gathers the alive set's *head* — the jobs whose key is below a
 // threshold key T — and heapifies it. A policy reads at most a few
 // prefix entries (ISRPT reads m of n), so T is picked from a strided
-// sample of the keys such that the head holds a few thousand jobs
-// (kHeadJobs) and at least the query's width; the other jobs form a
-// tail that is never gathered, marked as such in the position map. With
+// sample of the keys' first field such that the head holds a few
+// thousand jobs (kHeadJobs) and at least the query's width; the other
+// jobs form a tail that is never gathered. With
 // n at most 4·kHeadJobs, or a query of at least n/16 jobs, T = +∞ and
 // the head is the whole alive set. While fresh the heap is kept in step
 // with the alive set:
@@ -35,9 +35,10 @@
 // Every head key is below every tail key, so the head's own k-prefix is
 // the order's k-prefix while the head holds k jobs; a query wider than
 // the head (completions drain it) gathers it again with a larger T.
-// A stale heap skips all upkeep, so a policy that never asks for an
-// order never pays for it: ISRPT, EQUI and Greedy never touch the
-// latest-arrival heap, and EQUI and LAPS never touch the SRPT one.
+// A stale heap skips all upkeep but its position map's entry per
+// admitted job, so a policy that never asks for an order pays 4 B per
+// job for it: ISRPT, EQUI and Greedy never gather the latest-arrival
+// heap, and EQUI and LAPS never gather the SRPT one.
 // Queries never mutate keys: a k-prefix is produced by a bounded
 // traversal of the heap (a candidate min-heap over heap slots,
 // O(k log k) after the O(1) root), and a prefix as wide as the head (the
@@ -48,18 +49,26 @@
 // (tests/test_incremental.cpp) re-derives every helper answer with plain
 // per-call sorts and checks them decision by decision.
 //
+// The position map (alive index -> heap slot) is per-job state from
+// admission on: it holds one entry per alive job, stale or fresh, so its
+// pages are committed as jobs are admitted, alongside the alive columns
+// (its buffer comes from HugePageAllocator: a couple of huge-page faults
+// where the kernel grants huge pages, not ~1,000 small ones at n = 10^6).
+// Only head entries are meaningful: job i is in the head iff its entry
+// names a slot of the heap whose entry is job i's, so a tail job needs no
+// mark and a gather writes the head's entries alone.
+//
 // Allocation discipline: reserve(n) pre-sizes every internal buffer with
 // geometric growth; the engine calls it at admission, after which every
 // query and update — including a gather — is allocation-free and safe
 // inside the engine's AllocGuard fences. Reserved capacity a small head
 // never touches costs no page faults. A bounded SRPT gather reads the
 // alive set's remaining-work floors (one per 64 jobs, RemainingFloors)
-// instead of every key, and builds keys only in the blocks whose floor is
-// not above T; unknown floors (after a dense step or a restore) are
-// rebuilt by that gather's scan of every key. It still writes the whole
-// position map, 4 MB at n = 10^6, into a fresh engine's pages; its
-// buffer comes from HugePageAllocator, so that is a couple of huge-page
-// faults where the kernel grants huge pages, not ~1,000 small ones.
+// instead of every key, lists the blocks whose floor is not above T, and
+// reads those blocks' remaining work with the next ones prefetched;
+// unknown floors (after a dense step or a restore) are rebuilt by that
+// gather's scan of every key. So the first gather after a large release
+// touches the floors, the near blocks and the head, not n entries.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +80,8 @@
 
 namespace parsched {
 
-/// An order's position map: alive index -> heap slot (or a tail mark).
+/// An order's position map: alive index -> heap slot. A tail job's entry
+/// holds no meaning; OrderHeap tells head from tail against the heap.
 using PositionMap =
     std::vector<std::uint32_t, HugePageAllocator<std::uint32_t>>;
 
@@ -101,19 +111,21 @@ struct LatestKey {
 /// The single definition of both tie-break orders. The key structs carry
 /// the job id, making both orders strict total orders with unique
 /// k-prefixes.
-/// Each also tells, from alive job i's first field alone, that its key
-/// orders after a key b (false on a tie of that field): a gather's scan
-/// skips such jobs reading one array.
+/// Each also gives a key's first field (`first`, of alive job i or of a
+/// key) and that field's strict order (`first_less`): a gather samples
+/// the first field alone to pick T, and its scan skips a job whose first
+/// field orders after T's reading one array.
 struct SrptKeyLess {
   bool operator()(const SrptKey& a, const SrptKey& b) const {
     if (a.remaining != b.remaining) return a.remaining < b.remaining;
     if (a.release != b.release) return a.release < b.release;
     return a.id < b.id;
   }
-  static bool after_by_first(AliveView alive, std::size_t i,
-                             const SrptKey& b) {
-    return b.remaining < alive.remaining(i);
+  static double first(AliveView alive, std::size_t i) {
+    return alive.remaining(i);
   }
+  static double first(const SrptKey& k) { return k.remaining; }
+  static bool first_less(double a, double b) { return a < b; }
   /// A gather reads the alive set's remaining-work floors
   /// (RemainingFloors) instead of every key.
   static constexpr bool kFloored = true;
@@ -124,10 +136,11 @@ struct LatestKeyLess {
     if (a.release != b.release) return a.release > b.release;
     return a.id > b.id;
   }
-  static bool after_by_first(AliveView alive, std::size_t i,
-                             const LatestKey& b) {
-    return b.release > alive.release(i);
+  static double first(AliveView alive, std::size_t i) {
+    return alive.release(i);
   }
+  static double first(const LatestKey& k) { return k.release; }
+  static bool first_less(double a, double b) { return a > b; }
   static constexpr bool kFloored = false;
 };
 
@@ -142,21 +155,29 @@ class OrderHeap {
   static constexpr std::size_t kHeadJobs = 2048;
 
   /// Forget every entry: the next query regathers every key from the
-  /// alive set. Keeps buffer capacity.
+  /// alive set. Keeps buffer capacity and the position map's length.
   void mark_stale() {
     stale_ = true;
     memo_ = 0;
   }
   [[nodiscard]] bool stale() const { return stale_; }
 
+  /// A new run or a restored state over `n` alive jobs: stale, with a
+  /// position map of n entries (within reserve(n)'s capacity).
+  void clear(std::size_t n) {
+    mark_stale();
+    pos_.resize(n);
+  }
+
   /// Pre-size every internal buffer for up to `n` alive jobs (geometric
   /// growth, amortized O(1) per admission).
   void reserve(std::size_t n);
 
-  /// Admit: alive job `idx` (== previous size) was just appended; it
-  /// joins the head when its key is below T. O(log n); a no-op while
-  /// stale.
-  void insert(AliveView alive, std::size_t idx);
+  /// Admit: alive jobs [first, alive.size()) were just appended (first
+  /// == the previous size), and each joins the head, in index order,
+  /// when its key is below T. O(log n) per job; while stale, only the
+  /// position map grows by the jobs' entries, in one write.
+  void insert(AliveView alive, std::size_t first);
 
   /// Job `idx`'s key changed in the alive set: re-read it and restore
   /// the heap order (the job joins or leaves the head as its key moves
@@ -166,8 +187,8 @@ class OrderHeap {
   /// Complete: mirror of the engine's swap-remove. The job at alive
   /// index `idx` is gone and the job previously at index `last` (the
   /// back of the alive array before the removal) now lives at `idx`;
-  /// idx == last removes the back element. O(log n); a no-op while
-  /// stale.
+  /// idx == last removes the back element. O(log n); while stale, only
+  /// the position map shrinks to the new alive count.
   void remove_swap(std::size_t idx, std::size_t last);
 
   /// Start a new decision: forget the cached order prefix (keys may have
@@ -186,34 +207,46 @@ class OrderHeap {
   /// Jobs in the head: the alive set's size when T = +∞.
   [[nodiscard]] std::size_t head_size() const { return heap_.size(); }
 
-  /// Audit (PARSCHED_AUDIT) of a fresh heap: every entry matches the
-  /// alive set, the position map is consistent, the heap property
-  /// holds, and a job is in the head iff its key is below T; for the
-  /// SRPT order, stale or not, each known remaining-work floor is at most
-  /// the remaining work of every job in its block. Trips a
-  /// PARSCHED_CHECK on any violation. O(n).
+  /// Audit (PARSCHED_AUDIT): stale or not, the position map holds one
+  /// entry per alive job, and for the SRPT order each known
+  /// remaining-work floor is at most the remaining work of every job in
+  /// its block; of a fresh heap, every entry matches the alive set and
+  /// its map entry, the heap property holds, and a job is in the head
+  /// (by its map entry) iff its key is below T. Trips a PARSCHED_CHECK on
+  /// any violation. O(n).
   void audit(AliveView alive) const;
 
  private:
-  /// Position-map mark of a tail job.
-  static constexpr std::uint32_t kTail = 0xffffffffu;
-
+  /// Whether alive job i is in the head: its map entry names a heap slot
+  /// that holds job i (a tail job's entry is whatever it last was).
+  [[nodiscard]] bool in_head(std::size_t i) const {
+    const std::uint32_t s = pos_[i];
+    return s < heap_.size() && heap_[s].idx == i;
+  }
   [[nodiscard]] bool below_bound(const Key& k) const {
     return !bounded_ || Less{}(k, bound_);
   }
   /// Pick T for a head of at least `want` jobs and gather it.
   void gather(AliveView alive, std::size_t want);
   /// A bounded gather's scan: the jobs whose key is below T, in index
-  /// order, into the heap and the position map.
+  /// order, into the heap and their position-map entries.
   void scan_head(AliveView alive);
 
-  std::vector<Key> heap_;            ///< the head
-  PositionMap pos_;                  ///< alive index -> heap slot, or kTail
-  std::vector<std::uint32_t> cand_;  ///< top-k traversal: heap-slot heap
+  /// One sampled job: its key's first field and its alive index.
+  struct Sample {
+    double first;
+    std::uint32_t idx;
+  };
+
+  std::vector<Key> heap_;  ///< the head
+  PositionMap pos_;        ///< alive index -> heap slot (head jobs only)
+  // The top-k traversal's heap-slot heap; a bounded gather lists its near
+  // blocks here.
+  std::vector<std::uint32_t> cand_;
   // A query as wide as the head sorts a compact copy of it (the heap
-  // must keep its shape — queries never mutate keys); a gather draws its
-  // sample of keys here.
+  // must keep its shape — queries never mutate keys).
   std::vector<Key> scratch_;
+  std::vector<Sample> sample_;  ///< a bounded gather's sample
   // Per-decision memo: the order buffer behind the returned spans and
   // the length of its valid prefix (0 after begin_decision()).
   std::vector<std::size_t> order_;
@@ -231,11 +264,11 @@ class IncrementalOrders {
   OrderHeap<SrptKey, SrptKeyLess> srpt;
   OrderHeap<LatestKey, LatestKeyLess> latest;
 
-  /// A new run or a restored state: both orders regather at their first
-  /// query.
-  void clear() {
-    srpt.mark_stale();
-    latest.mark_stale();
+  /// A new run or a restored state over `n` alive jobs: both orders
+  /// regather at their first query. Call after reserve(n).
+  void clear(std::size_t n) {
+    srpt.clear(n);
+    latest.clear(n);
   }
 
   /// Must be called with the new alive count before insert() so the heap
@@ -246,9 +279,9 @@ class IncrementalOrders {
     latest.reserve(n);
   }
 
-  void insert(AliveView alive, std::size_t idx) {
-    srpt.insert(alive, idx);
-    latest.insert(alive, idx);
+  void insert(AliveView alive, std::size_t first) {
+    srpt.insert(alive, first);
+    latest.insert(alive, first);
   }
 
   void remove_swap(std::size_t idx, std::size_t last) {

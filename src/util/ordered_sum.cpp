@@ -155,21 +155,48 @@ double ordered_scaled_sum(double acc, const double* q, std::size_t count,
 
 namespace {
 
+/// acc's grid and r = RN_u(t), when acc and the term t pass the grid test
+/// (acc positive and normal, t >= 0 and not a tie).
+bool grid_term(double acc, double t, Grid& g, double& r) {
+  if (!grid_of(acc, g)) return false;
+  r = (t + g.m) - g.m;
+  return t >= 0.0 && (t > r ? t - r : r - t) < g.half;
+}
+
 /// repeated_scaled_sum's O(1) arm: true, with `out` the serial sum of
 /// `count` terms t = q·dt, when the grid test passes.
 bool grid_repeated_sum(double acc, double t, std::size_t count,
                        double& out) {
   Grid g{};
-  if (!grid_of(acc, g)) return false;
-  const double r = (t + g.m) - g.m;
+  double r = 0.0;
+  if (!grid_term(acc, t, g, r)) return false;
   // count·r is exact below 2^e (r is a multiple of u), and at or above
   // it (count·r rounded up to at least 2^e) the test fails.
   const double s = acc + static_cast<double>(count) * r;
-  if (!(s < g.top && t >= 0.0 && (t > r ? t - r : r - t) < g.half)) {
-    return false;
-  }
+  if (!(s < g.top)) return false;
   out = s;
   return true;
+}
+
+/// repeated_block_sum's O(1) arm: adds to acc, in one grid sum, the most
+/// whole blocks of terms t, of at most `blocks`, whose sum stays below
+/// 2^e, and returns how many; 0, with acc unchanged, when acc or t fails
+/// the grid test.
+std::size_t grid_blocks_sum(double& acc, double t, std::size_t blocks) {
+  Grid g{};
+  double r = 0.0;
+  if (!grid_term(acc, t, g, r)) return 0;
+  constexpr std::size_t kB = ordered_sum::kBlock;
+  // 2^e - acc is exact; the quotient (+inf for r = 0) may round up, so
+  // step back until the sum, exact below 2^e and rounded to at least 2^e
+  // above it, is below 2^e.
+  const double room = (g.top - acc) / (r * static_cast<double>(kB));
+  std::size_t k = room >= static_cast<double>(blocks)
+                      ? blocks
+                      : static_cast<std::size_t>(room);
+  while (k > 0 && !(acc + static_cast<double>(k * kB) * r < g.top)) --k;
+  acc += static_cast<double>(k * kB) * r;
+  return k;
 }
 
 }  // namespace
@@ -185,15 +212,16 @@ double repeated_scaled_sum(double acc, double q, std::size_t count,
 
 double repeated_block_sum(double acc, double q, std::size_t blocks,
                           double dt) {
-  double s = 0.0;
-  if (blocks > 1 &&
-      grid_repeated_sum(acc, q * dt, blocks * ordered_sum::kBlock, s)) {
-    return s;
-  }
-  for (std::size_t b = 0; b < blocks; ++b) {
+  const double t = q * dt;
+  for (;;) {
+    // The blocks up to acc's next power of two in one sum, then the block
+    // that crosses it (or whose terms fail the grid test) on its own; the
+    // rest are a new run on the next binade's grid.
+    blocks -= grid_blocks_sum(acc, t, blocks);
+    if (blocks == 0) return acc;
     acc = repeated_scaled_sum(acc, q, ordered_sum::kBlock, dt);
+    --blocks;
   }
-  return acc;
 }
 
 }  // namespace parsched

@@ -44,11 +44,12 @@ namespace parsched {
 
 /// acc + q*dt + q*dt + ... over `blocks` blocks of ordered_sum::kBlock
 /// terms each: the bits of repeated_scaled_sum(acc, q, blocks·kBlock, dt),
-/// which are the serial loop's. The whole run is one O(1) sum under the
-/// grid test; when the test fails (the run's sum crosses a power of two,
-/// a term is a tie, ...), the run is summed a block at a time, each one
-/// repeated_scaled_sum, so that the blocks after a crossing still take
-/// their O(1) arm.
+/// which are the serial loop's. A run is split where its sum crosses a
+/// power of two: the blocks below the crossing are one O(1) sum under the
+/// grid test, the block that crosses is repeated_scaled_sum (the serial
+/// loop), and the blocks after it are a new run. Where the terms fail the
+/// grid test (a tie, a negative or NaN term), or acc does (zero,
+/// subnormal, infinite), the run is summed a block at a time.
 [[nodiscard]] double repeated_block_sum(double acc, double q,
                                         std::size_t blocks, double dt);
 

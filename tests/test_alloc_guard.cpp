@@ -14,6 +14,8 @@
 // new/delete replacement is compiled out (PARSCHED_ALLOC_HOOK=OFF, e.g.
 // under ASan/TSan whose interceptors own the allocator symbols).
 
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -21,6 +23,7 @@
 #include <future>
 #include <memory>
 #include <span>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -31,6 +34,7 @@
 #include "exec/thread_pool.hpp"
 #include "sched/registry.hpp"
 #include "simcore/engine.hpp"
+#include "simcore/incremental.hpp"
 #include "simcore/instance.hpp"
 #include "util/huge_pages.hpp"
 
@@ -186,6 +190,52 @@ TEST(AllocGuard, FirstSharesReadAfterResetIsAllocationFree) {
     EXPECT_EQ(shares[17], 0.0);
     EXPECT_EQ(guard.observed(), 0u);
   }
+}
+
+/// ISRPT's allocation, with its SRPT query made inside an armed guard.
+class GuardedGatherIsrpt final : public Scheduler {
+ public:
+  [[nodiscard]] std::string name() const override { return "guarded-isrpt"; }
+  void allocate(const SchedulerContext& ctx, Allocation& out) override {
+    std::array<std::size_t, 16> top{};
+    std::size_t k = 0;
+    {
+      AllocGuard guard("first bounded SRPT gather");
+      const std::span<const std::size_t> p = ctx.smallest_remaining(16);
+      k = p.size();
+      std::copy(p.begin(), p.end(), top.begin());
+      observed += guard.observed();
+    }
+    out.reset(ctx.alive().size());
+    for (std::size_t i = 0; i < k; ++i) out.grant(top[i], 1.0);
+    ++calls;
+  }
+  std::uint64_t observed = 0;
+  std::uint64_t calls = 0;
+};
+
+TEST(AllocGuard, FirstBoundedGatherOfAFreshEngineIsAllocationFree) {
+  // Over more than 4·kHeadJobs alive jobs a 16-wide query gathers a head
+  // below a sampled T: the sample, the near-block list and the candidates
+  // all live in buffers admission reserved, and the position map's
+  // entries were written at admission, so the fresh engine's first
+  // decision gathers without allocating even where no fence is armed.
+  SKIP_WITHOUT_HOOK();
+  constexpr std::size_t n = 20'000;
+  static_assert(n > 4 * OrderHeap<SrptKey, SrptKeyLess>::kHeadJobs);
+  GuardedGatherIsrpt sched;
+  Engine eng(16);
+  eng.begin(sched);
+  for (std::size_t i = 0; i < n; ++i) {
+    Job j;
+    j.id = static_cast<JobId>(i);
+    j.release = 0.0;
+    j.size = 1.0 + static_cast<double>((i * 7919u) % 99991u) / 99991.0;
+    eng.admit(j);
+  }
+  ASSERT_NO_THROW(eng.advance_to(0.5));
+  EXPECT_GE(sched.calls, 1u);
+  EXPECT_EQ(sched.observed, 0u);
 }
 
 TEST(AllocGuard, NestedGuardsNameTheInnermostScope) {

@@ -1153,6 +1153,131 @@ TEST(IncrementalHead, RemoveSwapWhoseBackJobIsInTheTail) {
   expect_srpt_prefix(inc, set, 16, "back tail job removed");
 }
 
+TEST(IncrementalHead, RegatherLeavesStaleSlotsOfTailJobsUnread) {
+  // A gather writes only the head's position-map entries. After a dense
+  // step that reverses the order, the old head is in the tail, and each
+  // of its jobs' entries still names the slot it held — a slot of the
+  // new heap, holding another job. Such a job must read as tail: a
+  // refresh that keeps it above T leaves the heap alone, its completion
+  // deletes no head job, and a refresh below T moves it into the head.
+  std::mt19937_64 rng(38);
+  AliveSet set = head_case_set(rng, kHeadCaseJobs);
+  IncrementalOrders inc;
+  expect_srpt_prefix(inc, set, 16, "first query");
+  const std::size_t old_head = inc.srpt.head_size();
+  inc.begin_decision();
+  const auto top = inc.srpt.prefix(set.view(), 3);
+  const std::vector<std::size_t> old_top(top.begin(), top.end());
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    set.remaining[i] = 2000.0 - set.remaining[i];
+  }
+  set.floors.known = false;
+  inc.srpt.mark_stale();
+  expect_srpt_prefix(inc, set, 16, "regathered after a dense step");
+  const std::size_t head = inc.srpt.head_size();
+  // The old root's slot 0 is the new root's, and the old top is now at
+  // the far end of the order.
+  ASSERT_GT(std::min(old_head, head), 16u);
+  std::vector<std::size_t> ref;
+  refimpl::smallest_remaining(set.view(), set.size(), ref);
+  for (const std::size_t i : old_top) {
+    ASSERT_GE(std::find(ref.begin(), ref.end(), i) - ref.begin(),
+              static_cast<std::ptrdiff_t>(head));
+  }
+  // Still above T: nothing moves.
+  set.set_remaining(old_top[0], set.remaining[old_top[0]] - 1e-3);
+  inc.srpt.refresh(set.view(), old_top[0]);
+  EXPECT_EQ(inc.srpt.head_size(), head);
+  expect_srpt_prefix(inc, set, 16, "a stale-slot tail job refreshed");
+  // Its completion removes no head job. Complete the higher index first,
+  // so the second is not moved by the first.
+  std::size_t a = old_top[1];
+  std::size_t b = old_top[2];
+  if (a < b) std::swap(a, b);
+  complete(inc, set, a);
+  EXPECT_EQ(inc.srpt.head_size(), head);
+  expect_srpt_prefix(inc, set, 16, "a stale-slot tail job completed");
+  // Below T: the old root joins the head, ahead of everyone (it sits at
+  // index a if it was the back job the completion moved).
+  const std::size_t j = old_top[0] == set.size() ? a : old_top[0];
+  set.set_remaining(j, 0.125);
+  inc.srpt.refresh(set.view(), j);
+  EXPECT_EQ(inc.srpt.head_size(), head + 1);
+  expect_srpt_prefix(inc, set, 16, "a stale-slot tail job moved in");
+  EXPECT_EQ(inc.srpt.prefix(set.view(), 1)[0], j);
+  complete(inc, set, b);
+  expect_srpt_prefix(inc, set, 16, "a second one completed");
+}
+
+TEST(IncrementalHead, StaleAdmissionsAndCompletionsKeepTheMapInStep) {
+  // While stale, the heaps keep one position-map entry per alive job:
+  // the audit checks the length, stale or not, and the first gather
+  // writes into the map admission grew.
+  std::mt19937_64 rng(39);
+  const AliveSet source = head_case_set(rng, kHeadCaseJobs);
+  AliveSet set;
+  IncrementalOrders inc;
+  std::vector<AliveJob> records;
+  source.materialize(records);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    Job j;
+    j.id = records[i].id;
+    j.release = records[i].release;
+    j.size = records[i].remaining;
+    admit(inc, set, j);
+    if (i % 97 == 96) complete(inc, set, rng() % set.size());
+    if (i % 1000 == 0) inc.audit(set.view());
+  }
+  ASSERT_TRUE(inc.srpt.stale() && inc.latest.stale());
+  inc.audit(set.view());
+  expect_srpt_prefix(inc, set, 16, "first query after stale churn");
+  EXPECT_LT(inc.srpt.head_size(), set.size() / 2);
+  std::vector<std::size_t> latest_ref;
+  refimpl::latest_arrivals(set.view(), 16, latest_ref);
+  const auto latest = inc.latest.prefix(set.view(), 16);
+  ASSERT_EQ(latest.size(), latest_ref.size());
+  for (std::size_t i = 0; i < latest_ref.size(); ++i) {
+    EXPECT_EQ(latest[i], latest_ref[i]);
+  }
+  inc.audit(set.view());
+  // Stale again (a dense step), then churn: the map follows.
+  inc.srpt.mark_stale();
+  for (int k = 0; k < 50; ++k) complete(inc, set, rng() % set.size());
+  Job late;
+  late.id = 9'000'000;
+  late.release = 7.0;
+  late.size = 0.5;
+  admit(inc, set, late);
+  inc.srpt.audit(set.view());
+  expect_srpt_prefix(inc, set, 16, "regathered after stale churn");
+  EXPECT_EQ(inc.srpt.prefix(set.view(), 1)[0], set.size() - 1);
+}
+
+TEST(IncrementalHead, ARestoreSizesTheMapForTheFirstGather) {
+  // A restore replaces the alive set under heaps that indexed another
+  // one: clear(n) leaves them stale with n map entries, and the first
+  // gather over the restored set is exact.
+  std::mt19937_64 rng(40);
+  const AliveSet donor = head_case_set(rng, kHeadCaseJobs);
+  IncrementalOrders inc;
+  expect_srpt_prefix(inc, donor, 16, "donor query");
+  inc.begin_decision();
+  (void)inc.latest.prefix(donor.view(), 16);
+  std::vector<AliveJob> records;
+  donor.materialize(records);
+  records.resize(kHeadCaseJobs - 1500);
+  std::reverse(records.begin(), records.end());
+  AliveSet restored;
+  restored.assign(records);
+  inc.reserve(restored.size());
+  inc.clear(restored.size());
+  ASSERT_TRUE(inc.srpt.stale() && inc.latest.stale());
+  inc.audit(restored.view());
+  expect_srpt_prefix(inc, restored, 16, "first query after the restore");
+  EXPECT_LT(inc.srpt.head_size(), restored.size() / 2);
+  expect_orders_match(inc, records, "every width after the restore");
+}
+
 // ---- Remaining-work floors: the gather skips far blocks ------------------
 //
 // A bounded SRPT gather reads one floor per 64 alive jobs instead of every

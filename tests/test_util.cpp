@@ -508,6 +508,39 @@ TEST(RepeatedSum, RunsOfBlocksMatchTheSerialLoop) {
   }
 }
 
+TEST(RepeatedSum, RunsSplitAtEveryPowerOfTwoTheyCross) {
+  // One run whose sum crosses 2, 4, 8, ... partway through a block: the
+  // blocks between two crossings are one sum, the crossing block the
+  // serial loop's. A block of t = 2^-14 adds 1/32.
+  for (const std::size_t blocks : {33u, 224u, 300u, 1000u}) {
+    for (const double acc : {1.0, 1.0 + 0x1p-20, 1.3, 0x1.fffp0}) {
+      expect_block_run_sum(acc, 0x1p-14, blocks, 1.0, "dyadic terms");
+      // Terms off the grid: each rounds, to a different multiple of u
+      // in each binade.
+      expect_block_run_sum(acc, 0.37, blocks, 0x1p-14, "rounded terms");
+      expect_block_run_sum(acc, 1.0 / 3.0, blocks, 1e-4, "thirds");
+    }
+  }
+  // A crossing within the run's first block, and one within its last.
+  expect_block_run_sum(2.0 - 0x1p-20, 0x1p-14, 100, 1.0, "first block");
+  expect_block_run_sum(8.0 - 99.5 / 32.0, 0x1p-14, 100, 1.0, "last block");
+  // Idle-flow-like runs: acc between 2^10 and 2^23, each run adding 1 to
+  // 15 times acc, so that it crosses one to four powers of two.
+  std::mt19937_64 rng(0xc2055);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int c = 0; c < 200; ++c) {
+    const std::size_t blocks = 1 + rng() % 400;
+    const double acc =
+        std::ldexp(1.0 + unit(rng), 10 + static_cast<int>(rng() % 14));
+    const double q = 0.5 + unit(rng);
+    const double dt = acc * (1.0 + 14.0 * unit(rng)) /
+                      (q * static_cast<double>(blocks * kSumBlock));
+    expect_block_run_sum(acc, q, blocks, dt,
+                         "random case " + std::to_string(c));
+    if (HasFailure()) return;
+  }
+}
+
 TEST(RepeatedSum, SeededRandomCasesMatchTheSerialLoop) {
   std::mt19937_64 rng(0x5e9ea7);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
