@@ -238,8 +238,9 @@ Table measure_dense_alive() {
 
 // ---- Incremental-orders dense-alive rows ---------------------------------
 //
-// The persistent IncrementalOrders heaps (each order built on its first
-// query, then O(log n) maintenance per event) at dense-alive sizes where
+// The persistent SRPT heap (built on its first query, then O(log n)
+// maintenance per event; the latest-arrival order is sorted per
+// decision and keeps no state) at dense-alive sizes where
 // full runs to completion are infeasible — ~n decisions, each with an
 // O(n) advance sweep. A bounded-decision streaming harness admits the
 // dense instance once and advances in small exact steps until `target`

@@ -18,7 +18,7 @@ PARSCHED_HOT void Equi::allocate(const SchedulerContext& ctx, Allocation& out) {
 }
 
 Laps::Laps(double beta) : beta_(beta) {
-  if (beta <= 0.0 || beta > 1.0) {
+  if (!(beta > 0.0 && beta <= 1.0)) {
     throw std::invalid_argument("LAPS beta must be in (0, 1]");
   }
 }
@@ -30,7 +30,7 @@ std::string Laps::name() const {
 }
 
 OldestEqui::OldestEqui(double beta) : beta_(beta) {
-  if (beta <= 0.0 || beta > 1.0) {
+  if (!(beta > 0.0 && beta <= 1.0)) {
     throw std::invalid_argument("OldestEqui beta must be in (0, 1]");
   }
 }

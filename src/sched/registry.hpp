@@ -29,7 +29,10 @@ namespace parsched {
 ///   "isrpt-thresh:T"   ISRPT with equipartition threshold theta = T
 ///   "isrpt-boost"      over-allocates leftovers to the shortest job
 ///   "quantized-equi:Q" round-robin EQUI with time quantum Q
-/// Throws std::invalid_argument on unknown names.
+/// A parameter is the whole suffix after the ':', read as one number, and
+/// must lie in the policy's range (beta in (0, 1], theta >= 1, quanta
+/// > 0; NaN in none). Throws std::invalid_argument on unknown names and
+/// on a malformed or out-of-range parameter.
 [[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(
     const std::string& name);
 

@@ -10,7 +10,7 @@
 namespace parsched {
 
 IsrptThreshold::IsrptThreshold(double theta) : theta_(theta) {
-  if (theta < 1.0) throw std::invalid_argument("theta must be >= 1");
+  if (!(theta >= 1.0)) throw std::invalid_argument("theta must be >= 1");
 }
 
 std::string IsrptThreshold::name() const {

@@ -435,8 +435,8 @@ void Engine::record_failure(bool contract_trip, std::uint64_t id,
 void Engine::reserve_alive(std::size_t n) {
   // Every per-job buffer — the alive set, the rate scratch, the
   // completion positions (the sweep may push one per alive job), the
-  // heaps and order buffers — grows here, geometrically and outside the
-  // guarded scopes, so warm decision steps never allocate.
+  // SRPT heap and both order buffers — grows here, geometrically and
+  // outside the guarded scopes, so warm decision steps never allocate.
   alive_.reserve(n);
   reserve_geometric(rates_, n);
   reserve_geometric(comp_idx_, n);
@@ -477,9 +477,9 @@ void Engine::admit_pending(ArrivalSource& source) {
                               static_cast<std::uint32_t>(alive_.size()));
       }
     }
-    // Then one O(log n) sift per job and fresh heap, in index order; a
-    // stale heap only grows its position map.
-    orders_.insert(alive_.view(), first);
+    // Then one O(log n) sift per job of a fresh SRPT heap, in index
+    // order; a stale heap only grows its position map.
+    orders_.srpt.insert(alive_.view(), first);
     result_.events += jobs.size();
     summarize_tail_blocks(first);
   }
@@ -678,10 +678,11 @@ double Engine::idle_flow(double acc, std::size_t from, std::size_t count,
                          double dt) {
   // The partial blocks at either end are summed term by term. A run of
   // consecutive full blocks whose summaries hold the same quotient, bit
-  // for bit, adds it in O(1) (repeated_block_sum, a block at a time only
-  // where the run's sum fails the grid test); a mixed block is summed
-  // term by term and summarized again, so after one step of rate-0
-  // visits a block of equal quotients is O(1) from then on.
+  // for bit, adds it in O(1) per power of two its sum crosses
+  // (repeated_scaled_sum, term by term only where the grid test fails);
+  // a mixed block is summed term by term and summarized again, so after
+  // one step of rate-0 visits a block of equal quotients is O(1) from
+  // then on.
   const double* const q = alive_.flow_q.data();
   const std::size_t end = from + count;
   const std::size_t first = (from + kFlowBlock - 1) / kFlowBlock;
@@ -705,7 +706,7 @@ double Engine::idle_flow(double acc, std::size_t from, std::size_t count,
              std::bit_cast<std::uint64_t>(block_q_[run_end]) == bits) {
         ++run_end;
       }
-      sum = repeated_block_sum(sum, common, run_end - b, dt);
+      sum = repeated_scaled_sum(sum, common, (run_end - b) * kFlowBlock, dt);
       b = run_end;
     }
     sum = ordered_scaled_sum(sum, q + last * kFlowBlock,
@@ -957,18 +958,18 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
   }
   const bool phase_advanced = advance_sweep(dt);
   if (stats_ != nullptr) lap(stats_->advance_seconds);
-  // SRPT key maintenance for the jobs that ran (latest-arrival keys never
-  // change). With a sparse allocation (SRPT-style: at most m of n jobs
-  // run) each changed key costs one O(log n) sift, applied in ascending
-  // index order (the keys live in the heap entries, so the order of
-  // updates is all that matters); when most keys move at once
-  // (EQUI-style dense allocations, > n/8 nonzero rates) n sifts lose to
-  // one O(n) gather, so the SRPT heap is marked stale instead and
-  // regathered at its next query (never, for policies that do not read
-  // SRPT order). dt == 0 moves no key, and a heap already stale stays
-  // stale for free.
+  // SRPT key maintenance for the jobs that ran (the latest-arrival order
+  // keeps no state across decisions). With a sparse allocation
+  // (SRPT-style: at most m of n jobs run) each changed key costs one
+  // O(log n) sift, applied in ascending index order (the keys live in
+  // the heap entries, so the order of updates is all that matters); when
+  // most keys move at once (EQUI-style dense allocations, > n/8 nonzero
+  // rates) n sifts lose to one O(n) gather, so the SRPT heap is marked
+  // stale instead and regathered at its next query (never, for policies
+  // that do not read SRPT order). dt == 0 moves no key, and a heap
+  // already stale stays stale for free.
   // Exact-zero test on purpose: dt == 0 steps (simultaneous events)
-  // change no remaining-work key bit, so the heaps need no maintenance.
+  // change no remaining-work key bit, so the heap needs no maintenance.
   if (dt != 0.0 && !orders_.srpt.stale()) {  // lint: float-eq-ok
     if (rates_nonzero_ * 8 > alive_.size()) {
       orders_.srpt.mark_stale();
@@ -1035,10 +1036,10 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
         // the set, so no block marked equal reaches past the alive set.
         block_q_[i / kFlowBlock] = kMixed;
         block_q_[end / kFlowBlock] = kMixed;
-        // Mirror the swap-remove into the heaps: delete index i, remap
-        // the back entry (alive index `end`) to i — the same move
-        // relocate() performs on every array. O(log n) per fresh heap.
-        orders_.remove_swap(i, end);
+        // Mirror the swap-remove into the SRPT heap: delete index i,
+        // remap the back entry (alive index `end`) to i — the same move
+        // relocate() performs on every array. O(log n) while fresh.
+        orders_.srpt.remove_swap(i, end);
         if (i == end) break;
         alive_.relocate(end, i);
         if (hi > lo && comp_idx_[hi - 1] == end) {
@@ -1103,11 +1104,11 @@ PARSCHED_HOT Engine::Step Engine::decision_step(double t_arrive,
     throw SimulationStall(now_, os.str());
   }
   // PARSCHED_AUDIT: after every advanced step, cross-check the
-  // fresh heaps against the alive set — key payloads, position maps and
-  // heap properties (O(n), audit runs only). A divergence here trips a
+  // SRPT heap against the alive set — key payloads, position map and
+  // heap property (O(n), audit runs only). A divergence here trips a
   // contract failure at the step that caused it instead of surfacing
   // decisions later as a wrong ordering.
-  if (audit_allocs_) orders_.audit(alive_.view());
+  if (audit_allocs_) orders_.srpt.audit(alive_.view());
   if (cfg_.recorder != nullptr) {
     cfg_.recorder->record(obs::FlightEvent::kDecision, result_.decisions,
                           now_, dt,
@@ -1275,10 +1276,10 @@ void Engine::import_state(const EngineState& s, Scheduler& sched) {
   flow_q_stale_ = false;
   std::fill(block_q_.begin(), block_q_.end(), kMixed);
   reserve_alive(alive_.size() + pending_.jobs().size());
-  // The heaps are derived state: both go stale, with a position-map
-  // entry per restored job, and each order's first query regathers it
-  // from the restored alive set, bit-identically to the donor (both
-  // orders are strict total orders).
+  // The SRPT heap is derived state: it goes stale, with a position-map
+  // entry per restored job, and its first query regathers it from the
+  // restored alive set, bit-identically to the donor (SRPT order is a
+  // strict total order).
   orders_.clear(alive_.size());
   rates_valid_ = false;  // a deferred decision recomputes its rates once
   deferred_end_ = -kInf;  // and is tested against the frontier again

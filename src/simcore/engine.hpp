@@ -325,12 +325,12 @@ class Engine final : public EngineView {
   std::vector<double> rates_;
   bool rates_uniform_ = false;
   double uniform_rate_ = 0.0;
-  /// Persistent ordering heaps behind every SchedulerContext helper.
-  /// Unlike the rest of this scratch block the heaps carry state
-  /// *across* decision steps — but still derived state: every key is
-  /// recomputable from alive_, and import_state()/begin_run() mark them
-  /// stale (each regathers at its first query), so they stay out of
-  /// EngineState.
+  /// The orders behind every SchedulerContext helper: the persistent
+  /// SRPT heap and the per-decision latest-arrival buffer. Unlike the
+  /// rest of this scratch block the heap carries state *across* decision
+  /// steps — but still derived state: every key is recomputable from
+  /// alive_, and import_state()/begin_run() mark it stale (it regathers
+  /// at its first query), so it stays out of EngineState.
   IncrementalOrders orders_;
   /// Jobs with a nonzero rate in the current decision (set by
   /// compute_rates): the heap upkeep after the sweep uses it to pick

@@ -1,74 +1,80 @@
-// parsched — persistent-across-events ordering indexes.
+// parsched — the persistent SRPT order and the per-decision
+// latest-arrival order.
 //
-// Every decision step needs (prefixes of) two strict total orders over
-// the alive set: SRPT order (remaining, release, id) and latest-arrival
-// order (release, id descending). Rebuilding them per decision costs
-// O(n log n) per step, which caps dense-alive runs (n = 10⁵–10⁶) well
-// below the rate the serve layer generates. OrderHeap keeps one order
-// *across* decisions as an intrusive binary heap, so the per-event
-// maintenance cost is O(log n); IncrementalOrders holds one OrderHeap
-// per order.
+// A decision step may read prefixes of two strict total orders over the
+// alive set: SRPT order (remaining, release, id) and latest-arrival order
+// (release, id descending).
 //
-// A heap is built on its first query: it starts stale, and the first
-// query gathers the alive set's *head* — the jobs whose key is below a
-// threshold key T — and heapifies it. A policy reads at most a few
-// prefix entries (ISRPT reads m of n), so T is picked from a strided
-// sample of the keys' first field such that the head holds a few
+// SRPT order is read a few entries at a time (ISRPT reads m of n), and a
+// per-decision O(n log n) rebuild caps dense-alive runs (n = 10⁵–10⁶)
+// well below the rate the serve layer generates. OrderHeap keeps it
+// *across* decisions as an intrusive binary heap, at O(log n) upkeep per
+// event. The heap is built on its first query: it starts stale, and the
+// first query gathers the alive set's *head* — the jobs whose key is
+// below a threshold key T — and heapifies it. T is picked from a strided
+// sample of the jobs' remaining work such that the head holds a few
 // thousand jobs (kHeadJobs) and at least the query's width; the other
-// jobs form a tail that is never gathered. With
-// n at most 4·kHeadJobs, or a query of at least n/16 jobs, T = +∞ and
-// the head is the whole alive set. While fresh the heap is kept in step
-// with the alive set:
+// jobs form a tail that is never gathered. With n at most 4·kHeadJobs,
+// or a query of at least n/16 jobs, T = +∞ and the head is the whole
+// alive set. While fresh the heap is kept in step with the alive set:
 //
 //   admit       → one sift-up when the new key is below T
 //   complete    → one heap-delete of a head job (mirroring the engine's
 //                 swap-remove of alive_, so entry indexes track alive
 //                 indexes exactly)
-//   advance     → one sift per job whose remaining work changed (SRPT
-//                 only; latest-arrival keys never change; a tail job
-//                 whose key falls below T joins the head) — or, when a
-//                 step changes most keys at once (an EQUI-style
-//                 allocation runs every job), the engine marks the SRPT
-//                 heap stale again, since an O(n) regather at the next
-//                 query is cheaper than n sift-downs.
+//   advance     → one sift per job whose remaining work changed (a tail
+//                 job whose key falls below T joins the head) — or, when
+//                 a step changes most keys at once (an EQUI-style
+//                 allocation runs every job), the engine marks the heap
+//                 stale again, since an O(n) regather at the next query
+//                 is cheaper than n sift-downs.
 //
 // Every head key is below every tail key, so the head's own k-prefix is
 // the order's k-prefix while the head holds k jobs; a query wider than
 // the head (completions drain it) gathers it again with a larger T.
 // A stale heap skips all upkeep but its position map's entry per
-// admitted job, so a policy that never asks for an order pays 4 B per
-// job for it: ISRPT, EQUI and Greedy never gather the latest-arrival
-// heap, and EQUI and LAPS never gather the SRPT one.
-// Queries never mutate keys: a k-prefix is produced by a bounded
-// traversal of the heap (a candidate min-heap over heap slots,
+// admitted job, so a policy that never asks for SRPT order (EQUI, LAPS)
+// pays 4 B per job for it. Queries never mutate keys: a k-prefix is a
+// bounded traversal of the heap (a candidate min-heap over heap slots,
 // O(k log k) after the O(1) root), and a prefix as wide as the head (the
-// full order, when T = +∞) by sorting a compact copy of the head. Each
-// heap also owns its part of the per-decision memo behind
-// SchedulerContext's helpers: an order buffer plus its valid prefix
-// length, reset by begin_decision(). The test-side oracle
-// (tests/test_incremental.cpp) re-derives every helper answer with plain
-// per-call sorts and checks them decision by decision.
+// full order, when T = +∞) a sort of a compact copy of the head.
 //
-// The position map (alive index -> heap slot) is per-job state from
-// admission on: it holds one entry per alive job, stale or fresh, so its
-// pages are committed as jobs are admitted, alongside the alive columns
-// (its buffer comes from HugePageAllocator: a couple of huge-page faults
-// where the kernel grants huge pages, not ~1,000 small ones at n = 10^6).
-// Only head entries are meaningful: job i is in the head iff its entry
-// names a slot of the heap whose entry is job i's, so a tail job needs no
-// mark and a gather writes the head's entries alone.
+// The latest-arrival order's readers (LAPS, Oldest-EQUI, Quantized-EQUI)
+// ask for at least a quarter of it, where a heap would hold every job
+// and buy nothing. IncrementalOrders answers it per decision instead:
+// its first query fills an order buffer with the n alive indexes and
+// partial-sorts the prefix it asks for (nth_element, then a sort of the
+// prefix: O(n + k log k)); a wider query of the same decision does the
+// same from where the last one stopped. Admission and completion touch
+// no latest-arrival state.
+//
+// Each order keeps a per-decision memo behind SchedulerContext's
+// helpers — its order buffer plus the buffer's valid prefix length,
+// reset by begin_decision() — so a repeated or narrower query is O(1)
+// and a wider one leaves every earlier prefix as it was. The test-side
+// oracle (tests/test_incremental.cpp) re-derives every helper answer
+// with plain per-call sorts and checks them decision by decision.
+//
+// The heap's position map (alive index -> heap slot) holds one entry per
+// alive job from admission on, stale or fresh, so its pages are
+// committed alongside the alive columns (its buffer comes from
+// HugePageAllocator: a couple of huge-page faults where the kernel
+// grants huge pages, not ~1,000 small ones at n = 10^6). Only head
+// entries mean anything: job i is in the head iff its entry names a slot
+// of the heap whose entry is job i's, so a tail job needs no mark and a
+// gather writes the head's entries alone.
 //
 // Allocation discipline: reserve(n) pre-sizes every internal buffer with
 // geometric growth; the engine calls it at admission, after which every
 // query and update — including a gather — is allocation-free and safe
 // inside the engine's AllocGuard fences. Reserved capacity a small head
-// never touches costs no page faults. A bounded SRPT gather reads the
-// alive set's remaining-work floors (one per 64 jobs, RemainingFloors)
-// instead of every key, lists the blocks whose floor is not above T, and
-// reads those blocks' remaining work with the next ones prefetched;
-// unknown floors (after a dense step or a restore) are rebuilt by that
-// gather's scan of every key. So the first gather after a large release
-// touches the floors, the near blocks and the head, not n entries.
+// never touches costs no page faults. A bounded gather reads the alive
+// set's remaining-work floors (one per 64 jobs, RemainingFloors) instead
+// of every key, lists the blocks whose floor is not above T, and reads
+// those blocks' remaining work with the next ones prefetched; unknown
+// floors (after a dense step or a restore) are rebuilt by that gather's
+// scan of every key. So the first gather after a large release touches
+// the floors, the near blocks and the head, not n entries.
 #pragma once
 
 #include <cstdint>
@@ -80,12 +86,12 @@
 
 namespace parsched {
 
-/// An order's position map: alive index -> heap slot. A tail job's entry
+/// The heap's position map: alive index -> heap slot. A tail job's entry
 /// holds no meaning; OrderHeap tells head from tail against the heap.
 using PositionMap =
     std::vector<std::uint32_t, HugePageAllocator<std::uint32_t>>;
 
-/// Flat heap entries: compact (24/16 bytes) and carrying the alive index
+/// A flat heap entry: compact (24 bytes) and carrying the alive index
 /// the queries scatter out. `of` gathers job i's key from the alive set.
 struct SrptKey {
   double remaining;
@@ -98,57 +104,21 @@ struct SrptKey {
   }
   bool operator==(const SrptKey&) const = default;
 };
-struct LatestKey {
-  double release;
-  JobId id;
-  std::uint32_t idx;
-  static LatestKey of(AliveView alive, std::size_t i) {
-    return {alive.release(i), alive.id(i), static_cast<std::uint32_t>(i)};
-  }
-  bool operator==(const LatestKey&) const = default;
-};
 
-/// The single definition of both tie-break orders. The key structs carry
-/// the job id, making both orders strict total orders with unique
-/// k-prefixes.
-/// Each also gives a key's first field (`first`, of alive job i or of a
-/// key) and that field's strict order (`first_less`): a gather samples
-/// the first field alone to pick T, and its scan skips a job whose first
-/// field orders after T's reading one array.
+/// The single definition of the SRPT tie-break order. The key carries the
+/// job id, making it a strict total order with unique k-prefixes.
 struct SrptKeyLess {
   bool operator()(const SrptKey& a, const SrptKey& b) const {
     if (a.remaining != b.remaining) return a.remaining < b.remaining;
     if (a.release != b.release) return a.release < b.release;
     return a.id < b.id;
   }
-  static double first(AliveView alive, std::size_t i) {
-    return alive.remaining(i);
-  }
-  static double first(const SrptKey& k) { return k.remaining; }
-  static bool first_less(double a, double b) { return a < b; }
-  /// A gather reads the alive set's remaining-work floors
-  /// (RemainingFloors) instead of every key.
-  static constexpr bool kFloored = true;
 };
 
-struct LatestKeyLess {
-  bool operator()(const LatestKey& a, const LatestKey& b) const {
-    if (a.release != b.release) return a.release > b.release;
-    return a.id > b.id;
-  }
-  static double first(AliveView alive, std::size_t i) {
-    return alive.release(i);
-  }
-  static double first(const LatestKey& k) { return k.release; }
-  static bool first_less(double a, double b) { return a > b; }
-  static constexpr bool kFloored = false;
-};
-
-/// One order over the alive set: a min-heap in Less order over the jobs
-/// whose key is below a threshold T (the head; T = +∞ holds every job),
-/// built on its first query and kept in step with the alive set while
-/// fresh.
-template <class Key, class Less>
+/// The SRPT order over the alive set: a min-heap in SrptKeyLess order
+/// over the jobs whose key is below a threshold T (the head; T = +∞ holds
+/// every job), built on its first query and kept in step with the alive
+/// set while fresh.
 class OrderHeap {
  public:
   /// The head size a gather aims at when T can be finite.
@@ -208,12 +178,11 @@ class OrderHeap {
   [[nodiscard]] std::size_t head_size() const { return heap_.size(); }
 
   /// Audit (PARSCHED_AUDIT): stale or not, the position map holds one
-  /// entry per alive job, and for the SRPT order each known
-  /// remaining-work floor is at most the remaining work of every job in
-  /// its block; of a fresh heap, every entry matches the alive set and
-  /// its map entry, the heap property holds, and a job is in the head
-  /// (by its map entry) iff its key is below T. Trips a PARSCHED_CHECK on
-  /// any violation. O(n).
+  /// entry per alive job, and each known remaining-work floor is at most
+  /// the remaining work of every job in its block; of a fresh heap, every
+  /// entry matches the alive set and its map entry, the heap property
+  /// holds, and a job is in the head (by its map entry) iff its key is
+  /// below T. Trips a PARSCHED_CHECK on any violation. O(n).
   void audit(AliveView alive) const;
 
  private:
@@ -223,8 +192,8 @@ class OrderHeap {
     const std::uint32_t s = pos_[i];
     return s < heap_.size() && heap_[s].idx == i;
   }
-  [[nodiscard]] bool below_bound(const Key& k) const {
-    return !bounded_ || Less{}(k, bound_);
+  [[nodiscard]] bool below_bound(const SrptKey& k) const {
+    return !bounded_ || SrptKeyLess{}(k, bound_);
   }
   /// Pick T for a head of at least `want` jobs and gather it.
   void gather(AliveView alive, std::size_t want);
@@ -232,73 +201,74 @@ class OrderHeap {
   /// order, into the heap and their position-map entries.
   void scan_head(AliveView alive);
 
-  /// One sampled job: its key's first field and its alive index.
+  /// One sampled job: its remaining work and its alive index.
   struct Sample {
-    double first;
+    double remaining;
     std::uint32_t idx;
   };
 
-  std::vector<Key> heap_;  ///< the head
-  PositionMap pos_;        ///< alive index -> heap slot (head jobs only)
+  std::vector<SrptKey> heap_;  ///< the head
+  PositionMap pos_;            ///< alive index -> heap slot (head jobs only)
   // The top-k traversal's heap-slot heap; a bounded gather lists its near
   // blocks here.
   std::vector<std::uint32_t> cand_;
   // A query as wide as the head sorts a compact copy of it (the heap
   // must keep its shape — queries never mutate keys).
-  std::vector<Key> scratch_;
+  std::vector<SrptKey> scratch_;
   std::vector<Sample> sample_;  ///< a bounded gather's sample
   // Per-decision memo: the order buffer behind the returned spans and
   // the length of its valid prefix (0 after begin_decision()).
   std::vector<std::size_t> order_;
   std::size_t memo_ = 0;
-  Key bound_{};           ///< T, when bounded_
+  SrptKey bound_{};       ///< T, when bounded_
   bool bounded_ = false;  ///< false: T = +∞, the head is every job
   bool stale_ = true;     ///< gathered from the alive set at the next query
 };
 
-/// The two orders the policies read, each kept by its own OrderHeap.
-/// The engine forwards every admission and completion to both (a stale
-/// heap ignores them) and marks the SRPT heap stale on a dense step.
+/// The two orders the policies read: the SRPT heap, and the
+/// latest-arrival order, sorted per decision from the alive set. The
+/// engine forwards every admission and completion to the heap (a stale
+/// heap only keeps its position map in step) and marks it stale on a
+/// dense step; the latest-arrival order keeps no state across decisions.
 class IncrementalOrders {
  public:
-  OrderHeap<SrptKey, SrptKeyLess> srpt;
-  OrderHeap<LatestKey, LatestKeyLess> latest;
+  OrderHeap srpt;
 
-  /// A new run or a restored state over `n` alive jobs: both orders
-  /// regather at their first query. Call after reserve(n).
+  /// A new run or a restored state over `n` alive jobs: the heap
+  /// regathers at its first query. Call after reserve(n).
   void clear(std::size_t n) {
     srpt.clear(n);
-    latest.clear(n);
+    latest_memo_ = 0;
   }
 
-  /// Must be called with the new alive count before insert() so the heap
-  /// push lands in reserved storage — the engine does this outside its
-  /// AllocGuard fences.
+  /// Must be called with the new alive count before srpt.insert() so the
+  /// heap push lands in reserved storage — the engine does this outside
+  /// its AllocGuard fences.
   void reserve(std::size_t n) {
     srpt.reserve(n);
-    latest.reserve(n);
+    reserve_geometric(latest_, n);
   }
 
-  void insert(AliveView alive, std::size_t first) {
-    srpt.insert(alive, first);
-    latest.insert(alive, first);
-  }
-
-  void remove_swap(std::size_t idx, std::size_t last) {
-    srpt.remove_swap(idx, last);
-    latest.remove_swap(idx, last);
-  }
-
-  /// SchedulerContext calls this.
+  /// Start a new decision (SchedulerContext calls this): forget both
+  /// cached order prefixes.
   void begin_decision() {
     srpt.begin_decision();
-    latest.begin_decision();
+    latest_memo_ = 0;
   }
 
-  void audit(AliveView alive) const {
-    srpt.audit(alive);
-    latest.audit(alive);
-  }
+  /// The first min(k, n) alive indexes in latest-arrival order, (release,
+  /// id) descending. Cached per decision like OrderHeap::prefix: a query
+  /// no wider than an earlier one is O(1), and a wider one sorts on from
+  /// the end of the earlier prefix, so every span returned since
+  /// begin_decision() stays valid. O(n + k log k).
+  [[nodiscard]] std::span<const std::size_t> latest_prefix(AliveView alive,
+                                                           std::size_t k);
+
+ private:
+  // The order buffer: after a query, every alive index, the first
+  // latest_memo_ of them in order.
+  std::vector<std::size_t> latest_;
+  std::size_t latest_memo_ = 0;
 };
 
 }  // namespace parsched

@@ -91,7 +91,7 @@ PARSCHED_HOT std::size_t SchedulerContext::min_remaining() const {
 
 PARSCHED_HOT std::span<const std::size_t> SchedulerContext::latest_arrivals(
     std::size_t k) const {
-  return orders_.latest.prefix(alive_, k);
+  return orders_.latest_prefix(alive_, k);
 }
 
 }  // namespace parsched

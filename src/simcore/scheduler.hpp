@@ -24,19 +24,21 @@ class IncrementalOrders;
 
 /// What a policy sees at a decision point.
 ///
-/// The ordering helpers read the engine's persistent IncrementalOrders
-/// heaps (simcore/incremental.hpp), which also own the per-decision memo
-/// behind the returned spans: building a context starts a new decision
-/// on `orders`, and every span a helper returns stays valid until the
-/// next context is built on the same orders. Repeated or narrower
-/// queries within one decision are O(1); both orders are strict total
-/// orders (ties broken by job id), so every k-prefix is unique and a
-/// wider query never changes an earlier answer.
+/// The ordering helpers read the engine's IncrementalOrders
+/// (simcore/incremental.hpp): SRPT order from one persistent heap, the
+/// latest-arrival order partial-sorted per decision. Both own the
+/// per-decision memo behind the returned spans: building a context
+/// starts a new decision on `orders`, and every span a helper returns
+/// stays valid until the next context is built on the same orders.
+/// Repeated or narrower queries within one decision are O(1); both
+/// orders are strict total orders (ties broken by job id), so every
+/// k-prefix is unique and a wider query never changes an earlier answer.
 class SchedulerContext {
  public:
   /// `orders` must index exactly `alive` or be stale: the engine keeps
-  /// its heaps in step, and each heap is built from `alive` on its first
-  /// query, so a hand-built context passes a fresh IncrementalOrders.
+  /// its SRPT heap in step, and the heap is built from `alive` on its
+  /// first query, so a hand-built context passes a fresh
+  /// IncrementalOrders.
   SchedulerContext(double time, int machines, AliveView alive,
                    IncrementalOrders& orders);
 
@@ -56,7 +58,8 @@ class SchedulerContext {
   [[nodiscard]] std::size_t min_remaining() const;
 
   /// Indices of the k latest-arriving jobs, sorted by (release, id)
-  /// descending: latest first (used by LAPS). O(k log k).
+  /// descending: latest first (used by LAPS). O(n + k log k): a partial
+  /// sort of the alive set, once per decision and width.
   [[nodiscard]] std::span<const std::size_t> latest_arrivals(
       std::size_t k) const;
 

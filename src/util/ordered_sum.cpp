@@ -163,65 +163,35 @@ bool grid_term(double acc, double t, Grid& g, double& r) {
   return t >= 0.0 && (t > r ? t - r : r - t) < g.half;
 }
 
-/// repeated_scaled_sum's O(1) arm: true, with `out` the serial sum of
-/// `count` terms t = q·dt, when the grid test passes.
-bool grid_repeated_sum(double acc, double t, std::size_t count,
-                       double& out) {
-  Grid g{};
-  double r = 0.0;
-  if (!grid_term(acc, t, g, r)) return false;
-  // count·r is exact below 2^e (r is a multiple of u), and at or above
-  // it (count·r rounded up to at least 2^e) the test fails.
-  const double s = acc + static_cast<double>(count) * r;
-  if (!(s < g.top)) return false;
-  out = s;
-  return true;
-}
-
-/// repeated_block_sum's O(1) arm: adds to acc, in one grid sum, the most
-/// whole blocks of terms t, of at most `blocks`, whose sum stays below
-/// 2^e, and returns how many; 0, with acc unchanged, when acc or t fails
-/// the grid test.
-std::size_t grid_blocks_sum(double& acc, double t, std::size_t blocks) {
-  Grid g{};
-  double r = 0.0;
-  if (!grid_term(acc, t, g, r)) return 0;
-  constexpr std::size_t kB = ordered_sum::kBlock;
-  // 2^e - acc is exact; the quotient (+inf for r = 0) may round up, so
-  // step back until the sum, exact below 2^e and rounded to at least 2^e
-  // above it, is below 2^e.
-  const double room = (g.top - acc) / (r * static_cast<double>(kB));
-  std::size_t k = room >= static_cast<double>(blocks)
-                      ? blocks
-                      : static_cast<std::size_t>(room);
-  while (k > 0 && !(acc + static_cast<double>(k * kB) * r < g.top)) --k;
-  acc += static_cast<double>(k * kB) * r;
-  return k;
-}
-
 }  // namespace
 
 double repeated_scaled_sum(double acc, double q, std::size_t count,
                            double dt) {
   const double t = q * dt;
-  double s = 0.0;
-  if (grid_repeated_sum(acc, t, count, s)) return s;
-  for (std::size_t i = 0; i < count; ++i) acc += t;
-  return acc;
-}
-
-double repeated_block_sum(double acc, double q, std::size_t blocks,
-                          double dt) {
-  const double t = q * dt;
-  for (;;) {
-    // The blocks up to acc's next power of two in one sum, then the block
-    // that crosses it (or whose terms fail the grid test) on its own; the
-    // rest are a new run on the next binade's grid.
-    blocks -= grid_blocks_sum(acc, t, blocks);
-    if (blocks == 0) return acc;
-    acc = repeated_scaled_sum(acc, q, ordered_sum::kBlock, dt);
-    --blocks;
+  while (count > 0) {
+    // The terms that keep the sum below acc's next power of two in one
+    // grid sum, then one serial step: the term that crosses it (or every
+    // term, while acc or t fails the grid test). The rest go on on the
+    // next binade's grid.
+    Grid g{};
+    double r = 0.0;
+    if (grid_term(acc, t, g, r)) {
+      // 2^e - acc and r are multiples of u, at most 2^52 of them and
+      // below 2^53, so the rounded quotient (+inf for r = 0) floors to
+      // no more than the exact one: acc + k·r is exact and at most 2^e,
+      // and a sum that lands on 2^e is the serial loop's too.
+      const double room = (g.top - acc) / r;
+      const std::size_t k = room >= static_cast<double>(count)
+                                ? count
+                                : static_cast<std::size_t>(room);
+      acc += static_cast<double>(k) * r;
+      count -= k;
+      if (count == 0) break;
+    }
+    acc += t;
+    --count;
   }
+  return acc;
 }
 
 }  // namespace parsched

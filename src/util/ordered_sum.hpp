@@ -34,24 +34,17 @@ namespace parsched {
 
 /// acc + q*dt + q*dt + ... (count terms): the bits of
 /// `for (count) acc += q * dt;`, for every input. All terms are the one
-/// t = fl(q·dt), so on acc's grid (as above) the sum is acc + count·RN_u(t)
-/// — count·RN_u(t) and the final add are exact whenever the result stays
-/// below 2^e. Taken, in O(1), under the blocked sum's test (acc positive
-/// and normal, t >= 0 and not a tie, the sum below 2^e); the serial loop
-/// runs otherwise.
+/// t = fl(q·dt), so on acc's grid (as above) k terms add up to
+/// acc + k·RN_u(t) — k·RN_u(t) and the final add are exact while the sum
+/// stays below 2^e. So the run is split where its sum crosses a power of
+/// two: the terms below it are one O(1) sum under the blocked sum's test
+/// (acc positive and normal, t >= 0 and not a tie), the term that crosses
+/// it is one serial step, and the rest go on on the next binade's grid.
+/// Where the test fails (a tie, a negative or NaN term, acc zero,
+/// subnormal or infinite), the terms are added one serial step at a time
+/// until it passes.
 [[nodiscard]] double repeated_scaled_sum(double acc, double q,
                                          std::size_t count, double dt);
-
-/// acc + q*dt + q*dt + ... over `blocks` blocks of ordered_sum::kBlock
-/// terms each: the bits of repeated_scaled_sum(acc, q, blocks·kBlock, dt),
-/// which are the serial loop's. A run is split where its sum crosses a
-/// power of two: the blocks below the crossing are one O(1) sum under the
-/// grid test, the block that crosses is repeated_scaled_sum (the serial
-/// loop), and the blocks after it are a new run. Where the terms fail the
-/// grid test (a tie, a negative or NaN term), or acc does (zero,
-/// subnormal, infinite), the run is summed a block at a time.
-[[nodiscard]] double repeated_block_sum(double acc, double q,
-                                        std::size_t blocks, double dt);
 
 /// The arms behind ordered_scaled_sum, for tests. Both return the same
 /// bits; the blocked arm is used when the CPU has AVX2, the plain loop

@@ -5,10 +5,11 @@
 // The final tests are the regression proof: a dense-alive n=10'000
 // instance driven to completion with the audit fences armed performs
 // zero heap allocations across >= 10'000 warm decision steps, for an
-// SRPT-order consumer (ISRPT) and a latest-arrival consumer (LAPS). The
-// runs also execute the engine-side heap audit (IncrementalOrders::audit)
-// at every decision, so heap-vs-alive consistency is checked 10'000
-// times per run.
+// SRPT-order consumer (ISRPT), whose prefixes come from the one ordering
+// heap, and a latest-arrival consumer (LAPS), whose order is partial-sorted
+// per decision in a buffer reserved at admission. The runs also execute
+// the engine-side heap audit (OrderHeap::audit) at every decision, so
+// heap-vs-alive consistency is checked 10'000 times per run.
 //
 // Every allocation-counting test skips itself when the counting operator
 // new/delete replacement is compiled out (PARSCHED_ALLOC_HOOK=OFF, e.g.
@@ -222,7 +223,7 @@ TEST(AllocGuard, FirstBoundedGatherOfAFreshEngineIsAllocationFree) {
   // decision gathers without allocating even where no fence is armed.
   SKIP_WITHOUT_HOOK();
   constexpr std::size_t n = 20'000;
-  static_assert(n > 4 * OrderHeap<SrptKey, SrptKeyLess>::kHeadJobs);
+  static_assert(n > 4 * OrderHeap::kHeadJobs);
   GuardedGatherIsrpt sched;
   Engine eng(16);
   eng.begin(sched);
@@ -387,9 +388,10 @@ TEST(EngineAllocAudit, DenseAliveRunIsAllocationFreeWithIncrementalOrders) {
 
 TEST(EngineAllocAudit, DenseAliveRunIsAllocationFreeWithContextCache) {
   SKIP_WITHOUT_HOOK();
-  // The other half of the context's helpers: LAPS reads latest-arrival
-  // prefixes through the per-decision memo every step, and its dense
-  // allocation would mark a fresh SRPT heap stale at every sweep.
+  // The other half of the context's helpers: LAPS partial-sorts its
+  // latest-arrival prefix every step, in the order buffer admission
+  // reserved, and its dense allocation would mark a fresh SRPT heap stale
+  // at every sweep.
   (void)run_audited("laps:0.25");
 }
 

@@ -1,10 +1,11 @@
-// Oracle proof of the engine's ordering path: the persistent
-// IncrementalOrders heaps and the per-decision memo behind the
+// Oracle proof of the engine's ordering path: the persistent SRPT heap,
+// the per-decision latest-arrival sort and the memo behind the
 // SchedulerContext helpers.
 //
-// The contract under test: every helper — served from heaps that replace
-// a per-decision O(n log n) ordering rebuild with O(log n) event
-// maintenance, next to the engine's reusable scratch buffers, the idle
+// The contract under test: every helper — SRPT prefixes served from a
+// heap that replaces a per-decision O(n log n) ordering rebuild with
+// O(log n) event maintenance, latest-arrival prefixes partial-sorted per
+// decision, next to the engine's reusable scratch buffers, the idle
 // flow-quotient arm and the sparse completion sweep — answers exactly as
 // the original per-call sorts (refimpl:: below) would, at every decision
 // of every registry policy, and checking it leaves the run unchanged.
@@ -34,9 +35,9 @@
 // heap edge cases (duplicate keys, completion bursts emptying the heap,
 // admit-during-deferral, stale-heap regathers crossing the top-k
 // boundary, ...), the E1/E5 experiment grids, direct helper and memo
-// checks, tie-break pins at k == n and k < n/8, and the head cases: at
-// 12000 jobs, where a narrow query heaps only the keys below a sampled
-// threshold, every way across that boundary.
+// checks (up to 20000 jobs), tie-break pins at k == n and k < n/8, and
+// the head cases: at 12000 jobs, where a narrow SRPT query heaps only the
+// keys below a sampled threshold, every way across that boundary.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -581,7 +582,7 @@ TEST(IncrementalSeedCorpus, CompletionBurstEmptiesHeap) {
 
 TEST(IncrementalSeedCorpus, AdmitDuringDeferredDecision) {
   // Streaming: advances that stop short of the next event defer the
-  // decision; admissions landing while deferred must enter the heaps
+  // decision; admissions landing while deferred must enter the orders
   // only when released. The streamed run must pass the oracle and match
   // the batch run double for double.
   const Instance inst = fuzz_instance(0xDEFE77ull, 160);
@@ -641,7 +642,7 @@ TEST(IncrementalSeedCorpus, CompletionToleranceEdgeSizes) {
 
 TEST(IncrementalSeedCorpus, TimeToleranceEdgeArrivals) {
   // Releases separated by less than time_tol are handled as simultaneous
-  // — the latest-arrival heap must break those "ties" by id exactly as
+  // — the latest-arrival order must break those "ties" by id exactly as
   // the flat sort does.
   std::vector<Job> jobs;
   for (int i = 0; i < 48; ++i) {
@@ -681,7 +682,7 @@ TEST(IncrementalSeedCorpus, ZeroRateStretchesSequentialGlut) {
 }
 
 TEST(IncrementalSeedCorpus, HeapEmptiesBetweenWaves) {
-  // Two widely separated waves: the alive set (and both heaps) drain to
+  // Two widely separated waves: the alive set (and the heap) drain to
   // empty mid-run, then rebuild through admissions alone.
   std::vector<Job> jobs;
   for (int wave = 0; wave < 3; ++wave) {
@@ -703,7 +704,7 @@ TEST(IncrementalSeedCorpus, HeapEmptiesBetweenWaves) {
 TEST(IncrementalSeedCorpus, SnapshotRestoreRebuildsHeaps) {
   // Export mid-run, import into a fresh engine, and the continuation
   // must pass the oracle and equal the donor's — proving the
-  // lazily-rebuilt heaps reproduce the donor's orderings bit for bit.
+  // lazily rebuilt orders reproduce the donor's orderings bit for bit.
   const Instance inst = fuzz_instance(0x5EED5ull, 140);
   for (const char* policy : {"isrpt", "laps:0.5", "quantized-equi:0.5"}) {
     // Donor: run straight through.
@@ -808,6 +809,8 @@ AliveSet as_set(const std::vector<AliveJob>& records) {
   return set;
 }
 
+/// Both orders at several widths, each through a SchedulerContext of its
+/// own (a cold query, not a memo hit), against refimpl::.
 void expect_orders_match(IncrementalOrders& inc,
                          const std::vector<AliveJob>& records,
                          const std::string& what) {
@@ -820,20 +823,20 @@ void expect_orders_match(IncrementalOrders& inc,
   for (const std::size_t k :
        {std::size_t{1}, alive.size() / 8, alive.size() / 2, alive.size()}) {
     if (k == 0) continue;
-    inc.begin_decision();  // a cold query per k, not a memo hit
-    const auto srpt = inc.srpt.prefix(alive, k);
+    const SchedulerContext ctx(0.0, 1, alive, inc);
+    const auto srpt = ctx.smallest_remaining(k);
     ASSERT_EQ(srpt.size(), k) << what;
     for (std::size_t i = 0; i < k; ++i) {
       ASSERT_EQ(srpt[i], srpt_ref[i]) << what << " srpt k=" << k << " @" << i;
     }
-    const auto latest = inc.latest.prefix(alive, k);
+    const auto latest = ctx.latest_arrivals(k);
     ASSERT_EQ(latest.size(), k) << what;
     for (std::size_t i = 0; i < k; ++i) {
       ASSERT_EQ(latest[i], latest_ref[i])
           << what << " latest k=" << k << " @" << i;
     }
   }
-  inc.audit(alive);
+  inc.srpt.audit(alive);
 }
 
 /// Counts of the churn operations a schedule applied.
@@ -861,7 +864,7 @@ void churn_once(std::mt19937_64& rng, int round, std::vector<AliveJob>& alive,
     // Complete: swap-remove, mirrored.
     const std::size_t i = rng() % alive.size();
     const std::size_t last = alive.size() - 1;
-    inc.remove_swap(i, last);
+    inc.srpt.remove_swap(i, last);
     alive[i] = alive[last];
     alive.pop_back();
     ++counts.removals;
@@ -874,7 +877,7 @@ void churn_once(std::mt19937_64& rng, int round, std::vector<AliveJob>& alive,
     j.size = j.remaining;
     inc.reserve(alive.size() + 1);
     alive.push_back(j);
-    inc.insert(as_set(alive).view(), alive.size() - 1);
+    inc.srpt.insert(as_set(alive).view(), alive.size() - 1);
     ++counts.inserts;
   } else {
     // Mass update + stale SRPT heap (the engine's dense-step path).
@@ -888,7 +891,7 @@ void churn_once(std::mt19937_64& rng, int round, std::vector<AliveJob>& alive,
 
 TEST(IncrementalOrdersUnit, RandomChurnMatchesRefimpl) {
   // Schedule 1 queries both orders from the start, so the churn runs as
-  // upkeep on fresh heaps (and regathers after each stale mark).
+  // upkeep on a fresh heap (and regathers after each stale mark).
   {
     std::mt19937_64 rng(20260808);
     std::vector<AliveJob> alive = random_alive(rng, 80, 6);
@@ -906,7 +909,7 @@ TEST(IncrementalOrdersUnit, RandomChurnMatchesRefimpl) {
     EXPECT_GT(counts.stale_marks, 0);
   }
   // Schedule 2 queries neither order until after inserts, swap-removes
-  // and SRPT drops, so both heaps are first built from a churned set and
+  // and SRPT drops, so the heap is first built from a churned set and
   // then maintained from there.
   {
     std::mt19937_64 rng(20261019);
@@ -918,7 +921,7 @@ TEST(IncrementalOrdersUnit, RandomChurnMatchesRefimpl) {
     ASSERT_GT(counts.inserts, 0);
     ASSERT_GT(counts.removals, 0);
     ASSERT_GT(counts.drops, 0);
-    ASSERT_TRUE(inc.srpt.stale() && inc.latest.stale());
+    ASSERT_TRUE(inc.srpt.stale());
     expect_orders_match(inc, alive, "first query after churn");
     if (HasFatalFailure()) return;
     for (; round < 300; ++round) {
@@ -940,8 +943,6 @@ TEST(IncrementalOrdersUnit, RandomChurnMatchesRefimpl) {
 // the tail. Each case drives one way across the head's boundary on
 // 12000 jobs and checks the prefixes against refimpl:: and the audit
 // (head iff key below T) after every step.
-
-using SrptHeap = OrderHeap<SrptKey, SrptKeyLess>;
 
 constexpr std::size_t kHeadCaseJobs = 12000;
 
@@ -979,17 +980,17 @@ void expect_srpt_prefix(IncrementalOrders& inc, const AliveSet& set,
   inc.srpt.audit(set.view());
 }
 
-/// Admit `j` to the set and the heaps, as the engine does.
+/// Admit `j` to the set and the heap, as the engine does.
 void admit(IncrementalOrders& inc, AliveSet& set, const Job& j) {
   inc.reserve(set.size() + 1);
   set.append(j, static_cast<std::int64_t>(set.size()));
-  inc.insert(set.view(), set.size() - 1);
+  inc.srpt.insert(set.view(), set.size() - 1);
 }
 
 /// Complete alive job i: the engine's swap-remove, mirrored.
 void complete(IncrementalOrders& inc, AliveSet& set, std::size_t i) {
   const std::size_t last = set.size() - 1;
-  inc.remove_swap(i, last);
+  inc.srpt.remove_swap(i, last);
   if (i != last) set.relocate(last, i);
   set.resize(last);
 }
@@ -1010,7 +1011,7 @@ TEST(IncrementalHead, NarrowQueryGathersAProperSubset) {
   EXPECT_GE(inc.srpt.head_size(), 16u);
   EXPECT_LT(inc.srpt.head_size(), kHeadCaseJobs / 2);
   // At most four heads' worth of jobs, the head is the whole set.
-  const AliveSet small = head_case_set(rng, 4 * SrptHeap::kHeadJobs);
+  const AliveSet small = head_case_set(rng, 4 * OrderHeap::kHeadJobs);
   IncrementalOrders whole;
   expect_srpt_prefix(whole, small, 16, "small set");
   EXPECT_EQ(whole.srpt.head_size(), small.size());
@@ -1102,19 +1103,6 @@ TEST(IncrementalHead, FullOrderQueryAfterAPartialHead) {
   for (std::size_t i = 0; i < ref.size(); ++i) ASSERT_EQ(full[i], ref[i]);
   for (std::size_t i = 0; i < kept.size(); ++i) EXPECT_EQ(narrow[i], kept[i]);
   inc.srpt.audit(set.view());
-  // The latest-arrival order the same way: a narrow head, then all.
-  std::vector<std::size_t> latest_ref;
-  refimpl::latest_arrivals(set.view(), set.size(), latest_ref);
-  for (const std::size_t k : {std::size_t{16}, set.size()}) {
-    inc.begin_decision();
-    const auto got = inc.latest.prefix(set.view(), k);
-    if (k == 16) {
-      EXPECT_LT(inc.latest.head_size(), set.size());
-    }
-    ASSERT_EQ(got.size(), k);
-    for (std::size_t i = 0; i < k; ++i) ASSERT_EQ(got[i], latest_ref[i]);
-    inc.latest.audit(set.view());
-  }
 }
 
 TEST(IncrementalHead, RemoveSwapWhoseBackJobIsInTheTail) {
@@ -1210,7 +1198,7 @@ TEST(IncrementalHead, RegatherLeavesStaleSlotsOfTailJobsUnread) {
 }
 
 TEST(IncrementalHead, StaleAdmissionsAndCompletionsKeepTheMapInStep) {
-  // While stale, the heaps keep one position-map entry per alive job:
+  // While stale, the heap keeps one position-map entry per alive job:
   // the audit checks the length, stale or not, and the first gather
   // writes into the map admission grew.
   std::mt19937_64 rng(39);
@@ -1226,20 +1214,12 @@ TEST(IncrementalHead, StaleAdmissionsAndCompletionsKeepTheMapInStep) {
     j.size = records[i].remaining;
     admit(inc, set, j);
     if (i % 97 == 96) complete(inc, set, rng() % set.size());
-    if (i % 1000 == 0) inc.audit(set.view());
+    if (i % 1000 == 0) inc.srpt.audit(set.view());
   }
-  ASSERT_TRUE(inc.srpt.stale() && inc.latest.stale());
-  inc.audit(set.view());
+  ASSERT_TRUE(inc.srpt.stale());
+  inc.srpt.audit(set.view());
   expect_srpt_prefix(inc, set, 16, "first query after stale churn");
   EXPECT_LT(inc.srpt.head_size(), set.size() / 2);
-  std::vector<std::size_t> latest_ref;
-  refimpl::latest_arrivals(set.view(), 16, latest_ref);
-  const auto latest = inc.latest.prefix(set.view(), 16);
-  ASSERT_EQ(latest.size(), latest_ref.size());
-  for (std::size_t i = 0; i < latest_ref.size(); ++i) {
-    EXPECT_EQ(latest[i], latest_ref[i]);
-  }
-  inc.audit(set.view());
   // Stale again (a dense step), then churn: the map follows.
   inc.srpt.mark_stale();
   for (int k = 0; k < 50; ++k) complete(inc, set, rng() % set.size());
@@ -1254,15 +1234,14 @@ TEST(IncrementalHead, StaleAdmissionsAndCompletionsKeepTheMapInStep) {
 }
 
 TEST(IncrementalHead, ARestoreSizesTheMapForTheFirstGather) {
-  // A restore replaces the alive set under heaps that indexed another
-  // one: clear(n) leaves them stale with n map entries, and the first
+  // A restore replaces the alive set under orders that indexed another
+  // one: clear(n) leaves the heap stale with n map entries, and the first
   // gather over the restored set is exact.
   std::mt19937_64 rng(40);
   const AliveSet donor = head_case_set(rng, kHeadCaseJobs);
   IncrementalOrders inc;
   expect_srpt_prefix(inc, donor, 16, "donor query");
-  inc.begin_decision();
-  (void)inc.latest.prefix(donor.view(), 16);
+  (void)SchedulerContext(0.0, 1, donor.view(), inc).latest_arrivals(16);
   std::vector<AliveJob> records;
   donor.materialize(records);
   records.resize(kHeadCaseJobs - 1500);
@@ -1271,8 +1250,8 @@ TEST(IncrementalHead, ARestoreSizesTheMapForTheFirstGather) {
   restored.assign(records);
   inc.reserve(restored.size());
   inc.clear(restored.size());
-  ASSERT_TRUE(inc.srpt.stale() && inc.latest.stale());
-  inc.audit(restored.view());
+  ASSERT_TRUE(inc.srpt.stale());
+  inc.srpt.audit(restored.view());
   expect_srpt_prefix(inc, restored, 16, "first query after the restore");
   EXPECT_LT(inc.srpt.head_size(), restored.size() / 2);
   expect_orders_match(inc, records, "every width after the restore");
@@ -1384,10 +1363,11 @@ TEST(IncrementalFloors, EngineDriveAgreesWithAFullSortAtEveryDecision) {
   EXPECT_TRUE(cont_sched.ok()) << cont_sched.mismatch();
 }
 
-// ---- Tie-break pinning on the heaps --------------------------------------
+// ---- Tie-break pinning on the orders -------------------------------------
 //
-// The heaps must realize the strict total orders for equal keys at
-// k == n (heap-copy sort) and at k < n/8 (heap traversal).
+// The heap must realize SRPT's strict total order for equal keys at
+// k == n (heap-copy sort) and at k < n/8 (heap traversal), and the
+// per-decision sort the latest-arrival order at both widths.
 
 std::vector<AliveJob> tie_heavy_alive() {
   // 24 jobs; indices 17, 9, 5 share the smallest remaining. 17 and 9
@@ -1412,13 +1392,12 @@ std::vector<AliveJob> tie_heavy_alive() {
   return alive;
 }
 
-/// Both heaps built over `alive` by a first query, so later churn is
-/// upkeep on fresh heaps.
+/// The heap built over `alive` by a first query, so later churn is
+/// upkeep on a fresh heap.
 IncrementalOrders build_inc(const std::vector<AliveJob>& alive) {
   const AliveSet set = as_set(alive);
   IncrementalOrders inc;
   (void)inc.srpt.prefix(set.view(), 1);
-  (void)inc.latest.prefix(set.view(), 1);
   return inc;
 }
 
@@ -1463,10 +1442,10 @@ TEST(IncrementalTieBreaks, LatestOrderPinnedAtFullAndSmallK) {
   const AliveSet set = as_set(alive);
   std::vector<std::size_t> full_ref;
   refimpl::latest_arrivals(set.view(), set.view().size(), full_ref);
-  IncrementalOrders inc = build_inc(alive);
+  IncrementalOrders inc;
   for (const std::size_t k : {std::size_t{3}, alive.size()}) {
-    inc.begin_decision();
-    const auto got = inc.latest.prefix(set.view(), k);
+    const SchedulerContext ctx(0.0, 1, set.view(), inc);
+    const auto got = ctx.latest_arrivals(k);
     ASSERT_EQ(got.size(), k);
     for (std::size_t i = 0; i < want_prefix.size(); ++i) {
       EXPECT_EQ(got[i], want_prefix[i]) << "k=" << k << " position " << i;
@@ -1490,7 +1469,7 @@ TEST(IncrementalTieBreaks, TieOrderSurvivesChurn) {
   }
   // Remove one of the original tied jobs via the swap-remove mirror.
   const std::size_t last = alive.size() - 1;
-  inc.remove_swap(9, last);
+  inc.srpt.remove_swap(9, last);
   alive[9] = alive[last];
   alive.pop_back();
   const AliveSet set = as_set(alive);
@@ -1502,7 +1481,7 @@ TEST(IncrementalTieBreaks, TieOrderSurvivesChurn) {
   for (std::size_t i = 0; i < alive.size(); ++i) {
     EXPECT_EQ(got[i], ref[i]) << "position " << i;
   }
-  inc.audit(set.view());
+  inc.srpt.audit(set.view());
 }
 
 // ---- The E1/E5 grids, phased jobs and direct helper checks -----------
@@ -1616,15 +1595,23 @@ void expect_span_eq(std::span<const std::size_t> got,
 TEST(ContextCacheHelpers, AllHelpersMatchRefimplAcrossKs) {
   std::mt19937_64 rng(1234);
   std::vector<std::size_t> ref;
+  // The last set is above 4·kHeadJobs: its narrow SRPT queries gather a
+  // proper head, and its latest-arrival queries run from a quarter of the
+  // set (LAPS's widths) down to one job.
+  constexpr std::size_t kLarge = 20'000;
+  static_assert(kLarge > 4 * OrderHeap::kHeadJobs);
   for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{40},
-                              std::size_t{200}}) {
+                              std::size_t{200}, kLarge}) {
     const AliveSet set = as_set(random_alive(rng, n, 5));
-    const std::vector<std::size_t> ks = {0,     1,     2,         3,
-                                         n / 8, n / 2, n ? n - 1 : 0, n,
-                                         n + 10};
+    const std::vector<std::size_t> ks =
+        n == kLarge ? std::vector<std::size_t>{1, n / 32, n / 4, n}
+                    : std::vector<std::size_t>{0,     1,     2,
+                                               3,     n / 8, n / 2,
+                                               n ? n - 1 : 0, n, n + 10};
     for (const std::size_t k : ks) {
-      // Fresh heaps per query so each k takes its cold path (heap
-      // traversal for k < n, sorted key copy at k >= n).
+      // Fresh orders per query so each k takes its cold path (heap
+      // traversal for k below the head, sorted key copy for the whole
+      // head; one partial sort of the latest-arrival order).
       IncrementalOrders orders;
       const SchedulerContext ctx(0.0, 4, set.view(), orders);
       const std::string what =
@@ -1638,6 +1625,17 @@ TEST(ContextCacheHelpers, AllHelpersMatchRefimplAcrossKs) {
     IncrementalOrders orders;
     const SchedulerContext ctx(0.0, 4, set.view(), orders);
     EXPECT_EQ(ctx.min_remaining(), refimpl::min_remaining(set.view()));
+    // The same widths within one decision, narrowest first: each wider
+    // query sorts on from where the last one stopped.
+    for (const std::size_t k : ks) {
+      const std::string what =
+          "n=" + std::to_string(n) + " widening k=" + std::to_string(k);
+      refimpl::smallest_remaining(set.view(), k, ref);
+      expect_span_eq(ctx.smallest_remaining(k), ref,
+                     "smallest_remaining " + what);
+      refimpl::latest_arrivals(set.view(), k, ref);
+      expect_span_eq(ctx.latest_arrivals(k), ref, "latest_arrivals " + what);
+    }
   }
 }
 

@@ -253,5 +253,19 @@ TEST(Registry, UnknownNameThrows) {
                std::invalid_argument);
 }
 
+TEST(Registry, MalformedOrOutOfRangeParametersThrow) {
+  // A spec without ':' takes the default; one with ':' must carry one
+  // whole number in the policy's range. None of these falls back to the
+  // default policy.
+  EXPECT_EQ(make_scheduler("laps")->name(), "LAPS(0.5)");
+  for (const char* spec :
+       {"laps:0", "laps:-1", "laps:nan", "laps:0.5x", "laps:", "laps:1.5",
+        "laps: 0.5", "oldest-equi:0", "oldest-equi:nan", "quantized-equi:0",
+        "quantized-equi:nan", "setf:0", "setf:-0.1", "isrpt-thresh:0.5",
+        "isrpt-thresh:nan", "isrpt-thresh:2x", "isrpt:2"}) {
+    EXPECT_THROW((void)make_scheduler(spec), std::invalid_argument) << spec;
+  }
+}
+
 }  // namespace
 }  // namespace parsched

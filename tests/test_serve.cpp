@@ -978,6 +978,20 @@ TEST(Protocol, ErrorsAndRejectionsAnswerEveryRequest) {
   EXPECT_FALSE(badcurve.bool_or("ok", true));
 }
 
+TEST(Protocol, OpenWithAnOutOfRangePolicyParameterIsAnError) {
+  // "laps:0" names no policy: the open gets an error reply, not a session
+  // running the default LAPS(0.5).
+  ProtoClient client(server_config(1, 4, 16));
+  for (const char* policy : {"laps:0", "laps:nan", "laps:0.5x"}) {
+    const obs::JsonValue opened = client.call_json(
+        std::string(R"({"op":"open","id":1,"policy":")") + policy +
+        R"(","machines":2})");
+    EXPECT_FALSE(opened.bool_or("ok", true)) << policy;
+    EXPECT_FALSE(opened.string_or("error", "").empty()) << policy;
+    EXPECT_EQ(opened.number_or("session", -1.0), -1.0) << policy;
+  }
+}
+
 // The live-telemetry verbs. stats/dump answer synchronously (they must
 // work even when every strand is wedged), so a strict request/response
 // client exercises them exactly like any other op.

@@ -454,22 +454,16 @@ TEST(RepeatedSum, NegativeNanAndInfiniteTerms) {
   expect_repeated_sum(1.0, nan, 1'000'000, 1.0, "nan run");
 }
 
-/// repeated_block_sum against the serial loop over blocks·kBlock copies
-/// of q, bit for bit (a NaN only as a NaN).
+/// repeated_scaled_sum over a run of `blocks` whole blocks of terms (an
+/// idle-flow run of equal block summaries) against the serial loop.
 void expect_block_run_sum(double acc, double q, std::size_t blocks,
                           double dt, const std::string& what) {
-  const std::vector<double> terms(blocks * kSumBlock, q);
-  const double want = ordered_sum::serial(acc, terms.data(), terms.size(), dt);
-  const double got = repeated_block_sum(acc, q, blocks, dt);
-  EXPECT_TRUE(std::isnan(want) ? std::isnan(got) : bits(got) == bits(want))
-      << std::hexfloat << what << " acc=" << acc << " q=" << q
-      << " dt=" << dt << " blocks=" << blocks << " want=" << want
-      << " got=" << got;
+  expect_repeated_sum(acc, q, blocks * kSumBlock, dt, what);
 }
 
 TEST(RepeatedSum, RunsOfBlocksMatchTheSerialLoop) {
-  // A run of whole blocks in one sum, and — where its sum crosses a power
-  // of two partway through, or every term is a tie — a block at a time.
+  // A run of whole blocks in one sum, split where its sum crosses a power
+  // of two partway through, and term by term where every term is a tie.
   const double t = 0x1p-20;
   for (const std::size_t blocks : {1u, 2u, 3u, 7u, 40u}) {
     const double len = static_cast<double>(blocks * kSumBlock);
@@ -510,8 +504,8 @@ TEST(RepeatedSum, RunsOfBlocksMatchTheSerialLoop) {
 
 TEST(RepeatedSum, RunsSplitAtEveryPowerOfTwoTheyCross) {
   // One run whose sum crosses 2, 4, 8, ... partway through a block: the
-  // blocks between two crossings are one sum, the crossing block the
-  // serial loop's. A block of t = 2^-14 adds 1/32.
+  // terms between two crossings are one sum, the crossing term the serial
+  // loop's. A block of t = 2^-14 adds 1/32.
   for (const std::size_t blocks : {33u, 224u, 300u, 1000u}) {
     for (const double acc : {1.0, 1.0 + 0x1p-20, 1.3, 0x1.fffp0}) {
       expect_block_run_sum(acc, 0x1p-14, blocks, 1.0, "dyadic terms");
